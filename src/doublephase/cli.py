@@ -2,7 +2,9 @@
 
 Config files are ``key = value`` lines; ``#`` starts a comment and dotted
 keys form sections.  Unknown keys are hard errors.  Exit status: 0 on
-success / all-pass, 1 on validation or property failure, 2 on usage error.
+success / all-pass, 1 on validation or property failure (and a failed
+solve), 2 on usage or config error, including a ``solve``/``sweep`` config
+that violates a hypothesis clause and a scalar root that cannot be found.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from .fibering import eta, eta_tilde, fiber_terms, psi_derivatives, t_circ, t_ti
 from .mesh import build_rect_mesh
 from .problem import ProblemData, validate_hypotheses
 from .props import run_property_suites
-from .solver import SolverOptions, solve_two
+from .rootfind import BracketError
+from .solver import NoRootError, SolverOptions, solve_two
 from .space import norm_circ, norm_custom, norm_1p, norm_star, sample_fields
 from .sweep import (
     SweepReport,
@@ -299,9 +302,20 @@ def _cmd_fiber(config: Config, out_dir: str, function: str) -> int:
     return 0
 
 
-def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
+def _admissible(config: Config):
+    """(data, mesh) of a config that satisfies every hypothesis clause;
+    raises ValueError naming the violated clauses otherwise, because the
+    solver's scalar maps lose their monotonicity outside them."""
     data = config.problem()
     mesh = config.build_mesh()
+    report = validate_hypotheses(data, mesh)
+    if not report.ok:
+        raise ValueError("hypotheses violated: " + "; ".join(f"{tag}: {msg}" for tag, msg in report.violations))
+    return data, mesh
+
+
+def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
+    data, mesh = _admissible(config)
     report = solve_two(mesh, data, config.lam, config.solver)
     os.makedirs(out_dir, exist_ok=True)
     if report.plus is not None:
@@ -337,8 +351,7 @@ def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
 
 
 def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
-    data = config.problem()
-    mesh = config.build_mesh()
+    data, mesh = _admissible(config)
     fields = sample_fields(mesh, data)
     n = config.sweep_samples
     seed = config.sweep_seed
@@ -442,6 +455,9 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
     except ValueError as exc:
         # unusable configuration (degenerate rectangle, invalid exponents, ...)
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (BracketError, NoRootError) as exc:
+        print(f"scalar root finding failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -6,14 +6,16 @@ For fixed u everything reduces to five nonnegative scalars
     d = int zeta |u|^{1-kappa},  e = int |u|^{q1},
 
 from which the fiber map psi, the root-locating maps eta, eta_tilde, xi,
-the closed-form maximizer of eta_tilde and the bracketed roots t1 < t_circ
-< t2 of eta(t) = lam*e all follow.  u lies on the constraint manifold when
-psi'(1) = 0; the sign of psi''(1) splits it into the plus/zero/minus
-branches.
+the closed-form maximizer of eta_tilde and the roots t1 < t_circ < t2 of
+eta(t) = lam*e all follow; psi, eta, xi and the root maps are power sums
+solved by the shared safeguarded Newton finder.  u lies on the constraint
+manifold when psi'(1) = 0; the sign of psi''(1) splits it into the
+plus/zero/minus branches.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .problem import ProblemData
-from .rootfind import expand_bracket, hybrid_root
+from .rootfind import expand_bracket, hybrid_root, power_sum
 from .space import FieldSamples, modular_breakdown
 
 __all__ = [
@@ -62,16 +64,9 @@ class FiberTerms:
     def scaled(self, s: float) -> "FiberTerms":
         """Fiber terms of s*u given those of u (pure power scaling)."""
         return FiberTerms(
-            a=self.a * s**self.p,
-            b=self.b * s**self.q,
-            c=self.c * s**self.p_lower_star,
-            d=self.d * s ** (1.0 - self.kappa),
-            e=self.e * s**self.q1,
-            p=self.p,
-            q=self.q,
-            p_lower_star=self.p_lower_star,
-            q1=self.q1,
-            kappa=self.kappa,
+            self.a * s**self.p, self.b * s**self.q, self.c * s**self.p_lower_star,
+            self.d * s ** (1.0 - self.kappa), self.e * s**self.q1,
+            self.p, self.q, self.p_lower_star, self.q1, self.kappa,
         )
 
 
@@ -108,42 +103,30 @@ def fiber_terms(
     )
 
 
+def _psi_terms(ft: FiberTerms, lam: float) -> list:
+    p, q, ps, q1, k = ft.p, ft.q, ft.p_lower_star, ft.q1, ft.kappa
+    return [(ft.a / p, p), (ft.b / q, q), (ft.c / ps, ps), (-ft.d / (1.0 - k), 1.0 - k), (-lam * ft.e / q1, q1)]
+
+
 def psi(ft: FiberTerms, lam: float, t: float) -> float:
     """Fiber energy Theta(t u); psi(0) = 0 by convention."""
     if t < 0:
         raise ValueError("fiber parameter t must be >= 0")
-    if t == 0:
-        return 0.0
-    return (
-        ft.a / ft.p * t**ft.p
-        + ft.b / ft.q * t**ft.q
-        + ft.c / ft.p_lower_star * t**ft.p_lower_star
-        - ft.d / (1.0 - ft.kappa) * t ** (1.0 - ft.kappa)
-        - lam * ft.e / ft.q1 * t**ft.q1
-    )
+    return power_sum(_psi_terms(ft, lam))(t)[0] if t > 0 else 0.0
 
 
 def psi_derivatives(ft: FiberTerms, lam: float, t: float) -> tuple[float, float, float]:
     """(psi, psi', psi'') at t > 0 (the derivatives carry singular powers of t)."""
     if t <= 0:
         raise ValueError("fiber derivatives need t > 0")
+    terms = _psi_terms(ft, lam)
+    val, d1 = power_sum(terms)(t)
+    return val, d1, power_sum([(c * r, r - 1.0) for c, r in terms])(t)[1]
+
+
+def _eta_terms(ft: FiberTerms) -> list:
     p, q, ps, q1, k = ft.p, ft.q, ft.p_lower_star, ft.q1, ft.kappa
-    val = psi(ft, lam, t)
-    d1 = (
-        ft.a * t ** (p - 1)
-        + ft.b * t ** (q - 1)
-        + ft.c * t ** (ps - 1)
-        - ft.d * t ** (-k)
-        - lam * ft.e * t ** (q1 - 1)
-    )
-    d2 = (
-        (p - 1) * ft.a * t ** (p - 2)
-        + (q - 1) * ft.b * t ** (q - 2)
-        + (ps - 1) * ft.c * t ** (ps - 2)
-        + k * ft.d * t ** (-k - 1)
-        - lam * (q1 - 1) * ft.e * t ** (q1 - 2)
-    )
-    return val, d1, d2
+    return [(ft.a, p - q1), (ft.b, q - q1), (ft.c, ps - q1), (-ft.d, 1.0 - q1 - k)]
 
 
 def eta(ft: FiberTerms, t: float) -> float:
@@ -151,25 +134,13 @@ def eta(ft: FiberTerms, t: float) -> float:
     psi'(t) = t^{q1-1} (eta(t) - lam e)."""
     if t <= 0:
         raise ValueError("eta needs t > 0")
-    p, q, ps, q1, k = ft.p, ft.q, ft.p_lower_star, ft.q1, ft.kappa
-    return (
-        ft.a * t ** (p - q1)
-        + ft.b * t ** (q - q1)
-        + ft.c * t ** (ps - q1)
-        - ft.d * t ** (1.0 - q1 - k)
-    )
+    return power_sum(_eta_terms(ft))(t)[0]
 
 
 def eta_prime(ft: FiberTerms, t: float) -> float:
     if t <= 0:
         raise ValueError("eta_prime needs t > 0")
-    p, q, ps, q1, k = ft.p, ft.q, ft.p_lower_star, ft.q1, ft.kappa
-    return (
-        (p - q1) * ft.a * t ** (p - q1 - 1)
-        + (q - q1) * ft.b * t ** (q - q1 - 1)
-        + (ps - q1) * ft.c * t ** (ps - q1 - 1)
-        + (q1 + k - 1.0) * ft.d * t ** (-q1 - k)
-    )
+    return power_sum(_eta_terms(ft))(t)[1]
 
 
 def eta_tilde(ft: FiberTerms, t: float) -> float:
@@ -179,17 +150,17 @@ def eta_tilde(ft: FiberTerms, t: float) -> float:
     return ft.a * t ** (ft.p - ft.q1) - ft.d * t ** (1.0 - ft.q1 - ft.kappa)
 
 
+def _xi_terms(ft: FiberTerms) -> list:
+    p, q, ps, q1, k = ft.p, ft.q, ft.p_lower_star, ft.q1, ft.kappa
+    return [((q1 - p) * ft.a, p + k - 1.0), ((q1 - q) * ft.b, q + k - 1.0), ((q1 - ps) * ft.c, ps + k - 1.0)]
+
+
 def xi(ft: FiberTerms, t: float) -> float:
     """(q1-p) a t^{p+k-1} + (q1-q) b t^{q+k-1} + (q1-p_*) c t^{p_*+k-1};
     strictly increasing, and eta'(t) = 0 iff xi(t) = (q1+k-1) d."""
     if t <= 0:
         raise ValueError("xi needs t > 0")
-    p, q, ps, q1, k = ft.p, ft.q, ft.p_lower_star, ft.q1, ft.kappa
-    return (
-        (q1 - p) * ft.a * t ** (p + k - 1.0)
-        + (q1 - q) * ft.b * t ** (q + k - 1.0)
-        + (q1 - ps) * ft.c * t ** (ps + k - 1.0)
-    )
+    return power_sum(_xi_terms(ft))(t)[0]
 
 
 def t_tilde_circ(ft: FiberTerms) -> tuple[float, float]:
@@ -218,20 +189,24 @@ def t_tilde_circ(ft: FiberTerms) -> tuple[float, float]:
     return t_tilde, closed
 
 
-def t_circ(ft: FiberTerms) -> float:
+def t_circ(ft: FiberTerms, start: Optional[float] = None) -> float:
     """The unique maximizer of eta: the root of xi(t) = (q1+kappa-1) d.
 
-    xi is strictly increasing from 0 to infinity, so geometric bracketing
-    from t = 1 plus the bisection/secant hybrid always succeeds.
+    xi increases from 0 to inf, so rhs - xi falls from rhs to -inf.  Cold, the
+    root is first bracketed geometrically from t = 1; a warm ``start`` seeds
+    the safeguarded Newton iteration on all of (0, inf).
     """
     if ft.d <= 0 or (ft.a <= 0 and ft.b <= 0 and ft.c <= 0):
         raise ValueError("t_circ needs d > 0 and one of a, b, c > 0")
     rhs = (ft.q1 + ft.kappa - 1.0) * ft.d
-    f = lambda t: rhs - xi(ft, t)        # decreasing in t, positive at small t
-    lo, hi, flo, fhi = expand_bracket(f, start=1.0)
-    if lo == hi:
-        return lo
-    return hybrid_root(f, lo, hi, flo, fhi, abs_tol=ROOT_TOL * rhs)
+    f = power_sum([(-c, r) for c, r in _xi_terms(ft)] + [(rhs, 0.0)])  # rhs - xi
+    if start is None:
+        lo, hi, flo, fhi = expand_bracket(f, start=1.0)
+        if lo == hi:
+            return lo
+    else:
+        lo, hi, flo, fhi = 0.0, math.inf, rhs, -math.inf
+    return hybrid_root(f, lo, hi, flo, fhi, abs_tol=ROOT_TOL * rhs, start=start)
 
 
 @dataclass(frozen=True)
@@ -248,16 +223,28 @@ class FiberRoots:
         return self.kind == "two"
 
 
-def fiber_roots(ft: FiberTerms, lam: float) -> FiberRoots:
+def fiber_roots(
+    ft: FiberTerms,
+    lam: float,
+    start: Optional[float] = None,
+    tc_start: Optional[float] = None,
+    only: Optional[str] = None,
+) -> FiberRoots:
     """Locate the roots of eta(t) = lam*e around the maximizer t_circ.
 
-    Two bracketed roots when eta(t_circ) > lam*e, a tangency inside the
-    declared 1e-10 relative band, and none below it.  Roots are located to
-    |eta(t) - lam*e| <= 1e-12 * lam*e on the monotone branches.
+    Two roots when eta(t_circ) > lam*e, a tangency inside the declared
+    1e-10 relative band, and none below it.  Each root is located to
+    |eta(t) - lam*e| <= 1e-12 * lam*e by the safeguarded Newton iteration on
+    its monotone piece, (0, t_circ] (eta increasing) or [t_circ, inf).
+    ``start`` warm-starts the roots (ignored on the wrong side of t_circ),
+    ``tc_start`` warm-starts t_circ; ``only`` = "t1" or "t2" locates just
+    that root and leaves the other None.
     """
     if ft.e <= 0:
         raise ValueError("fiber_roots needs e > 0")
-    tc = t_circ(ft)
+    if only not in (None, "t1", "t2"):
+        raise ValueError(f"only must be None, 't1' or 't2', got {only!r}")
+    tc = t_circ(ft, start=tc_start)
     eta_max = eta(ft, tc)
     le = lam * ft.e
     if abs(eta_max - le) <= TANGENT_TOL * max(abs(le), abs(eta_max)):
@@ -265,32 +252,12 @@ def fiber_roots(ft: FiberTerms, lam: float) -> FiberRoots:
     if eta_max < le:
         return FiberRoots("none", None, None, tc, eta_max, le)
     tol = ROOT_TOL * le
-
-    g = lambda t: eta(ft, t) - le
-    # eta increases to eta_max on (0, t_circ]: walk down until the sign
-    # flips, keeping the one-octave bracket tight
-    hi1, fhi1 = tc, eta_max - le
-    for _ in range(200):
-        lo1 = hi1 / 2.0
-        flo1 = g(lo1)
-        if flo1 <= 0:
-            break
-        hi1, fhi1 = lo1, flo1
-    else:
-        raise ArithmeticError("no lower bracket for t1")
-    t1 = hybrid_root(g, hi1, lo1, fhi1, flo1, abs_tol=tol)
-
-    # eta decreases to 0 on [t_circ, inf): walk up until below lam*e
-    lo2, flo2 = tc, eta_max - le
-    for _ in range(200):
-        hi2 = lo2 * 2.0
-        fhi2 = g(hi2)
-        if fhi2 <= 0:
-            break
-        lo2, flo2 = hi2, fhi2
-    else:
-        raise ArithmeticError("no upper bracket for t2")
-    t2 = hybrid_root(g, lo2, hi2, flo2, fhi2, abs_tol=tol)
+    g = power_sum(_eta_terms(ft) + [(-le, 0.0)])  # eta - lam*e: -inf at 0, -lam*e at inf
+    t1 = t2 = None
+    if only != "t2":
+        t1 = hybrid_root(g, 0.0, tc, -math.inf, eta_max - le, abs_tol=tol, start=start)
+    if only != "t1":
+        t2 = hybrid_root(g, tc, math.inf, eta_max - le, -le, abs_tol=tol, start=start)
     return FiberRoots("two", t1, t2, tc, eta_max, le)
 
 

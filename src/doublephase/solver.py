@@ -110,32 +110,50 @@ class SolveReport:
 class _Projected:
     u: np.ndarray
     energy: float
-    t: float
+    t: float       # fiber root of the normalized direction, and the norm of u
+    t_circ: float  # fiber maximizer of the normalized direction
 
 
-def _branch_scale(ft: FiberTerms, lam: float, branch: Branch) -> float:
-    roots = fiber_roots(ft, lam)
+def _branch_scale(
+    ft: FiberTerms, lam: float, branch: Branch, warm: Optional[_Projected] = None
+) -> tuple[float, float]:
+    """(branch root, t_circ) of the fiber; ``warm`` seeds both."""
+    start, tc_start = (None, None) if warm is None else (warm.t, warm.t_circ)
+    only = "t1" if branch is Branch.PLUS else "t2"
+    roots = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=only)
     if not roots.two:
         raise NoRootError(
             f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
         )
-    return roots.t1 if branch is Branch.PLUS else roots.t2
+    return (roots.t1 if branch is Branch.PLUS else roots.t2), roots.t_circ
 
 
 def _project(
-    mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, branch: Branch, fields: FieldSamples
+    mesh: Mesh,
+    data: ProblemData,
+    w: np.ndarray,
+    lam: float,
+    branch: Branch,
+    fields: FieldSamples,
+    warm: Optional[_Projected] = None,
 ) -> _Projected:
     """Normalize the direction w and scale it onto the branch; returns the
-    on-manifold point with its energy (computed from the fiber terms)."""
+    on-manifold point with its energy (computed from the fiber terms).
+
+    ``warm`` is a projected point near w (the line search's base point):
+    its norm t seeds the norm of w, and its t_circ and t seed the fiber
+    roots of the normalized direction.
+    """
     ft = fiber_terms(mesh, data, w, fields)
     nrm = luxemburg_norm(
-        power_modular([(ft.a, ft.p), (ft.b, ft.q), (ft.c, ft.p_lower_star)])
+        power_modular([(ft.a, ft.p), (ft.b, ft.q), (ft.c, ft.p_lower_star)]),
+        start=None if warm is None else warm.t,
     )
     if nrm == 0.0:
         raise ValueError("cannot project the zero direction")
     ftn = ft.scaled(1.0 / nrm)
-    t = _branch_scale(ftn, lam, branch)
-    return _Projected(u=(t / nrm) * w, energy=psi(ftn, lam, t), t=t)
+    t, tc = _branch_scale(ftn, lam, branch, warm)
+    return _Projected(u=(t / nrm) * w, energy=psi(ftn, lam, t), t=t, t_circ=tc)
 
 
 def project_to_nehari(
@@ -154,7 +172,7 @@ def project_to_nehari(
     if fields is None:
         fields = sample_fields(mesh, data)
     ft = fiber_terms(mesh, data, u, fields)
-    return _branch_scale(ft, lam, branch) * u
+    return _branch_scale(ft, lam, branch)[0] * u
 
 
 def minimize_on_branch(
@@ -226,7 +244,7 @@ def minimize_on_branch(
             trial_w = np.maximum(proj.u - sigma * g, 0.0)
             if trial_w.any():
                 try:
-                    trial = _project(mesh, data, trial_w, lam, branch, fields)
+                    trial = _project(mesh, data, trial_w, lam, branch, fields, warm=proj)
                 except (NoRootError, BracketError):
                     trial = None
                 if (

@@ -5,21 +5,22 @@ The working norm is the Luxemburg norm of the modular
     rho(u) = integral(|grad u|^p + mu |grad u|^q)
            + integral(alpha |u|^p) + boundary integral(beta |u|^{p_*}),
 
-computed by scalar root finding on tau -> rho(u/tau), which is strictly
-decreasing for u != 0.  Because every modular term is a pure power of tau,
-rho(u/tau) is assembled once per function and then evaluated from six
-scalars.
+computed by scalar root finding (safeguarded Newton) on tau -> rho(u/tau),
+which is strictly decreasing for u != 0.  Because every modular term is a
+pure power of tau, rho(u/tau) is assembled once per function and then
+evaluated from six scalars.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .mesh import Mesh, gradients
 from .problem import ProblemData
-from .rootfind import expand_bracket, hybrid_root
+from .rootfind import Map, expand_bracket, hybrid_root, power_sum
 
 __all__ = [
     "FieldSamples",
@@ -130,31 +131,37 @@ def modular_rho(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples]
     return bd.grad_p + bd.grad_q_mu + bd.mass_p_alpha + bd.bdry_pstar_beta
 
 
-def power_modular(terms) -> Callable[[float], float]:
-    """tau -> sum(coef * tau^(-power)) for nonzero coefficients; the scaled
-    modular of any positively homogeneous term list."""
-    live = [(float(c), float(r)) for c, r in terms if c != 0.0]
-
-    def rho(tau: float) -> float:
-        return sum(c * tau ** (-r) for c, r in live)
-
-    return rho
+def power_modular(terms) -> Map:
+    """tau -> (sum(coef * tau^(-power)), its tau-derivative) for nonzero
+    coefficients; the scaled modular of any positively homogeneous term list."""
+    return power_sum([(c, -r) for c, r in terms])
 
 
-def luxemburg_norm(modular_eval: Callable[[float], float], tol: float = LUX_TOL) -> float:
+def luxemburg_norm(modular_eval: Map, tol: float = LUX_TOL, start: Optional[float] = None) -> float:
     """inf{tau > 0 : rho(u/tau) <= 1} for a strictly decreasing modular map.
 
-    ``modular_eval(tau)`` must return rho(u/tau).  Returns 0 when the
-    modular vanishes identically (u = 0); raises BracketError if 200
-    geometric doublings fail to bracket the unit level.
+    ``modular_eval(tau)`` returns (rho(u/tau), its tau-derivative).  The
+    root is found by the safeguarded Newton iteration of ``hybrid_root``.
+    Without a warm ``start`` the unit level is first bracketed by geometric
+    expansion from tau = 1, which also checks that the map crosses it; with
+    one (say the norm of a nearby function), Newton starts there on all of
+    (0, inf), where a power-sum modular falls from inf to 0.  Returns 0 when
+    the modular vanishes identically (u = 0); raises BracketError if no
+    sign change is found.
     """
-    f = lambda tau: modular_eval(tau) - 1.0
-    if modular_eval(1.0) == 0.0:
+    def f(tau):
+        rho, slope = modular_eval(tau)
+        return rho - 1.0, slope
+
+    if modular_eval(1.0)[0] == 0.0:
         return 0.0
-    lo, hi, flo, fhi = expand_bracket(f, start=1.0)
-    if lo == hi:
-        return lo
-    return hybrid_root(f, lo, hi, flo, fhi, abs_tol=tol)
+    if start is None:
+        lo, hi, flo, fhi = expand_bracket(f, start=1.0)
+        if lo == hi:
+            return lo
+    else:
+        lo, hi, flo, fhi = 0.0, math.inf, math.inf, -1.0
+    return hybrid_root(f, lo, hi, flo, fhi, abs_tol=tol, start=start)
 
 
 def _rho_terms(bd: ModularBreakdown, data: ProblemData):

@@ -84,6 +84,29 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("frobnicate", Config(p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=0.1)) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_inadmissible_q1_fails_closed(tmp_path, capsys, command):
+    # q1 = 2.5 lies below p_* = 3: exit 2 naming the clause, not a traceback
+    bad = write(tmp_path, SMALL_SOLVE.replace("q1 = 4", "q1 = 2.5"), "bad.cfg")
+    out_dir = tmp_path / "out"
+    assert main([command, "-c", bad, "-o", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "H(ii)" in err and "q1=2.5" in err
+    assert not out_dir.exists()
+
+
+def test_root_finding_failure_exits_2(tmp_path, monkeypatch, capsys):
+    from doublephase import cli
+    from doublephase.rootfind import BracketError
+
+    def failing_solve(*args, **kwargs):
+        raise BracketError("no sign change")
+
+    monkeypatch.setattr(cli, "solve_two", failing_solve)
+    assert main(["solve", "-c", write(tmp_path, SMALL_SOLVE), "-o", str(tmp_path / "out")]) == 2
+    assert "no sign change" in capsys.readouterr().err
+
+
 def test_bad_function_expression_exits_2(tmp_path):
     cfg = write(tmp_path, SMALL_SOLVE)
     assert main(["norms", "-c", cfg, "-f", "x +"]) == 2

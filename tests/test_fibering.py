@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublephase import (
     NehariKind,
@@ -14,7 +16,7 @@ from doublephase import (
     t_tilde_circ,
     xi,
 )
-from doublephase.fibering import FiberTerms, eta_prime
+from doublephase.fibering import ROOT_TOL, FiberTerms, eta_prime
 
 from conftest import oracle_bisect, oracle_breakdown, rng
 
@@ -215,6 +217,36 @@ def test_scaling_law_roots():
         assert base.kind == scaled.kind == "two"
         assert scaled.t1 == pytest.approx(base.t1 / s, rel=1e-9)
         assert scaled.t2 == pytest.approx(base.t2 / s, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=5, max_size=5),
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=-6.0, max_value=6.0),
+    st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_fiber_roots_warm_start_matches_cold(coeffs, frac, log_start, log_tc_start):
+    # any warm start in (0, inf), on either side of t_circ, gives the cold
+    # roots: both meet the ROOT_TOL residual, so they differ by at most
+    # 2 ROOT_TOL lam*e over the slope of eta there
+    ft = make_ft(*coeffs)
+    lam = frac * eta(ft, t_circ(ft)) / ft.e
+    cold = fiber_roots(ft, lam)
+    assert cold.kind == "two"
+    le = lam * ft.e
+    start, tc_start = 10.0**log_start, 10.0**log_tc_start
+    rhs = (ft.q1 + ft.kappa - 1.0) * ft.d
+    warm = fiber_roots(ft, lam, start=start, tc_start=tc_start)
+    assert warm.kind == "two"
+    assert abs(xi(ft, warm.t_circ) - rhs) <= ROOT_TOL * rhs
+    for name in ("t1", "t2"):
+        only = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=name)
+        assert getattr(only, "t2" if name == "t1" else "t1") is None
+        for got in (getattr(warm, name), getattr(only, name)):
+            ref = getattr(cold, name)
+            assert abs(eta(ft, got) - le) <= ROOT_TOL * le
+            assert abs(got - ref) * abs(eta_prime(ft, ref)) <= 2.0 * ROOT_TOL * le * (1.0 + 1e-6)
 
 
 def test_psi_second_derivative_identity_at_roots():

@@ -14,8 +14,8 @@ from doublephase import (
     solve_two,
     weak_residual,
 )
-from doublephase.solver import multistart_directions
-from doublephase.space import lebesgue_norm
+from doublephase.solver import _project, multistart_directions
+from doublephase.space import lebesgue_norm, sample_fields
 
 from conftest import rng
 
@@ -42,6 +42,22 @@ def test_project_noroot_above_threshold(mesh16, preset_data):
     u = np.ones(mesh16.num_nodes)
     with pytest.raises(NoRootError):
         project_to_nehari(mesh16, preset_data, u, 10.0, Branch.MINUS)
+
+
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+def test_warm_started_projection_matches_project_to_nehari(mesh4, preset_data, branch):
+    # the line search projects trial points warm-started from its base
+    # point; they must land where the cold projection puts them
+    fields = sample_fields(mesh4, preset_data)
+    r = rng(31)
+    base = _project(mesh4, preset_data, r.uniform(0.5, 1.5, mesh4.num_nodes), LAM, branch, fields)
+    for spread in (1e-6, 1e-2, 0.3):
+        w = base.u * (1.0 + spread * r.uniform(-1.0, 1.0, mesh4.num_nodes))
+        warm = _project(mesh4, preset_data, w, LAM, branch, fields, warm=base)
+        cold = project_to_nehari(mesh4, preset_data, w, LAM, branch, fields)
+        np.testing.assert_allclose(warm.u, cold, rtol=1e-10)
+        cold_tc = _project(mesh4, preset_data, w, LAM, branch, fields).t_circ
+        assert warm.t_circ == pytest.approx(cold_tc, rel=1e-10)
 
 
 @pytest.mark.parametrize("branch,sign", [(Branch.PLUS, -1.0), (Branch.MINUS, 1.0)])
