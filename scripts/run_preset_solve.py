@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """Solve the reference preset and print both branch solutions.
 
-Runs the multi-start branch minimization at a chosen parameter value on the
-unit square, prints energies, residuals and solution ranges, and writes the
-solution profiles plus a JSON report under --out.
+Runs the CLI's ``solve`` command on the preset at a chosen parameter value on
+the unit square: it prints energies, convergence and iteration counts, and
+writes the solution profiles plus a JSON report under --out.  Exits with the
+command's status (0 when the two solutions have the expected sign pattern).
 """
 import argparse
-import os
 import sys
 
-import numpy as np
-
-from doublephase import ProblemData, SolverOptions, build_rect_mesh, solve_two
-from doublephase.cli import _result_dict, _solution_rows, _write_csv, _write_json
+from doublephase import SolverOptions
+from doublephase.cli import Config, run
 
 
 def main() -> int:
@@ -24,39 +22,12 @@ def main() -> int:
     ap.add_argument("--out", default="out/preset_solve")
     args = ap.parse_args()
 
-    data = ProblemData(
+    config = Config(
         p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=args.lam,
         mu="x", alpha="1", beta="1", zeta="1",
+        nx=args.nx, ny=args.ny, solver=SolverOptions(seed=args.seed),
     )
-    mesh = build_rect_mesh(args.nx, args.ny)
-    report = solve_two(mesh, data, args.lam, SolverOptions(seed=args.seed))
-
-    os.makedirs(args.out, exist_ok=True)
-    for name, res in (("plus", report.plus), ("minus", report.minus)):
-        if res is None:
-            print(f"{name}: all starts failed")
-            continue
-        print(
-            f"{name}: energy={res.energy:.10f} converged={res.converged} "
-            f"iterations={res.iterations} residual={res.residual.residual_norm:.2e} "
-            f"u in [{res.u.min():.4f}, {res.u.max():.4f}] (start: {res.start})"
-        )
-        _write_csv(
-            os.path.join(args.out, f"solution_{name}.csv"),
-            "node,x,y,value",
-            _solution_rows(mesh, res.u),
-        )
-    _write_json(
-        os.path.join(args.out, "solve_report.json"),
-        {
-            "lam": report.lam,
-            "plus": _result_dict(report.plus),
-            "minus": _result_dict(report.minus),
-            "sign_ok": report.sign_ok,
-        },
-    )
-    print(f"sign pattern (-, +): {report.sign_ok}")
-    return 0 if report.sign_ok else 1
+    return run("solve", config, args.out)
 
 
 if __name__ == "__main__":

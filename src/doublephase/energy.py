@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, gradients
+from .mesh import Mesh, corner_sum, gather_gradients, scatter_flux
 from .problem import ProblemData
 from .space import FieldSamples, modular_breakdown, sample_fields
 
@@ -31,6 +31,7 @@ __all__ = [
     "energy",
     "apply_operator_A",
     "energy_gradient",
+    "gradient_flux",
     "weak_residual",
     "hat_norms_1p",
 ]
@@ -90,31 +91,37 @@ def energy(
     return EnergyValue(total, kinetic_p, kinetic_q_mu, boundary, singular, superlinear)
 
 
-def _grad_weight(gn: np.ndarray, expo: float) -> np.ndarray:
-    """|g|^expo with the continuous extension 0 at g = 0 (expo may be negative)."""
-    out = np.zeros_like(gn)
-    nz = gn > 0.0
-    out[nz] = gn[nz] ** expo
-    return out
-
-
 def _signed_power(u: np.ndarray, expo: float) -> np.ndarray:
     """sign(u)|u|^expo, with value 0 at u = 0 (expo > 0 throughout the model)."""
     return np.sign(u) * np.abs(u) ** expo
 
 
+def gradient_flux(
+    mesh: Mesh, data: ProblemData, u: np.ndarray, mu: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Nodal vector G^T(|T| w G u) of the double phase gradient term, with
+    w = |grad u|^{p-2} + mu |grad u|^{q-2} per triangle; ``mu=None`` keeps
+    only the p-part.  w is taken as 0 where grad u = 0 (the continuous
+    extension of the flux for exponents below 2)."""
+    g = gather_gradients(mesh, u)
+    s = np.einsum("dt,dt->t", g, g)
+    nz = s > 0.0
+    w = np.power(s, 0.5 * data.p - 1.0, out=np.zeros_like(s), where=nz)
+    if mu is not None:
+        w += mu * np.power(s, 0.5 * data.q - 1.0, out=np.zeros_like(s), where=nz)
+    return scatter_flux(mesh, (mesh.tri_area * w) * g)
+
+
 def _operator_vectors(mesh: Mesh, data: ProblemData, u: np.ndarray, fields: FieldSamples):
     """Nodal vectors of the three operator terms: the double phase gradient
     part, the alpha mass part and the beta boundary part."""
-    g = gradients(mesh, u)
-    gn = np.hypot(g[:, 0], g[:, 1])
-    w = _grad_weight(gn, data.p - 2.0) + fields.mu_centroid * _grad_weight(gn, data.q - 2.0)
-    coef = (mesh.tri_area * w)[:, None] * g                       # (T, 2)
-    contrib = np.einsum("td,tvd->tv", coef, mesh.tri_grads)       # (T, 3)
-    grad_vec = np.zeros(mesh.num_nodes)
-    np.add.at(grad_vec, mesh.triangles, contrib)
+    grad_vec = gradient_flux(mesh, data, u, fields.mu_centroid)
     alpha_vec = mesh.node_weight * fields.alpha_node * _signed_power(u, data.p - 1.0)
-    beta_vec = mesh.boundary_weight * fields.beta_node * _signed_power(u, data.p_lower_star - 1.0)
+    b = mesh.boundary_nodes
+    beta_vec = np.zeros(mesh.num_nodes)
+    beta_vec[b] = (
+        mesh.boundary_weight[b] * fields.beta_node[b] * _signed_power(u[b], data.p_lower_star - 1.0)
+    )
     return grad_vec, alpha_vec, beta_vec
 
 
@@ -122,21 +129,11 @@ def apply_operator_A(
     mesh: Mesh, data: ProblemData, u, h, fields: Optional[FieldSamples] = None
 ) -> float:
     """Duality pairing of the double phase operator (plus mass and boundary
-    terms) of u against h."""
+    terms) of u against h: the operator's nodal vector dotted with h."""
     if fields is None:
         fields = sample_fields(mesh, data)
-    u = np.asarray(u, dtype=float)
-    h = np.asarray(h, dtype=float)
-    gu = gradients(mesh, u)
-    gh = gradients(mesh, h)
-    gn = np.hypot(gu[:, 0], gu[:, 1])
-    w = _grad_weight(gn, data.p - 2.0) + fields.mu_centroid * _grad_weight(gn, data.q - 2.0)
-    grad_term = float(mesh.tri_area @ (w * np.einsum("td,td->t", gu, gh)))
-    alpha_term = float(mesh.node_weight @ (fields.alpha_node * _signed_power(u, data.p - 1.0) * h))
-    beta_term = float(
-        mesh.boundary_weight @ (fields.beta_node * _signed_power(u, data.p_lower_star - 1.0) * h)
-    )
-    return grad_term + alpha_term + beta_term
+    grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, np.asarray(u, dtype=float), fields)
+    return float((grad_vec + alpha_vec + beta_vec) @ np.asarray(h, dtype=float))
 
 
 def energy_gradient(
@@ -169,10 +166,8 @@ def hat_norms_1p(
     """norm_1p of every nodal hat function (used to normalize residuals)."""
     if fields is None:
         fields = sample_fields(mesh, data)
-    gn = np.linalg.norm(mesh.tri_grads, axis=2)                   # (T, 3)
-    contrib = mesh.tri_area[:, None] * gn**data.p
-    grad_p = np.zeros(mesh.num_nodes)
-    np.add.at(grad_p, mesh.triangles, contrib)
+    s = np.einsum("dvt,dvt->vt", mesh.basis_grads, mesh.basis_grads)   # (3, T) |grad phi|^2
+    grad_p = corner_sum(mesh, mesh.tri_area * s ** (0.5 * data.p))
     return (grad_p + mesh.node_weight * fields.alpha_node) ** (1.0 / data.p)
 
 

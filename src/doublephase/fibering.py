@@ -23,8 +23,8 @@ import numpy as np
 
 from .mesh import Mesh
 from .problem import ProblemData
-from .rootfind import expand_bracket, hybrid_root, power_sum
-from .space import FieldSamples, modular_breakdown
+from .rootfind import expand_bracket, hybrid_root, power_sum, power_value
+from .space import FieldSamples, ModularBreakdown, modular_breakdown
 
 __all__ = [
     "FiberTerms",
@@ -61,6 +61,22 @@ class FiberTerms:
     q1: float
     kappa: float
 
+    @classmethod
+    def from_breakdown(cls, bd: ModularBreakdown, data: ProblemData) -> "FiberTerms":
+        """The fiber terms of the function whose modular breakdown is ``bd``."""
+        return cls(
+            a=bd.grad_p + bd.mass_p_alpha,
+            b=bd.grad_q_mu,
+            c=bd.bdry_pstar_beta,
+            d=bd.zeta_sing,
+            e=bd.mass_q1,
+            p=data.p,
+            q=data.q,
+            p_lower_star=data.p_lower_star,
+            q1=data.q1,
+            kappa=data.kappa,
+        )
+
     def scaled(self, s: float) -> "FiberTerms":
         """Fiber terms of s*u given those of u (pure power scaling)."""
         return FiberTerms(
@@ -88,19 +104,7 @@ class NehariClass:
 def fiber_terms(
     mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None
 ) -> FiberTerms:
-    bd = modular_breakdown(mesh, data, u, fields)
-    return FiberTerms(
-        a=bd.grad_p + bd.mass_p_alpha,
-        b=bd.grad_q_mu,
-        c=bd.bdry_pstar_beta,
-        d=bd.zeta_sing,
-        e=bd.mass_q1,
-        p=data.p,
-        q=data.q,
-        p_lower_star=data.p_lower_star,
-        q1=data.q1,
-        kappa=data.kappa,
-    )
+    return FiberTerms.from_breakdown(modular_breakdown(mesh, data, u, fields), data)
 
 
 def _psi_terms(ft: FiberTerms, lam: float) -> list:
@@ -112,7 +116,7 @@ def psi(ft: FiberTerms, lam: float, t: float) -> float:
     """Fiber energy Theta(t u); psi(0) = 0 by convention."""
     if t < 0:
         raise ValueError("fiber parameter t must be >= 0")
-    return power_sum(_psi_terms(ft, lam))(t)[0] if t > 0 else 0.0
+    return power_value(_psi_terms(ft, lam), t) if t > 0 else 0.0
 
 
 def psi_derivatives(ft: FiberTerms, lam: float, t: float) -> tuple[float, float, float]:
@@ -134,7 +138,7 @@ def eta(ft: FiberTerms, t: float) -> float:
     psi'(t) = t^{q1-1} (eta(t) - lam e)."""
     if t <= 0:
         raise ValueError("eta needs t > 0")
-    return power_sum(_eta_terms(ft))(t)[0]
+    return power_value(_eta_terms(ft), t)
 
 
 def eta_prime(ft: FiberTerms, t: float) -> float:
@@ -160,7 +164,7 @@ def xi(ft: FiberTerms, t: float) -> float:
     strictly increasing, and eta'(t) = 0 iff xi(t) = (q1+k-1) d."""
     if t <= 0:
         raise ValueError("xi needs t > 0")
-    return power_sum(_xi_terms(ft))(t)[0]
+    return power_value(_xi_terms(ft), t)
 
 
 def t_tilde_circ(ft: FiberTerms) -> tuple[float, float]:

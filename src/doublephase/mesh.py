@@ -13,15 +13,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "build_rect_mesh", "gradient_on_triangle", "gradients"]
+__all__ = [
+    "Mesh", "build_rect_mesh", "corner_sum", "gather_gradients", "gradient_on_triangle",
+    "gradients", "scatter_flux",
+]
 
 
 @dataclass(frozen=True)
 class Mesh:
+    """A triangulation with its quadrature data.
+
+    Per-triangle arrays used by the gradient kernel are stored T-innermost:
+    ``triangles`` is the (T, 3) transposed view of a C-contiguous (3, T)
+    corner array, so ``triangles.T`` is that array without a copy, and
+    ``basis_grads[d, v, t]`` is component d of the gradient of the basis
+    function of corner v on triangle t, shape (2, 3, T).  With them the P1
+    gradient operator G (M nodal values -> (2, T) triangle gradients) and
+    its adjoint are ``gather_gradients`` and ``scatter_flux``.
+    """
+
     nodes: np.ndarray            # (M, 2) coordinates, row-major node order
-    triangles: np.ndarray        # (T, 3) vertex indices, counterclockwise
+    triangles: np.ndarray        # (T, 3) vertex indices, counterclockwise; view of a (3, T) array
     tri_area: np.ndarray         # (T,)
-    tri_grads: np.ndarray        # (T, 3, 2) constant gradient of each vertex basis
+    basis_grads: np.ndarray      # (2, 3, T) constant gradient of each corner's basis function
     centroids: np.ndarray        # (T, 2)
     node_weight: np.ndarray      # (M,) lumped interior quadrature weights
     boundary_nodes: np.ndarray   # (B,) indices of nodes on the rectangle boundary
@@ -52,8 +66,9 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     """Triangulate [x0,x1] x [y0,y1] into 2*nx*ny triangles.
 
     (nx+1)(ny+1) nodes in row-major order (x fastest); deterministic
-    triangle numbering.  Rejects nonpositive subdivision counts and
-    degenerate rectangles.
+    triangle numbering: cell (ix, iy) holds triangles 2k and 2k+1 with
+    k = iy*nx + ix, below and above its lower-left-to-upper-right diagonal.
+    Rejects nonpositive subdivision counts and degenerate rectangles.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
@@ -65,58 +80,50 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     ys = np.linspace(y0, y1, ny + 1)
     xx, yy = np.meshgrid(xs, ys)            # shape (ny+1, nx+1); row-major => x fastest
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    num_nodes = len(nodes)
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
+    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower-left node of each cell
+    lr, ul, ur = ll + 1, ll + nx + 1, ll + nx + 2
+    corners = np.empty((3, ll.size, 2), dtype=np.intp)
+    corners[:, :, 0] = ll, lr, ur           # below the ll-ur diagonal
+    corners[:, :, 1] = ll, ur, ul           # above it
+    corners = corners.reshape(3, -1)
+    triangles = corners.T
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            ll, lr = nid(ix, iy), nid(ix + 1, iy)
-            ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            tris.append((ll, lr, ur))       # below the ll-ur diagonal
-            tris.append((ll, ur, ul))       # above it
-    triangles = np.array(tris, dtype=np.intp)
-
-    p1 = nodes[triangles[:, 0]]
-    p2 = nodes[triangles[:, 1]]
-    p3 = nodes[triangles[:, 2]]
-    det = (p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1]) - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1])
+    X, Y = nodes[:, 0].take(corners), nodes[:, 1].take(corners)  # (3, T) corner coordinates
+    det = (X[1] - X[0]) * (Y[2] - Y[0]) - (X[2] - X[0]) * (Y[1] - Y[0])
     tri_area = 0.5 * det
     if np.any(tri_area <= 0):
         raise ValueError("mesh construction produced a nonpositive triangle area")
-    centroids = (p1 + p2 + p3) / 3.0
+    centroids = np.column_stack([(X[0] + X[1] + X[2]) / 3.0, (Y[0] + Y[1] + Y[2]) / 3.0])
 
-    # grad of the vertex basis at corner i: rotate the opposite edge by 90 degrees / (2A)
-    tri_grads = np.empty((len(triangles), 3, 2))
-    corners = (p1, p2, p3)
-    for i in range(3):
-        pj = corners[(i + 1) % 3]
-        pk = corners[(i + 2) % 3]
-        tri_grads[:, i, 0] = (pj[:, 1] - pk[:, 1]) / det
-        tri_grads[:, i, 1] = (pk[:, 0] - pj[:, 0]) / det
+    # grad of the basis at corner v: rotate the opposite edge (j -> k) by 90 degrees / (2A)
+    j, k = [1, 2, 0], [2, 0, 1]
+    basis_grads = np.stack([(Y[j] - Y[k]) / det, (X[k] - X[j]) / det])
 
-    node_weight = np.zeros(len(nodes))
-    np.add.at(node_weight, triangles, (tri_area / 3.0)[:, None])
+    # triangle-major order: each node sums its triangles in index order
+    node_weight = np.bincount(
+        triangles.ravel(), weights=np.repeat(tri_area / 3.0, 3), minlength=num_nodes
+    )
 
-    edges = []
-    for ix in range(nx):                    # bottom and top rows
-        edges.append((nid(ix, 0), nid(ix + 1, 0)))
-        edges.append((nid(ix, ny), nid(ix + 1, ny)))
-    for iy in range(ny):                    # left and right columns
-        edges.append((nid(0, iy), nid(0, iy + 1)))
-        edges.append((nid(nx, iy), nid(nx, iy + 1)))
-    boundary_edges = np.array(edges, dtype=np.intp)
+    ix, iy = np.arange(nx), np.arange(ny)
+    bottom = np.column_stack([ix, ix + 1])
+    left = np.column_stack([iy, iy + 1]) * (nx + 1)
+    boundary_edges = np.concatenate([
+        np.stack([bottom, bottom + ny * (nx + 1)], axis=1).reshape(-1, 2),  # bottom, top
+        np.stack([left, left + nx], axis=1).reshape(-1, 2),                 # left, right
+    ])
     lengths = np.linalg.norm(nodes[boundary_edges[:, 0]] - nodes[boundary_edges[:, 1]], axis=1)
-    boundary_weight = np.zeros(len(nodes))
-    np.add.at(boundary_weight, boundary_edges, (lengths / 2.0)[:, None])
+    boundary_weight = np.bincount(
+        boundary_edges.ravel(), weights=np.repeat(lengths / 2.0, 2), minlength=num_nodes
+    )
     boundary_nodes = np.flatnonzero(boundary_weight > 0)
 
     return Mesh(
         nodes=nodes,
         triangles=triangles,
         tri_area=tri_area,
-        tri_grads=tri_grads,
+        basis_grads=basis_grads,
         centroids=centroids,
         node_weight=node_weight,
         boundary_nodes=boundary_nodes,
@@ -126,17 +133,33 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     )
 
 
+def gather_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """G u: the constant gradient of the P1 interpolant of u on every
+    triangle, shape (2, T)."""
+    vals = np.asarray(u, dtype=float).take(mesh.triangles.T)   # (3, T)
+    return np.einsum("dvt,vt->dt", mesh.basis_grads, vals)
+
+
+def corner_sum(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
+    """Sum per-corner values, shape (3, T), into their nodes, shape (M,)."""
+    return np.bincount(mesh.triangles.T.ravel(), weights=vals.ravel(), minlength=mesh.num_nodes)
+
+
+def scatter_flux(mesh: Mesh, c: np.ndarray) -> np.ndarray:
+    """G^T c for a per-triangle field c of shape (2, T): the nodal vector
+    sum_t c_t . grad(phi_i)|_t (the adjoint of ``gather_gradients``)."""
+    return corner_sum(mesh, np.einsum("dvt,dt->vt", mesh.basis_grads, c))
+
+
 def gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Per-triangle constant gradient of the piecewise-linear interpolant, shape (T, 2)."""
-    vals = np.asarray(u, dtype=float)[mesh.triangles]       # (T, 3)
-    return np.einsum("tv,tvd->td", vals, mesh.tri_grads)
+    return gather_gradients(mesh, u).T
 
 
 def gradient_on_triangle(mesh: Mesh, tri: int, u: np.ndarray) -> tuple[float, float]:
     """Gradient of the linear interpolant of u on one triangle."""
     if not 0 <= tri < mesh.num_triangles:
         raise IndexError(f"triangle index {tri} out of range")
-    idx = mesh.triangles[tri]
-    vals = np.asarray(u, dtype=float)[idx]
-    g = vals @ mesh.tri_grads[tri]
+    vals = np.asarray(u, dtype=float)[mesh.triangles[tri]]
+    g = mesh.basis_grads[:, :, tri] @ vals
     return float(g[0]), float(g[1])

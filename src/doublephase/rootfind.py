@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_sum"]
+__all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_sum", "power_value"]
 
 Map = Callable[[float], "tuple[float, float]"]  # t -> (f(t), f'(t))
 LN2 = math.log(2.0)
@@ -36,6 +36,16 @@ def power_sum(terms) -> Map:
         return val, tslope / t
 
     return f
+
+
+def power_value(terms, t: float) -> float:
+    """sum(c * t**r) over the (c, r) pairs with c != 0: the value of
+    ``power_sum(terms)(t)``, summed in the same order, without building the map."""
+    val = 0.0
+    for c, r in terms:
+        if c != 0.0:
+            val += c * t**r
+    return val
 
 
 def expand_bracket(

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, gradients
+from .mesh import Mesh, gather_gradients
 from .problem import ProblemData
 from .rootfind import Map, expand_bracket, hybrid_root, power_sum
 
@@ -27,12 +27,10 @@ __all__ = [
     "ModularBreakdown",
     "sample_fields",
     "modular_breakdown",
-    "modular_H",
-    "grad_modular_H",
-    "value_modular_H",
     "modular_rho",
     "luxemburg_norm",
     "power_modular",
+    "breakdown_norm",
     "norm_custom",
     "norm_1p",
     "norm_circ",
@@ -83,46 +81,34 @@ class ModularBreakdown:
     mass_q1: float         # integral |u|^{q1}
 
 
+def _gradient_modular(mesh: Mesh, data: ProblemData, u: np.ndarray, mu: np.ndarray):
+    """(integral |grad u|^p, integral mu |grad u|^q) by the centroid rule,
+    as powers of the squared magnitude |grad u|^2."""
+    g = gather_gradients(mesh, u)
+    s = np.einsum("dt,dt->t", g, g)
+    return float(mesh.tri_area @ s ** (0.5 * data.p)), float(mesh.tri_area @ (mu * s ** (0.5 * data.q)))
+
+
+def _boundary_sum(mesh: Mesh, theta: np.ndarray, r: float, u: np.ndarray) -> float:
+    """Lumped boundary integral of theta |u|^r, summed over the boundary nodes."""
+    b = mesh.boundary_nodes
+    return float(mesh.boundary_weight[b] @ (theta[b] * np.abs(u[b]) ** r))
+
+
 def modular_breakdown(
     mesh: Mesh, data: ProblemData, u: np.ndarray, fields: Optional[FieldSamples] = None
 ) -> ModularBreakdown:
     if fields is None:
         fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
-    g = gradients(mesh, u)
-    gn = np.hypot(g[:, 0], g[:, 1])
-    grad_p = float(mesh.tri_area @ gn**data.p)
-    grad_q_mu = float(mesh.tri_area @ (fields.mu_centroid * gn**data.q))
+    grad_p, grad_q_mu = _gradient_modular(mesh, data, u, fields.mu_centroid)
     absu = np.abs(u)
     m = mesh.node_weight
     mass_p_alpha = float(m @ (fields.alpha_node * absu**data.p))
     zeta_sing = float(m @ (fields.zeta_node * absu ** (1.0 - data.kappa)))
     mass_q1 = float(m @ absu**data.q1)
-    s = mesh.boundary_weight
-    bdry = float(s @ (fields.beta_node * absu**data.p_lower_star))
+    bdry = _boundary_sum(mesh, fields.beta_node, data.p_lower_star, u)
     return ModularBreakdown(grad_p, grad_q_mu, mass_p_alpha, bdry, zeta_sing, mass_q1)
-
-
-def modular_H(weights: np.ndarray, magnitudes: np.ndarray, mu_values: np.ndarray, p: float, q: float) -> float:
-    """Generalized-power modular: sum of w * (|f|^p + mu |f|^q) under any quadrature rule."""
-    f = np.abs(np.asarray(magnitudes, dtype=float))
-    return float(np.asarray(weights) @ (f**p + np.asarray(mu_values) * f**q))
-
-
-def grad_modular_H(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
-    """Gradient modular: centroid rule on |grad u| with mu at centroids."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
-    g = gradients(mesh, np.asarray(u, dtype=float))
-    gn = np.hypot(g[:, 0], g[:, 1])
-    return modular_H(mesh.tri_area, gn, fields.mu_centroid, data.p, data.q)
-
-
-def value_modular_H(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
-    """Value modular: lumped vertex rule on |u| with mu at nodes."""
-    xn, yn = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    mu_node = np.broadcast_to(np.asarray(data.mu(xn, yn), dtype=float), xn.shape)
-    return modular_H(mesh.node_weight, np.asarray(u, dtype=float), mu_node, data.p, data.q)
 
 
 def modular_rho(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
@@ -164,18 +150,19 @@ def luxemburg_norm(modular_eval: Map, tol: float = LUX_TOL, start: Optional[floa
     return hybrid_root(f, lo, hi, flo, fhi, abs_tol=tol, start=start)
 
 
-def _rho_terms(bd: ModularBreakdown, data: ProblemData):
-    return [
+def breakdown_norm(bd: ModularBreakdown, data: ProblemData) -> float:
+    """The working norm of the function whose modular breakdown is ``bd``."""
+    terms = [
         (bd.grad_p + bd.mass_p_alpha, data.p),
         (bd.grad_q_mu, data.q),
         (bd.bdry_pstar_beta, data.p_lower_star),
     ]
+    return luxemburg_norm(power_modular(terms))
 
 
 def norm_custom(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
     """The Luxemburg norm associated with rho (the working norm of the model)."""
-    bd = modular_breakdown(mesh, data, u, fields)
-    return luxemburg_norm(power_modular(_rho_terms(bd, data)))
+    return breakdown_norm(modular_breakdown(mesh, data, u, fields), data)
 
 
 def norm_1p(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
@@ -192,18 +179,15 @@ def seminorm_interior(mesh: Mesh, theta_values: np.ndarray, r: float, u) -> floa
 
 def seminorm_boundary(mesh: Mesh, theta_values: np.ndarray, r: float, u) -> float:
     """(sum of s_i theta_i |u_i|^r)^(1/r) over boundary nodes."""
-    total = float(mesh.boundary_weight @ (np.asarray(theta_values, dtype=float) * np.abs(u) ** r))
-    return total ** (1.0 / r)
+    theta = np.asarray(theta_values, dtype=float)
+    return _boundary_sum(mesh, theta, r, np.asarray(u, dtype=float)) ** (1.0 / r)
 
 
 def grad_norm_H(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
     """Luxemburg norm of the gradient modular."""
     if fields is None:
         fields = sample_fields(mesh, data)
-    g = gradients(mesh, np.asarray(u, dtype=float))
-    gn = np.hypot(g[:, 0], g[:, 1])
-    gp = float(mesh.tri_area @ gn**data.p)
-    gq = float(mesh.tri_area @ (fields.mu_centroid * gn**data.q))
+    gp, gq = _gradient_modular(mesh, data, np.asarray(u, dtype=float), fields.mu_centroid)
     return luxemburg_norm(power_modular([(gp, data.p), (gq, data.q)]))
 
 
@@ -277,10 +261,7 @@ def norm_star(
     With the default instantiation this is exactly norm_custom.
     """
     u, r1, th1, r2, th2, fields = _weighted_pair(mesh, data, u, r1, theta1, r2, theta2, fields)
-    g = gradients(mesh, u)
-    gn = np.hypot(g[:, 0], g[:, 1])
-    gp = float(mesh.tri_area @ gn**data.p)
-    gq = float(mesh.tri_area @ (fields.mu_centroid * gn**data.q))
+    gp, gq = _gradient_modular(mesh, data, u, fields.mu_centroid)
     t1 = float(mesh.node_weight @ (th1 * np.abs(u) ** r1))
-    t2 = float(mesh.boundary_weight @ (th2 * np.abs(u) ** r2))
+    t2 = _boundary_sum(mesh, th2, r2, u)
     return luxemburg_norm(power_modular([(gp, data.p), (gq, data.q), (t1, r1), (t2, r2)]))

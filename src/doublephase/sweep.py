@@ -16,11 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .fibering import eta, fiber_terms, t_circ, t_tilde_circ
-from .mesh import Mesh, gradients
+from .energy import gradient_flux
+from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
+from .mesh import Mesh
 from .problem import ProblemData
 from .solver import Branch, NoRootError, SolverOptions, minimize_on_branch, multistart_directions
-from .space import FieldSamples, lebesgue_norm, modular_breakdown, norm_custom, sample_fields
+from .space import FieldSamples, breakdown_norm, lebesgue_norm, modular_breakdown, sample_fields
 
 __all__ = [
     "SweepReport",
@@ -98,7 +99,9 @@ def estimate_lambda_tilde(
     """Sample minimum of eta_tilde(t_tilde)/e over random nonnegative
     directions (normalized in the working norm).  Below this value every
     admitted sampled direction keeps two roots of the reduced fiber map.
-    Samples with a = 0 or d = 0 are skipped and counted."""
+    Samples with a = 0 or d = 0 are skipped and counted.  One modular
+    breakdown per sample gives both the norm and the fiber terms, which are
+    rescaled to the unit direction by homogeneity."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if fields is None:
@@ -106,10 +109,11 @@ def estimate_lambda_tilde(
     best = np.inf
     admitted = 0
     for u in sample_directions(mesh, n_samples, seed):
-        nrm = norm_custom(mesh, data, u, fields)
+        bd = modular_breakdown(mesh, data, u, fields)
+        nrm = breakdown_norm(bd, data)
         if nrm == 0.0:
             continue
-        ft = fiber_terms(mesh, data, u / nrm, fields)
+        ft = FiberTerms.from_breakdown(bd, data).scaled(1.0 / nrm)
         if ft.a <= 0 or ft.d <= 0 or ft.e <= 0:
             continue
         admitted += 1
@@ -238,15 +242,7 @@ def _rayleigh_gradient(mesh, data, u, fields) -> np.ndarray:
     """Gradient of the quotient (|u|_{1,p}^p) / (|u|_{p*}^p); only the
     p-power pieces of the operator enter the numerator."""
     g = np.asarray(u, dtype=float)
-    gr = gradients(mesh, g)
-    gn = np.hypot(gr[:, 0], gr[:, 1])
-    w = np.zeros_like(gn)
-    nz = gn > 0
-    w[nz] = gn[nz] ** (data.p - 2.0)
-    coef = (mesh.tri_area * w)[:, None] * gr
-    contrib = np.einsum("td,tvd->tv", coef, mesh.tri_grads)
-    num_grad = np.zeros(mesh.num_nodes)
-    np.add.at(num_grad, mesh.triangles, contrib)
+    num_grad = gradient_flux(mesh, data, g)
     num_grad += mesh.node_weight * fields.alpha_node * np.sign(g) * np.abs(g) ** (data.p - 1.0)
     num_grad *= data.p
 

@@ -8,6 +8,7 @@ from doublephase import (
     weak_residual,
 )
 from doublephase.energy import hat_norms_1p
+from doublephase.mesh import gradients
 from doublephase.space import sample_fields
 
 from conftest import oracle_breakdown, rng
@@ -71,6 +72,37 @@ def test_operator_constants_closed_form(mesh16, preset_data):
         got = apply_operator_A(mesh16, preset_data, c * ones, ones)
         expected = c ** (preset_data.p - 1) + 4.0 * c ** (preset_data.p_lower_star - 1)
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+def _pairing_per_triangle(mesh, data, u, h, fields):
+    """<A(u), h> summed triangle by triangle: area * w * (grad u . grad h)
+    with w = |grad u|^{p-2} + mu |grad u|^{q-2} (0 where grad u = 0), plus
+    the nodal mass and boundary sums."""
+    gu, gh = gradients(mesh, u), gradients(mesh, h)
+    total = 0.0
+    for t in range(mesh.num_triangles):
+        gn = float(np.hypot(*gu[t]))
+        w = gn ** (data.p - 2) + fields.mu_centroid[t] * gn ** (data.q - 2) if gn > 0 else 0.0
+        total += mesh.tri_area[t] * w * float(gu[t] @ gh[t])
+    for i in range(mesh.num_nodes):
+        mass = mesh.node_weight[i] * fields.alpha_node[i] * abs(u[i]) ** (data.p - 1)
+        bdry = mesh.boundary_weight[i] * fields.beta_node[i] * abs(u[i]) ** (data.p_lower_star - 1)
+        total += np.sign(u[i]) * (mass + bdry) * h[i]
+    return total
+
+
+def test_operator_pairing_matches_per_triangle_formula(mesh4, preset_data):
+    fields = sample_fields(mesh4, preset_data)
+    r = rng(19)
+    for _ in range(10):
+        u = r.uniform(-1, 1, mesh4.num_nodes)
+        h = r.uniform(-1, 1, mesh4.num_nodes)
+        expected = _pairing_per_triangle(mesh4, preset_data, u, h, fields)
+        assert apply_operator_A(mesh4, preset_data, u, h, fields) == pytest.approx(expected, rel=1e-12)
+    u = np.ones(mesh4.num_nodes)  # grad u = 0 on every triangle
+    h = r.uniform(-1, 1, mesh4.num_nodes)
+    expected = _pairing_per_triangle(mesh4, preset_data, u, h, fields)
+    assert apply_operator_A(mesh4, preset_data, u, h, fields) == pytest.approx(expected, rel=1e-12)
 
 
 def test_operator_is_derivative_of_nonsingular_energy(mesh4, preset_data):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublephase import build_rect_mesh, gradient_on_triangle, gradients
+from doublephase.mesh import gather_gradients, scatter_flux
 
 from conftest import oracle_area, oracle_gradient, rng
 
@@ -98,3 +103,70 @@ def test_node_ordering_row_major(mesh2):
     assert mesh2.nodes[0] == pytest.approx([0.0, 0.0])
     assert mesh2.nodes[1] == pytest.approx([0.5, 0.0])
     assert mesh2.nodes[3] == pytest.approx([0.0, 0.5])
+
+
+def _loop_connectivity(nx, ny):
+    """Triangles and boundary edges numbered cell by cell in Python loops:
+    the reference numbering of ``build_rect_mesh``."""
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    tris = []
+    for iy in range(ny):
+        for ix in range(nx):
+            ll, lr = nid(ix, iy), nid(ix + 1, iy)
+            ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            tris.append((ll, lr, ur))
+            tris.append((ll, ur, ul))
+    edges = []
+    for ix in range(nx):
+        edges.append((nid(ix, 0), nid(ix + 1, 0)))
+        edges.append((nid(ix, ny), nid(ix + 1, ny)))
+    for iy in range(ny):
+        edges.append((nid(0, iy), nid(0, iy + 1)))
+        edges.append((nid(nx, iy), nid(nx, iy + 1)))
+    return np.array(tris), np.array(edges)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (4, 4)])
+def test_numbering_matches_loop_oracle(nx, ny):
+    mesh = build_rect_mesh(nx, ny)
+    tris, edges = _loop_connectivity(nx, ny)
+    assert np.array_equal(mesh.triangles, tris)
+    assert np.array_equal(mesh.boundary_edges, edges)
+    assert np.array_equal(mesh.boundary_nodes, np.unique(edges))
+
+
+def test_kernel_layout(mesh4):
+    t = mesh4.num_triangles
+    assert mesh4.basis_grads.shape == (2, 3, t)
+    assert mesh4.triangles.shape == (t, 3)
+    assert mesh4.triangles.T.flags.c_contiguous  # the gather and scatter index without a copy
+    u = rng(5).random(mesh4.num_nodes)
+    assert np.array_equal(gradients(mesh4, u), gather_gradients(mesh4, u).T)
+    # every basis gradient sums to zero over a triangle's corners (constants have no gradient)
+    assert np.max(np.abs(mesh4.basis_grads.sum(axis=1))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_scatter_is_adjoint_of_gather(n):
+    mesh = build_rect_mesh(n, n)
+    r = rng(n)
+    for _ in range(5):
+        u = r.uniform(-1, 1, mesh.num_nodes)
+        c = r.uniform(-1, 1, (2, mesh.num_triangles))
+        lhs = float(np.sum(c * gather_gradients(mesh, u)))
+        rhs = float(u @ scatter_flux(mesh, c))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse costs more to import than a whole mesh setup
+    import doublephase
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(doublephase.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, doublephase; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

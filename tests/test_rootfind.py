@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublephase.rootfind import BracketError, expand_bracket, hybrid_root, power_sum
+from doublephase.rootfind import BracketError, expand_bracket, hybrid_root, power_sum, power_value
 
 
 def test_expand_bracket_decreasing_map():
@@ -25,6 +25,18 @@ def test_power_sum_value_and_slope():
     val, slope = f(t)
     assert val == pytest.approx(2.0 * t**-1.5 - 3.0 * t**2 + 4.0, rel=1e-15)
     assert slope == pytest.approx((f(t + h)[0] - f(t - h)[0]) / (2 * h), rel=1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-10, 10), st.floats(-5, 5)), min_size=0, max_size=6
+    ),
+    st.floats(1e-3, 1e3),
+)
+def test_power_value_is_bit_identical_to_power_sum(terms, t):
+    terms = [(c if abs(c) > 0.5 else 0.0, r) for c, r in terms]  # zero coefficients are skipped
+    assert power_value(terms, t) == power_sum(terms)(t)[0]
 
 
 def test_hybrid_root_meets_residual():

@@ -15,7 +15,6 @@ from doublephase.space import (
     grad_norm_H,
     modular_rho,
     power_modular,
-    value_modular_H,
 )
 
 from conftest import oracle_bisect, oracle_breakdown, rng
@@ -26,17 +25,6 @@ LUX_ONES = 1.8721280180071875
 
 def random_function(mesh, seed, lo=-0.5, hi=1.5):
     return rng(seed).uniform(lo, hi, mesh.num_nodes)
-
-
-def test_value_modular_unit_function(mesh16, preset_data):
-    # integral of (1 + x) over the unit square; the vertex rule is exact for
-    # linear integrands
-    val = value_modular_H(mesh16, preset_data, np.ones(mesh16.num_nodes))
-    assert val == pytest.approx(1.5, abs=1e-10)
-
-
-def test_value_modular_zero(mesh16, preset_data):
-    assert value_modular_H(mesh16, preset_data, np.zeros(mesh16.num_nodes)) == 0.0
 
 
 def test_breakdown_matches_resummation_oracle(mesh1, preset_data):

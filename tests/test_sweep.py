@@ -9,8 +9,9 @@ from doublephase import (
     estimate_sobolev_constant,
     fiber_terms,
     norm_1p,
+    norm_custom,
 )
-from doublephase.fibering import eta, t_circ
+from doublephase.fibering import eta, t_circ, t_tilde_circ
 from doublephase.sweep import SweepUndetermined, sample_directions
 
 from conftest import rng
@@ -28,6 +29,21 @@ def test_lambda_tilde_reproducible(mesh4, preset_data):
     a = estimate_lambda_tilde(mesh4, preset_data, 25, seed=7)
     b = estimate_lambda_tilde(mesh4, preset_data, 25, seed=7)
     assert a == b
+
+
+def test_lambda_tilde_rescaled_terms_match_normalized_directions(mesh16, preset_data):
+    # the fiber terms are homogeneous, so rescaling those of u by 1/|u| gives
+    # those of u/|u| without a second modular breakdown
+    expected = np.inf
+    for u in sample_directions(mesh16, 20, 3):
+        nrm = norm_custom(mesh16, preset_data, u)
+        ft = fiber_terms(mesh16, preset_data, u / nrm)
+        scaled = fiber_terms(mesh16, preset_data, u).scaled(1.0 / nrm)
+        for name in "abcde":
+            assert getattr(scaled, name) == pytest.approx(getattr(ft, name), rel=1e-12)
+        expected = min(expected, t_tilde_circ(ft)[1] / ft.e)
+    got = estimate_lambda_tilde(mesh16, preset_data, 20, seed=3)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_lambda_tilde_requires_samples(mesh4, preset_data):
