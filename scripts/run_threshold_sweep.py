@@ -9,15 +9,8 @@ embedding constant.
 import argparse
 import sys
 
-from doublephase import (
-    ProblemData,
-    build_rect_mesh,
-    check_nzero_empty,
-    estimate_lambda_star,
-    estimate_lambda_tilde,
-    estimate_sobolev_constant,
-)
-from doublephase.sweep import SweepUndetermined
+from doublephase import ProblemData, build_rect_mesh, estimate_lambda_star, estimate_sobolev_constant
+from doublephase.sweep import SweepUndetermined, lambda_tilde_from, nzero_evidence, sample_fibers
 
 
 def main() -> int:
@@ -39,11 +32,12 @@ def main() -> int:
     mesh = build_rect_mesh(args.nx, args.ny)
     grid = [float(v) for v in args.lambda_grid.split(",")]
 
-    lam_tilde = estimate_lambda_tilde(mesh, data, args.samples, args.seed)
+    fibers = sample_fibers(mesh, data, args.samples, args.seed)
+    lam_tilde = lambda_tilde_from(fibers)
     print(f"lambda_tilde_est = {lam_tilde:.6f}  (sample-min upper bound, {args.samples} samples)")
 
     for lam in (0.1 * lam_tilde, 0.5 * lam_tilde, lam_tilde):
-        ev = check_nzero_empty(mesh, data, lam, args.samples, args.seed)
+        ev = nzero_evidence(fibers, lam)
         print(
             f"degenerate-branch scan at lambda={lam:.4f}: "
             f"{len(ev.tangencies)} tangencies, {ev.n_two_root} two-root, {ev.n_no_root} no-root"

@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .coeff_expr import CoefficientField, ExprEvalError, ExprParseError, parse_expr
+# t_circ, t_tilde_circ, check_nzero_empty, estimate_lambda_tilde: unused; perfbench traces them
 from .fibering import eta, eta_tilde, fiber_terms, psi_derivatives, t_circ, t_tilde_circ
 from .mesh import build_rect_mesh
 from .problem import ProblemData, validate_hypotheses
@@ -31,7 +32,9 @@ from .sweep import (
     estimate_lambda_star,
     estimate_lambda_tilde,
     estimate_sobolev_constant,
-    sample_directions,
+    lambda_tilde_from,
+    nzero_evidence,
+    sample_fibers,
 )
 
 __all__ = ["Config", "ConfigError", "load_config", "run", "main"]
@@ -355,11 +358,9 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
     fields = sample_fields(mesh, data)
     n = config.sweep_samples
     seed = config.sweep_seed
-    lam_tilde = estimate_lambda_tilde(mesh, data, n, seed, fields)
-    evidence = []
-    for lam in config.lambda_grid:
-        ev = check_nzero_empty(mesh, data, lam, n, seed, fields)
-        evidence.append((lam, len(ev.tangencies) > 0))
+    fibers = sample_fibers(mesh, data, n, seed, fields)
+    lam_tilde = lambda_tilde_from(fibers)
+    evidence = [(lam, len(nzero_evidence(fibers, lam).tangencies) > 0) for lam in config.lambda_grid]
     try:
         lam_star = estimate_lambda_star(mesh, data, config.lambda_grid, config.solver)
     except (SweepUndetermined, ValueError) as exc:
@@ -372,42 +373,19 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
             f"lambda_tilde_est {_fmt(lam_tilde)} (sampling artifact)"
         )
     sobolev = estimate_sobolev_constant(mesh, data, n, seed, fields=fields)
-    report = SweepReport(
-        lambda_tilde_est=lam_tilde,
-        lambda_hat_evidence=tuple(evidence),
-        lambda_star_est=lam_star,
-        sobolev_S_est=sobolev,
-        samples=n,
-        seed=seed,
-    )
+    report = SweepReport(lam_tilde, tuple(evidence), lam_star, sobolev, n, seed)
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "lambda_tilde_est": report.lambda_tilde_est,
-        "lambda_hat_evidence": [[lam, found] for lam, found in report.lambda_hat_evidence],
-        "lambda_star_est": report.lambda_star_est,
-        "sobolev_S_est": report.sobolev_S_est,
-        "samples": report.samples,
-        "seed": report.seed,
-    }
-    _write_json(os.path.join(out_dir, "sweep_report.json"), payload)
+    _write_json(os.path.join(out_dir, "sweep_report.json"), asdict(report))
 
     rows = []
-    for i, u in enumerate(sample_directions(mesh, n, seed)):
-        ft = fiber_terms(mesh, data, u, fields)
-        if ft.a > 0 and ft.d > 0 and ft.e > 0:
-            tt, et_max = t_tilde_circ(ft)
-            tc = t_circ(ft)
-            row_tail = (
-                _fmt(tt),
-                _fmt(et_max / ft.e),
-                _fmt(tc),
-                _fmt(eta(ft, tc) / ft.e),
-            )
+    for i, f in enumerate(fibers):
+        ft = f.terms
+        row = [str(i)] + [_fmt(v) for v in (ft.a, ft.b, ft.c, ft.d, ft.e)]
+        if f.eta_max is None:
+            row += [""] * 4
         else:
-            row_tail = ("", "", "", "")
-        rows.append(
-            (str(i), _fmt(ft.a), _fmt(ft.b), _fmt(ft.c), _fmt(ft.d), _fmt(ft.e)) + row_tail
-        )
+            row += [_fmt(v) for v in (f.t_tilde, f.eta_tilde_max / ft.e, f.t_circ, f.eta_max / ft.e)]
+        rows.append(row)
     _write_csv(
         os.path.join(out_dir, "sweep_samples.csv"),
         "sample,a,b,c,d,e,t_tilde_circ,eta_tilde_ratio,t_circ,eta_max_ratio",

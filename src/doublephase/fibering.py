@@ -7,10 +7,10 @@ For fixed u everything reduces to five nonnegative scalars
 
 from which the fiber map psi, the root-locating maps eta, eta_tilde, xi,
 the closed-form maximizer of eta_tilde and the roots t1 < t_circ < t2 of
-eta(t) = lam*e all follow; psi, eta, xi and the root maps are power sums
-solved by the shared safeguarded Newton finder.  u lies on the constraint
-manifold when psi'(1) = 0; the sign of psi''(1) splits it into the
-plus/zero/minus branches.
+eta(t) = lam*e all follow; psi, eta, eta_tilde, xi and the root maps are
+power sums solved by the shared safeguarded Newton finder.  u lies on the
+constraint manifold when psi'(1) = 0; the sign of psi''(1) splits it into
+the plus/zero/minus branches.
 """
 from __future__ import annotations
 
@@ -147,11 +147,15 @@ def eta_prime(ft: FiberTerms, t: float) -> float:
     return power_sum(_eta_terms(ft))(t)[1]
 
 
+def _eta_tilde_terms(ft: FiberTerms) -> list:
+    return [(ft.a, ft.p - ft.q1), (-ft.d, 1.0 - ft.q1 - ft.kappa)]
+
+
 def eta_tilde(ft: FiberTerms, t: float) -> float:
     """The reduced map a t^{p-q1} - d t^{1-q1-kappa} (only the a and d terms)."""
     if t <= 0:
         raise ValueError("eta_tilde needs t > 0")
-    return ft.a * t ** (ft.p - ft.q1) - ft.d * t ** (1.0 - ft.q1 - ft.kappa)
+    return power_value(_eta_tilde_terms(ft), t)
 
 
 def _xi_terms(ft: FiberTerms) -> list:

@@ -30,7 +30,6 @@ __all__ = [
     "modular_rho",
     "luxemburg_norm",
     "power_modular",
-    "breakdown_norm",
     "norm_custom",
     "norm_1p",
     "norm_circ",
@@ -150,19 +149,15 @@ def luxemburg_norm(modular_eval: Map, tol: float = LUX_TOL, start: Optional[floa
     return hybrid_root(f, lo, hi, flo, fhi, abs_tol=tol, start=start)
 
 
-def breakdown_norm(bd: ModularBreakdown, data: ProblemData) -> float:
-    """The working norm of the function whose modular breakdown is ``bd``."""
+def norm_custom(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+    """The Luxemburg norm associated with rho (the working norm of the model)."""
+    bd = modular_breakdown(mesh, data, u, fields)
     terms = [
         (bd.grad_p + bd.mass_p_alpha, data.p),
         (bd.grad_q_mu, data.q),
         (bd.bdry_pstar_beta, data.p_lower_star),
     ]
     return luxemburg_norm(power_modular(terms))
-
-
-def norm_custom(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
-    """The Luxemburg norm associated with rho (the working norm of the model)."""
-    return breakdown_norm(modular_breakdown(mesh, data, u, fields), data)
 
 
 def norm_1p(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:

@@ -2,12 +2,15 @@
 
 Three thresholds govern the model: below lambda_tilde every direction
 carries two fiber roots (estimated as the sample minimum of
-eta_tilde(t_tilde)/e, which is scale invariant); below lambda_hat the
+eta_tilde(t_tilde)/e, which is scale invariant: the minimum of the
+eta_tilde_ratio column of sweep_samples.csv); below lambda_hat the
 degenerate branch is empty (evidenced by the absence of tangencies among
 sampled fibers, never numerically fabricated); and up to lambda_star the
 Minus-branch minima stay positive (bracketed on a lambda grid with a short
-bisection refinement).  The best-constant of the p-embedding is bounded
-from above by polished Rayleigh quotients.
+bisection refinement).  The first two reduce one table of sampled fibers
+(``sample_fibers``, one modular breakdown per direction).  The
+best-constant of the p-embedding is bounded from above by polished
+Rayleigh quotients.
 """
 from __future__ import annotations
 
@@ -21,14 +24,18 @@ from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
 from .mesh import Mesh
 from .problem import ProblemData
 from .solver import Branch, NoRootError, SolverOptions, minimize_on_branch, multistart_directions
-from .space import FieldSamples, breakdown_norm, lebesgue_norm, modular_breakdown, sample_fields
+from .space import FieldSamples, lebesgue_norm, modular_breakdown, sample_fields
 
 __all__ = [
     "SweepReport",
     "NzeroEvidence",
     "Tangency",
+    "SampledFiber",
     "SweepUndetermined",
     "sample_directions",
+    "sample_fibers",
+    "lambda_tilde_from",
+    "nzero_evidence",
     "estimate_lambda_tilde",
     "check_nzero_empty",
     "estimate_lambda_star",
@@ -72,6 +79,18 @@ class NzeroEvidence:
 
 
 @dataclass(frozen=True)
+class SampledFiber:
+    """One sampled direction's fiber terms with the maximizers and maxima of
+    eta_tilde and eta; the last four are None when a, d or e is 0."""
+
+    terms: FiberTerms
+    t_tilde: Optional[float] = None
+    eta_tilde_max: Optional[float] = None
+    t_circ: Optional[float] = None
+    eta_max: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class SweepReport:
     lambda_tilde_est: float           # sample-min upper bound for lambda_tilde
     lambda_hat_evidence: tuple        # of (lambda, tangency found)
@@ -89,6 +108,62 @@ def sample_directions(mesh: Mesh, n_samples: int, seed: int):
         yield rng.random(mesh.num_nodes)
 
 
+def sample_fibers(
+    mesh: Mesh,
+    data: ProblemData,
+    n_samples: int,
+    seed: int,
+    fields: Optional[FieldSamples] = None,
+) -> tuple:
+    """One ``SampledFiber`` per direction of ``sample_directions``, from one
+    modular breakdown each: the table every sampled estimate reduces."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    if fields is None:
+        fields = sample_fields(mesh, data)
+    fibers = []
+    for u in sample_directions(mesh, n_samples, seed):
+        ft = fiber_terms(mesh, data, u, fields)
+        if ft.a > 0 and ft.d > 0 and ft.e > 0:
+            tc = t_circ(ft)
+            fibers.append(SampledFiber(ft, *t_tilde_circ(ft), tc, eta(ft, tc)))
+        else:
+            fibers.append(SampledFiber(ft))
+    return tuple(fibers)
+
+
+def lambda_tilde_from(fibers) -> float:
+    """Sample minimum of eta_tilde(t_tilde)/e over the admitted fibers: below
+    it every admitted direction keeps two roots of the reduced fiber map.
+    The ratio is invariant under u -> s u, so no direction is normalized."""
+    ratios = [f.eta_tilde_max / f.terms.e for f in fibers if f.eta_tilde_max is not None]
+    if not ratios:
+        raise ValueError("every sample was degenerate (a = 0 or d = 0)")
+    return float(min(ratios))
+
+
+def nzero_evidence(fibers, lam: float) -> NzeroEvidence:
+    """Scan sampled fibers for tangencies eta(t_circ) = lam*e (each one is a
+    degenerate-branch point on that fiber); degenerate fibers are skipped."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    skipped = two_root = no_root = 0
+    tangencies = []
+    for i, f in enumerate(fibers):
+        if f.eta_max is None:
+            skipped += 1
+            continue
+        le = lam * f.terms.e
+        gap = abs(f.eta_max - le) / max(abs(f.eta_max), abs(le))
+        if gap <= TANGENCY_REL_TOL:
+            tangencies.append(Tangency(i, f.t_circ, f.eta_max, le, gap))
+        elif f.eta_max > le:
+            two_root += 1
+        else:
+            no_root += 1
+    return NzeroEvidence(lam, len(fibers), skipped, two_root, no_root, tuple(tangencies))
+
+
 def estimate_lambda_tilde(
     mesh: Mesh,
     data: ProblemData,
@@ -96,32 +171,9 @@ def estimate_lambda_tilde(
     seed: int,
     fields: Optional[FieldSamples] = None,
 ) -> float:
-    """Sample minimum of eta_tilde(t_tilde)/e over random nonnegative
-    directions (normalized in the working norm).  Below this value every
-    admitted sampled direction keeps two roots of the reduced fiber map.
-    Samples with a = 0 or d = 0 are skipped and counted.  One modular
-    breakdown per sample gives both the norm and the fiber terms, which are
-    rescaled to the unit direction by homogeneity."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    if fields is None:
-        fields = sample_fields(mesh, data)
-    best = np.inf
-    admitted = 0
-    for u in sample_directions(mesh, n_samples, seed):
-        bd = modular_breakdown(mesh, data, u, fields)
-        nrm = breakdown_norm(bd, data)
-        if nrm == 0.0:
-            continue
-        ft = FiberTerms.from_breakdown(bd, data).scaled(1.0 / nrm)
-        if ft.a <= 0 or ft.d <= 0 or ft.e <= 0:
-            continue
-        admitted += 1
-        _, eta_tilde_max = t_tilde_circ(ft)
-        best = min(best, eta_tilde_max / ft.e)
-    if admitted == 0:
-        raise ValueError("every sample was degenerate (a = 0 or d = 0)")
-    return float(best)
+    """``lambda_tilde_from`` over ``n_samples`` sampled fibers; samples with
+    a = 0 or d = 0 are skipped."""
+    return lambda_tilde_from(sample_fibers(mesh, data, n_samples, seed, fields))
 
 
 def check_nzero_empty(
@@ -132,37 +184,8 @@ def check_nzero_empty(
     seed: int,
     fields: Optional[FieldSamples] = None,
 ) -> NzeroEvidence:
-    """Scan sampled fibers for tangencies eta(t_circ) = lam*e (each one is a
-    degenerate-branch point on that fiber)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if fields is None:
-        fields = sample_fields(mesh, data)
-    skipped = two_root = no_root = 0
-    tangencies = []
-    for i, u in enumerate(sample_directions(mesh, n_samples, seed)):
-        ft = fiber_terms(mesh, data, u, fields)
-        if ft.a <= 0 or ft.d <= 0 or ft.e <= 0:
-            skipped += 1
-            continue
-        tc = t_circ(ft)
-        peak = eta(ft, tc)
-        le = lam * ft.e
-        gap = abs(peak - le) / max(abs(peak), abs(le))
-        if gap <= TANGENCY_REL_TOL:
-            tangencies.append(Tangency(i, tc, peak, le, gap))
-        elif peak > le:
-            two_root += 1
-        else:
-            no_root += 1
-    return NzeroEvidence(
-        lam=lam,
-        n_samples=int(n_samples),
-        n_skipped=skipped,
-        n_two_root=two_root,
-        n_no_root=no_root,
-        tangencies=tuple(tangencies),
-    )
+    """``nzero_evidence`` at ``lam`` over ``n_samples`` sampled fibers."""
+    return nzero_evidence(sample_fibers(mesh, data, n_samples, seed, fields), lam)
 
 
 def _minus_branch_positive(mesh, data, lam, opts) -> bool:
@@ -231,23 +254,22 @@ def estimate_lambda_star(
     return lo
 
 
-def _rayleigh_quotient(mesh, data, u, fields) -> float:
+def _rayleigh_quotient(mesh, data, u, fields) -> tuple[float, float]:
+    """(|u|_{1,p}^p / |u|_{p*}^p, the numerator |u|_{1,p}^p)."""
     bd = modular_breakdown(mesh, data, u, fields)
     num = bd.grad_p + bd.mass_p_alpha
     den = lebesgue_norm(mesh, u, data.p_star) ** data.p
-    return num / den
+    return num / den, num
 
 
-def _rayleigh_gradient(mesh, data, u, fields) -> np.ndarray:
-    """Gradient of the quotient (|u|_{1,p}^p) / (|u|_{p*}^p); only the
-    p-power pieces of the operator enter the numerator."""
+def _rayleigh_gradient(mesh, data, u, fields, num: float) -> np.ndarray:
+    """Gradient of the quotient ``num`` / (|u|_{p*}^p), num = |u|_{1,p}^p;
+    only the p-power pieces of the operator enter the numerator."""
     g = np.asarray(u, dtype=float)
     num_grad = gradient_flux(mesh, data, g)
     num_grad += mesh.node_weight * fields.alpha_node * np.sign(g) * np.abs(g) ** (data.p - 1.0)
     num_grad *= data.p
 
-    bd = modular_breakdown(mesh, data, g, fields)
-    num = bd.grad_p + bd.mass_p_alpha
     mass = float(mesh.node_weight @ np.abs(g) ** data.p_star)
     den = mass ** (data.p / data.p_star)
     den_grad = (
@@ -277,19 +299,19 @@ def estimate_sobolev_constant(
     candidates = [w for _, w in multistart_directions(mesh, seed)]
     candidates += [u for u in sample_directions(mesh, n_samples, seed)]
     best_val = np.inf
-    best_u = None
+    best_u = best_num = None
     for u in candidates:
         if not np.any(u):
             continue
-        val = _rayleigh_quotient(mesh, data, u, fields)
+        val, num = _rayleigh_quotient(mesh, data, u, fields)
         if val < best_val:
-            best_val, best_u = val, u
+            best_val, best_u, best_num = val, u, num
 
     u = np.asarray(best_u, dtype=float)
-    val = best_val
+    val, num = best_val, best_num
     step = 1.0
     for _ in range(polish_steps):
-        g = _rayleigh_gradient(mesh, data, u, fields)
+        g = _rayleigh_gradient(mesh, data, u, fields, num)
         gmax = float(np.max(np.abs(g)))
         if gmax == 0.0:
             break
@@ -298,9 +320,9 @@ def estimate_sobolev_constant(
         for _ in range(30):
             trial = u - s * g
             if np.any(trial):
-                tval = _rayleigh_quotient(mesh, data, trial, fields)
+                tval, tnum = _rayleigh_quotient(mesh, data, trial, fields)
                 if np.isfinite(tval) and tval < val:
-                    u, val, step = trial, tval, s * 2.0
+                    u, val, num, step = trial, tval, tnum, s * 2.0
                     improved = True
                     break
             s *= 0.5

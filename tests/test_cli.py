@@ -163,6 +163,44 @@ def test_sweep_command_outputs(tmp_path):
     assert len(lines) == 1 + 15
 
 
+def test_sweep_lambda_tilde_is_the_csv_column_minimum(tmp_path):
+    cfg = write(tmp_path, SMALL_SOLVE)
+    out_dir = str(tmp_path / "out")
+    assert main(["sweep", "-c", cfg, "-o", out_dir]) == 0
+    report = json.load(open(os.path.join(out_dir, "sweep_report.json")))
+    lines = open(os.path.join(out_dir, "sweep_samples.csv")).read().splitlines()
+    col = lines[0].split(",").index("eta_tilde_ratio")
+    ratios = [float(line.split(",")[col]) for line in lines[1:] if line.split(",")[col]]
+    assert report["lambda_tilde_est"] == min(ratios)
+
+
+def test_sweep_breaks_down_each_sample_once(tmp_path, monkeypatch):
+    from doublephase import cli, sweep
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sweep, "fiber_terms", counting(sweep.fiber_terms))
+    monkeypatch.setattr(cli, "fiber_terms", counting(cli.fiber_terms))
+    config = load_config(write(tmp_path, SMALL_SOLVE))
+    assert run("sweep", config, str(tmp_path / "out")) == 0
+    assert len(calls) == config.sweep_samples
+
+
+def test_sweep_without_samples_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_SOLVE.replace("sweep.samples = 15", "sweep.samples = 0"))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "-c", cfg, "-o", str(out_dir)]) == 2
+    assert "need at least one sample" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_props_command_passes_on_preset(tmp_path):
     cfg = write(tmp_path, SMALL_SOLVE)
     assert main(["props", "-c", cfg]) == 0
