@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -92,9 +93,12 @@ def _strip_quotes(value: str) -> str:
 
 def _parse_float(key, value):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_int(key, value):
@@ -102,6 +106,18 @@ def _parse_int(key, value):
         return int(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
+
+
+def _bounded(parse, ok, what):
+    """``parse`` followed by a range check ``ok`` described by ``what``."""
+
+    def parse_bounded(key, value):
+        number = parse(key, value)
+        if not ok(number):
+            raise ConfigError(f"key {key!r}: expected {what}, got {value!r}")
+        return number
+
+    return parse_bounded
 
 
 def _parse_expr_value(key, value):
@@ -136,10 +152,10 @@ _KEY_PARSERS = {
     "mesh.nx": _parse_int,
     "mesh.ny": _parse_int,
     "rect": lambda k, v: _parse_float_list(k, v, 4),
-    "solver.energy_tol": _parse_float,
-    "solver.stall": _parse_int,
-    "solver.max_iter": _parse_int,
-    "solver.residual_tol": _parse_float,
+    "solver.energy_tol": _bounded(_parse_float, lambda v: v >= 0, "a number >= 0"),
+    "solver.stall": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
+    "solver.max_iter": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
+    "solver.residual_tol": _bounded(_parse_float, lambda v: v > 0, "a number > 0"),
     "solver.seed": _parse_int,
     "sweep.samples": _parse_int,
     "sweep.lambda_grid": lambda k, v: _parse_float_list(k, v),

@@ -14,6 +14,7 @@ discrete functional ever evaluates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -147,7 +148,7 @@ def validate_hypotheses(data: ProblemData, mesh=None, samples: int = 33) -> Vali
     if np.any(zeta_vals <= 0):
         flag("H(v)", "zeta must be strictly positive on the domain samples")
 
-    if data.lam <= 0:
-        flag("H", f"need lambda > 0, got {data.lam}")
+    if not 0 < data.lam < math.inf:
+        flag("H", f"need finite lambda > 0, got {data.lam}")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))

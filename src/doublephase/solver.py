@@ -19,7 +19,6 @@ import numpy as np
 
 from .energy import energy_gradient, hat_norms_1p, weak_residual, ResidualReport
 from .fibering import (
-    FiberTerms,
     NehariClass,
     NehariKind,
     classify_nehari,
@@ -114,35 +113,23 @@ class _Projected:
     t_circ: float  # fiber maximizer of the normalized direction
 
 
-def _branch_scale(
-    ft: FiberTerms, lam: float, branch: Branch, warm: Optional[_Projected] = None
-) -> tuple[float, float]:
-    """(branch root, t_circ) of the fiber; ``warm`` seeds both."""
-    start, tc_start = (None, None) if warm is None else (warm.t, warm.t_circ)
-    only = "t1" if branch is Branch.PLUS else "t2"
-    roots = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=only)
-    if not roots.two:
-        raise NoRootError(
-            f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
-        )
-    return (roots.t1 if branch is Branch.PLUS else roots.t2), roots.t_circ
-
-
 def _project(
     mesh: Mesh,
     data: ProblemData,
     w: np.ndarray,
     lam: float,
     branch: Branch,
-    fields: FieldSamples,
+    fields: Optional[FieldSamples] = None,
     warm: Optional[_Projected] = None,
 ) -> _Projected:
-    """Normalize the direction w and scale it onto the branch; returns the
-    on-manifold point with its energy (computed from the fiber terms).
+    """Normalize the direction w and scale it onto the branch by the fiber
+    root t (t1 for Plus, t2 for Minus); returns the on-manifold point with
+    its energy (computed from the fiber terms).
 
     ``warm`` is a projected point near w (the line search's base point):
     its norm t seeds the norm of w, and its t_circ and t seed the fiber
-    roots of the normalized direction.
+    roots of the normalized direction.  Raises NoRootError when the branch
+    is unreachable.
     """
     ft = fiber_terms(mesh, data, w, fields)
     nrm = luxemburg_norm(
@@ -152,8 +139,15 @@ def _project(
     if nrm == 0.0:
         raise ValueError("cannot project the zero direction")
     ftn = ft.scaled(1.0 / nrm)
-    t, tc = _branch_scale(ftn, lam, branch, warm)
-    return _Projected(u=(t / nrm) * w, energy=psi(ftn, lam, t), t=t, t_circ=tc)
+    start, tc_start = (None, None) if warm is None else (warm.t, warm.t_circ)
+    only = "t1" if branch is Branch.PLUS else "t2"
+    roots = fiber_roots(ftn, lam, start=start, tc_start=tc_start, only=only)
+    if not roots.two:
+        raise NoRootError(
+            f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
+        )
+    t = roots.t1 if branch is Branch.PLUS else roots.t2
+    return _Projected(u=(t / nrm) * w, energy=psi(ftn, lam, t), t=t, t_circ=roots.t_circ)
 
 
 def project_to_nehari(
@@ -164,15 +158,12 @@ def project_to_nehari(
     branch: Branch,
     fields: Optional[FieldSamples] = None,
 ) -> np.ndarray:
-    """Scale u onto the requested branch: t1*u (Plus) or t2*u (Minus).
+    """Scale u onto the requested branch: t1*u (Plus) or t2*u (Minus), the
+    roots of u's own fiber (computed through the normalized direction).
 
     Raises NoRootError when the direction admits no root at this lam.
     """
-    u = np.asarray(u, dtype=float)
-    if fields is None:
-        fields = sample_fields(mesh, data)
-    ft = fiber_terms(mesh, data, u, fields)
-    return _branch_scale(ft, lam, branch)[0] * u
+    return _project(mesh, data, np.asarray(u, dtype=float), lam, branch, fields).u
 
 
 def minimize_on_branch(

@@ -95,6 +95,31 @@ def test_inadmissible_q1_fails_closed(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("sweep.lambda_grid", "0.05, nan"),
+        ("lambda", "nan"),
+        ("lambda", "inf"),
+        ("rect", "0, 0, inf, 1"),
+        ("solver.max_iter", "0"),
+        ("solver.stall", "0"),
+        ("solver.residual_tol", "0"),
+        ("solver.energy_tol", "-1e-10"),
+    ],
+)
+def test_bad_config_number_exits_2(tmp_path, capsys, command, key, value):
+    # non-finite or out-of-range numbers are config errors naming the key,
+    # not NaN in a report, a silent zero-iteration solve or a root failure
+    lines = [line for line in SMALL_SOLVE.splitlines() if line.split("=")[0].strip() != key]
+    cfg = write(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n", "bad.cfg")
+    out_dir = tmp_path / "out"
+    assert main([command, "-c", cfg, "-o", str(out_dir)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_root_finding_failure_exits_2(tmp_path, monkeypatch, capsys):
     from doublephase import cli
     from doublephase.rootfind import BracketError

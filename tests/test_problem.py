@@ -56,6 +56,13 @@ def test_q1_below_boundary_exponent_violates_H2(mesh4):
     assert any(tag == "H(ii)" for tag, _ in report.violations)
 
 
+@pytest.mark.parametrize("lam", [0.0, float("nan"), float("inf")])
+def test_nonpositive_or_nonfinite_lambda_is_flagged(mesh4, lam):
+    report = validate_hypotheses(make_data(lam=lam), mesh4)
+    assert not report.ok
+    assert any(tag == "H" and "lambda" in msg for tag, msg in report.violations)
+
+
 def test_zeta_zero_violates_H5(mesh4):
     report = validate_hypotheses(make_data(zeta="0"), mesh4)
     assert not report.ok

@@ -60,6 +60,17 @@ def test_warm_started_projection_matches_project_to_nehari(mesh4, preset_data, b
         assert warm.t_circ == pytest.approx(cold_tc, rel=1e-10)
 
 
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+@pytest.mark.parametrize("s", [1e-3, 1e3])
+def test_projection_is_scale_invariant(mesh4, preset_data, branch, s):
+    # the branch roots are scale-covariant (t_{s w} = t_w / s), so the
+    # projected point does not depend on the scale of the direction
+    w = rng(47).uniform(0.5, 1.5, mesh4.num_nodes)
+    base = project_to_nehari(mesh4, preset_data, w, LAM, branch)
+    scaled = project_to_nehari(mesh4, preset_data, s * w, LAM, branch)
+    np.testing.assert_allclose(scaled, base, rtol=1e-10)
+
+
 @pytest.mark.parametrize("branch,sign", [(Branch.PLUS, -1.0), (Branch.MINUS, 1.0)])
 def test_minimize_on_branch_converges_with_correct_sign(mesh4, preset_data, branch, sign):
     res = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes))
