@@ -45,6 +45,7 @@ from .solver import (
     SolveReport,
     SolveResult,
     SolverOptions,
+    StopReason,
     minimize_on_branch,
     project_to_nehari,
     solve_two,

@@ -253,6 +253,7 @@ def _result_dict(res):
         "iterations": res.iterations,
         "floor_activations": res.floor_activations,
         "converged": res.converged,
+        "stop_reason": res.stop_reason.value,
         "branch": res.branch,
         "start": res.start,
     }

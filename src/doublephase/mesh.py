@@ -6,6 +6,11 @@ of the area of the triangles touching the node; exact for piecewise-linear
 integrands), gradient integrands use the one-point centroid rule, and
 boundary integrals use the lumped edge rule (half the length of the
 touching boundary edges).
+
+On these meshes the P1 stiffness matrix is exactly the separable Neumann
+5-point matrix ``Ly (x) Mx + My (x) Lx`` (1-D stiffness L, 1-D trapezoid mass
+M, x fastest), so the H^1 Riesz map (K + c My (x) Mx)^-1 is diagonal in the
+1-D cosine bases of the two axes (``riesz_map``).
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 
 __all__ = [
     "Mesh", "build_rect_mesh", "corner_sum", "gather_gradients", "gradient_on_triangle",
-    "gradients", "scatter_flux",
+    "gradients", "riesz_map", "scatter_flux",
 ]
 
 
@@ -42,6 +47,8 @@ class Mesh:
     boundary_weight: np.ndarray  # (M,) lumped boundary weights, zero off the boundary
     boundary_edges: np.ndarray   # (E, 2) node index pairs of boundary edges
     rect: tuple
+    nx: int                      # cells along x
+    ny: int                      # cells along y
 
     @property
     def num_nodes(self) -> int:
@@ -130,6 +137,8 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
         boundary_weight=boundary_weight,
         boundary_edges=boundary_edges,
         rect=(x0, y0, x1, y1),
+        nx=nx,
+        ny=ny,
     )
 
 
@@ -163,3 +172,37 @@ def gradient_on_triangle(mesh: Mesh, tri: int, u: np.ndarray) -> tuple[float, fl
     vals = np.asarray(u, dtype=float)[mesh.triangles[tri]]
     g = mesh.basis_grads[:, :, tri] @ vals
     return float(g[0]), float(g[1])
+
+
+def _cosine_basis(n: int, h: float) -> tuple:
+    """1-D Neumann eigenbasis on n cells of width h: the cosine matrix
+    C[j, k] = cos(pi j k / n), the eigenvalues (2/h^2)(1 - cos(pi k / n)) of
+    L v = lam M v, and the M-norms h N_k of the columns (N_k = n at k = 0, n,
+    n/2 otherwise)."""
+    theta = np.pi * np.arange(n + 1) / n
+    cos = np.cos(np.outer(np.arange(n + 1), theta))
+    lam = (2.0 / h**2) * (1.0 - np.cos(theta))
+    norms = np.full(n + 1, 0.5 * n * h)
+    norms[[0, n]] = n * h
+    return cos, lam, norms
+
+
+def riesz_map(mesh: Mesh, shift: float):
+    """The map g -> P^-1 g for P = K + shift * My (x) Mx on a rectangle mesh
+    from ``build_rect_mesh``: K is the P1 stiffness and My (x) Mx the
+    separable trapezoid mass (it differs from the lumped node weights only at
+    the 4 corners).  P is diagonalized by the tensor cosine basis, so each
+    call is four dense (n+1)-square products; shift must be positive.
+    """
+    if not shift > 0.0:
+        raise ValueError(f"the Riesz map needs a positive shift, got {shift!r}")
+    x0, y0, x1, y1 = mesh.rect
+    cx, lx, mx = _cosine_basis(mesh.nx, (x1 - x0) / mesh.nx)
+    cy, ly, my = _cosine_basis(mesh.ny, (y1 - y0) / mesh.ny)
+    scale = 1.0 / ((ly[:, None] + lx[None, :] + shift) * np.outer(my, mx))
+    shape = (mesh.ny + 1, mesh.nx + 1)
+
+    def apply(g: np.ndarray) -> np.ndarray:
+        return (cy @ ((cy @ g.reshape(shape) @ cx) * scale) @ cx).ravel()
+
+    return apply

@@ -1,13 +1,20 @@
 """Branch minimization on the constraint manifold: fiber-projected descent.
 
-Each iterate is a nonnegative direction w; it is normalized in the working
-norm, scaled onto the requested branch by the fiber root (t1 for Plus, t2
-for Minus), and a line-searched step along the negative energy gradient is
-taken from the projected point.  The projection keeps iterates exactly on
-the manifold, where the energy is coercive, and at a constrained minimizer
-the full discrete weak form holds (the multiplier vanishes because
-psi'(1) = 0 there).  Multi-start over deterministic seeds guards against
-missing the branch minimum.
+Each iterate is a nonnegative direction w, scaled onto the requested branch
+by its own fiber root (t1 for Plus, t2 for Minus); no direction is
+normalized, because the roots are scale-covariant.  From the projected
+point u a line-searched step is taken along the H^1 (Sobolev) gradient
+d = (K + c M)^-1 g of the nodal energy gradient g, with K the P1 stiffness,
+M the mass and c = 10/|Omega| (``mesh.riesz_map``).  The Euclidean gradient's
+conditioning degrades like h^-2; the H^1 gradient's does not, so the
+iteration count does not grow with the mesh.  The step length is
+Barzilai-Borwein in the same metric, and each trial point
+max(u - sigma d, u/2) keeps at least half of every nodal value, so the
+smooth direction cannot drive a node into the singular term's spike near 0.
+The projection keeps iterates exactly on the manifold, where the energy is
+coercive, and at a constrained minimizer the full discrete weak form holds
+(the multiplier vanishes because psi'(1) = 0 there).  Multi-start over
+deterministic seeds guards against missing the branch minimum.
 """
 from __future__ import annotations
 
@@ -26,10 +33,12 @@ from .fibering import (
     fiber_terms,
     psi,
 )
-from .mesh import Mesh
+from .mesh import Mesh, riesz_map
 from .problem import ProblemData
 from .rootfind import BracketError
-from .space import FieldSamples, luxemburg_norm, power_modular, sample_fields
+from .space import FieldSamples, sample_fields
+# unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` by name
+from .space import luxemburg_norm  # noqa: F401
 
 __all__ = [
     "Branch",
@@ -37,6 +46,7 @@ __all__ = [
     "SolverOptions",
     "SolveResult",
     "SolveReport",
+    "StopReason",
     "project_to_nehari",
     "minimize_on_branch",
     "multistart_directions",
@@ -53,8 +63,22 @@ class Branch(enum.Enum):
         return NehariKind.PLUS if self is Branch.PLUS else NehariKind.MINUS
 
 
+class StopReason(enum.Enum):
+    """Why a branch descent left its loop."""
+
+    RESIDUAL_TOL = "residual_tol"                    # the gradient met the residual tolerance
+    STALL = "stall"                                  # ``stall`` iterations without progress
+    LINE_SEARCH_EXHAUSTED = "line_search_exhausted"  # no trial step passed the Armijo test
+    MAX_ITER = "max_iter"                            # ran all ``max_iter`` iterations
+    ZERO_GRADIENT = "zero_gradient"                  # no descent along the free direction
+
+
 class NoRootError(RuntimeError):
     """The requested branch is unreachable along this direction (eta max <= lam*e)."""
+
+
+RIESZ_SHIFT = 10.0  # mass weight of the H^1 metric K + c M, times the area: c = 10/|Omega|
+STEP_CLIP = 0.5     # a trial step keeps at least this fraction of every nodal value
 
 
 @dataclass(frozen=True)
@@ -80,6 +104,7 @@ class SolveResult:
     iterations: int
     floor_activations: int        # nodes below the floor at the returned point
     converged: bool
+    stop_reason: StopReason
     branch: str = ""
     start: str = ""
 
@@ -109,8 +134,7 @@ class SolveReport:
 class _Projected:
     u: np.ndarray
     energy: float
-    t: float       # fiber root of the normalized direction, and the norm of u
-    t_circ: float  # fiber maximizer of the normalized direction
+    t_circ: float  # fiber maximizer of u itself
 
 
 def _project(
@@ -122,32 +146,26 @@ def _project(
     fields: Optional[FieldSamples] = None,
     warm: Optional[_Projected] = None,
 ) -> _Projected:
-    """Normalize the direction w and scale it onto the branch by the fiber
-    root t (t1 for Plus, t2 for Minus); returns the on-manifold point with
-    its energy (computed from the fiber terms).
+    """Scale the direction w onto the branch by its own fiber root t (t1 for
+    Plus, t2 for Minus); returns the on-manifold point t*w with its energy
+    psi(t) (computed from the fiber terms of w).
 
-    ``warm`` is a projected point near w (the line search's base point):
-    its norm t seeds the norm of w, and its t_circ and t seed the fiber
-    roots of the normalized direction.  Raises NoRootError when the branch
-    is unreachable.
+    The roots are scale-covariant (t_{s w} = t_w / s), so the point does not
+    depend on the scale of w and w is not normalized.  ``warm`` is a
+    projected point near w (the line search's base point): its own branch
+    root is 1, which seeds t, and its t_circ seeds the fiber maximizer.
+    Raises NoRootError when the branch is unreachable.
     """
     ft = fiber_terms(mesh, data, w, fields)
-    nrm = luxemburg_norm(
-        power_modular([(ft.a, ft.p), (ft.b, ft.q), (ft.c, ft.p_lower_star)]),
-        start=None if warm is None else warm.t,
-    )
-    if nrm == 0.0:
-        raise ValueError("cannot project the zero direction")
-    ftn = ft.scaled(1.0 / nrm)
-    start, tc_start = (None, None) if warm is None else (warm.t, warm.t_circ)
+    start, tc_start = (None, None) if warm is None else (1.0, warm.t_circ)
     only = "t1" if branch is Branch.PLUS else "t2"
-    roots = fiber_roots(ftn, lam, start=start, tc_start=tc_start, only=only)
+    roots = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=only)
     if not roots.two:
         raise NoRootError(
             f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
         )
     t = roots.t1 if branch is Branch.PLUS else roots.t2
-    return _Projected(u=(t / nrm) * w, energy=psi(ftn, lam, t), t=t, t_circ=roots.t_circ)
+    return _Projected(u=t * w, energy=psi(ft, lam, t), t_circ=roots.t_circ / t)
 
 
 def project_to_nehari(
@@ -174,18 +192,21 @@ def minimize_on_branch(
     init,
     opts: Optional[SolverOptions] = None,
 ) -> SolveResult:
-    """Fiber-projected gradient descent from ``init`` on one branch.
+    """Fiber-projected H^1 gradient descent from ``init`` on one branch.
 
     Stops when the projected energy fails to decrease (relative energy_tol)
     for ``stall`` iterations, or early when the normalized gradient already
-    meets the residual tolerance; returns the best projected iterate.
-    ``converged`` additionally requires the branch class, strict nodal
-    positivity, an inactive singular floor and the weak residual bound.
+    meets the residual tolerance; returns the best projected iterate and
+    records why the loop ended in ``stop_reason``.  ``converged`` requires
+    that the loop did not run out of iterations, and additionally the branch
+    class, strict nodal positivity, an inactive singular floor and the weak
+    residual bound.
     """
     if opts is None:
         opts = SolverOptions()
     fields = sample_fields(mesh, data)
     hn = hat_norms_1p(mesh, data, fields)
+    riesz = riesz_map(mesh, RIESZ_SHIFT / mesh.area)
 
     w = np.maximum(np.asarray(init, dtype=float), 0.0)
     if not w.any():
@@ -195,15 +216,15 @@ def minimize_on_branch(
     best = proj
     best_resid = np.inf
     stall = 0
-    reached_tol = False
-    prev_u = prev_g = None
+    prev_u = prev_g = prev_d = None
     iterations = 0
+    reason = StopReason.MAX_ITER
 
     for iterations in range(1, opts.max_iter + 1):
         g = energy_gradient(mesh, data, proj.u, lam, opts.floor, fields).values
         resid = float(np.max(np.abs(g) / hn))
         if resid <= 0.5 * opts.residual_tol:
-            reached_tol = True
+            reason = StopReason.RESIDUAL_TOL
             best = proj  # this iterate, not an earlier lower-energy one, meets the tolerance
             break
         # the energy plateaus quadratically faster than the gradient shrinks,
@@ -211,20 +232,23 @@ def minimize_on_branch(
         resid_progress = resid < best_resid * (1.0 - 1e-3)
         if resid < best_resid:
             best_resid = resid
-        free = (proj.u > 0.0) | (g < 0.0)
-        gg = float(g[free] @ g[free])
-        if gg == 0.0:
+        d = riesz(g)
+        free = (proj.u > 0.0) | (d < 0.0)
+        gd = float(g[free] @ d[free])
+        if gd <= 0.0:
+            reason = StopReason.ZERO_GRADIENT
             break
 
-        if prev_u is None:
-            sigma = 1.0 / float(np.max(np.abs(g)))
-        else:
-            du = proj.u - prev_u
-            dg = g - prev_g
-            denom = float(dg @ dg)
-            sigma = abs(float(du @ dg)) / denom if denom > 0 else 1.0 / float(np.max(np.abs(g)))
+        # Barzilai-Borwein step in the metric of P: s.y / (y.P^-1 y), where
+        # P^-1 y is d - d_prev, so it costs no second transform
+        sigma = 1.0
+        if prev_u is not None:
+            y = g - prev_g
+            denom = float(y @ (d - prev_d))
+            if denom > 0.0:
+                sigma = abs(float((proj.u - prev_u) @ y)) / denom
         sigma = min(max(sigma, 1e-14), 1e10)
-        prev_u, prev_g = proj.u, g
+        prev_u, prev_g, prev_d = proj.u, g, d
 
         # near the minimum the Armijo decrease drops below the energy's
         # floating-point resolution; the slack keeps the tail iterations
@@ -232,22 +256,25 @@ def minimize_on_branch(
         slack = 8.0 * np.finfo(float).eps * max(1.0, abs(proj.energy))
         accepted = None
         for _ in range(opts.max_backtracks + 1):
-            trial_w = np.maximum(proj.u - sigma * g, 0.0)
-            if trial_w.any():
-                try:
-                    trial = _project(mesh, data, trial_w, lam, branch, fields, warm=proj)
-                except (NoRootError, BracketError):
-                    trial = None
-                if (
-                    trial is not None
-                    and np.isfinite(trial.energy)
-                    and trial.energy <= proj.energy - opts.armijo * sigma * gg + slack
-                ):
-                    accepted = trial
-                    break
+            # a smooth H^1 step cannot lift a node the singular term pins near
+            # 0, so no node may lose more than STEP_CLIP of its value per step
+            # (this also keeps the trial nonzero)
+            trial_w = np.maximum(proj.u - sigma * d, STEP_CLIP * proj.u)
+            try:
+                trial = _project(mesh, data, trial_w, lam, branch, fields, warm=proj)
+            except (NoRootError, BracketError):
+                trial = None
+            if (
+                trial is not None
+                and np.isfinite(trial.energy)
+                and trial.energy <= proj.energy - opts.armijo * sigma * gd + slack
+            ):
+                accepted = trial
+                break
             sigma *= opts.backtrack
         if accepted is None:
-            break  # line search exhausted: no representable descent left
+            reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
+            break
 
         energy_progress = best.energy - accepted.energy > opts.energy_tol * max(
             1.0, abs(best.energy)
@@ -257,16 +284,16 @@ def minimize_on_branch(
             best = accepted
         proj = accepted
         if stall >= opts.stall:
+            reason = StopReason.STALL
             break
 
-    hit_max_iter = iterations >= opts.max_iter and not reached_tol and stall < opts.stall
     u = best.u
     nehari = classify_nehari(mesh, data, u, lam, tol=opts.nehari_tol, fields=fields)
     floor_activations = int(np.sum(u < opts.floor))
     positive = bool(np.min(u) > 0.0)
     residual = weak_residual(mesh, data, u, lam, fields) if positive else None
     converged = (
-        not hit_max_iter
+        reason is not StopReason.MAX_ITER
         and positive
         and floor_activations == 0
         and nehari.kind is branch.nehari_kind
@@ -281,6 +308,7 @@ def minimize_on_branch(
         iterations=iterations,
         floor_activations=floor_activations,
         converged=converged,
+        stop_reason=reason,
         branch=branch.value,
     )
 

@@ -169,6 +169,7 @@ def test_solve_command_outputs(tmp_path):
     assert report["sign_ok"] is True
     assert report["plus"]["energy"] < 0 < report["minus"]["energy"]
     assert report["plus"]["converged"] and report["minus"]["converged"]
+    assert report["plus"]["stop_reason"] == report["minus"]["stop_reason"] == "residual_tol"
     for name in ("solution_plus.csv", "solution_minus.csv"):
         lines = open(os.path.join(out_dir, name)).read().splitlines()
         assert lines[0] == "node,x,y,value"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublephase import build_rect_mesh, gradient_on_triangle, gradients
-from doublephase.mesh import gather_gradients, scatter_flux
+from doublephase.mesh import gather_gradients, riesz_map, scatter_flux
 
 from conftest import oracle_area, oracle_gradient, rng
 
@@ -161,12 +161,69 @@ def test_scatter_is_adjoint_of_gather(n):
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_import_loads_no_scipy():
-    # scipy.sparse costs more to import than a whole mesh setup
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    w = np.full(n + 1, h)
+    w[[0, n]] *= 0.5
+    return w
+
+
+@pytest.mark.parametrize(
+    "nx, ny, rect",
+    [
+        (1, 1, (0.0, 0.0, 1.0, 1.0)),
+        (4, 4, (0.0, 0.0, 1.0, 1.0)),
+        (16, 16, (0.0, 0.0, 1.0, 1.0)),
+        (5, 3, (0.0, 0.0, 2.0, 1.0)),
+        (7, 2, (-1.0, 0.0, 1.0, 3.0)),
+    ],
+)
+def test_riesz_map_inverts_stiffness_plus_mass(nx, ny, rect):
+    # the map solves (K + c My (x) Mx) d = g, with K assembled column by
+    # column from the P1 gradient kernel and the separable trapezoid mass
+    mesh = build_rect_mesh(nx, ny, rect)
+    eye = np.eye(mesh.num_nodes)
+    stiffness = np.column_stack(
+        [scatter_flux(mesh, gather_gradients(mesh, e) * mesh.tri_area) for e in eye]
+    )
+    x0, y0, x1, y1 = rect
+    mass = np.outer(
+        _trapezoid_weights(ny, (y1 - y0) / ny), _trapezoid_weights(nx, (x1 - x0) / nx)
+    ).ravel()
+    shift = 10.0 / mesh.area
+    op = stiffness + shift * np.diag(mass)
+    riesz = riesz_map(mesh, shift)
+    r = rng(nx * 10 + ny)
+    for _ in range(3):
+        g = r.standard_normal(mesh.num_nodes)
+        d = riesz(g)
+        assert np.linalg.norm(op @ d - g) <= 1e-12 * np.linalg.norm(g)
+        np.testing.assert_allclose(d, np.linalg.solve(op, g), rtol=0, atol=1e-12 * np.max(np.abs(d)))
+
+
+def test_riesz_map_rejects_nonpositive_shift(mesh4):
+    with pytest.raises(ValueError, match="positive shift"):
+        riesz_map(mesh4, 0.0)
+
+
+def _loaded_after_import(package: str) -> str:
     import doublephase
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(doublephase.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, doublephase; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    code = (
+        "import sys, doublephase; "
+        f"print(any(m == {package!r} or m.startswith({package + '.'!r}) for m in sys.modules))"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse costs more to import than a whole mesh setup
+    assert _loaded_after_import("scipy") == "False"
+
+
+def test_import_loads_no_numpy_fft():
+    # the Riesz map uses dense cosine matrices: at the solver's mesh sizes
+    # they are faster than an FFT, and numpy.fft adds to the peak memory
+    assert _loaded_after_import("numpy.fft") == "False"

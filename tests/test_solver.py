@@ -6,6 +6,8 @@ from doublephase import (
     NehariKind,
     NoRootError,
     SolverOptions,
+    StopReason,
+    build_rect_mesh,
     classify_nehari,
     fiber_terms,
     minimize_on_branch,
@@ -129,6 +131,29 @@ def test_max_iterations_reports_not_converged(mesh4, preset_data):
     assert res.iterations == 2
 
 
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+@pytest.mark.parametrize(
+    "reason, options",
+    [
+        pytest.param(StopReason.RESIDUAL_TOL, {}, id="residual_tol"),
+        pytest.param(StopReason.MAX_ITER, {"max_iter": 2}, id="max_iter"),
+        pytest.param(StopReason.LINE_SEARCH_EXHAUSTED, {"max_backtracks": 0}, id="line_search_exhausted"),
+        # no energy decrease counts as progress, and one iteration without
+        # residual contraction ends the descent
+        pytest.param(StopReason.STALL, {"stall": 1, "energy_tol": 1.0}, id="stall"),
+    ],
+)
+def test_stop_reason_is_recorded(mesh4, preset_data, branch, reason, options):
+    opts = SolverOptions(**options)
+    res = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes), opts)
+    assert res.stop_reason is reason
+    assert res.converged == (reason is StopReason.RESIDUAL_TOL)
+    if reason is StopReason.MAX_ITER:
+        assert res.iterations == opts.max_iter
+    else:
+        assert res.iterations < opts.max_iter
+
+
 def test_converged_residual_agrees_with_weak_residual(mesh4, preset_data):
     res = minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes))
     report = weak_residual(mesh4, preset_data, res.u, LAM)
@@ -193,3 +218,48 @@ def test_solve_two_on_nonunit_rectangle(preset_data):
     report = solve_two(mesh, preset_data, 0.1)
     assert report.sign_ok
     assert report.plus.u.min() > 0 and report.minus.u.min() > 0
+
+
+def _all_starts(n: int, data) -> list:
+    mesh = build_rect_mesh(n, n)
+    return [
+        minimize_on_branch(mesh, data, LAM, branch, w)
+        for branch in (Branch.PLUS, Branch.MINUS)
+        for _, w in multistart_directions(mesh, seed=0)
+    ]
+
+
+def test_descent_iterations_do_not_grow_with_the_mesh(preset_data):
+    # the H^1 direction is mesh-independent: every start converges at every
+    # size, and refining 8x8 to 32x32 at most doubles the total iterations
+    # (the Euclidean gradient's conditioning grows like h^-2)
+    totals = {}
+    for n in (8, 16, 32):
+        results = _all_starts(n, preset_data)
+        assert all(res.converged for res in results), n
+        totals[n] = sum(res.iterations for res in results)
+    assert totals[32] <= 2 * totals[8], totals
+
+
+def test_minus_ramp_start_converges(mesh16, preset_data):
+    # the ramp vanishes on x = 0; without the per-step clip the descent
+    # drifts to a node pinned near 0, where the singular term's gradient
+    # spikes and a smooth direction cannot lift it
+    ramp = dict(multistart_directions(mesh16, seed=0))["ramp"]
+    res = minimize_on_branch(mesh16, preset_data, LAM, Branch.MINUS, ramp)
+    assert res.converged
+    assert res.stop_reason is StopReason.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+def test_branch_energy_converges_at_second_order(preset_data, branch):
+    # P1 elements with lumped and centroid quadrature: the energy error is
+    # O(h^2), so successive differences shrink by ~4 per refinement
+    energies = []
+    for n in (16, 32, 64):
+        mesh = build_rect_mesh(n, n)
+        res = minimize_on_branch(mesh, preset_data, LAM, branch, np.ones(mesh.num_nodes))
+        assert res.converged, n
+        energies.append(res.energy)
+    ratio = (energies[1] - energies[0]) / (energies[2] - energies[1])
+    assert 3.0 <= ratio <= 5.0, energies
