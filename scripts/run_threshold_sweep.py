@@ -4,7 +4,7 @@
 Samples random directions to bound the two-root threshold from above, scans
 a lambda grid for the largest value with positive Minus-branch energy,
 checks sampled fibers for degenerate tangencies, and estimates the discrete
-embedding constant.
+embedding constant.  Exits 1 when the lambda* scan is undetermined.
 """
 import argparse
 import sys
@@ -48,10 +48,11 @@ def main() -> int:
         print(f"lambda_star_est = {lam_star:.6f}  (grid {grid})")
     except (SweepUndetermined, ValueError) as exc:
         print(f"lambda_star scan: {exc}")
+        lam_star = None
 
     sobolev = estimate_sobolev_constant(mesh, data, args.samples, args.seed)
     print(f"sobolev_S_est = {sobolev:.6f}  (upper bound on the discrete constant)")
-    return 0
+    return 0 if lam_star is not None else 1
 
 
 if __name__ == "__main__":

@@ -158,8 +158,24 @@ _KEY_PARSERS = {
     "solver.residual_tol": _bounded(_parse_float, lambda v: v > 0, "a number > 0"),
     "solver.seed": _parse_int,
     "sweep.samples": _parse_int,
-    "sweep.lambda_grid": lambda k, v: _parse_float_list(k, v),
+    "sweep.lambda_grid": _bounded(
+        _parse_float_list,
+        lambda g: bool(g) and g[0] > 0 and all(b > a for a, b in zip(g, g[1:])),
+        "positive, strictly ascending numbers",
+    ),
     "sweep.seed": _parse_int,
+}
+
+# the Config field of each key whose name differs from it; a "solver.*" key
+# sets the SolverOptions field named by its suffix, every other key the
+# Config field of its own name
+_CONFIG_FIELDS = {
+    "lambda": "lam",
+    "mesh.nx": "nx",
+    "mesh.ny": "ny",
+    "sweep.samples": "sweep_samples",
+    "sweep.lambda_grid": "lambda_grid",
+    "sweep.seed": "sweep_seed",
 }
 
 
@@ -192,32 +208,9 @@ def load_config(path: str) -> Config:
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
-    solver = SolverOptions(
-        energy_tol=raw.get("solver.energy_tol", 1e-10),
-        stall=raw.get("solver.stall", 25),
-        max_iter=raw.get("solver.max_iter", 20000),
-        residual_tol=raw.get("solver.residual_tol", 1e-8),
-        seed=raw.get("solver.seed", 0),
-    )
-    return Config(
-        p=raw["p"],
-        q=raw["q"],
-        kappa=raw["kappa"],
-        q1=raw["q1"],
-        lam=raw["lambda"],
-        N=raw.get("N", 2),
-        mu=raw.get("mu", "x"),
-        alpha=raw.get("alpha", "1"),
-        beta=raw.get("beta", "1"),
-        zeta=raw.get("zeta", "1"),
-        nx=raw.get("mesh.nx", 16),
-        ny=raw.get("mesh.ny", 16),
-        rect=raw.get("rect", (0.0, 0.0, 1.0, 1.0)),
-        solver=solver,
-        sweep_samples=raw.get("sweep.samples", 200),
-        lambda_grid=raw.get("sweep.lambda_grid", (0.05, 0.1, 0.2, 0.4, 0.8)),
-        sweep_seed=raw.get("sweep.seed", 0),
-    )
+    solver = {k[len("solver."):]: v for k, v in raw.items() if k.startswith("solver.")}
+    settings = {_CONFIG_FIELDS.get(k, k): v for k, v in raw.items() if not k.startswith("solver.")}
+    return Config(solver=SolverOptions(**solver), **settings)
 
 
 def _fmt(value) -> str:

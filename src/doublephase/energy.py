@@ -141,23 +141,22 @@ def energy_gradient(
     data: ProblemData,
     u,
     lam: float,
-    floor: float = DEFAULT_FLOOR,
     fields: Optional[FieldSamples] = None,
 ) -> GradientResult:
     """Nodal gradient of the discrete energy.
 
-    The singular term uses max(u_i, floor) inside u^(-kappa); nodes where
-    the floor engaged are flagged (diagnostic, not a failure).
+    The singular term uses max(u_i, DEFAULT_FLOOR) inside u^(-kappa); nodes
+    where the floor engaged are flagged (diagnostic, not a failure).
     """
     if fields is None:
         fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
     grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
-    floored = np.maximum(u, floor)
+    floored = np.maximum(u, DEFAULT_FLOOR)
     sing_vec = mesh.node_weight * fields.zeta_node * floored ** (-data.kappa)
     super_vec = lam * mesh.node_weight * _signed_power(u, data.q1 - 1.0)
     values = grad_vec + alpha_vec + beta_vec - sing_vec - super_vec
-    return GradientResult(values=values, floor_active=u < floor)
+    return GradientResult(values=values, floor_active=u < DEFAULT_FLOOR)
 
 
 def hat_norms_1p(

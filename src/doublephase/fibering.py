@@ -46,6 +46,7 @@ __all__ = [
 
 ROOT_TOL = 1e-12      # relative residual of located roots
 TANGENT_TOL = 1e-10   # relative width of the declared tangency band
+NEHARI_TOL = 1e-9     # relative |psi'(1)| and psi''(1) band of the branch classification
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def t_circ(ft: FiberTerms, start: Optional[float] = None) -> float:
     rhs = (ft.q1 + ft.kappa - 1.0) * ft.d
     f = power_sum([(-c, r) for c, r in _xi_terms(ft)] + [(rhs, 0.0)])  # rhs - xi
     if start is None:
-        lo, hi, flo, fhi = expand_bracket(f, start=1.0)
+        lo, hi, flo, fhi = expand_bracket(f)
         if lo == hi:
             return lo
     else:
@@ -274,13 +275,12 @@ def classify_nehari(
     data: ProblemData,
     u,
     lam: float,
-    tol: float = 1e-9,
     fields: Optional[FieldSamples] = None,
 ) -> NehariClass:
     """Classify u against the constraint manifold at parameter lam.
 
-    Relative tolerance: |psi'(1)| <= tol * (a+b+c+d+lam*e) puts u on the
-    manifold, then the sign of psi''(1) against the same scale picks the
+    Relative tolerance: |psi'(1)| <= NEHARI_TOL * (a+b+c+d+lam*e) puts u on
+    the manifold, then the sign of psi''(1) against the same scale picks the
     branch.  Rejects u = 0.
     """
     u = np.asarray(u, dtype=float)
@@ -289,12 +289,12 @@ def classify_nehari(
     ft = fiber_terms(mesh, data, u, fields)
     scale = ft.a + ft.b + ft.c + ft.d + lam * ft.e
     _, d1, d2 = psi_derivatives(ft, lam, 1.0)
-    if abs(d1) > tol * scale:
+    if abs(d1) > NEHARI_TOL * scale:
         kind = NehariKind.NOT_ON_NEHARI
-    elif d2 > tol * scale:
+    elif d2 > NEHARI_TOL * scale:
         kind = NehariKind.PLUS
-    elif d2 < -tol * scale:
+    elif d2 < -NEHARI_TOL * scale:
         kind = NehariKind.MINUS
     else:
         kind = NehariKind.ZERO
-    return NehariClass(kind=kind, dpsi1=d1, ddpsi1=d2, tol=tol)
+    return NehariClass(kind=kind, dpsi1=d1, ddpsi1=d2, tol=NEHARI_TOL)

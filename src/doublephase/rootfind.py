@@ -16,6 +16,8 @@ __all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_sum", "power_
 
 Map = Callable[[float], "tuple[float, float]"]  # t -> (f(t), f'(t))
 LN2 = math.log(2.0)
+BRACKET_STEPS = 200  # doublings or halvings ``expand_bracket`` tries
+ROOT_EVALS = 200     # evaluations ``hybrid_root`` makes before giving up
 
 
 class BracketError(ArithmeticError):
@@ -48,34 +50,29 @@ def power_value(terms, t: float) -> float:
     return val
 
 
-def expand_bracket(
-    f: Map,
-    start: float = 1.0,
-    factor: float = 2.0,
-    max_steps: int = 200,
-) -> tuple[float, float, float, float]:
-    """Bracket a sign change of ``f`` by geometric expansion from ``start``.
+def expand_bracket(f: Map) -> tuple[float, float, float, float]:
+    """Bracket a sign change of ``f`` by geometric expansion from t = 1.
 
     ``f(t)`` returns (value, slope); only the value is used.  Returns
     (lo, hi, f(lo), f(hi)) with f(lo) and f(hi) of opposite sign (one may
-    be exactly zero).  Expands upward if f(start) > 0 requires it, downward
-    otherwise, assuming f is decreasing; raises BracketError after
-    ``max_steps`` doublings.
+    be exactly zero).  Doubles t while f(t) > 0 and halves it otherwise,
+    assuming f is decreasing; raises BracketError after BRACKET_STEPS
+    steps.
     """
-    t = float(start)
+    t = 1.0
     ft = f(t)[0]
     if ft == 0.0:
         return t, t, 0.0, 0.0
     up = ft > 0
-    for _ in range(max_steps):
-        nxt = t * factor if up else t / factor
+    for _ in range(BRACKET_STEPS):
+        nxt = t * 2.0 if up else t / 2.0
         fnxt = f(nxt)[0]
         if up and fnxt <= 0:
             return t, nxt, ft, fnxt
         if not up and fnxt >= 0:
             return nxt, t, fnxt, ft
         t, ft = nxt, fnxt
-    raise BracketError(f"no sign change within {max_steps} geometric steps from {start}")
+    raise BracketError(f"no sign change within {BRACKET_STEPS} geometric steps from 1.0")
 
 
 def _split(lo: float, hi: float) -> float:
@@ -95,7 +92,6 @@ def hybrid_root(
     fhi: float,
     abs_tol: float,
     start: float | None = None,
-    max_iter: int = 200,
 ) -> float:
     """Root of ``f`` between lo and hi to residual |f| <= abs_tol.
 
@@ -106,7 +102,7 @@ def hybrid_root(
     most half the step before last, and no longer than a factor 2 while an
     end is still open; otherwise it bisects geometrically.  Returns when the
     residual is met or the bracket reaches floating-point width; raises
-    BracketError after ``max_iter`` evaluations.
+    BracketError after ROOT_EVALS evaluations.
     """
     if flo == 0.0:
         return lo
@@ -117,7 +113,7 @@ def hybrid_root(
     rising = flo < 0
     t = start if start is not None and lo < start < hi else _split(lo, hi)
     last = before = math.inf  # sizes of the last two steps, in log t
-    for _ in range(max_iter):
+    for _ in range(ROOT_EVALS):
         ft, slope = f(t)
         if abs(ft) <= abs_tol:
             return t
@@ -137,4 +133,4 @@ def hybrid_root(
         else:
             mid = _split(lo, hi)
             before, last, t = last, abs(math.log(mid / t)), mid
-    raise BracketError(f"root refinement exhausted {max_iter} iterations")
+    raise BracketError(f"root refinement exhausted {ROOT_EVALS} iterations")

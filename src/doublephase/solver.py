@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import energy_gradient, hat_norms_1p, weak_residual, ResidualReport
+from .energy import DEFAULT_FLOOR, energy_gradient, hat_norms_1p, weak_residual, ResidualReport
 from .fibering import (
     NehariClass,
     NehariKind,
@@ -79,19 +79,19 @@ class NoRootError(RuntimeError):
 
 RIESZ_SHIFT = 10.0  # mass weight of the H^1 metric K + c M, times the area: c = 10/|Omega|
 STEP_CLIP = 0.5     # a trial step keeps at least this fraction of every nodal value
+ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
+BACKTRACK = 0.5     # step shrink factor per rejected trial
+MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The descent's settings that a config file can set (``solver.*``)."""
+
     energy_tol: float = 1e-10     # relative decrease counted as progress
     stall: int = 25               # iterations without progress before stopping
     max_iter: int = 20000
     residual_tol: float = 1e-8    # normalized weak-form residual at convergence
-    nehari_tol: float = 1e-9
-    floor: float = 1e-10          # singular-term gradient floor
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
     seed: int = 0
 
 
@@ -177,7 +177,7 @@ def project_to_nehari(
     fields: Optional[FieldSamples] = None,
 ) -> np.ndarray:
     """Scale u onto the requested branch: t1*u (Plus) or t2*u (Minus), the
-    roots of u's own fiber (computed through the normalized direction).
+    roots of u's own fiber (computed from u as given, not normalized).
 
     Raises NoRootError when the direction admits no root at this lam.
     """
@@ -221,7 +221,7 @@ def minimize_on_branch(
     reason = StopReason.MAX_ITER
 
     for iterations in range(1, opts.max_iter + 1):
-        g = energy_gradient(mesh, data, proj.u, lam, opts.floor, fields).values
+        g = energy_gradient(mesh, data, proj.u, lam, fields).values
         resid = float(np.max(np.abs(g) / hn))
         if resid <= 0.5 * opts.residual_tol:
             reason = StopReason.RESIDUAL_TOL
@@ -255,7 +255,7 @@ def minimize_on_branch(
         # contracting the gradient instead of aborting the line search
         slack = 8.0 * np.finfo(float).eps * max(1.0, abs(proj.energy))
         accepted = None
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             # a smooth H^1 step cannot lift a node the singular term pins near
             # 0, so no node may lose more than STEP_CLIP of its value per step
             # (this also keeps the trial nonzero)
@@ -267,11 +267,11 @@ def minimize_on_branch(
             if (
                 trial is not None
                 and np.isfinite(trial.energy)
-                and trial.energy <= proj.energy - opts.armijo * sigma * gd + slack
+                and trial.energy <= proj.energy - ARMIJO * sigma * gd + slack
             ):
                 accepted = trial
                 break
-            sigma *= opts.backtrack
+            sigma *= BACKTRACK
         if accepted is None:
             reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
             break
@@ -288,8 +288,8 @@ def minimize_on_branch(
             break
 
     u = best.u
-    nehari = classify_nehari(mesh, data, u, lam, tol=opts.nehari_tol, fields=fields)
-    floor_activations = int(np.sum(u < opts.floor))
+    nehari = classify_nehari(mesh, data, u, lam, fields)
+    floor_activations = int(np.sum(u < DEFAULT_FLOOR))
     positive = bool(np.min(u) > 0.0)
     residual = weak_residual(mesh, data, u, lam, fields) if positive else None
     converged = (

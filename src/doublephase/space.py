@@ -12,7 +12,6 @@ evaluated from six scalars.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,17 +121,15 @@ def power_modular(terms) -> Map:
     return power_sum([(c, -r) for c, r in terms])
 
 
-def luxemburg_norm(modular_eval: Map, tol: float = LUX_TOL, start: Optional[float] = None) -> float:
+def luxemburg_norm(modular_eval: Map) -> float:
     """inf{tau > 0 : rho(u/tau) <= 1} for a strictly decreasing modular map.
 
     ``modular_eval(tau)`` returns (rho(u/tau), its tau-derivative).  The
-    root is found by the safeguarded Newton iteration of ``hybrid_root``.
-    Without a warm ``start`` the unit level is first bracketed by geometric
-    expansion from tau = 1, which also checks that the map crosses it; with
-    one (say the norm of a nearby function), Newton starts there on all of
-    (0, inf), where a power-sum modular falls from inf to 0.  Returns 0 when
-    the modular vanishes identically (u = 0); raises BracketError if no
-    sign change is found.
+    unit level is bracketed by geometric expansion from tau = 1, which also
+    checks that the map crosses it, and the root is then found by the
+    safeguarded Newton iteration of ``hybrid_root`` to |rho - 1| <= LUX_TOL.
+    Returns 0 when the modular vanishes identically (u = 0); raises
+    BracketError if no sign change is found.
     """
     def f(tau):
         rho, slope = modular_eval(tau)
@@ -140,13 +137,10 @@ def luxemburg_norm(modular_eval: Map, tol: float = LUX_TOL, start: Optional[floa
 
     if modular_eval(1.0)[0] == 0.0:
         return 0.0
-    if start is None:
-        lo, hi, flo, fhi = expand_bracket(f, start=1.0)
-        if lo == hi:
-            return lo
-    else:
-        lo, hi, flo, fhi = 0.0, math.inf, math.inf, -1.0
-    return hybrid_root(f, lo, hi, flo, fhi, abs_tol=tol, start=start)
+    lo, hi, flo, fhi = expand_bracket(f)
+    if lo == hi:
+        return lo
+    return hybrid_root(f, lo, hi, flo, fhi, abs_tol=LUX_TOL)
 
 
 def norm_custom(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:

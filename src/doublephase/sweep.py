@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 TANGENCY_REL_TOL = 1e-10
+LAMBDA_STAR_BISECTIONS = 3  # bisection steps between the bracketing grid points
+SOBOLEV_POLISH_STEPS = 40   # gradient steps polishing the best Rayleigh candidate
 
 
 class SweepUndetermined(RuntimeError):
@@ -214,14 +216,13 @@ def estimate_lambda_star(
     data: ProblemData,
     lambda_grid,
     opts: Optional[SolverOptions] = None,
-    refine_steps: int = 3,
 ) -> float:
     """Largest lambda with all-positive Minus-branch energies.
 
     Scans the ascending grid until the first non-positive (or unreachable)
     lambda, then bisects between the last positive and first non-positive
-    grid points for ``refine_steps`` steps.  Returns the top of the grid if
-    every grid point is positive.
+    grid points for LAMBDA_STAR_BISECTIONS steps.  Returns the top of the
+    grid if every grid point is positive.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:
@@ -245,7 +246,7 @@ def estimate_lambda_star(
         return last_positive  # top of the grid
 
     lo, hi = last_positive, first_nonpositive
-    for _ in range(refine_steps):
+    for _ in range(LAMBDA_STAR_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if _minus_branch_positive(mesh, data, mid, opts):
             lo = mid
@@ -287,13 +288,13 @@ def estimate_sobolev_constant(
     data: ProblemData,
     n_samples: int,
     seed: int,
-    polish_steps: int = 40,
     fields: Optional[FieldSamples] = None,
 ) -> float:
     """Upper bound on the discrete best constant of the p-embedding: the
     minimum Rayleigh quotient |u|_{1,p}^p / |u|_{p*}^p over multi-starts and
-    seeded random positives, with gradient-descent polishing of the best
-    candidate.  The running minimum never increases."""
+    seeded random positives, with SOBOLEV_POLISH_STEPS gradient-descent
+    steps polishing the best candidate.  The running minimum never
+    increases."""
     if fields is None:
         fields = sample_fields(mesh, data)
     candidates = [w for _, w in multistart_directions(mesh, seed)]
@@ -310,7 +311,7 @@ def estimate_sobolev_constant(
     u = np.asarray(best_u, dtype=float)
     val, num = best_val, best_num
     step = 1.0
-    for _ in range(polish_steps):
+    for _ in range(SOBOLEV_POLISH_STEPS):
         g = _rayleigh_gradient(mesh, data, u, fields, num)
         gmax = float(np.max(np.abs(g)))
         if gmax == 0.0:

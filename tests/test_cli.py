@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
-from doublephase.cli import Config, ConfigError, load_config, main, run
+from doublephase import SolverOptions
+from doublephase.cli import _KEY_PARSERS, Config, ConfigError, load_config, main, run
 
 MINIMAL = """
 # minimal preset
@@ -35,8 +37,15 @@ def test_minimal_config_fills_preset_defaults(tmp_path):
     assert (cfg.nx, cfg.ny) == (16, 16)
     assert cfg.rect == (0.0, 0.0, 1.0, 1.0)
     assert cfg.solver.max_iter == 20000
+    assert cfg == Config(p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=0.1)
     data = cfg.problem()
     assert data.p_star == 6.0
+
+
+def test_solver_options_are_the_solver_keys():
+    # every SolverOptions field is settable from a config file, and nothing else is in it
+    keys = {key[len("solver."):] for key in _KEY_PARSERS if key.startswith("solver.")}
+    assert {f.name for f in dataclasses.fields(SolverOptions)} == keys
 
 
 def test_unknown_key_is_named(tmp_path):
@@ -100,6 +109,10 @@ def test_inadmissible_q1_fails_closed(tmp_path, capsys, command):
     "key,value",
     [
         ("sweep.lambda_grid", "0.05, nan"),
+        ("sweep.lambda_grid", "0.8, 0.4"),
+        ("sweep.lambda_grid", "0.1, 0.1"),
+        ("sweep.lambda_grid", ""),
+        ("sweep.lambda_grid", "0, 0.1"),
         ("lambda", "nan"),
         ("lambda", "inf"),
         ("rect", "0, 0, inf, 1"),

@@ -54,7 +54,7 @@ def test_hybrid_root_requires_sign_change():
 def test_hybrid_root_exhaustion_is_a_bracket_error():
     # a map that never changes sign although the caller claims it does
     with pytest.raises(BracketError):
-        hybrid_root(lambda t: (1.0, 0.0), 0.0, math.inf, 1.0, -1.0, abs_tol=1e-12, max_iter=50)
+        hybrid_root(lambda t: (1.0, 0.0), 0.0, math.inf, 1.0, -1.0, abs_tol=1e-12)
 
 
 def test_hybrid_root_regression_asymmetric_bracket():

@@ -16,6 +16,7 @@ from doublephase import (
     solve_two,
     weak_residual,
 )
+from doublephase import solver
 from doublephase.solver import _project, multistart_directions
 from doublephase.space import lebesgue_norm, sample_fields
 
@@ -133,17 +134,19 @@ def test_max_iterations_reports_not_converged(mesh4, preset_data):
 
 @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
 @pytest.mark.parametrize(
-    "reason, options",
+    "reason, options, constants",
     [
-        pytest.param(StopReason.RESIDUAL_TOL, {}, id="residual_tol"),
-        pytest.param(StopReason.MAX_ITER, {"max_iter": 2}, id="max_iter"),
-        pytest.param(StopReason.LINE_SEARCH_EXHAUSTED, {"max_backtracks": 0}, id="line_search_exhausted"),
+        pytest.param(StopReason.RESIDUAL_TOL, {}, {}, id="residual_tol"),
+        pytest.param(StopReason.MAX_ITER, {"max_iter": 2}, {}, id="max_iter"),
+        pytest.param(StopReason.LINE_SEARCH_EXHAUSTED, {}, {"MAX_BACKTRACKS": 0}, id="line_search_exhausted"),
         # no energy decrease counts as progress, and one iteration without
         # residual contraction ends the descent
-        pytest.param(StopReason.STALL, {"stall": 1, "energy_tol": 1.0}, id="stall"),
+        pytest.param(StopReason.STALL, {"stall": 1, "energy_tol": 1.0}, {}, id="stall"),
     ],
 )
-def test_stop_reason_is_recorded(mesh4, preset_data, branch, reason, options):
+def test_stop_reason_is_recorded(monkeypatch, mesh4, preset_data, branch, reason, options, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(solver, name, value)
     opts = SolverOptions(**options)
     res = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes), opts)
     assert res.stop_reason is reason

@@ -78,8 +78,6 @@ def test_luxemburg_root_residual(mesh4, preset_data):
 def test_luxemburg_bracket_failure_is_reported():
     with pytest.raises(BracketError):
         luxemburg_norm(lambda tau: (2.0, 0.0))  # constant, never reaches 1
-    with pytest.raises(BracketError):
-        luxemburg_norm(lambda tau: (2.0, 0.0), start=3.0)
 
 
 def test_norm_unit_modular(mesh4, preset_data):

@@ -11,6 +11,7 @@ from doublephase import (
     norm_1p,
     norm_custom,
 )
+from doublephase import sweep
 from doublephase.fibering import eta, t_circ, t_tilde_circ
 from doublephase.sweep import SweepUndetermined, sample_directions
 
@@ -125,9 +126,11 @@ def test_sobolev_estimate_bounded_by_unit_function(mesh4, preset_data):
     assert 0 < est <= 1.0
 
 
-def test_sobolev_polishing_never_increases(mesh4, preset_data):
-    rough = estimate_sobolev_constant(mesh4, preset_data, 20, seed=0, polish_steps=0)
-    polished = estimate_sobolev_constant(mesh4, preset_data, 20, seed=0, polish_steps=40)
+def test_sobolev_polishing_never_increases(monkeypatch, mesh4, preset_data):
+    monkeypatch.setattr(sweep, "SOBOLEV_POLISH_STEPS", 0)
+    rough = estimate_sobolev_constant(mesh4, preset_data, 20, seed=0)
+    monkeypatch.setattr(sweep, "SOBOLEV_POLISH_STEPS", 40)
+    polished = estimate_sobolev_constant(mesh4, preset_data, 20, seed=0)
     assert polished <= rough + 1e-15
 
 
