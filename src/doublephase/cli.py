@@ -405,7 +405,7 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
     if lam_star is not None:
         print(f"lambda_star_est = {_fmt(lam_star)}")
     print(f"sobolev_S_est = {_fmt(sobolev)}")
-    return 0
+    return 0 if lam_star is not None else 1
 
 
 def _cmd_props(config: Config, out_dir: str, function: str) -> int:

@@ -116,12 +116,10 @@ def _operator_vectors(mesh: Mesh, data: ProblemData, u: np.ndarray, fields: Fiel
     """Nodal vectors of the three operator terms: the double phase gradient
     part, the alpha mass part and the beta boundary part."""
     grad_vec = gradient_flux(mesh, data, u, fields.mu_centroid)
-    alpha_vec = mesh.node_weight * fields.alpha_node * _signed_power(u, data.p - 1.0)
+    alpha_vec = fields.alpha_weight * _signed_power(u, data.p - 1.0)
     b = mesh.boundary_nodes
     beta_vec = np.zeros(mesh.num_nodes)
-    beta_vec[b] = (
-        mesh.boundary_weight[b] * fields.beta_node[b] * _signed_power(u[b], data.p_lower_star - 1.0)
-    )
+    beta_vec[b] = fields.beta_weight * _signed_power(u[b], data.p_lower_star - 1.0)
     return grad_vec, alpha_vec, beta_vec
 
 
@@ -153,7 +151,7 @@ def energy_gradient(
     u = np.asarray(u, dtype=float)
     grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
     floored = np.maximum(u, DEFAULT_FLOOR)
-    sing_vec = mesh.node_weight * fields.zeta_node * floored ** (-data.kappa)
+    sing_vec = fields.zeta_weight * floored ** (-data.kappa)
     super_vec = lam * mesh.node_weight * _signed_power(u, data.q1 - 1.0)
     values = grad_vec + alpha_vec + beta_vec - sing_vec - super_vec
     return GradientResult(values=values, floor_active=u < DEFAULT_FLOOR)
@@ -167,7 +165,7 @@ def hat_norms_1p(
         fields = sample_fields(mesh, data)
     s = np.einsum("dvt,dvt->vt", mesh.basis_grads, mesh.basis_grads)   # (3, T) |grad phi|^2
     grad_p = corner_sum(mesh, mesh.tri_area * s ** (0.5 * data.p))
-    return (grad_p + mesh.node_weight * fields.alpha_node) ** (1.0 / data.p)
+    return (grad_p + fields.alpha_weight) ** (1.0 / data.p)
 
 
 def weak_residual(
@@ -182,7 +180,7 @@ def weak_residual(
     if np.any(u <= 0):
         raise ValueError("weak_residual requires u > 0 at every node")
     grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
-    sing_vec = mesh.node_weight * fields.zeta_node * u ** (-data.kappa)
+    sing_vec = fields.zeta_weight * u ** (-data.kappa)
     super_vec = lam * mesh.node_weight * u ** (data.q1 - 1.0)
     defect = grad_vec + alpha_vec + beta_vec - sing_vec - super_vec
     hn = hat_norms_1p(mesh, data, fields)

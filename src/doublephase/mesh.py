@@ -7,6 +7,13 @@ integrands), gradient integrands use the one-point centroid rule, and
 boundary integrals use the lumped edge rule (half the length of the
 touching boundary edges).
 
+On the node grid U = u.reshape(ny+1, nx+1) the P1 gradient of a triangle is
+one x-difference and one y-difference of U: the triangle below the diagonal
+of cell (iy, ix) has gradient (dx[iy, ix] / hx, dy[iy, ix+1] / hy), the one
+above it (dx[iy+1, ix] / hx, dy[iy, ix] / hy), with dx and dy the differences
+of U along x and y.  ``grid_grad_sq`` evaluates |grad u|^2 from this stencil
+with no gather and no basis gradients.
+
 On these meshes the P1 stiffness matrix is exactly the separable Neumann
 5-point matrix ``Ly (x) Mx + My (x) Lx`` (1-D stiffness L, 1-D trapezoid mass
 M, x fastest), so the H^1 Riesz map (K + c My (x) Mx)^-1 is diagonal in the
@@ -20,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "Mesh", "build_rect_mesh", "corner_sum", "gather_gradients", "gradient_on_triangle",
-    "gradients", "riesz_map", "scatter_flux",
+    "gradients", "grid_grad_sq", "riesz_map", "scatter_flux",
 ]
 
 
@@ -35,6 +42,11 @@ class Mesh:
     function of corner v on triangle t, shape (2, 3, T).  With them the P1
     gradient operator G (M nodal values -> (2, T) triangle gradients) and
     its adjoint are ``gather_gradients`` and ``scatter_flux``.
+
+    Triangles 2k and 2k+1 (k = iy*nx + ix) are the halves of cell (iy, ix)
+    below and above its diagonal, so a per-triangle array is the ravel of an
+    (ny, nx, 2) array over the cells; ``grid_grad_sq`` fills it from the
+    differences of the (ny+1, nx+1) node grid.
     """
 
     nodes: np.ndarray            # (M, 2) coordinates, row-major node order
@@ -57,6 +69,12 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @property
+    def spacing(self) -> tuple:
+        """(hx, hy): the cell width and height."""
+        x0, y0, x1, y1 = self.rect
+        return (x1 - x0) / self.nx, (y1 - y0) / self.ny
 
     @property
     def area(self) -> float:
@@ -149,6 +167,24 @@ def gather_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return np.einsum("dvt,vt->dt", mesh.basis_grads, vals)
 
 
+def grid_grad_sq(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """hx^2 |grad u|^2 on every triangle of a ``build_rect_mesh`` mesh,
+    shape (T,), from the node-grid stencil: the squared x-difference plus
+    (hx/hy)^2 times the squared y-difference along the triangle's two
+    axis-parallel edges (see the module docstring)."""
+    hx, hy = mesh.spacing
+    grid = u.reshape(mesh.ny + 1, mesh.nx + 1)
+    dx = np.subtract(grid[:, 1:], grid[:, :-1])
+    dx *= dx
+    dy = np.subtract(grid[1:], grid[:-1])
+    dy *= dy
+    dy *= (hx / hy) ** 2
+    s = np.empty((mesh.ny, mesh.nx, 2))
+    np.add(dx[:-1], dy[:, 1:], out=s[:, :, 0])   # below the diagonal
+    np.add(dx[1:], dy[:, :-1], out=s[:, :, 1])   # above it
+    return s.reshape(-1)
+
+
 def corner_sum(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
     """Sum per-corner values, shape (3, T), into their nodes, shape (M,)."""
     return np.bincount(mesh.triangles.T.ravel(), weights=vals.ravel(), minlength=mesh.num_nodes)
@@ -196,9 +232,9 @@ def riesz_map(mesh: Mesh, shift: float):
     """
     if not shift > 0.0:
         raise ValueError(f"the Riesz map needs a positive shift, got {shift!r}")
-    x0, y0, x1, y1 = mesh.rect
-    cx, lx, mx = _cosine_basis(mesh.nx, (x1 - x0) / mesh.nx)
-    cy, ly, my = _cosine_basis(mesh.ny, (y1 - y0) / mesh.ny)
+    hx, hy = mesh.spacing
+    cx, lx, mx = _cosine_basis(mesh.nx, hx)
+    cy, ly, my = _cosine_basis(mesh.ny, hy)
     scale = 1.0 / ((ly[:, None] + lx[None, :] + shift) * np.outer(my, mx))
     shape = (mesh.ny + 1, mesh.nx + 1)
 

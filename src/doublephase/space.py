@@ -9,6 +9,12 @@ computed by scalar root finding (safeguarded Newton) on tau -> rho(u/tau),
 which is strictly decreasing for u != 0.  Because every modular term is a
 pure power of tau, rho(u/tau) is assembled once per function and then
 evaluated from six scalars.
+
+Those six integrals (``modular_breakdown``) are six powers, each dotted with
+a weight vector that ``sample_fields`` folds once per field set: |grad u|^2
+comes from the node-grid stencil ``mesh.grid_grad_sq`` in units of hx^2,
+so the gradient weights carry hx^-p and hx^-q, and the zeroth-order weights
+carry the coefficient fields.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, gather_gradients
+from .mesh import Mesh, grid_grad_sq
 from .problem import ProblemData
 from .rootfind import Map, expand_bracket, hybrid_root, power_sum
 
@@ -44,16 +50,33 @@ LUX_TOL = 1e-12  # residual |rho(u/tau) - 1| at the accepted root
 
 @dataclass(frozen=True)
 class FieldSamples:
-    """Coefficient fields evaluated at the quadrature points of a mesh."""
+    """Coefficient fields evaluated at the quadrature points of a mesh, and
+    the quadrature weights folded with them once.
 
-    alpha_node: np.ndarray   # (M,)
-    zeta_node: np.ndarray    # (M,)
-    beta_node: np.ndarray    # (M,), zero off the boundary
-    mu_centroid: np.ndarray  # (T,)
+    The folded weights are the vectors the integrals of the model dot their
+    powers with: ``grad_p_weight`` = |T| hx^-p and ``grad_q_weight`` =
+    |T| mu hx^-q per triangle (the stencil's squared gradients are
+    hx^2 |grad u|^2), ``alpha_weight`` = m alpha and ``zeta_weight`` =
+    m zeta per node, and ``beta_weight`` = s beta on ``mesh.boundary_nodes``
+    (m and s are the lumped node and boundary weights; the unweighted mass
+    uses ``mesh.node_weight`` itself).  The gradient weights depend on p, q
+    and hx, so a field set belongs to one mesh and one ProblemData.
+    """
+
+    alpha_node: np.ndarray     # (M,)
+    zeta_node: np.ndarray      # (M,)
+    beta_node: np.ndarray      # (M,), zero off the boundary
+    mu_centroid: np.ndarray    # (T,)
+    grad_p_weight: np.ndarray  # (T,) |T| hx^-p
+    grad_q_weight: np.ndarray  # (T,) |T| mu hx^-q
+    alpha_weight: np.ndarray   # (M,) m alpha
+    zeta_weight: np.ndarray    # (M,) m zeta
+    beta_weight: np.ndarray    # (B,) s beta on the boundary nodes
 
 
 def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
-    """Evaluate alpha, zeta at nodes, beta at boundary nodes, mu at centroids."""
+    """Evaluate alpha, zeta at nodes, beta at boundary nodes, mu at
+    centroids, and fold them into the quadrature weights."""
     xn, yn = mesh.nodes[:, 0], mesh.nodes[:, 1]
     alpha_node = np.broadcast_to(np.asarray(data.alpha(xn, yn), dtype=float), xn.shape).copy()
     zeta_node = np.broadcast_to(np.asarray(data.zeta(xn, yn), dtype=float), xn.shape).copy()
@@ -64,7 +87,19 @@ def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
     )
     xc, yc = mesh.centroids[:, 0], mesh.centroids[:, 1]
     mu_centroid = np.broadcast_to(np.asarray(data.mu(xc, yc), dtype=float), xc.shape).copy()
-    return FieldSamples(alpha_node, zeta_node, beta_node, mu_centroid)
+    hx = mesh.spacing[0]
+    m = mesh.node_weight
+    return FieldSamples(
+        alpha_node,
+        zeta_node,
+        beta_node,
+        mu_centroid,
+        grad_p_weight=mesh.tri_area * hx ** -data.p,
+        grad_q_weight=mesh.tri_area * mu_centroid * hx ** -data.q,
+        alpha_weight=m * alpha_node,
+        zeta_weight=m * zeta_node,
+        beta_weight=mesh.boundary_weight[b] * beta_node[b],
+    )
 
 
 @dataclass(frozen=True)
@@ -79,12 +114,14 @@ class ModularBreakdown:
     mass_q1: float         # integral |u|^{q1}
 
 
-def _gradient_modular(mesh: Mesh, data: ProblemData, u: np.ndarray, mu: np.ndarray):
+def _gradient_modular(mesh: Mesh, data: ProblemData, u: np.ndarray, fields: FieldSamples):
     """(integral |grad u|^p, integral mu |grad u|^q) by the centroid rule,
-    as powers of the squared magnitude |grad u|^2."""
-    g = gather_gradients(mesh, u)
-    s = np.einsum("dt,dt->t", g, g)
-    return float(mesh.tri_area @ s ** (0.5 * data.p)), float(mesh.tri_area @ (mu * s ** (0.5 * data.q)))
+    as powers of the stencil's hx^2 |grad u|^2."""
+    s = grid_grad_sq(mesh, u)
+    return (
+        float(fields.grad_p_weight @ s ** (0.5 * data.p)),
+        float(fields.grad_q_weight @ s ** (0.5 * data.q)),
+    )
 
 
 def _boundary_sum(mesh: Mesh, theta: np.ndarray, r: float, u: np.ndarray) -> float:
@@ -99,13 +136,12 @@ def modular_breakdown(
     if fields is None:
         fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
-    grad_p, grad_q_mu = _gradient_modular(mesh, data, u, fields.mu_centroid)
+    grad_p, grad_q_mu = _gradient_modular(mesh, data, u, fields)
     absu = np.abs(u)
-    m = mesh.node_weight
-    mass_p_alpha = float(m @ (fields.alpha_node * absu**data.p))
-    zeta_sing = float(m @ (fields.zeta_node * absu ** (1.0 - data.kappa)))
-    mass_q1 = float(m @ absu**data.q1)
-    bdry = _boundary_sum(mesh, fields.beta_node, data.p_lower_star, u)
+    mass_p_alpha = float(fields.alpha_weight @ absu**data.p)
+    zeta_sing = float(fields.zeta_weight @ absu ** (1.0 - data.kappa))
+    mass_q1 = float(mesh.node_weight @ absu**data.q1)
+    bdry = float(fields.beta_weight @ absu.take(mesh.boundary_nodes) ** data.p_lower_star)
     return ModularBreakdown(grad_p, grad_q_mu, mass_p_alpha, bdry, zeta_sing, mass_q1)
 
 
@@ -176,7 +212,7 @@ def grad_norm_H(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples]
     """Luxemburg norm of the gradient modular."""
     if fields is None:
         fields = sample_fields(mesh, data)
-    gp, gq = _gradient_modular(mesh, data, np.asarray(u, dtype=float), fields.mu_centroid)
+    gp, gq = _gradient_modular(mesh, data, np.asarray(u, dtype=float), fields)
     return luxemburg_norm(power_modular([(gp, data.p), (gq, data.q)]))
 
 
@@ -250,7 +286,7 @@ def norm_star(
     With the default instantiation this is exactly norm_custom.
     """
     u, r1, th1, r2, th2, fields = _weighted_pair(mesh, data, u, r1, theta1, r2, theta2, fields)
-    gp, gq = _gradient_modular(mesh, data, u, fields.mu_centroid)
+    gp, gq = _gradient_modular(mesh, data, u, fields)
     t1 = float(mesh.node_weight @ (th1 * np.abs(u) ** r1))
     t2 = _boundary_sum(mesh, th2, r2, u)
     return luxemburg_norm(power_modular([(gp, data.p), (gq, data.q), (t1, r1), (t2, r2)]))

@@ -268,7 +268,7 @@ def _rayleigh_gradient(mesh, data, u, fields, num: float) -> np.ndarray:
     only the p-power pieces of the operator enter the numerator."""
     g = np.asarray(u, dtype=float)
     num_grad = gradient_flux(mesh, data, g)
-    num_grad += mesh.node_weight * fields.alpha_node * np.sign(g) * np.abs(g) ** (data.p - 1.0)
+    num_grad += fields.alpha_weight * np.sign(g) * np.abs(g) ** (data.p - 1.0)
     num_grad *= data.p
 
     mass = float(mesh.node_weight @ np.abs(g) ** data.p_star)

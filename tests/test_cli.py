@@ -232,6 +232,17 @@ def test_sweep_breaks_down_each_sample_once(tmp_path, monkeypatch):
     assert len(calls) == config.sweep_samples
 
 
+def test_undetermined_sweep_exits_1_after_writing_both_outputs(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_SOLVE + "solver.max_iter = 1\n")
+    out_dir = str(tmp_path / "out")
+    assert main(["sweep", "-c", cfg, "-o", out_dir]) == 1
+    assert "lambda_star scan: undetermined" in capsys.readouterr().out
+    report = json.load(open(os.path.join(out_dir, "sweep_report.json")))
+    assert report["lambda_star_est"] is None
+    lines = open(os.path.join(out_dir, "sweep_samples.csv")).read().splitlines()
+    assert len(lines) == 1 + 15
+
+
 def test_sweep_without_samples_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_SOLVE.replace("sweep.samples = 15", "sweep.samples = 0"))
     out_dir = tmp_path / "out"

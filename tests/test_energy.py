@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from doublephase import (
+    ProblemData,
     apply_operator_A,
+    build_rect_mesh,
     energy,
     energy_gradient,
     weak_residual,
 )
-from doublephase.energy import hat_norms_1p
-from doublephase.mesh import gradients
+from doublephase.energy import _operator_vectors, _signed_power, gradient_flux, hat_norms_1p
+from doublephase.mesh import corner_sum, gradients
 from doublephase.space import sample_fields
+from doublephase.sweep import _rayleigh_gradient
 
-from conftest import oracle_breakdown, rng
+from conftest import PRESET, oracle_breakdown, rng
 
 
 def test_energy_constant_function_closed_form(mesh16, preset_data):
@@ -228,3 +231,57 @@ def test_coercivity_intermediate_inequality_on_nehari_points(mesh4, preset_data)
             lhs = energy(mesh4, d, u, lam).total
             rhs = c1 * rho - c2 * bd.zeta_sing
             assert lhs >= rhs - 1e-10 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_folded_weights_keep_the_nodal_vectors_bit_identical(n):
+    # sample_fields folds m alpha, m zeta and s beta once; every vector built
+    # from them must equal the per-call products m * alpha * (...) bit for bit
+    data = ProblemData(**dict(PRESET, alpha="1 + x*y", beta="2 - y", zeta="0.5 + x"))
+    mesh = build_rect_mesh(n, n)
+    fields = sample_fields(mesh, data)
+    m, b = mesh.node_weight, mesh.boundary_nodes
+    u = rng(n).uniform(-0.5, 1.5, mesh.num_nodes)
+
+    grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
+    alpha_old = m * fields.alpha_node * _signed_power(u, data.p - 1.0)
+    beta_old = np.zeros(mesh.num_nodes)
+    beta_old[b] = (
+        mesh.boundary_weight[b] * fields.beta_node[b] * _signed_power(u[b], data.p_lower_star - 1.0)
+    )
+    assert np.array_equal(alpha_vec, alpha_old)
+    assert np.array_equal(beta_vec, beta_old)
+
+    lam = 0.3
+    floored = np.maximum(u, 1e-10)
+    gradient_old = (
+        grad_vec + alpha_old + beta_old
+        - m * fields.zeta_node * floored ** (-data.kappa)
+        - lam * m * _signed_power(u, data.q1 - 1.0)
+    )
+    assert np.array_equal(energy_gradient(mesh, data, u, lam, fields).values, gradient_old)
+
+    s = np.einsum("dvt,dvt->vt", mesh.basis_grads, mesh.basis_grads)
+    grad_p = corner_sum(mesh, mesh.tri_area * s ** (0.5 * data.p))
+    hn_old = (grad_p + m * fields.alpha_node) ** (1.0 / data.p)
+    assert np.array_equal(hat_norms_1p(mesh, data, fields), hn_old)
+
+    v = np.abs(u) + 0.1
+    grad_v, alpha_v, beta_v = _operator_vectors(mesh, data, v, fields)
+    sing_old = m * fields.zeta_node * v ** (-data.kappa)
+    defect_old = grad_v + alpha_v + beta_v - sing_old - lam * m * v ** (data.q1 - 1.0)
+    report = weak_residual(mesh, data, v, lam, fields)
+    assert report.residual_norm == float(np.max(np.abs(defect_old) / hn_old))
+    assert report.term_max["singular"] == float(np.max(np.abs(sing_old) / hn_old))
+
+    num = 2.5
+    num_grad = gradient_flux(mesh, data, u)
+    num_grad += m * fields.alpha_node * np.sign(u) * np.abs(u) ** (data.p - 1.0)
+    num_grad *= data.p
+    mass = float(m @ np.abs(u) ** data.p_star)
+    den = mass ** (data.p / data.p_star)
+    den_grad = (
+        data.p * mass ** (data.p / data.p_star - 1.0) * m * np.sign(u) * np.abs(u) ** (data.p_star - 1.0)
+    )
+    expected = (num_grad - (num / den) * den_grad) / den
+    assert np.array_equal(_rayleigh_gradient(mesh, data, u, fields, num), expected)

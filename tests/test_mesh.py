@@ -4,11 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doublephase import build_rect_mesh, gradient_on_triangle, gradients
-from doublephase.mesh import gather_gradients, riesz_map, scatter_flux
+from doublephase.mesh import gather_gradients, grid_grad_sq, riesz_map, scatter_flux
 
 from conftest import oracle_area, oracle_gradient, rng
 
@@ -159,6 +159,27 @@ def test_scatter_is_adjoint_of_gather(n):
         lhs = float(np.sum(c * gather_gradients(mesh, u)))
         rhs = float(u @ scatter_flux(mesh, c))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=9),
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2),
+    st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stencil_squared_gradients_match_gather(nx, ny, origin, size, seed):
+    (x0, y0), (w, h) = origin, size
+    mesh = build_rect_mesh(nx, ny, (x0, y0, x0 + w, y0 + h))
+    hx, hy = mesh.spacing
+    assume(hx != hy)
+    r = rng(seed)
+    u = r.uniform(-2.0, 2.0, mesh.num_nodes)
+    u[r.random(mesh.num_nodes) < 0.3] = 0.0
+    g = gather_gradients(mesh, u)
+    expected = np.einsum("dt,dt->t", g, g)
+    np.testing.assert_allclose(grid_grad_sq(mesh, u) / hx**2, expected, rtol=1e-13, atol=0.0)
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:

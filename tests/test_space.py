@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from doublephase import (
+    build_rect_mesh,
     luxemburg_norm,
     modular_breakdown,
     norm_circ,
@@ -10,11 +13,13 @@ from doublephase import (
     norm_star,
 )
 from doublephase.coeff_expr import CoefficientField
+from doublephase.mesh import gather_gradients
 from doublephase.rootfind import BracketError
 from doublephase.space import (
     grad_norm_H,
     modular_rho,
     power_modular,
+    sample_fields,
 )
 
 from conftest import oracle_bisect, oracle_breakdown, rng
@@ -43,6 +48,48 @@ def test_breakdown_matches_oracle_on_2x2(mesh2, preset_data):
     got = (bd.grad_p, bd.grad_q_mu, bd.mass_p_alpha, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1)
     for g, e in zip(got, expected):
         assert g == pytest.approx(e, rel=1e-12, abs=1e-14)
+
+
+def _gather_breakdown(mesh, data, u, fields):
+    """The six integrals by the general P1 gather, with the unfolded weights
+    (the formula the grid stencil and the folded weights replaced)."""
+    g = gather_gradients(mesh, u)
+    s = np.einsum("dt,dt->t", g, g)
+    absu = np.abs(u)
+    m = mesh.node_weight
+    b = mesh.boundary_nodes
+    return (
+        float(mesh.tri_area @ s ** (0.5 * data.p)),
+        float(mesh.tri_area @ (fields.mu_centroid * s ** (0.5 * data.q))),
+        float(m @ (fields.alpha_node * absu**data.p)),
+        float(mesh.boundary_weight[b] @ (fields.beta_node[b] * absu[b] ** data.p_lower_star)),
+        float(m @ (fields.zeta_node * absu ** (1.0 - data.kappa))),
+        float(m @ absu**data.q1),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=9),
+    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2),
+    st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_breakdown_matches_gather_formula(preset_data, nx, ny, origin, size, seed):
+    # mu = x in the preset, so the q-part weighs every triangle differently
+    (x0, y0), (w, h) = origin, size
+    mesh = build_rect_mesh(nx, ny, (x0, y0, x0 + w, y0 + h))
+    hx, hy = mesh.spacing
+    assume(hx != hy)
+    r = rng(seed)
+    u = r.uniform(-2.0, 2.0, mesh.num_nodes)
+    u[r.random(mesh.num_nodes) < 0.3] = 0.0
+    fields = sample_fields(mesh, preset_data)
+    bd = modular_breakdown(mesh, preset_data, u, fields)
+    got = (bd.grad_p, bd.grad_q_mu, bd.mass_p_alpha, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1)
+    expected = _gather_breakdown(mesh, preset_data, u, fields)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 def test_luxemburg_root_frozen_oracle_value(mesh16, preset_data):
