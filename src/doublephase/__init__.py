@@ -11,7 +11,7 @@ parameter thresholds.
 
 from .problem import ProblemData, ValidationReport, critical_exponents, validate_hypotheses
 from .coeff_expr import CoefficientField, parse_expr, eval_expr
-from .mesh import Mesh, build_rect_mesh, gradient_on_triangle, gradients
+from .mesh import Mesh, build_rect_mesh
 from .space import (
     FieldSamples,
     ModularBreakdown,

@@ -156,14 +156,14 @@ _KEY_PARSERS = {
     "solver.stall": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
     "solver.max_iter": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
     "solver.residual_tol": _bounded(_parse_float, lambda v: v > 0, "a number > 0"),
-    "solver.seed": _parse_int,
+    "solver.seed": _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0"),
     "sweep.samples": _parse_int,
     "sweep.lambda_grid": _bounded(
         _parse_float_list,
         lambda g: bool(g) and g[0] > 0 and all(b > a for a, b in zip(g, g[1:])),
         "positive, strictly ascending numbers",
     ),
-    "sweep.seed": _parse_int,
+    "sweep.seed": _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0"),
 }
 
 # the Config field of each key whose name differs from it; a "solver.*" key

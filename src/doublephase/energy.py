@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, corner_sum, gather_gradients, scatter_flux
+from .mesh import Mesh, grid_flux, grid_grad_sq, hat_grad_power_sum
 from .problem import ProblemData
 from .space import FieldSamples, modular_breakdown, sample_fields
 
@@ -97,25 +97,32 @@ def _signed_power(u: np.ndarray, expo: float) -> np.ndarray:
 
 
 def gradient_flux(
-    mesh: Mesh, data: ProblemData, u: np.ndarray, mu: Optional[np.ndarray] = None
+    mesh: Mesh, data: ProblemData, u: np.ndarray, fields: FieldSamples, q_part: bool = True
 ) -> np.ndarray:
     """Nodal vector G^T(|T| w G u) of the double phase gradient term, with
-    w = |grad u|^{p-2} + mu |grad u|^{q-2} per triangle; ``mu=None`` keeps
-    only the p-part.  w is taken as 0 where grad u = 0 (the continuous
-    extension of the flux for exponents below 2)."""
-    g = gather_gradients(mesh, u)
-    s = np.einsum("dt,dt->t", g, g)
+    w = |grad u|^{p-2} + mu |grad u|^{q-2} per triangle; ``q_part=False``
+    keeps only the p-part.  w is taken as 0 where grad u = 0 (the continuous
+    extension of the flux for exponents below 2).
+
+    With s = hx^2 |grad u|^2 from the stencil, |T| w / hx^2 is
+    grad_p_weight s^(p/2-1) + grad_q_weight s^(q/2-1), the weight
+    ``mesh.grid_flux`` takes.
+    """
+    s = grid_grad_sq(mesh, u)
     nz = s > 0.0
-    w = np.power(s, 0.5 * data.p - 1.0, out=np.zeros_like(s), where=nz)
-    if mu is not None:
-        w += mu * np.power(s, 0.5 * data.q - 1.0, out=np.zeros_like(s), where=nz)
-    return scatter_flux(mesh, (mesh.tri_area * w) * g)
+    w = np.power(s, 0.5 * data.p - 1.0, out=np.zeros(s.size), where=nz)
+    w *= fields.grad_p_weight
+    if q_part:
+        wq = np.power(s, 0.5 * data.q - 1.0, out=np.zeros(s.size), where=nz)
+        wq *= fields.grad_q_weight
+        w += wq
+    return grid_flux(mesh, u, w)
 
 
 def _operator_vectors(mesh: Mesh, data: ProblemData, u: np.ndarray, fields: FieldSamples):
     """Nodal vectors of the three operator terms: the double phase gradient
     part, the alpha mass part and the beta boundary part."""
-    grad_vec = gradient_flux(mesh, data, u, fields.mu_centroid)
+    grad_vec = gradient_flux(mesh, data, u, fields)
     alpha_vec = fields.alpha_weight * _signed_power(u, data.p - 1.0)
     b = mesh.boundary_nodes
     beta_vec = np.zeros(mesh.num_nodes)
@@ -163,8 +170,7 @@ def hat_norms_1p(
     """norm_1p of every nodal hat function (used to normalize residuals)."""
     if fields is None:
         fields = sample_fields(mesh, data)
-    s = np.einsum("dvt,dvt->vt", mesh.basis_grads, mesh.basis_grads)   # (3, T) |grad phi|^2
-    grad_p = corner_sum(mesh, mesh.tri_area * s ** (0.5 * data.p))
+    grad_p = hat_grad_power_sum(mesh, fields.grad_p_weight, data.p)   # sum_t |T| |grad phi|^p
     return (grad_p + fields.alpha_weight) ** (1.0 / data.p)
 
 

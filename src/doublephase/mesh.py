@@ -7,12 +7,18 @@ integrands), gradient integrands use the one-point centroid rule, and
 boundary integrals use the lumped edge rule (half the length of the
 touching boundary edges).
 
-On the node grid U = u.reshape(ny+1, nx+1) the P1 gradient of a triangle is
-one x-difference and one y-difference of U: the triangle below the diagonal
-of cell (iy, ix) has gradient (dx[iy, ix] / hx, dy[iy, ix+1] / hy), the one
-above it (dx[iy+1, ix] / hx, dy[iy, ix] / hy), with dx and dy the differences
-of U along x and y.  ``grid_grad_sq`` evaluates |grad u|^2 from this stencil
-with no gather and no basis gradients.
+Every gradient term works on the node grid U = u.reshape(ny+1, nx+1).  The
+P1 gradient of a triangle is one x-difference and one y-difference of U,
+along its two axis-parallel edges: the triangle below the diagonal of cell
+(iy, ix) has gradient (dx[iy, ix] / hx, dy[iy, ix+1] / hy), the one above it
+(dx[iy+1, ix] / hx, dy[iy, ix] / hy), with dx and dy the differences of U
+along x and y.  ``grid_grad_sq`` evaluates hx^2 |grad u|^2 from this
+stencil.  Its adjoint, ``grid_flux``, assembles the nodal vector of a
+per-triangle flux weight as a weighted 5-point form: each axis edge carries
+the summed weight of the (one or two) triangles that use it, and the
+diagonal edges carry no flux.  ``hat_grad_power_sum`` gives the gradient
+integrals of the nodal hat functions, whose squared gradients take only the
+values 1, (hx/hy)^2 and 1 + (hx/hy)^2 (in units of hx^-2) on a triangle.
 
 On these meshes the P1 stiffness matrix is exactly the separable Neumann
 5-point matrix ``Ly (x) Mx + My (x) Lx`` (1-D stiffness L, 1-D trapezoid mass
@@ -25,34 +31,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Mesh", "build_rect_mesh", "corner_sum", "gather_gradients", "gradient_on_triangle",
-    "gradients", "grid_grad_sq", "riesz_map", "scatter_flux",
-]
+__all__ = ["Mesh", "build_rect_mesh", "grid_flux", "grid_grad_sq", "hat_grad_power_sum", "riesz_map"]
 
 
 @dataclass(frozen=True)
 class Mesh:
     """A triangulation with its quadrature data.
 
-    Per-triangle arrays used by the gradient kernel are stored T-innermost:
-    ``triangles`` is the (T, 3) transposed view of a C-contiguous (3, T)
-    corner array, so ``triangles.T`` is that array without a copy, and
-    ``basis_grads[d, v, t]`` is component d of the gradient of the basis
-    function of corner v on triangle t, shape (2, 3, T).  With them the P1
-    gradient operator G (M nodal values -> (2, T) triangle gradients) and
-    its adjoint are ``gather_gradients`` and ``scatter_flux``.
-
     Triangles 2k and 2k+1 (k = iy*nx + ix) are the halves of cell (iy, ix)
     below and above its diagonal, so a per-triangle array is the ravel of an
-    (ny, nx, 2) array over the cells; ``grid_grad_sq`` fills it from the
-    differences of the (ny+1, nx+1) node grid.
+    (ny, nx, 2) array over the cells.  The gradient terms never index
+    ``triangles``: ``grid_grad_sq`` fills a per-triangle array from the
+    differences of the (ny+1, nx+1) node grid, and ``grid_flux`` maps a
+    per-triangle weight back onto that grid through the same edges.
     """
 
     nodes: np.ndarray            # (M, 2) coordinates, row-major node order
-    triangles: np.ndarray        # (T, 3) vertex indices, counterclockwise; view of a (3, T) array
+    triangles: np.ndarray        # (T, 3) vertex indices, counterclockwise
     tri_area: np.ndarray         # (T,)
-    basis_grads: np.ndarray      # (2, 3, T) constant gradient of each corner's basis function
     centroids: np.ndarray        # (T, 2)
     node_weight: np.ndarray      # (M,) lumped interior quadrature weights
     boundary_nodes: np.ndarray   # (B,) indices of nodes on the rectangle boundary
@@ -109,22 +105,16 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
 
     ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower-left node of each cell
     lr, ul, ur = ll + 1, ll + nx + 1, ll + nx + 2
-    corners = np.empty((3, ll.size, 2), dtype=np.intp)
-    corners[:, :, 0] = ll, lr, ur           # below the ll-ur diagonal
-    corners[:, :, 1] = ll, ur, ul           # above it
-    corners = corners.reshape(3, -1)
-    triangles = corners.T
+    triangles = np.empty((ll.size, 2, 3), dtype=np.intp)
+    triangles[:, 0] = np.column_stack([ll, lr, ur])   # below the ll-ur diagonal
+    triangles[:, 1] = np.column_stack([ll, ur, ul])   # above it
+    triangles = triangles.reshape(-1, 3)
 
-    X, Y = nodes[:, 0].take(corners), nodes[:, 1].take(corners)  # (3, T) corner coordinates
-    det = (X[1] - X[0]) * (Y[2] - Y[0]) - (X[2] - X[0]) * (Y[1] - Y[0])
-    tri_area = 0.5 * det
+    X, Y = nodes[:, 0].take(triangles.T), nodes[:, 1].take(triangles.T)  # (3, T) corner coordinates
+    tri_area = 0.5 * ((X[1] - X[0]) * (Y[2] - Y[0]) - (X[2] - X[0]) * (Y[1] - Y[0]))
     if np.any(tri_area <= 0):
         raise ValueError("mesh construction produced a nonpositive triangle area")
     centroids = np.column_stack([(X[0] + X[1] + X[2]) / 3.0, (Y[0] + Y[1] + Y[2]) / 3.0])
-
-    # grad of the basis at corner v: rotate the opposite edge (j -> k) by 90 degrees / (2A)
-    j, k = [1, 2, 0], [2, 0, 1]
-    basis_grads = np.stack([(Y[j] - Y[k]) / det, (X[k] - X[j]) / det])
 
     # triangle-major order: each node sums its triangles in index order
     node_weight = np.bincount(
@@ -148,7 +138,6 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
         nodes=nodes,
         triangles=triangles,
         tri_area=tri_area,
-        basis_grads=basis_grads,
         centroids=centroids,
         node_weight=node_weight,
         boundary_nodes=boundary_nodes,
@@ -158,13 +147,6 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
         nx=nx,
         ny=ny,
     )
-
-
-def gather_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """G u: the constant gradient of the P1 interpolant of u on every
-    triangle, shape (2, T)."""
-    vals = np.asarray(u, dtype=float).take(mesh.triangles.T)   # (3, T)
-    return np.einsum("dvt,vt->dt", mesh.basis_grads, vals)
 
 
 def grid_grad_sq(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -185,29 +167,63 @@ def grid_grad_sq(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return s.reshape(-1)
 
 
-def corner_sum(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
-    """Sum per-corner values, shape (3, T), into their nodes, shape (M,)."""
-    return np.bincount(mesh.triangles.T.ravel(), weights=vals.ravel(), minlength=mesh.num_nodes)
+def grid_flux(mesh: Mesh, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The u-gradient of (1/2) sum_t w_t s_t(u), with s = ``grid_grad_sq`` and
+    the per-triangle weight w (T,) held fixed, shape (M,).
+
+    It is the weighted 5-point form D^T (W D u) over the grid differences D:
+    an axis edge weighs the sum of w over the one or two triangles using it,
+    times (hx/hy)^2 on a y-edge.  As s_t = hx^2 |G_t u|^2 for the P1
+    gradient G, ``grid_flux(mesh, u, |T| c / hx^2)`` is the P1 flux
+    G^T(|T| c G u) of a per-triangle coefficient c.
+    """
+    hx, hy = mesh.spacing
+    ny, nx = mesh.ny, mesh.nx
+    k = nx + 1
+    # the triangles using each axis edge, with w padded by one cell all round
+    # so that a boundary edge's missing half weighs 0:
+    #   x-edge (iy, ix): lower half of cell (iy, ix), upper half of cell (iy-1, ix);
+    #   y-edge (iy, ix): lower half of cell (iy, ix-1), upper half of cell (iy, ix).
+    # wx spans the (ny+1, nx+1) node grid, its last column (no x-edge) 0.
+    wp = np.zeros((ny + 2, nx + 2, 2))
+    wp[1:-1, 1:-1] = w.reshape(ny, nx, 2)
+    wx = np.add(wp[1:, 1:, 0], wp[:-1, 1:, 1]).reshape(-1)[:-1]
+    wy = np.add(wp[1:-1, :-1, 0], wp[1:-1, 1:, 1]).reshape(-1)
+    wy *= (hx / hy) ** 2
+    # edge fluxes on the flat node vector: node i to i+1 along x (the pairs
+    # across rows weigh 0) and node i to i+k along y
+    fx = np.subtract(u[1:], u[:-1])
+    fx *= wx
+    fy = np.subtract(u[k:], u[:-k])
+    fy *= wy
+    out = np.zeros(u.size)
+    out[1:] += fx
+    out[:-1] -= fx
+    out[k:] += fy
+    out[:-k] -= fy
+    return out
 
 
-def scatter_flux(mesh: Mesh, c: np.ndarray) -> np.ndarray:
-    """G^T c for a per-triangle field c of shape (2, T): the nodal vector
-    sum_t c_t . grad(phi_i)|_t (the adjoint of ``gather_gradients``)."""
-    return corner_sum(mesh, np.einsum("dvt,dt->vt", mesh.basis_grads, c))
+def hat_grad_power_sum(mesh: Mesh, w: np.ndarray, r: float) -> np.ndarray:
+    """sum_t w_t (hx^2 |grad phi_i|^2)^(r/2) over the triangles t at each node
+    i, for the nodal hat functions phi_i, shape (M,).
 
-
-def gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Per-triangle constant gradient of the piecewise-linear interpolant, shape (T, 2)."""
-    return gather_gradients(mesh, u).T
-
-
-def gradient_on_triangle(mesh: Mesh, tri: int, u: np.ndarray) -> tuple[float, float]:
-    """Gradient of the linear interpolant of u on one triangle."""
-    if not 0 <= tri < mesh.num_triangles:
-        raise IndexError(f"triangle index {tri} out of range")
-    vals = np.asarray(u, dtype=float)[mesh.triangles[tri]]
-    g = mesh.basis_grads[:, :, tri] @ vals
-    return float(g[0]), float(g[1])
+    On a triangle a corner's hat changes only along the axis edges through
+    that corner, so hx^2 |grad phi|^2 is 1 at the corner on the x-edge only,
+    (hx/hy)^2 at the corner on the y-edge only and 1 + (hx/hy)^2 at the
+    right angle, which is on both.
+    """
+    hx, hy = mesh.spacing
+    ratio = (hx / hy) ** 2
+    c_y, c_xy = ratio ** (0.5 * r), (1.0 + ratio) ** (0.5 * r)
+    w = w.reshape(mesh.ny, mesh.nx, 2)
+    below, above = w[:, :, 0], w[:, :, 1]
+    out = np.zeros((mesh.ny + 1, mesh.nx + 1))
+    out[:-1, :-1] += below + c_y * above      # ll: x-edge only below, y-edge only above
+    out[:-1, 1:] += c_xy * below              # lr: the right angle of the lower half
+    out[1:, 1:] += c_y * below + above        # ur: y-edge only below, x-edge only above
+    out[1:, :-1] += c_xy * above              # ul: the right angle of the upper half
+    return out.reshape(-1)
 
 
 def _cosine_basis(n: int, h: float) -> tuple:

@@ -1,4 +1,4 @@
-"""Function-space layer: modulars, weighted seminorms and Luxemburg norms.
+"""Function-space layer: modulars and Luxemburg norms.
 
 The working norm is the Luxemburg norm of the modular
 
@@ -14,7 +14,9 @@ Those six integrals (``modular_breakdown``) are six powers, each dotted with
 a weight vector that ``sample_fields`` folds once per field set: |grad u|^2
 comes from the node-grid stencil ``mesh.grid_grad_sq`` in units of hx^2,
 so the gradient weights carry hx^-p and hx^-q, and the zeroth-order weights
-carry the coefficient fields.
+carry the coefficient fields.  Every norm of the model (the working norm,
+norm_1p and the equivalent norms norm_circ and norm_star) reads one
+breakdown.
 """
 from __future__ import annotations
 
@@ -39,9 +41,6 @@ __all__ = [
     "norm_1p",
     "norm_circ",
     "norm_star",
-    "grad_norm_H",
-    "seminorm_interior",
-    "seminorm_boundary",
     "lebesgue_norm",
 ]
 
@@ -50,23 +49,20 @@ LUX_TOL = 1e-12  # residual |rho(u/tau) - 1| at the accepted root
 
 @dataclass(frozen=True)
 class FieldSamples:
-    """Coefficient fields evaluated at the quadrature points of a mesh, and
-    the quadrature weights folded with them once.
+    """The quadrature weights of a mesh folded once with the coefficient
+    fields sampled at their quadrature points (mu at the centroids, alpha and
+    zeta at the nodes, beta at the boundary nodes).
 
-    The folded weights are the vectors the integrals of the model dot their
-    powers with: ``grad_p_weight`` = |T| hx^-p and ``grad_q_weight`` =
-    |T| mu hx^-q per triangle (the stencil's squared gradients are
-    hx^2 |grad u|^2), ``alpha_weight`` = m alpha and ``zeta_weight`` =
-    m zeta per node, and ``beta_weight`` = s beta on ``mesh.boundary_nodes``
-    (m and s are the lumped node and boundary weights; the unweighted mass
-    uses ``mesh.node_weight`` itself).  The gradient weights depend on p, q
-    and hx, so a field set belongs to one mesh and one ProblemData.
+    They are the vectors the integrals of the model dot their powers with:
+    ``grad_p_weight`` = |T| hx^-p and ``grad_q_weight`` = |T| mu hx^-q per
+    triangle (the stencil's squared gradients are hx^2 |grad u|^2),
+    ``alpha_weight`` = m alpha and ``zeta_weight`` = m zeta per node, and
+    ``beta_weight`` = s beta on ``mesh.boundary_nodes`` (m and s are the
+    lumped node and boundary weights; the unweighted mass uses
+    ``mesh.node_weight`` itself).  The gradient weights depend on p, q and
+    hx, so a field set belongs to one mesh and one ProblemData.
     """
 
-    alpha_node: np.ndarray     # (M,)
-    zeta_node: np.ndarray      # (M,)
-    beta_node: np.ndarray      # (M,), zero off the boundary
-    mu_centroid: np.ndarray    # (T,)
     grad_p_weight: np.ndarray  # (T,) |T| hx^-p
     grad_q_weight: np.ndarray  # (T,) |T| mu hx^-q
     alpha_weight: np.ndarray   # (M,) m alpha
@@ -77,28 +73,24 @@ class FieldSamples:
 def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
     """Evaluate alpha, zeta at nodes, beta at boundary nodes, mu at
     centroids, and fold them into the quadrature weights."""
-    xn, yn = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    alpha_node = np.broadcast_to(np.asarray(data.alpha(xn, yn), dtype=float), xn.shape).copy()
-    zeta_node = np.broadcast_to(np.asarray(data.zeta(xn, yn), dtype=float), xn.shape).copy()
-    beta_node = np.zeros_like(xn)
+
+    def sample(field, points):
+        x, y = points[:, 0], points[:, 1]
+        return np.broadcast_to(np.asarray(field(x, y), dtype=float), x.shape)
+
     b = mesh.boundary_nodes
-    beta_node[b] = np.broadcast_to(
-        np.asarray(data.beta(mesh.nodes[b, 0], mesh.nodes[b, 1]), dtype=float), b.shape
-    )
-    xc, yc = mesh.centroids[:, 0], mesh.centroids[:, 1]
-    mu_centroid = np.broadcast_to(np.asarray(data.mu(xc, yc), dtype=float), xc.shape).copy()
+    alpha = sample(data.alpha, mesh.nodes)
+    zeta = sample(data.zeta, mesh.nodes)
+    beta = sample(data.beta, mesh.nodes[b])
+    mu = sample(data.mu, mesh.centroids)
     hx = mesh.spacing[0]
     m = mesh.node_weight
     return FieldSamples(
-        alpha_node,
-        zeta_node,
-        beta_node,
-        mu_centroid,
         grad_p_weight=mesh.tri_area * hx ** -data.p,
-        grad_q_weight=mesh.tri_area * mu_centroid * hx ** -data.q,
-        alpha_weight=m * alpha_node,
-        zeta_weight=m * zeta_node,
-        beta_weight=mesh.boundary_weight[b] * beta_node[b],
+        grad_q_weight=mesh.tri_area * mu * hx ** -data.q,
+        alpha_weight=m * alpha,
+        zeta_weight=m * zeta,
+        beta_weight=mesh.boundary_weight[b] * beta,
     )
 
 
@@ -114,29 +106,15 @@ class ModularBreakdown:
     mass_q1: float         # integral |u|^{q1}
 
 
-def _gradient_modular(mesh: Mesh, data: ProblemData, u: np.ndarray, fields: FieldSamples):
-    """(integral |grad u|^p, integral mu |grad u|^q) by the centroid rule,
-    as powers of the stencil's hx^2 |grad u|^2."""
-    s = grid_grad_sq(mesh, u)
-    return (
-        float(fields.grad_p_weight @ s ** (0.5 * data.p)),
-        float(fields.grad_q_weight @ s ** (0.5 * data.q)),
-    )
-
-
-def _boundary_sum(mesh: Mesh, theta: np.ndarray, r: float, u: np.ndarray) -> float:
-    """Lumped boundary integral of theta |u|^r, summed over the boundary nodes."""
-    b = mesh.boundary_nodes
-    return float(mesh.boundary_weight[b] @ (theta[b] * np.abs(u[b]) ** r))
-
-
 def modular_breakdown(
     mesh: Mesh, data: ProblemData, u: np.ndarray, fields: Optional[FieldSamples] = None
 ) -> ModularBreakdown:
     if fields is None:
         fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
-    grad_p, grad_q_mu = _gradient_modular(mesh, data, u, fields)
+    s = grid_grad_sq(mesh, u)   # hx^2 |grad u|^2, centroid rule
+    grad_p = float(fields.grad_p_weight @ s ** (0.5 * data.p))
+    grad_q_mu = float(fields.grad_q_weight @ s ** (0.5 * data.q))
     absu = np.abs(u)
     mass_p_alpha = float(fields.alpha_weight @ absu**data.p)
     zeta_sing = float(fields.zeta_weight @ absu ** (1.0 - data.kappa))
@@ -196,97 +174,30 @@ def norm_1p(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = N
     return (bd.grad_p + bd.mass_p_alpha) ** (1.0 / data.p)
 
 
-def seminorm_interior(mesh: Mesh, theta_values: np.ndarray, r: float, u) -> float:
-    """(sum of m_i theta_i |u_i|^r)^(1/r); returns 0 for theta identically 0."""
-    total = float(mesh.node_weight @ (np.asarray(theta_values, dtype=float) * np.abs(u) ** r))
-    return total ** (1.0 / r)
-
-
-def seminorm_boundary(mesh: Mesh, theta_values: np.ndarray, r: float, u) -> float:
-    """(sum of s_i theta_i |u_i|^r)^(1/r) over boundary nodes."""
-    theta = np.asarray(theta_values, dtype=float)
-    return _boundary_sum(mesh, theta, r, np.asarray(u, dtype=float)) ** (1.0 / r)
-
-
-def grad_norm_H(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
-    """Luxemburg norm of the gradient modular."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
-    gp, gq = _gradient_modular(mesh, data, np.asarray(u, dtype=float), fields)
-    return luxemburg_norm(power_modular([(gp, data.p), (gq, data.q)]))
-
-
 def lebesgue_norm(mesh: Mesh, u, r: float) -> float:
     """Unweighted lumped L^r norm of nodal values."""
     return float(mesh.node_weight @ np.abs(u) ** r) ** (1.0 / r)
 
 
-def _weighted_pair(mesh: Mesh, data: ProblemData, u, r1, theta1, r2, theta2, fields):
-    """Resolve the (r1, theta1, r2, theta2) instantiation; defaults reproduce rho."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
-    u = np.asarray(u, dtype=float)
-    if r1 is None:
-        r1 = data.p
-    if r2 is None:
-        r2 = data.p_lower_star
-    if theta1 is None:
-        th1 = fields.alpha_node
-    else:
-        th1 = np.broadcast_to(
-            np.asarray(theta1(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float),
-            mesh.nodes[:, 0].shape,
-        )
-    if theta2 is None:
-        th2 = fields.beta_node
-    else:
-        b = mesh.boundary_nodes
-        th2 = np.zeros(mesh.num_nodes)
-        th2[b] = np.broadcast_to(
-            np.asarray(theta2(mesh.nodes[b, 0], mesh.nodes[b, 1]), dtype=float), b.shape
-        )
-    return u, float(r1), th1, float(r2), th2, fields
-
-
-def norm_circ(
-    mesh: Mesh,
-    data: ProblemData,
-    u,
-    r1=None,
-    theta1=None,
-    r2=None,
-    theta2=None,
-    fields: Optional[FieldSamples] = None,
-) -> float:
-    """Sum norm: |grad u|_H + |u|_{r1,theta1} + |u|_{r2,theta2,boundary}.
-
-    Defaults (r1, theta1, r2, theta2) = (p, alpha, p_*, beta) match the
-    working norm's ingredients.
-    """
-    u, r1, th1, r2, th2, fields = _weighted_pair(mesh, data, u, r1, theta1, r2, theta2, fields)
+def norm_circ(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+    """Sum norm: |grad u|_H + (int alpha |u|^p)^(1/p) + (bdry int beta |u|^{p_*})^(1/p_*),
+    with |grad u|_H the Luxemburg norm of the gradient modular."""
+    bd = modular_breakdown(mesh, data, u, fields)
     return (
-        grad_norm_H(mesh, data, u, fields)
-        + seminorm_interior(mesh, th1, r1, u)
-        + seminorm_boundary(mesh, th2, r2, u)
+        luxemburg_norm(power_modular([(bd.grad_p, data.p), (bd.grad_q_mu, data.q)]))
+        + bd.mass_p_alpha ** (1.0 / data.p)
+        + bd.bdry_pstar_beta ** (1.0 / data.p_lower_star)
     )
 
 
-def norm_star(
-    mesh: Mesh,
-    data: ProblemData,
-    u,
-    r1=None,
-    theta1=None,
-    r2=None,
-    theta2=None,
-    fields: Optional[FieldSamples] = None,
-) -> float:
-    """Joint Luxemburg norm of the gradient modular plus both weighted power terms.
-
-    With the default instantiation this is exactly norm_custom.
-    """
-    u, r1, th1, r2, th2, fields = _weighted_pair(mesh, data, u, r1, theta1, r2, theta2, fields)
-    gp, gq = _gradient_modular(mesh, data, u, fields)
-    t1 = float(mesh.node_weight @ (th1 * np.abs(u) ** r1))
-    t2 = _boundary_sum(mesh, th2, r2, u)
-    return luxemburg_norm(power_modular([(gp, data.p), (gq, data.q), (t1, r1), (t2, r2)]))
+def norm_star(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+    """Joint Luxemburg norm of the gradient modular plus both weighted power
+    terms; it equals norm_custom, which groups the two p-terms."""
+    bd = modular_breakdown(mesh, data, u, fields)
+    terms = [
+        (bd.grad_p, data.p),
+        (bd.grad_q_mu, data.q),
+        (bd.mass_p_alpha, data.p),
+        (bd.bdry_pstar_beta, data.p_lower_star),
+    ]
+    return luxemburg_norm(power_modular(terms))

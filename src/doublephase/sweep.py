@@ -267,7 +267,7 @@ def _rayleigh_gradient(mesh, data, u, fields, num: float) -> np.ndarray:
     """Gradient of the quotient ``num`` / (|u|_{p*}^p), num = |u|_{1,p}^p;
     only the p-power pieces of the operator enter the numerator."""
     g = np.asarray(u, dtype=float)
-    num_grad = gradient_flux(mesh, data, g)
+    num_grad = gradient_flux(mesh, data, g, fields, q_part=False)
     num_grad += fields.alpha_weight * np.sign(g) * np.abs(g) ** (data.p - 1.0)
     num_grad *= data.p
 

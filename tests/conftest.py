@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from doublephase import ProblemData, build_rect_mesh
 
 PRESET = dict(p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=0.1, mu="x", alpha="1", beta="1", zeta="1")
+# every coefficient field varies over the domain
+VARIABLE = dict(PRESET, mu="0.5 + x*y", alpha="1 + x", beta="2 + x*y", zeta="0.5 + x")
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +41,32 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+@st.composite
+def skewed_meshes(draw, max_cells=9):
+    """Rectangle meshes of 1 to max_cells cells per axis over a random
+    rectangle, with non-square cells (hx != hy)."""
+    nx = draw(st.integers(min_value=1, max_value=max_cells))
+    ny = draw(st.integers(min_value=1, max_value=max_cells))
+    x0, y0 = draw(st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2))
+    w, h = draw(st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 2))
+    mesh = build_rect_mesh(nx, ny, (x0, y0, x0 + w, y0 + h))
+    hx, hy = mesh.spacing
+    assume(hx != hy)
+    return mesh
+
+
+def patchy_function(mesh, seed, lo=-2.0, hi=2.0):
+    """Random nodal values with about 30% zeros and a constant block of the
+    node grid, so that some triangles have zero gradient."""
+    r = rng(seed)
+    u = r.uniform(lo, hi, mesh.num_nodes)
+    u[r.random(mesh.num_nodes) < 0.3] = 0.0
+    grid = u.reshape(mesh.ny + 1, mesh.nx + 1)
+    iy, ix = r.integers(0, mesh.ny), r.integers(0, mesh.nx)
+    grid[iy : iy + 2, ix : ix + 2] = r.uniform(lo, hi)
+    return u
+
+
 # --- independent re-summation oracle -------------------------------------
 #
 # Pure-Python re-summation of the six discrete integrals: triangle measures
@@ -58,21 +88,50 @@ def oracle_area(mesh, tri):
     return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
 
 
+def oracle_hat_gradients(mesh, tri):
+    """Gradients on triangle tri of the hat functions of its three corners."""
+    grads = []
+    for v in mesh.triangles[tri]:
+        e = np.zeros(mesh.num_nodes)
+        e[v] = 1.0
+        grads.append(oracle_gradient(mesh, tri, e))
+    return grads
+
+
+def oracle_centroid(mesh, tri):
+    cx = sum(mesh.nodes[v, 0] for v in mesh.triangles[tri]) / 3.0
+    cy = sum(mesh.nodes[v, 1] for v in mesh.triangles[tri]) / 3.0
+    return cx, cy
+
+
+def oracle_lumped_weights(mesh):
+    """(node weights, boundary weights), each summed edge by edge or
+    triangle by triangle."""
+    node_w = [0.0] * mesh.num_nodes
+    for t in range(mesh.num_triangles):
+        for v in mesh.triangles[t]:
+            node_w[v] += oracle_area(mesh, t) / 3.0
+    bdry_w = [0.0] * mesh.num_nodes
+    for i, j in mesh.boundary_edges:
+        length = math.hypot(
+            mesh.nodes[j, 0] - mesh.nodes[i, 0], mesh.nodes[j, 1] - mesh.nodes[i, 1]
+        )
+        bdry_w[i] += length / 2.0
+        bdry_w[j] += length / 2.0
+    return node_w, bdry_w
+
+
 def oracle_breakdown(mesh, data, u):
     """Naive loop evaluation of (grad_p, grad_q_mu, mass_p_alpha, bdry, sing, mass_q1)."""
     u = np.asarray(u, dtype=float)
     grad_p = grad_q = 0.0
-    node_w = [0.0] * mesh.num_nodes
     for t in range(mesh.num_triangles):
         area = oracle_area(mesh, t)
         g = oracle_gradient(mesh, t, u)
         gn = math.hypot(g[0], g[1])
-        cx = sum(mesh.nodes[v, 0] for v in mesh.triangles[t]) / 3.0
-        cy = sum(mesh.nodes[v, 1] for v in mesh.triangles[t]) / 3.0
         grad_p += area * gn**data.p
-        grad_q += area * float(data.mu(cx, cy)) * gn**data.q
-        for v in mesh.triangles[t]:
-            node_w[v] += area / 3.0
+        grad_q += area * float(data.mu(*oracle_centroid(mesh, t))) * gn**data.q
+    node_w, bdry_w = oracle_lumped_weights(mesh)
     mass_p = sing = mass_q1 = 0.0
     for i in range(mesh.num_nodes):
         x, y = mesh.nodes[i]
@@ -81,19 +140,53 @@ def oracle_breakdown(mesh, data, u):
         mass_p += m * float(data.alpha(x, y)) * a**data.p
         sing += m * float(data.zeta(x, y)) * a ** (1.0 - data.kappa)
         mass_q1 += m * a**data.q1
-    bdry_w = [0.0] * mesh.num_nodes
-    for i, j in mesh.boundary_edges:
-        length = math.hypot(
-            mesh.nodes[j, 0] - mesh.nodes[i, 0], mesh.nodes[j, 1] - mesh.nodes[i, 1]
-        )
-        bdry_w[i] += length / 2.0
-        bdry_w[j] += length / 2.0
     bdry = 0.0
     for i in range(mesh.num_nodes):
         if bdry_w[i] > 0:
             x, y = mesh.nodes[i]
             bdry += bdry_w[i] * float(data.beta(x, y)) * abs(u[i]) ** data.p_lower_star
     return grad_p, grad_q, mass_p, bdry, sing, mass_q1
+
+
+def oracle_flux(mesh, data, u, q_part=True):
+    """Per-triangle loop assembly of the nodal vector sum_t |T| w_t grad u . grad phi_i,
+    w = |grad u|^{p-2} + mu |grad u|^{q-2} (0 where grad u = 0); q_part=False
+    drops the mu term."""
+    flux = np.zeros(mesh.num_nodes)
+    for t in range(mesh.num_triangles):
+        g = oracle_gradient(mesh, t, u)
+        gn = math.hypot(g[0], g[1])
+        if gn == 0.0:
+            continue
+        w = gn ** (data.p - 2)
+        if q_part:
+            w += float(data.mu(*oracle_centroid(mesh, t))) * gn ** (data.q - 2)
+        for v, gv in zip(mesh.triangles[t], oracle_hat_gradients(mesh, t)):
+            flux[v] += oracle_area(mesh, t) * w * float(g @ gv)
+    return flux
+
+
+def oracle_hat_grad_p(mesh, p):
+    """sum_t |T| |grad phi_i|^p over the triangles at each node, loop by loop."""
+    out = np.zeros(mesh.num_nodes)
+    for t in range(mesh.num_triangles):
+        for v, gv in zip(mesh.triangles[t], oracle_hat_gradients(mesh, t)):
+            out[v] += oracle_area(mesh, t) * math.hypot(gv[0], gv[1]) ** p
+    return out
+
+
+def oracle_luxemburg(terms):
+    """Root of sum(c tau^-r) = 1 by bisection for (c, r) terms, c >= 0; 0 when
+    every c is 0."""
+    if not any(c > 0 for c, _ in terms):
+        return 0.0
+    f = lambda tau: sum(c * tau**-r for c, r in terms) - 1.0
+    lo = hi = 1.0
+    while f(lo) < 0:
+        lo /= 2.0
+    while f(hi) > 0:
+        hi *= 2.0
+    return oracle_bisect(f, lo, hi)
 
 
 def oracle_bisect(f, lo, hi, iters=200):

@@ -120,6 +120,8 @@ def test_inadmissible_q1_fails_closed(tmp_path, capsys, command):
         ("solver.stall", "0"),
         ("solver.residual_tol", "0"),
         ("solver.energy_tol", "-1e-10"),
+        ("solver.seed", "-1"),
+        ("sweep.seed", "-1"),
     ],
 )
 def test_bad_config_number_exits_2(tmp_path, capsys, command, key, value):

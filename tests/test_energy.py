@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublephase import (
     ProblemData,
@@ -9,12 +11,24 @@ from doublephase import (
     energy_gradient,
     weak_residual,
 )
-from doublephase.energy import _operator_vectors, _signed_power, gradient_flux, hat_norms_1p
-from doublephase.mesh import corner_sum, gradients
+from doublephase.energy import DEFAULT_FLOOR, _operator_vectors, _signed_power, gradient_flux, hat_norms_1p
 from doublephase.space import sample_fields
 from doublephase.sweep import _rayleigh_gradient
 
-from conftest import PRESET, oracle_breakdown, rng
+from conftest import (
+    PRESET,
+    VARIABLE,
+    oracle_area,
+    oracle_breakdown,
+    oracle_centroid,
+    oracle_flux,
+    oracle_gradient,
+    oracle_hat_grad_p,
+    oracle_lumped_weights,
+    patchy_function,
+    rng,
+    skewed_meshes,
+)
 
 
 def test_energy_constant_function_closed_form(mesh16, preset_data):
@@ -77,19 +91,22 @@ def test_operator_constants_closed_form(mesh16, preset_data):
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-def _pairing_per_triangle(mesh, data, u, h, fields):
+def _pairing_per_triangle(mesh, data, u, h):
     """<A(u), h> summed triangle by triangle: area * w * (grad u . grad h)
     with w = |grad u|^{p-2} + mu |grad u|^{q-2} (0 where grad u = 0), plus
     the nodal mass and boundary sums."""
-    gu, gh = gradients(mesh, u), gradients(mesh, h)
     total = 0.0
     for t in range(mesh.num_triangles):
-        gn = float(np.hypot(*gu[t]))
-        w = gn ** (data.p - 2) + fields.mu_centroid[t] * gn ** (data.q - 2) if gn > 0 else 0.0
-        total += mesh.tri_area[t] * w * float(gu[t] @ gh[t])
+        gu, gh = oracle_gradient(mesh, t, u), oracle_gradient(mesh, t, h)
+        gn = float(np.hypot(*gu))
+        mu = float(data.mu(*oracle_centroid(mesh, t)))
+        w = gn ** (data.p - 2) + mu * gn ** (data.q - 2) if gn > 0 else 0.0
+        total += oracle_area(mesh, t) * w * float(gu @ gh)
+    node_w, bdry_w = oracle_lumped_weights(mesh)
     for i in range(mesh.num_nodes):
-        mass = mesh.node_weight[i] * fields.alpha_node[i] * abs(u[i]) ** (data.p - 1)
-        bdry = mesh.boundary_weight[i] * fields.beta_node[i] * abs(u[i]) ** (data.p_lower_star - 1)
+        x, y = mesh.nodes[i]
+        mass = node_w[i] * float(data.alpha(x, y)) * abs(u[i]) ** (data.p - 1)
+        bdry = bdry_w[i] * float(data.beta(x, y)) * abs(u[i]) ** (data.p_lower_star - 1)
         total += np.sign(u[i]) * (mass + bdry) * h[i]
     return total
 
@@ -100,12 +117,91 @@ def test_operator_pairing_matches_per_triangle_formula(mesh4, preset_data):
     for _ in range(10):
         u = r.uniform(-1, 1, mesh4.num_nodes)
         h = r.uniform(-1, 1, mesh4.num_nodes)
-        expected = _pairing_per_triangle(mesh4, preset_data, u, h, fields)
+        expected = _pairing_per_triangle(mesh4, preset_data, u, h)
         assert apply_operator_A(mesh4, preset_data, u, h, fields) == pytest.approx(expected, rel=1e-12)
     u = np.ones(mesh4.num_nodes)  # grad u = 0 on every triangle
     h = r.uniform(-1, 1, mesh4.num_nodes)
-    expected = _pairing_per_triangle(mesh4, preset_data, u, h, fields)
+    expected = _pairing_per_triangle(mesh4, preset_data, u, h)
     assert apply_operator_A(mesh4, preset_data, u, h, fields) == pytest.approx(expected, rel=1e-12)
+
+
+def _one(x, y):
+    return 1.0
+
+
+def _oracle_nodal(mesh, u, expo, field, weights):
+    """weights_i field(x_i) sign(u_i)|u_i|^expo, node by node."""
+    out = np.zeros(mesh.num_nodes)
+    for i, (x, y) in enumerate(mesh.nodes):
+        if weights[i] > 0:
+            out[i] = weights[i] * float(field(x, y)) * np.sign(u[i]) * abs(u[i]) ** expo
+    return out
+
+
+def _oracle_terms(mesh, data, u, lam):
+    """Loop-assembled nodal vectors (gradient, alpha_mass, beta_boundary,
+    singular, superlinear) of the weak form at u, the singular one floored
+    like energy_gradient."""
+    node_w, bdry_w = oracle_lumped_weights(mesh)
+    floored = np.maximum(u, DEFAULT_FLOOR)
+    return {
+        "gradient": oracle_flux(mesh, data, u),
+        "alpha_mass": _oracle_nodal(mesh, u, data.p - 1, data.alpha, node_w),
+        "beta_boundary": _oracle_nodal(mesh, u, data.p_lower_star - 1, data.beta, bdry_w),
+        "singular": _oracle_nodal(mesh, floored, -data.kappa, data.zeta, node_w),
+        "superlinear": lam * _oracle_nodal(mesh, u, data.q1 - 1, _one, node_w),
+    }
+
+
+def _close(got, expected, rel=1e-12):
+    """Max-norm agreement relative to the largest entry of expected."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(skewed_meshes(max_cells=6), st.integers(min_value=0, max_value=2**32 - 1))
+def test_nodal_vectors_match_loop_assembly(mesh, seed):
+    # non-square cells, zero-gradient patches and varying mu, alpha, beta, zeta
+    data = ProblemData(**VARIABLE)
+    fields = sample_fields(mesh, data)
+    lam = 0.7
+    u = patchy_function(mesh, seed)
+    terms = _oracle_terms(mesh, data, u, lam)
+    operator = terms["gradient"] + terms["alpha_mass"] + terms["beta_boundary"]
+    gradient = operator - terms["singular"] - terms["superlinear"]
+    assert _close(energy_gradient(mesh, data, u, lam, fields).values, gradient)
+
+    h = rng(seed + 1).uniform(-1.0, 1.0, mesh.num_nodes)
+    pairing = apply_operator_A(mesh, data, u, h, fields)
+    assert abs(pairing - float(operator @ h)) <= 1e-12 * float(np.abs(operator) @ np.abs(h))
+
+    node_w, _ = oracle_lumped_weights(mesh)
+    alpha = np.array([float(data.alpha(x, y)) for x, y in mesh.nodes])
+    hat = (oracle_hat_grad_p(mesh, data.p) + np.array(node_w) * alpha) ** (1.0 / data.p)
+    np.testing.assert_allclose(hat_norms_1p(mesh, data, fields), hat, rtol=1e-12, atol=0.0)
+
+    v = np.abs(u) + 0.1   # the weak residual needs v > 0
+    vterms = _oracle_terms(mesh, data, v, lam)
+    defect = (
+        vterms["gradient"] + vterms["alpha_mass"] + vterms["beta_boundary"]
+        - vterms["singular"] - vterms["superlinear"]
+    )
+    report = weak_residual(mesh, data, v, lam, fields)
+    term_max = {k: float(np.max(np.abs(vec) / hat)) for k, vec in vterms.items()}
+    scale = max(term_max.values())
+    assert abs(report.residual_norm - float(np.max(np.abs(defect) / hat))) <= 1e-12 * scale
+    for k, val in term_max.items():
+        assert report.term_max[k] == pytest.approx(val, rel=1e-12, abs=1e-12 * scale)
+
+    # the Sobolev quotient's gradient: only the p-parts enter its numerator
+    num = 2.5
+    mass = float(np.array(node_w) @ np.abs(u) ** data.p_star)
+    den = mass ** (data.p / data.p_star)
+    num_grad = data.p * (oracle_flux(mesh, data, u, q_part=False) + terms["alpha_mass"])
+    den_grad = data.p * mass ** (data.p / data.p_star - 1.0) * _oracle_nodal(mesh, u, data.p_star - 1, _one, node_w)
+    expected = (num_grad - (num / den) * den_grad) / den
+    assert _close(_rayleigh_gradient(mesh, data, u, fields, num), expected)
 
 
 def test_operator_is_derivative_of_nonsingular_energy(mesh4, preset_data):
@@ -242,13 +338,15 @@ def test_folded_weights_keep_the_nodal_vectors_bit_identical(n):
     fields = sample_fields(mesh, data)
     m, b = mesh.node_weight, mesh.boundary_nodes
     u = rng(n).uniform(-0.5, 1.5, mesh.num_nodes)
+    xn, yn = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    alpha_node = np.broadcast_to(np.asarray(data.alpha(xn, yn), dtype=float), xn.shape)
+    zeta_node = np.broadcast_to(np.asarray(data.zeta(xn, yn), dtype=float), xn.shape)
+    beta_b = np.asarray(data.beta(xn[b], yn[b]), dtype=float)
 
     grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
-    alpha_old = m * fields.alpha_node * _signed_power(u, data.p - 1.0)
+    alpha_old = m * alpha_node * _signed_power(u, data.p - 1.0)
     beta_old = np.zeros(mesh.num_nodes)
-    beta_old[b] = (
-        mesh.boundary_weight[b] * fields.beta_node[b] * _signed_power(u[b], data.p_lower_star - 1.0)
-    )
+    beta_old[b] = mesh.boundary_weight[b] * beta_b * _signed_power(u[b], data.p_lower_star - 1.0)
     assert np.array_equal(alpha_vec, alpha_old)
     assert np.array_equal(beta_vec, beta_old)
 
@@ -256,27 +354,24 @@ def test_folded_weights_keep_the_nodal_vectors_bit_identical(n):
     floored = np.maximum(u, 1e-10)
     gradient_old = (
         grad_vec + alpha_old + beta_old
-        - m * fields.zeta_node * floored ** (-data.kappa)
+        - m * zeta_node * floored ** (-data.kappa)
         - lam * m * _signed_power(u, data.q1 - 1.0)
     )
     assert np.array_equal(energy_gradient(mesh, data, u, lam, fields).values, gradient_old)
 
-    s = np.einsum("dvt,dvt->vt", mesh.basis_grads, mesh.basis_grads)
-    grad_p = corner_sum(mesh, mesh.tri_area * s ** (0.5 * data.p))
-    hn_old = (grad_p + m * fields.alpha_node) ** (1.0 / data.p)
-    assert np.array_equal(hat_norms_1p(mesh, data, fields), hn_old)
-
+    # the hat norms are checked against loop assembly in test_nodal_vectors_match_loop_assembly
+    hn = hat_norms_1p(mesh, data, fields)
     v = np.abs(u) + 0.1
     grad_v, alpha_v, beta_v = _operator_vectors(mesh, data, v, fields)
-    sing_old = m * fields.zeta_node * v ** (-data.kappa)
+    sing_old = m * zeta_node * v ** (-data.kappa)
     defect_old = grad_v + alpha_v + beta_v - sing_old - lam * m * v ** (data.q1 - 1.0)
     report = weak_residual(mesh, data, v, lam, fields)
-    assert report.residual_norm == float(np.max(np.abs(defect_old) / hn_old))
-    assert report.term_max["singular"] == float(np.max(np.abs(sing_old) / hn_old))
+    assert report.residual_norm == float(np.max(np.abs(defect_old) / hn))
+    assert report.term_max["singular"] == float(np.max(np.abs(sing_old) / hn))
 
     num = 2.5
-    num_grad = gradient_flux(mesh, data, u)
-    num_grad += m * fields.alpha_node * np.sign(u) * np.abs(u) ** (data.p - 1.0)
+    num_grad = gradient_flux(mesh, data, u, fields, q_part=False)
+    num_grad += m * alpha_node * np.sign(u) * np.abs(u) ** (data.p - 1.0)
     num_grad *= data.p
     mass = float(m @ np.abs(u) ** data.p_star)
     den = mass ** (data.p / data.p_star)

@@ -4,13 +4,29 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from doublephase import build_rect_mesh, gradient_on_triangle, gradients
-from doublephase.mesh import gather_gradients, grid_grad_sq, riesz_map, scatter_flux
+from doublephase import build_rect_mesh
+from doublephase.mesh import grid_flux, grid_grad_sq, hat_grad_power_sum, riesz_map
 
-from conftest import oracle_area, oracle_gradient, rng
+from conftest import (
+    oracle_area,
+    oracle_gradient,
+    oracle_hat_gradients,
+    oracle_hat_grad_p,
+    patchy_function,
+    rng,
+    skewed_meshes,
+)
+
+# 6 x 3 cells on [0, 2] x [0, 0.5]: hx = 1/3, hy = 1/6
+SKEWED = (6, 3, (0.0, 0.0, 2.0, 0.5))
+
+
+def grad_sq(mesh, u):
+    """|grad u|^2 per triangle from the stencil."""
+    return grid_grad_sq(mesh, u) / mesh.spacing[0] ** 2
 
 
 def test_unit_cell_counts_and_weights(mesh1):
@@ -52,30 +68,27 @@ def test_boundary_edges_lie_on_rectangle(mesh4):
 
 
 def test_gradient_of_constant_is_zero(mesh4):
-    u = np.full(mesh4.num_nodes, 3.7)
-    g = gradients(mesh4, u)
-    assert np.max(np.abs(g)) < 1e-14
+    for mesh in (mesh4, build_rect_mesh(*SKEWED)):
+        u = np.full(mesh.num_nodes, 3.7)
+        w = rng(1).uniform(0.5, 2.0, mesh.num_triangles)
+        assert np.array_equal(grid_grad_sq(mesh, u), np.zeros(mesh.num_triangles))
+        assert np.array_equal(grid_flux(mesh, u, w), np.zeros(mesh.num_nodes))
 
 
 def test_gradient_of_coordinate_field(mesh4):
-    u = mesh4.nodes[:, 0]
-    for t in range(mesh4.num_triangles):
-        gx, gy = gradient_on_triangle(mesh4, t, u)
-        assert gx == pytest.approx(1.0, abs=1e-13)
-        assert gy == pytest.approx(0.0, abs=1e-13)
+    for mesh in (mesh4, build_rect_mesh(*SKEWED)):
+        for coord in (0, 1):
+            g2 = grad_sq(mesh, mesh.nodes[:, coord])
+            np.testing.assert_allclose(g2, 1.0, rtol=1e-13, atol=0.0)
 
 
 def test_gradient_matches_linear_solve_oracle(mesh1):
-    u = rng(3).random(mesh1.num_nodes)
-    for t in range(mesh1.num_triangles):
-        expected = oracle_gradient(mesh1, t, u)
-        got = gradient_on_triangle(mesh1, t, u)
-        assert got == pytest.approx(tuple(expected), abs=1e-13)
-
-
-def test_gradient_index_out_of_range(mesh1):
-    with pytest.raises(IndexError):
-        gradient_on_triangle(mesh1, 2, np.ones(4))
+    for mesh in (mesh1, build_rect_mesh(*SKEWED)):
+        u = rng(3).random(mesh.num_nodes)
+        g2 = grad_sq(mesh, u)
+        for t in range(mesh.num_triangles):
+            expected = oracle_gradient(mesh, t, u)
+            assert g2[t] == pytest.approx(float(expected @ expected), rel=1e-13)
 
 
 def test_areas_match_shoelace_oracle(mesh4):
@@ -90,12 +103,15 @@ def test_areas_match_shoelace_oracle(mesh4):
     st.floats(min_value=-5, max_value=5),
 )
 def test_linear_reproduction(a, b, c):
-    mesh = build_rect_mesh(3, 3)
-    u = a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]
-    g = gradients(mesh, u)
-    scale = 1.0 + abs(b) + abs(c)
-    assert np.max(np.abs(g[:, 0] - b)) <= 1e-13 * scale
-    assert np.max(np.abs(g[:, 1] - c)) <= 1e-13 * scale
+    # the stencil reproduces the gradient of a linear field, and its flux with
+    # a constant weight is the Neumann stiffness, which sends a linear field
+    # to 0 at every interior node
+    for mesh in (build_rect_mesh(3, 3), build_rect_mesh(*SKEWED)):
+        u = a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]
+        scale = (1.0 + abs(b) + abs(c)) ** 2
+        assert np.max(np.abs(grad_sq(mesh, u) - (b * b + c * c))) <= 1e-13 * scale
+        flux = grid_flux(mesh, u, np.ones(mesh.num_triangles)).reshape(mesh.ny + 1, mesh.nx + 1)
+        assert np.max(np.abs(flux[1:-1, 1:-1])) <= 1e-13 * scale
 
 
 def test_node_ordering_row_major(mesh2):
@@ -138,48 +154,67 @@ def test_numbering_matches_loop_oracle(nx, ny):
     assert np.array_equal(mesh.boundary_nodes, np.unique(edges))
 
 
-def test_kernel_layout(mesh4):
-    t = mesh4.num_triangles
-    assert mesh4.basis_grads.shape == (2, 3, t)
-    assert mesh4.triangles.shape == (t, 3)
-    assert mesh4.triangles.T.flags.c_contiguous  # the gather and scatter index without a copy
-    u = rng(5).random(mesh4.num_nodes)
-    assert np.array_equal(gradients(mesh4, u), gather_gradients(mesh4, u).T)
-    # every basis gradient sums to zero over a triangle's corners (constants have no gradient)
-    assert np.max(np.abs(mesh4.basis_grads.sum(axis=1))) < 1e-12
+def test_kernel_layout():
+    # per-triangle arrays follow the order of mesh.triangles: each entry of the
+    # stencil is built from the two axis-parallel edges of that triangle
+    mesh = build_rect_mesh(*SKEWED)
+    assert mesh.triangles.shape == (mesh.num_triangles, 3)
+    assert mesh.triangles.flags.c_contiguous
+    hx, hy = mesh.spacing
+    u = rng(5).uniform(-1.0, 1.0, mesh.num_nodes)
+    s = grid_grad_sq(mesh, u)
+    for t, tri in enumerate(mesh.triangles):
+        expected = 0.0
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            dx, dy = mesh.nodes[b] - mesh.nodes[a]
+            if dy == 0.0:
+                expected += (u[b] - u[a]) ** 2
+            elif dx == 0.0:
+                expected += (hx / hy) ** 2 * (u[b] - u[a]) ** 2
+        assert s[t] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [4, 16])
-def test_scatter_is_adjoint_of_gather(n):
-    mesh = build_rect_mesh(n, n)
+def test_grid_flux_is_adjoint_of_stencil(n):
+    # grid_flux(u, w) . v is the symmetric bilinear form of sum_t w_t s_t
+    mesh = build_rect_mesh(n, n, (0.0, 0.0, 1.0, 0.6))
     r = rng(n)
     for _ in range(5):
         u = r.uniform(-1, 1, mesh.num_nodes)
-        c = r.uniform(-1, 1, (2, mesh.num_triangles))
-        lhs = float(np.sum(c * gather_gradients(mesh, u)))
-        rhs = float(u @ scatter_flux(mesh, c))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        v = r.uniform(-1, 1, mesh.num_nodes)
+        w = r.uniform(0.0, 2.0, mesh.num_triangles)
+        uv = float(v @ grid_flux(mesh, u, w))
+        assert uv == pytest.approx(float(u @ grid_flux(mesh, v, w)), rel=1e-12)
+        polar = 0.25 * float(w @ (grid_grad_sq(mesh, u + v) - grid_grad_sq(mesh, u - v)))
+        assert uv == pytest.approx(polar, rel=1e-12)
+        assert float(u @ grid_flux(mesh, u, w)) == pytest.approx(float(w @ grid_grad_sq(mesh, u)), rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=9),
-    st.integers(min_value=1, max_value=9),
-    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2),
-    st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 2),
+    skewed_meshes(),
+    st.sampled_from(["patchy", "constant", "x", "y", "linear"]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_stencil_squared_gradients_match_gather(nx, ny, origin, size, seed):
-    (x0, y0), (w, h) = origin, size
-    mesh = build_rect_mesh(nx, ny, (x0, y0, x0 + w, y0 + h))
-    hx, hy = mesh.spacing
-    assume(hx != hy)
-    r = rng(seed)
-    u = r.uniform(-2.0, 2.0, mesh.num_nodes)
-    u[r.random(mesh.num_nodes) < 0.3] = 0.0
-    g = gather_gradients(mesh, u)
-    expected = np.einsum("dt,dt->t", g, g)
-    np.testing.assert_allclose(grid_grad_sq(mesh, u) / hx**2, expected, rtol=1e-13, atol=0.0)
+@example(build_rect_mesh(*SKEWED), "patchy", 0)
+def test_stencil_squared_gradients_match_loop_oracle(mesh, kind, seed):
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    u = {
+        "patchy": lambda: patchy_function(mesh, seed),
+        "constant": lambda: np.full(mesh.num_nodes, 1.3),
+        "x": lambda: x.copy(),
+        "y": lambda: y.copy(),
+        "linear": lambda: 0.4 - 1.7 * x + 2.3 * y,
+    }[kind]()
+    expected = np.array([float(g @ g) for g in (oracle_gradient(mesh, t, u) for t in range(mesh.num_triangles))])
+    np.testing.assert_allclose(grad_sq(mesh, u), expected, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(skewed_meshes(max_cells=6), st.floats(min_value=1.1, max_value=3.0))
+def test_hat_gradient_sums_match_loop_oracle(mesh, r):
+    got = hat_grad_power_sum(mesh, mesh.tri_area * mesh.spacing[0] ** -r, r)
+    np.testing.assert_allclose(got, oracle_hat_grad_p(mesh, r), rtol=1e-12, atol=0.0)
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -199,13 +234,13 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     ],
 )
 def test_riesz_map_inverts_stiffness_plus_mass(nx, ny, rect):
-    # the map solves (K + c My (x) Mx) d = g, with K assembled column by
-    # column from the P1 gradient kernel and the separable trapezoid mass
+    # the map solves (K + c My (x) Mx) d = g, with the P1 stiffness K
+    # assembled triangle by triangle and the separable trapezoid mass
     mesh = build_rect_mesh(nx, ny, rect)
-    eye = np.eye(mesh.num_nodes)
-    stiffness = np.column_stack(
-        [scatter_flux(mesh, gather_gradients(mesh, e) * mesh.tri_area) for e in eye]
-    )
+    stiffness = np.zeros((mesh.num_nodes, mesh.num_nodes))
+    for t, tri in enumerate(mesh.triangles):
+        grads = oracle_hat_gradients(mesh, t)
+        stiffness[np.ix_(tri, tri)] += oracle_area(mesh, t) * np.array([[ga @ gb for gb in grads] for ga in grads])
     x0, y0, x1, y1 = rect
     mass = np.outer(
         _trapezoid_weights(ny, (y1 - y0) / ny), _trapezoid_weights(nx, (x1 - x0) / nx)

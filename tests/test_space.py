@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublephase import (
-    build_rect_mesh,
+    ProblemData,
     luxemburg_norm,
     modular_breakdown,
     norm_circ,
@@ -12,17 +12,19 @@ from doublephase import (
     norm_1p,
     norm_star,
 )
-from doublephase.coeff_expr import CoefficientField
-from doublephase.mesh import gather_gradients
 from doublephase.rootfind import BracketError
-from doublephase.space import (
-    grad_norm_H,
-    modular_rho,
-    power_modular,
-    sample_fields,
-)
+from doublephase.space import modular_rho, power_modular, sample_fields
 
-from conftest import oracle_bisect, oracle_breakdown, rng
+from conftest import (
+    PRESET,
+    VARIABLE,
+    oracle_bisect,
+    oracle_breakdown,
+    oracle_luxemburg,
+    patchy_function,
+    rng,
+    skewed_meshes,
+)
 
 # root of tau^-1.5 + 4 tau^-3 = 1, from an independent bisection oracle
 LUX_ONES = 1.8721280180071875
@@ -50,46 +52,36 @@ def test_breakdown_matches_oracle_on_2x2(mesh2, preset_data):
         assert g == pytest.approx(e, rel=1e-12, abs=1e-14)
 
 
-def _gather_breakdown(mesh, data, u, fields):
-    """The six integrals by the general P1 gather, with the unfolded weights
-    (the formula the grid stencil and the folded weights replaced)."""
-    g = gather_gradients(mesh, u)
-    s = np.einsum("dt,dt->t", g, g)
-    absu = np.abs(u)
-    m = mesh.node_weight
-    b = mesh.boundary_nodes
-    return (
-        float(mesh.tri_area @ s ** (0.5 * data.p)),
-        float(mesh.tri_area @ (fields.mu_centroid * s ** (0.5 * data.q))),
-        float(m @ (fields.alpha_node * absu**data.p)),
-        float(mesh.boundary_weight[b] @ (fields.beta_node[b] * absu[b] ** data.p_lower_star)),
-        float(m @ (fields.zeta_node * absu ** (1.0 - data.kappa))),
-        float(m @ absu**data.q1),
-    )
-
-
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=9),
-    st.integers(min_value=1, max_value=9),
-    st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2),
-    st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 2),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_breakdown_matches_gather_formula(preset_data, nx, ny, origin, size, seed):
-    # mu = x in the preset, so the q-part weighs every triangle differently
-    (x0, y0), (w, h) = origin, size
-    mesh = build_rect_mesh(nx, ny, (x0, y0, x0 + w, y0 + h))
-    hx, hy = mesh.spacing
-    assume(hx != hy)
-    r = rng(seed)
-    u = r.uniform(-2.0, 2.0, mesh.num_nodes)
-    u[r.random(mesh.num_nodes) < 0.3] = 0.0
-    fields = sample_fields(mesh, preset_data)
-    bd = modular_breakdown(mesh, preset_data, u, fields)
+@given(skewed_meshes(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_breakdown_matches_loop_oracle(mesh, seed):
+    # mu, alpha, beta and zeta all vary, so every weight differs per triangle or node
+    data = ProblemData(**VARIABLE)
+    u = patchy_function(mesh, seed)
+    bd = modular_breakdown(mesh, data, u, sample_fields(mesh, data))
     got = (bd.grad_p, bd.grad_q_mu, bd.mass_p_alpha, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1)
-    expected = _gather_breakdown(mesh, preset_data, u, fields)
-    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got, oracle_breakdown(mesh, data, u), rtol=1e-12, atol=0.0)
+
+
+def oracle_norm_circ(mesh, data, u):
+    gp, gq, mp, bd, _, _ = oracle_breakdown(mesh, data, u)
+    grad_norm = oracle_luxemburg([(gp, data.p), (gq, data.q)])
+    return grad_norm + mp ** (1 / data.p) + bd ** (1 / data.p_lower_star)
+
+
+def oracle_norm_star(mesh, data, u):
+    gp, gq, mp, bd, _, _ = oracle_breakdown(mesh, data, u)
+    return oracle_luxemburg([(gp, data.p), (gq, data.q), (mp, data.p), (bd, data.p_lower_star)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(skewed_meshes(max_cells=6), st.integers(min_value=0, max_value=2**32 - 1))
+def test_norm_circ_and_star_match_loop_oracle(mesh, seed):
+    # x-dependent alpha and beta weigh every node differently
+    data = ProblemData(**dict(PRESET, alpha="0.5 + x", beta="1 + x*x"))
+    u = patchy_function(mesh, seed)
+    assert norm_circ(mesh, data, u) == pytest.approx(oracle_norm_circ(mesh, data, u), rel=1e-11)
+    assert norm_star(mesh, data, u) == pytest.approx(oracle_norm_star(mesh, data, u), rel=1e-11)
 
 
 def test_luxemburg_root_frozen_oracle_value(mesh16, preset_data):
@@ -174,19 +166,18 @@ def test_sandwich_and_star_equals_custom(mesh4, preset_data):
         assert star == pytest.approx(custom, rel=1e-12)
 
 
-def test_zero_weight_seminorm_allowed(mesh4, preset_data):
-    # only one of the two weights needs to be nonzero
-    from doublephase.space import sample_fields, seminorm_boundary, seminorm_interior
-
+def test_zero_weight_seminorm_allowed(mesh4):
+    # only one of the two weights needs to be nonzero: with alpha = 0 the
+    # interior seminorm vanishes and the norms keep their gradient and
+    # boundary parts
+    data = ProblemData(**dict(PRESET, alpha="0"))
     u = random_function(mesh4, 5)
-    zero = CoefficientField.compile("0")
-    fields = sample_fields(mesh4, preset_data)
-    expected = grad_norm_H(mesh4, preset_data, u) + seminorm_boundary(
-        mesh4, fields.beta_node, preset_data.p_lower_star, u
-    )
-    assert norm_circ(mesh4, preset_data, u, theta1=zero) == pytest.approx(expected, rel=1e-12)
-    assert seminorm_interior(mesh4, np.zeros(mesh4.num_nodes), preset_data.p, u) == 0.0
-    assert norm_star(mesh4, preset_data, u, theta1=zero) > 0
+    gp, gq, mp, bd, _, _ = oracle_breakdown(mesh4, data, u)
+    assert mp == 0.0 and modular_breakdown(mesh4, data, u).mass_p_alpha == 0.0
+    expected = oracle_luxemburg([(gp, data.p), (gq, data.q)]) + bd ** (1 / data.p_lower_star)
+    assert norm_circ(mesh4, data, u) == pytest.approx(expected, rel=1e-11)
+    assert norm_star(mesh4, data, u) == pytest.approx(oracle_norm_star(mesh4, data, u), rel=1e-11)
+    assert norm_star(mesh4, data, u) > 0
 
 
 def test_norm_circ_triangle_inequality_and_homogeneity(mesh4, preset_data):
