@@ -47,7 +47,6 @@ from .solver import (
     SolverOptions,
     StopReason,
     minimize_on_branch,
-    project_to_nehari,
     solve_two,
 )
 from .sweep import (

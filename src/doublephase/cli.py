@@ -54,7 +54,6 @@ class Config:
     kappa: float
     q1: float
     lam: float
-    N: int = 2
     mu: str = "x"
     alpha: str = "1"
     beta: str = "1"
@@ -78,7 +77,6 @@ class Config:
             alpha=self.alpha,
             beta=self.beta,
             zeta=self.zeta,
-            N=self.N,
         )
 
     def build_mesh(self):
@@ -144,7 +142,6 @@ _KEY_PARSERS = {
     "kappa": _parse_float,
     "q1": _parse_float,
     "lambda": _parse_float,
-    "N": _parse_int,
     "mu": _parse_expr_value,
     "alpha": _parse_expr_value,
     "beta": _parse_expr_value,
@@ -157,7 +154,7 @@ _KEY_PARSERS = {
     "solver.max_iter": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
     "solver.residual_tol": _bounded(_parse_float, lambda v: v > 0, "a number > 0"),
     "solver.seed": _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0"),
-    "sweep.samples": _parse_int,
+    "sweep.samples": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
     "sweep.lambda_grid": _bounded(
         _parse_float_list,
         lambda g: bool(g) and g[0] > 0 and all(b > a for a, b in zip(g, g[1:])),

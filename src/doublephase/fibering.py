@@ -78,14 +78,6 @@ class FiberTerms:
             kappa=data.kappa,
         )
 
-    def scaled(self, s: float) -> "FiberTerms":
-        """Fiber terms of s*u given those of u (pure power scaling)."""
-        return FiberTerms(
-            self.a * s**self.p, self.b * s**self.q, self.c * s**self.p_lower_star,
-            self.d * s ** (1.0 - self.kappa), self.e * s**self.q1,
-            self.p, self.q, self.p_lower_star, self.q1, self.kappa,
-        )
-
 
 class NehariKind(enum.Enum):
     NOT_ON_NEHARI = "not_on_nehari"

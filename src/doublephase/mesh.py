@@ -7,6 +7,13 @@ integrands), gradient integrands use the one-point centroid rule, and
 boundary integrals use the lumped edge rule (half the length of the
 touching boundary edges).
 
+The mesh is its node grid: no triangle or edge list exists.  A per-triangle
+array is the ravel of an (ny, nx, 2) array over the cells, the half below
+the diagonal of cell (iy, ix) first and the half above it second, and every
+per-triangle quantity is computed from the grid's 1-D coordinate vectors:
+the lumped weights in ``build_rect_mesh`` and the centroid rule's areas and
+points in ``centroid_rule``.
+
 Every gradient term works on the node grid U = u.reshape(ny+1, nx+1).  The
 P1 gradient of a triangle is one x-difference and one y-difference of U,
 along its two axis-parallel edges: the triangle below the diagonal of cell
@@ -31,32 +38,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "build_rect_mesh", "grid_flux", "grid_grad_sq", "hat_grad_power_sum", "riesz_map"]
+__all__ = [
+    "Mesh", "build_rect_mesh", "centroid_rule", "grid_flux", "grid_grad_sq", "hat_grad_power_sum", "riesz_map"
+]
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """A triangulation with its quadrature data.
+    """A rectangle's node grid with its lumped quadrature weights.
 
-    Triangles 2k and 2k+1 (k = iy*nx + ix) are the halves of cell (iy, ix)
-    below and above its diagonal, so a per-triangle array is the ravel of an
-    (ny, nx, 2) array over the cells.  The gradient terms never index
-    ``triangles``: ``grid_grad_sq`` fills a per-triangle array from the
-    differences of the (ny+1, nx+1) node grid, and ``grid_flux`` maps a
-    per-triangle weight back onto that grid through the same edges.
+    Nodes are numbered row-major (x fastest) over the (ny+1, nx+1) grid.
+    The 2*nx*ny triangles are implicit: triangles 2k and 2k+1
+    (k = iy*nx + ix) are the halves of cell (iy, ix) below and above its
+    diagonal, so a per-triangle array is the ravel of an (ny, nx, 2) array
+    over the cells.  ``grid_grad_sq`` fills such an array from the
+    differences of the node grid, ``grid_flux`` maps one back onto it, and
+    ``centroid_rule`` gives the triangles' areas and centroids.
     """
 
-    nodes: np.ndarray            # (M, 2) coordinates, row-major node order
-    triangles: np.ndarray        # (T, 3) vertex indices, counterclockwise
-    tri_area: np.ndarray         # (T,)
-    centroids: np.ndarray        # (T, 2)
-    node_weight: np.ndarray      # (M,) lumped interior quadrature weights
-    boundary_nodes: np.ndarray   # (B,) indices of nodes on the rectangle boundary
-    boundary_weight: np.ndarray  # (M,) lumped boundary weights, zero off the boundary
-    boundary_edges: np.ndarray   # (E, 2) node index pairs of boundary edges
     rect: tuple
     nx: int                      # cells along x
     ny: int                      # cells along y
+    nodes: np.ndarray            # (M, 2) coordinates, row-major node order
+    node_weight: np.ndarray      # (M,) lumped interior quadrature weights
+    boundary_nodes: np.ndarray   # (B,) indices of nodes on the rectangle boundary
+    boundary_weight: np.ndarray  # (M,) lumped boundary weights, zero off the boundary
 
     @property
     def num_nodes(self) -> int:
@@ -64,7 +70,7 @@ class Mesh:
 
     @property
     def num_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.nx * self.ny
 
     @property
     def spacing(self) -> tuple:
@@ -77,18 +83,19 @@ class Mesh:
         x0, y0, x1, y1 = self.rect
         return (x1 - x0) * (y1 - y0)
 
-    @property
-    def perimeter(self) -> float:
-        x0, y0, x1, y1 = self.rect
-        return 2.0 * ((x1 - x0) + (y1 - y0))
+
+def _cell_areas(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(ny, nx) area of either half of each cell, 0.5 dy_j dx_i."""
+    return (0.5 * np.diff(ys))[:, None] * np.diff(xs)
 
 
 def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
-    """Triangulate [x0,x1] x [y0,y1] into 2*nx*ny triangles.
+    """Grid [x0,x1] x [y0,y1] into nx*ny cells of 2 triangles each.
 
-    (nx+1)(ny+1) nodes in row-major order (x fastest); deterministic
-    triangle numbering: cell (ix, iy) holds triangles 2k and 2k+1 with
-    k = iy*nx + ix, below and above its lower-left-to-upper-right diagonal.
+    (nx+1)(ny+1) nodes in row-major order (x fastest); triangle numbering
+    as in ``Mesh``.  The lumped weights are summed from the 1-D coordinate
+    vectors: each node adds one third of the area of each touching triangle,
+    and each boundary node half the length of each touching boundary edge.
     Rejects nonpositive subdivision counts and degenerate rectangles.
     """
     if nx < 1 or ny < 1:
@@ -101,52 +108,59 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     ys = np.linspace(y0, y1, ny + 1)
     xx, yy = np.meshgrid(xs, ys)            # shape (ny+1, nx+1); row-major => x fastest
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
-    num_nodes = len(nodes)
 
-    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower-left node of each cell
-    lr, ul, ur = ll + 1, ll + nx + 1, ll + nx + 2
-    triangles = np.empty((ll.size, 2, 3), dtype=np.intp)
-    triangles[:, 0] = np.column_stack([ll, lr, ur])   # below the ll-ur diagonal
-    triangles[:, 1] = np.column_stack([ll, ur, ul])   # above it
-    triangles = triangles.reshape(-1, 3)
-
-    X, Y = nodes[:, 0].take(triangles.T), nodes[:, 1].take(triangles.T)  # (3, T) corner coordinates
-    tri_area = 0.5 * ((X[1] - X[0]) * (Y[2] - Y[0]) - (X[2] - X[0]) * (Y[1] - Y[0]))
-    if np.any(tri_area <= 0):
+    third = _cell_areas(xs, ys)
+    if np.any(third <= 0):
         raise ValueError("mesh construction produced a nonpositive triangle area")
-    centroids = np.column_stack([(X[0] + X[1] + X[2]) / 3.0, (Y[0] + Y[1] + Y[2]) / 3.0])
+    third /= 3.0
+    # each node sums its triangles in triangle order: both halves of the cell
+    # whose upper-right corner it is, the upper half of the cell whose
+    # upper-left corner it is, the lower half of the cell whose lower-right
+    # corner it is, and both halves of the cell whose lower-left corner it is
+    node_weight = np.zeros((ny + 1, nx + 1))
+    node_weight[1:, 1:] += third
+    node_weight[1:, 1:] += third
+    node_weight[1:, :-1] += third
+    node_weight[:-1, 1:] += third
+    node_weight[:-1, :-1] += third
+    node_weight[:-1, :-1] += third
 
-    # triangle-major order: each node sums its triangles in index order
-    node_weight = np.bincount(
-        triangles.ravel(), weights=np.repeat(tri_area / 3.0, 3), minlength=num_nodes
-    )
-
-    ix, iy = np.arange(nx), np.arange(ny)
-    bottom = np.column_stack([ix, ix + 1])
-    left = np.column_stack([iy, iy + 1]) * (nx + 1)
-    boundary_edges = np.concatenate([
-        np.stack([bottom, bottom + ny * (nx + 1)], axis=1).reshape(-1, 2),  # bottom, top
-        np.stack([left, left + nx], axis=1).reshape(-1, 2),                 # left, right
-    ])
-    lengths = np.linalg.norm(nodes[boundary_edges[:, 0]] - nodes[boundary_edges[:, 1]], axis=1)
-    boundary_weight = np.bincount(
-        boundary_edges.ravel(), weights=np.repeat(lengths / 2.0, 2), minlength=num_nodes
-    )
-    boundary_nodes = np.flatnonzero(boundary_weight > 0)
+    # edge order: the x-edges of the bottom and top rows before the y-edges
+    # of the left and right columns, each node adding the edge before it first
+    half_x = 0.5 * np.diff(xs)
+    half_y = 0.5 * np.diff(ys)[:, None]
+    rows, cols = [0, ny], [0, nx]
+    boundary_weight = np.zeros((ny + 1, nx + 1))
+    boundary_weight[rows, 1:] += half_x
+    boundary_weight[rows, :-1] += half_x
+    boundary_weight[1:, cols] += half_y
+    boundary_weight[:-1, cols] += half_y
+    boundary_weight = boundary_weight.reshape(-1)
 
     return Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        tri_area=tri_area,
-        centroids=centroids,
-        node_weight=node_weight,
-        boundary_nodes=boundary_nodes,
-        boundary_weight=boundary_weight,
-        boundary_edges=boundary_edges,
         rect=(x0, y0, x1, y1),
         nx=nx,
         ny=ny,
+        nodes=nodes,
+        node_weight=node_weight.reshape(-1),
+        boundary_nodes=np.flatnonzero(boundary_weight > 0),
+        boundary_weight=boundary_weight,
     )
+
+
+def centroid_rule(mesh: Mesh) -> tuple:
+    """(areas (T,), centroids (T, 2)) of the triangles, in the per-triangle
+    layout of ``Mesh``: the points and weights of the one-point centroid
+    rule.  A centroid is the corner sum (ll + lr + ur)/3 below the diagonal
+    and (ll + ur + ul)/3 above it."""
+    xs, ys = mesh.nodes[: mesh.nx + 1, 0], mesh.nodes[:: mesh.nx + 1, 1]
+    centroids = np.empty((mesh.ny, mesh.nx, 2, 2))
+    xl, xr, yb, yt = xs[:-1], xs[1:], ys[:-1, None], ys[1:, None]
+    centroids[:, :, 0, 0] = (xl + xr + xr) / 3.0
+    centroids[:, :, 1, 0] = (xl + xr + xl) / 3.0
+    centroids[:, :, 0, 1] = (yb + yb + yt) / 3.0
+    centroids[:, :, 1, 1] = (yb + yt + yt) / 3.0
+    return np.repeat(_cell_areas(xs, ys), 2), centroids.reshape(-1, 2)
 
 
 def grid_grad_sq(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ The problem is the singular double phase Neumann equation
     (|grad u|^(p-2) grad u + mu(x) |grad u|^(q-2) grad u) . nu
         = -beta(x) u^(p_lower_star - 1)             on the boundary,
 
-with 1 < p < N, p < q < p_star, 0 < kappa < 1 and
+with 1 < p < N = 2, p < q < p_star, 0 < kappa < 1 and
 q1 in (max(q, p_lower_star), p_star).  Coefficient inequalities are
 certified by sampling at the discrete quadrature points, which is all the
 discrete functional ever evaluates.
@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-
 import numpy as np
 
 from .coeff_expr import CoefficientField
+from .mesh import Mesh, centroid_rule
 
 __all__ = ["ProblemData", "ValidationReport", "critical_exponents", "validate_hypotheses"]
+
+DIM = 2  # the space dimension N of the critical exponents: every mesh is 2-D
 
 
 def critical_exponents(p: float, N: float) -> tuple[float, float]:
@@ -48,7 +50,7 @@ def _as_field(value) -> CoefficientField:
 class ProblemData:
     """All model parameters: exponents, the parameter lam (= lambda) and the
     four coefficient fields.  Immutable; derived exponents are computed on
-    construction (which therefore requires 1 < p < N)."""
+    construction for N = ``DIM`` (which therefore requires 1 < p < N)."""
 
     p: float
     q: float
@@ -59,14 +61,13 @@ class ProblemData:
     alpha: CoefficientField
     beta: CoefficientField
     zeta: CoefficientField
-    N: int = 2
     p_star: float = field(init=False)
     p_lower_star: float = field(init=False)
 
     def __post_init__(self):
         for name in ("mu", "alpha", "beta", "zeta"):
             object.__setattr__(self, name, _as_field(getattr(self, name)))
-        ps, pls = critical_exponents(self.p, self.N)
+        ps, pls = critical_exponents(self.p, DIM)
         object.__setattr__(self, "p_star", ps)
         object.__setattr__(self, "p_lower_star", pls)
 
@@ -82,32 +83,24 @@ class ValidationReport:
         return "\n".join(f"{tag}: {msg}" for tag, msg in self.violations)
 
 
-def _sample_points(data: ProblemData, mesh, samples: int):
-    """Deterministic interior and boundary sample points.
-
-    With a mesh: its nodes plus element centroids (interior) and its
-    boundary nodes.  Without one: a uniform grid on the unit square, with
-    the grid's edge points as boundary samples.
-    """
-    if mesh is not None:
-        xi = np.concatenate([mesh.nodes[:, 0], mesh.centroids[:, 0]])
-        yi = np.concatenate([mesh.nodes[:, 1], mesh.centroids[:, 1]])
-        bx = mesh.nodes[mesh.boundary_nodes, 0]
-        by = mesh.nodes[mesh.boundary_nodes, 1]
-        return (xi, yi), (bx, by)
-    n = max(2, int(samples))
-    g = np.linspace(0.0, 1.0, n)
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    on_edge = (xx == 0.0) | (xx == 1.0) | (yy == 0.0) | (yy == 1.0)
-    return (xx.ravel(), yy.ravel()), (xx[on_edge].ravel(), yy[on_edge].ravel())
+def _sample_points(mesh: Mesh):
+    """The mesh's quadrature points: its nodes plus the triangle centroids of
+    ``centroid_rule`` (interior), and its boundary nodes (boundary)."""
+    centroids = centroid_rule(mesh)[1]
+    xi = np.concatenate([mesh.nodes[:, 0], centroids[:, 0]])
+    yi = np.concatenate([mesh.nodes[:, 1], centroids[:, 1]])
+    bx = mesh.nodes[mesh.boundary_nodes, 0]
+    by = mesh.nodes[mesh.boundary_nodes, 1]
+    return (xi, yi), (bx, by)
 
 
-def validate_hypotheses(data: ProblemData, mesh=None, samples: int = 33) -> ValidationReport:
+def validate_hypotheses(data: ProblemData, mesh: Mesh) -> ValidationReport:
     """Check every clause of the standing hypotheses.
 
     Exponent inequalities are checked exactly; the pointwise coefficient
-    conditions are checked on a deterministic sample grid (mesh nodes plus
-    centroids when a mesh is supplied).  Returns a report listing every
+    conditions are checked at the mesh's quadrature points (nodes plus
+    triangle centroids, and the boundary nodes for beta), which is all the
+    discrete functional ever evaluates.  Returns a report listing every
     violated clause; never raises for mere violations.
     """
     violations = []
@@ -115,10 +108,10 @@ def validate_hypotheses(data: ProblemData, mesh=None, samples: int = 33) -> Vali
     def flag(tag, msg):
         violations.append((tag, msg))
 
-    (xi, yi), (bx, by) = _sample_points(data, mesh, samples)
+    (xi, yi), (bx, by) = _sample_points(mesh)
 
-    if not (1 < data.p < data.N):
-        flag("H(i)", f"need 1 < p < N, got p={data.p}, N={data.N}")
+    if not (1 < data.p < DIM):
+        flag("H(i)", f"need 1 < p < N, got p={data.p}, N={DIM}")
     if not (data.p < data.q < data.p_star):
         flag("H(i)", f"need p < q < p_star={data.p_star}, got q={data.q}")
     mu_vals = np.asarray(data.mu(xi, yi), dtype=float)

@@ -47,7 +47,6 @@ __all__ = [
     "SolveResult",
     "SolveReport",
     "StopReason",
-    "project_to_nehari",
     "minimize_on_branch",
     "multistart_directions",
     "solve_two",
@@ -166,22 +165,6 @@ def _project(
         )
     t = roots.t1 if branch is Branch.PLUS else roots.t2
     return _Projected(u=t * w, energy=psi(ft, lam, t), t_circ=roots.t_circ / t)
-
-
-def project_to_nehari(
-    mesh: Mesh,
-    data: ProblemData,
-    u,
-    lam: float,
-    branch: Branch,
-    fields: Optional[FieldSamples] = None,
-) -> np.ndarray:
-    """Scale u onto the requested branch: t1*u (Plus) or t2*u (Minus), the
-    roots of u's own fiber (computed from u as given, not normalized).
-
-    Raises NoRootError when the direction admits no root at this lam.
-    """
-    return _project(mesh, data, np.asarray(u, dtype=float), lam, branch, fields).u
 
 
 def minimize_on_branch(

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, grid_grad_sq
+from .mesh import Mesh, centroid_rule, grid_grad_sq
 from .problem import ProblemData
 from .rootfind import Map, expand_bracket, hybrid_root, power_sum
 
@@ -71,23 +71,25 @@ class FieldSamples:
 
 
 def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
-    """Evaluate alpha, zeta at nodes, beta at boundary nodes, mu at
-    centroids, and fold them into the quadrature weights."""
+    """Evaluate alpha, zeta at nodes, beta at boundary nodes, mu at the
+    triangle centroids, and fold them into the quadrature weights (the
+    triangles' areas and centroids from ``mesh.centroid_rule``)."""
 
     def sample(field, points):
         x, y = points[:, 0], points[:, 1]
         return np.broadcast_to(np.asarray(field(x, y), dtype=float), x.shape)
 
     b = mesh.boundary_nodes
+    areas, centroids = centroid_rule(mesh)
     alpha = sample(data.alpha, mesh.nodes)
     zeta = sample(data.zeta, mesh.nodes)
     beta = sample(data.beta, mesh.nodes[b])
-    mu = sample(data.mu, mesh.centroids)
+    mu = sample(data.mu, centroids)
     hx = mesh.spacing[0]
     m = mesh.node_weight
     return FieldSamples(
-        grad_p_weight=mesh.tri_area * hx ** -data.p,
-        grad_q_weight=mesh.tri_area * mu * hx ** -data.q,
+        grad_p_weight=areas * hx ** -data.p,
+        grad_q_weight=areas * mu * hx ** -data.q,
         alpha_weight=m * alpha,
         zeta_weight=m * zeta,
         beta_weight=mesh.boundary_weight[b] * beta,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -69,13 +70,48 @@ def patchy_function(mesh, seed, lo=-2.0, hi=2.0):
 
 # --- independent re-summation oracle -------------------------------------
 #
-# Pure-Python re-summation of the six discrete integrals: triangle measures
-# by the shoelace formula, gradients by solving the 2x2 interpolation system,
-# lumped weights rebuilt from scratch.  Only the mesh connectivity is reused.
+# Pure-Python re-summation of the six discrete integrals: triangles and
+# boundary edges numbered in loops, triangle measures by the shoelace
+# formula, gradients by solving the 2x2 interpolation system, lumped weights
+# rebuilt independently.  Only the mesh's node coordinates are reused.
+
+
+@functools.lru_cache(maxsize=None)
+def loop_connectivity(nx, ny):
+    """(triangles (T, 3), boundary edges (E, 2)) of an nx x ny grid, numbered
+    cell by cell in Python loops: triangles 2k and 2k+1 (k = iy*nx + ix) are
+    the halves of cell (iy, ix) below and above its lower-left-to-upper-right
+    diagonal, counterclockwise, which is the per-triangle layout of every
+    array in ``doublephase``."""
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    tris = []
+    for iy in range(ny):
+        for ix in range(nx):
+            ll, lr = nid(ix, iy), nid(ix + 1, iy)
+            ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            tris.append((ll, lr, ur))
+            tris.append((ll, ur, ul))
+    edges = []
+    for ix in range(nx):
+        edges.append((nid(ix, 0), nid(ix + 1, 0)))
+        edges.append((nid(ix, ny), nid(ix + 1, ny)))
+    for iy in range(ny):
+        edges.append((nid(0, iy), nid(0, iy + 1)))
+        edges.append((nid(nx, iy), nid(nx, iy + 1)))
+    tris, edges = np.array(tris), np.array(edges)
+    tris.flags.writeable = edges.flags.writeable = False
+    return tris, edges
+
+
+def oracle_triangles(mesh):
+    return loop_connectivity(mesh.nx, mesh.ny)[0]
 
 
 def oracle_gradient(mesh, tri, u):
-    i, j, k = mesh.triangles[tri]
+    i, j, k = oracle_triangles(mesh)[tri]
     (x1, y1), (x2, y2), (x3, y3) = mesh.nodes[[i, j, k]]
     A = np.array([[x2 - x1, y2 - y1], [x3 - x1, y3 - y1]])
     b = np.array([u[j] - u[i], u[k] - u[i]])
@@ -83,7 +119,7 @@ def oracle_gradient(mesh, tri, u):
 
 
 def oracle_area(mesh, tri):
-    i, j, k = mesh.triangles[tri]
+    i, j, k = oracle_triangles(mesh)[tri]
     (x1, y1), (x2, y2), (x3, y3) = mesh.nodes[[i, j, k]]
     return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
 
@@ -91,7 +127,7 @@ def oracle_area(mesh, tri):
 def oracle_hat_gradients(mesh, tri):
     """Gradients on triangle tri of the hat functions of its three corners."""
     grads = []
-    for v in mesh.triangles[tri]:
+    for v in oracle_triangles(mesh)[tri]:
         e = np.zeros(mesh.num_nodes)
         e[v] = 1.0
         grads.append(oracle_gradient(mesh, tri, e))
@@ -99,8 +135,9 @@ def oracle_hat_gradients(mesh, tri):
 
 
 def oracle_centroid(mesh, tri):
-    cx = sum(mesh.nodes[v, 0] for v in mesh.triangles[tri]) / 3.0
-    cy = sum(mesh.nodes[v, 1] for v in mesh.triangles[tri]) / 3.0
+    tri = oracle_triangles(mesh)[tri]
+    cx = sum(mesh.nodes[v, 0] for v in tri) / 3.0
+    cy = sum(mesh.nodes[v, 1] for v in tri) / 3.0
     return cx, cy
 
 
@@ -108,11 +145,11 @@ def oracle_lumped_weights(mesh):
     """(node weights, boundary weights), each summed edge by edge or
     triangle by triangle."""
     node_w = [0.0] * mesh.num_nodes
-    for t in range(mesh.num_triangles):
-        for v in mesh.triangles[t]:
+    for t, tri in enumerate(oracle_triangles(mesh)):
+        for v in tri:
             node_w[v] += oracle_area(mesh, t) / 3.0
     bdry_w = [0.0] * mesh.num_nodes
-    for i, j in mesh.boundary_edges:
+    for i, j in loop_connectivity(mesh.nx, mesh.ny)[1]:
         length = math.hypot(
             mesh.nodes[j, 0] - mesh.nodes[i, 0], mesh.nodes[j, 1] - mesh.nodes[i, 1]
         )
@@ -161,7 +198,7 @@ def oracle_flux(mesh, data, u, q_part=True):
         w = gn ** (data.p - 2)
         if q_part:
             w += float(data.mu(*oracle_centroid(mesh, t))) * gn ** (data.q - 2)
-        for v, gv in zip(mesh.triangles[t], oracle_hat_gradients(mesh, t)):
+        for v, gv in zip(oracle_triangles(mesh)[t], oracle_hat_gradients(mesh, t)):
             flux[v] += oracle_area(mesh, t) * w * float(g @ gv)
     return flux
 
@@ -170,7 +207,7 @@ def oracle_hat_grad_p(mesh, p):
     """sum_t |T| |grad phi_i|^p over the triangles at each node, loop by loop."""
     out = np.zeros(mesh.num_nodes)
     for t in range(mesh.num_triangles):
-        for v, gv in zip(mesh.triangles[t], oracle_hat_gradients(mesh, t)):
+        for v, gv in zip(oracle_triangles(mesh)[t], oracle_hat_gradients(mesh, t)):
             out[v] += oracle_area(mesh, t) * math.hypot(gv[0], gv[1]) ** p
     return out
 

@@ -122,6 +122,8 @@ def test_inadmissible_q1_fails_closed(tmp_path, capsys, command):
         ("solver.energy_tol", "-1e-10"),
         ("solver.seed", "-1"),
         ("sweep.seed", "-1"),
+        ("sweep.samples", "0"),
+        ("N", "2"),
     ],
 )
 def test_bad_config_number_exits_2(tmp_path, capsys, command, key, value):
@@ -243,14 +245,6 @@ def test_undetermined_sweep_exits_1_after_writing_both_outputs(tmp_path, capsys)
     assert report["lambda_star_est"] is None
     lines = open(os.path.join(out_dir, "sweep_samples.csv")).read().splitlines()
     assert len(lines) == 1 + 15
-
-
-def test_sweep_without_samples_exits_2(tmp_path, capsys):
-    cfg = write(tmp_path, SMALL_SOLVE.replace("sweep.samples = 15", "sweep.samples = 0"))
-    out_dir = tmp_path / "out"
-    assert main(["sweep", "-c", cfg, "-o", str(out_dir)]) == 2
-    assert "need at least one sample" in capsys.readouterr().err
-    assert not out_dir.exists()
 
 
 def test_props_command_passes_on_preset(tmp_path):

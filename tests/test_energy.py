@@ -311,7 +311,8 @@ def test_hat_norms_positive(mesh4, preset_data):
 def test_coercivity_intermediate_inequality_on_nehari_points(mesh4, preset_data):
     # on the manifold: Theta(u) >= c1 rho(u) - (1/(1-k) - 1/q1) int zeta|u|^{1-k},
     # with c1 the smallest of the three bracket coefficients
-    from doublephase import Branch, project_to_nehari
+    from doublephase import Branch
+    from doublephase.solver import _project
     from doublephase.space import modular_breakdown
 
     d = preset_data
@@ -321,7 +322,7 @@ def test_coercivity_intermediate_inequality_on_nehari_points(mesh4, preset_data)
     for seed in range(20):
         w = rng(60 + seed).uniform(0.0, 1.0, mesh4.num_nodes)
         for branch in (Branch.PLUS, Branch.MINUS):
-            u = project_to_nehari(mesh4, d, w, lam, branch)
+            u = _project(mesh4, d, w, lam, branch).u
             bd = modular_breakdown(mesh4, d, u)
             rho = bd.grad_p + bd.grad_q_mu + bd.mass_p_alpha + bd.bdry_pstar_beta
             lhs = energy(mesh4, d, u, lam).total

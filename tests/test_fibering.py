@@ -213,7 +213,11 @@ def test_scaling_law_roots():
         lam = 0.25 * eta(ft, t_circ(ft)) / ft.e
         s = r.uniform(0.3, 3.0)
         base = fiber_roots(ft, lam)
-        scaled = fiber_roots(ft.scaled(s), lam)
+        # the terms of s u: each term of u times s to its own power
+        scaled_ft = make_ft(
+            ft.a * s**ft.p, ft.b * s**ft.q, ft.c * s**ft.p_lower_star, ft.d * s ** (1.0 - ft.kappa), ft.e * s**ft.q1
+        )
+        scaled = fiber_roots(scaled_ft, lam)
         assert base.kind == scaled.kind == "two"
         assert scaled.t1 == pytest.approx(base.t1 / s, rel=1e-9)
         assert scaled.t2 == pytest.approx(base.t2 / s, rel=1e-9)

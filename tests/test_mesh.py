@@ -8,13 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublephase import build_rect_mesh
-from doublephase.mesh import grid_flux, grid_grad_sq, hat_grad_power_sum, riesz_map
+from doublephase.mesh import centroid_rule, grid_flux, grid_grad_sq, hat_grad_power_sum, riesz_map
 
 from conftest import (
+    loop_connectivity,
     oracle_area,
+    oracle_centroid,
     oracle_gradient,
     oracle_hat_gradients,
     oracle_hat_grad_p,
+    oracle_lumped_weights,
+    oracle_triangles,
     patchy_function,
     rng,
     skewed_meshes,
@@ -56,13 +60,16 @@ def test_weights_exact_on_general_rectangle():
     mesh = build_rect_mesh(3, 5, rect=(-1.0, 2.0, 3.0, 2.5))
     assert mesh.node_weight.sum() == pytest.approx(4.0 * 0.5, rel=1e-12)
     assert mesh.boundary_weight.sum() == pytest.approx(2 * (4.0 + 0.5), rel=1e-12)
-    assert np.all(mesh.tri_area > 0)
+    assert np.all(centroid_rule(mesh)[0] > 0)
 
 
 def test_boundary_edges_lie_on_rectangle(mesh4):
+    # the oracle's boundary edges join the mesh's boundary nodes, all on the rectangle
     x0, y0, x1, y1 = mesh4.rect
-    for i, j in mesh4.boundary_edges:
+    boundary = set(mesh4.boundary_nodes.tolist())
+    for i, j in loop_connectivity(mesh4.nx, mesh4.ny)[1]:
         for k in (i, j):
+            assert k in boundary
             x, y = mesh4.nodes[k]
             assert x in (x0, x1) or y in (y0, y1)
 
@@ -92,8 +99,9 @@ def test_gradient_matches_linear_solve_oracle(mesh1):
 
 
 def test_areas_match_shoelace_oracle(mesh4):
+    areas = centroid_rule(mesh4)[0]
     for t in range(mesh4.num_triangles):
-        assert mesh4.tri_area[t] == pytest.approx(oracle_area(mesh4, t), rel=1e-14)
+        assert areas[t] == pytest.approx(oracle_area(mesh4, t), rel=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,49 +129,54 @@ def test_node_ordering_row_major(mesh2):
     assert mesh2.nodes[3] == pytest.approx([0.0, 0.5])
 
 
-def _loop_connectivity(nx, ny):
-    """Triangles and boundary edges numbered cell by cell in Python loops:
-    the reference numbering of ``build_rect_mesh``."""
-
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            ll, lr = nid(ix, iy), nid(ix + 1, iy)
-            ul, ur = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    edges = []
-    for ix in range(nx):
-        edges.append((nid(ix, 0), nid(ix + 1, 0)))
-        edges.append((nid(ix, ny), nid(ix + 1, ny)))
-    for iy in range(ny):
-        edges.append((nid(0, iy), nid(0, iy + 1)))
-        edges.append((nid(nx, iy), nid(nx, iy + 1)))
-    return np.array(tris), np.array(edges)
+def _check_grid_quadrature(mesh):
+    # bit for bit: the grid's sliced sums add the same terms in the same order
+    # as the oracle's triangle-by-triangle and edge-by-edge loops
+    node_w, bdry_w = oracle_lumped_weights(mesh)
+    assert np.array_equal(mesh.node_weight, node_w)
+    assert np.array_equal(mesh.boundary_weight, bdry_w)
+    assert np.array_equal(mesh.boundary_nodes, np.unique(loop_connectivity(mesh.nx, mesh.ny)[1]))
+    areas, centroids = centroid_rule(mesh)
+    assert np.array_equal(areas, [oracle_area(mesh, t) for t in range(mesh.num_triangles)])
+    assert np.array_equal(centroids, [oracle_centroid(mesh, t) for t in range(mesh.num_triangles)])
 
 
-@pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (4, 4)])
-def test_numbering_matches_loop_oracle(nx, ny):
-    mesh = build_rect_mesh(nx, ny)
-    tris, edges = _loop_connectivity(nx, ny)
-    assert np.array_equal(mesh.triangles, tris)
-    assert np.array_equal(mesh.boundary_edges, edges)
-    assert np.array_equal(mesh.boundary_nodes, np.unique(edges))
+UNIT = (0.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "nx, ny, rect",
+    [
+        pytest.param(1, 1, UNIT, id="1-1"),
+        pytest.param(2, 3, UNIT, id="2-3"),
+        pytest.param(4, 4, UNIT, id="4-4"),
+        pytest.param(16, 16, UNIT, id="16-16"),
+        pytest.param(8, 8, (0.0, 0.0, 4.0, 4.0), id="8-8-square4"),
+        pytest.param(*SKEWED, id="6-3-skewed"),
+        pytest.param(7, 3, (-1.3, 0.2, 2.9, 1.7), id="7-3-offset"),
+        pytest.param(5, 9, (0.1, 0.3, 0.7, 3.3), id="5-9-tall"),
+    ],
+)
+def test_numbering_matches_loop_oracle(nx, ny, rect):
+    _check_grid_quadrature(build_rect_mesh(nx, ny, rect))
+
+
+@settings(max_examples=50, deadline=None)
+@given(skewed_meshes())
+def test_grid_quadrature_matches_loop_oracle_on_skewed_meshes(mesh):
+    _check_grid_quadrature(mesh)
 
 
 def test_kernel_layout():
-    # per-triangle arrays follow the order of mesh.triangles: each entry of the
+    # per-triangle arrays follow the oracle's loop numbering: each entry of the
     # stencil is built from the two axis-parallel edges of that triangle
     mesh = build_rect_mesh(*SKEWED)
-    assert mesh.triangles.shape == (mesh.num_triangles, 3)
-    assert mesh.triangles.flags.c_contiguous
+    triangles = oracle_triangles(mesh)
+    assert triangles.shape == (mesh.num_triangles, 3)
     hx, hy = mesh.spacing
     u = rng(5).uniform(-1.0, 1.0, mesh.num_nodes)
     s = grid_grad_sq(mesh, u)
-    for t, tri in enumerate(mesh.triangles):
+    for t, tri in enumerate(triangles):
         expected = 0.0
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             dx, dy = mesh.nodes[b] - mesh.nodes[a]
@@ -213,7 +226,7 @@ def test_stencil_squared_gradients_match_loop_oracle(mesh, kind, seed):
 @settings(max_examples=50, deadline=None)
 @given(skewed_meshes(max_cells=6), st.floats(min_value=1.1, max_value=3.0))
 def test_hat_gradient_sums_match_loop_oracle(mesh, r):
-    got = hat_grad_power_sum(mesh, mesh.tri_area * mesh.spacing[0] ** -r, r)
+    got = hat_grad_power_sum(mesh, centroid_rule(mesh)[0] * mesh.spacing[0] ** -r, r)
     np.testing.assert_allclose(got, oracle_hat_grad_p(mesh, r), rtol=1e-12, atol=0.0)
 
 
@@ -238,7 +251,7 @@ def test_riesz_map_inverts_stiffness_plus_mass(nx, ny, rect):
     # assembled triangle by triangle and the separable trapezoid mass
     mesh = build_rect_mesh(nx, ny, rect)
     stiffness = np.zeros((mesh.num_nodes, mesh.num_nodes))
-    for t, tri in enumerate(mesh.triangles):
+    for t, tri in enumerate(oracle_triangles(mesh)):
         grads = oracle_hat_gradients(mesh, t)
         stiffness[np.ix_(tri, tri)] += oracle_area(mesh, t) * np.array([[ga @ gb for gb in grads] for ga in grads])
     x0, y0, x1, y1 = rect

@@ -71,7 +71,7 @@ def test_zeta_zero_violates_H5(mesh4):
 
 def test_p_equal_N_rejected_at_construction():
     with pytest.raises(ValueError):
-        make_data(p=2.0, N=2)
+        make_data(p=2.0)
 
 
 def test_negative_mu_violates_H1(mesh4):
@@ -92,13 +92,6 @@ def test_negative_beta_violates_H4(mesh4):
 def test_q_above_p_star_violates_H1(mesh4):
     report = validate_hypotheses(make_data(q=6.5), mesh4)
     assert any(tag == "H(i)" for tag, _ in report.violations)
-
-
-def test_validation_without_mesh_uses_grid():
-    report = validate_hypotheses(make_data())
-    assert report.ok
-    bad = validate_hypotheses(make_data(zeta="0"))
-    assert not bad.ok
 
 
 def test_derived_exponents_are_the_formulas():

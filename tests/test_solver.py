@@ -12,7 +12,6 @@ from doublephase import (
     fiber_terms,
     minimize_on_branch,
     norm_1p,
-    project_to_nehari,
     solve_two,
     weak_residual,
 )
@@ -27,13 +26,13 @@ LAM = 0.1
 
 def test_project_minus_fixes_unit_function_at_lam4(mesh16, preset_data):
     u = np.ones(mesh16.num_nodes)
-    v = project_to_nehari(mesh16, preset_data, u, 4.0, Branch.MINUS)
+    v = _project(mesh16, preset_data, u, 4.0, Branch.MINUS).u
     assert np.max(np.abs(v - u)) <= 1e-9
 
 
 def test_project_plus_uses_t1(mesh16, preset_data):
     u = np.ones(mesh16.num_nodes)
-    v = project_to_nehari(mesh16, preset_data, u, 4.0, Branch.PLUS)
+    v = _project(mesh16, preset_data, u, 4.0, Branch.PLUS).u
     t1 = v[0]
     assert 0.55 < t1 < 0.60
     cls = classify_nehari(mesh16, preset_data, v, 4.0)
@@ -44,7 +43,7 @@ def test_project_plus_uses_t1(mesh16, preset_data):
 def test_project_noroot_above_threshold(mesh16, preset_data):
     u = np.ones(mesh16.num_nodes)
     with pytest.raises(NoRootError):
-        project_to_nehari(mesh16, preset_data, u, 10.0, Branch.MINUS)
+        _project(mesh16, preset_data, u, 10.0, Branch.MINUS)
 
 
 @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
@@ -57,10 +56,9 @@ def test_warm_started_projection_matches_project_to_nehari(mesh4, preset_data, b
     for spread in (1e-6, 1e-2, 0.3):
         w = base.u * (1.0 + spread * r.uniform(-1.0, 1.0, mesh4.num_nodes))
         warm = _project(mesh4, preset_data, w, LAM, branch, fields, warm=base)
-        cold = project_to_nehari(mesh4, preset_data, w, LAM, branch, fields)
-        np.testing.assert_allclose(warm.u, cold, rtol=1e-10)
-        cold_tc = _project(mesh4, preset_data, w, LAM, branch, fields).t_circ
-        assert warm.t_circ == pytest.approx(cold_tc, rel=1e-10)
+        cold = _project(mesh4, preset_data, w, LAM, branch, fields)
+        np.testing.assert_allclose(warm.u, cold.u, rtol=1e-10)
+        assert warm.t_circ == pytest.approx(cold.t_circ, rel=1e-10)
 
 
 @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
@@ -69,8 +67,8 @@ def test_projection_is_scale_invariant(mesh4, preset_data, branch, s):
     # the branch roots are scale-covariant (t_{s w} = t_w / s), so the
     # projected point does not depend on the scale of the direction
     w = rng(47).uniform(0.5, 1.5, mesh4.num_nodes)
-    base = project_to_nehari(mesh4, preset_data, w, LAM, branch)
-    scaled = project_to_nehari(mesh4, preset_data, s * w, LAM, branch)
+    base = _project(mesh4, preset_data, w, LAM, branch).u
+    scaled = _project(mesh4, preset_data, s * w, LAM, branch).u
     np.testing.assert_allclose(scaled, base, rtol=1e-10)
 
 

@@ -33,15 +33,18 @@ def test_lambda_tilde_reproducible(mesh4, preset_data):
 
 
 def test_lambda_tilde_rescaled_terms_match_normalized_directions(mesh16, preset_data):
-    # the fiber terms are homogeneous, so rescaling those of u by 1/|u| gives
-    # those of u/|u| without a second modular breakdown
+    # the fiber terms are homogeneous: those of s u are those of u times s to
+    # each term's power, so the unnormalized directions give the lambda_tilde
+    # of the normalized ones u/|u|
+    d = preset_data
+    powers = {"a": d.p, "b": d.q, "c": d.p_lower_star, "d": 1.0 - d.kappa, "e": d.q1}
     expected = np.inf
     for u in sample_directions(mesh16, 20, 3):
-        nrm = norm_custom(mesh16, preset_data, u)
-        ft = fiber_terms(mesh16, preset_data, u / nrm)
-        scaled = fiber_terms(mesh16, preset_data, u).scaled(1.0 / nrm)
-        for name in "abcde":
-            assert getattr(scaled, name) == pytest.approx(getattr(ft, name), rel=1e-12)
+        s = 1.0 / norm_custom(mesh16, d, u)
+        ft = fiber_terms(mesh16, d, s * u)
+        base = fiber_terms(mesh16, d, u)
+        for name, r in powers.items():
+            assert getattr(ft, name) == pytest.approx(getattr(base, name) * s**r, rel=1e-12)
         expected = min(expected, t_tilde_circ(ft)[1] / ft.e)
     got = estimate_lambda_tilde(mesh16, preset_data, 20, seed=3)
     assert got == pytest.approx(expected, rel=1e-12)
