@@ -34,6 +34,7 @@ __all__ = [
     "fiber_terms",
     "psi",
     "psi_derivatives",
+    "psi_magnitude",
     "eta",
     "eta_prime",
     "eta_tilde",
@@ -110,6 +111,13 @@ def psi(ft: FiberTerms, lam: float, t: float) -> float:
     if t < 0:
         raise ValueError("fiber parameter t must be >= 0")
     return power_value(_psi_terms(ft, lam), t) if t > 0 else 0.0
+
+
+def psi_magnitude(ft: FiberTerms, lam: float, t: float) -> float:
+    """Sum of the unsigned terms of psi(t), a/p + b/q + c/p_* + d/(1-kappa)
+    + lam e/q1 of t u: the scale of psi's rounding error, which cancellation
+    can make far larger than |psi(t)|."""
+    return power_value([(abs(c), r) for c, r in _psi_terms(ft, lam)], t)
 
 
 def psi_derivatives(ft: FiberTerms, lam: float, t: float) -> tuple[float, float, float]:

@@ -31,12 +31,13 @@ def critical_exponents(p: float, N: float) -> tuple[float, float]:
     """Return (p_star, p_lower_star) = (N p/(N-p), (N-1) p/(N-p)).
 
     Rejects p <= 1 and p >= N, where the exponents are undefined or the
-    standing hypotheses fail.
+    standing hypotheses fail; the message carries the H(i) tag of the clause
+    1 < p < N, which ``validate_hypotheses`` therefore never sees violated.
     """
     if not p > 1:
-        raise ValueError(f"need p > 1, got p={p}")
+        raise ValueError(f"H(i): need p > 1, got p={p}")
     if not p < N:
-        raise ValueError(f"need p < N, got p={p}, N={N}")
+        raise ValueError(f"H(i): need p < N, got p={p}, N={N}")
     return N * p / (N - p), (N - 1) * p / (N - p)
 
 
@@ -97,7 +98,9 @@ def _sample_points(mesh: Mesh):
 def validate_hypotheses(data: ProblemData, mesh: Mesh) -> ValidationReport:
     """Check every clause of the standing hypotheses.
 
-    Exponent inequalities are checked exactly; the pointwise coefficient
+    The clause 1 < p < N is checked when ``data`` is built (see
+    ``critical_exponents``); the other exponent inequalities are checked
+    exactly here; the pointwise coefficient
     conditions are checked at the mesh's quadrature points (nodes plus
     triangle centroids, and the boundary nodes for beta), which is all the
     discrete functional ever evaluates.  Returns a report listing every
@@ -110,8 +113,6 @@ def validate_hypotheses(data: ProblemData, mesh: Mesh) -> ValidationReport:
 
     (xi, yi), (bx, by) = _sample_points(mesh)
 
-    if not (1 < data.p < DIM):
-        flag("H(i)", f"need 1 < p < N, got p={data.p}, N={DIM}")
     if not (data.p < data.q < data.p_star):
         flag("H(i)", f"need p < q < p_star={data.p_star}, got q={data.q}")
     mu_vals = np.asarray(data.mu(xi, yi), dtype=float)

@@ -3,12 +3,14 @@
 Each iterate is a nonnegative direction w, scaled onto the requested branch
 by its own fiber root (t1 for Plus, t2 for Minus); no direction is
 normalized, because the roots are scale-covariant.  From the projected
-point u a line-searched step is taken along the H^1 (Sobolev) gradient
-d = (K + c M)^-1 g of the nodal energy gradient g, with K the P1 stiffness,
-M the mass and c = 10/|Omega| (``mesh.riesz_map``).  The Euclidean gradient's
-conditioning degrades like h^-2; the H^1 gradient's does not, so the
-iteration count does not grow with the mesh.  The step length is
-Barzilai-Borwein in the same metric, and each trial point
+point u a line-searched step is taken along d = H g, the L-BFGS direction
+of the nodal energy gradient g in the H^1 (Sobolev) metric P = K + c M,
+with K the P1 stiffness, M the mass and c = 10/|Omega|: the two-loop
+recursion over the last 10 pairs of projected points and their gradients,
+with H_0 = gamma P^-1 (``mesh.riesz_map``).  The Euclidean gradient's
+conditioning degrades like h^-2; the H^1 gradient P^-1 g's does not, so the
+iteration count does not grow with the mesh, and the pairs add the
+curvature P misses.  The line search tries sigma = 1 first, and each trial point
 max(u - sigma d, u/2) keeps at least half of every nodal value, so the
 smooth direction cannot drive a node into the singular term's spike near 0.
 The projection keeps iterates exactly on the manifold, where the energy is
@@ -18,6 +20,7 @@ deterministic seeds guards against missing the branch minimum.
 """
 from __future__ import annotations
 
+import collections
 import enum
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -32,6 +35,7 @@ from .fibering import (
     fiber_roots,
     fiber_terms,
     psi,
+    psi_magnitude,
 )
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
@@ -81,6 +85,7 @@ STEP_CLIP = 0.5     # a trial step keeps at least this fraction of every nodal v
 ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 BACKTRACK = 0.5     # step shrink factor per rejected trial
 MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
+LBFGS_PAIRS = 10    # curvature pairs (s, y) the quasi-Newton direction remembers
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,7 @@ class _Projected:
     u: np.ndarray
     energy: float
     t_circ: float  # fiber maximizer of u itself
+    magnitude: float  # the energy's terms summed unsigned (``psi_magnitude``)
 
 
 def _project(
@@ -164,7 +170,59 @@ def _project(
             f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
         )
     t = roots.t1 if branch is Branch.PLUS else roots.t2
-    return _Projected(u=t * w, energy=psi(ft, lam, t), t_circ=roots.t_circ / t)
+    return _Projected(
+        u=t * w, energy=psi(ft, lam, t), t_circ=roots.t_circ / t, magnitude=psi_magnitude(ft, lam, t)
+    )
+
+
+class _LBFGS:
+    """The L-BFGS direction in the metric P = K + c M (Nocedal & Wright,
+    *Numerical Optimization*, 2006, Alg. 7.4): the last ``LBFGS_PAIRS``
+    pairs s = u_k - u_{k-1} of projected points and y = g_k - g_{k-1} of
+    their gradients, with H_0 = gamma P^-1 and gamma = s.y / (y.P^-1 y) of
+    the newest pair.  The projection is the retraction of Riemannian BFGS
+    (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015).
+    """
+
+    def __init__(self, riesz):
+        self.riesz = riesz
+        self.pairs = collections.deque(maxlen=LBFGS_PAIRS)  # (s, y, 1/s.y), oldest first
+        self.gamma = 1.0
+
+    def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
+        """Remember the pair (s, y), py = P^-1 y, unless s.y <= 0: only
+        positive curvature keeps H positive definite."""
+        sy = float(s @ y)
+        if sy > 0.0:
+            self.pairs.append((s, y, 1.0 / sy))
+            self.gamma = sy / float(y @ py)
+
+    def apply(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
+        """H g by the two-loop recursion; pg = P^-1 g, which is H g with no pairs."""
+        if not self.pairs:
+            return pg
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(self.pairs):
+            alpha = rho * float(s @ q)
+            q -= alpha * y
+            alphas.append(alpha)
+        r = self.gamma * self.riesz(q)
+        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
+            r += (alpha - rho * float(y @ r)) * s
+        return r
+
+    def descent(self, u: np.ndarray, g: np.ndarray, pg: np.ndarray) -> tuple[np.ndarray, float]:
+        """The direction d = H g at u and its slope g.d over the free nodes
+        (u > 0 or d < 0; a node at 0 cannot move down).  When that slope is
+        not positive the pairs are dropped and d = P^-1 g."""
+        d = self.apply(g, pg)
+        free = (u > 0.0) | (d < 0.0)
+        gd = float(g[free] @ d[free])
+        if gd <= 0.0 and self.pairs:
+            self.pairs.clear()
+            return self.descent(u, g, pg)
+        return d, gd
 
 
 def minimize_on_branch(
@@ -175,7 +233,7 @@ def minimize_on_branch(
     init,
     opts: Optional[SolverOptions] = None,
 ) -> SolveResult:
-    """Fiber-projected H^1 gradient descent from ``init`` on one branch.
+    """Fiber-projected L-BFGS descent in the H^1 metric from ``init`` on one branch.
 
     Stops when the projected energy fails to decrease (relative energy_tol)
     for ``stall`` iterations, or early when the normalized gradient already
@@ -199,7 +257,8 @@ def minimize_on_branch(
     best = proj
     best_resid = np.inf
     stall = 0
-    prev_u = prev_g = prev_d = None
+    memory = _LBFGS(riesz)
+    prev_u = prev_g = prev_pg = None
     iterations = 0
     reason = StopReason.MAX_ITER
 
@@ -215,28 +274,22 @@ def minimize_on_branch(
         resid_progress = resid < best_resid * (1.0 - 1e-3)
         if resid < best_resid:
             best_resid = resid
-        d = riesz(g)
-        free = (proj.u > 0.0) | (d < 0.0)
-        gd = float(g[free] @ d[free])
+        pg = riesz(g)
+        if prev_u is not None:
+            memory.push(proj.u - prev_u, g - prev_g, pg - prev_pg)
+        prev_u, prev_g, prev_pg = proj.u, g, pg
+        d, gd = memory.descent(proj.u, g, pg)
         if gd <= 0.0:
             reason = StopReason.ZERO_GRADIENT
             break
 
-        # Barzilai-Borwein step in the metric of P: s.y / (y.P^-1 y), where
-        # P^-1 y is d - d_prev, so it costs no second transform
-        sigma = 1.0
-        if prev_u is not None:
-            y = g - prev_g
-            denom = float(y @ (d - prev_d))
-            if denom > 0.0:
-                sigma = abs(float((proj.u - prev_u) @ y)) / denom
-        sigma = min(max(sigma, 1e-14), 1e10)
-        prev_u, prev_g, prev_d = proj.u, g, d
-
         # near the minimum the Armijo decrease drops below the energy's
         # floating-point resolution; the slack keeps the tail iterations
-        # contracting the gradient instead of aborting the line search
-        slack = 8.0 * np.finfo(float).eps * max(1.0, abs(proj.energy))
+        # contracting the gradient instead of aborting the line search.  It
+        # scales with the energy's terms, not with |E|, which cancellation
+        # can make far smaller than the terms' rounding
+        slack = 8.0 * np.finfo(float).eps * max(1.0, proj.magnitude)
+        sigma = 1.0
         accepted = None
         for _ in range(MAX_BACKTRACKS + 1):
             # a smooth H^1 step cannot lift a node the singular term pins near

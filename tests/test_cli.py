@@ -93,6 +93,19 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("frobnicate", Config(p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=0.1)) == 2
 
 
+@pytest.mark.parametrize("p", ["2", "1"])
+def test_p_outside_one_to_n_is_tagged_h_i(tmp_path, capsys, p):
+    # 1 < p < N is checked when the problem is built, before any report
+    # exists: validate still names the clause, and solve exits 2 with no output
+    cfg = write(tmp_path, SMALL_SOLVE.replace("p = 1.5", f"p = {p}").replace("q = 1.8", "q = 2.5"))
+    assert main(["validate", "-c", cfg]) == 1
+    assert "H(i): need p" in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["solve", "-c", cfg, "-o", str(out_dir)]) == 2
+    assert "H(i)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_inadmissible_q1_fails_closed(tmp_path, capsys, command):
     # q1 = 2.5 lies below p_* = 3: exit 2 naming the clause, not a traceback

@@ -16,7 +16,7 @@ from doublephase import (
     t_tilde_circ,
     xi,
 )
-from doublephase.fibering import ROOT_TOL, FiberTerms, eta_prime
+from doublephase.fibering import ROOT_TOL, FiberTerms, eta_prime, psi_magnitude
 
 from conftest import oracle_bisect, oracle_breakdown, rng
 
@@ -74,6 +74,14 @@ def test_psi_prime_at_one_is_nehari_defect():
         lam = r.uniform(0.05, 5.0)
         _, d1, _ = psi_derivatives(ft, lam, 1.0)
         assert d1 == pytest.approx(ft.a + ft.b + ft.c - ft.d - lam * ft.e, rel=1e-13)
+
+
+def test_psi_magnitude_sums_the_terms_unsigned():
+    # psi(t) = a t^p/p + b t^q/q + c t^p_*/p_* - d t^(1-kappa)/(1-kappa) - lam e t^q1/q1
+    ft, lam, t = make_ft(1.0, 2.0, 3.0, 4.0, 5.0), 0.5, 1.3
+    expected = t**1.5 / 1.5 + 2.0 * t**1.8 / 1.8 + 3.0 * t**3 / 3.0 + 4.0 * t**0.5 / 0.5 + 0.5 * 5.0 * t**4 / 4.0
+    assert psi_magnitude(ft, lam, t) == pytest.approx(expected, rel=1e-14)
+    assert psi_magnitude(ft, lam, t) > abs(psi(ft, lam, t))
 
 
 def test_psi_zero_convention_and_negative_t():

@@ -16,6 +16,7 @@ from doublephase import (
     weak_residual,
 )
 from doublephase import solver
+from doublephase.mesh import riesz_map
 from doublephase.solver import _project, multistart_directions
 from doublephase.space import lebesgue_norm, sample_fields
 
@@ -264,3 +265,82 @@ def test_branch_energy_converges_at_second_order(preset_data, branch):
         energies.append(res.energy)
     ratio = (energies[1] - energies[0]) / (energies[2] - energies[1])
     assert 3.0 <= ratio <= 5.0, energies
+
+
+def test_descent_iteration_budget(preset_data):
+    # L-BFGS in the H^1 metric: the 12 starts of the 16x16 preset at seed 0
+    # take at most 915 iterations, 1.5x fewer than the Barzilai-Borwein
+    # step's 1373
+    results = _all_starts(16, preset_data)
+    assert all(res.converged for res in results)
+    assert sum(res.iterations for res in results) <= 915
+
+
+def test_armijo_slack_scales_with_the_energy_terms():
+    # the minus energy here, 1.05, is a cancelling sum of terms of size
+    # 24-54, so a slack relative to |E| lies below the rounding of the
+    # trial energies and the line search gives up short of the tolerance
+    from doublephase import ProblemData
+
+    data = ProblemData(p=1.4, q=1.7, kappa=0.3, q1=3.5, lam=0.4, mu="x*y", alpha="1", beta="1", zeta="1")
+    mesh = build_rect_mesh(8, 8, rect=(0.0, 0.0, 4.0, 4.0))
+    for name, w in multistart_directions(mesh, seed=0):
+        res = minimize_on_branch(mesh, data, 0.4, Branch.MINUS, w)
+        assert res.stop_reason is StopReason.RESIDUAL_TOL, name
+        assert res.converged, name
+
+
+def _memory(mesh, pairs=()):
+    riesz = riesz_map(mesh, solver.RIESZ_SHIFT / mesh.area)
+    memory = solver._LBFGS(riesz)
+    for s, y in pairs:
+        memory.push(s, y, riesz(y))
+    return memory, riesz
+
+
+def test_lbfgs_direction_meets_the_secant_identity(mesh4):
+    # H y = s for the newest pair, whatever the older pairs and H_0
+    r = rng(41)
+    m = mesh4.num_nodes
+    pairs = []
+    for _ in range(3):
+        s = r.standard_normal(m)
+        pairs.append((s, s + 0.3 * r.standard_normal(m)))
+    memory, riesz = _memory(mesh4, pairs)
+    assert len(memory.pairs) == 3
+    s, y = pairs[-1]
+    np.testing.assert_allclose(memory.apply(y, riesz(y)), s, rtol=0, atol=1e-10 * np.linalg.norm(s))
+
+
+def test_lbfgs_without_pairs_is_the_h1_gradient(mesh4):
+    g = rng(42).standard_normal(mesh4.num_nodes)
+    memory, riesz = _memory(mesh4)
+    d, gd = memory.descent(np.ones(mesh4.num_nodes), g, riesz(g))
+    np.testing.assert_array_equal(d, riesz(g))
+    assert gd == pytest.approx(g @ riesz(g), rel=1e-14)
+
+
+def test_lbfgs_skips_negative_curvature_pairs(mesh4):
+    s = rng(43).standard_normal(mesh4.num_nodes)
+    memory, _ = _memory(mesh4, [(s, -s), (s, np.zeros_like(s))])
+    assert not memory.pairs
+    assert memory.gamma == 1.0
+
+
+def test_lbfgs_falls_back_to_the_h1_gradient(mesh4):
+    # a pair whose stored P^-1 y has the wrong sign makes gamma negative; along
+    # a g with s.g = 0 the two-loop direction then ascends, so the memory is
+    # dropped and the descent steps along P^-1 g
+    r = rng(44)
+    m = mesh4.num_nodes
+    s = r.standard_normal(m)
+    y = s + 0.3 * r.standard_normal(m)
+    memory, riesz = _memory(mesh4)
+    memory.push(s, y, -riesz(y))
+    g = r.standard_normal(m)
+    g -= (s @ g) / (s @ s) * s
+    assert g @ memory.apply(g, riesz(g)) < 0.0
+    d, gd = memory.descent(np.ones(m), g, riesz(g))
+    assert not memory.pairs
+    np.testing.assert_array_equal(d, riesz(g))
+    assert gd > 0.0
