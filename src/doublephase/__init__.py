@@ -47,6 +47,7 @@ from .solver import (
     SolverOptions,
     StopReason,
     minimize_on_branch,
+    solve_branch,
     solve_two,
 )
 from .sweep import (

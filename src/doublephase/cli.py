@@ -4,7 +4,8 @@ Config files are ``key = value`` lines; ``#`` starts a comment and dotted
 keys form sections.  Unknown keys are hard errors.  Exit status: 0 on
 success / all-pass, 1 on validation or property failure (and a failed
 solve), 2 on usage or config error, including a ``solve``/``sweep`` config
-that violates a hypothesis clause and a scalar root that cannot be found.
+that violates a hypothesis clause, a scalar root that cannot be found and a
+numerical overflow.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .fibering import eta, eta_tilde, fiber_terms, psi_derivatives, t_circ, t_ti
 from .mesh import build_rect_mesh
 from .problem import ProblemData, validate_hypotheses
 from .props import run_property_suites
-from .rootfind import BracketError
 from .solver import NoRootError, SolverOptions, solve_two
 from .space import norm_circ, norm_custom, norm_1p, norm_star, sample_fields
 from .sweep import (
@@ -441,8 +441,10 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
         # unusable configuration (degenerate rectangle, invalid exponents, ...)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, NoRootError) as exc:
-        print(f"scalar root finding failed: {exc}", file=sys.stderr)
+    except (ArithmeticError, NoRootError) as exc:
+        # a scalar root that cannot be found (BracketError), or an overflow
+        # or failed consistency check at extreme admissible exponents
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 
 

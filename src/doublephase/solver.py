@@ -53,6 +53,7 @@ __all__ = [
     "StopReason",
     "minimize_on_branch",
     "multistart_directions",
+    "solve_branch",
     "solve_two",
 ]
 
@@ -367,39 +368,40 @@ def multistart_directions(mesh: Mesh, seed: int = 0) -> list:
     return starts + perturbed
 
 
+def solve_branch(
+    mesh: Mesh, data: ProblemData, lam: float, branch: Branch, opts: Optional[SolverOptions] = None
+) -> tuple[list, tuple]:
+    """Descend on one branch from every start of ``multistart_directions``.
+
+    Returns (results, failures): the ``SolveResult``s in start order, each
+    with ``start`` set to its start's name, and one ``"name: reason"`` entry
+    per start along which the branch is unreachable (NoRootError).
+    """
+    if opts is None:
+        opts = SolverOptions()
+    results, failures = [], []
+    for name, w in multistart_directions(mesh, opts.seed):
+        try:
+            res = minimize_on_branch(mesh, data, lam, branch, w, opts)
+        except NoRootError as exc:
+            failures.append(f"{name}: {exc}")
+            continue
+        results.append(replace(res, start=name))
+    return results, tuple(failures)
+
+
 def solve_two(
     mesh: Mesh, data: ProblemData, lam: float, opts: Optional[SolverOptions] = None
 ) -> SolveReport:
     """Best Plus and best Minus results over the multi-start set.
 
-    Branch failures (NoRoot along every start) are reported, not fatal;
-    results are merged deterministically by (converged, energy, start index).
+    Branch failures (NoRoot along every start) are reported, not fatal; each
+    branch keeps its first result in start order that is minimal under
+    (not converged, energy).
     """
-    if opts is None:
-        opts = SolverOptions()
-    starts = multistart_directions(mesh, opts.seed)
-    picked = {}
-    failures = {}
+    best, failures = [], []
     for branch in (Branch.PLUS, Branch.MINUS):
-        results = []
-        fails = []
-        for idx, (name, w) in enumerate(starts):
-            try:
-                res = minimize_on_branch(mesh, data, lam, branch, w, opts)
-            except NoRootError as exc:
-                fails.append(f"{name}: {exc}")
-                continue
-            results.append((idx, replace(res, start=name)))
-        if results:
-            results.sort(key=lambda pair: (not pair[1].converged, pair[1].energy, pair[0]))
-            picked[branch] = results[0][1]
-        else:
-            picked[branch] = None
-        failures[branch] = tuple(fails)
-    return SolveReport(
-        lam=lam,
-        plus=picked[Branch.PLUS],
-        minus=picked[Branch.MINUS],
-        plus_failures=failures[Branch.PLUS],
-        minus_failures=failures[Branch.MINUS],
-    )
+        results, fails = solve_branch(mesh, data, lam, branch, opts)
+        best.append(min(results, key=lambda r: (not r.converged, r.energy), default=None))
+        failures.append(fails)
+    return SolveReport(lam, *best, *failures)

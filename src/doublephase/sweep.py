@@ -23,7 +23,9 @@ from .energy import gradient_flux
 from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
 from .mesh import Mesh
 from .problem import ProblemData
-from .solver import Branch, NoRootError, SolverOptions, minimize_on_branch, multistart_directions
+from .solver import Branch, SolverOptions, multistart_directions, solve_branch
+# unused here, but the benchmark's tracer wraps ``sweep.minimize_on_branch`` by name
+from .solver import minimize_on_branch  # noqa: F401
 from .space import FieldSamples, lebesgue_norm, modular_breakdown, sample_fields
 
 __all__ = [
@@ -191,24 +193,21 @@ def check_nzero_empty(
 
 
 def _minus_branch_positive(mesh, data, lam, opts) -> bool:
-    """True when the best converged Minus-branch multi-start energy is > 0;
-    False when the branch is unreachable from every start; undetermined when
-    the solver fails to converge."""
-    best = None
-    all_noroot = True
-    for name, w in multistart_directions(mesh, opts.seed):
-        try:
-            res = minimize_on_branch(mesh, data, lam, Branch.MINUS, w, opts)
-        except NoRootError:
-            continue
-        all_noroot = False
-        if not res.converged:
-            raise SweepUndetermined(lam, f"minus branch did not converge from start {name!r}")
-        if best is None or res.energy < best:
-            best = res.energy
-    if all_noroot:
+    """Whether the Minus-branch minimum at ``lam`` is positive, over the
+    starts of ``solve_branch``:
+
+    - no start reaches the branch: False;
+    - some start did not converge: SweepUndetermined, naming the first such
+      start in start order;
+    - otherwise: whether the lowest energy is > 0.
+    """
+    results, _ = solve_branch(mesh, data, lam, Branch.MINUS, opts)
+    if not results:
         return False
-    return best > 0.0
+    for res in results:
+        if not res.converged:
+            raise SweepUndetermined(lam, f"minus branch did not converge from start {res.start!r}")
+    return min(res.energy for res in results) > 0.0
 
 
 def estimate_lambda_star(

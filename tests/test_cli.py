@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +162,39 @@ def test_root_finding_failure_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_two", failing_solve)
     assert main(["solve", "-c", write(tmp_path, SMALL_SOLVE), "-o", str(tmp_path / "out")]) == 2
     assert "no sign change" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,params,error",
+    [
+        # a power sum overflows in the fiber map eta during the descent
+        ("solve", {"p": "1.9", "q": "2.0", "q1": "30", "lambda": "100"}, "OverflowError"),
+        # eta_tilde's maximum near 1e215 fails the closed-form consistency check
+        ("sweep", {"p": "1.99", "q": "2.5", "q1": "300", "lambda": "0.1"}, "eta_tilde maximum mismatch"),
+    ],
+)
+def test_numerical_overflow_exits_2(tmp_path, command, params, error):
+    # admissible extreme exponents: exit 2 with a one-line message, not a
+    # traceback.  A subprocess sees stderr as a user does; in-process,
+    # numpy's overflow warning would be raised as a test error first
+    import doublephase
+
+    lines = [line for line in SMALL_SOLVE.splitlines() if line.split("=")[0].strip() not in params]
+    path = write(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in params.items()]) + "\n")
+    assert main(["validate", "-c", path]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(doublephase.__file__)))
+    out_dir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "doublephase", command, "-c", path, "-o", str(out_dir)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("numerical failure") and error in last
+    assert not out_dir.exists()
 
 
 def test_bad_function_expression_exits_2(tmp_path):

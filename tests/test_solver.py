@@ -12,6 +12,7 @@ from doublephase import (
     fiber_terms,
     minimize_on_branch,
     norm_1p,
+    solve_branch,
     solve_two,
     weak_residual,
 )
@@ -180,16 +181,47 @@ def test_multistart_set_is_deterministic(mesh4):
     assert not np.array_equal(a[3][1], c[3][1])
 
 
-def test_solve_two_signs_and_best_of(mesh4, preset_data):
+def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
+    names = [name for name, _ in multistart_directions(mesh4, seed=0)]
+    for branch in (Branch.PLUS, Branch.MINUS):
+        results, failures = solve_branch(mesh4, preset_data, LAM, branch)
+        assert failures == ()
+        assert [res.start for res in results] == names
+        assert all(res.branch == branch.value for res in results)
+        first = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes))
+        assert np.array_equal(results[0].u, first.u)
+
+
+def test_solve_branch_names_unreachable_starts(mesh4, preset_data):
+    # at lambda = 100 some minus starts reach the branch and the others do not
+    results, failures = solve_branch(mesh4, preset_data, 100.0, Branch.MINUS)
+    assert results and failures
+    assert all("minus branch unreachable" in entry for entry in failures)
+    failed = [entry.split(": ", 1)[0] for entry in failures]
+    names = [name for name, _ in multistart_directions(mesh4, seed=0)]
+    assert failed == [name for name in names if name in failed]
+    assert [res.start for res in results] == [name for name in names if name not in failed]
+
+
+def test_solve_two_signs_and_best_of(monkeypatch, mesh4, preset_data):
+    seen = {}
+
+    def recording(mesh, data, lam, branch, opts=None):
+        results, failures = solve_branch(mesh, data, lam, branch, opts)
+        seen[branch] = results
+        return results, failures
+
+    monkeypatch.setattr(solver, "solve_branch", recording)
     report = solve_two(mesh4, preset_data, LAM)
     assert report.sign_ok
     assert report.plus.energy < 0 < report.minus.energy
     assert report.plus.u.min() > 0 and report.minus.u.min() > 0
-    # best-of: no individual start beats the merged result
-    for _, w in multistart_directions(mesh4, seed=0):
-        res = minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, w)
-        if res.converged:
-            assert report.plus.energy <= res.energy + 1e-12
+    # best-of: no start beats the merged result, which is the first of the
+    # lowest-energy converged starts
+    for branch, picked in ((Branch.PLUS, report.plus), (Branch.MINUS, report.minus)):
+        converged = [res for res in seen[branch] if res.converged]
+        best = min(res.energy for res in converged)
+        assert picked is next(res for res in converged if res.energy == best)
 
 
 def test_solve_two_reports_minus_failures_at_large_lambda(mesh4, preset_data):
