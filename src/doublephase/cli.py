@@ -10,6 +10,8 @@ numerical overflow.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import math
 import os
@@ -67,17 +69,7 @@ class Config:
     sweep_seed: int = 0
 
     def problem(self) -> ProblemData:
-        return ProblemData(
-            p=self.p,
-            q=self.q,
-            kappa=self.kappa,
-            q1=self.q1,
-            lam=self.lam,
-            mu=self.mu,
-            alpha=self.alpha,
-            beta=self.beta,
-            zeta=self.zeta,
-        )
+        return ProblemData(**{f.name: getattr(self, f.name) for f in dataclasses.fields(ProblemData) if f.init})
 
     def build_mesh(self):
         return build_rect_mesh(self.nx, self.ny, self.rect)
@@ -134,45 +126,40 @@ def _parse_float_list(key, value, count=None):
     return vals
 
 
-REQUIRED_KEYS = ("p", "q", "kappa", "q1", "lambda")
+_NONNEG_INT = _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE_INT = _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1")
 
-_KEY_PARSERS = {
-    "p": _parse_float,
-    "q": _parse_float,
-    "kappa": _parse_float,
-    "q1": _parse_float,
-    "lambda": _parse_float,
-    "mu": _parse_expr_value,
-    "alpha": _parse_expr_value,
-    "beta": _parse_expr_value,
-    "zeta": _parse_expr_value,
-    "mesh.nx": _parse_int,
-    "mesh.ny": _parse_int,
-    "rect": lambda k, v: _parse_float_list(k, v, 4),
-    "solver.energy_tol": _bounded(_parse_float, lambda v: v >= 0, "a number >= 0"),
-    "solver.stall": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
-    "solver.max_iter": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
-    "solver.residual_tol": _bounded(_parse_float, lambda v: v > 0, "a number > 0"),
-    "solver.seed": _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0"),
-    "sweep.samples": _bounded(_parse_int, lambda v: v >= 1, "an integer >= 1"),
-    "sweep.lambda_grid": _bounded(
-        _parse_float_list,
-        lambda g: bool(g) and g[0] > 0 and all(b > a for a, b in zip(g, g[1:])),
-        "positive, strictly ascending numbers",
+# config key -> (the field it sets, its parser).  A "solver.*" key sets the
+# SolverOptions field of that name, every other key the Config field; a key
+# is required when its Config field has no default
+_KEYS = {
+    "p": ("p", _parse_float),
+    "q": ("q", _parse_float),
+    "kappa": ("kappa", _parse_float),
+    "q1": ("q1", _parse_float),
+    "lambda": ("lam", _parse_float),
+    "mu": ("mu", _parse_expr_value),
+    "alpha": ("alpha", _parse_expr_value),
+    "beta": ("beta", _parse_expr_value),
+    "zeta": ("zeta", _parse_expr_value),
+    "mesh.nx": ("nx", _parse_int),
+    "mesh.ny": ("ny", _parse_int),
+    "rect": ("rect", lambda k, v: _parse_float_list(k, v, 4)),
+    "solver.energy_tol": ("energy_tol", _bounded(_parse_float, lambda v: v >= 0, "a number >= 0")),
+    "solver.stall": ("stall", _POSITIVE_INT),
+    "solver.max_iter": ("max_iter", _POSITIVE_INT),
+    "solver.residual_tol": ("residual_tol", _bounded(_parse_float, lambda v: v > 0, "a number > 0")),
+    "solver.seed": ("seed", _NONNEG_INT),
+    "sweep.samples": ("sweep_samples", _POSITIVE_INT),
+    "sweep.lambda_grid": (
+        "lambda_grid",
+        _bounded(
+            _parse_float_list,
+            lambda g: bool(g) and g[0] > 0 and all(b > a for a, b in zip(g, g[1:])),
+            "positive, strictly ascending numbers",
+        ),
     ),
-    "sweep.seed": _bounded(_parse_int, lambda v: v >= 0, "an integer >= 0"),
-}
-
-# the Config field of each key whose name differs from it; a "solver.*" key
-# sets the SolverOptions field named by its suffix, every other key the
-# Config field of its own name
-_CONFIG_FIELDS = {
-    "lambda": "lam",
-    "mesh.nx": "nx",
-    "mesh.ny": "ny",
-    "sweep.samples": "sweep_samples",
-    "sweep.lambda_grid": "lambda_grid",
-    "sweep.seed": "sweep_seed",
+    "sweep.seed": ("sweep_seed", _NONNEG_INT),
 }
 
 
@@ -195,18 +182,23 @@ def load_config(path: str) -> Config:
         key, value = stripped.split("=", 1)
         key = key.strip()
         value = _strip_quotes(value.strip())
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = _KEY_PARSERS[key](key, value)
+        raw[key] = _KEYS[key][1](key, value)
 
-    missing = [k for k in REQUIRED_KEYS if k not in raw]
+    required = {
+        f.name
+        for f in dataclasses.fields(Config)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    missing = [k for k, (name, _) in _KEYS.items() if name in required and k not in raw]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
-    solver = {k[len("solver."):]: v for k, v in raw.items() if k.startswith("solver.")}
-    settings = {_CONFIG_FIELDS.get(k, k): v for k, v in raw.items() if not k.startswith("solver.")}
+    solver = {_KEYS[k][0]: v for k, v in raw.items() if k.startswith("solver.")}
+    settings = {_KEYS[k][0]: v for k, v in raw.items() if not k.startswith("solver.")}
     return Config(solver=SolverOptions(**solver), **settings)
 
 
@@ -227,26 +219,9 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _nehari_dict(nc):
-    return {"kind": nc.kind.value, "dpsi1": nc.dpsi1, "ddpsi1": nc.ddpsi1, "tol": nc.tol}
-
-
-def _result_dict(res):
-    if res is None:
-        return None
-    return {
-        "energy": res.energy,
-        "nehari": _nehari_dict(res.nehari),
-        "residual": None
-        if res.residual is None
-        else {"residual_norm": res.residual.residual_norm, "term_max": res.residual.term_max},
-        "iterations": res.iterations,
-        "floor_activations": res.floor_activations,
-        "converged": res.converged,
-        "stop_reason": res.stop_reason.value,
-        "branch": res.branch,
-        "start": res.start,
-    }
+def _report_dict(pairs):
+    """``asdict`` factory of the solve report: enums by value, no nodal arrays."""
+    return {k: v.value if isinstance(v, enum.Enum) else v for k, v in pairs if k != "u"}
 
 
 def _solution_rows(mesh, u):
@@ -328,35 +303,14 @@ def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
     data, mesh = _admissible(config)
     report = solve_two(mesh, data, config.lam, config.solver)
     os.makedirs(out_dir, exist_ok=True)
-    if report.plus is not None:
-        _write_csv(
-            os.path.join(out_dir, "solution_plus.csv"),
-            "node,x,y,value",
-            _solution_rows(mesh, report.plus.u),
-        )
-    if report.minus is not None:
-        _write_csv(
-            os.path.join(out_dir, "solution_minus.csv"),
-            "node,x,y,value",
-            _solution_rows(mesh, report.minus.u),
-        )
-    payload = {
-        "lam": report.lam,
-        "plus": _result_dict(report.plus),
-        "minus": _result_dict(report.minus),
-        "plus_failures": list(report.plus_failures),
-        "minus_failures": list(report.minus_failures),
-        "sign_ok": report.sign_ok,
-    }
+    payload = dict(asdict(report, dict_factory=_report_dict), sign_ok=report.sign_ok)
     _write_json(os.path.join(out_dir, "solve_report.json"), payload)
     for name, res in (("plus", report.plus), ("minus", report.minus)):
         if res is None:
             print(f"{name}: no result (all starts failed)")
-        else:
-            print(
-                f"{name}: energy={_fmt(res.energy)} converged={res.converged} "
-                f"iterations={res.iterations}"
-            )
+            continue
+        _write_csv(os.path.join(out_dir, f"solution_{name}.csv"), "node,x,y,value", _solution_rows(mesh, res.u))
+        print(f"{name}: energy={_fmt(res.energy)} converged={res.converged} iterations={res.iterations}")
     return 0 if report.sign_ok else 1
 
 
@@ -409,12 +363,10 @@ def _cmd_props(config: Config, out_dir: str, function: str) -> int:
     data = config.problem()
     mesh = config.build_mesh()
     results = run_property_suites(mesh, data, seed=config.solver.seed)
-    any_failed = False
     for res in results:
         status = "pass" if res.ok else "FAIL"
         print(f"{res.name}: {status} ({res.checked - res.failed}/{res.checked}, worst={res.worst:.3e})")
-        any_failed = any_failed or not res.ok
-    return 1 if any_failed else 0
+    return 0 if all(res.ok for res in results) else 1
 
 
 _COMMANDS = {
@@ -433,7 +385,10 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
         print(f"unknown command {command!r}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[command](config, out_dir, function)
+        # a numpy overflow or invalid value raises (FloatingPointError) instead
+        # of warning, so it ends as the one-line numerical failure below
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[command](config, out_dir, function)
     except (ExprParseError, ExprEvalError) as exc:
         print(f"function expression error: {exc}", file=sys.stderr)
         return 2
@@ -443,7 +398,8 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
         return 2
     except (ArithmeticError, NoRootError) as exc:
         # a scalar root that cannot be found (BracketError), or an overflow
-        # or failed consistency check at extreme admissible exponents
+        # (OverflowError, FloatingPointError) or failed consistency check at
+        # extreme admissible exponents
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 

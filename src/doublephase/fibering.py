@@ -247,7 +247,8 @@ def fiber_roots(
     its monotone piece, (0, t_circ] (eta increasing) or [t_circ, inf).
     ``start`` warm-starts the roots (ignored on the wrong side of t_circ),
     ``tc_start`` warm-starts t_circ; ``only`` = "t1" or "t2" locates just
-    that root and leaves the other None.
+    that root and leaves the other None.  Raises OverflowError when
+    eta(t_circ) or lam*e is not finite.
     """
     if ft.e <= 0:
         raise ValueError("fiber_roots needs e > 0")
@@ -256,6 +257,8 @@ def fiber_roots(
     tc = t_circ(ft, start=tc_start)
     eta_max = eta(ft, tc)
     le = lam * ft.e
+    if not (math.isfinite(eta_max) and math.isfinite(le)):
+        raise OverflowError(f"fiber_roots: eta(t_circ)={eta_max!r}, lam*e={le!r} not finite")
     if abs(eta_max - le) <= TANGENT_TOL * max(abs(le), abs(eta_max)):
         return FiberRoots("tangent", None, None, tc, eta_max, le)
     if eta_max < le:

@@ -1,9 +1,10 @@
 """Built-in property suites for the `props` CLI command.
 
-Each suite draws seeded random functions and counts violations of the
-model's structural relations (modular-norm relations, the equivalent-norm
-sandwich, operator monotonicity, fiber identities unders random scalings,
-and a finite-difference gradient check).
+Each suite draws seeded random functions and yields one violation size per
+check, 0 when it holds, of the model's structural relations (modular-norm
+relations, the equivalent-norm sandwich, operator monotonicity, fiber
+identities unders random scalings, and a finite-difference gradient check);
+``run_property_suites`` tallies them.
 """
 from __future__ import annotations
 
@@ -49,8 +50,6 @@ def _suite_modular_norm(mesh, data, rng, n, fields):
     # s = max(q, p_*): the boundary term carries exponent p_*, which the
     # hypotheses do not order against q
     s = max(data.q, data.p_lower_star)
-    failed = 0
-    worst = 0.0
     for _ in range(n):
         u = (_random_function(rng, mesh.num_nodes) - 0.2) * rng.choice([0.25, 1.0, 4.0])
         nrm = norm_custom(mesh, data, u, fields)
@@ -68,15 +67,10 @@ def _suite_modular_norm(mesh, data, rng, n, fields):
         hom = abs(norm_custom(mesh, data, c * u, fields) - c * nrm)
         if hom > 1e-10 * max(1.0, c * nrm):
             bad = max(bad, hom)
-        if bad > 0:
-            failed += 1
-            worst = max(worst, bad)
-    return SuiteResult("modular_norm", n, failed, worst)
+        yield bad
 
 
 def _suite_norm_sandwich(mesh, data, rng, n, fields):
-    failed = 0
-    worst = 0.0
     for _ in range(n):
         u = _random_function(rng, mesh.num_nodes) - 0.3
         circ = norm_circ(mesh, data, u, fields=fields)
@@ -88,15 +82,10 @@ def _suite_norm_sandwich(mesh, data, rng, n, fields):
         gap = abs(star - custom)
         if gap > 1e-12 * max(1.0, custom):
             bad = max(bad, gap)
-        if bad > 0:
-            failed += 1
-            worst = max(worst, bad)
-    return SuiteResult("norm_sandwich", n, failed, worst)
+        yield bad
 
 
 def _suite_operator_monotone(mesh, data, rng, n, fields):
-    failed = 0
-    worst = 0.0
     for _ in range(n):
         u = _random_function(rng, mesh.num_nodes) - 0.4
         v = _random_function(rng, mesh.num_nodes) - 0.4
@@ -104,15 +93,10 @@ def _suite_operator_monotone(mesh, data, rng, n, fields):
         pairing = apply_operator_A(mesh, data, u, w, fields) - apply_operator_A(
             mesh, data, v, w, fields
         )
-        if pairing < -SLACK:
-            failed += 1
-            worst = max(worst, -pairing)
-    return SuiteResult("operator_monotone", n, failed, worst)
+        yield -pairing if pairing < -SLACK else 0.0
 
 
 def _suite_fiber_identity(mesh, data, rng, n, fields):
-    failed = 0
-    worst = 0.0
     for _ in range(n):
         u = _random_function(rng, mesh.num_nodes)
         ft = fiber_terms(mesh, data, u, fields)
@@ -125,17 +109,12 @@ def _suite_fiber_identity(mesh, data, rng, n, fields):
         roots = fiber_roots(ft, lam)
         if roots.two and not (roots.t1 < roots.t_circ < roots.t2):
             bad = max(bad, 1.0)
-        if bad > 0:
-            failed += 1
-            worst = max(worst, bad)
-    return SuiteResult("fiber_identity", n, failed, worst)
+        yield bad
 
 
 def _suite_gradient_fd(mesh, data, rng, n, fields, lam=0.5, step=1e-6):
     # normalized by the gradient's sup norm: differencing the global energy
     # has an absolute roundoff floor that tiny components cannot beat
-    failed = 0
-    worst = 0.0
     for _ in range(max(1, n // 20)):
         u = rng.random(mesh.num_nodes) * 0.9 + 0.1
         grad = energy_gradient(mesh, data, u, lam, fields=fields).values
@@ -149,10 +128,7 @@ def _suite_gradient_fd(mesh, data, rng, n, fields, lam=0.5, step=1e-6):
                 2 * step
             )
             rel = abs(fd - grad[i]) / scale
-            if rel > 1e-6:
-                failed += 1
-                worst = max(worst, rel)
-    return SuiteResult("gradient_fd", max(1, n // 20) * min(8, mesh.num_nodes), failed, worst)
+            yield rel if rel > 1e-6 else 0.0
 
 
 def run_property_suites(mesh: Mesh, data: ProblemData, seed: int = 0, n: int = 200):
@@ -167,6 +143,7 @@ def run_property_suites(mesh: Mesh, data: ProblemData, seed: int = 0, n: int = 2
     ]
     results = []
     for k, suite in enumerate(suites):
-        rng = np.random.default_rng(seed + 1000 * k)
-        results.append(suite(mesh, data, rng, n, fields))
+        bad = list(suite(mesh, data, np.random.default_rng(seed + 1000 * k), n, fields))
+        name = suite.__name__[len("_suite_"):]
+        results.append(SuiteResult(name, len(bad), sum(b > 0 for b in bad), max(bad, default=0.0)))
     return results

@@ -39,7 +39,6 @@ from .fibering import (
 )
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
-from .rootfind import BracketError
 from .space import FieldSamples, sample_fields
 # unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` by name
 from .space import luxemburg_norm  # noqa: F401
@@ -191,12 +190,14 @@ class _LBFGS:
         self.gamma = 1.0
 
     def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
-        """Remember the pair (s, y), py = P^-1 y, unless s.y <= 0: only
-        positive curvature keeps H positive definite."""
+        """Remember the pair (s, y), py = P^-1 y, unless s.y <= 0 or
+        y.P^-1 y <= 0: only positive curvature keeps H positive definite
+        (the second can underflow to 0 when y is tiny)."""
         sy = float(s @ y)
-        if sy > 0.0:
+        ypy = float(y @ py)
+        if sy > 0.0 and ypy > 0.0:
             self.pairs.append((s, y, 1.0 / sy))
-            self.gamma = sy / float(y @ py)
+            self.gamma = sy / ypy
 
     def apply(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
         """H g by the two-loop recursion; pg = P^-1 g, which is H g with no pairs."""
@@ -299,7 +300,9 @@ def minimize_on_branch(
             trial_w = np.maximum(proj.u - sigma * d, STEP_CLIP * proj.u)
             try:
                 trial = _project(mesh, data, trial_w, lam, branch, fields, warm=proj)
-            except (NoRootError, BracketError):
+            except (NoRootError, ArithmeticError):
+                # an unreachable branch, a failed bracket (BracketError) or an
+                # overflow at this trial rejects the trial, not the descent
                 trial = None
             if (
                 trial is not None

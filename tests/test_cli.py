@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from doublephase import SolverOptions
-from doublephase.cli import _KEY_PARSERS, Config, ConfigError, load_config, main, run
+from doublephase import SolverOptions, critical_exponents, validate_hypotheses
+from doublephase.cli import _KEYS, Config, ConfigError, load_config, main, run
 
 MINIMAL = """
 # minimal preset
@@ -46,7 +51,7 @@ def test_minimal_config_fills_preset_defaults(tmp_path):
 
 def test_solver_options_are_the_solver_keys():
     # every SolverOptions field is settable from a config file, and nothing else is in it
-    keys = {key[len("solver."):] for key in _KEY_PARSERS if key.startswith("solver.")}
+    keys = {key[len("solver."):] for key in _KEYS if key.startswith("solver.")}
     assert {f.name for f in dataclasses.fields(SolverOptions)} == keys
 
 
@@ -164,23 +169,87 @@ def test_root_finding_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "no sign change" in capsys.readouterr().err
 
 
+def with_params(params):
+    """SMALL_SOLVE with the keys of ``params`` replaced by its values."""
+    lines = [line for line in SMALL_SOLVE.splitlines() if line.split("=")[0].strip() not in params]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in params.items()]) + "\n"
+
+
+# admissible configs on which a trial point of the descent fails numerically
+TINY = {"mesh.nx": "3", "mesh.ny": "3", "solver.max_iter": "50"}
+TRIAL_FAILURES = {
+    # a direction with nodal values ~4.5e10 overflows a power sum in eta
+    "eta_overflow": {"p": "1.9", "q": "2.0", "q1": "30", "lambda": "100"},
+    # eta(t_circ) is NaN, which reached hybrid_root as a bracket
+    "eta_max_nan": {
+        **TINY,
+        "p": "1.7985886245966929",
+        "q": "11.232834975343943",
+        "kappa": "0.7368826241840388",
+        "q1": "14.748095915500151",
+        "lambda": "2.0238350356510635",
+        "mu": '"2 - x"',
+        "alpha": '"0.5 + y"',
+        "beta": '"0"',
+        "zeta": '"0.5 + x"',
+    },
+    # y.P^-1 y is 0 for a curvature pair of the L-BFGS memory, and gamma divides by it
+    "lbfgs_zero_curvature": {
+        **TINY,
+        "p": "1.3784026235468039",
+        "q": "2.2817978791579296",
+        "kappa": "0.15288449162239076",
+        "q1": "3.432259206338388",
+        "lambda": "240.1908679337321",
+        "mu": '"x"',
+        "alpha": '"1"',
+        "beta": '"2 - x"',
+        "zeta": '"0.5 + x"',
+    },
+}
+
+
+@pytest.mark.parametrize("params", TRIAL_FAILURES.values(), ids=TRIAL_FAILURES.keys())
+def test_failed_trial_is_rejected_not_fatal(tmp_path, capsys, params):
+    # the line search rejects the trial and the solve ends with a report
+    path = write(tmp_path, with_params(params))
+    out_dir = tmp_path / "out"
+    assert main(["solve", "-c", path, "-o", str(out_dir)]) == 1
+    assert capsys.readouterr().err == ""
+    report = json.load(open(out_dir / "solve_report.json"))
+    assert report["sign_ok"] is False
+
+
 @pytest.mark.parametrize(
     "command,params,error",
     [
-        # a power sum overflows in the fiber map eta during the descent
-        ("solve", {"p": "1.9", "q": "2.0", "q1": "30", "lambda": "100"}, "OverflowError"),
+        # the power sums overflow at the first projection of a start
+        (
+            "solve",
+            {
+                **TINY,
+                "p": "1.9364062840296652",
+                "q": "50.377377322546444",
+                "kappa": "0.14618996112340382",
+                "q1": "53.74211877250672",
+                "lambda": "1.2194093096132692",
+                "mu": '"1 + y"',
+                "alpha": '"x"',
+                "beta": '"1"',
+                "zeta": '"1"',
+            },
+            "OverflowError",
+        ),
         # eta_tilde's maximum near 1e215 fails the closed-form consistency check
         ("sweep", {"p": "1.99", "q": "2.5", "q1": "300", "lambda": "0.1"}, "eta_tilde maximum mismatch"),
     ],
 )
 def test_numerical_overflow_exits_2(tmp_path, command, params, error):
-    # admissible extreme exponents: exit 2 with a one-line message, not a
-    # traceback.  A subprocess sees stderr as a user does; in-process,
-    # numpy's overflow warning would be raised as a test error first
+    # admissible extreme exponents: exit 2 with one line on stderr, not a
+    # numpy warning or a traceback; a subprocess sees stderr as a user does
     import doublephase
 
-    lines = [line for line in SMALL_SOLVE.splitlines() if line.split("=")[0].strip() not in params]
-    path = write(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in params.items()]) + "\n")
+    path = write(tmp_path, with_params(params))
     assert main(["validate", "-c", path]) == 0
     src = os.path.dirname(os.path.dirname(os.path.abspath(doublephase.__file__)))
     out_dir = tmp_path / "out"
@@ -191,10 +260,56 @@ def test_numerical_overflow_exits_2(tmp_path, command, params, error):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("numerical failure") and error in last
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure") and error in lines[0]
     assert not out_dir.exists()
+
+
+@st.composite
+def admissible_configs(draw):
+    """3x3 configs that satisfy every hypothesis clause, with 20 descent iterations."""
+    p = draw(st.floats(min_value=1.05, max_value=1.95))
+    p_star, p_lower_star = critical_exponents(p, 2)
+    q = p + draw(st.floats(min_value=0.01, max_value=0.99)) * (p_star - p)
+    lower = max(q, p_lower_star)
+    config = Config(
+        p=p,
+        q=q,
+        kappa=draw(st.floats(min_value=0.01, max_value=0.99)),
+        q1=lower + draw(st.floats(min_value=0.01, max_value=0.99)) * (p_star - lower),
+        lam=10.0 ** draw(st.floats(min_value=-2.0, max_value=2.5)),
+        mu=draw(st.sampled_from(["x", "0", "1 + y", "2 - x", "x*y"])),
+        alpha=draw(st.sampled_from(["1", "x", "0.5 + y", "1 + x*y"])),
+        beta=draw(st.sampled_from(["1", "0", "2 - x", "x*y"])),
+        zeta=draw(st.sampled_from(["1", "0.5 + x", "1 + y"])),
+        nx=3,
+        ny=3,
+        solver=SolverOptions(max_iter=20),
+    )
+    assume(validate_hypotheses(config.problem(), config.build_mesh()).ok)  # rounding at an interval's end
+    return config
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(admissible_configs())
+def test_solve_ends_in_a_result_or_one_line(config):
+    # every admissible config ends in a report whose flags agree, or in
+    # exit 2 with one "numerical failure" line
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run("solve", config, out_dir)
+        report = json.load(open(os.path.join(out_dir, "solve_report.json"))) if status != 2 else None
+    assert status in (0, 1, 2)
+    if status == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure")
+        return
+    assert err.getvalue() == ""
+    assert (status == 0) == report["sign_ok"]
+    for branch in ("plus", "minus"):
+        res = report[branch]
+        assert res is None or not (res["converged"] and res["stop_reason"] == "max_iter")
 
 
 def test_bad_function_expression_exits_2(tmp_path):

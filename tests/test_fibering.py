@@ -213,6 +213,12 @@ def test_fiber_roots_need_positive_e():
         fiber_roots(make_ft(1.0, 0.0, 1.0, 1.0, 0.0), 1.0)
 
 
+def test_fiber_roots_overflow_is_an_overflow_error():
+    # lam*e = inf must not reach the root finder as a bracket end
+    with pytest.raises(OverflowError, match="lam\\*e=inf"):
+        fiber_roots(make_ft(1.0, 0.0, 4.0, 1.0, 10.0), 1e308)
+
+
 def test_scaling_law_roots():
     # psi_{su}(t) = psi_u(st), so roots map to t/s
     r = rng(8)

@@ -124,6 +124,21 @@ def test_minimize_propagates_noroot(mesh4, preset_data):
         minimize_on_branch(mesh4, preset_data, 10.0, Branch.MINUS, np.ones(mesh4.num_nodes))
 
 
+def test_failed_trial_projection_is_rejected(monkeypatch, mesh4, preset_data):
+    # an ArithmeticError at a trial rejects that trial; the descent goes on
+    failed = []
+
+    def overflowing_once(*args, warm=None, **kwargs):
+        if warm is not None and not failed:
+            failed.append(1)
+            raise OverflowError("trial overflow")
+        return _project(*args, warm=warm, **kwargs)
+
+    monkeypatch.setattr(solver, "_project", overflowing_once)
+    res = minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes))
+    assert failed and res.converged
+
+
 def test_max_iterations_reports_not_converged(mesh4, preset_data):
     res = minimize_on_branch(
         mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes), SolverOptions(max_iter=2)
@@ -359,20 +374,43 @@ def test_lbfgs_skips_negative_curvature_pairs(mesh4):
     assert memory.gamma == 1.0
 
 
-def test_lbfgs_falls_back_to_the_h1_gradient(mesh4):
-    # a pair whose stored P^-1 y has the wrong sign makes gamma negative; along
-    # a g with s.g = 0 the two-loop direction then ascends, so the memory is
-    # dropped and the descent steps along P^-1 g
-    r = rng(44)
-    m = mesh4.num_nodes
-    s = r.standard_normal(m)
-    y = s + 0.3 * r.standard_normal(m)
+def test_lbfgs_skips_pairs_without_metric_curvature(mesh4):
+    # y.P^-1 y can be 0 (y = 0, or rounding for a tiny y); gamma divides by it
+    r = rng(45)
+    s = r.standard_normal(mesh4.num_nodes)
+    y = s + 0.3 * r.standard_normal(mesh4.num_nodes)
     memory, riesz = _memory(mesh4)
+    memory.push(s, y, np.zeros_like(y))
     memory.push(s, y, -riesz(y))
-    g = r.standard_normal(m)
-    g -= (s @ g) / (s @ s) * s
-    assert g @ memory.apply(g, riesz(g)) < 0.0
-    d, gd = memory.descent(np.ones(m), g, riesz(g))
+    assert not memory.pairs
+    assert memory.gamma == 1.0
+
+
+def test_lbfgs_falls_back_to_the_h1_gradient(mesh4):
+    # the slope counts only the free nodes, so with a node pinned at u = 0
+    # even a positive-definite H can give a two-loop direction that does not
+    # descend there; the memory is then dropped and the descent steps along
+    # P^-1 g.  Built from P^-1 g = e_0 + 0.1 e_24 with node 0 pinned, and one
+    # pair with s.g = 0 and y.P^-1 g < 0 that lifts d at node 0
+    m = mesh4.num_nodes
+    memory, riesz = _memory(mesh4)
+    P = np.linalg.inv(np.column_stack([riesz(e) for e in np.eye(m)]))
+    v = np.zeros(m)
+    v[0], v[-1] = 1.0, 0.1
+    g = P @ v
+    s = np.zeros(m)
+    s[0] = s[m // 2] = 1.0
+    s -= (s @ g) / (g @ g) * g
+    y = s.copy()
+    y[0] = -0.5 * s[0]
+    memory.push(s, y, riesz(y))
+    assert len(memory.pairs) == 1
+    u = np.ones(m)
+    u[0] = 0.0
+    d = memory.apply(g, riesz(g))
+    free = (u > 0) | (d < 0)
+    assert g[free] @ d[free] < 0.0
+    d, gd = memory.descent(u, g, riesz(g))
     assert not memory.pairs
     np.testing.assert_array_equal(d, riesz(g))
     assert gd > 0.0
