@@ -8,8 +8,10 @@ The energy is
     - (1/(1-kappa)) int zeta |u|^{1-kappa} - (lam/q1) int |u|^{q1},
 
 with lumped vertex quadrature for all zeroth-order terms and centroid
-quadrature for the gradient terms.  |grad u|^{p-2} grad u is extended by 0
-at grad u = 0 (the continuous extension of the monotone operator for
+quadrature for the gradient terms.  It is the fiber map psi_u at t = 1, so
+``energy`` reads its terms from ``fibering``; the weak form (its gradient)
+is assembled once, by ``_weak_form``.  |grad u|^{p-2} grad u is extended by
+0 at grad u = 0 (the continuous extension of the monotone operator for
 p < 2); the singular term's derivative is floored at max(u_i, eps)^(-kappa)
 and the floored nodes are flagged.
 """
@@ -20,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fibering import FiberTerms, _psi_terms, psi
 from .mesh import Mesh, grid_flux, grid_grad_sq, hat_grad_power_sum
 from .problem import ProblemData
 from .space import FieldSamples, modular_breakdown, sample_fields
@@ -37,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR = 1e-10
+# the weak form's nodal terms, in the order ``_weak_form`` returns them
+WEAK_FORM_TERMS = ("gradient", "alpha_mass", "beta_boundary", "singular", "superlinear")
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,10 @@ class ResidualReport:
 def energy(
     mesh: Mesh, data: ProblemData, u, lam: float, fields: Optional[FieldSamples] = None
 ) -> EnergyValue:
-    bd = modular_breakdown(mesh, data, u, fields)
-    kinetic_p = (bd.grad_p + bd.mass_p_alpha) / data.p
-    kinetic_q_mu = bd.grad_q_mu / data.q
-    boundary = bd.bdry_pstar_beta / data.p_lower_star
-    singular = -bd.zeta_sing / (1.0 - data.kappa)
-    superlinear = -lam * bd.mass_q1 / data.q1
-    total = kinetic_p + kinetic_q_mu + boundary + singular + superlinear
-    return EnergyValue(total, kinetic_p, kinetic_q_mu, boundary, singular, superlinear)
+    """Theta_lam(u) = psi_u(1): the five parts are the terms of the fiber map
+    at t = 1, and the total is psi itself."""
+    ft = FiberTerms.from_breakdown(modular_breakdown(mesh, data, u, fields), data)
+    return EnergyValue(psi(ft, lam, 1.0), *(c for c, _ in _psi_terms(ft, lam)))
 
 
 def _signed_power(u: np.ndarray, expo: float) -> np.ndarray:
@@ -119,15 +120,24 @@ def gradient_flux(
     return grid_flux(mesh, u, w)
 
 
-def _operator_vectors(mesh: Mesh, data: ProblemData, u: np.ndarray, fields: FieldSamples):
-    """Nodal vectors of the three operator terms: the double phase gradient
-    part, the alpha mass part and the beta boundary part."""
+def _weak_form(
+    mesh: Mesh, data: ProblemData, u: np.ndarray, lam: float, fields: Optional[FieldSamples], floor: float
+) -> tuple[tuple, np.ndarray]:
+    """(terms, defect): the five nodal vectors of the weak form at u, in the
+    order of WEAK_FORM_TERMS, and their signed sum gradient + alpha_mass +
+    beta_boundary - singular - superlinear.  The singular vector takes
+    max(u_i, floor)^(-kappa)."""
+    if fields is None:
+        fields = sample_fields(mesh, data)
     grad_vec = gradient_flux(mesh, data, u, fields)
     alpha_vec = fields.alpha_weight * _signed_power(u, data.p - 1.0)
     b = mesh.boundary_nodes
     beta_vec = np.zeros(mesh.num_nodes)
     beta_vec[b] = fields.beta_weight * _signed_power(u[b], data.p_lower_star - 1.0)
-    return grad_vec, alpha_vec, beta_vec
+    sing_vec = fields.zeta_weight * np.maximum(u, floor) ** (-data.kappa)
+    super_vec = lam * mesh.node_weight * _signed_power(u, data.q1 - 1.0)
+    defect = grad_vec + alpha_vec + beta_vec - sing_vec - super_vec
+    return (grad_vec, alpha_vec, beta_vec, sing_vec, super_vec), defect
 
 
 def apply_operator_A(
@@ -135,10 +145,8 @@ def apply_operator_A(
 ) -> float:
     """Duality pairing of the double phase operator (plus mass and boundary
     terms) of u against h: the operator's nodal vector dotted with h."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
-    grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, np.asarray(u, dtype=float), fields)
-    return float((grad_vec + alpha_vec + beta_vec) @ np.asarray(h, dtype=float))
+    terms, _ = _weak_form(mesh, data, np.asarray(u, dtype=float), 0.0, fields, DEFAULT_FLOOR)
+    return float(sum(terms[:3]) @ np.asarray(h, dtype=float))  # gradient + alpha_mass + beta_boundary
 
 
 def energy_gradient(
@@ -153,14 +161,8 @@ def energy_gradient(
     The singular term uses max(u_i, DEFAULT_FLOOR) inside u^(-kappa); nodes
     where the floor engaged are flagged (diagnostic, not a failure).
     """
-    if fields is None:
-        fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
-    grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
-    floored = np.maximum(u, DEFAULT_FLOOR)
-    sing_vec = fields.zeta_weight * floored ** (-data.kappa)
-    super_vec = lam * mesh.node_weight * _signed_power(u, data.q1 - 1.0)
-    values = grad_vec + alpha_vec + beta_vec - sing_vec - super_vec
+    _, values = _weak_form(mesh, data, u, lam, fields, DEFAULT_FLOOR)
     return GradientResult(values=values, floor_active=u < DEFAULT_FLOOR)
 
 
@@ -185,16 +187,7 @@ def weak_residual(
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("weak_residual requires u > 0 at every node")
-    grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
-    sing_vec = fields.zeta_weight * u ** (-data.kappa)
-    super_vec = lam * mesh.node_weight * u ** (data.q1 - 1.0)
-    defect = grad_vec + alpha_vec + beta_vec - sing_vec - super_vec
+    terms, defect = _weak_form(mesh, data, u, lam, fields, 0.0)  # no floor engages on u > 0
     hn = hat_norms_1p(mesh, data, fields)
-    term_max = {
-        "gradient": float(np.max(np.abs(grad_vec) / hn)),
-        "alpha_mass": float(np.max(np.abs(alpha_vec) / hn)),
-        "beta_boundary": float(np.max(np.abs(beta_vec) / hn)),
-        "singular": float(np.max(np.abs(sing_vec) / hn)),
-        "superlinear": float(np.max(np.abs(super_vec) / hn)),
-    }
+    term_max = {name: float(np.max(np.abs(vec) / hn)) for name, vec in zip(WEAK_FORM_TERMS, terms)}
     return ResidualReport(residual_norm=float(np.max(np.abs(defect) / hn)), term_max=term_max)

@@ -76,7 +76,7 @@ class StopReason(enum.Enum):
     ZERO_GRADIENT = "zero_gradient"                  # no descent along the free direction
 
 
-class NoRootError(RuntimeError):
+class NoRootError(ArithmeticError):
     """The requested branch is unreachable along this direction (eta max <= lam*e)."""
 
 
@@ -300,9 +300,10 @@ def minimize_on_branch(
             trial_w = np.maximum(proj.u - sigma * d, STEP_CLIP * proj.u)
             try:
                 trial = _project(mesh, data, trial_w, lam, branch, fields, warm=proj)
-            except (NoRootError, ArithmeticError):
-                # an unreachable branch, a failed bracket (BracketError) or an
-                # overflow at this trial rejects the trial, not the descent
+            except ArithmeticError:
+                # an unreachable branch (NoRootError), a failed bracket
+                # (BracketError) or an overflow at this trial rejects the
+                # trial, not the descent
                 trial = None
             if (
                 trial is not None
@@ -377,8 +378,11 @@ def solve_branch(
     """Descend on one branch from every start of ``multistart_directions``.
 
     Returns (results, failures): the ``SolveResult``s in start order, each
-    with ``start`` set to its start's name, and one ``"name: reason"`` entry
-    per start along which the branch is unreachable (NoRootError).
+    with ``start`` set to its start's name, and one (name, exception) pair
+    per start whose descent raised an ArithmeticError, in start order.  A
+    NoRootError there means the branch is unreachable along that start; any
+    other ArithmeticError (an overflow, a failed bracket) is a numerical
+    failure.  A failed start never costs the other starts their results.
     """
     if opts is None:
         opts = SolverOptions()
@@ -386,8 +390,8 @@ def solve_branch(
     for name, w in multistart_directions(mesh, opts.seed):
         try:
             res = minimize_on_branch(mesh, data, lam, branch, w, opts)
-        except NoRootError as exc:
-            failures.append(f"{name}: {exc}")
+        except ArithmeticError as exc:
+            failures.append((name, exc))
             continue
         results.append(replace(res, start=name))
     return results, tuple(failures)
@@ -398,13 +402,18 @@ def solve_two(
 ) -> SolveReport:
     """Best Plus and best Minus results over the multi-start set.
 
-    Branch failures (NoRoot along every start) are reported, not fatal; each
-    branch keeps its first result in start order that is minimal under
-    (not converged, energy).
+    Failed starts are reported, not fatal, one line each: ``"name: reason"``
+    for an unreachable start, ``"name: numerical failure (<type>):
+    <message>"`` for any other; each branch keeps its first result in start
+    order that is minimal under (not converged, energy).
     """
     best, failures = [], []
     for branch in (Branch.PLUS, Branch.MINUS):
         results, fails = solve_branch(mesh, data, lam, branch, opts)
         best.append(min(results, key=lambda r: (not r.converged, r.energy), default=None))
-        failures.append(fails)
+        failures.append(tuple(
+            f"{name}: {exc}" if isinstance(exc, NoRootError)
+            else f"{name}: numerical failure ({type(exc).__name__}): {exc}"
+            for name, exc in fails
+        ))
     return SolveReport(lam, *best, *failures)

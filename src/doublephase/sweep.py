@@ -23,7 +23,7 @@ from .energy import gradient_flux
 from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
 from .mesh import Mesh
 from .problem import ProblemData
-from .solver import Branch, SolverOptions, multistart_directions, solve_branch
+from .solver import Branch, NoRootError, SolverOptions, multistart_directions, solve_branch
 # unused here, but the benchmark's tracer wraps ``sweep.minimize_on_branch`` by name
 from .solver import minimize_on_branch  # noqa: F401
 from .space import FieldSamples, lebesgue_norm, modular_breakdown, sample_fields
@@ -50,8 +50,8 @@ SOBOLEV_POLISH_STEPS = 40   # gradient steps polishing the best Rayleigh candida
 
 
 class SweepUndetermined(RuntimeError):
-    """The Minus-branch solver failed to converge at some lambda, so the
-    threshold scan is undetermined there."""
+    """The Minus-branch solver failed to converge, or failed numerically, at
+    some lambda, so the threshold scan is undetermined there."""
 
     def __init__(self, lam: float, detail: str):
         super().__init__(f"undetermined at lambda={lam!r}: {detail}")
@@ -196,18 +196,22 @@ def _minus_branch_positive(mesh, data, lam, opts) -> bool:
     """Whether the Minus-branch minimum at ``lam`` is positive, over the
     starts of ``solve_branch``:
 
+    - some start failed numerically (any ArithmeticError but NoRootError):
+      SweepUndetermined, naming the first such start in start order;
     - no start reaches the branch: False;
     - some start did not converge: SweepUndetermined, naming the first such
       start in start order;
     - otherwise: whether the lowest energy is > 0.
     """
-    results, _ = solve_branch(mesh, data, lam, Branch.MINUS, opts)
-    if not results:
-        return False
-    for res in results:
-        if not res.converged:
-            raise SweepUndetermined(lam, f"minus branch did not converge from start {res.start!r}")
-    return min(res.energy for res in results) > 0.0
+    results, failures = solve_branch(mesh, data, lam, Branch.MINUS, opts)
+    undetermined = [
+        f"failed numerically from start {name!r} ({type(exc).__name__}): {exc}"
+        for name, exc in failures
+        if not isinstance(exc, NoRootError)
+    ] + [f"did not converge from start {res.start!r}" for res in results if not res.converged]
+    if undetermined:
+        raise SweepUndetermined(lam, "minus branch " + undetermined[0])
+    return bool(results) and min(res.energy for res in results) > 0.0
 
 
 def estimate_lambda_star(
@@ -298,24 +302,20 @@ def estimate_sobolev_constant(
         fields = sample_fields(mesh, data)
     candidates = [w for _, w in multistart_directions(mesh, seed)]
     candidates += [u for u in sample_directions(mesh, n_samples, seed)]
-    best_val = np.inf
-    best_u = best_num = None
-    for u in candidates:
-        if not np.any(u):
+    val, u, num = np.inf, None, None
+    for w in candidates:
+        if not np.any(w):
             continue
-        val, num = _rayleigh_quotient(mesh, data, u, fields)
-        if val < best_val:
-            best_val, best_u, best_num = val, u, num
+        wval, wnum = _rayleigh_quotient(mesh, data, w, fields)
+        if wval < val:
+            val, u, num = wval, w, wnum
 
-    u = np.asarray(best_u, dtype=float)
-    val, num = best_val, best_num
+    u = np.asarray(u, dtype=float)
     step = 1.0
     for _ in range(SOBOLEV_POLISH_STEPS):
         g = _rayleigh_gradient(mesh, data, u, fields, num)
-        gmax = float(np.max(np.abs(g)))
-        if gmax == 0.0:
+        if not g.any():
             break
-        improved = False
         s = step
         for _ in range(30):
             trial = u - s * g
@@ -323,10 +323,8 @@ def estimate_sobolev_constant(
                 tval, tnum = _rayleigh_quotient(mesh, data, trial, fields)
                 if np.isfinite(tval) and tval < val:
                     u, val, num, step = trial, tval, tnum, s * 2.0
-                    improved = True
                     break
             s *= 0.5
-        if not improved:
-            break
-        best_val = min(best_val, val)
-    return float(best_val)
+        else:
+            break  # no trial step lowered the quotient
+    return float(val)

@@ -6,11 +6,25 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from doublephase import ProblemData, build_rect_mesh
+from doublephase import ProblemData, build_rect_mesh, solver
 
 PRESET = dict(p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=0.1, mu="x", alpha="1", beta="1", zeta="1")
 # every coefficient field varies over the domain
 VARIABLE = dict(PRESET, mu="0.5 + x*y", alpha="1 + x", beta="2 + x*y", zeta="0.5 + x")
+
+
+def overflowing_start(monkeypatch, mesh, start):
+    """Make the first projection of the multi-start ``start`` (solver seed 0)
+    raise OverflowError, as a power sum that overflows there would."""
+    w0 = dict(solver.multistart_directions(mesh, seed=0))[start]
+    project = solver._project
+
+    def failing(mesh, data, w, *args, warm=None, **kwargs):
+        if warm is None and np.array_equal(w, w0):
+            raise OverflowError("power sum overflow")
+        return project(mesh, data, w, *args, warm=warm, **kwargs)
+
+    monkeypatch.setattr(solver, "_project", failing)
 
 
 @pytest.fixture(scope="session")

@@ -220,49 +220,62 @@ def test_failed_trial_is_rejected_not_fatal(tmp_path, capsys, params):
     assert report["sign_ok"] is False
 
 
-@pytest.mark.parametrize(
-    "command,params,error",
-    [
-        # the power sums overflow at the first projection of a start
-        (
-            "solve",
-            {
-                **TINY,
-                "p": "1.9364062840296652",
-                "q": "50.377377322546444",
-                "kappa": "0.14618996112340382",
-                "q1": "53.74211877250672",
-                "lambda": "1.2194093096132692",
-                "mu": '"1 + y"',
-                "alpha": '"x"',
-                "beta": '"1"',
-                "zeta": '"1"',
-            },
-            "OverflowError",
-        ),
-        # eta_tilde's maximum near 1e215 fails the closed-form consistency check
-        ("sweep", {"p": "1.99", "q": "2.5", "q1": "300", "lambda": "0.1"}, "eta_tilde maximum mismatch"),
-    ],
-)
-def test_numerical_overflow_exits_2(tmp_path, command, params, error):
-    # admissible extreme exponents: exit 2 with one line on stderr, not a
-    # numpy warning or a traceback; a subprocess sees stderr as a user does
+def cli_subprocess(path, command, out_dir):
+    """``python -m doublephase command`` in a subprocess, which sees stderr
+    as a user does (no numpy warning, no traceback)."""
     import doublephase
 
-    path = write(tmp_path, with_params(params))
-    assert main(["validate", "-c", path]) == 0
     src = os.path.dirname(os.path.dirname(os.path.abspath(doublephase.__file__)))
-    out_dir = tmp_path / "out"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "doublephase", command, "-c", path, "-o", str(out_dir)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+def test_start_overflow_is_a_named_failure(tmp_path):
+    # admissible extreme exponents where the power sums overflow at the first
+    # projection of two minus starts: those starts are named failures, and the
+    # other starts still give the report
+    params = {
+        **TINY,
+        "p": "1.9364062840296652",
+        "q": "50.377377322546444",
+        "kappa": "0.14618996112340382",
+        "q1": "53.74211877250672",
+        "lambda": "1.2194093096132692",
+        "mu": '"1 + y"',
+        "alpha": '"x"',
+        "beta": '"1"',
+        "zeta": '"1"',
+    }
+    path = write(tmp_path, with_params(params))
+    assert main(["validate", "-c", path]) == 0
+    out_dir = tmp_path / "out"
+    proc = cli_subprocess(path, "solve", out_dir)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = json.load(open(out_dir / "solve_report.json"))
+    overflowed = [
+        entry.split(": ", 1)[0]
+        for entry in report["minus_failures"]
+        if entry.split(": ", 1)[1].startswith("numerical failure (OverflowError): ")
+    ]
+    assert overflowed == ["bump", "bump_perturbed"]
+
+
+def test_numerical_overflow_exits_2(tmp_path):
+    # eta_tilde's maximum near 1e215 fails the closed-form consistency check
+    # in the sweep's sampling: exit 2 with one line on stderr
+    path = write(tmp_path, with_params({"p": "1.99", "q": "2.5", "q1": "300", "lambda": "0.1"}))
+    assert main(["validate", "-c", path]) == 0
+    out_dir = tmp_path / "out"
+    proc = cli_subprocess(path, "sweep", out_dir)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("numerical failure") and error in lines[0]
+    assert lines[0].startswith("numerical failure") and "eta_tilde maximum mismatch" in lines[0]
     assert not out_dir.exists()
 
 
@@ -294,22 +307,39 @@ def admissible_configs(draw):
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(admissible_configs())
 def test_solve_ends_in_a_result_or_one_line(config):
-    # every admissible config ends in a report whose flags agree, or in
-    # exit 2 with one "numerical failure" line
+    # every admissible config ends in a report whose flags agree: a start
+    # that fails numerically is a named failure in it, never an exit 2
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = run("solve", config, out_dir)
-        report = json.load(open(os.path.join(out_dir, "solve_report.json"))) if status != 2 else None
-    assert status in (0, 1, 2)
-    if status == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical failure")
-        return
+        report = json.load(open(os.path.join(out_dir, "solve_report.json")))
+    assert status in (0, 1)
     assert err.getvalue() == ""
     assert (status == 0) == report["sign_ok"]
     for branch in ("plus", "minus"):
         res = report[branch]
         assert res is None or not (res["converged"] and res["stop_reason"] == "max_iter")
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(admissible_configs())
+def test_sweep_ends_in_outputs_or_one_line(config):
+    # the lambda* scan reports a failed minus start as undetermined; only the
+    # sampling can still end the sweep, with exit 2, one line and no outputs
+    config = dataclasses.replace(config, sweep_samples=10)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        out_dir = os.path.join(tmp, "out")
+        status = run("sweep", config, out_dir)
+        written = sorted(os.listdir(out_dir)) if os.path.exists(out_dir) else None
+    if status == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure")
+        assert written is None
+        return
+    assert status in (0, 1)
+    assert err.getvalue() == ""
+    assert written == ["sweep_report.json", "sweep_samples.csv"]
 
 
 def test_bad_function_expression_exits_2(tmp_path):

@@ -11,7 +11,7 @@ from doublephase import (
     energy_gradient,
     weak_residual,
 )
-from doublephase.energy import DEFAULT_FLOOR, _operator_vectors, _signed_power, gradient_flux, hat_norms_1p
+from doublephase.energy import DEFAULT_FLOOR, _signed_power, _weak_form, gradient_flux, hat_norms_1p
 from doublephase.space import sample_fields
 from doublephase.sweep import _rayleigh_gradient
 
@@ -344,14 +344,14 @@ def test_folded_weights_keep_the_nodal_vectors_bit_identical(n):
     zeta_node = np.broadcast_to(np.asarray(data.zeta(xn, yn), dtype=float), xn.shape)
     beta_b = np.asarray(data.beta(xn[b], yn[b]), dtype=float)
 
-    grad_vec, alpha_vec, beta_vec = _operator_vectors(mesh, data, u, fields)
+    lam = 0.3
+    (grad_vec, alpha_vec, beta_vec, _, _), _ = _weak_form(mesh, data, u, lam, fields, DEFAULT_FLOOR)
     alpha_old = m * alpha_node * _signed_power(u, data.p - 1.0)
     beta_old = np.zeros(mesh.num_nodes)
     beta_old[b] = mesh.boundary_weight[b] * beta_b * _signed_power(u[b], data.p_lower_star - 1.0)
     assert np.array_equal(alpha_vec, alpha_old)
     assert np.array_equal(beta_vec, beta_old)
 
-    lam = 0.3
     floored = np.maximum(u, 1e-10)
     gradient_old = (
         grad_vec + alpha_old + beta_old
@@ -363,7 +363,7 @@ def test_folded_weights_keep_the_nodal_vectors_bit_identical(n):
     # the hat norms are checked against loop assembly in test_nodal_vectors_match_loop_assembly
     hn = hat_norms_1p(mesh, data, fields)
     v = np.abs(u) + 0.1
-    grad_v, alpha_v, beta_v = _operator_vectors(mesh, data, v, fields)
+    (grad_v, alpha_v, beta_v, _, _), _ = _weak_form(mesh, data, v, lam, fields, 0.0)
     sing_old = m * zeta_node * v ** (-data.kappa)
     defect_old = grad_v + alpha_v + beta_v - sing_old - lam * m * v ** (data.q1 - 1.0)
     report = weak_residual(mesh, data, v, lam, fields)

@@ -21,7 +21,7 @@ from doublephase.mesh import riesz_map
 from doublephase.solver import _project, multistart_directions
 from doublephase.space import lebesgue_norm, sample_fields
 
-from conftest import rng
+from conftest import overflowing_start, rng
 
 LAM = 0.1
 
@@ -211,11 +211,28 @@ def test_solve_branch_names_unreachable_starts(mesh4, preset_data):
     # at lambda = 100 some minus starts reach the branch and the others do not
     results, failures = solve_branch(mesh4, preset_data, 100.0, Branch.MINUS)
     assert results and failures
-    assert all("minus branch unreachable" in entry for entry in failures)
-    failed = [entry.split(": ", 1)[0] for entry in failures]
+    assert all(isinstance(exc, NoRootError) and "minus branch unreachable" in str(exc) for _, exc in failures)
+    failed = [name for name, _ in failures]
     names = [name for name, _ in multistart_directions(mesh4, seed=0)]
     assert failed == [name for name in names if name in failed]
     assert [res.start for res in results] == [name for name in names if name not in failed]
+    report = solve_two(mesh4, preset_data, 100.0)
+    assert report.minus_failures == tuple(f"{name}: {exc}" for name, exc in failures)
+
+
+def test_solve_branch_names_a_numerical_failure_and_keeps_the_other_starts(monkeypatch, mesh4, preset_data):
+    overflowing_start(monkeypatch, mesh4, "bump")
+    names = [name for name, _ in multistart_directions(mesh4, seed=0)]
+    for branch in (Branch.PLUS, Branch.MINUS):
+        results, failures = solve_branch(mesh4, preset_data, LAM, branch)
+        assert [name for name, _ in failures] == ["bump"]
+        assert isinstance(failures[0][1], OverflowError)
+        assert [res.start for res in results] == [name for name in names if name != "bump"]
+        assert all(res.converged for res in results)
+    report = solve_two(mesh4, preset_data, LAM)
+    assert report.sign_ok
+    expected = ("bump: numerical failure (OverflowError): power sum overflow",)
+    assert report.plus_failures == report.minus_failures == expected
 
 
 def test_solve_two_signs_and_best_of(monkeypatch, mesh4, preset_data):

@@ -15,7 +15,7 @@ from doublephase import sweep
 from doublephase.fibering import eta, t_circ, t_tilde_circ
 from doublephase.sweep import SweepUndetermined, sample_directions
 
-from conftest import rng
+from conftest import overflowing_start, rng
 
 
 def test_lambda_tilde_positive_and_monotone_in_samples(mesh4, preset_data):
@@ -122,6 +122,12 @@ def test_lambda_star_propagates_solver_failure_as_undetermined(mesh4, preset_dat
     # the message names the first start, in start order, that did not converge
     with pytest.raises(SweepUndetermined, match="undetermined at lambda=0.2: .* from start 'ones'"):
         estimate_lambda_star(mesh4, preset_data, [0.2], SolverOptions(max_iter=1))
+
+
+def test_lambda_star_is_undetermined_where_a_minus_start_fails_numerically(monkeypatch, mesh4, preset_data):
+    overflowing_start(monkeypatch, mesh4, "ramp")
+    with pytest.raises(SweepUndetermined, match="undetermined at lambda=0.2: .* from start 'ramp' .*OverflowError"):
+        estimate_lambda_star(mesh4, preset_data, [0.2, 0.5])
 
 
 def test_sobolev_estimate_bounded_by_unit_function(mesh4, preset_data):
