@@ -66,8 +66,8 @@ class EnergyValue:
 
 @dataclass(frozen=True)
 class GradientResult:
-    values: np.ndarray        # (M,) nodal partial derivatives
-    floor_active: np.ndarray  # (M,) bool, True where max(u_i, eps) != u_i
+    values: np.ndarray        # (..., M) nodal partial derivatives
+    floor_active: np.ndarray  # (..., M) bool, True where max(u_i, eps) != u_i
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,10 @@ def gradient_flux(
     """
     s = grid_grad_sq(mesh, u)
     nz = s > 0.0
-    w = np.power(s, 0.5 * data.p - 1.0, out=np.zeros(s.size), where=nz)
+    w = np.power(s, 0.5 * data.p - 1.0, out=np.zeros(s.shape), where=nz)
     w *= fields.grad_p_weight
     if q_part:
-        wq = np.power(s, 0.5 * data.q - 1.0, out=np.zeros(s.size), where=nz)
+        wq = np.power(s, 0.5 * data.q - 1.0, out=np.zeros(s.shape), where=nz)
         wq *= fields.grad_q_weight
         w += wq
     return grid_flux(mesh, u, w)
@@ -125,15 +125,15 @@ def _weak_form(
 ) -> tuple[tuple, np.ndarray]:
     """(terms, defect): the five nodal vectors of the weak form at u, in the
     order of WEAK_FORM_TERMS, and their signed sum gradient + alpha_mass +
-    beta_boundary - singular - superlinear.  The singular vector takes
-    max(u_i, floor)^(-kappa)."""
+    beta_boundary - singular - superlinear, each (..., M) for u (..., M).
+    The singular vector takes max(u_i, floor)^(-kappa)."""
     if fields is None:
         fields = sample_fields(mesh, data)
     grad_vec = gradient_flux(mesh, data, u, fields)
     alpha_vec = fields.alpha_weight * _signed_power(u, data.p - 1.0)
     b = mesh.boundary_nodes
-    beta_vec = np.zeros(mesh.num_nodes)
-    beta_vec[b] = fields.beta_weight * _signed_power(u[b], data.p_lower_star - 1.0)
+    beta_vec = np.zeros(u.shape)
+    beta_vec[..., b] = fields.beta_weight * _signed_power(u[..., b], data.p_lower_star - 1.0)
     sing_vec = fields.zeta_weight * np.maximum(u, floor) ** (-data.kappa)
     super_vec = lam * mesh.node_weight * _signed_power(u, data.q1 - 1.0)
     defect = grad_vec + alpha_vec + beta_vec - sing_vec - super_vec
@@ -156,7 +156,8 @@ def energy_gradient(
     lam: float,
     fields: Optional[FieldSamples] = None,
 ) -> GradientResult:
-    """Nodal gradient of the discrete energy.
+    """Nodal gradient of the discrete energy at u (M,), or at each lane of
+    u (S, M).
 
     The singular term uses max(u_i, DEFAULT_FLOOR) inside u^(-kappa); nodes
     where the floor engaged are flagged (diagnostic, not a failure).

@@ -165,25 +165,26 @@ def centroid_rule(mesh: Mesh) -> tuple:
 
 def grid_grad_sq(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """hx^2 |grad u|^2 on every triangle of a ``build_rect_mesh`` mesh,
-    shape (T,), from the node-grid stencil: the squared x-difference plus
-    (hx/hy)^2 times the squared y-difference along the triangle's two
-    axis-parallel edges (see the module docstring)."""
+    shape (..., T) for u of shape (..., M), from the node-grid stencil: the
+    squared x-difference plus (hx/hy)^2 times the squared y-difference along
+    the triangle's two axis-parallel edges (see the module docstring)."""
     hx, hy = mesh.spacing
-    grid = u.reshape(mesh.ny + 1, mesh.nx + 1)
-    dx = np.subtract(grid[:, 1:], grid[:, :-1])
+    lead = u.shape[:-1]
+    grid = u.reshape(lead + (mesh.ny + 1, mesh.nx + 1))
+    dx = np.subtract(grid[..., 1:], grid[..., :-1])
     dx *= dx
-    dy = np.subtract(grid[1:], grid[:-1])
+    dy = np.subtract(grid[..., 1:, :], grid[..., :-1, :])
     dy *= dy
     dy *= (hx / hy) ** 2
-    s = np.empty((mesh.ny, mesh.nx, 2))
-    np.add(dx[:-1], dy[:, 1:], out=s[:, :, 0])   # below the diagonal
-    np.add(dx[1:], dy[:, :-1], out=s[:, :, 1])   # above it
-    return s.reshape(-1)
+    s = np.empty(lead + (mesh.ny, mesh.nx, 2))
+    np.add(dx[..., :-1, :], dy[..., 1:], out=s[..., 0])   # below the diagonal
+    np.add(dx[..., 1:, :], dy[..., :-1], out=s[..., 1])   # above it
+    return s.reshape(lead + (-1,))
 
 
 def grid_flux(mesh: Mesh, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The u-gradient of (1/2) sum_t w_t s_t(u), with s = ``grid_grad_sq`` and
-    the per-triangle weight w (T,) held fixed, shape (M,).
+    the per-triangle weight w (..., T) held fixed, shape (..., M).
 
     It is the weighted 5-point form D^T (W D u) over the grid differences D:
     an axis edge weighs the sum of w over the one or two triangles using it,
@@ -199,22 +200,23 @@ def grid_flux(mesh: Mesh, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     #   x-edge (iy, ix): lower half of cell (iy, ix), upper half of cell (iy-1, ix);
     #   y-edge (iy, ix): lower half of cell (iy, ix-1), upper half of cell (iy, ix).
     # wx spans the (ny+1, nx+1) node grid, its last column (no x-edge) 0.
-    wp = np.zeros((ny + 2, nx + 2, 2))
-    wp[1:-1, 1:-1] = w.reshape(ny, nx, 2)
-    wx = np.add(wp[1:, 1:, 0], wp[:-1, 1:, 1]).reshape(-1)[:-1]
-    wy = np.add(wp[1:-1, :-1, 0], wp[1:-1, 1:, 1]).reshape(-1)
+    lead = w.shape[:-1]
+    wp = np.zeros(lead + (ny + 2, nx + 2, 2))
+    wp[..., 1:-1, 1:-1, :] = w.reshape(lead + (ny, nx, 2))
+    wx = np.add(wp[..., 1:, 1:, 0], wp[..., :-1, 1:, 1]).reshape(lead + (-1,))[..., :-1]
+    wy = np.add(wp[..., 1:-1, :-1, 0], wp[..., 1:-1, 1:, 1]).reshape(lead + (-1,))
     wy *= (hx / hy) ** 2
     # edge fluxes on the flat node vector: node i to i+1 along x (the pairs
     # across rows weigh 0) and node i to i+k along y
-    fx = np.subtract(u[1:], u[:-1])
+    fx = np.subtract(u[..., 1:], u[..., :-1])
     fx *= wx
-    fy = np.subtract(u[k:], u[:-k])
+    fy = np.subtract(u[..., k:], u[..., :-k])
     fy *= wy
-    out = np.zeros(u.size)
-    out[1:] += fx
-    out[:-1] -= fx
-    out[k:] += fy
-    out[:-k] -= fy
+    out = np.zeros(u.shape)
+    out[..., 1:] += fx
+    out[..., :-1] -= fx
+    out[..., k:] += fy
+    out[..., :-k] -= fy
     return out
 
 
@@ -258,7 +260,8 @@ def riesz_map(mesh: Mesh, shift: float):
     from ``build_rect_mesh``: K is the P1 stiffness and My (x) Mx the
     separable trapezoid mass (it differs from the lumped node weights only at
     the 4 corners).  P is diagonalized by the tensor cosine basis, so each
-    call is four dense (n+1)-square products; shift must be positive.
+    call is four dense (n+1)-square products per row of g (..., M); shift
+    must be positive.
     """
     if not shift > 0.0:
         raise ValueError(f"the Riesz map needs a positive shift, got {shift!r}")
@@ -269,6 +272,6 @@ def riesz_map(mesh: Mesh, shift: float):
     shape = (mesh.ny + 1, mesh.nx + 1)
 
     def apply(g: np.ndarray) -> np.ndarray:
-        return (cy @ ((cy @ g.reshape(shape) @ cx) * scale) @ cx).ravel()
+        return (cy @ ((cy @ g.reshape(g.shape[:-1] + shape) @ cx) * scale) @ cx).reshape(g.shape)
 
     return apply

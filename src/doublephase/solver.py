@@ -29,6 +29,7 @@ import numpy as np
 
 from .energy import DEFAULT_FLOOR, energy_gradient, hat_norms_1p, weak_residual, ResidualReport
 from .fibering import (
+    FiberTerms,
     NehariClass,
     NehariKind,
     classify_nehari,
@@ -39,7 +40,7 @@ from .fibering import (
 )
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
-from .space import FieldSamples, sample_fields
+from .space import FieldSamples, ModularBreakdown, modular_breakdown, sample_fields
 # unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` by name
 from .space import luxemburg_norm  # noqa: F401
 
@@ -74,6 +75,7 @@ class StopReason(enum.Enum):
     LINE_SEARCH_EXHAUSTED = "line_search_exhausted"  # no trial step passed the Armijo test
     MAX_ITER = "max_iter"                            # ran all ``max_iter`` iterations
     ZERO_GRADIENT = "zero_gradient"                  # no descent along the free direction
+    NON_FINITE = "non_finite"                        # the gradient or the direction overflowed
 
 
 class NoRootError(ArithmeticError):
@@ -150,6 +152,7 @@ def _project(
     branch: Branch,
     fields: Optional[FieldSamples] = None,
     warm: Optional[_Projected] = None,
+    terms: Optional[FiberTerms] = None,
 ) -> _Projected:
     """Scale the direction w onto the branch by its own fiber root t (t1 for
     Plus, t2 for Minus); returns the on-manifold point t*w with its energy
@@ -159,9 +162,11 @@ def _project(
     depend on the scale of w and w is not normalized.  ``warm`` is a
     projected point near w (the line search's base point): its own branch
     root is 1, which seeds t, and its t_circ seeds the fiber maximizer.
-    Raises NoRootError when the branch is unreachable.
+    ``terms`` are the fiber terms of w when the caller has them; they are
+    computed here otherwise.  Raises NoRootError when the branch is
+    unreachable.
     """
-    ft = fiber_terms(mesh, data, w, fields)
+    ft = fiber_terms(mesh, data, w, fields) if terms is None else terms
     start, tc_start = (None, None) if warm is None else (1.0, warm.t_circ)
     only = "t1" if branch is Branch.PLUS else "t2"
     roots = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=only)
@@ -227,114 +232,165 @@ class _LBFGS:
         return d, gd
 
 
-def minimize_on_branch(
-    mesh: Mesh,
-    data: ProblemData,
-    lam: float,
-    branch: Branch,
-    init,
-    opts: Optional[SolverOptions] = None,
-) -> SolveResult:
-    """Fiber-projected L-BFGS descent in the H^1 metric from ``init`` on one branch.
+class _Lane:
+    """One start's descent: its current and best projected points, its
+    progress counters, its L-BFGS memory, and its stop reason (None while
+    it runs)."""
 
-    Stops when the projected energy fails to decrease (relative energy_tol)
-    for ``stall`` iterations, or early when the normalized gradient already
-    meets the residual tolerance; returns the best projected iterate and
-    records why the loop ended in ``stop_reason``.  ``converged`` requires
-    that the loop did not run out of iterations, and additionally the branch
-    class, strict nodal positivity, an inactive singular floor and the weak
-    residual bound.
+    def __init__(self, proj: _Projected, memory: _LBFGS):
+        self.proj = self.best = proj
+        self.best_resid = np.inf
+        self.resid_progress = False
+        self.stall = 0
+        self.iterations = 0
+        self.reason: Optional[StopReason] = None
+        self.memory = memory
+        self.prev = None  # the last iteration's (u, g, P^-1 g)
+
+
+def _lane_terms(mesh: Mesh, data: ProblemData, w: np.ndarray, fields: FieldSamples) -> list:
+    """The fiber terms of every lane of w (S, M), from one batched breakdown.
+
+    A lane whose breakdown is not finite gets None, so that ``_project``
+    recomputes it alone under the caller's numpy error state: an overflow in
+    one lane fails that lane's projection, as it fails a lone descent's,
+    and not the batch.
     """
-    if opts is None:
-        opts = SolverOptions()
+    with np.errstate(all="ignore"):
+        bd = modular_breakdown(mesh, data, w, fields)
+    sums = np.column_stack(list(vars(bd).values()))
+    return [
+        FiberTerms.from_breakdown(ModularBreakdown(*row), data) if ok else None
+        for row, ok in zip(sums.tolist(), np.isfinite(sums).all(axis=1))
+    ]
+
+
+def _descend(
+    mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, opts: SolverOptions
+) -> list:
+    """Fiber-projected L-BFGS descents from the S rows of ``inits``, in lockstep.
+
+    The starts are the lanes of (S, M) arrays: each iteration, one
+    ``energy_gradient``, one Riesz map and one modular breakdown per line
+    search round serve every running lane.  Each lane keeps its own step,
+    stall count, stop reason and iteration count, locates its own fiber
+    roots, and drops out when it stops; no value of one lane depends on
+    another.  Returns, per start, its ``SolveResult`` or the ArithmeticError
+    that failed its first projection.  A lane whose gradient or direction is
+    not finite ends on its best projected point (``StopReason.NON_FINITE``).
+    """
     fields = sample_fields(mesh, data)
     hn = hat_norms_1p(mesh, data, fields)
     riesz = riesz_map(mesh, RIESZ_SHIFT / mesh.area)
-
-    w = np.maximum(np.asarray(init, dtype=float), 0.0)
-    if not w.any():
+    w = np.maximum(np.asarray(inits, dtype=float), 0.0)
+    if not w.any(axis=-1).all():
         raise ValueError("initial direction must be nonnegative and nonzero")
 
-    proj = _project(mesh, data, w, lam, branch, fields)  # NoRootError propagates
-    best = proj
-    best_resid = np.inf
-    stall = 0
-    memory = _LBFGS(riesz)
-    prev_u = prev_g = prev_pg = None
-    iterations = 0
-    reason = StopReason.MAX_ITER
+    outcomes = []
+    for wi, terms in zip(w, _lane_terms(mesh, data, w, fields)):
+        try:
+            outcomes.append(_Lane(_project(mesh, data, wi, lam, branch, fields, terms=terms), _LBFGS(riesz)))
+        except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
+            outcomes.append(exc)
+    lanes = [lane for lane in outcomes if isinstance(lane, _Lane)]
 
-    for iterations in range(1, opts.max_iter + 1):
-        g = energy_gradient(mesh, data, proj.u, lam, fields).values
-        resid = float(np.max(np.abs(g) / hn))
-        if resid <= 0.5 * opts.residual_tol:
-            reason = StopReason.RESIDUAL_TOL
-            best = proj  # this iterate, not an earlier lower-energy one, meets the tolerance
+    for iteration in range(1, opts.max_iter + 1):
+        if not lanes:
             break
-        # the energy plateaus quadratically faster than the gradient shrinks,
-        # so sustained residual contraction also counts as progress
-        resid_progress = resid < best_resid * (1.0 - 1e-3)
-        if resid < best_resid:
-            best_resid = resid
-        pg = riesz(g)
-        if prev_u is not None:
-            memory.push(proj.u - prev_u, g - prev_g, pg - prev_pg)
-        prev_u, prev_g, prev_pg = proj.u, g, pg
-        d, gd = memory.descent(proj.u, g, pg)
-        if gd <= 0.0:
-            reason = StopReason.ZERO_GRADIENT
-            break
+        u = np.stack([lane.proj.u for lane in lanes])
+        with np.errstate(all="ignore"):
+            g = energy_gradient(mesh, data, u, lam, fields).values
+            pg = riesz(g)
+            resid = np.max(np.abs(g) / hn, axis=-1).tolist()
+        finite = (np.isfinite(g).all(axis=-1) & np.isfinite(pg).all(axis=-1)).tolist()
+        d = np.zeros_like(g)
+        gd = [0.0] * len(lanes)
+        for i, lane in enumerate(lanes):
+            lane.iterations = iteration
+            if not finite[i]:
+                lane.reason = StopReason.NON_FINITE
+                continue
+            if resid[i] <= 0.5 * opts.residual_tol:
+                lane.reason = StopReason.RESIDUAL_TOL
+                lane.best = lane.proj  # this iterate, not an earlier lower-energy one, meets the tolerance
+                continue
+            # the energy plateaus quadratically faster than the gradient shrinks,
+            # so sustained residual contraction also counts as progress
+            lane.resid_progress = resid[i] < lane.best_resid * (1.0 - 1e-3)
+            lane.best_resid = min(lane.best_resid, resid[i])
+            with np.errstate(all="ignore"):
+                if lane.prev is not None:
+                    prev_u, prev_g, prev_pg = lane.prev
+                    lane.memory.push(u[i] - prev_u, g[i] - prev_g, pg[i] - prev_pg)
+                lane.prev = u[i], g[i], pg[i]
+                d[i], gd[i] = lane.memory.descent(u[i], g[i], pg[i])
+            if not (np.isfinite(gd[i]) and np.isfinite(d[i]).all()):
+                lane.reason = StopReason.NON_FINITE
+            elif gd[i] <= 0.0:
+                lane.reason = StopReason.ZERO_GRADIENT
 
-        # near the minimum the Armijo decrease drops below the energy's
-        # floating-point resolution; the slack keeps the tail iterations
-        # contracting the gradient instead of aborting the line search.  It
-        # scales with the energy's terms, not with |E|, which cancellation
-        # can make far smaller than the terms' rounding
-        slack = 8.0 * np.finfo(float).eps * max(1.0, proj.magnitude)
-        sigma = 1.0
-        accepted = None
+        search = [i for i, lane in enumerate(lanes) if lane.reason is None]
+        sigma = np.ones(len(search))
         for _ in range(MAX_BACKTRACKS + 1):
+            if not search:
+                break
             # a smooth H^1 step cannot lift a node the singular term pins near
             # 0, so no node may lose more than STEP_CLIP of its value per step
             # (this also keeps the trial nonzero)
-            trial_w = np.maximum(proj.u - sigma * d, STEP_CLIP * proj.u)
-            try:
-                trial = _project(mesh, data, trial_w, lam, branch, fields, warm=proj)
-            except ArithmeticError:
-                # an unreachable branch (NoRootError), a failed bracket
-                # (BracketError) or an overflow at this trial rejects the
-                # trial, not the descent
-                trial = None
-            if (
-                trial is not None
-                and np.isfinite(trial.energy)
-                and trial.energy <= proj.energy - ARMIJO * sigma * gd + slack
-            ):
-                accepted = trial
-                break
-            sigma *= BACKTRACK
-        if accepted is None:
-            reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
-            break
+            trial_w = np.maximum(u[search] - sigma[:, None] * d[search], STEP_CLIP * u[search])
+            rejected = []
+            for k, (i, wi, terms) in enumerate(zip(search, trial_w, _lane_terms(mesh, data, trial_w, fields))):
+                if not _accept(mesh, data, lam, branch, fields, lanes[i], wi, terms, float(sigma[k]) * gd[i], opts):
+                    rejected.append(k)
+            search = [search[k] for k in rejected]
+            sigma = sigma[rejected] * BACKTRACK
+        for i in search:
+            lanes[i].reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
+        lanes = [lane for lane in lanes if lane.reason is None]
+    for lane in lanes:
+        lane.reason = StopReason.MAX_ITER
+    return [_result(mesh, data, lam, branch, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
 
-        energy_progress = best.energy - accepted.energy > opts.energy_tol * max(
-            1.0, abs(best.energy)
-        )
-        stall = 0 if (energy_progress or resid_progress) else stall + 1
-        if accepted.energy < best.energy:
-            best = accepted
-        proj = accepted
-        if stall >= opts.stall:
-            reason = StopReason.STALL
-            break
 
-    u = best.u
+def _accept(mesh, data, lam, branch, fields, lane: _Lane, w, terms, decrease: float, opts: SolverOptions) -> bool:
+    """Project the trial direction w of ``lane`` and take it as the lane's
+    next point if it passes the Armijo test for the predicted ``decrease``
+    (sigma times the slope); counts the lane's stall and stops it there."""
+    try:
+        trial = _project(mesh, data, w, lam, branch, fields, warm=lane.proj, terms=terms)
+    except ArithmeticError:
+        # an unreachable branch (NoRootError), a failed bracket (BracketError)
+        # or an overflow at this trial rejects the trial, not the descent
+        return False
+    # near the minimum the Armijo decrease drops below the energy's
+    # floating-point resolution; the slack keeps the tail iterations
+    # contracting the gradient instead of aborting the line search.  It
+    # scales with the energy's terms, not with |E|, which cancellation
+    # can make far smaller than the terms' rounding
+    slack = 8.0 * np.finfo(float).eps * max(1.0, lane.proj.magnitude)
+    if not (np.isfinite(trial.energy) and trial.energy <= lane.proj.energy - ARMIJO * decrease + slack):
+        return False
+    best = lane.best
+    energy_progress = best.energy - trial.energy > opts.energy_tol * max(1.0, abs(best.energy))
+    lane.stall = 0 if (energy_progress or lane.resid_progress) else lane.stall + 1
+    if trial.energy < best.energy:
+        lane.best = trial
+    lane.proj = trial
+    if lane.stall >= opts.stall:
+        lane.reason = StopReason.STALL
+    return True
+
+
+def _result(mesh, data, lam, branch, lane: _Lane, fields, opts: SolverOptions) -> SolveResult:
+    """The ``SolveResult`` of a stopped lane, at its best point."""
+    u = lane.best.u
     nehari = classify_nehari(mesh, data, u, lam, fields)
     floor_activations = int(np.sum(u < DEFAULT_FLOOR))
     positive = bool(np.min(u) > 0.0)
-    residual = weak_residual(mesh, data, u, lam, fields) if positive else None
+    finite = lane.reason is not StopReason.NON_FINITE
+    residual = weak_residual(mesh, data, u, lam, fields) if positive and finite else None
     converged = (
-        reason is not StopReason.MAX_ITER
+        lane.reason is not StopReason.MAX_ITER
         and positive
         and floor_activations == 0
         and nehari.kind is branch.nehari_kind
@@ -343,15 +399,42 @@ def minimize_on_branch(
     )
     return SolveResult(
         u=u,
-        energy=best.energy,
+        energy=lane.best.energy,
         nehari=nehari,
         residual=residual,
-        iterations=iterations,
+        iterations=lane.iterations,
         floor_activations=floor_activations,
         converged=converged,
-        stop_reason=reason,
+        stop_reason=lane.reason,
         branch=branch.value,
     )
+
+
+def minimize_on_branch(
+    mesh: Mesh,
+    data: ProblemData,
+    lam: float,
+    branch: Branch,
+    init,
+    opts: Optional[SolverOptions] = None,
+) -> SolveResult:
+    """Fiber-projected L-BFGS descent in the H^1 metric from ``init`` on one
+    branch: the one-lane call of the lockstep descent.
+
+    Stops when the projected energy fails to decrease (relative energy_tol)
+    for ``stall`` iterations, or early when the normalized gradient already
+    meets the residual tolerance; returns the best projected iterate and
+    records why the loop ended in ``stop_reason``.  ``converged`` requires
+    that the loop did not run out of iterations, and additionally the branch
+    class, strict nodal positivity, an inactive singular floor and the weak
+    residual bound (none is computed where the gradient overflowed).  An
+    ArithmeticError of the first projection propagates (NoRootError when the
+    branch is unreachable along ``init``).
+    """
+    (out,) = _descend(mesh, data, lam, branch, np.asarray(init, dtype=float)[None], opts or SolverOptions())
+    if isinstance(out, ArithmeticError):
+        raise out
+    return out
 
 
 def multistart_directions(mesh: Mesh, seed: int = 0) -> list:
@@ -386,14 +469,14 @@ def solve_branch(
     """
     if opts is None:
         opts = SolverOptions()
+    starts = multistart_directions(mesh, opts.seed)
+    outcomes = zip([name for name, _ in starts], _descend(mesh, data, lam, branch, [w for _, w in starts], opts))
     results, failures = [], []
-    for name, w in multistart_directions(mesh, opts.seed):
-        try:
-            res = minimize_on_branch(mesh, data, lam, branch, w, opts)
-        except ArithmeticError as exc:
-            failures.append((name, exc))
-            continue
-        results.append(replace(res, start=name))
+    for name, out in outcomes:
+        if isinstance(out, SolveResult):
+            results.append(replace(out, start=name))
+        else:
+            failures.append((name, out))
     return results, tuple(failures)
 
 

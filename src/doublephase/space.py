@@ -32,6 +32,7 @@ from .rootfind import Map, expand_bracket, hybrid_root, power_sum
 __all__ = [
     "FieldSamples",
     "ModularBreakdown",
+    "lane_dot",
     "sample_fields",
     "modular_breakdown",
     "modular_rho",
@@ -98,7 +99,8 @@ def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
 
 @dataclass(frozen=True)
 class ModularBreakdown:
-    """The six discrete integrals every functional in the model is built from."""
+    """The six discrete integrals every functional in the model is built
+    from: floats for one function, (S,) arrays for S lanes."""
 
     grad_p: float          # integral |grad u|^p
     grad_q_mu: float       # integral mu |grad u|^q
@@ -108,21 +110,32 @@ class ModularBreakdown:
     mass_q1: float         # integral |u|^{q1}
 
 
+def lane_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x . w over the last axis, one value per lane of x (..., N), with w of
+    shape (N,) or (..., N).  As the stacked matmul (..., 1, N) @ (..., N, 1),
+    each lane is its own BLAS dot, so it equals the 1-D ``x @ w`` bit for bit
+    whatever the number of lanes (the rows of a 2-D gemv do not)."""
+    return (x[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
 def modular_breakdown(
     mesh: Mesh, data: ProblemData, u: np.ndarray, fields: Optional[FieldSamples] = None
 ) -> ModularBreakdown:
+    """The breakdown of u (M,), or of each lane of u (S, M)."""
     if fields is None:
         fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
     s = grid_grad_sq(mesh, u)   # hx^2 |grad u|^2, centroid rule
-    grad_p = float(fields.grad_p_weight @ s ** (0.5 * data.p))
-    grad_q_mu = float(fields.grad_q_weight @ s ** (0.5 * data.q))
     absu = np.abs(u)
-    mass_p_alpha = float(fields.alpha_weight @ absu**data.p)
-    zeta_sing = float(fields.zeta_weight @ absu ** (1.0 - data.kappa))
-    mass_q1 = float(mesh.node_weight @ absu**data.q1)
-    bdry = float(fields.beta_weight @ absu.take(mesh.boundary_nodes) ** data.p_lower_star)
-    return ModularBreakdown(grad_p, grad_q_mu, mass_p_alpha, bdry, zeta_sing, mass_q1)
+    sums = dict(
+        grad_p=lane_dot(s ** (0.5 * data.p), fields.grad_p_weight),
+        grad_q_mu=lane_dot(s ** (0.5 * data.q), fields.grad_q_weight),
+        mass_p_alpha=lane_dot(absu**data.p, fields.alpha_weight),
+        zeta_sing=lane_dot(absu ** (1.0 - data.kappa), fields.zeta_weight),
+        mass_q1=lane_dot(absu**data.q1, mesh.node_weight),
+        bdry_pstar_beta=lane_dot(absu.take(mesh.boundary_nodes, axis=-1) ** data.p_lower_star, fields.beta_weight),
+    )
+    return ModularBreakdown(**{k: x if u.ndim > 1 else float(x) for k, x in sums.items()})
 
 
 def modular_rho(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:

@@ -196,15 +196,63 @@ def test_multistart_set_is_deterministic(mesh4):
     assert not np.array_equal(a[3][1], c[3][1])
 
 
-def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
-    names = [name for name, _ in multistart_directions(mesh4, seed=0)]
+@pytest.mark.parametrize("nx, ny, rect", [(4, 4, (0.0, 0.0, 1.0, 1.0)), (6, 3, (0.0, 0.0, 2.0, 0.5))])
+def test_solve_branch_returns_every_start_in_order(preset_data, nx, ny, rect):
+    # the six starts descend as the lanes of one batch; each lane is the
+    # one-lane descent from its start, bit for bit
+    mesh = build_rect_mesh(nx, ny, rect)
+    starts = multistart_directions(mesh, seed=0)
     for branch in (Branch.PLUS, Branch.MINUS):
-        results, failures = solve_branch(mesh4, preset_data, LAM, branch)
+        results, failures = solve_branch(mesh, preset_data, LAM, branch)
         assert failures == ()
-        assert [res.start for res in results] == names
+        assert [res.start for res in results] == [name for name, _ in starts]
         assert all(res.branch == branch.value for res in results)
-        first = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes))
-        assert np.array_equal(results[0].u, first.u)
+        for res, (name, w) in zip(results, starts):
+            alone = minimize_on_branch(mesh, preset_data, LAM, branch, w)
+            assert np.array_equal(res.u, alone.u), name
+            assert (res.iterations, res.stop_reason) == (alone.iterations, alone.stop_reason), name
+
+
+def test_solve_branch_samples_the_fields_once(monkeypatch, mesh4, preset_data):
+    # the fields, the hat norms and the Riesz factors are built once per
+    # branch, not once per start
+    calls = []
+
+    def counting(mesh, data):
+        calls.append(1)
+        return sample_fields(mesh, data)
+
+    monkeypatch.setattr(solver, "sample_fields", counting)
+    results, _ = solve_branch(mesh4, preset_data, LAM, Branch.MINUS)
+    assert len(results) == 6
+    assert len(calls) == 1
+
+
+def test_overflowing_lane_ends_on_its_best_point(monkeypatch):
+    # at these admissible exponents the slope of the minus start ``bump``
+    # overflows at its first projected point, and ``bump_perturbed`` fails
+    # its first projection.  Under raising numpy errors, as in the CLI, the
+    # overflow ends that lane alone, on its best point, and the other lanes
+    # are what they are without it
+    from doublephase import ProblemData
+
+    data = ProblemData(p=1.75, q=10.9375, kappa=0.5, q1=11.12890625, lam=1.0, mu="x", alpha="1", beta="1", zeta="1")
+    mesh = build_rect_mesh(3, 3)
+    starts = multistart_directions(mesh, seed=0)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        results, failures = solve_branch(mesh, data, 1.0, Branch.MINUS)
+        monkeypatch.setattr(solver, "multistart_directions", lambda mesh, seed: [s for s in starts if s[0] != "bump"])
+        without, _ = solve_branch(mesh, data, 1.0, Branch.MINUS)
+    assert [name for name, _ in failures] == ["bump_perturbed"]
+    by_start = {res.start: res for res in results}
+    bump = by_start.pop("bump")
+    assert bump.stop_reason is StopReason.NON_FINITE
+    assert not bump.converged and bump.residual is None
+    assert np.isfinite(bump.energy) and bump.u.min() > 0
+    assert list(by_start) == [res.start for res in without]
+    for res in without:
+        assert np.array_equal(by_start[res.start].u, res.u), res.start
+        assert by_start[res.start].iterations == res.iterations
 
 
 def test_solve_branch_names_unreachable_starts(mesh4, preset_data):
