@@ -5,9 +5,9 @@ by its own fiber root (t1 for Plus, t2 for Minus); no direction is
 normalized, because the roots are scale-covariant.  From the projected
 point u a line-searched step is taken along d = H g, the L-BFGS direction
 of the nodal energy gradient g in the H^1 (Sobolev) metric P = K + c M,
-with K the P1 stiffness, M the mass and c = 10/|Omega|: the two-loop
-recursion over the last 10 pairs of projected points and their gradients,
-with H_0 = gamma P^-1 (``mesh.riesz_map``).  The Euclidean gradient's
+with K the P1 stiffness, M the mass and c = 10/|Omega|: the compact form of
+the last 10 pairs of projected points and their gradients, with
+H_0 = gamma P^-1 (``mesh.riesz_map``).  The Euclidean gradient's
 conditioning degrades like h^-2; the H^1 gradient P^-1 g's does not, so the
 iteration count does not grow with the mesh, and the pairs add the
 curvature P misses.  The line search tries sigma = 1 first, and each trial point
@@ -16,11 +16,14 @@ smooth direction cannot drive a node into the singular term's spike near 0.
 The projection keeps iterates exactly on the manifold, where the energy is
 coercive, and at a constrained minimizer the full discrete weak form holds
 (the multiplier vanishes because psi'(1) = 0 there).  Multi-start over
-deterministic seeds guards against missing the branch minimum.
+deterministic seeds guards against missing the branch minimum: the starts
+descend in lockstep as the lanes of (S, M) arrays, so one gradient, one
+Riesz map, one L-BFGS product of the stacked pair store and one breakdown
+per line-search round serve them all, and each lane's values are those of
+its start's descent alone, bit for bit.
 """
 from __future__ import annotations
 
-import collections
 import enum
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -40,7 +43,7 @@ from .fibering import (
 )
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
-from .space import FieldSamples, ModularBreakdown, modular_breakdown, sample_fields
+from .space import FieldSamples, ModularBreakdown, lane_dot, modular_breakdown, sample_fields
 # unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` by name
 from .space import luxemburg_norm  # noqa: F401
 
@@ -162,9 +165,8 @@ def _project(
     depend on the scale of w and w is not normalized.  ``warm`` is a
     projected point near w (the line search's base point): its own branch
     root is 1, which seeds t, and its t_circ seeds the fiber maximizer.
-    ``terms`` are the fiber terms of w when the caller has them; they are
-    computed here otherwise.  Raises NoRootError when the branch is
-    unreachable.
+    ``terms`` are w's fiber terms if the caller has them.  Raises
+    NoRootError when the branch is unreachable.
     """
     ft = fiber_terms(mesh, data, w, fields) if terms is None else terms
     start, tc_start = (None, None) if warm is None else (1.0, warm.t_circ)
@@ -181,118 +183,128 @@ def _project(
 
 
 class _LBFGS:
-    """The L-BFGS direction in the metric P = K + c M (Nocedal & Wright,
-    *Numerical Optimization*, 2006, Alg. 7.4): the last ``LBFGS_PAIRS``
-    pairs s = u_k - u_{k-1} of projected points and y = g_k - g_{k-1} of
-    their gradients, with H_0 = gamma P^-1 and gamma = s.y / (y.P^-1 y) of
-    the newest pair.  The projection is the retraction of Riemannian BFGS
-    (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015).
+    """The L-BFGS directions of S lanes in the metric P = K + c M, in the
+    compact form of Byrd, Nocedal & Schnabel (Math. Prog. 63, 1994, Thm 2.2).
+    A lane's last ``LBFGS_PAIRS`` pairs s = u_k - u_{k-1} of projected points
+    and y = g_k - g_{k-1} of their gradients are the rows of S and Y; with
+    H_0 = gamma P^-1, gamma = s.y / (y.P^-1 y) of the newest pair, R_ij =
+    s_i.y_j for pair i no newer than pair j (else 0) and D the diagonal of R,
+
+        H g = gamma (P^-1 g - (P^-1 Y)^T c) + S^T p,    c = R^-1 S g,
+        p = R^-T ((D + gamma Y P^-1 Y^T) c - gamma Y P^-1 g).
+
+    s, y and P^-1 y sit in a stacked (S, LBFGS_PAIRS, M) ring beside the Gram
+    matrices S Y^T and Y P^-1 Y^T; an empty slot is zeros and decouples.  The
+    projection is the retraction of Riemannian BFGS (Huang, Gallivan &
+    Absil, SIAM J. Optim. 25, 2015).
     """
 
-    def __init__(self, riesz):
-        self.riesz = riesz
-        self.pairs = collections.deque(maxlen=LBFGS_PAIRS)  # (s, y, 1/s.y), oldest first
-        self.gamma = 1.0
+    def __init__(self, lanes: int, m: int):
+        k = LBFGS_PAIRS
+        self.s, self.y, self.py = (np.zeros((lanes, k, m)) for _ in range(3))
+        self.sy = np.zeros((lanes, k, k))    # s_i . y_j
+        self.ypy = np.zeros((lanes, k, k))   # y_i . P^-1 y_j
+        self.age = np.full((lanes, k), -1)   # pushes before the slot's pair; -1 when empty
+        self.pushes = np.zeros(lanes, dtype=int)
+        self.gamma = np.ones(lanes)
+
+    def keep(self, lanes) -> None:
+        """Keep only the lanes the boolean mask ``lanes`` selects."""
+        self.__dict__.update({name: arr[lanes] for name, arr in vars(self).items()})
+
+    def clear(self, lanes) -> None:
+        """Drop every pair of the selected lanes."""
+        for arr in (self.s, self.y, self.py, self.sy, self.ypy):
+            arr[lanes] = 0.0
+        self.age[lanes], self.pushes[lanes], self.gamma[lanes] = -1, 0, 1.0
 
     def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
-        """Remember the pair (s, y), py = P^-1 y, unless s.y <= 0 or
+        """Remember each lane's pair (s, y), py = P^-1 y, unless s.y <= 0 or
         y.P^-1 y <= 0: only positive curvature keeps H positive definite
         (the second can underflow to 0 when y is tiny)."""
-        sy = float(s @ y)
-        ypy = float(y @ py)
-        if sy > 0.0 and ypy > 0.0:
-            self.pairs.append((s, y, 1.0 / sy))
-            self.gamma = sy / ypy
+        sy, ypy = lane_dot(s, y), lane_dot(y, py)
+        lanes = np.flatnonzero((sy > 0.0) & (ypy > 0.0))
+        slot = self.pushes[lanes] % LBFGS_PAIRS
+        self.s[lanes, slot], self.y[lanes, slot], self.py[lanes, slot] = s[lanes], y[lanes], py[lanes]
+        self.age[lanes, slot] = self.pushes[lanes]
+        self.pushes[lanes] += 1
+        self.gamma[lanes] = sy[lanes] / ypy[lanes]
+        self.sy[lanes, slot] = (self.y @ s[..., None])[lanes, :, 0]
+        self.sy[lanes, :, slot] = (self.s @ y[..., None])[lanes, :, 0]
+        self.ypy[lanes, slot] = self.ypy[lanes, :, slot] = (self.y @ py[..., None])[lanes, :, 0]
 
     def apply(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
-        """H g by the two-loop recursion; pg = P^-1 g, which is H g with no pairs."""
-        if not self.pairs:
-            return pg
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(self.pairs):
-            alpha = rho * float(s @ q)
-            q -= alpha * y
-            alphas.append(alpha)
-        r = self.gamma * self.riesz(q)
-        for (s, y, rho), alpha in zip(self.pairs, reversed(alphas)):
-            r += (alpha - rho * float(y @ r)) * s
-        return r
+        """H g for every lane; pg = P^-1 g, which is H g with no pairs."""
+        empty = np.eye(LBFGS_PAIRS) * (self.age < 0)[:, None]  # 1 on the diagonal of an empty slot
+        rinv = np.linalg.inv(np.where(self.age[:, :, None] <= self.age[:, None, :], self.sy, 0.0) + empty)
+        c = rinv @ (self.s @ g[..., None])
+        gamma = self.gamma[:, None, None]
+        p = np.swapaxes(rinv, 1, 2) @ (
+            (self.sy * np.eye(LBFGS_PAIRS) + gamma * self.ypy) @ c - gamma * (self.y @ pg[..., None])
+        )
+        return gamma[:, 0] * (pg - (np.swapaxes(c, 1, 2) @ self.py)[:, 0]) + (np.swapaxes(p, 1, 2) @ self.s)[:, 0]
 
-    def descent(self, u: np.ndarray, g: np.ndarray, pg: np.ndarray) -> tuple[np.ndarray, float]:
-        """The direction d = H g at u and its slope g.d over the free nodes
-        (u > 0 or d < 0; a node at 0 cannot move down).  When that slope is
-        not positive the pairs are dropped and d = P^-1 g."""
+    def descent(self, u: np.ndarray, g: np.ndarray, pg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The directions d = H g at u and their slopes g.d over the free
+        nodes (u > 0 or d < 0; a node at 0 cannot move down).  A lane whose
+        slope is not positive drops its pairs and takes d = P^-1 g."""
         d = self.apply(g, pg)
-        free = (u > 0.0) | (d < 0.0)
-        gd = float(g[free] @ d[free])
-        if gd <= 0.0 and self.pairs:
-            self.pairs.clear()
+        gd = lane_dot(np.where((u > 0.0) | (d < 0.0), g, 0.0), d)
+        reset = (gd <= 0.0) & (self.age >= 0).any(axis=1)
+        if reset.any():
+            self.clear(reset)
             return self.descent(u, g, pg)
         return d, gd
 
 
+@dataclass
 class _Lane:
-    """One start's descent: its current and best projected points, its
-    progress counters, its L-BFGS memory, and its stop reason (None while
-    it runs)."""
+    """One start's descent; ``reason`` is None while it runs."""
 
-    def __init__(self, proj: _Projected, memory: _LBFGS):
-        self.proj = self.best = proj
-        self.best_resid = np.inf
-        self.resid_progress = False
-        self.stall = 0
-        self.iterations = 0
-        self.reason: Optional[StopReason] = None
-        self.memory = memory
-        self.prev = None  # the last iteration's (u, g, P^-1 g)
+    proj: _Projected
+    best: _Projected
+    best_resid: float = np.inf
+    resid_progress: bool = False
+    stall: int = 0
+    iterations: int = 0
+    reason: Optional[StopReason] = None
 
 
-def _lane_terms(mesh: Mesh, data: ProblemData, w: np.ndarray, fields: FieldSamples) -> list:
-    """The fiber terms of every lane of w (S, M), from one batched breakdown.
-
-    A lane whose breakdown is not finite gets None, so that ``_project``
-    recomputes it alone under the caller's numpy error state: an overflow in
-    one lane fails that lane's projection, as it fails a lone descent's,
-    and not the batch.
-    """
+def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, branch: Branch, fields, warm) -> list:
+    """``_project`` of each lane of w (S, M) from its point in ``warm`` (or
+    None), with the terms of one batched breakdown, or the lane's
+    ArithmeticError.  Terms that are not finite are recomputed alone, under
+    the caller's numpy error state: an overflow fails that lane, not the batch."""
     with np.errstate(all="ignore"):
         bd = modular_breakdown(mesh, data, w, fields)
     sums = np.column_stack(list(vars(bd).values()))
-    return [
-        FiberTerms.from_breakdown(ModularBreakdown(*row), data) if ok else None
-        for row, ok in zip(sums.tolist(), np.isfinite(sums).all(axis=1))
-    ]
+    out = []
+    for wi, row, finite, base in zip(w, sums.tolist(), np.isfinite(sums).all(axis=1), warm):
+        terms = FiberTerms.from_breakdown(ModularBreakdown(*row), data) if finite else None
+        try:
+            out.append(_project(mesh, data, wi, lam, branch, fields, warm=base, terms=terms))
+        except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
+            out.append(exc)
+    return out
 
 
-def _descend(
-    mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, opts: SolverOptions
-) -> list:
-    """Fiber-projected L-BFGS descents from the S rows of ``inits``, in lockstep.
-
-    The starts are the lanes of (S, M) arrays: each iteration, one
-    ``energy_gradient``, one Riesz map and one modular breakdown per line
-    search round serve every running lane.  Each lane keeps its own step,
-    stall count, stop reason and iteration count, locates its own fiber
-    roots, and drops out when it stops; no value of one lane depends on
-    another.  Returns, per start, its ``SolveResult`` or the ArithmeticError
-    that failed its first projection.  A lane whose gradient or direction is
-    not finite ends on its best projected point (``StopReason.NON_FINITE``).
-    """
+def _descend(mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, opts: SolverOptions) -> list:
+    """Fiber-projected L-BFGS descents from the S rows of ``inits`` in
+    lockstep; each lane keeps its own counters and stop reason, and drops
+    out when it stops.  Returns, per start, its ``SolveResult`` or the
+    ArithmeticError that failed its first projection."""
     fields = sample_fields(mesh, data)
     hn = hat_norms_1p(mesh, data, fields)
     riesz = riesz_map(mesh, RIESZ_SHIFT / mesh.area)
     w = np.maximum(np.asarray(inits, dtype=float), 0.0)
     if not w.any(axis=-1).all():
         raise ValueError("initial direction must be nonnegative and nonzero")
-
-    outcomes = []
-    for wi, terms in zip(w, _lane_terms(mesh, data, w, fields)):
-        try:
-            outcomes.append(_Lane(_project(mesh, data, wi, lam, branch, fields, terms=terms), _LBFGS(riesz)))
-        except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
-            outcomes.append(exc)
+    outcomes = [
+        _Lane(p, p) if isinstance(p, _Projected) else p
+        for p in _project_lanes(mesh, data, w, lam, branch, fields, [None] * len(w))
+    ]
     lanes = [lane for lane in outcomes if isinstance(lane, _Lane)]
+    memory, prev = _LBFGS(len(lanes), mesh.num_nodes), None  # prev: the last (u, g, P^-1 g)
 
     for iteration in range(1, opts.max_iter + 1):
         if not lanes:
@@ -302,65 +314,54 @@ def _descend(
             g = energy_gradient(mesh, data, u, lam, fields).values
             pg = riesz(g)
             resid = np.max(np.abs(g) / hn, axis=-1).tolist()
-        finite = (np.isfinite(g).all(axis=-1) & np.isfinite(pg).all(axis=-1)).tolist()
-        d = np.zeros_like(g)
-        gd = [0.0] * len(lanes)
+            if prev is not None:
+                memory.push(u - prev[0], g - prev[1], pg - prev[2])
+            prev = u, g, pg
+            d, gd = memory.descent(u, g, pg)
+        moves = (np.isfinite(d).all(axis=-1) & np.isfinite(gd)).tolist()
+        gd = gd.tolist()
         for i, lane in enumerate(lanes):
             lane.iterations = iteration
-            if not finite[i]:
-                lane.reason = StopReason.NON_FINITE
-                continue
             if resid[i] <= 0.5 * opts.residual_tol:
                 lane.reason = StopReason.RESIDUAL_TOL
                 lane.best = lane.proj  # this iterate, not an earlier lower-energy one, meets the tolerance
-                continue
+            elif not moves[i]:
+                lane.reason = StopReason.NON_FINITE
+            elif gd[i] <= 0.0:
+                lane.reason = StopReason.ZERO_GRADIENT
             # the energy plateaus quadratically faster than the gradient shrinks,
             # so sustained residual contraction also counts as progress
             lane.resid_progress = resid[i] < lane.best_resid * (1.0 - 1e-3)
             lane.best_resid = min(lane.best_resid, resid[i])
-            with np.errstate(all="ignore"):
-                if lane.prev is not None:
-                    prev_u, prev_g, prev_pg = lane.prev
-                    lane.memory.push(u[i] - prev_u, g[i] - prev_g, pg[i] - prev_pg)
-                lane.prev = u[i], g[i], pg[i]
-                d[i], gd[i] = lane.memory.descent(u[i], g[i], pg[i])
-            if not (np.isfinite(gd[i]) and np.isfinite(d[i]).all()):
-                lane.reason = StopReason.NON_FINITE
-            elif gd[i] <= 0.0:
-                lane.reason = StopReason.ZERO_GRADIENT
 
+        # every lane's line search tries sigma = 1, 1/2, ... in step; a smooth
+        # H^1 step cannot lift a node the singular term pins near 0, so no node
+        # may lose more than STEP_CLIP of its value per step (this also keeps
+        # the trial nonzero)
         search = [i for i, lane in enumerate(lanes) if lane.reason is None]
-        sigma = np.ones(len(search))
-        for _ in range(MAX_BACKTRACKS + 1):
+        for sigma in (BACKTRACK**k for k in range(MAX_BACKTRACKS + 1)):
             if not search:
                 break
-            # a smooth H^1 step cannot lift a node the singular term pins near
-            # 0, so no node may lose more than STEP_CLIP of its value per step
-            # (this also keeps the trial nonzero)
-            trial_w = np.maximum(u[search] - sigma[:, None] * d[search], STEP_CLIP * u[search])
-            rejected = []
-            for k, (i, wi, terms) in enumerate(zip(search, trial_w, _lane_terms(mesh, data, trial_w, fields))):
-                if not _accept(mesh, data, lam, branch, fields, lanes[i], wi, terms, float(sigma[k]) * gd[i], opts):
-                    rejected.append(k)
-            search = [search[k] for k in rejected]
-            sigma = sigma[rejected] * BACKTRACK
+            with np.errstate(all="ignore"):  # a non-finite trial fails in its own lane's projection
+                trial_w = np.maximum(u[search] - sigma * d[search], STEP_CLIP * u[search])
+            trials = _project_lanes(mesh, data, trial_w, lam, branch, fields, [lanes[i].proj for i in search])
+            search = [i for i, trial in zip(search, trials) if not _accept(lanes[i], trial, sigma * gd[i], opts)]
         for i in search:
             lanes[i].reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
-        lanes = [lane for lane in lanes if lane.reason is None]
+        running = [lane.reason is None for lane in lanes]
+        if not all(running):
+            memory.keep(running)
+            prev = tuple(x[running] for x in prev)
+            lanes = [lane for lane, run in zip(lanes, running) if run]
     for lane in lanes:
         lane.reason = StopReason.MAX_ITER
     return [_result(mesh, data, lam, branch, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
 
 
-def _accept(mesh, data, lam, branch, fields, lane: _Lane, w, terms, decrease: float, opts: SolverOptions) -> bool:
-    """Project the trial direction w of ``lane`` and take it as the lane's
-    next point if it passes the Armijo test for the predicted ``decrease``
-    (sigma times the slope); counts the lane's stall and stops it there."""
-    try:
-        trial = _project(mesh, data, w, lam, branch, fields, warm=lane.proj, terms=terms)
-    except ArithmeticError:
-        # an unreachable branch (NoRootError), a failed bracket (BracketError)
-        # or an overflow at this trial rejects the trial, not the descent
+def _accept(lane: _Lane, trial, decrease: float, opts: SolverOptions) -> bool:
+    """Whether the projected trial (an ArithmeticError fails it) passes the
+    Armijo test for ``decrease`` = sigma g.d; if so it is the lane's next point."""
+    if isinstance(trial, ArithmeticError):
         return False
     # near the minimum the Armijo decrease drops below the energy's
     # floating-point resolution; the slack keeps the tail iterations
@@ -373,8 +374,7 @@ def _accept(mesh, data, lam, branch, fields, lane: _Lane, w, terms, decrease: fl
     best = lane.best
     energy_progress = best.energy - trial.energy > opts.energy_tol * max(1.0, abs(best.energy))
     lane.stall = 0 if (energy_progress or lane.resid_progress) else lane.stall + 1
-    if trial.energy < best.energy:
-        lane.best = trial
+    lane.best = trial if trial.energy < best.energy else best
     lane.proj = trial
     if lane.stall >= opts.stall:
         lane.reason = StopReason.STALL
@@ -398,28 +398,16 @@ def _result(mesh, data, lam, branch, lane: _Lane, fields, opts: SolverOptions) -
         and residual.residual_norm <= opts.residual_tol
     )
     return SolveResult(
-        u=u,
-        energy=lane.best.energy,
-        nehari=nehari,
-        residual=residual,
-        iterations=lane.iterations,
-        floor_activations=floor_activations,
-        converged=converged,
-        stop_reason=lane.reason,
-        branch=branch.value,
+        u=u, energy=lane.best.energy, nehari=nehari, residual=residual, iterations=lane.iterations,
+        floor_activations=floor_activations, converged=converged, stop_reason=lane.reason, branch=branch.value,
     )
 
 
 def minimize_on_branch(
-    mesh: Mesh,
-    data: ProblemData,
-    lam: float,
-    branch: Branch,
-    init,
-    opts: Optional[SolverOptions] = None,
+    mesh: Mesh, data: ProblemData, lam: float, branch: Branch, init, opts: Optional[SolverOptions] = None
 ) -> SolveResult:
     """Fiber-projected L-BFGS descent in the H^1 metric from ``init`` on one
-    branch: the one-lane call of the lockstep descent.
+    branch (a one-lane ``_descend``).
 
     Stops when the projected energy fails to decrease (relative energy_tol)
     for ``stall`` iterations, or early when the normalized gradient already
@@ -427,9 +415,8 @@ def minimize_on_branch(
     records why the loop ended in ``stop_reason``.  ``converged`` requires
     that the loop did not run out of iterations, and additionally the branch
     class, strict nodal positivity, an inactive singular floor and the weak
-    residual bound (none is computed where the gradient overflowed).  An
-    ArithmeticError of the first projection propagates (NoRootError when the
-    branch is unreachable along ``init``).
+    residual bound (not computed after an overflow).  An ArithmeticError of
+    the first projection propagates.
     """
     (out,) = _descend(mesh, data, lam, branch, np.asarray(init, dtype=float)[None], opts or SolverOptions())
     if isinstance(out, ArithmeticError):
@@ -469,15 +456,10 @@ def solve_branch(
     """
     if opts is None:
         opts = SolverOptions()
-    starts = multistart_directions(mesh, opts.seed)
-    outcomes = zip([name for name, _ in starts], _descend(mesh, data, lam, branch, [w for _, w in starts], opts))
-    results, failures = [], []
-    for name, out in outcomes:
-        if isinstance(out, SolveResult):
-            results.append(replace(out, start=name))
-        else:
-            failures.append((name, out))
-    return results, tuple(failures)
+    names, inits = zip(*multistart_directions(mesh, opts.seed))
+    outcomes = list(zip(names, _descend(mesh, data, lam, branch, inits, opts)))
+    results = [replace(out, start=name) for name, out in outcomes if isinstance(out, SolveResult)]
+    return results, tuple((name, out) for name, out in outcomes if not isinstance(out, SolveResult))
 
 
 def solve_two(

@@ -111,10 +111,9 @@ class ModularBreakdown:
 
 
 def lane_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x . w over the last axis, one value per lane of x (..., N), with w of
-    shape (N,) or (..., N).  As the stacked matmul (..., 1, N) @ (..., N, 1),
-    each lane is its own BLAS dot, so it equals the 1-D ``x @ w`` bit for bit
-    whatever the number of lanes (the rows of a 2-D gemv do not)."""
+    """x . w over the last axis per lane of x (..., N), w (N,) or (..., N):
+    a stacked matmul (..., 1, N) @ (..., N, 1), whose every lane is its own
+    BLAS dot and so the 1-D ``x @ w`` bit for bit (a 2-D gemv's rows are not)."""
     return (x[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
@@ -125,17 +124,16 @@ def modular_breakdown(
     if fields is None:
         fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
+    dot = lane_dot if u.ndim > 1 else lambda x, w: float(lane_dot(x, w))
     s = grid_grad_sq(mesh, u)   # hx^2 |grad u|^2, centroid rule
+    grad_p = dot(s ** (0.5 * data.p), fields.grad_p_weight)
+    grad_q_mu = dot(s ** (0.5 * data.q), fields.grad_q_weight)
     absu = np.abs(u)
-    sums = dict(
-        grad_p=lane_dot(s ** (0.5 * data.p), fields.grad_p_weight),
-        grad_q_mu=lane_dot(s ** (0.5 * data.q), fields.grad_q_weight),
-        mass_p_alpha=lane_dot(absu**data.p, fields.alpha_weight),
-        zeta_sing=lane_dot(absu ** (1.0 - data.kappa), fields.zeta_weight),
-        mass_q1=lane_dot(absu**data.q1, mesh.node_weight),
-        bdry_pstar_beta=lane_dot(absu.take(mesh.boundary_nodes, axis=-1) ** data.p_lower_star, fields.beta_weight),
-    )
-    return ModularBreakdown(**{k: x if u.ndim > 1 else float(x) for k, x in sums.items()})
+    mass_p_alpha = dot(absu**data.p, fields.alpha_weight)
+    zeta_sing = dot(absu ** (1.0 - data.kappa), fields.zeta_weight)
+    mass_q1 = dot(absu**data.q1, mesh.node_weight)
+    bdry = dot(absu.take(mesh.boundary_nodes, axis=-1) ** data.p_lower_star, fields.beta_weight)
+    return ModularBreakdown(grad_p, grad_q_mu, mass_p_alpha, bdry, zeta_sing, mass_q1)
 
 
 def modular_rho(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:

@@ -27,6 +27,25 @@ def overflowing_start(monkeypatch, mesh, start):
     monkeypatch.setattr(solver, "_project", failing)
 
 
+def two_loop_direction(pairs, gamma, riesz, g):
+    """H g by the L-BFGS two-loop recursion (Nocedal & Wright, *Numerical
+    Optimization*, 2006, Alg. 7.4) over the pairs (s, y), oldest first, with
+    H_0 = gamma P^-1 and ``riesz`` the map g -> P^-1 g: the oracle of the
+    solver's compact L-BFGS store."""
+    if not pairs:
+        return riesz(g)
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        alpha = (s @ q) / (s @ y)
+        q -= alpha * y
+        alphas.append(alpha)
+    r = gamma * riesz(q)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - (y @ r) / (s @ y)) * s
+    return r
+
+
 @pytest.fixture(scope="session")
 def preset_data():
     return ProblemData(**PRESET)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from doublephase.mesh import riesz_map
 from doublephase.solver import _project, multistart_directions
 from doublephase.space import lebesgue_norm, sample_fields
 
-from conftest import overflowing_start, rng
+from conftest import overflowing_start, rng, two_loop_direction
 
 LAM = 0.1
 
@@ -196,21 +198,21 @@ def test_multistart_set_is_deterministic(mesh4):
     assert not np.array_equal(a[3][1], c[3][1])
 
 
-@pytest.mark.parametrize("nx, ny, rect", [(4, 4, (0.0, 0.0, 1.0, 1.0)), (6, 3, (0.0, 0.0, 2.0, 0.5))])
-def test_solve_branch_returns_every_start_in_order(preset_data, nx, ny, rect):
+def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
     # the six starts descend as the lanes of one batch; each lane is the
     # one-lane descent from its start, bit for bit
-    mesh = build_rect_mesh(nx, ny, rect)
-    starts = multistart_directions(mesh, seed=0)
-    for branch in (Branch.PLUS, Branch.MINUS):
+    for mesh, branch in itertools.product(
+        (mesh4, build_rect_mesh(6, 3, rect=(0.0, 0.0, 2.0, 0.5))), (Branch.PLUS, Branch.MINUS)
+    ):
+        starts = multistart_directions(mesh, seed=0)
         results, failures = solve_branch(mesh, preset_data, LAM, branch)
         assert failures == ()
         assert [res.start for res in results] == [name for name, _ in starts]
         assert all(res.branch == branch.value for res in results)
         for res, (name, w) in zip(results, starts):
             alone = minimize_on_branch(mesh, preset_data, LAM, branch, w)
-            assert np.array_equal(res.u, alone.u), name
-            assert (res.iterations, res.stop_reason) == (alone.iterations, alone.stop_reason), name
+            assert np.array_equal(res.u, alone.u), (mesh.nx, name)
+            assert (res.iterations, res.stop_reason) == (alone.iterations, alone.stop_reason), (mesh.nx, name)
 
 
 def test_solve_branch_samples_the_fields_once(monkeypatch, mesh4, preset_data):
@@ -355,6 +357,16 @@ def test_descent_iterations_do_not_grow_with_the_mesh(preset_data):
     assert totals[32] <= 2 * totals[8], totals
 
 
+def test_every_16x16_start_converges_over_seven_seeds(mesh16, preset_data):
+    # the benchmark's solve16 preset: all 84 starts (2 branches, 6 starts,
+    # solver seeds 0-6) converge
+    for seed in range(7):
+        for branch in (Branch.PLUS, Branch.MINUS):
+            results, failures = solve_branch(mesh16, preset_data, LAM, branch, SolverOptions(seed=seed))
+            assert failures == () and len(results) == 6, (seed, branch)
+            assert all(res.converged for res in results), (seed, branch)
+
+
 def test_minus_ramp_start_converges(mesh16, preset_data):
     # the ramp vanishes on x = 0; without the per-step clip the descent
     # drifts to a node pinned near 0, where the singular term's gradient
@@ -403,11 +415,17 @@ def test_armijo_slack_scales_with_the_energy_terms():
 
 
 def _memory(mesh, pairs=()):
+    # a one-lane store with the given pairs pushed, oldest first
     riesz = riesz_map(mesh, solver.RIESZ_SHIFT / mesh.area)
-    memory = solver._LBFGS(riesz)
+    memory = solver._LBFGS(1, mesh.num_nodes)
     for s, y in pairs:
-        memory.push(s, y, riesz(y))
+        memory.push(s[None], y[None], riesz(y)[None])
     return memory, riesz
+
+
+def _held(memory) -> list:
+    """The number of pairs each lane of the store holds."""
+    return np.count_nonzero(memory.age >= 0, axis=1).tolist()
 
 
 def test_lbfgs_direction_meets_the_secant_identity(mesh4):
@@ -419,24 +437,25 @@ def test_lbfgs_direction_meets_the_secant_identity(mesh4):
         s = r.standard_normal(m)
         pairs.append((s, s + 0.3 * r.standard_normal(m)))
     memory, riesz = _memory(mesh4, pairs)
-    assert len(memory.pairs) == 3
+    assert _held(memory) == [3]
     s, y = pairs[-1]
-    np.testing.assert_allclose(memory.apply(y, riesz(y)), s, rtol=0, atol=1e-10 * np.linalg.norm(s))
+    hy = memory.apply(y[None], riesz(y)[None])[0]
+    np.testing.assert_allclose(hy, s, rtol=0, atol=1e-10 * np.linalg.norm(s))
 
 
 def test_lbfgs_without_pairs_is_the_h1_gradient(mesh4):
     g = rng(42).standard_normal(mesh4.num_nodes)
     memory, riesz = _memory(mesh4)
-    d, gd = memory.descent(np.ones(mesh4.num_nodes), g, riesz(g))
-    np.testing.assert_array_equal(d, riesz(g))
-    assert gd == pytest.approx(g @ riesz(g), rel=1e-14)
+    d, gd = memory.descent(np.ones((1, mesh4.num_nodes)), g[None], riesz(g)[None])
+    np.testing.assert_array_equal(d[0], riesz(g))
+    assert gd[0] == pytest.approx(g @ riesz(g), rel=1e-14)
 
 
 def test_lbfgs_skips_negative_curvature_pairs(mesh4):
     s = rng(43).standard_normal(mesh4.num_nodes)
     memory, _ = _memory(mesh4, [(s, -s), (s, np.zeros_like(s))])
-    assert not memory.pairs
-    assert memory.gamma == 1.0
+    assert _held(memory) == [0]
+    assert memory.gamma[0] == 1.0
 
 
 def test_lbfgs_skips_pairs_without_metric_curvature(mesh4):
@@ -445,18 +464,18 @@ def test_lbfgs_skips_pairs_without_metric_curvature(mesh4):
     s = r.standard_normal(mesh4.num_nodes)
     y = s + 0.3 * r.standard_normal(mesh4.num_nodes)
     memory, riesz = _memory(mesh4)
-    memory.push(s, y, np.zeros_like(y))
-    memory.push(s, y, -riesz(y))
-    assert not memory.pairs
-    assert memory.gamma == 1.0
+    memory.push(s[None], y[None], np.zeros_like(y)[None])
+    memory.push(s[None], y[None], -riesz(y)[None])
+    assert _held(memory) == [0]
+    assert memory.gamma[0] == 1.0
 
 
 def test_lbfgs_falls_back_to_the_h1_gradient(mesh4):
     # the slope counts only the free nodes, so with a node pinned at u = 0
-    # even a positive-definite H can give a two-loop direction that does not
-    # descend there; the memory is then dropped and the descent steps along
-    # P^-1 g.  Built from P^-1 g = e_0 + 0.1 e_24 with node 0 pinned, and one
-    # pair with s.g = 0 and y.P^-1 g < 0 that lifts d at node 0
+    # even a positive-definite H can give a direction that does not descend
+    # there; the memory is then dropped and the descent steps along P^-1 g.
+    # Built from P^-1 g = e_0 + 0.1 e_24 with node 0 pinned, and one pair
+    # with s.g = 0 and y.P^-1 g < 0 that lifts d at node 0
     m = mesh4.num_nodes
     memory, riesz = _memory(mesh4)
     P = np.linalg.inv(np.column_stack([riesz(e) for e in np.eye(m)]))
@@ -468,14 +487,44 @@ def test_lbfgs_falls_back_to_the_h1_gradient(mesh4):
     s -= (s @ g) / (g @ g) * g
     y = s.copy()
     y[0] = -0.5 * s[0]
-    memory.push(s, y, riesz(y))
-    assert len(memory.pairs) == 1
+    memory.push(s[None], y[None], riesz(y)[None])
+    assert _held(memory) == [1]
     u = np.ones(m)
     u[0] = 0.0
-    d = memory.apply(g, riesz(g))
+    d = memory.apply(g[None], riesz(g)[None])[0]
     free = (u > 0) | (d < 0)
     assert g[free] @ d[free] < 0.0
-    d, gd = memory.descent(u, g, riesz(g))
-    assert not memory.pairs
-    np.testing.assert_array_equal(d, riesz(g))
-    assert gd > 0.0
+    d, gd = memory.descent(u[None], g[None], riesz(g)[None])
+    assert _held(memory) == [0]
+    np.testing.assert_array_equal(d[0], riesz(g))
+    assert gd[0] > 0.0
+
+
+def test_lbfgs_store_matches_the_two_loop_recursion(mesh4):
+    # three lanes with ragged pair counts: lane 0 pushes 12 pairs and keeps
+    # the last 10, lane 1 keeps 3 of its first 4 (one has s.y < 0) and skips
+    # the rest, lane 2 is cleared after 8 pairs and keeps the 4 after that
+    r = rng(46)
+    m = mesh4.num_nodes
+    riesz = riesz_map(mesh4, solver.RIESZ_SHIFT / mesh4.area)
+    memory = solver._LBFGS(3, m)
+    kept = [[], [], []]
+    for k in range(12):
+        s = r.standard_normal((3, m))
+        y = s + 0.3 * r.standard_normal((3, m))
+        if k == 2 or k >= 4:
+            y[1] = -s[1]
+        memory.push(s, y, riesz(y))
+        for lane in range(3):
+            if s[lane] @ y[lane] > 0.0:
+                kept[lane] = (kept[lane] + [(s[lane], y[lane])])[-solver.LBFGS_PAIRS:]
+        if k == 7:
+            memory.clear(np.array([False, False, True]))
+            kept[2] = []
+    assert _held(memory) == [10, 3, 4] == [len(pairs) for pairs in kept]
+    g = r.standard_normal((3, m))
+    d = memory.apply(g, riesz(g))
+    for lane, pairs in enumerate(kept):
+        s, y = pairs[-1]
+        expected = two_loop_direction(pairs, (s @ y) / (y @ riesz(y)), riesz, g[lane])
+        assert np.linalg.norm(d[lane] - expected) <= 1e-12 * np.linalg.norm(expected), lane

@@ -118,6 +118,17 @@ def test_lambda_star_on_the_default_16x16_grid(mesh16, preset_data):
         assert estimate_lambda_star(mesh16, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), opts) == 0.8, seed
 
 
+def test_lambda_star_of_the_8x8_sweep_over_ten_seeds(preset_data):
+    # the benchmark's sweep8 scan: lambda* is the top of the grid at solver
+    # seeds 0-9, every grid point determined
+    from doublephase import build_rect_mesh
+
+    mesh = build_rect_mesh(8, 8)
+    for seed in range(10):
+        opts = SolverOptions(seed=seed)
+        assert estimate_lambda_star(mesh, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), opts) == 0.8, seed
+
+
 def test_lambda_star_propagates_solver_failure_as_undetermined(mesh4, preset_data):
     # the message names the first start, in start order, that did not converge
     with pytest.raises(SweepUndetermined, match="undetermined at lambda=0.2: .* from start 'ones'"):
