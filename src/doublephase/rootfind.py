@@ -1,21 +1,24 @@
-"""Scalar root finding: one bracket-safeguarded Newton iteration in log t.
+"""Scalar root finding: one bracket rule, and one bracket-safeguarded Newton
+iteration in log t.
 
 Every scalar equation in the package (Luxemburg norms, the fiber maximizer,
-the fiber roots) is strictly monotone in t > 0 on a known piece: (0, inf),
-(0, t_circ] or [t_circ, inf).  Maps are callables ``f(t) -> (value, slope)``;
-``power_sum`` builds them for sums of powers.  ``hybrid_root`` is rtsafe
-(Press et al., Numerical Recipes, 9.4) in log t: from a warm start near the
-root it costs one or two evaluations, and it never leaves the sign bracket.
+the fiber roots) is a sum of powers, strictly monotone on a known piece of
+t > 0.  Maps are callables ``f(t) -> (value, slope)``; ``power_sum`` builds
+them for sums of powers.  ``power_bracket`` gives each root a finite bracket
+from the power sum's own terms, a Fujiwara-type bound (Tohoku Math. J. 10,
+1916) for real exponents, computed in log t so that no power overflows.
+``hybrid_root`` is rtsafe (Press et al., Numerical Recipes, 9.4) in log t
+on such a bracket: from a warm start near the root it costs one or two
+evaluations, and it never leaves the sign bracket.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
 
-__all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_sum", "power_value"]
+__all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_bracket", "power_sum", "power_value"]
 
 Map = Callable[[float], "tuple[float, float]"]  # t -> (f(t), f'(t))
-LN2 = math.log(2.0)
 BRACKET_STEPS = 200  # doublings or halvings ``expand_bracket`` tries
 ROOT_EVALS = 200     # evaluations ``hybrid_root`` makes before giving up
 
@@ -50,9 +53,41 @@ def power_value(terms, t: float) -> float:
     return val
 
 
+def power_bracket(terms, rhs: float) -> tuple[float, float]:
+    """A finite bracket (lo, hi) of the root t > 0 of sum(c * t**r) = rhs.
+
+    The (c, r) pairs with c != 0 are the live terms; each needs a finite
+    c > 0, and their exponents one sign, so the sum is strictly monotone.
+    At the root no term exceeds rhs and, with k live terms, one reaches
+    rhs / k, so the root lies between the per-term roots of c t^r = rhs and
+    of c t^r = rhs / k.  Both are taken in log t, one log per term, and the
+    ends are rounded outward by a factor 2, so the sum is strictly on the
+    far side of rhs at each (one live term puts both per-term roots on the
+    root itself).  Raises BracketError for a term or rhs outside the rule,
+    and OverflowError when an end leaves the normal float range.
+    """
+    live = [(c, r) for c, r in terms if c != 0.0]
+    if not (live and 0.0 < rhs < math.inf):
+        raise BracketError(f"no root of sum(c t^r) = {rhs!r} over the live terms {live!r}")
+    sign = 1.0 if live[0][1] > 0.0 else -1.0  # a falling sum rises in 1/t
+    log_rhs, log_k = math.log(rhs), math.log(len(live))
+    lo = hi = math.inf  # ends in sign * log t
+    for c, r in live:
+        r *= sign
+        if not (0.0 < c < math.inf and r > 0.0):
+            raise BracketError(f"no bracket rule for the term {c!r} t^{sign * r!r}")
+        full = (log_rhs - math.log(c)) / r  # where c t^r = rhs
+        lo, hi = min(lo, full - log_k / r), min(hi, full)  # (rhs / k) and rhs
+    lo, hi = (lo, hi) if sign > 0 else (-hi, -lo)
+    if not (-707.0 < lo and hi < 709.0):  # e^-707 / 2 and 2 e^709 are normal floats
+        raise OverflowError(f"power sum root bracket [e^{lo:.6g}, e^{hi:.6g}] leaves the float range")
+    return 0.5 * math.exp(lo), 2.0 * math.exp(hi)
+
+
 def expand_bracket(f: Map) -> tuple[float, float, float, float]:
     """Bracket a sign change of ``f`` by geometric expansion from t = 1.
 
+    No package code calls it: every root is bracketed by ``power_bracket``.
     ``f(t)`` returns (value, slope); only the value is used.  Returns
     (lo, hi, f(lo), f(hi)) with f(lo) and f(hi) of opposite sign (one may
     be exactly zero).  Doubles t while f(t) > 0 and halves it otherwise,
@@ -76,12 +111,9 @@ def expand_bracket(f: Map) -> tuple[float, float, float, float]:
 
 
 def _split(lo: float, hi: float) -> float:
-    """Geometric bisection point of (lo, hi), a factor 2 in from an open end."""
-    if hi == math.inf:
-        return 2.0 * lo if lo > 0.0 else 1.0
-    if lo == 0.0:
-        return 0.5 * hi
-    return 0.5 * (lo + hi) if hi <= 2.0 * lo else math.sqrt(lo * hi)
+    """Bisection point of (lo, hi): geometric, in log t, while hi > 2 lo;
+    neither lo + hi nor lo * hi is formed, as both overflow near 1e308."""
+    return 0.5 * lo + 0.5 * hi if hi <= 2.0 * lo else math.sqrt(lo) * math.sqrt(hi)
 
 
 def hybrid_root(
@@ -95,21 +127,19 @@ def hybrid_root(
 ) -> float:
     """Root of ``f`` between lo and hi to residual |f| <= abs_tol.
 
-    ``f(t)`` returns (value, slope).  The ends satisfy 0 <= lo < hi <= inf;
-    flo, fhi are f there (or its limits at 0 and inf) and must differ in
-    sign.  From ``start`` (ignored unless strictly inside), each pass takes
-    the Newton step in log t when it lands inside the bracket and is at
-    most half the step before last, and no longer than a factor 2 while an
-    end is still open; otherwise it bisects geometrically.  Returns when the
-    residual is met or the bracket reaches floating-point width; raises
-    BracketError after ROOT_EVALS evaluations.
+    ``f(t)`` returns (value, slope).  The bracket is finite, 0 < lo < hi <
+    inf (``power_bracket`` gives one); flo and fhi carry the strict signs of
+    f at lo and hi, which must differ: f's values there, or any numbers of
+    the same signs, such as its limits at 0 and inf.  From ``start``
+    (ignored unless strictly inside), each pass takes the Newton step in
+    log t when it lands inside the bracket, is at most half the step before
+    last and is no longer than the bracket; otherwise it bisects, in log t
+    while hi > 2 lo.  Returns when the residual is met or the bracket
+    reaches floating-point width; raises BracketError after ROOT_EVALS
+    evaluations.
     """
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if not (lo < hi and (flo > 0 > fhi or flo < 0 < fhi)):
-        raise ValueError("hybrid_root requires lo < hi and a sign-changing bracket")
+    if not (0.0 < lo < hi < math.inf and (flo > 0.0 > fhi or flo < 0.0 < fhi)):
+        raise ValueError("hybrid_root requires 0 < lo < hi < inf and a sign-changing bracket")
     rising = flo < 0
     t = start if start is not None and lo < start < hi else _split(lo, hi)
     last = before = math.inf  # sizes of the last two steps, in log t
@@ -121,13 +151,12 @@ def hybrid_root(
             lo = t
         else:
             hi = t
-        if hi < math.inf and abs(hi - lo) <= 4e-16 * max(abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
+        if hi - lo <= 4e-16 * hi:
+            return _split(lo, hi)
         dlog = t * slope
         step = -ft / dlog if dlog else math.inf
-        width = math.log(hi / lo) if 0.0 < lo and hi < math.inf else LN2
         # 0.0 marks a rejected step: it is never strictly inside the bracket
-        newton = t * math.exp(step) if abs(step) <= min(0.5 * before, width) else 0.0
+        newton = t * math.exp(step) if abs(step) <= 0.5 * before and abs(step) <= math.log(hi / lo) else 0.0
         if lo < newton < hi:
             before, last, t = last, abs(step), newton
         else:

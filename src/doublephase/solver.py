@@ -292,7 +292,7 @@ def _descend(mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, o
     """Fiber-projected L-BFGS descents from the S rows of ``inits`` in
     lockstep; each lane keeps its own counters and stop reason, and drops
     out when it stops.  Returns, per start, its ``SolveResult`` or the
-    ArithmeticError that failed its first projection."""
+    ArithmeticError that failed its first projection or its result."""
     fields = sample_fields(mesh, data)
     hn = hat_norms_1p(mesh, data, fields)
     riesz = riesz_map(mesh, RIESZ_SHIFT / mesh.area)
@@ -382,13 +382,18 @@ def _accept(lane: _Lane, trial, decrease: float, opts: SolverOptions) -> bool:
 
 
 def _result(mesh, data, lam, branch, lane: _Lane, fields, opts: SolverOptions) -> SolveResult:
-    """The ``SolveResult`` of a stopped lane, at its best point."""
+    """The ``SolveResult`` of a stopped lane, at its best point, or the
+    ArithmeticError that classifying that point raised (a far projected
+    point's squared gradients can overflow where its energy does not)."""
     u = lane.best.u
-    nehari = classify_nehari(mesh, data, u, lam, fields)
     floor_activations = int(np.sum(u < DEFAULT_FLOOR))
     positive = bool(np.min(u) > 0.0)
     finite = lane.reason is not StopReason.NON_FINITE
-    residual = weak_residual(mesh, data, u, lam, fields) if positive and finite else None
+    try:
+        nehari = classify_nehari(mesh, data, u, lam, fields)
+        residual = weak_residual(mesh, data, u, lam, fields) if positive and finite else None
+    except ArithmeticError as exc:
+        return exc
     converged = (
         lane.reason is not StopReason.MAX_ITER
         and positive
@@ -416,7 +421,7 @@ def minimize_on_branch(
     that the loop did not run out of iterations, and additionally the branch
     class, strict nodal positivity, an inactive singular floor and the weak
     residual bound (not computed after an overflow).  An ArithmeticError of
-    the first projection propagates.
+    the first projection or of the result propagates.
     """
     (out,) = _descend(mesh, data, lam, branch, np.asarray(init, dtype=float)[None], opts or SolverOptions())
     if isinstance(out, ArithmeticError):

@@ -7,12 +7,14 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doublephase import SolverOptions, critical_exponents, validate_hypotheses
 from doublephase.cli import _KEYS, Config, ConfigError, load_config, main, run
+from doublephase.sweep import lambda_tilde_from, sample_fibers
 
 MINIMAL = """
 # minimal preset
@@ -281,7 +283,10 @@ def test_numerical_overflow_exits_2(tmp_path):
 
 @st.composite
 def admissible_configs(draw):
-    """3x3 configs that satisfy every hypothesis clause, with 20 descent iterations."""
+    """3x3 configs that satisfy every hypothesis clause, with 20 descent
+    iterations and 10 sweep samples.  Lambda is drawn over 1e-2..10^2.5, or
+    just below or just above the config's sampled lambda_tilde, where the
+    fibers turn tangent."""
     p = draw(st.floats(min_value=1.05, max_value=1.95))
     p_star, p_lower_star = critical_exponents(p, 2)
     q = p + draw(st.floats(min_value=0.01, max_value=0.99)) * (p_star - p)
@@ -298,9 +303,18 @@ def admissible_configs(draw):
         zeta=draw(st.sampled_from(["1", "0.5 + x", "1 + y"])),
         nx=3,
         ny=3,
+        sweep_samples=10,
         solver=SolverOptions(max_iter=20),
     )
     assume(validate_hypotheses(config.problem(), config.build_mesh()).ok)  # rounding at an interval's end
+    near = draw(st.sampled_from([None, 1.0 - 1e-6, 1.0 + 1e-6]))
+    if near is not None:
+        try:  # with the CLI's numpy errors; a failed sampling keeps the drawn lambda
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                fibers = sample_fibers(config.build_mesh(), config.problem(), config.sweep_samples, config.sweep_seed)
+            config = dataclasses.replace(config, lam=near * lambda_tilde_from(fibers))
+        except ArithmeticError:
+            pass
     return config
 
 
@@ -326,7 +340,6 @@ def test_solve_ends_in_a_result_or_one_line(config):
 def test_sweep_ends_in_outputs_or_one_line(config):
     # the lambda* scan reports a failed minus start as undetermined; only the
     # sampling can still end the sweep, with exit 2, one line and no outputs
-    config = dataclasses.replace(config, sweep_samples=10)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         out_dir = os.path.join(tmp, "out")

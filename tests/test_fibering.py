@@ -17,6 +17,8 @@ from doublephase import (
     xi,
 )
 from doublephase.fibering import ROOT_TOL, FiberTerms, eta_prime, psi_magnitude
+from doublephase.problem import critical_exponents
+from doublephase.rootfind import power_bracket
 
 from conftest import oracle_bisect, oracle_breakdown, rng
 
@@ -265,6 +267,61 @@ def test_fiber_roots_warm_start_matches_cold(coeffs, frac, log_start, log_tc_sta
             ref = getattr(cold, name)
             assert abs(eta(ft, got) - le) <= ROOT_TOL * le
             assert abs(got - ref) * abs(eta_prime(ft, ref)) <= 2.0 * ROOT_TOL * le * (1.0 + 1e-6)
+
+
+@st.composite
+def admissible_fiber_terms(draw):
+    """Fiber terms of admissible exponents (1 < p < q < p^*, max(q, p_*) < q1
+    < p^*, 0 < kappa < 1) with a, d, e in 1e-3..1e3 and b, c that may vanish."""
+    p = draw(st.floats(min_value=1.05, max_value=1.95))
+    p_star, p_lower_star = critical_exponents(p, 2)
+    q = p + draw(st.floats(min_value=0.01, max_value=0.99)) * (p_star - p)
+    lower = max(q, p_lower_star)
+    coef = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x)
+    return FiberTerms(
+        a=draw(coef),
+        b=draw(st.just(0.0) | coef),
+        c=draw(st.just(0.0) | coef),
+        d=draw(coef),
+        e=draw(coef),
+        p=p,
+        q=q,
+        p_lower_star=p_lower_star,
+        q1=lower + draw(st.floats(min_value=0.01, max_value=0.99)) * (p_star - lower),
+        kappa=draw(st.floats(min_value=0.01, max_value=0.99)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_fiber_terms(), st.floats(min_value=-6.0, max_value=-1e-6))
+def test_fiber_roots_lie_inside_their_brackets(ft, log_frac):
+    # t_circ inside the bracket of xi's terms = (q1+kappa-1) d; t1 above the
+    # lower end of the zero of eta, where the a, b, c terms over t^(1-q1-kappa)
+    # reach d; t2 below the upper end of the a, b, c terms of eta = lam*e
+    p, q, ps, q1, k = ft.p, ft.q, ft.p_lower_star, ft.q1, ft.kappa
+    xi_terms = [((q1 - p) * ft.a, p + k - 1.0), ((q1 - q) * ft.b, q + k - 1.0), ((q1 - ps) * ft.c, ps + k - 1.0)]
+    lo_c, hi_c = power_bracket(xi_terms, (q1 + k - 1.0) * ft.d)
+    tc = t_circ(ft)
+    assert lo_c < tc < hi_c
+    try:
+        top = eta(ft, tc)
+    except OverflowError:  # eta's maximum itself is beyond the floats
+        with pytest.raises(OverflowError):
+            fiber_roots(ft, 1.0)
+        return
+    lam = 10.0**log_frac * top / ft.e
+    try:
+        roots = fiber_roots(ft, lam)
+    except OverflowError:
+        # t2's upper end, the root of eta's a, b, c terms = lam e times up to
+        # 2 k^(1/|r|), leaves the floats when an exponent r = s - q1 is tiny;
+        # test_rootfind checks the rule against such ends
+        assert min(q1 - s for s, c in ((p, ft.a), (q, ft.b), (ps, ft.c)) if c > 0) < 0.05
+        return
+    assert roots.kind == "two" and roots.t_circ == tc
+    lo = power_bracket([(ft.a, p + k - 1.0), (ft.b, q + k - 1.0), (ft.c, ps + k - 1.0)], ft.d)[0]
+    hi = power_bracket([(ft.a, p - q1), (ft.b, q - q1), (ft.c, ps - q1)], lam * ft.e)[1]
+    assert lo < roots.t1 < tc < roots.t2 < hi
 
 
 def test_psi_second_derivative_identity_at_roots():

@@ -257,6 +257,45 @@ def test_overflowing_lane_ends_on_its_best_point(monkeypatch):
         assert by_start[res.start].iterations == res.iterations
 
 
+def test_far_minus_roots_are_bracketed():
+    # with q1 - q = 0.026 the first projection of the minus starts ``bump``
+    # and ``bump_perturbed`` has t2 near 1e60, beyond any doubling walk from
+    # t_circ; the bracket from eta's own terms reaches it, so under raising
+    # numpy errors, as in the CLI, both starts end in results and no start
+    # of either branch is a named failure
+    from doublephase import ProblemData
+
+    data = ProblemData(p=1.5, q=3.75, kappa=0.5, q1=3.7763671875, lam=1.0, mu="x", alpha="1", beta="1", zeta="1")
+    mesh = build_rect_mesh(3, 3)
+    names = [name for name, _ in multistart_directions(mesh, seed=0)]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for branch in (Branch.PLUS, Branch.MINUS):
+            results, failures = solve_branch(mesh, data, 1.0, branch)
+            assert failures == ()
+            assert [res.start for res in results] == names
+    by_start = {res.start: res for res in results}
+    for name in ("bump", "bump_perturbed"):
+        assert by_start[name].branch == "minus" and by_start[name].u.min() > 0
+
+
+def test_unclassifiable_far_point_is_a_named_failure():
+    # here the first minus projection of ``bump`` and ``bump_perturbed`` lies
+    # so far out that its squared gradients overflow when the result
+    # classifies it: those starts are named failures, not an aborted branch
+    from doublephase import ProblemData
+
+    data = ProblemData(
+        p=1.125, q=1.4866071428571428, kappa=0.5, q1=1.4993198939732142, lam=0.1,
+        mu="1 + y", alpha="1", beta="1", zeta="1",
+    )
+    mesh = build_rect_mesh(3, 3)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        results, failures = solve_branch(mesh, data, 0.1, Branch.MINUS, SolverOptions(max_iter=20))
+    assert [name for name, _ in failures] == ["bump", "bump_perturbed"]
+    assert all(isinstance(exc, FloatingPointError) for _, exc in failures)
+    assert [res.start for res in results] == ["ones", "ramp", "ones_perturbed", "ramp_perturbed"]
+
+
 def test_solve_branch_names_unreachable_starts(mesh4, preset_data):
     # at lambda = 100 some minus starts reach the branch and the others do not
     results, failures = solve_branch(mesh4, preset_data, 100.0, Branch.MINUS)

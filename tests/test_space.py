@@ -13,7 +13,7 @@ from doublephase import (
     norm_star,
 )
 from doublephase.rootfind import BracketError
-from doublephase.space import modular_rho, power_modular, sample_fields
+from doublephase.space import modular_rho, sample_fields
 
 from conftest import (
     PRESET,
@@ -96,7 +96,7 @@ def test_luxemburg_root_frozen_oracle_value(mesh16, preset_data):
 
 def test_luxemburg_zero_function(mesh4, preset_data):
     assert norm_custom(mesh4, preset_data, np.zeros(mesh4.num_nodes)) == 0.0
-    assert luxemburg_norm(power_modular([])) == 0.0
+    assert luxemburg_norm([]) == 0.0
 
 
 def test_luxemburg_homogeneity(mesh4, preset_data):
@@ -116,7 +116,7 @@ def test_luxemburg_root_residual(mesh4, preset_data):
 
 def test_luxemburg_bracket_failure_is_reported():
     with pytest.raises(BracketError):
-        luxemburg_norm(lambda tau: (2.0, 0.0))  # constant, never reaches 1
+        luxemburg_norm([(2.0, 0.0)])  # constant, never reaches 1
 
 
 def test_norm_unit_modular(mesh4, preset_data):
