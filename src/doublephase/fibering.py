@@ -37,6 +37,7 @@ __all__ = [
     "psi",
     "psi_derivatives",
     "psi_magnitude",
+    "psi_with_magnitude",
     "eta",
     "eta_prime",
     "eta_tilde",
@@ -119,7 +120,20 @@ def psi_magnitude(ft: FiberTerms, lam: float, t: float) -> float:
     """Sum of the unsigned terms of psi(t), a/p + b/q + c/p_* + d/(1-kappa)
     + lam e/q1 of t u: the scale of psi's rounding error, which cancellation
     can make far larger than |psi(t)|."""
-    return power_value([(abs(c), r) for c, r in _psi_terms(ft, lam)], t)
+    return psi_with_magnitude(ft, lam, t)[1]
+
+
+def psi_with_magnitude(ft: FiberTerms, lam: float, t: float) -> tuple[float, float]:
+    """(psi(t), psi_magnitude(t)) at t > 0 from one power per term, each
+    summed in the order of ``power_value``, so both equal their own calls bit
+    for bit (|c| t^r is |c t^r| exactly)."""
+    val = mag = 0.0
+    for c, r in _psi_terms(ft, lam):
+        if c != 0.0:
+            x = t**r
+            val += c * x
+            mag += abs(c) * x
+    return val, mag
 
 
 def psi_derivatives(ft: FiberTerms, lam: float, t: float) -> tuple[float, float, float]:

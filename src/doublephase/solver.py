@@ -17,14 +17,16 @@ The projection keeps iterates exactly on the manifold, where the energy is
 coercive, and at a constrained minimizer the full discrete weak form holds
 (the multiplier vanishes because psi'(1) = 0 there).  Multi-start over
 deterministic seeds guards against missing the branch minimum: the starts
-descend in lockstep as the lanes of (S, M) arrays, so one gradient, one
-Riesz map, one L-BFGS product of the stacked pair store and one breakdown
-per line-search round serve them all, and each lane's values are those of
-its start's descent alone, bit for bit.
+of both branches descend in lockstep as the lanes of (S, M) arrays, each
+lane on its own branch, so one gradient, one Riesz map, one L-BFGS product
+of the stacked pair store and one breakdown per line-search round serve
+them all, and each lane's values are those of its start's descent alone,
+bit for bit.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -38,12 +40,11 @@ from .fibering import (
     classify_nehari,
     fiber_roots,
     fiber_terms,
-    psi,
-    psi_magnitude,
+    psi_with_magnitude,
 )
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
-from .space import FieldSamples, ModularBreakdown, lane_dot, modular_breakdown, sample_fields
+from .space import FieldSamples, lane_dot, modular_breakdown, sample_fields
 # unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` by name
 from .space import luxemburg_norm  # noqa: F401
 
@@ -91,6 +92,8 @@ ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 BACKTRACK = 0.5     # step shrink factor per rejected trial
 MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
 LBFGS_PAIRS = 10    # curvature pairs (s, y) the quasi-Newton direction remembers
+_EYE = np.eye(LBFGS_PAIRS)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,8 @@ def _project(
     projected point near w (the line search's base point): its own branch
     root is 1, which seeds t, and its t_circ seeds the fiber maximizer.
     ``terms`` are w's fiber terms if the caller has them.  Raises
-    NoRootError when the branch is unreachable.
+    NoRootError when the branch is unreachable, and OverflowError naming the
+    root when psi(t) leaves the float range at a finite t.
     """
     ft = fiber_terms(mesh, data, w, fields) if terms is None else terms
     start, tc_start = (None, None) if warm is None else (1.0, warm.t_circ)
@@ -177,9 +181,11 @@ def _project(
             f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
         )
     t = roots.t1 if branch is Branch.PLUS else roots.t2
-    return _Projected(
-        u=t * w, energy=psi(ft, lam, t), t_circ=roots.t_circ / t, magnitude=psi_magnitude(ft, lam, t)
-    )
+    try:
+        energy, magnitude = psi_with_magnitude(ft, lam, t)
+    except OverflowError as exc:  # a finite root so far out that a power of it is not
+        raise OverflowError(f"{branch.value} branch root t={t!r}: psi(t) leaves the float range") from exc
+    return _Projected(u=t * w, energy=energy, t_circ=roots.t_circ / t, magnitude=magnitude)
 
 
 class _LBFGS:
@@ -194,9 +200,12 @@ class _LBFGS:
         p = R^-T ((D + gamma Y P^-1 Y^T) c - gamma Y P^-1 g).
 
     s, y and P^-1 y sit in a stacked (S, LBFGS_PAIRS, M) ring beside the Gram
-    matrices S Y^T and Y P^-1 Y^T; an empty slot is zeros and decouples.  The
-    projection is the retraction of Riemannian BFGS (Huang, Gallivan &
-    Absil, SIAM J. Optim. 25, 2015).
+    matrices S Y^T and Y P^-1 Y^T; an empty slot is zeros and decouples.  R
+    (with a unit diagonal at the empty slots, so it stays invertible) and
+    D + gamma Y P^-1 Y^T change only with the pairs, so they are rebuilt
+    when the pairs change, not per direction.  The projection is the
+    retraction of Riemannian BFGS (Huang, Gallivan & Absil, SIAM J. Optim.
+    25, 2015).
     """
 
     def __init__(self, lanes: int, m: int):
@@ -207,6 +216,13 @@ class _LBFGS:
         self.age = np.full((lanes, k), -1)   # pushes before the slot's pair; -1 when empty
         self.pushes = np.zeros(lanes, dtype=int)
         self.gamma = np.ones(lanes)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """R and the middle matrix D + gamma Y P^-1 Y^T of the current pairs."""
+        order = self.age[:, :, None] <= self.age[:, None, :]
+        self.r = np.where(order, self.sy, 0.0) + _EYE * (self.age < 0)[:, None]
+        self.middle = self.sy * _EYE + self.gamma[:, None, None] * self.ypy
 
     def keep(self, lanes) -> None:
         """Keep only the lanes the boolean mask ``lanes`` selects."""
@@ -217,6 +233,7 @@ class _LBFGS:
         for arr in (self.s, self.y, self.py, self.sy, self.ypy):
             arr[lanes] = 0.0
         self.age[lanes], self.pushes[lanes], self.gamma[lanes] = -1, 0, 1.0
+        self._rebuild()
 
     def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
         """Remember each lane's pair (s, y), py = P^-1 y, unless s.y <= 0 or
@@ -232,16 +249,14 @@ class _LBFGS:
         self.sy[lanes, slot] = (self.y @ s[..., None])[lanes, :, 0]
         self.sy[lanes, :, slot] = (self.s @ y[..., None])[lanes, :, 0]
         self.ypy[lanes, slot] = self.ypy[lanes, :, slot] = (self.y @ py[..., None])[lanes, :, 0]
+        self._rebuild()
 
     def apply(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
         """H g for every lane; pg = P^-1 g, which is H g with no pairs."""
-        empty = np.eye(LBFGS_PAIRS) * (self.age < 0)[:, None]  # 1 on the diagonal of an empty slot
-        rinv = np.linalg.inv(np.where(self.age[:, :, None] <= self.age[:, None, :], self.sy, 0.0) + empty)
+        rinv = np.linalg.inv(self.r)
         c = rinv @ (self.s @ g[..., None])
         gamma = self.gamma[:, None, None]
-        p = np.swapaxes(rinv, 1, 2) @ (
-            (self.sy * np.eye(LBFGS_PAIRS) + gamma * self.ypy) @ c - gamma * (self.y @ pg[..., None])
-        )
+        p = np.swapaxes(rinv, 1, 2) @ (self.middle @ c - gamma * (self.y @ pg[..., None]))
         return gamma[:, 0] * (pg - (np.swapaxes(c, 1, 2) @ self.py)[:, 0]) + (np.swapaxes(p, 1, 2) @ self.s)[:, 0]
 
     def descent(self, u: np.ndarray, g: np.ndarray, pg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,6 +276,7 @@ class _LBFGS:
 class _Lane:
     """One start's descent; ``reason`` is None while it runs."""
 
+    branch: Branch
     proj: _Projected
     best: _Projected
     best_resid: float = np.inf
@@ -270,17 +286,22 @@ class _Lane:
     reason: Optional[StopReason] = None
 
 
-def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, branch: Branch, fields, warm) -> list:
-    """``_project`` of each lane of w (S, M) from its point in ``warm`` (or
-    None), with the terms of one batched breakdown, or the lane's
-    ArithmeticError.  Terms that are not finite are recomputed alone, under
-    the caller's numpy error state: an overflow fails that lane, not the batch."""
+def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, branches, fields, warm) -> list:
+    """``_project`` of each lane of w (S, M) onto its branch in ``branches``
+    from its point in ``warm`` (or None), with the terms of one batched
+    breakdown, or the lane's ArithmeticError.  Terms that are not finite are
+    recomputed alone, under the caller's numpy error state: an overflow fails
+    that lane, not the batch."""
     with np.errstate(all="ignore"):
         bd = modular_breakdown(mesh, data, w, fields)
-    sums = np.column_stack(list(vars(bd).values()))
+    sums = np.column_stack((bd.grad_p, bd.mass_p_alpha, bd.grad_q_mu, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1))
+    exponents = (data.p, data.q, data.p_lower_star, data.q1, data.kappa)
     out = []
-    for wi, row, finite, base in zip(w, sums.tolist(), np.isfinite(sums).all(axis=1), warm):
-        terms = FiberTerms.from_breakdown(ModularBreakdown(*row), data) if finite else None
+    for wi, (grad_p, mass_p, *bcde), finite, branch, base in zip(
+        w, sums.tolist(), np.isfinite(sums).all(axis=1), branches, warm
+    ):
+        # ``FiberTerms.from_breakdown`` of the lane's row, without building the row's breakdown
+        terms = FiberTerms(grad_p + mass_p, *bcde, *exponents) if finite else None
         try:
             out.append(_project(mesh, data, wi, lam, branch, fields, warm=base, terms=terms))
         except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
@@ -288,11 +309,12 @@ def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, bra
     return out
 
 
-def _descend(mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, opts: SolverOptions) -> list:
+def _descend(mesh: Mesh, data: ProblemData, lam: float, branches, inits, opts: SolverOptions) -> list:
     """Fiber-projected L-BFGS descents from the S rows of ``inits`` in
-    lockstep; each lane keeps its own counters and stop reason, and drops
-    out when it stops.  Returns, per start, its ``SolveResult`` or the
-    ArithmeticError that failed its first projection or its result."""
+    lockstep, each on its own branch of ``branches``; each lane keeps its own
+    counters and stop reason, and drops out when it stops.  Returns, per
+    start, its ``SolveResult`` or the ArithmeticError that failed its first
+    projection or its result."""
     fields = sample_fields(mesh, data)
     hn = hat_norms_1p(mesh, data, fields)
     riesz = riesz_map(mesh, RIESZ_SHIFT / mesh.area)
@@ -300,8 +322,8 @@ def _descend(mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, o
     if not w.any(axis=-1).all():
         raise ValueError("initial direction must be nonnegative and nonzero")
     outcomes = [
-        _Lane(p, p) if isinstance(p, _Projected) else p
-        for p in _project_lanes(mesh, data, w, lam, branch, fields, [None] * len(w))
+        _Lane(branch, p, p) if isinstance(p, _Projected) else p
+        for branch, p in zip(branches, _project_lanes(mesh, data, w, lam, branches, fields, [None] * len(w)))
     ]
     lanes = [lane for lane in outcomes if isinstance(lane, _Lane)]
     memory, prev = _LBFGS(len(lanes), mesh.num_nodes), None  # prev: the last (u, g, P^-1 g)
@@ -342,9 +364,13 @@ def _descend(mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, o
         for sigma in (BACKTRACK**k for k in range(MAX_BACKTRACKS + 1)):
             if not search:
                 break
+            base = u[search]
             with np.errstate(all="ignore"):  # a non-finite trial fails in its own lane's projection
-                trial_w = np.maximum(u[search] - sigma * d[search], STEP_CLIP * u[search])
-            trials = _project_lanes(mesh, data, trial_w, lam, branch, fields, [lanes[i].proj for i in search])
+                trial_w = np.maximum(base - sigma * d[search], STEP_CLIP * base)
+            searching = [lanes[i] for i in search]
+            trials = _project_lanes(
+                mesh, data, trial_w, lam, [lane.branch for lane in searching], fields, [lane.proj for lane in searching]
+            )
             search = [i for i, trial in zip(search, trials) if not _accept(lanes[i], trial, sigma * gd[i], opts)]
         for i in search:
             lanes[i].reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
@@ -355,7 +381,7 @@ def _descend(mesh: Mesh, data: ProblemData, lam: float, branch: Branch, inits, o
             lanes = [lane for lane, run in zip(lanes, running) if run]
     for lane in lanes:
         lane.reason = StopReason.MAX_ITER
-    return [_result(mesh, data, lam, branch, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
+    return [_result(mesh, data, lam, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
 
 
 def _accept(lane: _Lane, trial, decrease: float, opts: SolverOptions) -> bool:
@@ -368,8 +394,8 @@ def _accept(lane: _Lane, trial, decrease: float, opts: SolverOptions) -> bool:
     # contracting the gradient instead of aborting the line search.  It
     # scales with the energy's terms, not with |E|, which cancellation
     # can make far smaller than the terms' rounding
-    slack = 8.0 * np.finfo(float).eps * max(1.0, lane.proj.magnitude)
-    if not (np.isfinite(trial.energy) and trial.energy <= lane.proj.energy - ARMIJO * decrease + slack):
+    slack = 8.0 * _EPS * max(1.0, lane.proj.magnitude)
+    if not (math.isfinite(trial.energy) and trial.energy <= lane.proj.energy - ARMIJO * decrease + slack):
         return False
     best = lane.best
     energy_progress = best.energy - trial.energy > opts.energy_tol * max(1.0, abs(best.energy))
@@ -381,7 +407,7 @@ def _accept(lane: _Lane, trial, decrease: float, opts: SolverOptions) -> bool:
     return True
 
 
-def _result(mesh, data, lam, branch, lane: _Lane, fields, opts: SolverOptions) -> SolveResult:
+def _result(mesh, data, lam, lane: _Lane, fields, opts: SolverOptions) -> SolveResult:
     """The ``SolveResult`` of a stopped lane, at its best point, or the
     ArithmeticError that classifying that point raised (a far projected
     point's squared gradients can overflow where its energy does not)."""
@@ -398,13 +424,13 @@ def _result(mesh, data, lam, branch, lane: _Lane, fields, opts: SolverOptions) -
         lane.reason is not StopReason.MAX_ITER
         and positive
         and floor_activations == 0
-        and nehari.kind is branch.nehari_kind
+        and nehari.kind is lane.branch.nehari_kind
         and residual is not None
         and residual.residual_norm <= opts.residual_tol
     )
     return SolveResult(
         u=u, energy=lane.best.energy, nehari=nehari, residual=residual, iterations=lane.iterations,
-        floor_activations=floor_activations, converged=converged, stop_reason=lane.reason, branch=branch.value,
+        floor_activations=floor_activations, converged=converged, stop_reason=lane.reason, branch=lane.branch.value,
     )
 
 
@@ -423,7 +449,7 @@ def minimize_on_branch(
     residual bound (not computed after an overflow).  An ArithmeticError of
     the first projection or of the result propagates.
     """
-    (out,) = _descend(mesh, data, lam, branch, np.asarray(init, dtype=float)[None], opts or SolverOptions())
+    (out,) = _descend(mesh, data, lam, [branch], np.asarray(init, dtype=float)[None], opts or SolverOptions())
     if isinstance(out, ArithmeticError):
         raise out
     return out
@@ -459,12 +485,23 @@ def solve_branch(
     other ArithmeticError (an overflow, a failed bracket) is a numerical
     failure.  A failed start never costs the other starts their results.
     """
+    return _solve_branches(mesh, data, lam, (branch,), opts)[0]
+
+
+def _solve_branches(mesh: Mesh, data: ProblemData, lam: float, branches, opts: Optional[SolverOptions]) -> list:
+    """``solve_branch`` of each of ``branches``, with the starts of all of
+    them descending as the lanes of one lockstep batch."""
     if opts is None:
         opts = SolverOptions()
     names, inits = zip(*multistart_directions(mesh, opts.seed))
-    outcomes = list(zip(names, _descend(mesh, data, lam, branch, inits, opts)))
-    results = [replace(out, start=name) for name, out in outcomes if isinstance(out, SolveResult)]
-    return results, tuple((name, out) for name, out in outcomes if not isinstance(out, SolveResult))
+    n = len(inits)
+    outcomes = _descend(mesh, data, lam, [b for b in branches for _ in inits], inits * len(branches), opts)
+    per_branch = []
+    for k in range(len(branches)):
+        named = list(zip(names, outcomes[k * n:(k + 1) * n]))
+        results = [replace(out, start=name) for name, out in named if isinstance(out, SolveResult)]
+        per_branch.append((results, tuple((name, out) for name, out in named if not isinstance(out, SolveResult))))
+    return per_branch
 
 
 def solve_two(
@@ -475,11 +512,12 @@ def solve_two(
     Failed starts are reported, not fatal, one line each: ``"name: reason"``
     for an unreachable start, ``"name: numerical failure (<type>):
     <message>"`` for any other; each branch keeps its first result in start
-    order that is minimal under (not converged, energy).
+    order that is minimal under (not converged, energy).  The starts of both
+    branches descend as one lockstep batch; each result is its
+    ``solve_branch`` result, bit for bit.
     """
     best, failures = [], []
-    for branch in (Branch.PLUS, Branch.MINUS):
-        results, fails = solve_branch(mesh, data, lam, branch, opts)
+    for results, fails in _solve_branches(mesh, data, lam, (Branch.PLUS, Branch.MINUS), opts):
         best.append(min(results, key=lambda r: (not r.converged, r.energy), default=None))
         failures.append(tuple(
             f"{name}: {exc}" if isinstance(exc, NoRootError)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -215,9 +217,37 @@ def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
             assert (res.iterations, res.stop_reason) == (alone.iterations, alone.stop_reason), (mesh.nx, name)
 
 
-def test_solve_branch_samples_the_fields_once(monkeypatch, mesh4, preset_data):
-    # the fields, the hat norms and the Riesz factors are built once per
-    # branch, not once per start
+def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data):
+    # solve_two runs the six starts of both branches as the twelve lanes of
+    # one batch, plus first; each lane is the one-lane descent from its
+    # start on its branch, bit for bit, and each branch's pick is its best lane
+    batches = []
+    descend = solver._descend
+
+    def recording(mesh, data, lam, branches, inits, opts):
+        outcomes = descend(mesh, data, lam, branches, inits, opts)
+        batches.append((list(branches), outcomes))
+        return outcomes
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    for mesh in (mesh4, build_rect_mesh(6, 3, rect=(0.0, 0.0, 2.0, 0.5))):
+        batches.clear()
+        report = solve_two(mesh, preset_data, LAM)
+        ((branches, outcomes),) = batches
+        assert branches == [Branch.PLUS] * 6 + [Branch.MINUS] * 6
+        starts = multistart_directions(mesh, seed=0)
+        for k, (branch, picked) in enumerate(((Branch.PLUS, report.plus), (Branch.MINUS, report.minus))):
+            lanes = outcomes[6 * k:6 * (k + 1)]
+            for res, (name, w) in zip(lanes, starts):
+                alone = minimize_on_branch(mesh, preset_data, LAM, branch, w)
+                assert np.array_equal(res.u, alone.u), (mesh.nx, branch, name)
+                assert (res.energy, res.iterations, res.stop_reason, res.branch) == (
+                    alone.energy, alone.iterations, alone.stop_reason, alone.branch,
+                ), (mesh.nx, branch, name)
+            assert picked.energy == min(res.energy for res in lanes if res.converged)
+
+
+def _count_sample_fields(monkeypatch) -> list:
     calls = []
 
     def counting(mesh, data):
@@ -225,8 +255,22 @@ def test_solve_branch_samples_the_fields_once(monkeypatch, mesh4, preset_data):
         return sample_fields(mesh, data)
 
     monkeypatch.setattr(solver, "sample_fields", counting)
+    return calls
+
+
+def test_solve_branch_samples_the_fields_once(monkeypatch, mesh4, preset_data):
+    # the fields, the hat norms and the Riesz factors are built once per
+    # branch, not once per start
+    calls = _count_sample_fields(monkeypatch)
     results, _ = solve_branch(mesh4, preset_data, LAM, Branch.MINUS)
     assert len(results) == 6
+    assert len(calls) == 1
+
+
+def test_solve_two_samples_the_fields_once(monkeypatch, mesh4, preset_data):
+    # both branches descend in one batch, which samples the fields once
+    calls = _count_sample_fields(monkeypatch)
+    solve_two(mesh4, preset_data, LAM)
     assert len(calls) == 1
 
 
@@ -278,6 +322,36 @@ def test_far_minus_roots_are_bracketed():
         assert by_start[name].branch == "minus" and by_start[name].u.min() > 0
 
 
+def test_far_finite_root_whose_energy_overflows_is_named():
+    # the first minus projection of ``bump`` and ``bump_perturbed`` has a
+    # finite root t2 near 1e17, but t2^q1 leaves the floats: under raising
+    # numpy errors, as in the CLI, the failure names the branch, the root and
+    # the overflow of psi(t); it stays a numerical failure, so the lambda*
+    # scan calls that lambda undetermined
+    from doublephase import ProblemData
+    from doublephase.sweep import SweepUndetermined, estimate_lambda_star
+
+    lam = 0.04514085617007927
+    data = ProblemData(
+        p=1.8105668887870976, q=18.008960042860462, kappa=0.8958384524320082, q1=18.637909527783492,
+        lam=lam, mu="x", alpha="1", beta="1", zeta="1",
+    )
+    mesh = build_rect_mesh(3, 3)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report = solve_two(mesh, data, lam)
+        with pytest.raises(SweepUndetermined, match="from start 'bump' .*OverflowError.*leaves the float range"):
+            estimate_lambda_star(mesh, data, [lam])
+    assert report.plus_failures == ()
+    assert [entry.split(": ", 1)[0] for entry in report.minus_failures] == ["bump", "bump_perturbed"]
+    for entry in report.minus_failures:
+        match = re.fullmatch(
+            r"\w+: numerical failure \(OverflowError\): minus branch root t=(\S+): psi\(t\) leaves the float range",
+            entry,
+        )
+        assert match, entry
+        assert math.isfinite(float(match[1])) and float(match[1]) > 1e16
+
+
 def test_unclassifiable_far_point_is_a_named_failure():
     # here the first minus projection of ``bump`` and ``bump_perturbed`` lies
     # so far out that its squared gradients overflow when the result
@@ -324,25 +398,20 @@ def test_solve_branch_names_a_numerical_failure_and_keeps_the_other_starts(monke
     assert report.plus_failures == report.minus_failures == expected
 
 
-def test_solve_two_signs_and_best_of(monkeypatch, mesh4, preset_data):
-    seen = {}
-
-    def recording(mesh, data, lam, branch, opts=None):
-        results, failures = solve_branch(mesh, data, lam, branch, opts)
-        seen[branch] = results
-        return results, failures
-
-    monkeypatch.setattr(solver, "solve_branch", recording)
+def test_solve_two_signs_and_best_of(mesh4, preset_data):
     report = solve_two(mesh4, preset_data, LAM)
     assert report.sign_ok
     assert report.plus.energy < 0 < report.minus.energy
     assert report.plus.u.min() > 0 and report.minus.u.min() > 0
-    # best-of: no start beats the merged result, which is the first of the
-    # lowest-energy converged starts
+    # best-of: no start of the branch's own multi-start beats the merged
+    # result, which is the first of the lowest-energy converged starts
     for branch, picked in ((Branch.PLUS, report.plus), (Branch.MINUS, report.minus)):
-        converged = [res for res in seen[branch] if res.converged]
+        results, _ = solve_branch(mesh4, preset_data, LAM, branch)
+        converged = [res for res in results if res.converged]
         best = min(res.energy for res in converged)
-        assert picked is next(res for res in converged if res.energy == best)
+        first = next(res for res in converged if res.energy == best)
+        assert (picked.start, picked.energy, picked.iterations) == (first.start, first.energy, first.iterations)
+        assert np.array_equal(picked.u, first.u)
 
 
 def test_solve_two_reports_minus_failures_at_large_lambda(mesh4, preset_data):
