@@ -265,7 +265,7 @@ def _cmd_fiber(config: Config, out_dir: str, function: str) -> int:
     data = config.problem()
     mesh = config.build_mesh()
     u = _function_values(mesh, function)
-    ft = fiber_terms(mesh, data, u)
+    ft = fiber_terms(mesh, data, u, sample_fields(mesh, data))
     lam = config.lam
     rows = []
     for t in np.logspace(-2, 2, 201):
@@ -287,7 +287,8 @@ def _cmd_fiber(config: Config, out_dir: str, function: str) -> int:
 
 
 def _admissible(config: Config):
-    """(data, mesh) of a config that satisfies every hypothesis clause;
+    """(data, mesh, fields) of a config that satisfies every hypothesis
+    clause, with the coefficient fields sampled once for the whole command;
     raises ValueError naming the violated clauses otherwise, because the
     solver's scalar maps lose their monotonicity outside them."""
     data = config.problem()
@@ -295,12 +296,12 @@ def _admissible(config: Config):
     report = validate_hypotheses(data, mesh)
     if not report.ok:
         raise ValueError("hypotheses violated: " + "; ".join(f"{tag}: {msg}" for tag, msg in report.violations))
-    return data, mesh
+    return data, mesh, sample_fields(mesh, data)
 
 
 def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
-    data, mesh = _admissible(config)
-    report = solve_two(mesh, data, config.lam, config.solver)
+    data, mesh, fields = _admissible(config)
+    report = solve_two(mesh, data, config.lam, fields, config.solver)
     os.makedirs(out_dir, exist_ok=True)
     payload = dict(asdict(report, dict_factory=_report_dict), sign_ok=report.sign_ok)
     _write_json(os.path.join(out_dir, "solve_report.json"), payload)
@@ -314,15 +315,14 @@ def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
 
 
 def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
-    data, mesh = _admissible(config)
-    fields = sample_fields(mesh, data)
+    data, mesh, fields = _admissible(config)
     n = config.sweep_samples
     seed = config.sweep_seed
     fibers = sample_fibers(mesh, data, n, seed, fields)
     lam_tilde = lambda_tilde_from(fibers)
     evidence = [(lam, len(nzero_evidence(fibers, lam).tangencies) > 0) for lam in config.lambda_grid]
     try:
-        lam_star = estimate_lambda_star(mesh, data, config.lambda_grid, config.solver)
+        lam_star = estimate_lambda_star(mesh, data, config.lambda_grid, fields, config.solver)
     except (SweepUndetermined, ValueError) as exc:
         print(f"lambda_star scan: {exc}")
         lam_star = None

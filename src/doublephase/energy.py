@@ -18,14 +18,16 @@ and the floored nodes are flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .fibering import FiberTerms, _psi_terms, psi
+from .fibering import _psi_terms, fiber_terms, psi
 from .mesh import Mesh, grid_flux, grid_grad_sq, hat_grad_power_sum
 from .problem import ProblemData
-from .space import FieldSamples, modular_breakdown, sample_fields
+from .space import FieldSamples
+# unused here, but the benchmark's tracer wraps ``energy.modular_breakdown`` and
+# ``energy.sample_fields`` by name
+from .space import modular_breakdown, sample_fields  # noqa: F401
 
 __all__ = [
     "EnergyValue",
@@ -83,12 +85,10 @@ class ResidualReport:
         return f"residual {self.residual_norm:.3e} ({terms})"
 
 
-def energy(
-    mesh: Mesh, data: ProblemData, u, lam: float, fields: Optional[FieldSamples] = None
-) -> EnergyValue:
+def energy(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> EnergyValue:
     """Theta_lam(u) = psi_u(1): the five parts are the terms of the fiber map
     at t = 1, and the total is psi itself."""
-    ft = FiberTerms.from_breakdown(modular_breakdown(mesh, data, u, fields), data)
+    ft = fiber_terms(mesh, data, u, fields)
     return EnergyValue(psi(ft, lam, 1.0), *(c for c, _ in _psi_terms(ft, lam)))
 
 
@@ -121,14 +121,12 @@ def gradient_flux(
 
 
 def _weak_form(
-    mesh: Mesh, data: ProblemData, u: np.ndarray, lam: float, fields: Optional[FieldSamples], floor: float
+    mesh: Mesh, data: ProblemData, u: np.ndarray, lam: float, fields: FieldSamples, floor: float
 ) -> tuple[tuple, np.ndarray]:
     """(terms, defect): the five nodal vectors of the weak form at u, in the
     order of WEAK_FORM_TERMS, and their signed sum gradient + alpha_mass +
     beta_boundary - singular - superlinear, each (..., M) for u (..., M).
     The singular vector takes max(u_i, floor)^(-kappa)."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
     grad_vec = gradient_flux(mesh, data, u, fields)
     alpha_vec = fields.alpha_weight * _signed_power(u, data.p - 1.0)
     b = mesh.boundary_nodes
@@ -140,22 +138,14 @@ def _weak_form(
     return (grad_vec, alpha_vec, beta_vec, sing_vec, super_vec), defect
 
 
-def apply_operator_A(
-    mesh: Mesh, data: ProblemData, u, h, fields: Optional[FieldSamples] = None
-) -> float:
+def apply_operator_A(mesh: Mesh, data: ProblemData, u, h, fields: FieldSamples) -> float:
     """Duality pairing of the double phase operator (plus mass and boundary
     terms) of u against h: the operator's nodal vector dotted with h."""
     terms, _ = _weak_form(mesh, data, np.asarray(u, dtype=float), 0.0, fields, DEFAULT_FLOOR)
     return float(sum(terms[:3]) @ np.asarray(h, dtype=float))  # gradient + alpha_mass + beta_boundary
 
 
-def energy_gradient(
-    mesh: Mesh,
-    data: ProblemData,
-    u,
-    lam: float,
-    fields: Optional[FieldSamples] = None,
-) -> GradientResult:
+def energy_gradient(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> GradientResult:
     """Nodal gradient of the discrete energy at u (M,), or at each lane of
     u (S, M).
 
@@ -167,24 +157,16 @@ def energy_gradient(
     return GradientResult(values=values, floor_active=u < DEFAULT_FLOOR)
 
 
-def hat_norms_1p(
-    mesh: Mesh, data: ProblemData, fields: Optional[FieldSamples] = None
-) -> np.ndarray:
+def hat_norms_1p(mesh: Mesh, data: ProblemData, fields: FieldSamples) -> np.ndarray:
     """norm_1p of every nodal hat function (used to normalize residuals)."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
     grad_p = hat_grad_power_sum(mesh, fields.grad_p_weight, data.p)   # sum_t |T| |grad phi|^p
     return (grad_p + fields.alpha_weight) ** (1.0 / data.p)
 
 
-def weak_residual(
-    mesh: Mesh, data: ProblemData, u, lam: float, fields: Optional[FieldSamples] = None
-) -> ResidualReport:
+def weak_residual(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> ResidualReport:
     """Maximal normalized defect of the weak-solution identity over all nodal
     hat functions.  Requires strictly positive nodal values (the identity's
     singular integral is otherwise undefined)."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("weak_residual requires u > 0 at every node")

@@ -36,7 +36,6 @@ __all__ = [
     "fiber_terms",
     "psi",
     "psi_derivatives",
-    "psi_magnitude",
     "psi_with_magnitude",
     "eta",
     "eta_prime",
@@ -98,9 +97,7 @@ class NehariClass:
     tol: float
 
 
-def fiber_terms(
-    mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None
-) -> FiberTerms:
+def fiber_terms(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> FiberTerms:
     return FiberTerms.from_breakdown(modular_breakdown(mesh, data, u, fields), data)
 
 
@@ -116,17 +113,13 @@ def psi(ft: FiberTerms, lam: float, t: float) -> float:
     return power_value(_psi_terms(ft, lam), t) if t > 0 else 0.0
 
 
-def psi_magnitude(ft: FiberTerms, lam: float, t: float) -> float:
-    """Sum of the unsigned terms of psi(t), a/p + b/q + c/p_* + d/(1-kappa)
-    + lam e/q1 of t u: the scale of psi's rounding error, which cancellation
-    can make far larger than |psi(t)|."""
-    return psi_with_magnitude(ft, lam, t)[1]
-
-
 def psi_with_magnitude(ft: FiberTerms, lam: float, t: float) -> tuple[float, float]:
-    """(psi(t), psi_magnitude(t)) at t > 0 from one power per term, each
-    summed in the order of ``power_value``, so both equal their own calls bit
-    for bit (|c| t^r is |c t^r| exactly)."""
+    """(psi(t), its magnitude) at t > 0: the magnitude is the sum of the
+    unsigned terms of psi(t), a/p + b/q + c/p_* + d/(1-kappa) + lam e/q1 of
+    t u, the scale of psi's rounding error, which cancellation can make far
+    larger than |psi(t)|.  One power per term, summed in the order of
+    ``power_value``, so psi equals ``psi(ft, lam, t)`` bit for bit (|c| t^r
+    is |c t^r| exactly)."""
     val = mag = 0.0
     for c, r in _psi_terms(ft, lam):
         if c != 0.0:
@@ -293,13 +286,7 @@ def fiber_roots(
     return FiberRoots("two", t1, t2, tc, eta_max, le)
 
 
-def classify_nehari(
-    mesh: Mesh,
-    data: ProblemData,
-    u,
-    lam: float,
-    fields: Optional[FieldSamples] = None,
-) -> NehariClass:
+def classify_nehari(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> NehariClass:
     """Classify u against the constraint manifold at parameter lam.
 
     Relative tolerance: |psi'(1)| <= NEHARI_TOL * (a+b+c+d+lam*e) puts u on

@@ -44,9 +44,10 @@ from .fibering import (
 )
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
-from .space import FieldSamples, lane_dot, modular_breakdown, sample_fields
-# unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` by name
-from .space import luxemburg_norm  # noqa: F401
+from .space import FieldSamples, lane_dot, modular_breakdown
+# unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` and
+# ``solver.sample_fields`` by name
+from .space import luxemburg_norm, sample_fields  # noqa: F401
 
 __all__ = [
     "Branch",
@@ -147,7 +148,7 @@ class _Projected:
     u: np.ndarray
     energy: float
     t_circ: float  # fiber maximizer of u itself
-    magnitude: float  # the energy's terms summed unsigned (``psi_magnitude``)
+    magnitude: float  # the energy's terms summed unsigned (``psi_with_magnitude``)
 
 
 def _project(
@@ -156,7 +157,7 @@ def _project(
     w: np.ndarray,
     lam: float,
     branch: Branch,
-    fields: Optional[FieldSamples] = None,
+    fields: FieldSamples,
     warm: Optional[_Projected] = None,
     terms: Optional[FiberTerms] = None,
 ) -> _Projected:
@@ -309,13 +310,14 @@ def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, bra
     return out
 
 
-def _descend(mesh: Mesh, data: ProblemData, lam: float, branches, inits, opts: SolverOptions) -> list:
+def _descend(
+    mesh: Mesh, data: ProblemData, lam: float, branches, inits, fields: FieldSamples, opts: SolverOptions
+) -> list:
     """Fiber-projected L-BFGS descents from the S rows of ``inits`` in
     lockstep, each on its own branch of ``branches``; each lane keeps its own
     counters and stop reason, and drops out when it stops.  Returns, per
     start, its ``SolveResult`` or the ArithmeticError that failed its first
     projection or its result."""
-    fields = sample_fields(mesh, data)
     hn = hat_norms_1p(mesh, data, fields)
     riesz = riesz_map(mesh, RIESZ_SHIFT / mesh.area)
     w = np.maximum(np.asarray(inits, dtype=float), 0.0)
@@ -435,7 +437,13 @@ def _result(mesh, data, lam, lane: _Lane, fields, opts: SolverOptions) -> SolveR
 
 
 def minimize_on_branch(
-    mesh: Mesh, data: ProblemData, lam: float, branch: Branch, init, opts: Optional[SolverOptions] = None
+    mesh: Mesh,
+    data: ProblemData,
+    lam: float,
+    branch: Branch,
+    init,
+    fields: FieldSamples,
+    opts: Optional[SolverOptions] = None,
 ) -> SolveResult:
     """Fiber-projected L-BFGS descent in the H^1 metric from ``init`` on one
     branch (a one-lane ``_descend``).
@@ -449,7 +457,7 @@ def minimize_on_branch(
     residual bound (not computed after an overflow).  An ArithmeticError of
     the first projection or of the result propagates.
     """
-    (out,) = _descend(mesh, data, lam, [branch], np.asarray(init, dtype=float)[None], opts or SolverOptions())
+    (out,) = _descend(mesh, data, lam, [branch], np.asarray(init, dtype=float)[None], fields, opts or SolverOptions())
     if isinstance(out, ArithmeticError):
         raise out
     return out
@@ -474,7 +482,12 @@ def multistart_directions(mesh: Mesh, seed: int = 0) -> list:
 
 
 def solve_branch(
-    mesh: Mesh, data: ProblemData, lam: float, branch: Branch, opts: Optional[SolverOptions] = None
+    mesh: Mesh,
+    data: ProblemData,
+    lam: float,
+    branch: Branch,
+    fields: FieldSamples,
+    opts: Optional[SolverOptions] = None,
 ) -> tuple[list, tuple]:
     """Descend on one branch from every start of ``multistart_directions``.
 
@@ -485,17 +498,19 @@ def solve_branch(
     other ArithmeticError (an overflow, a failed bracket) is a numerical
     failure.  A failed start never costs the other starts their results.
     """
-    return _solve_branches(mesh, data, lam, (branch,), opts)[0]
+    return _solve_branches(mesh, data, lam, (branch,), fields, opts)[0]
 
 
-def _solve_branches(mesh: Mesh, data: ProblemData, lam: float, branches, opts: Optional[SolverOptions]) -> list:
+def _solve_branches(
+    mesh: Mesh, data: ProblemData, lam: float, branches, fields: FieldSamples, opts: Optional[SolverOptions]
+) -> list:
     """``solve_branch`` of each of ``branches``, with the starts of all of
     them descending as the lanes of one lockstep batch."""
     if opts is None:
         opts = SolverOptions()
     names, inits = zip(*multistart_directions(mesh, opts.seed))
     n = len(inits)
-    outcomes = _descend(mesh, data, lam, [b for b in branches for _ in inits], inits * len(branches), opts)
+    outcomes = _descend(mesh, data, lam, [b for b in branches for _ in inits], inits * len(branches), fields, opts)
     per_branch = []
     for k in range(len(branches)):
         named = list(zip(names, outcomes[k * n:(k + 1) * n]))
@@ -505,7 +520,7 @@ def _solve_branches(mesh: Mesh, data: ProblemData, lam: float, branches, opts: O
 
 
 def solve_two(
-    mesh: Mesh, data: ProblemData, lam: float, opts: Optional[SolverOptions] = None
+    mesh: Mesh, data: ProblemData, lam: float, fields: FieldSamples, opts: Optional[SolverOptions] = None
 ) -> SolveReport:
     """Best Plus and best Minus results over the multi-start set.
 
@@ -517,7 +532,7 @@ def solve_two(
     ``solve_branch`` result, bit for bit.
     """
     best, failures = [], []
-    for results, fails in _solve_branches(mesh, data, lam, (Branch.PLUS, Branch.MINUS), opts):
+    for results, fails in _solve_branches(mesh, data, lam, (Branch.PLUS, Branch.MINUS), fields, opts):
         best.append(min(results, key=lambda r: (not r.converged, r.energy), default=None))
         failures.append(tuple(
             f"{name}: {exc}" if isinstance(exc, NoRootError)

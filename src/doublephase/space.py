@@ -21,7 +21,6 @@ breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -118,12 +117,8 @@ def lane_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
-def modular_breakdown(
-    mesh: Mesh, data: ProblemData, u: np.ndarray, fields: Optional[FieldSamples] = None
-) -> ModularBreakdown:
+def modular_breakdown(mesh: Mesh, data: ProblemData, u: np.ndarray, fields: FieldSamples) -> ModularBreakdown:
     """The breakdown of u (M,), or of each lane of u (S, M)."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
     u = np.asarray(u, dtype=float)
     dot = lane_dot if u.ndim > 1 else lambda x, w: float(lane_dot(x, w))
     s = grid_grad_sq(mesh, u)   # hx^2 |grad u|^2, centroid rule
@@ -137,7 +132,7 @@ def modular_breakdown(
     return ModularBreakdown(grad_p, grad_q_mu, mass_p_alpha, bdry, zeta_sing, mass_q1)
 
 
-def modular_rho(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+def modular_rho(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> float:
     """The norm-defining modular rho(u)."""
     bd = modular_breakdown(mesh, data, u, fields)
     return bd.grad_p + bd.grad_q_mu + bd.mass_p_alpha + bd.bdry_pstar_beta
@@ -159,7 +154,7 @@ def luxemburg_norm(terms) -> float:
     return hybrid_root(power_sum(scaled + [(-1.0, 0.0)]), *power_bracket(scaled, 1.0), np.inf, -1.0, abs_tol=LUX_TOL)
 
 
-def norm_custom(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+def norm_custom(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> float:
     """The Luxemburg norm associated with rho (the working norm of the model)."""
     bd = modular_breakdown(mesh, data, u, fields)
     terms = [
@@ -170,7 +165,7 @@ def norm_custom(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples]
     return luxemburg_norm(terms)
 
 
-def norm_1p(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+def norm_1p(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> float:
     """(|grad u|_p^p + integral alpha |u|^p)^(1/p)."""
     bd = modular_breakdown(mesh, data, u, fields)
     return (bd.grad_p + bd.mass_p_alpha) ** (1.0 / data.p)
@@ -181,7 +176,7 @@ def lebesgue_norm(mesh: Mesh, u, r: float) -> float:
     return float(mesh.node_weight @ np.abs(u) ** r) ** (1.0 / r)
 
 
-def norm_circ(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+def norm_circ(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> float:
     """Sum norm: |grad u|_H + (int alpha |u|^p)^(1/p) + (bdry int beta |u|^{p_*})^(1/p_*),
     with |grad u|_H the Luxemburg norm of the gradient modular."""
     bd = modular_breakdown(mesh, data, u, fields)
@@ -192,7 +187,7 @@ def norm_circ(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] =
     )
 
 
-def norm_star(mesh: Mesh, data: ProblemData, u, fields: Optional[FieldSamples] = None) -> float:
+def norm_star(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> float:
     """Joint Luxemburg norm of the gradient modular plus both weighted power
     terms; it equals norm_custom, which groups the two p-terms."""
     bd = modular_breakdown(mesh, data, u, fields)

@@ -26,7 +26,9 @@ from .problem import ProblemData
 from .solver import Branch, NoRootError, SolverOptions, multistart_directions, solve_branch
 # unused here, but the benchmark's tracer wraps ``sweep.minimize_on_branch`` by name
 from .solver import minimize_on_branch  # noqa: F401
-from .space import FieldSamples, lebesgue_norm, modular_breakdown, sample_fields
+from .space import FieldSamples, lebesgue_norm, modular_breakdown
+# unused here, but the benchmark's tracer wraps ``sweep.sample_fields`` by name
+from .space import sample_fields  # noqa: F401
 
 __all__ = [
     "SweepReport",
@@ -112,19 +114,11 @@ def sample_directions(mesh: Mesh, n_samples: int, seed: int):
         yield rng.random(mesh.num_nodes)
 
 
-def sample_fibers(
-    mesh: Mesh,
-    data: ProblemData,
-    n_samples: int,
-    seed: int,
-    fields: Optional[FieldSamples] = None,
-) -> tuple:
+def sample_fibers(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fields: FieldSamples) -> tuple:
     """One ``SampledFiber`` per direction of ``sample_directions``, from one
     modular breakdown each: the table every sampled estimate reduces."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if fields is None:
-        fields = sample_fields(mesh, data)
     fibers = []
     for u in sample_directions(mesh, n_samples, seed):
         ft = fiber_terms(mesh, data, u, fields)
@@ -168,31 +162,20 @@ def nzero_evidence(fibers, lam: float) -> NzeroEvidence:
     return NzeroEvidence(lam, len(fibers), skipped, two_root, no_root, tuple(tangencies))
 
 
-def estimate_lambda_tilde(
-    mesh: Mesh,
-    data: ProblemData,
-    n_samples: int,
-    seed: int,
-    fields: Optional[FieldSamples] = None,
-) -> float:
+def estimate_lambda_tilde(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fields: FieldSamples) -> float:
     """``lambda_tilde_from`` over ``n_samples`` sampled fibers; samples with
     a = 0 or d = 0 are skipped."""
     return lambda_tilde_from(sample_fibers(mesh, data, n_samples, seed, fields))
 
 
 def check_nzero_empty(
-    mesh: Mesh,
-    data: ProblemData,
-    lam: float,
-    n_samples: int,
-    seed: int,
-    fields: Optional[FieldSamples] = None,
+    mesh: Mesh, data: ProblemData, lam: float, n_samples: int, seed: int, fields: FieldSamples
 ) -> NzeroEvidence:
     """``nzero_evidence`` at ``lam`` over ``n_samples`` sampled fibers."""
     return nzero_evidence(sample_fibers(mesh, data, n_samples, seed, fields), lam)
 
 
-def _minus_branch_positive(mesh, data, lam, opts) -> bool:
+def _minus_branch_positive(mesh, data, lam, fields, opts) -> bool:
     """Whether the Minus-branch minimum at ``lam`` is positive, over the
     starts of ``solve_branch``:
 
@@ -203,7 +186,7 @@ def _minus_branch_positive(mesh, data, lam, opts) -> bool:
       start in start order;
     - otherwise: whether the lowest energy is > 0.
     """
-    results, failures = solve_branch(mesh, data, lam, Branch.MINUS, opts)
+    results, failures = solve_branch(mesh, data, lam, Branch.MINUS, fields, opts)
     undetermined = [
         f"failed numerically from start {name!r} ({type(exc).__name__}): {exc}"
         for name, exc in failures
@@ -218,6 +201,7 @@ def estimate_lambda_star(
     mesh: Mesh,
     data: ProblemData,
     lambda_grid,
+    fields: FieldSamples,
     opts: Optional[SolverOptions] = None,
 ) -> float:
     """Largest lambda with all-positive Minus-branch energies.
@@ -238,7 +222,7 @@ def estimate_lambda_star(
     last_positive = None
     first_nonpositive = None
     for lam in grid:
-        if _minus_branch_positive(mesh, data, lam, opts):
+        if _minus_branch_positive(mesh, data, lam, fields, opts):
             last_positive = lam
         else:
             first_nonpositive = lam
@@ -251,7 +235,7 @@ def estimate_lambda_star(
     lo, hi = last_positive, first_nonpositive
     for _ in range(LAMBDA_STAR_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if _minus_branch_positive(mesh, data, mid, opts):
+        if _minus_branch_positive(mesh, data, mid, fields, opts):
             lo = mid
         else:
             hi = mid
@@ -286,20 +270,12 @@ def _rayleigh_gradient(mesh, data, u, fields, num: float) -> np.ndarray:
     return (num_grad - (num / den) * den_grad) / den
 
 
-def estimate_sobolev_constant(
-    mesh: Mesh,
-    data: ProblemData,
-    n_samples: int,
-    seed: int,
-    fields: Optional[FieldSamples] = None,
-) -> float:
+def estimate_sobolev_constant(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fields: FieldSamples) -> float:
     """Upper bound on the discrete best constant of the p-embedding: the
     minimum Rayleigh quotient |u|_{1,p}^p / |u|_{p*}^p over multi-starts and
     seeded random positives, with SOBOLEV_POLISH_STEPS gradient-descent
     steps polishing the best candidate.  The running minimum never
     increases."""
-    if fields is None:
-        fields = sample_fields(mesh, data)
     candidates = [w for _, w in multistart_directions(mesh, seed)]
     candidates += [u for u in sample_directions(mesh, n_samples, seed)]
     val, u, num = np.inf, None, None

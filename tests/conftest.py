@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from doublephase import ProblemData, build_rect_mesh, solver
+from doublephase import ProblemData, build_rect_mesh, sample_fields, solver
 
 PRESET = dict(p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=0.1, mu="x", alpha="1", beta="1", zeta="1")
 # every coefficient field varies over the domain
@@ -69,6 +69,27 @@ def mesh4():
 @pytest.fixture(scope="session")
 def mesh16():
     return build_rect_mesh(16, 16)
+
+
+# the preset's coefficient fields on each fixture mesh, sampled once per session
+@pytest.fixture(scope="session")
+def fields1(mesh1, preset_data):
+    return sample_fields(mesh1, preset_data)
+
+
+@pytest.fixture(scope="session")
+def fields2(mesh2, preset_data):
+    return sample_fields(mesh2, preset_data)
+
+
+@pytest.fixture(scope="session")
+def fields4(mesh4, preset_data):
+    return sample_fields(mesh4, preset_data)
+
+
+@pytest.fixture(scope="session")
+def fields16(mesh16, preset_data):
+    return sample_fields(mesh16, preset_data)
 
 
 def rng(seed=0):

@@ -270,7 +270,7 @@ def test_criterion_05_gradient_vs_central_differences(data, mesh16):
 
 
 def test_criterion_06_fiber_closed_forms(data, mesh16):
-    ft1 = dp.fiber_terms(mesh16, data, np.ones(mesh16.num_nodes))
+    ft1 = dp.fiber_terms(mesh16, data, np.ones(mesh16.num_nodes), sample_fields(mesh16, data))
     t_tilde, et_max = dp.t_tilde_circ(ft1)
     assert abs(t_tilde - 1.4) <= 1e-12
     # numeric argmax oracle for the reduced map
@@ -336,8 +336,9 @@ def test_criterion_07_fiber_root_structure(data, mesh16):
 
 def test_criterion_08_exact_energy_anchor(data, mesh16):
     u = np.ones(mesh16.num_nodes)
+    fields = sample_fields(mesh16, data)
     for lam in (0.1, 1.0, 4.0):
-        total = dp.energy(mesh16, data, u, lam).total
+        total = dp.energy(mesh16, data, u, lam, fields).total
         assert abs(total - (-lam / 4.0)) <= 1e-13
     report(8, True, "energy(1, lam) = -lam/4 at 1e-13")
 
@@ -347,7 +348,7 @@ def test_criterion_08_exact_energy_anchor(data, mesh16):
 
 def test_criterion_09_two_solution_reproduction(data, mesh16):
     t0 = time.perf_counter()
-    rep = dp.solve_two(mesh16, data, LAM)
+    rep = dp.solve_two(mesh16, data, LAM, sample_fields(mesh16, data))
     elapsed = time.perf_counter() - t0
     assert rep.plus is not None and rep.plus.converged
     assert rep.minus is not None and rep.minus.converged
@@ -441,8 +442,9 @@ def test_criterion_10_brute_force_equivalence(data):
 
     # solver under test: best Plus energy over the multi-start set
     best_solver = np.inf
+    fields = sample_fields(mesh1, data)
     for _, w in multistart_directions(mesh1, seed=0):
-        res = dp.minimize_on_branch(mesh1, data, LAM, dp.Branch.PLUS, w)
+        res = dp.minimize_on_branch(mesh1, data, LAM, dp.Branch.PLUS, w, fields)
         if res.converged:
             best_solver = min(best_solver, res.energy)
     assert np.isfinite(best_solver)
@@ -496,8 +498,9 @@ def test_criterion_10_brute_force_equivalence(data):
 
 
 def test_criterion_11_nzero_emptiness_evidence(data, mesh16):
-    lam_tilde = dp.estimate_lambda_tilde(mesh16, data, 200, seed=0)
-    ev = dp.check_nzero_empty(mesh16, data, 0.1 * lam_tilde, 200, seed=0)
+    fields = sample_fields(mesh16, data)
+    lam_tilde = dp.estimate_lambda_tilde(mesh16, data, 200, seed=0, fields=fields)
+    ev = dp.check_nzero_empty(mesh16, data, 0.1 * lam_tilde, 200, seed=0, fields=fields)
     assert ev.tangencies == ()
     assert ev.n_two_root == 200
 
@@ -505,9 +508,9 @@ def test_criterion_11_nzero_emptiness_evidence(data, mesh16):
     from doublephase.sweep import sample_directions
 
     u0 = next(sample_directions(mesh16, 1, seed=0))
-    ft = dp.fiber_terms(mesh16, data, u0)
+    ft = dp.fiber_terms(mesh16, data, u0, fields)
     lam_tan = dp.eta(ft, dp.t_circ(ft)) / ft.e
-    flagged = dp.check_nzero_empty(mesh16, data, lam_tan, 5, seed=0)
+    flagged = dp.check_nzero_empty(mesh16, data, lam_tan, 5, seed=0, fields=fields)
     assert any(t.sample == 0 for t in flagged.tangencies)
     report(11, True, f"no tangency at lam = {0.1 * lam_tilde:.4f}; control flagged")
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from doublephase import SolverOptions, critical_exponents, validate_hypotheses
 from doublephase.cli import _KEYS, Config, ConfigError, load_config, main, run
+from doublephase.space import sample_fields
 from doublephase.sweep import lambda_tilde_from, sample_fibers
 
 MINIMAL = """
@@ -311,7 +313,8 @@ def admissible_configs(draw):
     if near is not None:
         try:  # with the CLI's numpy errors; a failed sampling keeps the drawn lambda
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                fibers = sample_fibers(config.build_mesh(), config.problem(), config.sweep_samples, config.sweep_seed)
+                mesh, data = config.build_mesh(), config.problem()
+                fibers = sample_fibers(mesh, data, config.sweep_samples, config.sweep_seed, sample_fields(mesh, data))
             config = dataclasses.replace(config, lam=near * lambda_tilde_from(fibers))
         except ArithmeticError:
             pass
@@ -456,6 +459,28 @@ def test_undetermined_sweep_exits_1_after_writing_both_outputs(tmp_path, capsys)
 def test_props_command_passes_on_preset(tmp_path):
     cfg = write(tmp_path, SMALL_SOLVE)
     assert main(["props", "-c", cfg]) == 0
+
+
+def test_each_command_samples_the_fields_once(tmp_path, monkeypatch):
+    # the coefficient fields are sampled once per command and passed down:
+    # neither the descents, the lambda* scan nor the estimators resample
+    # them, and validate samples none.  Every module binding the name counts
+    # (imported by path: the package binds ``doublephase.energy`` to the function)
+    calls = []
+    for name in ("cli", "solver", "sweep", "space", "energy", "props"):
+        module = importlib.import_module(f"doublephase.{name}")
+
+        def counting(mesh, data, sample=module.sample_fields):
+            calls.append(1)
+            return sample(mesh, data)
+
+        monkeypatch.setattr(module, "sample_fields", counting)
+    config = load_config(write(tmp_path, SMALL_SOLVE))
+    for command in ("validate", "norms", "fiber", "props", "solve", "sweep"):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(command, config, str(tmp_path / command)) == 0, command
+        assert len(calls) == (0 if command == "validate" else 1), command
 
 
 def test_solve_and_sweep_outputs_are_byte_identical(tmp_path):

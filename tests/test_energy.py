@@ -31,25 +31,25 @@ from conftest import (
 )
 
 
-def test_energy_constant_function_closed_form(mesh16, preset_data):
+def test_energy_constant_function_closed_form(mesh16, preset_data, fields16):
     # Theta(1) = 1/p + 0 + 4/p_* - 1/(1-kappa) - lam/q1 = -lam/4 for the preset
     u = np.ones(mesh16.num_nodes)
     for lam in (0.1, 1.0, 4.0):
-        ev = energy(mesh16, preset_data, u, lam)
+        ev = energy(mesh16, preset_data, u, lam, fields16)
         assert ev.total == pytest.approx(-lam / 4.0, abs=1e-13)
 
 
-def test_energy_zero_function(mesh16, preset_data):
-    assert energy(mesh16, preset_data, np.zeros(mesh16.num_nodes), 1.0).total == 0.0
+def test_energy_zero_function(mesh16, preset_data, fields16):
+    assert energy(mesh16, preset_data, np.zeros(mesh16.num_nodes), 1.0, fields16).total == 0.0
 
 
-def test_energy_total_is_sum_of_parts(mesh4, preset_data):
+def test_energy_total_is_sum_of_parts(mesh4, preset_data, fields4):
     u = rng(4).uniform(0.1, 2.0, mesh4.num_nodes)
-    ev = energy(mesh4, preset_data, u, 0.7)
+    ev = energy(mesh4, preset_data, u, 0.7, fields4)
     assert ev.total == pytest.approx(sum(ev.parts.values()), rel=1e-13)
 
 
-def test_energy_matches_resummation_oracle(mesh2, preset_data):
+def test_energy_matches_resummation_oracle(mesh2, preset_data, fields2):
     u = rng(9).uniform(0.05, 1.5, mesh2.num_nodes)
     lam = 0.8
     gp, gq, mp, bd, sg, mq = oracle_breakdown(mesh2, preset_data, u)
@@ -60,33 +60,33 @@ def test_energy_matches_resummation_oracle(mesh2, preset_data):
         - sg / (1 - preset_data.kappa)
         - lam * mq / preset_data.q1
     )
-    assert energy(mesh2, preset_data, u, lam).total == pytest.approx(expected, rel=1e-12)
+    assert energy(mesh2, preset_data, u, lam, fields2).total == pytest.approx(expected, rel=1e-12)
 
 
-def test_energy_even_in_u(mesh4, preset_data):
+def test_energy_even_in_u(mesh4, preset_data, fields4):
     u = rng(14).uniform(-1, 1, mesh4.num_nodes)
-    assert energy(mesh4, preset_data, -u, 0.5).total == pytest.approx(
-        energy(mesh4, preset_data, u, 0.5).total, rel=1e-13
+    assert energy(mesh4, preset_data, -u, 0.5, fields4).total == pytest.approx(
+        energy(mesh4, preset_data, u, 0.5, fields4).total, rel=1e-13
     )
 
 
-def test_energy_decreasing_in_lambda(mesh4, preset_data):
+def test_energy_decreasing_in_lambda(mesh4, preset_data, fields4):
     u = rng(15).uniform(0.1, 1.0, mesh4.num_nodes)
-    e1 = energy(mesh4, preset_data, u, 0.2).total
-    e2 = energy(mesh4, preset_data, u, 0.9).total
+    e1 = energy(mesh4, preset_data, u, 0.2, fields4).total
+    e2 = energy(mesh4, preset_data, u, 0.9, fields4).total
     assert e1 > e2  # strict: the q1 mass is positive
 
 
-def test_operator_at_zero(mesh4, preset_data):
+def test_operator_at_zero(mesh4, preset_data, fields4):
     z = np.zeros(mesh4.num_nodes)
     h = rng(16).uniform(-1, 1, mesh4.num_nodes)
-    assert apply_operator_A(mesh4, preset_data, z, h) == 0.0
+    assert apply_operator_A(mesh4, preset_data, z, h, fields4) == 0.0
 
 
-def test_operator_constants_closed_form(mesh16, preset_data):
+def test_operator_constants_closed_form(mesh16, preset_data, fields16):
     ones = np.ones(mesh16.num_nodes)
     for c in (1.0, 2.0):
-        got = apply_operator_A(mesh16, preset_data, c * ones, ones)
+        got = apply_operator_A(mesh16, preset_data, c * ones, ones, fields16)
         expected = c ** (preset_data.p - 1) + 4.0 * c ** (preset_data.p_lower_star - 1)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -204,7 +204,7 @@ def test_nodal_vectors_match_loop_assembly(mesh, seed):
     assert _close(_rayleigh_gradient(mesh, data, u, fields, num), expected)
 
 
-def test_operator_is_derivative_of_nonsingular_energy(mesh4, preset_data):
+def test_operator_is_derivative_of_nonsingular_energy(mesh4, preset_data, fields4):
     # <A(u), h> = d/ds [kinetic + boundary parts](u + s h) at s = 0
     r = rng(17)
     u = r.uniform(0.2, 1.5, mesh4.num_nodes)
@@ -212,11 +212,11 @@ def test_operator_is_derivative_of_nonsingular_energy(mesh4, preset_data):
     step = 1e-6
 
     def nonsingular(v):
-        ev = energy(mesh4, preset_data, v, 0.0)
+        ev = energy(mesh4, preset_data, v, 0.0, fields4)
         return ev.kinetic_p + ev.kinetic_q_mu + ev.boundary
 
     fd = (nonsingular(u + step * h) - nonsingular(u - step * h)) / (2 * step)
-    got = apply_operator_A(mesh4, preset_data, u, h)
+    got = apply_operator_A(mesh4, preset_data, u, h, fields4)
     assert got == pytest.approx(fd, rel=1e-6)
 
 
@@ -254,61 +254,61 @@ def test_gradient_unfolds_to_operator_minus_reaction(mesh4, preset_data):
         assert grad[i] == pytest.approx(expected, abs=1e-12)
 
 
-def test_gradient_matches_central_differences(mesh4, preset_data):
+def test_gradient_matches_central_differences(mesh4, preset_data, fields4):
     lam = 0.5
     step = 1e-6
     for seed in range(5):
         u = rng(40 + seed).uniform(0.1, 1.0, mesh4.num_nodes)
-        grad = energy_gradient(mesh4, preset_data, u, lam).values
+        grad = energy_gradient(mesh4, preset_data, u, lam, fields4).values
         for i in range(mesh4.num_nodes):
             up = u.copy()
             up[i] += step
             dn = u.copy()
             dn[i] -= step
             fd = (
-                energy(mesh4, preset_data, up, lam).total
-                - energy(mesh4, preset_data, dn, lam).total
+                energy(mesh4, preset_data, up, lam, fields4).total
+                - energy(mesh4, preset_data, dn, lam, fields4).total
             ) / (2 * step)
             assert abs(fd - grad[i]) <= 1e-6 * max(abs(grad[i]), 1e-8)
 
 
-def test_gradient_floor_engages_at_zero_node(mesh4, preset_data):
+def test_gradient_floor_engages_at_zero_node(mesh4, preset_data, fields4):
     u = rng(50).uniform(0.5, 1.0, mesh4.num_nodes)
     u[3] = 0.0
-    res = energy_gradient(mesh4, preset_data, u, 0.5)
+    res = energy_gradient(mesh4, preset_data, u, 0.5, fields4)
     assert np.all(np.isfinite(res.values))
     assert res.floor_active[3]
     assert res.floor_active.sum() == 1
 
 
-def test_weak_residual_constant_function_nehari_defect(mesh16, preset_data):
+def test_weak_residual_constant_function_nehari_defect(mesh16, preset_data, fields16):
     # u = 1 at lam = 4 is fiber-critical: the defect against h = 1 vanishes,
     # but per-hat defects do not (u = 1 is not a PDE solution)
     lam = 4.0
     u = np.ones(mesh16.num_nodes)
     against_ones = (
-        apply_operator_A(mesh16, preset_data, u, u)
+        apply_operator_A(mesh16, preset_data, u, u, fields16)
         - 1.0  # int zeta u^-kappa
         - lam * 1.0  # lam int u^{q1-1}
     )
     assert against_ones == pytest.approx(0.0, abs=1e-12)
-    report = weak_residual(mesh16, preset_data, u, lam)
+    report = weak_residual(mesh16, preset_data, u, lam, fields16)
     assert report.residual_norm > 1e-3
 
 
-def test_weak_residual_rejects_nonpositive(mesh4, preset_data):
+def test_weak_residual_rejects_nonpositive(mesh4, preset_data, fields4):
     u = np.ones(mesh4.num_nodes)
     u[0] = 0.0
     with pytest.raises(ValueError):
-        weak_residual(mesh4, preset_data, u, 1.0)
+        weak_residual(mesh4, preset_data, u, 1.0, fields4)
 
 
-def test_hat_norms_positive(mesh4, preset_data):
-    hn = hat_norms_1p(mesh4, preset_data)
+def test_hat_norms_positive(mesh4, preset_data, fields4):
+    hn = hat_norms_1p(mesh4, preset_data, fields4)
     assert np.all(hn > 0)
 
 
-def test_coercivity_intermediate_inequality_on_nehari_points(mesh4, preset_data):
+def test_coercivity_intermediate_inequality_on_nehari_points(mesh4, preset_data, fields4):
     # on the manifold: Theta(u) >= c1 rho(u) - (1/(1-k) - 1/q1) int zeta|u|^{1-k},
     # with c1 the smallest of the three bracket coefficients
     from doublephase import Branch
@@ -322,10 +322,10 @@ def test_coercivity_intermediate_inequality_on_nehari_points(mesh4, preset_data)
     for seed in range(20):
         w = rng(60 + seed).uniform(0.0, 1.0, mesh4.num_nodes)
         for branch in (Branch.PLUS, Branch.MINUS):
-            u = _project(mesh4, d, w, lam, branch).u
-            bd = modular_breakdown(mesh4, d, u)
+            u = _project(mesh4, d, w, lam, branch, fields4).u
+            bd = modular_breakdown(mesh4, d, u, fields4)
             rho = bd.grad_p + bd.grad_q_mu + bd.mass_p_alpha + bd.bdry_pstar_beta
-            lhs = energy(mesh4, d, u, lam).total
+            lhs = energy(mesh4, d, u, lam, fields4).total
             rhs = c1 * rho - c2 * bd.zeta_sing
             assert lhs >= rhs - 1e-10 * max(1.0, abs(rhs))
 

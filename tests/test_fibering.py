@@ -16,7 +16,7 @@ from doublephase import (
     t_tilde_circ,
     xi,
 )
-from doublephase.fibering import ROOT_TOL, FiberTerms, eta_prime, psi_magnitude
+from doublephase.fibering import ROOT_TOL, FiberTerms, eta_prime, psi_with_magnitude
 from doublephase.problem import critical_exponents
 from doublephase.rootfind import power_bracket
 
@@ -38,8 +38,8 @@ def make_ft(a, b, c, d, e):
 PRESET_FT = make_ft(1.0, 0.0, 4.0, 1.0, 1.0)
 
 
-def test_fiber_terms_unit_function(mesh16, preset_data):
-    ft = fiber_terms(mesh16, preset_data, np.ones(mesh16.num_nodes))
+def test_fiber_terms_unit_function(mesh16, preset_data, fields16):
+    ft = fiber_terms(mesh16, preset_data, np.ones(mesh16.num_nodes), fields16)
     assert ft.a == pytest.approx(1.0, abs=1e-12)
     assert ft.b == 0.0
     assert ft.c == pytest.approx(4.0, abs=1e-12)
@@ -47,14 +47,14 @@ def test_fiber_terms_unit_function(mesh16, preset_data):
     assert ft.e == pytest.approx(1.0, abs=1e-12)
 
 
-def test_fiber_terms_zero(mesh4, preset_data):
-    ft = fiber_terms(mesh4, preset_data, np.zeros(mesh4.num_nodes))
+def test_fiber_terms_zero(mesh4, preset_data, fields4):
+    ft = fiber_terms(mesh4, preset_data, np.zeros(mesh4.num_nodes), fields4)
     assert (ft.a, ft.b, ft.c, ft.d, ft.e) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_fiber_terms_match_oracle(mesh2, preset_data):
+def test_fiber_terms_match_oracle(mesh2, preset_data, fields2):
     u = rng(77).uniform(0, 1, mesh2.num_nodes)
-    ft = fiber_terms(mesh2, preset_data, u)
+    ft = fiber_terms(mesh2, preset_data, u, fields2)
     gp, gq, mp, bd, sg, mq = oracle_breakdown(mesh2, preset_data, u)
     assert ft.a == pytest.approx(gp + mp, rel=1e-12)
     assert ft.b == pytest.approx(gq, rel=1e-12)
@@ -82,8 +82,8 @@ def test_psi_magnitude_sums_the_terms_unsigned():
     # psi(t) = a t^p/p + b t^q/q + c t^p_*/p_* - d t^(1-kappa)/(1-kappa) - lam e t^q1/q1
     ft, lam, t = make_ft(1.0, 2.0, 3.0, 4.0, 5.0), 0.5, 1.3
     expected = t**1.5 / 1.5 + 2.0 * t**1.8 / 1.8 + 3.0 * t**3 / 3.0 + 4.0 * t**0.5 / 0.5 + 0.5 * 5.0 * t**4 / 4.0
-    assert psi_magnitude(ft, lam, t) == pytest.approx(expected, rel=1e-14)
-    assert psi_magnitude(ft, lam, t) > abs(psi(ft, lam, t))
+    assert psi_with_magnitude(ft, lam, t)[1] == pytest.approx(expected, rel=1e-14)
+    assert psi_with_magnitude(ft, lam, t)[1] > abs(psi(ft, lam, t))
 
 
 def test_psi_zero_convention_and_negative_t():
@@ -375,28 +375,28 @@ def test_eta_limits():
     assert vals_large[-1] > 0
 
 
-def test_classify_nehari_preset(mesh16, preset_data):
+def test_classify_nehari_preset(mesh16, preset_data, fields16):
     u = np.ones(mesh16.num_nodes)
-    cls = classify_nehari(mesh16, preset_data, u, 4.0)
+    cls = classify_nehari(mesh16, preset_data, u, 4.0, fields16)
     assert cls.kind is NehariKind.MINUS
     assert cls.dpsi1 == pytest.approx(0.0, abs=1e-12)
     assert cls.ddpsi1 == pytest.approx(-3.0, abs=1e-12)
-    cls1 = classify_nehari(mesh16, preset_data, u, 1.0)
+    cls1 = classify_nehari(mesh16, preset_data, u, 1.0, fields16)
     assert cls1.kind is NehariKind.NOT_ON_NEHARI
     assert cls1.dpsi1 == pytest.approx(3.0, abs=1e-12)
 
 
-def test_classify_nehari_plus_after_t1_scaling(mesh4, preset_data):
+def test_classify_nehari_plus_after_t1_scaling(mesh4, preset_data, fields4):
     lam = 0.05
     for seed in range(10):
         u = rng(90 + seed).uniform(0.1, 1.0, mesh4.num_nodes)
-        ft = fiber_terms(mesh4, preset_data, u)
+        ft = fiber_terms(mesh4, preset_data, u, fields4)
         roots = fiber_roots(ft, lam)
         assert roots.kind == "two"
-        cls = classify_nehari(mesh4, preset_data, roots.t1 * u, lam)
+        cls = classify_nehari(mesh4, preset_data, roots.t1 * u, lam, fields4)
         assert cls.kind is NehariKind.PLUS
 
 
-def test_classify_nehari_rejects_zero(mesh4, preset_data):
+def test_classify_nehari_rejects_zero(mesh4, preset_data, fields4):
     with pytest.raises(ValueError):
-        classify_nehari(mesh4, preset_data, np.zeros(mesh4.num_nodes), 1.0)
+        classify_nehari(mesh4, preset_data, np.zeros(mesh4.num_nodes), 1.0, fields4)

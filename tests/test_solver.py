@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import re
@@ -30,26 +31,26 @@ from conftest import overflowing_start, rng, two_loop_direction
 LAM = 0.1
 
 
-def test_project_minus_fixes_unit_function_at_lam4(mesh16, preset_data):
+def test_project_minus_fixes_unit_function_at_lam4(mesh16, preset_data, fields16):
     u = np.ones(mesh16.num_nodes)
-    v = _project(mesh16, preset_data, u, 4.0, Branch.MINUS).u
+    v = _project(mesh16, preset_data, u, 4.0, Branch.MINUS, fields16).u
     assert np.max(np.abs(v - u)) <= 1e-9
 
 
-def test_project_plus_uses_t1(mesh16, preset_data):
+def test_project_plus_uses_t1(mesh16, preset_data, fields16):
     u = np.ones(mesh16.num_nodes)
-    v = _project(mesh16, preset_data, u, 4.0, Branch.PLUS).u
+    v = _project(mesh16, preset_data, u, 4.0, Branch.PLUS, fields16).u
     t1 = v[0]
     assert 0.55 < t1 < 0.60
-    cls = classify_nehari(mesh16, preset_data, v, 4.0)
+    cls = classify_nehari(mesh16, preset_data, v, 4.0, fields16)
     assert cls.kind is NehariKind.PLUS
     assert cls.ddpsi1 > 0
 
 
-def test_project_noroot_above_threshold(mesh16, preset_data):
+def test_project_noroot_above_threshold(mesh16, preset_data, fields16):
     u = np.ones(mesh16.num_nodes)
     with pytest.raises(NoRootError):
-        _project(mesh16, preset_data, u, 10.0, Branch.MINUS)
+        _project(mesh16, preset_data, u, 10.0, Branch.MINUS, fields16)
 
 
 @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
@@ -69,18 +70,18 @@ def test_warm_started_projection_matches_project_to_nehari(mesh4, preset_data, b
 
 @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
 @pytest.mark.parametrize("s", [1e-3, 1e3])
-def test_projection_is_scale_invariant(mesh4, preset_data, branch, s):
+def test_projection_is_scale_invariant(mesh4, preset_data, branch, s, fields4):
     # the branch roots are scale-covariant (t_{s w} = t_w / s), so the
     # projected point does not depend on the scale of the direction
     w = rng(47).uniform(0.5, 1.5, mesh4.num_nodes)
-    base = _project(mesh4, preset_data, w, LAM, branch).u
-    scaled = _project(mesh4, preset_data, s * w, LAM, branch).u
+    base = _project(mesh4, preset_data, w, LAM, branch, fields4).u
+    scaled = _project(mesh4, preset_data, s * w, LAM, branch, fields4).u
     np.testing.assert_allclose(scaled, base, rtol=1e-10)
 
 
 @pytest.mark.parametrize("branch,sign", [(Branch.PLUS, -1.0), (Branch.MINUS, 1.0)])
-def test_minimize_on_branch_converges_with_correct_sign(mesh4, preset_data, branch, sign):
-    res = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes))
+def test_minimize_on_branch_converges_with_correct_sign(mesh4, preset_data, branch, sign, fields4):
+    res = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes), fields4)
     assert res.converged
     assert sign * res.energy > 0
     assert res.nehari.kind is branch.nehari_kind
@@ -89,11 +90,11 @@ def test_minimize_on_branch_converges_with_correct_sign(mesh4, preset_data, bran
     assert res.floor_activations == 0
 
 
-def test_converged_results_satisfy_strict_branch_inequality(mesh4, preset_data):
+def test_converged_results_satisfy_strict_branch_inequality(mesh4, preset_data, fields4):
     d = preset_data
     for branch, sign in ((Branch.PLUS, 1.0), (Branch.MINUS, -1.0)):
-        res = minimize_on_branch(mesh4, d, LAM, branch, np.ones(mesh4.num_nodes))
-        ft = fiber_terms(mesh4, d, res.u)
+        res = minimize_on_branch(mesh4, d, LAM, branch, np.ones(mesh4.num_nodes), fields4)
+        ft = fiber_terms(mesh4, d, res.u, fields4)
         value = (
             (d.p + d.kappa - 1) * ft.a
             + (d.q + d.kappa - 1) * ft.b
@@ -103,32 +104,32 @@ def test_converged_results_satisfy_strict_branch_inequality(mesh4, preset_data):
         assert sign * value > 0
 
 
-def test_minus_branch_norm_floor(mesh4, preset_data):
+def test_minus_branch_norm_floor(mesh4, preset_data, fields4):
     # |v|_{q1} >= [(p+k-1)/(lam C^p (q1+k-1))]^{1/(q1-p)} with C the discrete
     # embedding constant estimated over the multi-start samples
     d = preset_data
     c_hat = max(
-        lebesgue_norm(mesh4, w, d.q1) / norm_1p(mesh4, d, w)
+        lebesgue_norm(mesh4, w, d.q1) / norm_1p(mesh4, d, w, fields4)
         for _, w in multistart_directions(mesh4, seed=0)
     )
-    res = minimize_on_branch(mesh4, d, LAM, Branch.MINUS, np.ones(mesh4.num_nodes))
+    res = minimize_on_branch(mesh4, d, LAM, Branch.MINUS, np.ones(mesh4.num_nodes), fields4)
     floor = ((d.p + d.kappa - 1) / (LAM * c_hat**d.p * (d.q1 + d.kappa - 1))) ** (
         1.0 / (d.q1 - d.p)
     )
     assert lebesgue_norm(mesh4, res.u, d.q1) >= floor
 
 
-def test_minimize_rejects_zero_init(mesh4, preset_data):
+def test_minimize_rejects_zero_init(mesh4, preset_data, fields4):
     with pytest.raises(ValueError):
-        minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.zeros(mesh4.num_nodes))
+        minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.zeros(mesh4.num_nodes), fields4)
 
 
-def test_minimize_propagates_noroot(mesh4, preset_data):
+def test_minimize_propagates_noroot(mesh4, preset_data, fields4):
     with pytest.raises(NoRootError):
-        minimize_on_branch(mesh4, preset_data, 10.0, Branch.MINUS, np.ones(mesh4.num_nodes))
+        minimize_on_branch(mesh4, preset_data, 10.0, Branch.MINUS, np.ones(mesh4.num_nodes), fields4)
 
 
-def test_failed_trial_projection_is_rejected(monkeypatch, mesh4, preset_data):
+def test_failed_trial_projection_is_rejected(monkeypatch, mesh4, preset_data, fields4):
     # an ArithmeticError at a trial rejects that trial; the descent goes on
     failed = []
 
@@ -139,13 +140,13 @@ def test_failed_trial_projection_is_rejected(monkeypatch, mesh4, preset_data):
         return _project(*args, warm=warm, **kwargs)
 
     monkeypatch.setattr(solver, "_project", overflowing_once)
-    res = minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes))
+    res = minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes), fields4)
     assert failed and res.converged
 
 
-def test_max_iterations_reports_not_converged(mesh4, preset_data):
+def test_max_iterations_reports_not_converged(mesh4, preset_data, fields4):
     res = minimize_on_branch(
-        mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes), SolverOptions(max_iter=2)
+        mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes), fields4, SolverOptions(max_iter=2)
     )
     assert not res.converged
     assert res.iterations == 2
@@ -163,11 +164,11 @@ def test_max_iterations_reports_not_converged(mesh4, preset_data):
         pytest.param(StopReason.STALL, {"stall": 1, "energy_tol": 1.0}, {}, id="stall"),
     ],
 )
-def test_stop_reason_is_recorded(monkeypatch, mesh4, preset_data, branch, reason, options, constants):
+def test_stop_reason_is_recorded(monkeypatch, mesh4, preset_data, branch, reason, options, constants, fields4):
     for name, value in constants.items():
         monkeypatch.setattr(solver, name, value)
     opts = SolverOptions(**options)
-    res = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes), opts)
+    res = minimize_on_branch(mesh4, preset_data, LAM, branch, np.ones(mesh4.num_nodes), fields4, opts)
     assert res.stop_reason is reason
     assert res.converged == (reason is StopReason.RESIDUAL_TOL)
     if reason is StopReason.MAX_ITER:
@@ -176,9 +177,9 @@ def test_stop_reason_is_recorded(monkeypatch, mesh4, preset_data, branch, reason
         assert res.iterations < opts.max_iter
 
 
-def test_converged_residual_agrees_with_weak_residual(mesh4, preset_data):
-    res = minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes))
-    report = weak_residual(mesh4, preset_data, res.u, LAM)
+def test_converged_residual_agrees_with_weak_residual(mesh4, preset_data, fields4):
+    res = minimize_on_branch(mesh4, preset_data, LAM, Branch.PLUS, np.ones(mesh4.num_nodes), fields4)
+    report = weak_residual(mesh4, preset_data, res.u, LAM, fields4)
     assert report.residual_norm == pytest.approx(res.residual.residual_norm, rel=1e-12)
     assert report.residual_norm <= 1e-8
 
@@ -207,12 +208,13 @@ def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
         (mesh4, build_rect_mesh(6, 3, rect=(0.0, 0.0, 2.0, 0.5))), (Branch.PLUS, Branch.MINUS)
     ):
         starts = multistart_directions(mesh, seed=0)
-        results, failures = solve_branch(mesh, preset_data, LAM, branch)
+        fields = sample_fields(mesh, preset_data)
+        results, failures = solve_branch(mesh, preset_data, LAM, branch, fields)
         assert failures == ()
         assert [res.start for res in results] == [name for name, _ in starts]
         assert all(res.branch == branch.value for res in results)
         for res, (name, w) in zip(results, starts):
-            alone = minimize_on_branch(mesh, preset_data, LAM, branch, w)
+            alone = minimize_on_branch(mesh, preset_data, LAM, branch, w, fields)
             assert np.array_equal(res.u, alone.u), (mesh.nx, name)
             assert (res.iterations, res.stop_reason) == (alone.iterations, alone.stop_reason), (mesh.nx, name)
 
@@ -224,22 +226,23 @@ def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data
     batches = []
     descend = solver._descend
 
-    def recording(mesh, data, lam, branches, inits, opts):
-        outcomes = descend(mesh, data, lam, branches, inits, opts)
+    def recording(mesh, data, lam, branches, inits, fields, opts):
+        outcomes = descend(mesh, data, lam, branches, inits, fields, opts)
         batches.append((list(branches), outcomes))
         return outcomes
 
     monkeypatch.setattr(solver, "_descend", recording)
     for mesh in (mesh4, build_rect_mesh(6, 3, rect=(0.0, 0.0, 2.0, 0.5))):
         batches.clear()
-        report = solve_two(mesh, preset_data, LAM)
+        fields = sample_fields(mesh, preset_data)
+        report = solve_two(mesh, preset_data, LAM, fields)
         ((branches, outcomes),) = batches
         assert branches == [Branch.PLUS] * 6 + [Branch.MINUS] * 6
         starts = multistart_directions(mesh, seed=0)
         for k, (branch, picked) in enumerate(((Branch.PLUS, report.plus), (Branch.MINUS, report.minus))):
             lanes = outcomes[6 * k:6 * (k + 1)]
             for res, (name, w) in zip(lanes, starts):
-                alone = minimize_on_branch(mesh, preset_data, LAM, branch, w)
+                alone = minimize_on_branch(mesh, preset_data, LAM, branch, w, fields)
                 assert np.array_equal(res.u, alone.u), (mesh.nx, branch, name)
                 assert (res.energy, res.iterations, res.stop_reason, res.branch) == (
                     alone.energy, alone.iterations, alone.stop_reason, alone.branch,
@@ -248,29 +251,34 @@ def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data
 
 
 def _count_sample_fields(monkeypatch) -> list:
+    # every module the solver reaches that binds the name counts (imported
+    # by path: the package binds ``doublephase.energy`` to the function)
     calls = []
+    for name in ("solver", "energy", "space"):
+        module = importlib.import_module(f"doublephase.{name}")
 
-    def counting(mesh, data):
-        calls.append(1)
-        return sample_fields(mesh, data)
+        def counting(mesh, data, sample=module.sample_fields):
+            calls.append(1)
+            return sample(mesh, data)
 
-    monkeypatch.setattr(solver, "sample_fields", counting)
+        monkeypatch.setattr(module, "sample_fields", counting)
     return calls
 
 
 def test_solve_branch_samples_the_fields_once(monkeypatch, mesh4, preset_data):
-    # the fields, the hat norms and the Riesz factors are built once per
-    # branch, not once per start
+    # the caller samples the fields once; the descents of every start reuse
+    # them and sample none of their own
     calls = _count_sample_fields(monkeypatch)
-    results, _ = solve_branch(mesh4, preset_data, LAM, Branch.MINUS)
+    fields = solver.sample_fields(mesh4, preset_data)
+    results, _ = solve_branch(mesh4, preset_data, LAM, Branch.MINUS, fields)
     assert len(results) == 6
     assert len(calls) == 1
 
 
 def test_solve_two_samples_the_fields_once(monkeypatch, mesh4, preset_data):
-    # both branches descend in one batch, which samples the fields once
+    # both branches descend in one batch on the caller's one sample
     calls = _count_sample_fields(monkeypatch)
-    solve_two(mesh4, preset_data, LAM)
+    solve_two(mesh4, preset_data, LAM, solver.sample_fields(mesh4, preset_data))
     assert len(calls) == 1
 
 
@@ -285,10 +293,11 @@ def test_overflowing_lane_ends_on_its_best_point(monkeypatch):
     data = ProblemData(p=1.75, q=10.9375, kappa=0.5, q1=11.12890625, lam=1.0, mu="x", alpha="1", beta="1", zeta="1")
     mesh = build_rect_mesh(3, 3)
     starts = multistart_directions(mesh, seed=0)
+    fields = sample_fields(mesh, data)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        results, failures = solve_branch(mesh, data, 1.0, Branch.MINUS)
+        results, failures = solve_branch(mesh, data, 1.0, Branch.MINUS, fields)
         monkeypatch.setattr(solver, "multistart_directions", lambda mesh, seed: [s for s in starts if s[0] != "bump"])
-        without, _ = solve_branch(mesh, data, 1.0, Branch.MINUS)
+        without, _ = solve_branch(mesh, data, 1.0, Branch.MINUS, fields)
     assert [name for name, _ in failures] == ["bump_perturbed"]
     by_start = {res.start: res for res in results}
     bump = by_start.pop("bump")
@@ -312,9 +321,10 @@ def test_far_minus_roots_are_bracketed():
     data = ProblemData(p=1.5, q=3.75, kappa=0.5, q1=3.7763671875, lam=1.0, mu="x", alpha="1", beta="1", zeta="1")
     mesh = build_rect_mesh(3, 3)
     names = [name for name, _ in multistart_directions(mesh, seed=0)]
+    fields = sample_fields(mesh, data)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for branch in (Branch.PLUS, Branch.MINUS):
-            results, failures = solve_branch(mesh, data, 1.0, branch)
+            results, failures = solve_branch(mesh, data, 1.0, branch, fields)
             assert failures == ()
             assert [res.start for res in results] == names
     by_start = {res.start: res for res in results}
@@ -337,10 +347,11 @@ def test_far_finite_root_whose_energy_overflows_is_named():
         lam=lam, mu="x", alpha="1", beta="1", zeta="1",
     )
     mesh = build_rect_mesh(3, 3)
+    fields = sample_fields(mesh, data)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        report = solve_two(mesh, data, lam)
+        report = solve_two(mesh, data, lam, fields)
         with pytest.raises(SweepUndetermined, match="from start 'bump' .*OverflowError.*leaves the float range"):
-            estimate_lambda_star(mesh, data, [lam])
+            estimate_lambda_star(mesh, data, [lam], fields)
     assert report.plus_failures == ()
     assert [entry.split(": ", 1)[0] for entry in report.minus_failures] == ["bump", "bump_perturbed"]
     for entry in report.minus_failures:
@@ -363,50 +374,51 @@ def test_unclassifiable_far_point_is_a_named_failure():
         mu="1 + y", alpha="1", beta="1", zeta="1",
     )
     mesh = build_rect_mesh(3, 3)
+    fields = sample_fields(mesh, data)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        results, failures = solve_branch(mesh, data, 0.1, Branch.MINUS, SolverOptions(max_iter=20))
+        results, failures = solve_branch(mesh, data, 0.1, Branch.MINUS, fields, SolverOptions(max_iter=20))
     assert [name for name, _ in failures] == ["bump", "bump_perturbed"]
     assert all(isinstance(exc, FloatingPointError) for _, exc in failures)
     assert [res.start for res in results] == ["ones", "ramp", "ones_perturbed", "ramp_perturbed"]
 
 
-def test_solve_branch_names_unreachable_starts(mesh4, preset_data):
+def test_solve_branch_names_unreachable_starts(mesh4, preset_data, fields4):
     # at lambda = 100 some minus starts reach the branch and the others do not
-    results, failures = solve_branch(mesh4, preset_data, 100.0, Branch.MINUS)
+    results, failures = solve_branch(mesh4, preset_data, 100.0, Branch.MINUS, fields4)
     assert results and failures
     assert all(isinstance(exc, NoRootError) and "minus branch unreachable" in str(exc) for _, exc in failures)
     failed = [name for name, _ in failures]
     names = [name for name, _ in multistart_directions(mesh4, seed=0)]
     assert failed == [name for name in names if name in failed]
     assert [res.start for res in results] == [name for name in names if name not in failed]
-    report = solve_two(mesh4, preset_data, 100.0)
+    report = solve_two(mesh4, preset_data, 100.0, fields4)
     assert report.minus_failures == tuple(f"{name}: {exc}" for name, exc in failures)
 
 
-def test_solve_branch_names_a_numerical_failure_and_keeps_the_other_starts(monkeypatch, mesh4, preset_data):
+def test_solve_branch_names_a_numerical_failure_and_keeps_the_other_starts(monkeypatch, mesh4, preset_data, fields4):
     overflowing_start(monkeypatch, mesh4, "bump")
     names = [name for name, _ in multistart_directions(mesh4, seed=0)]
     for branch in (Branch.PLUS, Branch.MINUS):
-        results, failures = solve_branch(mesh4, preset_data, LAM, branch)
+        results, failures = solve_branch(mesh4, preset_data, LAM, branch, fields4)
         assert [name for name, _ in failures] == ["bump"]
         assert isinstance(failures[0][1], OverflowError)
         assert [res.start for res in results] == [name for name in names if name != "bump"]
         assert all(res.converged for res in results)
-    report = solve_two(mesh4, preset_data, LAM)
+    report = solve_two(mesh4, preset_data, LAM, fields4)
     assert report.sign_ok
     expected = ("bump: numerical failure (OverflowError): power sum overflow",)
     assert report.plus_failures == report.minus_failures == expected
 
 
-def test_solve_two_signs_and_best_of(mesh4, preset_data):
-    report = solve_two(mesh4, preset_data, LAM)
+def test_solve_two_signs_and_best_of(mesh4, preset_data, fields4):
+    report = solve_two(mesh4, preset_data, LAM, fields4)
     assert report.sign_ok
     assert report.plus.energy < 0 < report.minus.energy
     assert report.plus.u.min() > 0 and report.minus.u.min() > 0
     # best-of: no start of the branch's own multi-start beats the merged
     # result, which is the first of the lowest-energy converged starts
     for branch, picked in ((Branch.PLUS, report.plus), (Branch.MINUS, report.minus)):
-        results, _ = solve_branch(mesh4, preset_data, LAM, branch)
+        results, _ = solve_branch(mesh4, preset_data, LAM, branch, fields4)
         converged = [res for res in results if res.converged]
         best = min(res.energy for res in converged)
         first = next(res for res in converged if res.energy == best)
@@ -414,8 +426,8 @@ def test_solve_two_signs_and_best_of(mesh4, preset_data):
         assert np.array_equal(picked.u, first.u)
 
 
-def test_solve_two_reports_minus_failures_at_large_lambda(mesh4, preset_data):
-    report = solve_two(mesh4, preset_data, 50.0)
+def test_solve_two_reports_minus_failures_at_large_lambda(mesh4, preset_data, fields4):
+    report = solve_two(mesh4, preset_data, 50.0, fields4)
     assert len(report.minus_failures) > 0 or (
         report.minus is not None and not report.minus.converged
     )
@@ -429,7 +441,7 @@ def test_solve_two_with_varying_coefficients(mesh4):
         p=1.5, q=1.8, kappa=0.5, q1=4.0, lam=0.1,
         mu="0.5 + 0.5*x", alpha="1", beta="abs(y - 0.5)", zeta="0.5 + x*y",
     )
-    report = solve_two(mesh4, data, 0.1)
+    report = solve_two(mesh4, data, 0.1, sample_fields(mesh4, data))
     assert report.sign_ok
     assert report.plus.residual.residual_norm <= 1e-8
     assert report.minus.residual.residual_norm <= 1e-8
@@ -439,15 +451,16 @@ def test_solve_two_on_nonunit_rectangle(preset_data):
     from doublephase import build_rect_mesh
 
     mesh = build_rect_mesh(6, 3, rect=(0.0, 0.0, 2.0, 1.0))
-    report = solve_two(mesh, preset_data, 0.1)
+    report = solve_two(mesh, preset_data, 0.1, sample_fields(mesh, preset_data))
     assert report.sign_ok
     assert report.plus.u.min() > 0 and report.minus.u.min() > 0
 
 
 def _all_starts(n: int, data) -> list:
     mesh = build_rect_mesh(n, n)
+    fields = sample_fields(mesh, data)
     return [
-        minimize_on_branch(mesh, data, LAM, branch, w)
+        minimize_on_branch(mesh, data, LAM, branch, w, fields)
         for branch in (Branch.PLUS, Branch.MINUS)
         for _, w in multistart_directions(mesh, seed=0)
     ]
@@ -465,22 +478,22 @@ def test_descent_iterations_do_not_grow_with_the_mesh(preset_data):
     assert totals[32] <= 2 * totals[8], totals
 
 
-def test_every_16x16_start_converges_over_seven_seeds(mesh16, preset_data):
+def test_every_16x16_start_converges_over_seven_seeds(mesh16, preset_data, fields16):
     # the benchmark's solve16 preset: all 84 starts (2 branches, 6 starts,
     # solver seeds 0-6) converge
     for seed in range(7):
         for branch in (Branch.PLUS, Branch.MINUS):
-            results, failures = solve_branch(mesh16, preset_data, LAM, branch, SolverOptions(seed=seed))
+            results, failures = solve_branch(mesh16, preset_data, LAM, branch, fields16, SolverOptions(seed=seed))
             assert failures == () and len(results) == 6, (seed, branch)
             assert all(res.converged for res in results), (seed, branch)
 
 
-def test_minus_ramp_start_converges(mesh16, preset_data):
+def test_minus_ramp_start_converges(mesh16, preset_data, fields16):
     # the ramp vanishes on x = 0; without the per-step clip the descent
     # drifts to a node pinned near 0, where the singular term's gradient
     # spikes and a smooth direction cannot lift it
     ramp = dict(multistart_directions(mesh16, seed=0))["ramp"]
-    res = minimize_on_branch(mesh16, preset_data, LAM, Branch.MINUS, ramp)
+    res = minimize_on_branch(mesh16, preset_data, LAM, Branch.MINUS, ramp, fields16)
     assert res.converged
     assert res.stop_reason is StopReason.RESIDUAL_TOL
 
@@ -492,7 +505,8 @@ def test_branch_energy_converges_at_second_order(preset_data, branch):
     energies = []
     for n in (16, 32, 64):
         mesh = build_rect_mesh(n, n)
-        res = minimize_on_branch(mesh, preset_data, LAM, branch, np.ones(mesh.num_nodes))
+        fields = sample_fields(mesh, preset_data)
+        res = minimize_on_branch(mesh, preset_data, LAM, branch, np.ones(mesh.num_nodes), fields)
         assert res.converged, n
         energies.append(res.energy)
     ratio = (energies[1] - energies[0]) / (energies[2] - energies[1])
@@ -516,8 +530,9 @@ def test_armijo_slack_scales_with_the_energy_terms():
 
     data = ProblemData(p=1.4, q=1.7, kappa=0.3, q1=3.5, lam=0.4, mu="x*y", alpha="1", beta="1", zeta="1")
     mesh = build_rect_mesh(8, 8, rect=(0.0, 0.0, 4.0, 4.0))
+    fields = sample_fields(mesh, data)
     for name, w in multistart_directions(mesh, seed=0):
-        res = minimize_on_branch(mesh, data, 0.4, Branch.MINUS, w)
+        res = minimize_on_branch(mesh, data, 0.4, Branch.MINUS, w, fields)
         assert res.stop_reason is StopReason.RESIDUAL_TOL, name
         assert res.converged, name
 
