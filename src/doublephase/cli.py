@@ -389,7 +389,7 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[command](config, out_dir, function)
     except (ExprParseError, ExprEvalError) as exc:
-        print(f"function expression error: {exc}", file=sys.stderr)
+        print(f"expression error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # unusable configuration (degenerate rectangle, invalid exponents, ...)

@@ -280,4 +280,7 @@ class CoefficientField:
         return cls(source, parse_expr(source))
 
     def __call__(self, x, y):
-        return eval_expr(self.ast, (x, y))
+        try:
+            return eval_expr(self.ast, (x, y))
+        except ExprEvalError as exc:
+            raise ExprEvalError(f"{self.source!r}: {exc}") from None

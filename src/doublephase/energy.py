@@ -12,8 +12,7 @@ quadrature for the gradient terms.  It is the fiber map psi_u at t = 1, so
 ``energy`` reads its terms from ``fibering``; the weak form (its gradient)
 is assembled once, by ``_weak_form``.  |grad u|^{p-2} grad u is extended by
 0 at grad u = 0 (the continuous extension of the monotone operator for
-p < 2); the singular term's derivative is floored at max(u_i, eps)^(-kappa)
-and the floored nodes are flagged.
+p < 2); the singular term's derivative is floored at max(u_i, eps)^(-kappa).
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fibering import _psi_terms, fiber_terms, psi
-from .mesh import Mesh, grid_flux, grid_grad_sq, hat_grad_power_sum
+from .mesh import Mesh, grid_flux, grid_grad_sq
 from .problem import ProblemData
 from .space import FieldSamples
 # unused here, but the benchmark's tracer wraps ``energy.modular_breakdown`` and
@@ -31,14 +30,12 @@ from .space import modular_breakdown, sample_fields  # noqa: F401
 
 __all__ = [
     "EnergyValue",
-    "GradientResult",
     "ResidualReport",
     "energy",
     "apply_operator_A",
     "energy_gradient",
     "gradient_flux",
     "weak_residual",
-    "hat_norms_1p",
 ]
 
 DEFAULT_FLOOR = 1e-10
@@ -64,12 +61,6 @@ class EnergyValue:
             "singular": self.singular,
             "superlinear": self.superlinear,
         }
-
-
-@dataclass(frozen=True)
-class GradientResult:
-    values: np.ndarray        # (..., M) nodal partial derivatives
-    floor_active: np.ndarray  # (..., M) bool, True where max(u_i, eps) != u_i
 
 
 @dataclass(frozen=True)
@@ -145,22 +136,14 @@ def apply_operator_A(mesh: Mesh, data: ProblemData, u, h, fields: FieldSamples) 
     return float(sum(terms[:3]) @ np.asarray(h, dtype=float))  # gradient + alpha_mass + beta_boundary
 
 
-def energy_gradient(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> GradientResult:
-    """Nodal gradient of the discrete energy at u (M,), or at each lane of
-    u (S, M).
+def energy_gradient(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> np.ndarray:
+    """Nodal gradient (..., M) of the discrete energy at u (M,), or at each
+    lane of u (S, M).
 
-    The singular term uses max(u_i, DEFAULT_FLOOR) inside u^(-kappa); nodes
-    where the floor engaged are flagged (diagnostic, not a failure).
+    The singular term uses max(u_i, DEFAULT_FLOOR) inside u^(-kappa).
     """
-    u = np.asarray(u, dtype=float)
-    _, values = _weak_form(mesh, data, u, lam, fields, DEFAULT_FLOOR)
-    return GradientResult(values=values, floor_active=u < DEFAULT_FLOOR)
-
-
-def hat_norms_1p(mesh: Mesh, data: ProblemData, fields: FieldSamples) -> np.ndarray:
-    """norm_1p of every nodal hat function (used to normalize residuals)."""
-    grad_p = hat_grad_power_sum(mesh, fields.grad_p_weight, data.p)   # sum_t |T| |grad phi|^p
-    return (grad_p + fields.alpha_weight) ** (1.0 / data.p)
+    _, values = _weak_form(mesh, data, np.asarray(u, dtype=float), lam, fields, DEFAULT_FLOOR)
+    return values
 
 
 def weak_residual(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> ResidualReport:
@@ -171,6 +154,6 @@ def weak_residual(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSam
     if np.any(u <= 0):
         raise ValueError("weak_residual requires u > 0 at every node")
     terms, defect = _weak_form(mesh, data, u, lam, fields, 0.0)  # no floor engages on u > 0
-    hn = hat_norms_1p(mesh, data, fields)
+    hn = fields.hat_norm
     term_max = {name: float(np.max(np.abs(vec) / hn)) for name, vec in zip(WEAK_FORM_TERMS, terms)}
     return ResidualReport(residual_norm=float(np.max(np.abs(defect) / hn)), term_max=term_max)

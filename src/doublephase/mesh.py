@@ -42,6 +42,8 @@ __all__ = [
     "Mesh", "build_rect_mesh", "centroid_rule", "grid_flux", "grid_grad_sq", "hat_grad_power_sum", "riesz_map"
 ]
 
+RIESZ_SHIFT = 10.0  # mass weight of the H^1 metric K + c M, times the area: c = 10/|Omega|
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -255,16 +257,15 @@ def _cosine_basis(n: int, h: float) -> tuple:
     return cos, lam, norms
 
 
-def riesz_map(mesh: Mesh, shift: float):
-    """The map g -> P^-1 g for P = K + shift * My (x) Mx on a rectangle mesh
-    from ``build_rect_mesh``: K is the P1 stiffness and My (x) Mx the
-    separable trapezoid mass (it differs from the lumped node weights only at
-    the 4 corners).  P is diagonalized by the tensor cosine basis, so each
-    call is four dense (n+1)-square products per row of g (..., M); shift
-    must be positive.
+def riesz_map(mesh: Mesh):
+    """The map g -> P^-1 g for P = K + c My (x) Mx, c = RIESZ_SHIFT / |Omega|,
+    on a rectangle mesh from ``build_rect_mesh``: K is the P1 stiffness and
+    My (x) Mx the separable trapezoid mass (it differs from the lumped node
+    weights only at the 4 corners).  P is diagonalized by the tensor cosine
+    basis, so each call is four dense (n+1)-square products per row of
+    g (..., M).
     """
-    if not shift > 0.0:
-        raise ValueError(f"the Riesz map needs a positive shift, got {shift!r}")
+    shift = RIESZ_SHIFT / mesh.area
     hx, hy = mesh.spacing
     cx, lx, mx = _cosine_basis(mesh.nx, hx)
     cy, ly, my = _cosine_basis(mesh.ny, hy)

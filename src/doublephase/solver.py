@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import DEFAULT_FLOOR, energy_gradient, hat_norms_1p, weak_residual, ResidualReport
+from .energy import DEFAULT_FLOOR, energy_gradient, weak_residual, ResidualReport
 from .fibering import (
     FiberTerms,
     NehariClass,
@@ -87,7 +87,6 @@ class NoRootError(ArithmeticError):
     """The requested branch is unreachable along this direction (eta max <= lam*e)."""
 
 
-RIESZ_SHIFT = 10.0  # mass weight of the H^1 metric K + c M, times the area: c = 10/|Omega|
 STEP_CLIP = 0.5     # a trial step keeps at least this fraction of every nodal value
 ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 BACKTRACK = 0.5     # step shrink factor per rejected trial
@@ -318,8 +317,7 @@ def _descend(
     counters and stop reason, and drops out when it stops.  Returns, per
     start, its ``SolveResult`` or the ArithmeticError that failed its first
     projection or its result."""
-    hn = hat_norms_1p(mesh, data, fields)
-    riesz = riesz_map(mesh, RIESZ_SHIFT / mesh.area)
+    riesz = riesz_map(mesh)
     w = np.maximum(np.asarray(inits, dtype=float), 0.0)
     if not w.any(axis=-1).all():
         raise ValueError("initial direction must be nonnegative and nonzero")
@@ -335,9 +333,9 @@ def _descend(
             break
         u = np.stack([lane.proj.u for lane in lanes])
         with np.errstate(all="ignore"):
-            g = energy_gradient(mesh, data, u, lam, fields).values
+            g = energy_gradient(mesh, data, u, lam, fields)
             pg = riesz(g)
-            resid = np.max(np.abs(g) / hn, axis=-1).tolist()
+            resid = np.max(np.abs(g) / fields.hat_norm, axis=-1).tolist()
             if prev is not None:
                 memory.push(u - prev[0], g - prev[1], pg - prev[2])
             prev = u, g, pg

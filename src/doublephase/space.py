@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, centroid_rule, grid_grad_sq
+from .mesh import Mesh, centroid_rule, grid_grad_sq, hat_grad_power_sum
 from .problem import ProblemData
 from .rootfind import hybrid_root, power_bracket, power_sum
 # unused here, but the benchmark's tracer wraps ``space.expand_bracket`` by name
@@ -60,8 +60,10 @@ class FieldSamples:
     ``alpha_weight`` = m alpha and ``zeta_weight`` = m zeta per node, and
     ``beta_weight`` = s beta on ``mesh.boundary_nodes`` (m and s are the
     lumped node and boundary weights; the unweighted mass uses
-    ``mesh.node_weight`` itself).  The gradient weights depend on p, q and
-    hx, so a field set belongs to one mesh and one ProblemData.
+    ``mesh.node_weight`` itself).  ``hat_norm`` is the norm_1p of every
+    nodal hat function, which normalizes each weak residual.  The gradient
+    weights depend on p, q and hx, so a field set belongs to one mesh and one
+    ProblemData.
     """
 
     grad_p_weight: np.ndarray  # (T,) |T| hx^-p
@@ -69,12 +71,14 @@ class FieldSamples:
     alpha_weight: np.ndarray   # (M,) m alpha
     zeta_weight: np.ndarray    # (M,) m zeta
     beta_weight: np.ndarray    # (B,) s beta on the boundary nodes
+    hat_norm: np.ndarray       # (M,) norm_1p of each nodal hat function
 
 
 def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
     """Evaluate alpha, zeta at nodes, beta at boundary nodes, mu at the
     triangle centroids, and fold them into the quadrature weights (the
-    triangles' areas and centroids from ``mesh.centroid_rule``)."""
+    triangles' areas and centroids from ``mesh.centroid_rule``); the hat
+    norms read the folded p-weights."""
 
     def sample(field, points):
         x, y = points[:, 0], points[:, 1]
@@ -88,12 +92,16 @@ def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
     mu = sample(data.mu, centroids)
     hx = mesh.spacing[0]
     m = mesh.node_weight
+    grad_p_weight = areas * hx ** -data.p
+    alpha_weight = m * alpha
+    hat_grad_p = hat_grad_power_sum(mesh, grad_p_weight, data.p)   # sum_t |T| |grad phi|^p
     return FieldSamples(
-        grad_p_weight=areas * hx ** -data.p,
+        grad_p_weight=grad_p_weight,
         grad_q_weight=areas * mu * hx ** -data.q,
-        alpha_weight=m * alpha,
+        alpha_weight=alpha_weight,
         zeta_weight=m * zeta,
         beta_weight=mesh.boundary_weight[b] * beta,
+        hat_norm=(hat_grad_p + alpha_weight) ** (1.0 / data.p),
     )
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import importlib
@@ -126,6 +127,16 @@ def test_inadmissible_q1_fails_closed(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "H(ii)" in err and "q1=2.5" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_failing_coefficient_is_named_in_the_error(tmp_path, capsys, command):
+    # mu = 1/x is not finite on x = 0: exit 2 naming the coefficient's own
+    # source, not a --function expression the command does not take
+    cfg = write(tmp_path, SMALL_SOLVE + "mu = 1/x\n")
+    assert main([command, "-c", cfg, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'1/x'" in err and "function expression" not in err
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -462,25 +473,29 @@ def test_props_command_passes_on_preset(tmp_path):
 
 
 def test_each_command_samples_the_fields_once(tmp_path, monkeypatch):
-    # the coefficient fields are sampled once per command and passed down:
-    # neither the descents, the lambda* scan nor the estimators resample
-    # them, and validate samples none.  Every module binding the name counts
-    # (imported by path: the package binds ``doublephase.energy`` to the function)
-    calls = []
-    for name in ("cli", "solver", "sweep", "space", "energy", "props"):
+    # the coefficient fields, and with them the hat norms, are built once per
+    # command and passed down: neither the descents, the lambda* scan nor the
+    # estimators rebuild them, and validate builds none.  Every module binding
+    # a name counts (imported by path: the package binds ``doublephase.energy``
+    # to the function)
+    calls = collections.Counter()
+    for name in ("cli", "energy", "mesh", "props", "solver", "space", "sweep"):
         module = importlib.import_module(f"doublephase.{name}")
+        for fn in ("sample_fields", "hat_grad_power_sum"):
+            if hasattr(module, fn):
 
-        def counting(mesh, data, sample=module.sample_fields):
-            calls.append(1)
-            return sample(mesh, data)
+                def counting(*args, fn=fn, original=getattr(module, fn)):
+                    calls[fn] += 1
+                    return original(*args)
 
-        monkeypatch.setattr(module, "sample_fields", counting)
+                monkeypatch.setattr(module, fn, counting)
     config = load_config(write(tmp_path, SMALL_SOLVE))
     for command in ("validate", "norms", "fiber", "props", "solve", "sweep"):
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(command, config, str(tmp_path / command)) == 0, command
-        assert len(calls) == (0 if command == "validate" else 1), command
+        once = 0 if command == "validate" else 1
+        assert calls == collections.Counter(sample_fields=once, hat_grad_power_sum=once), command
 
 
 def test_solve_and_sweep_outputs_are_byte_identical(tmp_path):

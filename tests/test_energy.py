@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from doublephase import (
     energy_gradient,
     weak_residual,
 )
-from doublephase.energy import DEFAULT_FLOOR, _signed_power, _weak_form, gradient_flux, hat_norms_1p
+from doublephase.energy import DEFAULT_FLOOR, _signed_power, _weak_form, gradient_flux
 from doublephase.space import sample_fields
 from doublephase.sweep import _rayleigh_gradient
 
@@ -170,7 +172,7 @@ def test_nodal_vectors_match_loop_assembly(mesh, seed):
     terms = _oracle_terms(mesh, data, u, lam)
     operator = terms["gradient"] + terms["alpha_mass"] + terms["beta_boundary"]
     gradient = operator - terms["singular"] - terms["superlinear"]
-    assert _close(energy_gradient(mesh, data, u, lam, fields).values, gradient)
+    assert _close(energy_gradient(mesh, data, u, lam, fields), gradient)
 
     h = rng(seed + 1).uniform(-1.0, 1.0, mesh.num_nodes)
     pairing = apply_operator_A(mesh, data, u, h, fields)
@@ -179,7 +181,7 @@ def test_nodal_vectors_match_loop_assembly(mesh, seed):
     node_w, _ = oracle_lumped_weights(mesh)
     alpha = np.array([float(data.alpha(x, y)) for x, y in mesh.nodes])
     hat = (oracle_hat_grad_p(mesh, data.p) + np.array(node_w) * alpha) ** (1.0 / data.p)
-    np.testing.assert_allclose(hat_norms_1p(mesh, data, fields), hat, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fields.hat_norm, hat, rtol=1e-12, atol=0.0)
 
     v = np.abs(u) + 0.1   # the weak residual needs v > 0
     vterms = _oracle_terms(mesh, data, v, lam)
@@ -240,7 +242,7 @@ def test_gradient_unfolds_to_operator_minus_reaction(mesh4, preset_data):
     lam = 4.0
     u = np.ones(mesh4.num_nodes)
     fields = sample_fields(mesh4, preset_data)
-    grad = energy_gradient(mesh4, preset_data, u, lam, fields=fields).values
+    grad = energy_gradient(mesh4, preset_data, u, lam, fields=fields)
     for i in range(mesh4.num_nodes):
         e_i = np.zeros(mesh4.num_nodes)
         e_i[i] = 1.0
@@ -259,7 +261,7 @@ def test_gradient_matches_central_differences(mesh4, preset_data, fields4):
     step = 1e-6
     for seed in range(5):
         u = rng(40 + seed).uniform(0.1, 1.0, mesh4.num_nodes)
-        grad = energy_gradient(mesh4, preset_data, u, lam, fields4).values
+        grad = energy_gradient(mesh4, preset_data, u, lam, fields4)
         for i in range(mesh4.num_nodes):
             up = u.copy()
             up[i] += step
@@ -275,10 +277,7 @@ def test_gradient_matches_central_differences(mesh4, preset_data, fields4):
 def test_gradient_floor_engages_at_zero_node(mesh4, preset_data, fields4):
     u = rng(50).uniform(0.5, 1.0, mesh4.num_nodes)
     u[3] = 0.0
-    res = energy_gradient(mesh4, preset_data, u, 0.5, fields4)
-    assert np.all(np.isfinite(res.values))
-    assert res.floor_active[3]
-    assert res.floor_active.sum() == 1
+    assert np.all(np.isfinite(energy_gradient(mesh4, preset_data, u, 0.5, fields4)))
 
 
 def test_weak_residual_constant_function_nehari_defect(mesh16, preset_data, fields16):
@@ -304,8 +303,15 @@ def test_weak_residual_rejects_nonpositive(mesh4, preset_data, fields4):
 
 
 def test_hat_norms_positive(mesh4, preset_data, fields4):
-    hn = hat_norms_1p(mesh4, preset_data, fields4)
-    assert np.all(hn > 0)
+    assert np.all(fields4.hat_norm > 0)
+
+
+def test_weak_residual_reads_the_hat_norms_of_its_fields(mesh4, preset_data, fields4):
+    # the residual is normalized by fields.hat_norm, not by norms rebuilt per call
+    u = rng(51).uniform(0.5, 1.0, mesh4.num_nodes)
+    doubled = dataclasses.replace(fields4, hat_norm=2 * fields4.hat_norm)
+    report = weak_residual(mesh4, preset_data, u, 0.5, fields4)
+    assert weak_residual(mesh4, preset_data, u, 0.5, doubled).residual_norm == 0.5 * report.residual_norm
 
 
 def test_coercivity_intermediate_inequality_on_nehari_points(mesh4, preset_data, fields4):
@@ -358,10 +364,10 @@ def test_folded_weights_keep_the_nodal_vectors_bit_identical(n):
         - m * zeta_node * floored ** (-data.kappa)
         - lam * m * _signed_power(u, data.q1 - 1.0)
     )
-    assert np.array_equal(energy_gradient(mesh, data, u, lam, fields).values, gradient_old)
+    assert np.array_equal(energy_gradient(mesh, data, u, lam, fields), gradient_old)
 
     # the hat norms are checked against loop assembly in test_nodal_vectors_match_loop_assembly
-    hn = hat_norms_1p(mesh, data, fields)
+    hn = fields.hat_norm
     v = np.abs(u) + 0.1
     (grad_v, alpha_v, beta_v, _, _), _ = _weak_form(mesh, data, v, lam, fields, 0.0)
     sing_old = m * zeta_node * v ** (-data.kappa)

@@ -539,7 +539,7 @@ def test_armijo_slack_scales_with_the_energy_terms():
 
 def _memory(mesh, pairs=()):
     # a one-lane store with the given pairs pushed, oldest first
-    riesz = riesz_map(mesh, solver.RIESZ_SHIFT / mesh.area)
+    riesz = riesz_map(mesh)
     memory = solver._LBFGS(1, mesh.num_nodes)
     for s, y in pairs:
         memory.push(s[None], y[None], riesz(y)[None])
@@ -629,7 +629,7 @@ def test_lbfgs_store_matches_the_two_loop_recursion(mesh4):
     # the rest, lane 2 is cleared after 8 pairs and keeps the 4 after that
     r = rng(46)
     m = mesh4.num_nodes
-    riesz = riesz_map(mesh4, solver.RIESZ_SHIFT / mesh4.area)
+    riesz = riesz_map(mesh4)
     memory = solver._LBFGS(3, m)
     kept = [[], [], []]
     for k in range(12):
