@@ -50,6 +50,10 @@ __all__ = [
 ROOT_TOL = 1e-12      # relative residual of located roots
 TANGENT_TOL = 1e-10   # relative width of the declared tangency band
 NEHARI_TOL = 1e-9     # relative |psi'(1)| and psi''(1) band of the branch classification
+_WARM_EVALS = 8       # Newton evaluations ``warm_branch_root`` makes before giving up
+_WARM_STEP = 0.5      # its longest step in log t
+_WARM_REACH = 1.99    # its t1 lies below this, its t2 above the inverse
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -284,6 +288,100 @@ def fiber_roots(
         hi = power_bracket(abc, le)[1]
         t2 = hybrid_root(g, tc, hi, eta_max - le, -le, abs_tol=ROOT_TOL * le, start=start)
     return FiberRoots("two", t1, t2, tc, eta_max, le)
+
+
+def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Optional[float]:
+    """The root ``only`` ("t1" or "t2") of eta(t) = lam*e near t = 1, as
+    ``fiber_roots(ft, lam, start=1.0, tc_start=..., only=only)`` returns it,
+    bit for bit, with no t_circ solve and no bracket; None when that cannot
+    be certified cheaply.  It serves a line-search trial next to a base point
+    whose own root is 1; ``probe`` estimates the trial's t_circ.
+
+    By the fibering lemma eta is unimodal: eta'(t) = t^(-q1-kappa)
+    ((q1+kappa-1) d - xi(t)) with xi strictly increasing, so eta' vanishes
+    only at t_circ, is positive below it and negative above.  A root where
+    eta' has the branch's sign (> 0 for t1, < 0 for t2) is that branch's
+    root.  The iteration is ``hybrid_root``'s Newton path in log t from
+    t = 1 on eta - lam*e: each step at most half the step before last and
+    strictly inside the bracket the iterates' signs have tightened, stopping
+    at the ROOT_TOL*lam*e residual.  It gives up where ``hybrid_root`` would
+    bisect, after _WARM_EVALS evaluations and on a step beyond _WARM_STEP.
+    The root is accepted only if
+
+    - t eta'(t) has the branch's sign at every iterate by 4 ROOT_TOL of its
+      terms' unsigned sum, beyond the ROOT_TOL of xi - (q1+kappa-1) d that
+      t_circ is located to: every iterate lies on the branch's side of the
+      t_circ ``fiber_roots`` computes;
+    - t1 < _WARM_REACH, or t2 > 1 / _WARM_REACH.  The bracket's far end
+      from ``power_bracket`` lies a factor 2 beyond the root (below t1,
+      above t2), up to the rounding of its logs, so it lies beyond t = 1,
+      and no step exceeds _WARM_STEP < log 2, so no iterate passes it:
+      every iterate lies inside the bracket ``fiber_roots`` uses, and the
+      path is ``hybrid_root``'s own;
+    - some evaluated eta, less 8 eps of its terms' unsigned sum (its
+      rounding), exceeds lam*e (1 + 2 TANGENT_TOL), about TANGENT_TOL lam*e
+      above lam*e / (1 - TANGENT_TOL), which covers the rounding of eta at
+      ``fiber_roots``' t_circ.  eta(t_circ) is the maximum, so that call
+      finds two roots, not a tangency.  An iterate certifies first, else one
+      evaluation at ``probe``.
+
+    Unlike ``fiber_roots`` it does not need eta(t_circ) or the brackets to
+    be finite floats, so it can return a root where that raises
+    OverflowError.
+    """
+    le = lam * ft.e
+    if not (0.0 < le < math.inf and ft.d > 0.0 and 0.0 < probe < math.inf):
+        return None
+    live = [(c, r) for c, r in _eta_terms(ft) if c != 0.0]
+    rising = only == "t1"  # eta - lam*e rises through t1 and falls through t2
+    side = 1.0 if rising else -1.0  # the sign of eta' on the branch
+    clear = le * (1.0 + 2.0 * TANGENT_TOL)
+
+    def at(t: float) -> tuple[float, float, bool, bool]:
+        """(eta(t), t eta'(t), whether eta' clearly has the branch's sign,
+        whether eta(t) certifies two roots); eta and t eta' are summed as
+        ``power_sum`` sums them."""
+        val = tslope = mag = tmag = 0.0
+        for c, r in live:
+            x = c * t**r
+            val += x
+            tslope += r * x
+            mag += abs(x)
+            tmag += abs(r * x)
+        return val, tslope, side * tslope > 4.0 * ROOT_TOL * tmag, val - 8.0 * _EPS * mag > clear
+
+    t, lo, hi = 1.0, 0.0, math.inf  # lo and hi mark no sign yet
+    last = before = math.inf  # sizes of the last two steps, in log t
+    certified = False
+    try:
+        for _ in range(_WARM_EVALS):
+            val, tslope, on_side, clears = at(t)
+            if not on_side:
+                return None
+            certified = certified or clears
+            gap = val - le
+            if abs(gap) <= ROOT_TOL * le:
+                if not ((t if rising else 1.0 / t) < _WARM_REACH and (certified or at(probe)[3])):
+                    return None
+                return t
+            if (gap < 0) == rising:
+                lo = t
+            else:
+                hi = t
+            if hi < math.inf and hi - lo <= 4e-16 * hi:
+                return None
+            dlog = t * (tslope / t)  # as ``hybrid_root`` forms it from the slope
+            step = -gap / dlog if dlog else math.inf
+            width = math.log(hi / lo) if 0.0 < lo and hi < math.inf else math.inf
+            if not abs(step) <= min(_WARM_STEP, 0.5 * before, width):
+                return None
+            newton = t * math.exp(step)
+            if not lo < newton < hi:
+                return None
+            before, last, t = last, abs(step), newton
+    except OverflowError:  # a power of an iterate or of the probe
+        return None
+    return None
 
 
 def classify_nehari(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> NehariClass:

@@ -2,7 +2,13 @@
 
 Each iterate is a nonnegative direction w, scaled onto the requested branch
 by its own fiber root (t1 for Plus, t2 for Minus); no direction is
-normalized, because the roots are scale-covariant.  From the projected
+normalized, because the roots are scale-covariant.  A line-search trial
+lies next to its base point, whose own root is 1, so its root is first
+sought by Newton steps from 1 (``fibering.warm_branch_root``): eta is
+unimodal, so a root where eta' has the branch's sign is that branch's root,
+and an evaluated eta above the tangency band proves the root is not a
+tangency.  Only when that certificate fails are t_circ and the bracketed
+root solved (``fiber_roots``), with the same result.  From the projected
 point u a line-searched step is taken along d = H g, the L-BFGS direction
 of the nodal energy gradient g in the H^1 (Sobolev) metric P = K + c M,
 with K the P1 stiffness, M the mass and c = 10/|Omega|: the compact form of
@@ -28,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,6 +48,8 @@ from .fibering import (
     fiber_roots,
     fiber_terms,
     psi_with_magnitude,
+    t_circ,
+    warm_branch_root,
 )
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
@@ -144,10 +153,26 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _Projected:
+    """The point u = scale * w on the branch, with its energy."""
+
     u: np.ndarray
     energy: float
-    t_circ: float  # fiber maximizer of u itself
     magnitude: float  # the energy's terms summed unsigned (``psi_with_magnitude``)
+    terms: FiberTerms  # the fiber terms of the direction w
+    scale: float
+    tc_w: float  # w's fiber maximizer when ``exact``, else an estimate of it
+    exact: bool
+
+    @property
+    def tc_estimate(self) -> float:
+        """An estimate of u's fiber maximizer at no cost: ``t_circ`` when exact."""
+        return self.tc_w / self.scale
+
+    @cached_property
+    def t_circ(self) -> float:
+        """The fiber maximizer of u itself; solved, from the estimate, only
+        when first read."""
+        return (self.tc_w if self.exact else t_circ(self.terms, start=self.tc_w)) / self.scale
 
 
 def _project(
@@ -166,26 +191,34 @@ def _project(
 
     The roots are scale-covariant (t_{s w} = t_w / s), so the point does not
     depend on the scale of w and w is not normalized.  ``warm`` is a
-    projected point near w (the line search's base point): its own branch
-    root is 1, which seeds t, and its t_circ seeds the fiber maximizer.
-    ``terms`` are w's fiber terms if the caller has them.  Raises
-    NoRootError when the branch is unreachable, and OverflowError naming the
-    root when psi(t) leaves the float range at a finite t.
+    projected point near w (the line search's base point), whose own branch
+    root is 1: ``warm_branch_root`` first tries the Newton root from 1,
+    certified by the sign of eta' and a probe at the base point's estimated
+    t_circ, which is the root ``fiber_roots`` would return.  Otherwise, and
+    for a cold projection, ``fiber_roots`` solves t_circ (seeded by the base
+    point's) and the root (seeded by 1).  ``terms`` are w's fiber terms if
+    the caller has them.  Raises NoRootError when the branch is unreachable,
+    and OverflowError naming the root when psi(t) leaves the float range at
+    a finite t.
     """
     ft = fiber_terms(mesh, data, w, fields) if terms is None else terms
-    start, tc_start = (None, None) if warm is None else (1.0, warm.t_circ)
     only = "t1" if branch is Branch.PLUS else "t2"
-    roots = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=only)
-    if not roots.two:
-        raise NoRootError(
-            f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
-        )
-    t = roots.t1 if branch is Branch.PLUS else roots.t2
+    t = None if warm is None else warm_branch_root(ft, lam, only, warm.tc_estimate)
+    if t is None:
+        start, tc_start = (None, None) if warm is None else (1.0, warm.t_circ)
+        roots = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=only)
+        if not roots.two:
+            raise NoRootError(
+                f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
+            )
+        t, tc_w, exact = getattr(roots, only), roots.t_circ, True
+    else:
+        tc_w, exact = warm.tc_estimate, False
     try:
         energy, magnitude = psi_with_magnitude(ft, lam, t)
     except OverflowError as exc:  # a finite root so far out that a power of it is not
         raise OverflowError(f"{branch.value} branch root t={t!r}: psi(t) leaves the float range") from exc
-    return _Projected(u=t * w, energy=energy, t_circ=roots.t_circ / t, magnitude=magnitude)
+    return _Projected(u=t * w, energy=energy, magnitude=magnitude, terms=ft, scale=t, tc_w=tc_w, exact=exact)
 
 
 class _LBFGS:

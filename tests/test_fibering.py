@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doublephase import (
@@ -16,7 +18,14 @@ from doublephase import (
     t_tilde_circ,
     xi,
 )
-from doublephase.fibering import ROOT_TOL, FiberTerms, eta_prime, psi_with_magnitude
+from doublephase.fibering import (
+    ROOT_TOL,
+    TANGENT_TOL,
+    FiberTerms,
+    eta_prime,
+    psi_with_magnitude,
+    warm_branch_root,
+)
 from doublephase.problem import critical_exponents
 from doublephase.rootfind import power_bracket
 
@@ -322,6 +331,133 @@ def test_fiber_roots_lie_inside_their_brackets(ft, log_frac):
     lo = power_bracket([(ft.a, p + k - 1.0), (ft.b, q + k - 1.0), (ft.c, ps + k - 1.0)], ft.d)[0]
     hi = power_bracket([(ft.a, p - q1), (ft.b, q - q1), (ft.c, ps - q1)], lam * ft.e)[1]
     assert lo < roots.t1 < tc < roots.t2 < hi
+
+
+def _scaled(ft: FiberTerms, s: float) -> FiberTerms:
+    """The fiber terms of s u: each term of u times s to its own power, so
+    every root of s u is the root of u over s."""
+    return FiberTerms(
+        a=ft.a * s**ft.p,
+        b=ft.b * s**ft.q,
+        c=ft.c * s**ft.p_lower_star,
+        d=ft.d * s ** (1.0 - ft.kappa),
+        e=ft.e * s**ft.q1,
+        p=ft.p,
+        q=ft.q,
+        p_lower_star=ft.p_lower_star,
+        q1=ft.q1,
+        kappa=ft.kappa,
+    )
+
+
+def _warm_case(ft: FiberTerms, lam: float, only: str, log_s: float, log_probe: float):
+    """(terms, probe) of a line-search trial whose ``only`` root is
+    exp(-log_s), with ``probe`` its t_circ times exp(log_probe), or None when
+    the scaled terms leave the normal floats."""
+    try:
+        cold = fiber_roots(ft, lam)
+        s = getattr(cold, only) * math.exp(log_s)
+        trial = _scaled(ft, s)
+    except OverflowError:
+        return None
+    if not all(1e-300 < v < 1e300 for v in (trial.a, trial.d, trial.e)):
+        return None
+    return trial, cold.t_circ / s * math.exp(log_probe)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    admissible_fiber_terms(),
+    st.floats(min_value=-6.0, max_value=-1e-6),
+    st.sampled_from(["t1", "t2"]),
+    st.floats(min_value=-0.8, max_value=0.8),
+    st.floats(min_value=-0.5, max_value=0.5),
+)
+def test_certified_warm_root_is_the_fiber_roots_root(ft, log_frac, only, log_s, log_probe):
+    # a trial whose root lies within exp(0.8) of 1, probed at a t_circ
+    # estimate off by up to exp(0.5): the certified root is the warm
+    # fiber_roots root bit for bit, or there is none.  Where fiber_roots
+    # raises OverflowError (eta(t_circ) or a bracket end beyond the floats;
+    # test_certified_root_where_eta_max_overflows is the named case), a
+    # certified root is still a root on its branch
+    try:
+        top = eta(ft, t_circ(ft))
+    except OverflowError:
+        top = math.inf
+    assume(math.isfinite(top))
+    lam = 10.0**log_frac * top / ft.e
+    case = _warm_case(ft, lam, only, log_s, log_probe)
+    assume(case is not None)
+    trial, probe = case
+    got = warm_branch_root(trial, lam, only, probe)
+    try:
+        ref = fiber_roots(trial, lam, start=1.0, tc_start=probe, only=only)
+    except OverflowError:
+        if got is not None:
+            le = lam * trial.e
+            assert abs(eta(trial, got) - le) <= ROOT_TOL * le
+            assert (eta_prime(trial, got) > 0.0) == (only == "t1")
+        return
+    if got is not None:
+        assert ref.kind == "two"
+        assert got == getattr(ref, only)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    admissible_fiber_terms(),
+    st.floats(min_value=0.0, max_value=2.0 * TANGENT_TOL),
+    st.sampled_from(["t1", "t2"]),
+    st.floats(min_value=-1e-3, max_value=1e-3),
+    st.floats(min_value=-0.1, max_value=0.1),
+)
+def test_certified_warm_root_never_inside_the_tangency_band(ft, gap, only, log_s, log_probe):
+    # with eta(t_circ) / (lam e) - 1 in [0, 2 TANGENT_TOL] no root is
+    # certified, even from t = 1 next to t_circ and a probe at it
+    try:
+        top = eta(ft, t_circ(ft))
+    except OverflowError:
+        top = math.inf
+    assume(math.isfinite(top))
+    s = t_circ(ft) * math.exp(log_s)
+    trial = _scaled(ft, s)
+    assume(all(1e-300 < v < 1e300 for v in (trial.a, trial.d, trial.e)))
+    tc = t_circ(trial)
+    lam = eta(trial, tc) / (trial.e * (1.0 + gap))
+    band = eta(trial, tc) / (lam * trial.e) - 1.0
+    assume(0.0 <= band <= 2.0 * TANGENT_TOL)
+    assert warm_branch_root(trial, lam, only, tc * math.exp(log_probe)) is None
+    assert warm_branch_root(trial, lam, only, tc) is None
+
+
+def test_certified_root_where_eta_max_overflows():
+    # d = 1e-130 puts t_circ near 1.4e-130, where eta's powers leave the
+    # floats, so fiber_roots raises OverflowError; the root t2 = 1.1 of
+    # t^-2.5 - d t^-3.5 = 1.1^-2.5 is certified from t = 1 all the same
+    ft = make_ft(1.0, 0.0, 0.0, 1e-130, 1.0)
+    lam = 1.1**-2.5
+    with pytest.raises(OverflowError):
+        fiber_roots(ft, lam, start=1.0, tc_start=1.4e-130, only="t2")
+    got = warm_branch_root(ft, lam, "t2", 1.4e-130)
+    assert got == pytest.approx(1.1, rel=1e-11)
+    assert abs(eta(ft, got) - lam) <= ROOT_TOL * lam
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.01])
+def test_certified_warm_root_of_the_preset(factor):
+    # the preset fiber at lam = 4, scaled so that each root lies at or near
+    # 1: the certified roots are the warm fiber_roots roots, and the other
+    # branch certifies nothing, not even a root at t = 1 where eta' has the
+    # wrong sign
+    roots = fiber_roots(PRESET_FT, 4.0)
+    for only, other in (("t1", "t2"), ("t2", "t1")):
+        s = getattr(roots, only) * factor
+        trial = _scaled(PRESET_FT, s)
+        probe = roots.t_circ / s
+        got = warm_branch_root(trial, 4.0, only, probe)
+        assert got is not None
+        assert got == getattr(fiber_roots(trial, 4.0, start=1.0, tc_start=probe, only=only), only)
+        assert warm_branch_root(trial, 4.0, other, probe) is None
 
 
 def test_psi_second_derivative_identity_at_roots():

@@ -22,6 +22,7 @@ from doublephase import (
     weak_residual,
 )
 from doublephase import solver
+from doublephase.fibering import FiberTerms, warm_branch_root
 from doublephase.mesh import riesz_map
 from doublephase.solver import _project, multistart_directions
 from doublephase.space import lebesgue_norm, sample_fields
@@ -66,6 +67,76 @@ def test_warm_started_projection_matches_project_to_nehari(mesh4, preset_data, b
         cold = _project(mesh4, preset_data, w, LAM, branch, fields)
         np.testing.assert_allclose(warm.u, cold.u, rtol=1e-10)
         assert warm.t_circ == pytest.approx(cold.t_circ, rel=1e-10)
+
+
+def _record_certified(monkeypatch) -> list:
+    """Record every result of the solver's ``warm_branch_root`` calls."""
+    results = []
+
+    def recording(*args):
+        results.append(warm_branch_root(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "warm_branch_root", recording)
+    return results
+
+
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+def test_near_warm_projection_is_certified(monkeypatch, mesh4, preset_data, fields4, branch):
+    # a trial within 1e-6 of its base point takes the certified Newton root,
+    # not fiber_roots, and lands where the cold projection puts it
+    certified = _record_certified(monkeypatch)
+    r = rng(32)
+    base = _project(mesh4, preset_data, r.uniform(0.5, 1.5, mesh4.num_nodes), LAM, branch, fields4)
+    w = base.u * (1.0 + 1e-6 * r.uniform(-1.0, 1.0, mesh4.num_nodes))
+    warm = _project(mesh4, preset_data, w, LAM, branch, fields4, warm=base)
+    assert len(certified) == 1 and certified[0] is not None
+    np.testing.assert_allclose(warm.u, _project(mesh4, preset_data, w, LAM, branch, fields4).u, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_certified_projections_leave_solve_two_bit_identical(monkeypatch, preset_data, n):
+    # every lane of solve_two, with the certified warm roots and with every
+    # warm projection routed to fiber_roots: the same points, energies,
+    # iterations and stop reasons, bit for bit
+    mesh = build_rect_mesh(n, n)
+    fields = sample_fields(mesh, preset_data)
+    runs = []
+    descend = solver._descend
+
+    def recording(*args):
+        runs.append(descend(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    certified = _record_certified(monkeypatch)
+    solve_two(mesh, preset_data, LAM, fields)
+    monkeypatch.setattr(solver, "warm_branch_root", lambda *args: None)
+    solve_two(mesh, preset_data, LAM, fields)
+    assert sum(t is not None for t in certified) > len(certified) // 2
+    with_certified, routed = runs
+    assert len(with_certified) == len(routed) == 12
+    for a, b in zip(with_certified, routed):
+        assert np.array_equal(a.u, b.u)
+        assert (a.energy, a.iterations, a.stop_reason) == (b.energy, b.iterations, b.stop_reason)
+
+
+def test_certified_root_whose_energy_overflows_is_named(mesh4, preset_data, fields4, monkeypatch):
+    # with q1 = 2000 the certified minus root t = 1.5 of 2.25 t^-2 - d
+    # t^-1999.5 = 1 is finite, but t^q1 is not: the warm projection raises
+    # the same OverflowError naming the root as the fiber_roots path does
+    ft = FiberTerms(
+        a=0.0, b=0.0, c=2.25, d=1e-300, e=1.0, p=1990.0, q=1995.0, p_lower_star=1998.0, q1=2000.0, kappa=0.5
+    )
+    w = np.ones(mesh4.num_nodes)
+    base = _project(mesh4, preset_data, w, 2.25, Branch.MINUS, fields4, terms=ft)  # its root is 1
+    assert warm_branch_root(ft, 1.0, "t2", base.tc_estimate) == pytest.approx(1.5, rel=1e-12)
+    message = r"minus branch root t=1\.\d+: psi\(t\) leaves the float range"
+    with pytest.raises(OverflowError, match=message):
+        _project(mesh4, preset_data, w, 1.0, Branch.MINUS, fields4, warm=base, terms=ft)
+    monkeypatch.setattr(solver, "warm_branch_root", lambda *args: None)
+    with pytest.raises(OverflowError, match=message):
+        _project(mesh4, preset_data, w, 1.0, Branch.MINUS, fields4, warm=base, terms=ft)
 
 
 @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
