@@ -11,9 +11,17 @@ bisection refinement).  The first two reduce one table of sampled fibers
 (``sample_fibers``, one modular breakdown per direction).  The
 best-constant of the p-embedding is bounded from above by polished
 Rayleigh quotients.
+
+The lambda* scan solves its grid points on up to as many forked worker
+processes as the process may run on (``os.sched_getaffinity``, so
+``taskset`` restricts it), in ascending order, and reads their results in
+grid order, so it returns and raises exactly what one process would; the
+bisection after it runs in-process, one step at a time.
 """
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +66,10 @@ class SweepUndetermined(RuntimeError):
     def __init__(self, lam: float, detail: str):
         super().__init__(f"undetermined at lambda={lam!r}: {detail}")
         self.lam = lam
+        self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.lam, self.detail)
 
 
 @dataclass(frozen=True)
@@ -209,7 +221,9 @@ def estimate_lambda_star(
     Scans the ascending grid until the first non-positive (or unreachable)
     lambda, then bisects between the last positive and first non-positive
     grid points for LAMBDA_STAR_BISECTIONS steps.  Returns the top of the
-    grid if every grid point is positive.
+    grid if every grid point is positive.  The grid points run on up to one
+    forked worker per available CPU (``_first_false``), the bisection
+    in-process.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:
@@ -219,20 +233,13 @@ def estimate_lambda_star(
     if opts is None:
         opts = SolverOptions()
 
-    last_positive = None
-    first_nonpositive = None
-    for lam in grid:
-        if _minus_branch_positive(mesh, data, lam, fields, opts):
-            last_positive = lam
-        else:
-            first_nonpositive = lam
-            break
-    if last_positive is None:
+    k = _first_false(lambda lam: _minus_branch_positive(mesh, data, lam, fields, opts), grid)
+    if k == 0:
         raise ValueError(f"minus-branch energy not positive at the smallest grid point {grid[0]}")
-    if first_nonpositive is None:
-        return last_positive  # top of the grid
+    if k == len(grid):
+        return grid[-1]
 
-    lo, hi = last_positive, first_nonpositive
+    lo, hi = grid[k - 1], grid[k]
     for _ in range(LAMBDA_STAR_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if _minus_branch_positive(mesh, data, mid, fields, opts):
@@ -240,6 +247,152 @@ def estimate_lambda_star(
         else:
             hi = mid
     return lo
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _first_false(test, grid) -> int:
+    """Index of the first lambda of ``grid`` where ``test`` is false
+    (len(grid) if none); an exception ``test`` raises at an earlier lambda
+    propagates.
+
+    On one CPU, or without ``os.fork``, this is the plain loop.  Otherwise
+    min(CPUs, len(grid)) forked workers each take the lowest lambda not yet
+    taken whenever they are free, and the parent reads the results in grid
+    order, so the outcome, exceptions included, is the loop's.  A worker
+    that dies makes its lambda undetermined.  However the scan ends (an
+    answer, an exception, a KeyboardInterrupt), every worker is killed and
+    reaped before this returns.
+    """
+    width = min(_available_cpus(), len(grid))
+    if width < 2 or not hasattr(os, "fork"):
+        return next((k for k, lam in enumerate(grid) if not test(lam)), len(grid))
+
+    import select
+
+    workers = {}  # result pipe's read end -> _Worker
+    poller = select.poll()
+    done = {}     # grid index -> (ok, test's result or exception)
+    taken = 0     # grid indices handed out so far
+    try:
+        for _ in range(width):
+            worker = _Worker(test, grid, workers.values())
+            workers[worker.results] = worker
+            poller.register(worker.results, select.POLLIN)
+            worker.give(taken)
+            taken += 1
+        for k in range(len(grid)):
+            while k not in done:
+                for fd, _ in poller.poll():
+                    worker = workers[fd]
+                    j, outcome = worker.receive()
+                    if outcome is None:  # the worker died
+                        poller.unregister(fd)
+                        del workers[fd]
+                        status = os.waitstatus_to_exitcode(worker.stop())
+                        if j is not None:
+                            done[j] = False, SweepUndetermined(grid[j], f"its worker died (exit status {status})")
+                        continue
+                    done[j] = outcome
+                    if taken < len(grid):
+                        worker.give(taken)
+                        taken += 1
+            ok, value = done.pop(k)
+            if not ok:
+                raise value
+            if not value:
+                return k
+        return len(grid)
+    finally:
+        for worker in workers.values():
+            worker.stop(kill=True)
+
+
+class _Worker:
+    """A forked process that runs ``test`` at the grid indices it is given,
+    one at a time, and pipes back each result."""
+
+    def __init__(self, test, grid, others):
+        task_r, self.tasks = os.pipe()
+        self.results, result_w = os.pipe()
+        self.index = None  # the grid index in hand
+        self.pid = os.fork()
+        if self.pid == 0:
+            _serve(test, grid, task_r, result_w, [self, *others])
+        os.close(task_r)
+        os.close(result_w)
+
+    def give(self, k: int):
+        self.index = k
+        try:
+            os.write(self.tasks, k.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # it died; receive() reports it
+
+    def receive(self) -> tuple:
+        """(index, (ok, result or exception)) of its next result, or
+        (index in hand or None, None) if it died."""
+        k, self.index = self.index, None
+        try:
+            size = int.from_bytes(_read_exactly(self.results, 8), "little")
+            return k, pickle.loads(_read_exactly(self.results, size))
+        except EOFError:
+            return k, None
+
+    def stop(self, kill: bool = False) -> int:
+        """Reap it (after SIGKILL if ``kill``) and close its pipes; its wait status."""
+        if kill:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+        status = os.waitpid(self.pid, 0)[1]
+        os.close(self.tasks)
+        os.close(self.results)
+        return status
+
+
+def _serve(test, grid, tasks: int, results: int, parents):
+    """A worker's life: read a 4-byte grid index from ``tasks`` and write
+    the pickled (ok, ``test``'s result or exception) to ``results`` behind
+    its 8-byte length, until ``tasks`` closes; never returns.  ``parents``
+    are the workers whose parent-side pipe ends it inherited."""
+    status = 1
+    try:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+        for w in parents:
+            os.close(w.tasks)
+            os.close(w.results)
+        while index := os.read(tasks, 4):
+            try:
+                out = True, test(grid[int.from_bytes(index, "little")])
+            except Exception as exc:
+                out = False, exc
+            payload = pickle.dumps(out)
+            payload = len(payload).to_bytes(8, "little") + payload
+            while payload:
+                payload = payload[os.write(results, payload):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_exactly(fd: int, n: int) -> bytes:
+    """``n`` bytes from ``fd``; EOFError if it closes first."""
+    buf = b""
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            raise EOFError
+        buf += chunk
+    return buf
 
 
 def _rayleigh_quotient(mesh, data, u, fields) -> tuple[float, float]:

@@ -1,3 +1,9 @@
+import contextlib
+import os
+import pickle
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +19,8 @@ from doublephase import (
 )
 from doublephase import sweep
 from doublephase.fibering import eta, t_circ, t_tilde_circ
+from doublephase.rootfind import BracketError
+from doublephase.solver import NoRootError
 from doublephase.space import sample_fields
 from doublephase.sweep import SweepUndetermined, sample_directions
 
@@ -141,6 +149,134 @@ def test_lambda_star_is_undetermined_where_a_minus_start_fails_numerically(monke
     overflowing_start(monkeypatch, mesh4, "ramp")
     with pytest.raises(SweepUndetermined, match="undetermined at lambda=0.2: .* from start 'ramp' .*OverflowError"):
         estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def scan_outcome(*args):
+    """``estimate_lambda_star``'s value, or the type and message of what it raised."""
+    try:
+        return estimate_lambda_star(*args)
+    except (SweepUndetermined, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
+def width(request, monkeypatch):
+    """The scan's worker count: the in-process loop at 1, two forked workers at 2."""
+    if request.param > 1 and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        ([0.2, 0.5], 0.5),  # every grid point positive
+        ([1.0, 2.0], 1.875),  # the flip bracketed, then bisected
+        ([1.0, 2.0, 4.0], 1.875),  # stops at 2.0 while a worker solves 4.0
+        ([2.0, 4.0], (ValueError, "minus-branch energy not positive at the smallest grid point 2.0")),
+    ],
+)
+def test_lambda_star_scan_at_any_width_is_the_sequential_loops(width, grid, expected, mesh4, preset_data, fields4):
+    assert scan_outcome(mesh4, preset_data, grid, fields4) == expected
+    assert_no_child_left()
+
+
+def test_lambda_star_scan_at_any_width_on_the_8x8_sweep(width, preset_data):
+    from doublephase import build_rect_mesh
+
+    mesh = build_rect_mesh(8, 8)
+    fields = sample_fields(mesh, preset_data)
+    for seed in range(3):
+        opts = SolverOptions(seed=seed)
+        assert estimate_lambda_star(mesh, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), fields, opts) == 0.8, seed
+        assert_no_child_left()
+
+
+def test_lambda_star_scan_at_any_width_names_the_same_unconverged_start(width, mesh4, preset_data, fields4):
+    got = scan_outcome(mesh4, preset_data, [0.2, 0.5], fields4, SolverOptions(max_iter=1))
+    assert got == (SweepUndetermined, "undetermined at lambda=0.2: minus branch did not converge from start 'ones'")
+    assert_no_child_left()
+
+
+def test_lambda_star_scan_at_any_width_names_the_same_failed_start(width, monkeypatch, mesh4, preset_data, fields4):
+    # the workers inherit the monkeypatched projection through the fork
+    overflowing_start(monkeypatch, mesh4, "ramp")
+    got = scan_outcome(mesh4, preset_data, [0.2, 0.5], fields4)
+    detail = "minus branch failed numerically from start 'ramp' (OverflowError): power sum overflow"
+    assert got == (SweepUndetermined, f"undetermined at lambda=0.2: {detail}")
+    assert_no_child_left()
+
+
+def test_lambda_star_grid_points_run_in_workers(width, monkeypatch, mesh4, preset_data, fields4):
+    def solved_where(mesh, data, lam, fields, opts):
+        raise SweepUndetermined(lam, f"solved in process {os.getpid()}")
+
+    monkeypatch.setattr(sweep, "_minus_branch_positive", solved_where)
+    with pytest.raises(SweepUndetermined) as info:
+        estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
+    assert info.value.lam == 0.2
+    assert (info.value.detail == f"solved in process {os.getpid()}") == (width == 1)
+    assert_no_child_left()
+
+
+@contextlib.contextmanager
+def raising_after(seconds, exc):
+    """Raise ``exc`` in this process after ``seconds``, wherever it is then."""
+
+    def handler(signum, frame):
+        raise exc
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_lambda_star_scan_names_a_dead_worker_and_leaves_no_process(monkeypatch, mesh4, preset_data, fields4):
+    parent = os.getpid()
+    positive = sweep._minus_branch_positive
+
+    def dying(mesh, data, lam, fields, opts):
+        if lam == 0.5 and os.getpid() != parent:
+            os._exit(3)
+        return positive(mesh, data, lam, fields, opts)
+
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "_minus_branch_positive", dying)
+    with raising_after(60, TimeoutError("the scan hung on a dead worker")):
+        with pytest.raises(SweepUndetermined, match=r"^undetermined at lambda=0.5: its worker died \(exit status 3\)$"):
+            estimate_lambda_star(mesh4, preset_data, [0.2, 0.5, 0.8], fields4)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_interrupted_lambda_star_scan_leaves_no_process(monkeypatch, mesh4, preset_data, fields4):
+    def stuck(mesh, data, lam, fields, opts):
+        time.sleep(60)
+
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "_minus_branch_positive", stuck)
+    with raising_after(0.2, KeyboardInterrupt()):
+        with pytest.raises(KeyboardInterrupt):
+            estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
+    assert_no_child_left()
+
+
+def test_scan_errors_survive_a_pickle_round_trip():
+    for exc in (SweepUndetermined(0.2, "x"), NoRootError("no minus root"), BracketError("no sign change")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+    assert pickle.loads(pickle.dumps(SweepUndetermined(0.2, "x"))).lam == 0.2
 
 
 def test_sobolev_estimate_bounded_by_unit_function(mesh4, preset_data, fields4):
