@@ -12,11 +12,19 @@ bisection refinement).  The first two reduce one table of sampled fibers
 best-constant of the p-embedding is bounded from above by polished
 Rayleigh quotients.
 
-The lambda* scan solves its grid points on up to as many forked worker
-processes as the process may run on (``os.sched_getaffinity``, so
-``taskset`` restricts it), in ascending order, and reads their results in
-grid order, so it returns and raises exactly what one process would; the
-bisection after it runs in-process, one step at a time.
+The lambda* scan and the sampling maps (``sample_fibers``, the Rayleigh
+quotients of ``estimate_sobolev_constant``) run on ``_fork_map``: up to as
+many forked worker processes as the process may run on
+(``os.sched_getaffinity``, so ``taskset`` restricts it), whose results are
+read in item order, so every value and exception is exactly what one
+process would give.  The scan forks whenever it has two CPUs and two grid
+points.  A sampling map forks only when each worker gets at least
+FORK_MIN_NODES node evaluations (directions times mesh nodes): a fork and
+its pipes cost about 15-30 ms per map, more than they save on meshes up to
+32x32, so smaller sweeps sample in-process.  A worker that dies makes its
+lambda undetermined; a sampling worker's chunk is recomputed in-process, so
+its output does not change.  The bisection after the scan, and the
+polishing of the best Rayleigh candidate, run in-process.
 """
 from __future__ import annotations
 
@@ -57,6 +65,7 @@ __all__ = [
 TANGENCY_REL_TOL = 1e-10
 LAMBDA_STAR_BISECTIONS = 3  # bisection steps between the bracketing grid points
 SOBOLEV_POLISH_STEPS = 40   # gradient steps polishing the best Rayleigh candidate
+FORK_MIN_NODES = 2**18      # node evaluations a sampling worker must get for forking to pay
 
 
 class SweepUndetermined(RuntimeError):
@@ -118,28 +127,41 @@ class SweepReport:
     seed: int
 
 
-def sample_directions(mesh: Mesh, n_samples: int, seed: int):
+def sample_directions(mesh: Mesh, n_samples: int, seed: int, start: int = 0):
     """Deterministic nonnegative sample directions: iid uniform nodal values
-    from a seeded generator, one stream for the whole batch."""
+    from a seeded generator, one stream for the whole batch.  ``start``
+    skips the stream's first ``start`` directions (``Generator.random``
+    draws one 64-bit output per double), so the directions are those from
+    index ``start`` on of the stream ``start`` = 0 gives."""
     rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(int(start) * mesh.num_nodes)
     for _ in range(int(n_samples)):
         yield rng.random(mesh.num_nodes)
 
 
 def sample_fibers(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fields: FieldSamples) -> tuple:
     """One ``SampledFiber`` per direction of ``sample_directions``, from one
-    modular breakdown each: the table every sampled estimate reduces."""
+    modular breakdown each: the table every sampled estimate reduces.
+
+    The directions run in chunks (``_map_chunks``), each drawing its own
+    directions from its offset in the stream."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    fibers = []
-    for u in sample_directions(mesh, n_samples, seed):
-        ft = fiber_terms(mesh, data, u, fields)
-        if ft.a > 0 and ft.d > 0 and ft.e > 0:
-            tc = t_circ(ft)
-            fibers.append(SampledFiber(ft, *t_tilde_circ(ft), tc, eta(ft, tc)))
-        else:
-            fibers.append(SampledFiber(ft))
-    return tuple(fibers)
+
+    def fibers(chunk) -> list:
+        lo, hi = chunk
+        return [_sampled_fiber(mesh, data, u, fields) for u in sample_directions(mesh, hi - lo, seed, lo)]
+
+    return tuple(_map_chunks(fibers, n_samples, mesh))
+
+
+def _sampled_fiber(mesh, data, u, fields) -> SampledFiber:
+    """The ``SampledFiber`` of direction ``u``."""
+    ft = fiber_terms(mesh, data, u, fields)
+    if ft.a > 0 and ft.d > 0 and ft.e > 0:
+        tc = t_circ(ft)
+        return SampledFiber(ft, *t_tilde_circ(ft), tc, eta(ft, tc))
+    return SampledFiber(ft)
 
 
 def lambda_tilde_from(fibers) -> float:
@@ -260,35 +282,70 @@ def _available_cpus() -> int:
 def _first_false(test, grid) -> int:
     """Index of the first lambda of ``grid`` where ``test`` is false
     (len(grid) if none); an exception ``test`` raises at an earlier lambda
+    propagates.  A lambda whose worker died is undetermined."""
+
+    def died(lam, status):
+        raise SweepUndetermined(lam, f"its worker died (exit status {status})")
+
+    values = _fork_map(test, grid, died, stop=lambda positive: not positive)
+    return len(values) - 1 if not values[-1] else len(grid)
+
+
+def _chunks(n_items: int, mesh: Mesh) -> list:
+    """Contiguous (lo, hi) ranges of ``n_items`` directions, one per sampling
+    worker: one per available CPU, but no more than leaves each at least
+    FORK_MIN_NODES node evaluations, so one range, in-process, below that."""
+    width = max(1, min(_available_cpus(), n_items, n_items * mesh.num_nodes // FORK_MIN_NODES))
+    bounds = [n_items * i // width for i in range(width + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _map_chunks(func, n_items: int, mesh: Mesh) -> list:
+    """``func``'s lists over ``_chunks(n_items, mesh)``, joined in order, from
+    ``_fork_map``; a chunk whose worker died is recomputed in-process."""
+    chunks = _fork_map(func, _chunks(n_items, mesh), lambda chunk, status: func(chunk))
+    return [value for chunk in chunks for value in chunk]
+
+
+def _fork_map(func, items, died, stop=None) -> list:
+    """``[func(item) for item in items]``, cut after the first value for
+    which ``stop`` is true; an exception ``func`` raises at an earlier item
     propagates.
 
-    On one CPU, or without ``os.fork``, this is the plain loop.  Otherwise
-    min(CPUs, len(grid)) forked workers each take the lowest lambda not yet
-    taken whenever they are free, and the parent reads the results in grid
-    order, so the outcome, exceptions included, is the loop's.  A worker
-    that dies makes its lambda undetermined.  However the scan ends (an
-    answer, an exception, a KeyboardInterrupt), every worker is killed and
-    reaped before this returns.
+    On one CPU, for one item, or without ``os.fork``, this is that loop.
+    Otherwise min(CPUs, len(items)) forked workers each take the first item
+    not yet taken whenever they are free, and the parent reads the results
+    in item order, so the outcome, exceptions included, is the loop's.  The
+    value of an item whose worker died is ``died(item, its exit status)``,
+    called in the parent in the item's turn (status None for an item left
+    when every worker had died).  However the map ends (its values, an
+    exception, a KeyboardInterrupt), every worker is killed and reaped
+    before this returns.
     """
-    width = min(_available_cpus(), len(grid))
+    values = []
+    width = min(_available_cpus(), len(items))
     if width < 2 or not hasattr(os, "fork"):
-        return next((k for k, lam in enumerate(grid) if not test(lam)), len(grid))
+        for item in items:
+            values.append(func(item))
+            if stop is not None and stop(values[-1]):
+                break
+        return values
 
     import select
 
     workers = {}  # result pipe's read end -> _Worker
     poller = select.poll()
-    done = {}     # grid index -> (ok, test's result or exception)
-    taken = 0     # grid indices handed out so far
+    done = {}     # item index -> (ok, func's value or exception), or (None, exit status) if its worker died
+    taken = 0     # items handed out so far
     try:
         for _ in range(width):
-            worker = _Worker(test, grid, workers.values())
+            worker = _Worker(func, items, workers.values())
             workers[worker.results] = worker
             poller.register(worker.results, select.POLLIN)
             worker.give(taken)
             taken += 1
-        for k in range(len(grid)):
-            while k not in done:
+        for k, item in enumerate(items):
+            while k not in done and workers:
                 for fd, _ in poller.poll():
                     worker = workers[fd]
                     j, outcome = worker.receive()
@@ -297,34 +354,37 @@ def _first_false(test, grid) -> int:
                         del workers[fd]
                         status = os.waitstatus_to_exitcode(worker.stop())
                         if j is not None:
-                            done[j] = False, SweepUndetermined(grid[j], f"its worker died (exit status {status})")
+                            done[j] = None, status
                         continue
                     done[j] = outcome
-                    if taken < len(grid):
+                    if taken < len(items):
                         worker.give(taken)
                         taken += 1
-            ok, value = done.pop(k)
-            if not ok:
+            ok, value = done.pop(k, (None, None))
+            if ok is None:
+                value = died(item, value)
+            elif not ok:
                 raise value
-            if not value:
-                return k
-        return len(grid)
+            values.append(value)
+            if stop is not None and stop(value):
+                break
+        return values
     finally:
         for worker in workers.values():
             worker.stop(kill=True)
 
 
 class _Worker:
-    """A forked process that runs ``test`` at the grid indices it is given,
-    one at a time, and pipes back each result."""
+    """A forked process that runs ``func`` on the items it is given, one at a
+    time, and pipes back each result."""
 
-    def __init__(self, test, grid, others):
+    def __init__(self, func, items, others):
         task_r, self.tasks = os.pipe()
         self.results, result_w = os.pipe()
-        self.index = None  # the grid index in hand
+        self.index = None  # the item index in hand
         self.pid = os.fork()
         if self.pid == 0:
-            _serve(test, grid, task_r, result_w, [self, *others])
+            _serve(func, items, task_r, result_w, [self, *others])
         os.close(task_r)
         os.close(result_w)
 
@@ -357,9 +417,9 @@ class _Worker:
         return status
 
 
-def _serve(test, grid, tasks: int, results: int, parents):
-    """A worker's life: read a 4-byte grid index from ``tasks`` and write
-    the pickled (ok, ``test``'s result or exception) to ``results`` behind
+def _serve(func, items, tasks: int, results: int, parents):
+    """A worker's life: read a 4-byte item index from ``tasks`` and write
+    the pickled (ok, ``func``'s result or exception) to ``results`` behind
     its 8-byte length, until ``tasks`` closes; never returns.  ``parents``
     are the workers whose parent-side pipe ends it inherited."""
     status = 1
@@ -372,7 +432,7 @@ def _serve(test, grid, tasks: int, results: int, parents):
             os.close(w.results)
         while index := os.read(tasks, 4):
             try:
-                out = True, test(grid[int.from_bytes(index, "little")])
+                out = True, func(items[int.from_bytes(index, "little")])
             except Exception as exc:
                 out = False, exc
             payload = pickle.dumps(out)
@@ -428,18 +488,28 @@ def estimate_sobolev_constant(mesh: Mesh, data: ProblemData, n_samples: int, see
     minimum Rayleigh quotient |u|_{1,p}^p / |u|_{p*}^p over multi-starts and
     seeded random positives, with SOBOLEV_POLISH_STEPS gradient-descent
     steps polishing the best candidate.  The running minimum never
-    increases."""
-    candidates = [w for _, w in multistart_directions(mesh, seed)]
-    candidates += [u for u in sample_directions(mesh, n_samples, seed)]
-    val, u, num = np.inf, None, None
-    for w in candidates:
-        if not np.any(w):
-            continue
-        wval, wnum = _rayleigh_quotient(mesh, data, w, fields)
-        if wval < val:
-            val, u, num = wval, w, wnum
+    increases.
 
-    u = np.asarray(u, dtype=float)
+    The candidates' quotients run in chunks (``_map_chunks``), like
+    ``sample_fibers``, and only the index of the first strict minimum is
+    kept: its direction is drawn again for the polish, in-process."""
+    starts = [w for _, w in multistart_directions(mesh, seed)]
+
+    def candidates(lo: int, hi: int):
+        """Candidates lo..hi-1: the multi-starts, then the sampled directions."""
+        yield from starts[lo:hi]
+        first = max(lo - len(starts), 0)
+        yield from sample_directions(mesh, max(hi - len(starts), 0) - first, seed, first)
+
+    def quotients(chunk) -> list:
+        return [_rayleigh_quotient(mesh, data, w, fields) if np.any(w) else None for w in candidates(*chunk)]
+
+    best, val, num = None, np.inf, None
+    for i, q in enumerate(_map_chunks(quotients, len(starts) + n_samples, mesh)):
+        if q is not None and q[0] < val:
+            best, (val, num) = i, q
+
+    u = np.asarray(next(candidates(best, best + 1)), dtype=float)
     step = 1.0
     for _ in range(SOBOLEV_POLISH_STEPS):
         g = _rayleigh_gradient(mesh, data, u, fields, num)

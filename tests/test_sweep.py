@@ -272,6 +272,132 @@ def test_interrupted_lambda_star_scan_leaves_no_process(monkeypatch, mesh4, pres
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("mesh_name", ["mesh2", "mesh4"])
+def test_sample_directions_from_start_are_the_streams_tail(mesh_name, request):
+    # sample_directions skips by advancing the generator one step per double
+    # of Generator.random; a numpy change to that rule fails here
+    mesh = request.getfixturevalue(mesh_name)
+    for k in (0, 1, 2, 5):
+        tail = list(sample_directions(mesh, 4 + k, seed=9))[k:]
+        got = list(sample_directions(mesh, 4, seed=9, start=k))
+        assert len(got) == 4 and all(np.array_equal(a, b) for a, b in zip(got, tail)), k
+
+
+@pytest.fixture(scope="module")
+def sampling_meshes(mesh4, fields4, preset_data):
+    from doublephase import build_rect_mesh
+
+    mesh8 = build_rect_mesh(8, 8)
+    return {"4x4": (mesh4, fields4), "8x8": (mesh8, sample_fields(mesh8, preset_data))}
+
+
+def sampling_at_width(monkeypatch, width):
+    """Let the sampling maps fork ``width`` workers on any mesh."""
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: width)
+    monkeypatch.setattr(sweep, "FORK_MIN_NODES", 1)
+
+
+def test_sampling_maps_fork_only_above_the_node_threshold(monkeypatch, mesh16):
+    from doublephase import build_rect_mesh
+
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+    # 200 samples: in-process up to 32x32 (M = 1089), on two workers from 64x64
+    assert sweep._chunks(200, mesh16) == [(0, 200)]
+    assert sweep._chunks(200, build_rect_mesh(32, 32)) == [(0, 200)]
+    assert sweep._chunks(200, build_rect_mesh(64, 64)) == [(0, 100), (100, 200)]
+    monkeypatch.setattr(sweep, "FORK_MIN_NODES", 1)
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: 3)
+    assert sweep._chunks(2, mesh16) == [(0, 1), (1, 2)]
+    assert sweep._chunks(7, mesh16) == [(0, 2), (2, 4), (4, 7)]
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 7])
+@pytest.mark.parametrize("mesh_name", ["4x4", "8x8"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sampling_at_any_width_is_the_sequential_loops(
+    workers, mesh_name, n_samples, monkeypatch, sampling_meshes, preset_data
+):
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    mesh, fields = sampling_meshes[mesh_name]
+    d = preset_data
+    sobolev = estimate_sobolev_constant(mesh, d, n_samples, 3, fields)
+    loop = tuple(sweep._sampled_fiber(mesh, d, u, fields) for u in sample_directions(mesh, n_samples, 3))
+
+    sampling_at_width(monkeypatch, workers)
+    assert len(sweep._chunks(n_samples, mesh)) == min(workers, n_samples)
+    fibers = sweep.sample_fibers(mesh, d, n_samples, 3, fields)
+    assert repr(fibers) == repr(loop)
+    assert repr(sweep.lambda_tilde_from(fibers)) == repr(sweep.lambda_tilde_from(loop))
+    for lam in (0.05, 0.8, 1e9):
+        assert sweep.nzero_evidence(fibers, lam) == sweep.nzero_evidence(loop, lam)
+    assert repr(estimate_sobolev_constant(mesh, d, n_samples, 3, fields)) == repr(sobolev)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_dead_sampling_worker_changes_nothing(monkeypatch, mesh4, preset_data, fields4):
+    d = preset_data
+    fibers = sweep.sample_fibers(mesh4, d, 9, 2, fields4)
+    sobolev = estimate_sobolev_constant(mesh4, d, 9, 2, fields4)
+
+    parent = os.getpid()
+    calls = []
+
+    def dying(call):
+        def wrapped(*args):
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == 2:  # each worker dies in the middle of its chunk
+                    os._exit(3)
+            return call(*args)
+
+        return wrapped
+
+    sampling_at_width(monkeypatch, 2)
+    monkeypatch.setattr(sweep, "fiber_terms", dying(sweep.fiber_terms))
+    monkeypatch.setattr(sweep, "_rayleigh_quotient", dying(sweep._rayleigh_quotient))
+    with raising_after(60, TimeoutError("the sampling hung on a dead worker")):
+        assert sweep.sample_fibers(mesh4, d, 9, 2, fields4) == fibers
+        assert estimate_sobolev_constant(mesh4, d, 9, 2, fields4) == sobolev
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_interrupted_sampling_leaves_no_process(monkeypatch, mesh4, preset_data, fields4):
+    def stuck(*args):
+        time.sleep(60)
+
+    sampling_at_width(monkeypatch, 2)
+    monkeypatch.setattr(sweep, "fiber_terms", stuck)
+    with raising_after(0.2, KeyboardInterrupt()):
+        with pytest.raises(KeyboardInterrupt):
+            sweep.sample_fibers(mesh4, preset_data, 6, 0, fields4)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [(4,), (1, 4)], ids=["later_chunk", "both_chunks"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampling_raises_the_sequential_loops_first_error(workers, failing, monkeypatch, mesh4, preset_data, fields4):
+    # with two workers, samples 0-2 are the first chunk and 3-5 the second
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    directions = list(sample_directions(mesh4, 6, 0))
+    terms = sweep.fiber_terms
+
+    def failing_at(mesh, data, u, fields):
+        i = next(i for i, w in enumerate(directions) if np.array_equal(u, w))
+        if i in failing:
+            raise BracketError(f"no sign change at sample {i}")
+        return terms(mesh, data, u, fields)
+
+    sampling_at_width(monkeypatch, workers)
+    monkeypatch.setattr(sweep, "fiber_terms", failing_at)
+    with pytest.raises(BracketError, match=f"^no sign change at sample {failing[0]}$"):
+        sweep.sample_fibers(mesh4, preset_data, 6, 0, fields4)
+    assert_no_child_left()
+
+
 def test_scan_errors_survive_a_pickle_round_trip():
     for exc in (SweepUndetermined(0.2, "x"), NoRootError("no minus root"), BracketError("no sign change")):
         back = pickle.loads(pickle.dumps(exc))
