@@ -45,7 +45,11 @@ class ExprParseError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
+        self.message = message
         self.offset = offset
+
+    def __reduce__(self):
+        return type(self), (self.message, self.offset)
 
 
 class ExprEvalError(ArithmeticError):

@@ -27,7 +27,10 @@ of both branches descend in lockstep as the lanes of (S, M) arrays, each
 lane on its own branch, so one gradient, one Riesz map, one L-BFGS product
 of the stacked pair store and one breakdown per line-search round serve
 them all, and each lane's values are those of its start's descent alone,
-bit for bit.
+bit for bit.  On meshes of at least LANE_FORK_MIN_NODES nodes the lanes
+split into one group per available CPU, each group a batch of its own on a
+forked worker (``forkmap._fork_map``); since every lane is its start's
+descent alone, the split changes no bit of any result.
 """
 from __future__ import annotations
 
@@ -51,6 +54,7 @@ from .fibering import (
     t_circ,
     warm_branch_root,
 )
+from .forkmap import _fork_map, _width
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
 from .space import FieldSamples, lane_dot, modular_breakdown
@@ -101,6 +105,7 @@ ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 BACKTRACK = 0.5     # step shrink factor per rejected trial
 MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
 LBFGS_PAIRS = 10    # curvature pairs (s, y) the quasi-Newton direction remembers
+LANE_FORK_MIN_NODES = 100  # mesh nodes from which a solve's lanes run on forked workers
 _EYE = np.eye(LBFGS_PAIRS)
 _EPS = np.finfo(float).eps
 
@@ -536,12 +541,31 @@ def _solve_branches(
     mesh: Mesh, data: ProblemData, lam: float, branches, fields: FieldSamples, opts: Optional[SolverOptions]
 ) -> list:
     """``solve_branch`` of each of ``branches``, with the starts of all of
-    them descending as the lanes of one lockstep batch."""
+    them as the lanes of lockstep batches.
+
+    On a mesh of at least LANE_FORK_MIN_NODES nodes the S lanes split into
+    min(CPUs, S) groups by lane index mod that width, and each group
+    descends as one batch on its own forked worker (``forkmap._fork_map``);
+    below it, on one CPU or inside a worker, all S descend as one batch
+    in-process.  Interleaving gives every group starts of every branch, so
+    the short Plus and the long Minus descents spread evenly.  A group whose
+    worker dies is descended again in-process.  The outcomes are put back in
+    lane order, each bit for bit that of one batch."""
     if opts is None:
         opts = SolverOptions()
     names, inits = zip(*multistart_directions(mesh, opts.seed))
     n = len(inits)
-    outcomes = _descend(mesh, data, lam, [b for b in branches for _ in inits], inits * len(branches), fields, opts)
+    lane_branches, lane_inits = [b for b in branches for _ in inits], inits * len(branches)
+    width = _width(len(lane_inits)) if mesh.num_nodes >= LANE_FORK_MIN_NODES else 1
+    groups = [range(k, len(lane_inits), width) for k in range(width)]
+
+    def descend(group) -> list:
+        lanes = [lane_branches[i] for i in group], [lane_inits[i] for i in group]
+        return _descend(mesh, data, lam, *lanes, fields, opts)
+
+    outcomes = [None] * len(lane_inits)
+    for k, outs in enumerate(_fork_map(descend, groups, lambda group, status: descend(group))):
+        outcomes[k::width] = outs
     per_branch = []
     for k in range(len(branches)):
         named = list(zip(names, outcomes[k * n:(k + 1) * n]))
@@ -559,7 +583,8 @@ def solve_two(
     for an unreachable start, ``"name: numerical failure (<type>):
     <message>"`` for any other; each branch keeps its first result in start
     order that is minimal under (not converged, energy).  The starts of both
-    branches descend as one lockstep batch; each result is its
+    branches descend as the lanes of lockstep batches, split among forked
+    workers on larger meshes (``_solve_branches``); each result is its
     ``solve_branch`` result, bit for bit.
     """
     best, failures = [], []

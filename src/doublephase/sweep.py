@@ -13,23 +13,22 @@ best-constant of the p-embedding is bounded from above by polished
 Rayleigh quotients.
 
 The lambda* scan and the sampling maps (``sample_fibers``, the Rayleigh
-quotients of ``estimate_sobolev_constant``) run on ``_fork_map``: up to as
-many forked worker processes as the process may run on
-(``os.sched_getaffinity``, so ``taskset`` restricts it), whose results are
-read in item order, so every value and exception is exactly what one
-process would give.  The scan forks whenever it has two CPUs and two grid
-points.  A sampling map forks only when each worker gets at least
-FORK_MIN_NODES node evaluations (directions times mesh nodes): a fork and
-its pipes cost about 15-30 ms per map, more than they save on meshes up to
-32x32, so smaller sweeps sample in-process.  A worker that dies makes its
-lambda undetermined; a sampling worker's chunk is recomputed in-process, so
-its output does not change.  The bisection after the scan, and the
-polishing of the best Rayleigh candidate, run in-process.
+quotients of ``estimate_sobolev_constant``) run on ``forkmap._fork_map``:
+up to as many forked worker processes as the process may run on, whose
+results are read in item order, so every value and exception is exactly
+what one process would give.  The scan forks whenever it has two CPUs and
+two grid points, and its workers solve their lanes in-process.  A sampling
+map forks only when each worker gets at least FORK_MIN_NODES node
+evaluations (directions times mesh nodes): at 200 samples forking lost or
+broke even up to 32x32 and won at 64x64 (see ``forkmap``), so smaller
+sweeps sample in-process.  A worker that dies makes its lambda
+undetermined; a sampling worker's chunk is recomputed in-process, so its
+output does not change.  The bisection after the scan, and the polishing
+of the best Rayleigh candidate, run in the calling process, where a
+bisection solve splits its lanes among workers like ``solver.solve_two``.
 """
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +36,7 @@ import numpy as np
 
 from .energy import gradient_flux
 from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
+from .forkmap import _fork_map, _width
 from .mesh import Mesh
 from .problem import ProblemData
 from .solver import Branch, NoRootError, SolverOptions, multistart_directions, solve_branch
@@ -271,14 +271,6 @@ def estimate_lambda_star(
     return lo
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _first_false(test, grid) -> int:
     """Index of the first lambda of ``grid`` where ``test`` is false
     (len(grid) if none); an exception ``test`` raises at an earlier lambda
@@ -295,7 +287,7 @@ def _chunks(n_items: int, mesh: Mesh) -> list:
     """Contiguous (lo, hi) ranges of ``n_items`` directions, one per sampling
     worker: one per available CPU, but no more than leaves each at least
     FORK_MIN_NODES node evaluations, so one range, in-process, below that."""
-    width = max(1, min(_available_cpus(), n_items, n_items * mesh.num_nodes // FORK_MIN_NODES))
+    width = max(1, min(_width(n_items), n_items * mesh.num_nodes // FORK_MIN_NODES))
     bounds = [n_items * i // width for i in range(width + 1)]
     return list(zip(bounds, bounds[1:]))
 
@@ -305,154 +297,6 @@ def _map_chunks(func, n_items: int, mesh: Mesh) -> list:
     ``_fork_map``; a chunk whose worker died is recomputed in-process."""
     chunks = _fork_map(func, _chunks(n_items, mesh), lambda chunk, status: func(chunk))
     return [value for chunk in chunks for value in chunk]
-
-
-def _fork_map(func, items, died, stop=None) -> list:
-    """``[func(item) for item in items]``, cut after the first value for
-    which ``stop`` is true; an exception ``func`` raises at an earlier item
-    propagates.
-
-    On one CPU, for one item, or without ``os.fork``, this is that loop.
-    Otherwise min(CPUs, len(items)) forked workers each take the first item
-    not yet taken whenever they are free, and the parent reads the results
-    in item order, so the outcome, exceptions included, is the loop's.  The
-    value of an item whose worker died is ``died(item, its exit status)``,
-    called in the parent in the item's turn (status None for an item left
-    when every worker had died).  However the map ends (its values, an
-    exception, a KeyboardInterrupt), every worker is killed and reaped
-    before this returns.
-    """
-    values = []
-    width = min(_available_cpus(), len(items))
-    if width < 2 or not hasattr(os, "fork"):
-        for item in items:
-            values.append(func(item))
-            if stop is not None and stop(values[-1]):
-                break
-        return values
-
-    import select
-
-    workers = {}  # result pipe's read end -> _Worker
-    poller = select.poll()
-    done = {}     # item index -> (ok, func's value or exception), or (None, exit status) if its worker died
-    taken = 0     # items handed out so far
-    try:
-        for _ in range(width):
-            worker = _Worker(func, items, workers.values())
-            workers[worker.results] = worker
-            poller.register(worker.results, select.POLLIN)
-            worker.give(taken)
-            taken += 1
-        for k, item in enumerate(items):
-            while k not in done and workers:
-                for fd, _ in poller.poll():
-                    worker = workers[fd]
-                    j, outcome = worker.receive()
-                    if outcome is None:  # the worker died
-                        poller.unregister(fd)
-                        del workers[fd]
-                        status = os.waitstatus_to_exitcode(worker.stop())
-                        if j is not None:
-                            done[j] = None, status
-                        continue
-                    done[j] = outcome
-                    if taken < len(items):
-                        worker.give(taken)
-                        taken += 1
-            ok, value = done.pop(k, (None, None))
-            if ok is None:
-                value = died(item, value)
-            elif not ok:
-                raise value
-            values.append(value)
-            if stop is not None and stop(value):
-                break
-        return values
-    finally:
-        for worker in workers.values():
-            worker.stop(kill=True)
-
-
-class _Worker:
-    """A forked process that runs ``func`` on the items it is given, one at a
-    time, and pipes back each result."""
-
-    def __init__(self, func, items, others):
-        task_r, self.tasks = os.pipe()
-        self.results, result_w = os.pipe()
-        self.index = None  # the item index in hand
-        self.pid = os.fork()
-        if self.pid == 0:
-            _serve(func, items, task_r, result_w, [self, *others])
-        os.close(task_r)
-        os.close(result_w)
-
-    def give(self, k: int):
-        self.index = k
-        try:
-            os.write(self.tasks, k.to_bytes(4, "little"))
-        except BrokenPipeError:
-            pass  # it died; receive() reports it
-
-    def receive(self) -> tuple:
-        """(index, (ok, result or exception)) of its next result, or
-        (index in hand or None, None) if it died."""
-        k, self.index = self.index, None
-        try:
-            size = int.from_bytes(_read_exactly(self.results, 8), "little")
-            return k, pickle.loads(_read_exactly(self.results, size))
-        except EOFError:
-            return k, None
-
-    def stop(self, kill: bool = False) -> int:
-        """Reap it (after SIGKILL if ``kill``) and close its pipes; its wait status."""
-        if kill:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-        status = os.waitpid(self.pid, 0)[1]
-        os.close(self.tasks)
-        os.close(self.results)
-        return status
-
-
-def _serve(func, items, tasks: int, results: int, parents):
-    """A worker's life: read a 4-byte item index from ``tasks`` and write
-    the pickled (ok, ``func``'s result or exception) to ``results`` behind
-    its 8-byte length, until ``tasks`` closes; never returns.  ``parents``
-    are the workers whose parent-side pipe ends it inherited."""
-    status = 1
-    try:
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-        for w in parents:
-            os.close(w.tasks)
-            os.close(w.results)
-        while index := os.read(tasks, 4):
-            try:
-                out = True, func(items[int.from_bytes(index, "little")])
-            except Exception as exc:
-                out = False, exc
-            payload = pickle.dumps(out)
-            payload = len(payload).to_bytes(8, "little") + payload
-            while payload:
-                payload = payload[os.write(results, payload):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _read_exactly(fd: int, n: int) -> bytes:
-    """``n`` bytes from ``fd``; EOFError if it closes first."""
-    buf = b""
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            raise EOFError
-        buf += chunk
-    return buf
 
 
 def _rayleigh_quotient(mesh, data, u, fields) -> tuple[float, float]:

@@ -1,5 +1,8 @@
+import contextlib
 import functools
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -25,6 +28,28 @@ def overflowing_start(monkeypatch, mesh, start):
         return project(mesh, data, w, *args, warm=warm, **kwargs)
 
     monkeypatch.setattr(solver, "_project", failing)
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def raising_after(seconds, exc):
+    """Raise ``exc`` in this process after ``seconds``, wherever it is then."""
+
+    def handler(signum, frame):
+        raise exc
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def two_loop_direction(pairs, gamma, riesz, g):

@@ -1,7 +1,10 @@
 import importlib
 import itertools
 import math
+import os
 import re
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +24,13 @@ from doublephase import (
     solve_two,
     weak_residual,
 )
-from doublephase import solver
+from doublephase import forkmap, solver
 from doublephase.fibering import FiberTerms, warm_branch_root
 from doublephase.mesh import riesz_map
 from doublephase.solver import _project, multistart_directions
 from doublephase.space import lebesgue_norm, sample_fields
 
-from conftest import overflowing_start, rng, two_loop_direction
+from conftest import assert_no_child_left, overflowing_start, raising_after, rng, two_loop_direction
 
 LAM = 0.1
 
@@ -379,6 +382,103 @@ def test_overflowing_lane_ends_on_its_best_point(monkeypatch):
     for res in without:
         assert np.array_equal(by_start[res.start].u, res.u), res.start
         assert by_start[res.start].iterations == res.iterations
+
+
+def lane_groups_at(monkeypatch, width):
+    """Let every solve split its lanes into ``width`` groups, on any mesh."""
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: width)
+    monkeypatch.setattr(solver, "LANE_FORK_MIN_NODES", 1)
+
+
+def report_key(report) -> tuple:
+    """A ``SolveReport`` as comparable values: each branch's nodal array, the
+    repr of the rest of its result (exact for floats), and the failure lines."""
+    picks = [(res.u.tobytes(), repr(replace(res, u=None))) if res else None for res in (report.plus, report.minus)]
+    return (*picks, report.plus_failures, report.minus_failures)
+
+
+def recording_pids(monkeypatch, path):
+    """Append the pid of every ``_descend`` call to the file ``path``."""
+    descend = solver._descend
+
+    def recording(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return descend(*args)
+
+    monkeypatch.setattr(solver, "_descend", recording)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(4, 4, (0.0, 0.0, 1.0, 1.0)), (6, 3, (0.0, 0.0, 2.0, 0.5))], ids=["4x4", "6x3"])
+def test_lane_groups_at_any_width_give_the_one_process_report(width, shape, monkeypatch, tmp_path, preset_data):
+    # solve_two's twelve lanes split by lane index mod width; every group but
+    # a one-group batch runs in a forked worker of its own
+    if width > 1 and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    mesh = build_rect_mesh(shape[0], shape[1], rect=shape[2])
+    fields = sample_fields(mesh, preset_data)
+    want = report_key(solve_two(mesh, preset_data, LAM, fields))
+    lane_groups_at(monkeypatch, width)
+    recording_pids(monkeypatch, tmp_path / "pids")
+    assert report_key(solve_two(mesh, preset_data, LAM, fields)) == want
+    pids = (tmp_path / "pids").read_text().split()
+    assert len(pids) == width
+    assert (str(os.getpid()) in pids) == (width == 1)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_lane_groups_name_the_same_overflowing_lanes(monkeypatch):
+    # the 3x3 case of test_overflowing_lane_ends_on_its_best_point: the
+    # workers inherit the raising numpy error state through the fork, and
+    # the failed first projection crosses the pipe as its exception
+    from doublephase import ProblemData
+
+    data = ProblemData(p=1.75, q=10.9375, kappa=0.5, q1=11.12890625, lam=1.0, mu="x", alpha="1", beta="1", zeta="1")
+    mesh = build_rect_mesh(3, 3)
+    fields = sample_fields(mesh, data)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        want = solve_two(mesh, data, 1.0, fields)
+        for width in (2, 3):
+            lane_groups_at(monkeypatch, width)
+            got = solve_two(mesh, data, 1.0, fields)
+            assert report_key(got) == report_key(want), width
+    assert [line.split(": ", 1)[0] for line in want.minus_failures] == ["bump_perturbed"]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_lane_groups_recompute_a_dead_workers_group(monkeypatch, mesh4, preset_data, fields4):
+    want = report_key(solve_two(mesh4, preset_data, LAM, fields4))
+    parent = os.getpid()
+    ramp = dict(multistart_directions(mesh4, seed=0))["ramp"]
+    descend = solver._descend
+
+    def dying(mesh, data, lam, branches, inits, fields, opts):
+        # the second group (lanes 1, 3, ..., 11) starts with the plus ``ramp``
+        if os.getpid() != parent and np.array_equal(inits[0], ramp):
+            os._exit(3)
+        return descend(mesh, data, lam, branches, inits, fields, opts)
+
+    lane_groups_at(monkeypatch, 2)
+    monkeypatch.setattr(solver, "_descend", dying)
+    with raising_after(60, TimeoutError("the solve hung on a dead worker")):
+        assert report_key(solve_two(mesh4, preset_data, LAM, fields4)) == want
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_interrupted_lane_groups_leave_no_process(monkeypatch, mesh4, preset_data, fields4):
+    def stuck(*args):
+        time.sleep(60)
+
+    lane_groups_at(monkeypatch, 2)
+    monkeypatch.setattr(solver, "_descend", stuck)
+    with raising_after(0.2, KeyboardInterrupt()):
+        with pytest.raises(KeyboardInterrupt):
+            solve_two(mesh4, preset_data, LAM, fields4)
+    assert_no_child_left()
 
 
 def test_far_minus_roots_are_bracketed():

@@ -1,7 +1,5 @@
-import contextlib
 import os
 import pickle
-import signal
 import time
 
 import numpy as np
@@ -17,14 +15,14 @@ from doublephase import (
     norm_1p,
     norm_custom,
 )
-from doublephase import sweep
+from doublephase import forkmap, solver, sweep
 from doublephase.fibering import eta, t_circ, t_tilde_circ
 from doublephase.rootfind import BracketError
 from doublephase.solver import NoRootError
 from doublephase.space import sample_fields
 from doublephase.sweep import SweepUndetermined, sample_directions
 
-from conftest import overflowing_start, rng
+from conftest import assert_no_child_left, overflowing_start, raising_after, rng
 
 
 def test_lambda_tilde_positive_and_monotone_in_samples(mesh4, preset_data, fields4):
@@ -151,11 +149,6 @@ def test_lambda_star_is_undetermined_where_a_minus_start_fails_numerically(monke
         estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def scan_outcome(*args):
     """``estimate_lambda_star``'s value, or the type and message of what it raised."""
     try:
@@ -169,7 +162,7 @@ def width(request, monkeypatch):
     """The scan's worker count: the in-process loop at 1, two forked workers at 2."""
     if request.param > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
-    monkeypatch.setattr(sweep, "_available_cpus", lambda: request.param)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: request.param)
     return request.param
 
 
@@ -225,20 +218,27 @@ def test_lambda_star_grid_points_run_in_workers(width, monkeypatch, mesh4, prese
     assert_no_child_left()
 
 
-@contextlib.contextmanager
-def raising_after(seconds, exc):
-    """Raise ``exc`` in this process after ``seconds``, wherever it is then."""
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_lambda_star_workers_solve_their_lanes_in_process(monkeypatch, tmp_path, mesh4, preset_data, fields4):
+    # a solve inside a scan worker would fork its lanes above the threshold;
+    # a map inside a worker runs in-process instead, so each grid lambda's
+    # lanes descend in one call in its worker's process
+    log = tmp_path / "descents"
+    descend = solver._descend
 
-    def handler(signum, frame):
-        raise exc
+    def recording(mesh, data, lam, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{lam!r} {os.getpid()}\n")
+        return descend(mesh, data, lam, *args)
 
-    previous = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "LANE_FORK_MIN_NODES", 1)
+    monkeypatch.setattr(solver, "_descend", recording)
+    assert estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4) == 0.5
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(lam for lam, _ in calls) == ["0.2", "0.5"]
+    assert str(os.getpid()) not in {pid for _, pid in calls}
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -251,7 +251,7 @@ def test_lambda_star_scan_names_a_dead_worker_and_leaves_no_process(monkeypatch,
             os._exit(3)
         return positive(mesh, data, lam, fields, opts)
 
-    monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(sweep, "_minus_branch_positive", dying)
     with raising_after(60, TimeoutError("the scan hung on a dead worker")):
         with pytest.raises(SweepUndetermined, match=r"^undetermined at lambda=0.5: its worker died \(exit status 3\)$"):
@@ -264,7 +264,7 @@ def test_interrupted_lambda_star_scan_leaves_no_process(monkeypatch, mesh4, pres
     def stuck(mesh, data, lam, fields, opts):
         time.sleep(60)
 
-    monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(sweep, "_minus_branch_positive", stuck)
     with raising_after(0.2, KeyboardInterrupt()):
         with pytest.raises(KeyboardInterrupt):
@@ -293,20 +293,20 @@ def sampling_meshes(mesh4, fields4, preset_data):
 
 def sampling_at_width(monkeypatch, width):
     """Let the sampling maps fork ``width`` workers on any mesh."""
-    monkeypatch.setattr(sweep, "_available_cpus", lambda: width)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: width)
     monkeypatch.setattr(sweep, "FORK_MIN_NODES", 1)
 
 
 def test_sampling_maps_fork_only_above_the_node_threshold(monkeypatch, mesh16):
     from doublephase import build_rect_mesh
 
-    monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     # 200 samples: in-process up to 32x32 (M = 1089), on two workers from 64x64
     assert sweep._chunks(200, mesh16) == [(0, 200)]
     assert sweep._chunks(200, build_rect_mesh(32, 32)) == [(0, 200)]
     assert sweep._chunks(200, build_rect_mesh(64, 64)) == [(0, 100), (100, 200)]
     monkeypatch.setattr(sweep, "FORK_MIN_NODES", 1)
-    monkeypatch.setattr(sweep, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
     assert sweep._chunks(2, mesh16) == [(0, 1), (1, 2)]
     assert sweep._chunks(7, mesh16) == [(0, 2), (2, 4), (4, 7)]
 
