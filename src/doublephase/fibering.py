@@ -52,7 +52,6 @@ TANGENT_TOL = 1e-10   # relative width of the declared tangency band
 NEHARI_TOL = 1e-9     # relative |psi'(1)| and psi''(1) band of the branch classification
 _WARM_EVALS = 8       # Newton evaluations ``warm_branch_root`` makes before giving up
 _WARM_STEP = 0.5      # its longest step in log t
-_WARM_REACH = 1.99    # its t1 lies below this, its t2 above the inverse
 _EPS = 2.0**-52
 
 
@@ -139,7 +138,7 @@ def psi_derivatives(ft: FiberTerms, lam: float, t: float) -> tuple[float, float,
         raise ValueError("fiber derivatives need t > 0")
     terms = _psi_terms(ft, lam)
     val, d1 = power_sum(terms)(t)
-    return val, d1, power_sum([(c * r, r - 1.0) for c, r in terms])(t)[1]
+    return val, d1 / t, power_sum([(c * r, r - 1.0) for c, r in terms])(t)[1] / t
 
 
 def _eta_terms(ft: FiberTerms) -> list:
@@ -158,7 +157,7 @@ def eta(ft: FiberTerms, t: float) -> float:
 def eta_prime(ft: FiberTerms, t: float) -> float:
     if t <= 0:
         raise ValueError("eta_prime needs t > 0")
-    return power_sum(_eta_terms(ft))(t)[1]
+    return power_sum(_eta_terms(ft))(t)[1] / t
 
 
 def _eta_tilde_terms(ft: FiberTerms) -> list:
@@ -211,19 +210,18 @@ def t_tilde_circ(ft: FiberTerms) -> tuple[float, float]:
     return t_tilde, closed
 
 
-def t_circ(ft: FiberTerms, start: Optional[float] = None) -> float:
+def t_circ(ft: FiberTerms) -> float:
     """The unique maximizer of eta: the root of xi(t) = (q1+kappa-1) d.
 
     xi is a sum of positive increasing powers, so xi - rhs rises from -rhs
-    at 0 to inf, and ``power_bracket`` brackets its root from xi's own terms;
-    a warm ``start`` inside that bracket seeds the safeguarded Newton
-    iteration.  There is no root, and the bracket raises BracketError, when
-    d = 0 or a = b = c = 0.
+    at 0 to inf, and ``power_bracket`` brackets its root from xi's own terms
+    for the safeguarded Newton iteration.  There is no root, and the bracket
+    raises BracketError, when d = 0 or a = b = c = 0.
     """
     rhs = (ft.q1 + ft.kappa - 1.0) * ft.d
     terms = _xi_terms(ft)
     f = power_sum(terms + [(-rhs, 0.0)])  # xi - rhs
-    return hybrid_root(f, *power_bracket(terms, rhs), -rhs, math.inf, abs_tol=ROOT_TOL * rhs, start=start)
+    return hybrid_root(f, *power_bracket(terms, rhs), -rhs, math.inf, abs_tol=ROOT_TOL * rhs)
 
 
 @dataclass(frozen=True)
@@ -240,13 +238,7 @@ class FiberRoots:
         return self.kind == "two"
 
 
-def fiber_roots(
-    ft: FiberTerms,
-    lam: float,
-    start: Optional[float] = None,
-    tc_start: Optional[float] = None,
-    only: Optional[str] = None,
-) -> FiberRoots:
+def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> FiberRoots:
     """Locate the roots of eta(t) = lam*e around the maximizer t_circ.
 
     Two roots when eta(t_circ) > lam*e, a tangency inside the declared
@@ -256,17 +248,16 @@ def fiber_roots(
     ``power_bracket`` from eta's own terms: t1 in [lo, t_circ], with lo
     below the zero of eta (where a t^(p+k-1) + b t^(q+k-1) + c t^(p_*+k-1)
     reaches d), and t2 in [t_circ, hi], with hi above the root of eta's a,
-    b and c terms alone = lam*e (the d term only lowers eta).  ``start``
-    warm-starts the roots (ignored outside the root's bracket), ``tc_start``
-    warm-starts t_circ; ``only`` = "t1" or "t2" locates just that root and
-    leaves the other None.  Raises OverflowError when eta(t_circ) or lam*e
-    is not finite, or when a bracket leaves the float range.
+    b and c terms alone = lam*e (the d term only lowers eta).  ``only`` =
+    "t1" or "t2" locates just that root and leaves the other None.  Raises
+    OverflowError when eta(t_circ) or lam*e is not finite, or when a bracket
+    leaves the float range.
     """
     if ft.e <= 0:
         raise ValueError("fiber_roots needs e > 0")
     if only not in (None, "t1", "t2"):
         raise ValueError(f"only must be None, 't1' or 't2', got {only!r}")
-    tc = t_circ(ft, start=tc_start)
+    tc = t_circ(ft)
     terms = _eta_terms(ft)
     eta_max = power_value(terms, tc)
     le = lam * ft.e
@@ -282,20 +273,20 @@ def fiber_roots(
     if only != "t2":
         # eta < 0 below its zero, where the a, b, c terms over t^rd reach d
         lo = power_bracket([(c, r - rd) for c, r in abc], ft.d)[0]
-        t1 = hybrid_root(g, lo, tc, -math.inf, eta_max - le, abs_tol=ROOT_TOL * le, start=start)
+        t1 = hybrid_root(g, lo, tc, -math.inf, eta_max - le, abs_tol=ROOT_TOL * le)
     if only != "t1":
         # eta < lam*e above the root of its a, b, c terms alone = lam*e
         hi = power_bracket(abc, le)[1]
-        t2 = hybrid_root(g, tc, hi, eta_max - le, -le, abs_tol=ROOT_TOL * le, start=start)
+        t2 = hybrid_root(g, tc, hi, eta_max - le, -le, abs_tol=ROOT_TOL * le)
     return FiberRoots("two", t1, t2, tc, eta_max, le)
 
 
 def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Optional[float]:
-    """The root ``only`` ("t1" or "t2") of eta(t) = lam*e near t = 1, as
-    ``fiber_roots(ft, lam, start=1.0, tc_start=..., only=only)`` returns it,
-    bit for bit, with no t_circ solve and no bracket; None when that cannot
-    be certified cheaply.  It serves a line-search trial next to a base point
-    whose own root is 1; ``probe`` estimates the trial's t_circ.
+    """The root ``only`` ("t1" or "t2") of eta(t) = lam*e near t = 1, to the
+    residual ``fiber_roots`` meets, with no t_circ solve and no bracket; None
+    when it cannot be certified cheaply.  It serves a line-search trial next
+    to a base point whose own root is 1; ``probe`` estimates the trial's
+    t_circ.
 
     By the fibering lemma eta is unimodal: eta'(t) = t^(-q1-kappa)
     ((q1+kappa-1) d - xi(t)) with xi strictly increasing, so eta' vanishes
@@ -309,15 +300,8 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
     The root is accepted only if
 
     - t eta'(t) has the branch's sign at every iterate by 4 ROOT_TOL of its
-      terms' unsigned sum, beyond the ROOT_TOL of xi - (q1+kappa-1) d that
-      t_circ is located to: every iterate lies on the branch's side of the
-      t_circ ``fiber_roots`` computes;
-    - t1 < _WARM_REACH, or t2 > 1 / _WARM_REACH.  The bracket's far end
-      from ``power_bracket`` lies a factor 2 beyond the root (below t1,
-      above t2), up to the rounding of its logs, so it lies beyond t = 1,
-      and no step exceeds _WARM_STEP < log 2, so no iterate passes it:
-      every iterate lies inside the bracket ``fiber_roots`` uses, and the
-      path is ``hybrid_root``'s own;
+      terms' unsigned sum, clear of its rounding: every iterate, the root
+      included, lies on the branch's side of t_circ;
     - some evaluated eta, less 8 eps of its terms' unsigned sum (its
       rounding), exceeds lam*e (1 + 2 TANGENT_TOL), about TANGENT_TOL lam*e
       above lam*e / (1 - TANGENT_TOL), which covers the rounding of eta at
@@ -339,8 +323,7 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
 
     def at(t: float) -> tuple[float, float, bool, bool]:
         """(eta(t), t eta'(t), whether eta' clearly has the branch's sign,
-        whether eta(t) certifies two roots); eta and t eta' are summed as
-        ``power_sum`` sums them."""
+        whether eta(t) certifies two roots)."""
         val = tslope = mag = tmag = 0.0
         for c, r in live:
             x = c * t**r
@@ -361,17 +344,14 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
             certified = certified or clears
             gap = val - le
             if abs(gap) <= ROOT_TOL * le:
-                if not ((t if rising else 1.0 / t) < _WARM_REACH and (certified or at(probe)[3])):
-                    return None
-                return t
+                return t if certified or at(probe)[3] else None
             if (gap < 0) == rising:
                 lo = t
             else:
                 hi = t
             if hi < math.inf and hi - lo <= 4e-16 * hi:
                 return None
-            dlog = t * (tslope / t)  # as ``hybrid_root`` forms it from the slope
-            step = -gap / dlog if dlog else math.inf
+            step = -gap / tslope if tslope else math.inf
             width = math.log(hi / lo) if 0.0 < lo and hi < math.inf else math.inf
             if not abs(step) <= min(_WARM_STEP, 0.5 * before, width):
                 return None

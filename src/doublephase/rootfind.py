@@ -3,13 +3,14 @@ iteration in log t.
 
 Every scalar equation in the package (Luxemburg norms, the fiber maximizer,
 the fiber roots) is a sum of powers, strictly monotone on a known piece of
-t > 0.  Maps are callables ``f(t) -> (value, slope)``; ``power_sum`` builds
-them for sums of powers.  ``power_bracket`` gives each root a finite bracket
-from the power sum's own terms, a Fujiwara-type bound (Tohoku Math. J. 10,
-1916) for real exponents, computed in log t so that no power overflows.
-``hybrid_root`` is rtsafe (Press et al., Numerical Recipes, 9.4) in log t
-on such a bracket: from a warm start near the root it costs one or two
-evaluations, and it never leaves the sign bracket.
+t > 0.  Maps are callables ``f(t) -> (value, t f'(t))``, the slope in log t,
+which stays a float wherever the value's terms do; ``power_sum`` builds them
+for sums of powers.  ``power_bracket`` gives each root a finite bracket from
+the power sum's own terms, a Fujiwara-type bound (Tohoku Math. J. 10, 1916)
+for real exponents, computed in log t so that no power overflows.
+``hybrid_root`` is rtsafe (Press et al., Numerical Recipes, 9.4) in log t on
+such a bracket, from its geometric midpoint, and it never leaves the sign
+bracket.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable
 
 __all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_bracket", "power_sum", "power_value"]
 
-Map = Callable[[float], "tuple[float, float]"]  # t -> (f(t), f'(t))
+Map = Callable[[float], "tuple[float, float]"]  # t -> (f(t), t f'(t))
 BRACKET_STEPS = 200  # doublings or halvings ``expand_bracket`` tries
 ROOT_EVALS = 200     # evaluations ``hybrid_root`` makes before giving up
 
@@ -28,8 +29,9 @@ class BracketError(ArithmeticError):
 
 
 def power_sum(terms) -> Map:
-    """t -> (sum(c * t**r), its t-derivative) over the (c, r) pairs with c != 0;
-    one power per term gives both."""
+    """t -> (sum(c * t**r), its log-t slope sum(r * c * t**r)) over the (c, r)
+    pairs with c != 0; one power per term gives both, and the slope t f'(t)
+    leaves the floats only where a term does."""
     live = [(c, r) for c, r in terms if c != 0.0]
 
     def f(t: float) -> tuple[float, float]:
@@ -38,7 +40,7 @@ def power_sum(terms) -> Map:
             x = c * t**r
             val += x
             tslope += r * x
-        return val, tslope / t
+        return val, tslope
 
     return f
 
@@ -58,26 +60,32 @@ def power_bracket(terms, rhs: float) -> tuple[float, float]:
 
     The (c, r) pairs with c != 0 are the live terms; each needs a finite
     c > 0, and their exponents one sign, so the sum is strictly monotone.
-    At the root no term exceeds rhs and, with k live terms, one reaches
-    rhs / k, so the root lies between the per-term roots of c t^r = rhs and
-    of c t^r = rhs / k.  Both are taken in log t, one log per term, and the
-    ends are rounded outward by a factor 2, so the sum is strictly on the
-    far side of rhs at each (one live term puts both per-term roots on the
-    root itself).  Raises BracketError for a term or rhs outside the rule,
-    and OverflowError when an end leaves the normal float range.
+    Give term i the share w_i = (1/|r_i|) / sum_j 1/|r_j| of rhs; the shares
+    sum to 1, so at the root no term exceeds rhs and some term i reaches
+    w_i rhs, and the root lies between the per-term roots of c t^r = rhs and
+    of c t^r = w_i rhs.  Each end then lies within log(|r_i| sum_j 1/|r_j|)
+    / |r_i| <= sum_{j != i} 1/|r_j| of the root in log t, so a tiny |r_i|
+    adds no slack of order 1/|r_i|, as the shares 1/k would; equal
+    exponents give the shares 1/k.  Both ends are taken in log t, one log
+    per term, and rounded outward by a factor 2, so the sum is strictly on
+    the far side of rhs at each (one live term puts both per-term roots on
+    the root itself).  Raises
+    BracketError for a term or rhs outside the rule, and OverflowError when
+    an end leaves the normal float range.
     """
     live = [(c, r) for c, r in terms if c != 0.0]
     if not (live and 0.0 < rhs < math.inf):
         raise BracketError(f"no root of sum(c t^r) = {rhs!r} over the live terms {live!r}")
     sign = 1.0 if live[0][1] > 0.0 else -1.0  # a falling sum rises in 1/t
-    log_rhs, log_k = math.log(rhs), math.log(len(live))
-    lo = hi = math.inf  # ends in sign * log t
+    live = [(c, sign * r) for c, r in live]
     for c, r in live:
-        r *= sign
         if not (0.0 < c < math.inf and r > 0.0):
             raise BracketError(f"no bracket rule for the term {c!r} t^{sign * r!r}")
+    log_rhs, inv = math.log(rhs), sum(1.0 / r for _, r in live)
+    lo = hi = math.inf  # ends in sign * log t
+    for c, r in live:
         full = (log_rhs - math.log(c)) / r  # where c t^r = rhs
-        lo, hi = min(lo, full - log_k / r), min(hi, full)  # (rhs / k) and rhs
+        lo, hi = min(lo, full - math.log(r * inv) / r), min(hi, full)  # (w rhs) and rhs
     lo, hi = (lo, hi) if sign > 0 else (-hi, -lo)
     if not (-707.0 < lo and hi < 709.0):  # e^-707 / 2 and 2 e^709 are normal floats
         raise OverflowError(f"power sum root bracket [e^{lo:.6g}, e^{hi:.6g}] leaves the float range")
@@ -123,28 +131,26 @@ def hybrid_root(
     flo: float,
     fhi: float,
     abs_tol: float,
-    start: float | None = None,
 ) -> float:
     """Root of ``f`` between lo and hi to residual |f| <= abs_tol.
 
-    ``f(t)`` returns (value, slope).  The bracket is finite, 0 < lo < hi <
+    ``f(t)`` returns (value, t f'(t)).  The bracket is finite, 0 < lo < hi <
     inf (``power_bracket`` gives one); flo and fhi carry the strict signs of
     f at lo and hi, which must differ: f's values there, or any numbers of
-    the same signs, such as its limits at 0 and inf.  From ``start``
-    (ignored unless strictly inside), each pass takes the Newton step in
-    log t when it lands inside the bracket, is at most half the step before
-    last and is no longer than the bracket; otherwise it bisects, in log t
-    while hi > 2 lo.  Returns when the residual is met or the bracket
-    reaches floating-point width; raises BracketError after ROOT_EVALS
-    evaluations.
+    the same signs, such as its limits at 0 and inf.  From the bracket's
+    midpoint, each pass takes the Newton step in log t when it lands inside
+    the bracket, is at most half the step before last and is no longer than
+    the bracket; otherwise it bisects, in log t while hi > 2 lo.  Returns
+    when the residual is met or the bracket reaches floating-point width;
+    raises BracketError after ROOT_EVALS evaluations.
     """
     if not (0.0 < lo < hi < math.inf and (flo > 0.0 > fhi or flo < 0.0 < fhi)):
         raise ValueError("hybrid_root requires 0 < lo < hi < inf and a sign-changing bracket")
     rising = flo < 0
-    t = start if start is not None and lo < start < hi else _split(lo, hi)
+    t = _split(lo, hi)
     last = before = math.inf  # sizes of the last two steps, in log t
     for _ in range(ROOT_EVALS):
-        ft, slope = f(t)
+        ft, dlog = f(t)
         if abs(ft) <= abs_tol:
             return t
         if (ft < 0) == rising:
@@ -153,7 +159,6 @@ def hybrid_root(
             hi = t
         if hi - lo <= 4e-16 * hi:
             return _split(lo, hi)
-        dlog = t * slope
         step = -ft / dlog if dlog else math.inf
         # 0.0 marks a rejected step: it is never strictly inside the bracket
         newton = t * math.exp(step) if abs(step) <= 0.5 * before and abs(step) <= math.log(hi / lo) else 0.0

@@ -8,9 +8,9 @@ sought by Newton steps from 1 (``fibering.warm_branch_root``): eta is
 unimodal, so a root where eta' has the branch's sign is that branch's root,
 and an evaluated eta above the tangency band proves the root is not a
 tangency.  Only when that certificate fails are t_circ and the bracketed
-root solved (``fiber_roots``), with the same result.  From the projected
-point u a line-searched step is taken along d = H g, the L-BFGS direction
-of the nodal energy gradient g in the H^1 (Sobolev) metric P = K + c M,
+root solved cold (``fiber_roots``).  From the projected point u a
+line-searched step is taken along d = H g, the L-BFGS direction of the
+nodal energy gradient g in the H^1 (Sobolev) metric P = K + c M,
 with K the P1 stiffness, M the mass and c = 10/|Omega|: the compact form of
 the last 10 pairs of projected points and their gradients, with
 H_0 = gamma P^-1 (``mesh.riesz_map``).  The Euclidean gradient's
@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -51,7 +50,6 @@ from .fibering import (
     fiber_roots,
     fiber_terms,
     psi_with_magnitude,
-    t_circ,
     warm_branch_root,
 )
 from .forkmap import _fork_map, _width
@@ -158,26 +156,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _Projected:
-    """The point u = scale * w on the branch, with its energy."""
+    """The point u on the branch, with its energy."""
 
     u: np.ndarray
     energy: float
     magnitude: float  # the energy's terms summed unsigned (``psi_with_magnitude``)
-    terms: FiberTerms  # the fiber terms of the direction w
-    scale: float
-    tc_w: float  # w's fiber maximizer when ``exact``, else an estimate of it
-    exact: bool
-
-    @property
-    def tc_estimate(self) -> float:
-        """An estimate of u's fiber maximizer at no cost: ``t_circ`` when exact."""
-        return self.tc_w / self.scale
-
-    @cached_property
-    def t_circ(self) -> float:
-        """The fiber maximizer of u itself; solved, from the estimate, only
-        when first read."""
-        return (self.tc_w if self.exact else t_circ(self.terms, start=self.tc_w)) / self.scale
+    tc: float  # u's t_circ, or an estimate of it carried from the base point
 
 
 def _project(
@@ -198,32 +182,30 @@ def _project(
     depend on the scale of w and w is not normalized.  ``warm`` is a
     projected point near w (the line search's base point), whose own branch
     root is 1: ``warm_branch_root`` first tries the Newton root from 1,
-    certified by the sign of eta' and a probe at the base point's estimated
-    t_circ, which is the root ``fiber_roots`` would return.  Otherwise, and
-    for a cold projection, ``fiber_roots`` solves t_circ (seeded by the base
-    point's) and the root (seeded by 1).  ``terms`` are w's fiber terms if
+    certified by the sign of eta' and a probe at the base point's t_circ.
+    Otherwise, and for a projection without ``warm``, ``fiber_roots`` solves
+    t_circ and the root from their brackets.  ``terms`` are w's fiber terms if
     the caller has them.  Raises NoRootError when the branch is unreachable,
     and OverflowError naming the root when psi(t) leaves the float range at
     a finite t.
     """
     ft = fiber_terms(mesh, data, w, fields) if terms is None else terms
     only = "t1" if branch is Branch.PLUS else "t2"
-    t = None if warm is None else warm_branch_root(ft, lam, only, warm.tc_estimate)
+    t = None if warm is None else warm_branch_root(ft, lam, only, warm.tc)
     if t is None:
-        start, tc_start = (None, None) if warm is None else (1.0, warm.t_circ)
-        roots = fiber_roots(ft, lam, start=start, tc_start=tc_start, only=only)
+        roots = fiber_roots(ft, lam, only=only)
         if not roots.two:
             raise NoRootError(
                 f"{branch.value} branch unreachable: eta(t_circ)={roots.eta_max!r} vs lam*e={roots.lambda_e!r}"
             )
-        t, tc_w, exact = getattr(roots, only), roots.t_circ, True
+        t, tc_w = getattr(roots, only), roots.t_circ
     else:
-        tc_w, exact = warm.tc_estimate, False
+        tc_w = warm.tc
     try:
         energy, magnitude = psi_with_magnitude(ft, lam, t)
     except OverflowError as exc:  # a finite root so far out that a power of it is not
         raise OverflowError(f"{branch.value} branch root t={t!r}: psi(t) leaves the float range") from exc
-    return _Projected(u=t * w, energy=energy, magnitude=magnitude, terms=ft, scale=t, tc_w=tc_w, exact=exact)
+    return _Projected(u=t * w, energy=energy, magnitude=magnitude, tc=tc_w / t)
 
 
 class _LBFGS:

@@ -118,21 +118,22 @@ def test_lambda_star_rejects_bad_grids(mesh4, preset_data, fields4):
 
 def test_lambda_star_on_the_default_16x16_grid(mesh16, preset_data, fields16):
     # the CLI's default sweep (16x16, default grid): every minus start
-    # converges at every grid point, so lambda* is determined; solver seeds
-    # 4 and 5 perturb the starts into tails that a Euclidean descent stalled on
-    for seed in (0, 4, 5):
+    # converges at every grid point, so lambda* is determined, at solver
+    # seeds 0-6; seeds 4 and 5 perturb the starts into tails that a
+    # Euclidean descent stalled on
+    for seed in range(7):
         opts = SolverOptions(seed=seed)
         assert estimate_lambda_star(mesh16, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), fields16, opts) == 0.8, seed
 
 
-def test_lambda_star_of_the_8x8_sweep_over_ten_seeds(preset_data):
+def test_lambda_star_of_the_8x8_sweep_over_twenty_seeds(preset_data):
     # the benchmark's sweep8 scan: lambda* is the top of the grid at solver
-    # seeds 0-9, every grid point determined
+    # seeds 0-19, so every grid point is determined and positive
     from doublephase import build_rect_mesh
 
     mesh = build_rect_mesh(8, 8)
     fields = sample_fields(mesh, preset_data)
-    for seed in range(10):
+    for seed in range(20):
         opts = SolverOptions(seed=seed)
         assert estimate_lambda_star(mesh, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), fields, opts) == 0.8, seed
 
