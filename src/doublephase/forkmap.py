@@ -15,12 +15,18 @@ process would give.  Three kinds of map run on it:
   process at 200 samples (one BLAS thread, medians of 15 interleaved
   runs): 16x16 lost 31% and 37% (fibers, Rayleigh candidates), 32x32
   broke even (7% faster, 9% slower), 64x64 won 8% and 21%;
-- the lanes of ``solver.solve_two`` and ``solver.solve_branch``
-  (``solver._solve_branches``), which fork only on meshes of at least
-  ``solver.LANE_FORK_MIN_NODES`` = 100 nodes.  ``solve_two`` on the preset
-  at one BLAS thread, two workers against one process, median time ratio
-  of 40 interleaved pairs: 4x4 0.99, 6x6 1.05, 8x8 0.96 (quartiles 0.90 to
-  1.06), break-even; 10x10 0.89, 12x12 0.87, 16x16 0.86 and 32x32 0.70.
+- the lanes of ``solver.solve_two`` (``solver._solve_branches``), one
+  group per branch, so two workers at most, which fork only on meshes of
+  at least ``solver.LANE_FORK_MIN_NODES`` = 100 nodes.  Lanes merge, so
+  the minus group, which runs about twice as long as the plus group,
+  bounds the gain.  ``solve_two`` on the preset at one BLAS thread, two
+  per-branch workers against one in-process batch, median time ratio of
+  interleaved pairs on 2 vCPUs in three runs of 40, 60 and 100 pairs: 8x8
+  1.12, 1.02 and 0.89, and 16x16 1.17, 0.96 and 1.06 (quartiles about 0.75
+  to 1.35), break-even; 32x32 0.79 and 0.85 (40 and 100 pairs).  The
+  threshold stays below 16x16 all the same: with its lanes in-process the
+  parent holds their L-BFGS store, and the benchmark's ``solve16`` peak RSS
+  rose from 38.4 to 40.8 MB at the same wall time.
 
 A two-worker map costs about 6-7 ms beyond its items' work (the forks, the
 pipes and the pickled lane results of a 16x16 ``solve_two``: medians 5.7

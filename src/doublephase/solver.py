@@ -26,17 +26,24 @@ deterministic seeds guards against missing the branch minimum: the starts
 of both branches descend in lockstep as the lanes of (S, M) arrays, each
 lane on its own branch, so one gradient, one Riesz map, one L-BFGS product
 of the stacked pair store and one breakdown per line-search round serve
-them all, and each lane's values are those of its start's descent alone,
-bit for bit.  On meshes of at least LANE_FORK_MIN_NODES nodes the lanes
-split into one group per available CPU, each group a batch of its own on a
-forked worker (``forkmap._fork_map``); since every lane is its start's
-descent alone, the split changes no bit of any result.
+them all.  A lane stops once its projected point comes within MERGE_TOL
+(relative lumped L2 distance) of a lower-energy running lane of its branch
+(``StopReason.MERGED``), as multi-level single linkage stops a local
+search near a better point (Rinnooy Kan & Timmer, Math. Prog. 39, 1987):
+on the preset every start of a branch ends at one point, and the lanes meet
+long before they stop.  A lane that did not merge is its start's descent
+alone, bit for bit; a merged lane is that descent cut at its merge.  On
+meshes of at least LANE_FORK_MIN_NODES nodes the lanes split into one group
+per branch, each a batch of its own on a forked worker
+(``forkmap._fork_map``); a merge compares lanes of one branch only, so the
+split changes no bit of any result.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -92,6 +99,7 @@ class StopReason(enum.Enum):
     MAX_ITER = "max_iter"                            # ran all ``max_iter`` iterations
     ZERO_GRADIENT = "zero_gradient"                  # no descent along the free direction
     NON_FINITE = "non_finite"                        # the gradient or the direction overflowed
+    MERGED = "merged"                                # joined a lower-energy lane of its branch
 
 
 class NoRootError(ArithmeticError):
@@ -104,6 +112,7 @@ BACKTRACK = 0.5     # step shrink factor per rejected trial
 MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
 LBFGS_PAIRS = 10    # curvature pairs (s, y) the quasi-Newton direction remembers
 LANE_FORK_MIN_NODES = 100  # mesh nodes from which a solve's lanes run on forked workers
+MERGE_TOL = 1e-3    # relative lumped-L2 distance within which a lane joins a lower-energy lane
 _EYE = np.eye(LBFGS_PAIRS)
 _EPS = np.finfo(float).eps
 
@@ -131,6 +140,7 @@ class SolveResult:
     stop_reason: StopReason
     branch: str = ""
     start: str = ""
+    merged_into: str = ""         # the start whose lane this one joined (StopReason.MERGED)
 
 
 @dataclass(frozen=True)
@@ -142,6 +152,8 @@ class SolveReport:
     minus: Optional[SolveResult]
     plus_failures: tuple = ()
     minus_failures: tuple = ()
+    plus_merges: tuple = ()   # "name: merged into <start> at iteration <k>", in start order
+    minus_merges: tuple = ()
 
     @property
     def sign_ok(self) -> bool:
@@ -296,6 +308,7 @@ class _LBFGS:
 class _Lane:
     """One start's descent; ``reason`` is None while it runs."""
 
+    start: str
     branch: Branch
     proj: _Projected
     best: _Projected
@@ -304,6 +317,7 @@ class _Lane:
     stall: int = 0
     iterations: int = 0
     reason: Optional[StopReason] = None
+    merged_into: str = ""
 
 
 def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, branches, fields, warm) -> list:
@@ -330,20 +344,24 @@ def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, bra
 
 
 def _descend(
-    mesh: Mesh, data: ProblemData, lam: float, branches, inits, fields: FieldSamples, opts: SolverOptions
+    mesh: Mesh, data: ProblemData, lam: float, branches, starts, fields: FieldSamples, opts: SolverOptions
 ) -> list:
-    """Fiber-projected L-BFGS descents from the S rows of ``inits`` in
-    lockstep, each on its own branch of ``branches``; each lane keeps its own
-    counters and stop reason, and drops out when it stops.  Returns, per
+    """Fiber-projected L-BFGS descents from the S (name, direction) pairs of
+    ``starts`` in lockstep, each on its own branch of ``branches``; each lane
+    keeps its own counters and stop reason, and drops out when it stops or
+    joins a lower-energy lane of its branch (``_merge``).  Returns, per
     start, its ``SolveResult`` or the ArithmeticError that failed its first
     projection or its result."""
     riesz = riesz_map(mesh)
+    names, inits = zip(*starts)
     w = np.maximum(np.asarray(inits, dtype=float), 0.0)
     if not w.any(axis=-1).all():
         raise ValueError("initial direction must be nonnegative and nonzero")
     outcomes = [
-        _Lane(branch, p, p) if isinstance(p, _Projected) else p
-        for branch, p in zip(branches, _project_lanes(mesh, data, w, lam, branches, fields, [None] * len(w)))
+        _Lane(name, branch, p, p) if isinstance(p, _Projected) else p
+        for name, branch, p in zip(
+            names, branches, _project_lanes(mesh, data, w, lam, branches, fields, [None] * len(w))
+        )
     ]
     lanes = [lane for lane in outcomes if isinstance(lane, _Lane)]
     memory, prev = _LBFGS(len(lanes), mesh.num_nodes), None  # prev: the last (u, g, P^-1 g)
@@ -394,6 +412,7 @@ def _descend(
             search = [i for i, trial in zip(search, trials) if not _accept(lanes[i], trial, sigma * gd[i], opts)]
         for i in search:
             lanes[i].reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
+        _merge(mesh, lanes)
         running = [lane.reason is None for lane in lanes]
         if not all(running):
             memory.keep(running)
@@ -402,6 +421,33 @@ def _descend(
     for lane in lanes:
         lane.reason = StopReason.MAX_ITER
     return [_result(mesh, data, lam, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
+
+
+def _merge(mesh: Mesh, lanes: list) -> None:
+    """Stop each running lane whose projected point lies within MERGE_TOL of
+    another running lane's of its branch, in the lumped L2 distance relative
+    to the smaller of their norms: of the two, the one with the higher
+    energy (on a tie, the later lane) stops with StopReason.MERGED and names
+    the other in ``merged_into``.  Pairs are taken in lane order, and a lane
+    that stopped takes part in no later pair.  Every distance is a per-pair
+    dot product, so a merge does not depend on which other lanes share the
+    batch, and no arithmetic of a lane that runs on is touched."""
+    running = [lane for lane in lanes if lane.reason is None]
+    pairs = [
+        (a, b) for a, b in itertools.combinations(range(len(running)), 2) if running[a].branch is running[b].branch
+    ]
+    if not pairs:
+        return
+    u = np.stack([lane.proj.u for lane in running])
+    first, second = np.array(pairs).T
+    norm = np.sqrt(lane_dot(u * u, mesh.node_weight))
+    diff = u[first] - u[second]
+    near = np.sqrt(lane_dot(diff * diff, mesh.node_weight)) <= MERGE_TOL * np.minimum(norm[first], norm[second])
+    for (a, b), close in zip(pairs, near.tolist()):
+        lane_a, lane_b = running[a], running[b]
+        if close and lane_a.reason is None and lane_b.reason is None:
+            stays, joins = (lane_b, lane_a) if lane_a.proj.energy > lane_b.proj.energy else (lane_a, lane_b)
+            joins.reason, joins.merged_into = StopReason.MERGED, stays.start
 
 
 def _accept(lane: _Lane, trial, decrease: float, opts: SolverOptions) -> bool:
@@ -441,7 +487,7 @@ def _result(mesh, data, lam, lane: _Lane, fields, opts: SolverOptions) -> SolveR
     except ArithmeticError as exc:
         return exc
     converged = (
-        lane.reason is not StopReason.MAX_ITER
+        lane.reason not in (StopReason.MAX_ITER, StopReason.MERGED)
         and positive
         and floor_activations == 0
         and nehari.kind is lane.branch.nehari_kind
@@ -451,6 +497,7 @@ def _result(mesh, data, lam, lane: _Lane, fields, opts: SolverOptions) -> SolveR
     return SolveResult(
         u=u, energy=lane.best.energy, nehari=nehari, residual=residual, iterations=lane.iterations,
         floor_activations=floor_activations, converged=converged, stop_reason=lane.reason, branch=lane.branch.value,
+        start=lane.start, merged_into=lane.merged_into,
     )
 
 
@@ -475,7 +522,7 @@ def minimize_on_branch(
     residual bound (not computed after an overflow).  An ArithmeticError of
     the first projection or of the result propagates.
     """
-    (out,) = _descend(mesh, data, lam, [branch], np.asarray(init, dtype=float)[None], fields, opts or SolverOptions())
+    (out,) = _descend(mesh, data, lam, [branch], [("", init)], fields, opts or SolverOptions())
     if isinstance(out, ArithmeticError):
         raise out
     return out
@@ -512,6 +559,8 @@ def solve_branch(
     Returns (results, failures): the ``SolveResult``s in start order, each
     with ``start`` set to its start's name, and one (name, exception) pair
     per start whose descent raised an ArithmeticError, in start order.  A
+    start whose lane joined a lower-energy lane stops there, unconverged,
+    with ``StopReason.MERGED`` and that lane's start in ``merged_into``.  A
     NoRootError there means the branch is unreachable along that start; any
     other ArithmeticError (an overflow, a failed bracket) is a numerical
     failure.  A failed start never costs the other starts their results.
@@ -525,34 +574,31 @@ def _solve_branches(
     """``solve_branch`` of each of ``branches``, with the starts of all of
     them as the lanes of lockstep batches.
 
-    On a mesh of at least LANE_FORK_MIN_NODES nodes the S lanes split into
-    min(CPUs, S) groups by lane index mod that width, and each group
-    descends as one batch on its own forked worker (``forkmap._fork_map``);
-    below it, on one CPU or inside a worker, all S descend as one batch
-    in-process.  Interleaving gives every group starts of every branch, so
-    the short Plus and the long Minus descents spread evenly.  A group whose
-    worker dies is descended again in-process.  The outcomes are put back in
-    lane order, each bit for bit that of one batch."""
+    A lane joins only a lower-energy lane of its own branch (``_merge``),
+    so the lanes split one group per branch: on a mesh of at least
+    LANE_FORK_MIN_NODES nodes, with two CPUs available and outside a worker
+    (``forkmap._width``), each branch's group descends as one batch on a
+    forked worker of its own (``forkmap._fork_map``).  Otherwise, and for
+    one branch, all lanes descend in-process as one batch.  A group whose
+    worker dies is descended again in-process.  The outcomes come back in
+    start order, bit for bit the same however the lanes are grouped, and a
+    lane that did not merge is bit for bit its start's one-lane descent."""
     if opts is None:
         opts = SolverOptions()
-    names, inits = zip(*multistart_directions(mesh, opts.seed))
-    n = len(inits)
-    lane_branches, lane_inits = [b for b in branches for _ in inits], inits * len(branches)
-    width = _width(len(lane_inits)) if mesh.num_nodes >= LANE_FORK_MIN_NODES else 1
-    groups = [range(k, len(lane_inits), width) for k in range(width)]
+    starts = multistart_directions(mesh, opts.seed)
+    fork = mesh.num_nodes >= LANE_FORK_MIN_NODES and _width(len(branches)) > 1
+    groups = [(b,) for b in branches] if fork else [tuple(branches)]
 
     def descend(group) -> list:
-        lanes = [lane_branches[i] for i in group], [lane_inits[i] for i in group]
-        return _descend(mesh, data, lam, *lanes, fields, opts)
+        return _descend(mesh, data, lam, [b for b in group for _ in starts], starts * len(group), fields, opts)
 
-    outcomes = [None] * len(lane_inits)
-    for k, outs in enumerate(_fork_map(descend, groups, lambda group, status: descend(group))):
-        outcomes[k::width] = outs
+    outcomes = [out for outs in _fork_map(descend, groups, lambda group, status: descend(group)) for out in outs]
     per_branch = []
     for k in range(len(branches)):
-        named = list(zip(names, outcomes[k * n:(k + 1) * n]))
-        results = [replace(out, start=name) for name, out in named if isinstance(out, SolveResult)]
-        per_branch.append((results, tuple((name, out) for name, out in named if not isinstance(out, SolveResult))))
+        outs = outcomes[k * len(starts):(k + 1) * len(starts)]
+        results = [out for out in outs if isinstance(out, SolveResult)]
+        failures = tuple((name, out) for (name, _), out in zip(starts, outs) if not isinstance(out, SolveResult))
+        per_branch.append((results, failures))
     return per_branch
 
 
@@ -563,13 +609,15 @@ def solve_two(
 
     Failed starts are reported, not fatal, one line each: ``"name: reason"``
     for an unreachable start, ``"name: numerical failure (<type>):
-    <message>"`` for any other; each branch keeps its first result in start
-    order that is minimal under (not converged, energy).  The starts of both
-    branches descend as the lanes of lockstep batches, split among forked
-    workers on larger meshes (``_solve_branches``); each result is its
-    ``solve_branch`` result, bit for bit.
+    <message>"`` for any other.  Each start whose lane merged into another's
+    has a line ``"name: merged into <start> at iteration <k>"`` in the
+    branch's merges.  Each branch keeps its first result in start order that
+    is minimal under (not converged, energy).  The starts of both branches
+    descend as the lanes of lockstep batches, split among forked workers on
+    larger meshes (``_solve_branches``); each result is its ``solve_branch``
+    result, bit for bit.
     """
-    best, failures = [], []
+    best, failures, merges = [], [], []
     for results, fails in _solve_branches(mesh, data, lam, (Branch.PLUS, Branch.MINUS), fields, opts):
         best.append(min(results, key=lambda r: (not r.converged, r.energy), default=None))
         failures.append(tuple(
@@ -577,4 +625,8 @@ def solve_two(
             else f"{name}: numerical failure ({type(exc).__name__}): {exc}"
             for name, exc in fails
         ))
-    return SolveReport(lam, *best, *failures)
+        merges.append(tuple(
+            f"{r.start}: merged into {r.merged_into} at iteration {r.iterations}"
+            for r in results if r.stop_reason is StopReason.MERGED
+        ))
+    return SolveReport(lam, *best, *failures, *merges)

@@ -24,8 +24,9 @@ broke even up to 32x32 and won at 64x64 (see ``forkmap``), so smaller
 sweeps sample in-process.  A worker that dies makes its lambda
 undetermined; a sampling worker's chunk is recomputed in-process, so its
 output does not change.  The bisection after the scan, and the polishing
-of the best Rayleigh candidate, run in the calling process, where a
-bisection solve splits its lanes among workers like ``solver.solve_two``.
+of the best Rayleigh candidate, run in the calling process, and so do a
+bisection solve's lanes, which are one branch's and so one in-process batch
+(``solver._solve_branches``).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
 from .forkmap import _fork_map, _width
 from .mesh import Mesh
 from .problem import ProblemData
-from .solver import Branch, NoRootError, SolverOptions, multistart_directions, solve_branch
+from .solver import Branch, NoRootError, SolverOptions, StopReason, multistart_directions, solve_branch
 # unused here, but the benchmark's tracer wraps ``sweep.minimize_on_branch`` by name
 from .solver import minimize_on_branch  # noqa: F401
 from .space import FieldSamples, lebesgue_norm, modular_breakdown
@@ -216,16 +217,24 @@ def _minus_branch_positive(mesh, data, lam, fields, opts) -> bool:
     - some start failed numerically (any ArithmeticError but NoRootError):
       SweepUndetermined, naming the first such start in start order;
     - no start reaches the branch: False;
-    - some start did not converge: SweepUndetermined, naming the first such
-      start in start order;
+    - some start that did not merge did not converge: SweepUndetermined,
+      naming the first such start in start order;
     - otherwise: whether the lowest energy is > 0.
+
+    A merged start (``StopReason.MERGED``) stopped early by design, so it
+    counts neither way: its chain of merges ends at a start of the same call
+    that did not merge, and that start's own outcome decides.
     """
     results, failures = solve_branch(mesh, data, lam, Branch.MINUS, fields, opts)
     undetermined = [
         f"failed numerically from start {name!r} ({type(exc).__name__}): {exc}"
         for name, exc in failures
         if not isinstance(exc, NoRootError)
-    ] + [f"did not converge from start {res.start!r}" for res in results if not res.converged]
+    ] + [
+        f"did not converge from start {res.start!r}"
+        for res in results
+        if not res.converged and res.stop_reason is not StopReason.MERGED
+    ]
     if undetermined:
         raise SweepUndetermined(lam, "minus branch " + undetermined[0])
     return bool(results) and min(res.energy for res in results) > 0.0
@@ -243,9 +252,11 @@ def estimate_lambda_star(
     Scans the ascending grid until the first non-positive (or unreachable)
     lambda, then bisects between the last positive and first non-positive
     grid points for LAMBDA_STAR_BISECTIONS steps.  Returns the top of the
-    grid if every grid point is positive.  The grid points run on up to one
-    forked worker per available CPU (``_first_false``), the bisection
-    in-process.
+    grid if every grid point is positive.  A lambda is undetermined where a
+    minus start fails numerically, or where a start that did not merge into
+    another start's lane does not converge (``_minus_branch_positive``).
+    The grid points run on up to one forked worker per available CPU
+    (``_first_false``), the bisection in-process.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -278,6 +279,25 @@ def test_start_overflow_is_a_named_failure(tmp_path):
         if entry.split(": ", 1)[1].startswith("numerical failure (OverflowError): ")
     ]
     assert overflowed == ["bump", "bump_perturbed"]
+
+
+def test_solve_report_names_each_merge(tmp_path):
+    # each start whose lane joined a lower-energy lane of its branch is one
+    # line of that branch's merges, in start order; the picks did not merge
+    from doublephase import solve_two
+
+    path = write(tmp_path, SMALL_SOLVE)
+    out_dir = tmp_path / "out"
+    assert main(["solve", "-c", path, "-o", str(out_dir)]) == 0
+    report = json.load(open(out_dir / "solve_report.json"))
+    cfg = load_config(path)
+    mesh, data = cfg.build_mesh(), cfg.problem()
+    want = solve_two(mesh, data, cfg.lam, sample_fields(mesh, data), cfg.solver)
+    for branch in ("plus", "minus"):
+        assert report[f"{branch}_merges"] == list(getattr(want, f"{branch}_merges")) != []
+        assert report[branch]["merged_into"] == "" and report[branch]["stop_reason"] != "merged"
+    for line in report["plus_merges"] + report["minus_merges"]:
+        assert re.fullmatch(r"\w+: merged into \w+ at iteration \d+", line), line
 
 
 def test_numerical_overflow_exits_2(tmp_path):

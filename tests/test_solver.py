@@ -276,9 +276,26 @@ def test_multistart_set_is_deterministic(mesh4):
     assert not np.array_equal(a[3][1], c[3][1])
 
 
+def assert_lane_is_its_descent(mesh, data, branch, w, fields, res, where):
+    """A lane that did not merge is the one-lane descent from its start, bit
+    for bit; a merged lane is that descent cut at its merge iteration."""
+    merged = res.stop_reason is StopReason.MERGED
+    opts = SolverOptions(max_iter=res.iterations) if merged else None
+    alone = minimize_on_branch(mesh, data, LAM, branch, w, fields, opts)
+    assert np.array_equal(res.u, alone.u), where
+    assert (res.energy, res.iterations, res.branch) == (alone.energy, alone.iterations, alone.branch), where
+    if merged:
+        assert alone.stop_reason is StopReason.MAX_ITER and not res.converged, where
+    else:
+        assert (res.stop_reason, res.merged_into) == (alone.stop_reason, ""), where
+
+
 def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
-    # the six starts descend as the lanes of one batch; each lane is the
-    # one-lane descent from its start, bit for bit
+    # the six starts descend as the lanes of one batch; each lane that did
+    # not merge is the one-lane descent from its start, bit for bit, and a
+    # merged lane is that descent up to its merge, named after a start of
+    # its branch that took part in the batch
+    merges = 0
     for mesh, branch in itertools.product(
         (mesh4, build_rect_mesh(6, 3, rect=(0.0, 0.0, 2.0, 0.5))), (Branch.PLUS, Branch.MINUS)
     ):
@@ -289,15 +306,19 @@ def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
         assert [res.start for res in results] == [name for name, _ in starts]
         assert all(res.branch == branch.value for res in results)
         for res, (name, w) in zip(results, starts):
-            alone = minimize_on_branch(mesh, preset_data, LAM, branch, w, fields)
-            assert np.array_equal(res.u, alone.u), (mesh.nx, name)
-            assert (res.iterations, res.stop_reason) == (alone.iterations, alone.stop_reason), (mesh.nx, name)
+            assert_lane_is_its_descent(mesh, preset_data, branch, w, fields, res, (mesh.nx, branch, name))
+            if res.stop_reason is StopReason.MERGED:
+                merges += 1
+                assert res.merged_into in {r.start for r in results} - {name}, (mesh.nx, branch, name)
+    assert merges > 0
 
 
 def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data):
-    # solve_two runs the six starts of both branches as the twelve lanes of
-    # one batch, plus first; each lane is the one-lane descent from its
-    # start on its branch, bit for bit, and each branch's pick is its best lane
+    # below the fork threshold solve_two runs the six starts of both
+    # branches as the twelve lanes of one batch, plus first; each lane that
+    # did not merge is the one-lane descent from its start on its branch,
+    # bit for bit, a merged lane that descent up to its merge, and each
+    # branch's pick is its best converged lane
     batches = []
     descend = solver._descend
 
@@ -317,11 +338,7 @@ def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data
         for k, (branch, picked) in enumerate(((Branch.PLUS, report.plus), (Branch.MINUS, report.minus))):
             lanes = outcomes[6 * k:6 * (k + 1)]
             for res, (name, w) in zip(lanes, starts):
-                alone = minimize_on_branch(mesh, preset_data, LAM, branch, w, fields)
-                assert np.array_equal(res.u, alone.u), (mesh.nx, branch, name)
-                assert (res.energy, res.iterations, res.stop_reason, res.branch) == (
-                    alone.energy, alone.iterations, alone.stop_reason, alone.branch,
-                ), (mesh.nx, branch, name)
+                assert_lane_is_its_descent(mesh, preset_data, branch, w, fields, res, (mesh.nx, branch, name))
             assert picked.energy == min(res.energy for res in lanes if res.converged)
 
 
@@ -386,7 +403,7 @@ def test_overflowing_lane_ends_on_its_best_point(monkeypatch):
 
 
 def lane_groups_at(monkeypatch, width):
-    """Let every solve split its lanes into ``width`` groups, on any mesh."""
+    """Give every solve ``width`` CPUs, and let it fork its lanes on any mesh."""
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: width)
     monkeypatch.setattr(solver, "LANE_FORK_MIN_NODES", 1)
 
@@ -413,8 +430,10 @@ def recording_pids(monkeypatch, path):
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(4, 4, (0.0, 0.0, 1.0, 1.0)), (6, 3, (0.0, 0.0, 2.0, 0.5))], ids=["4x4", "6x3"])
 def test_lane_groups_at_any_width_give_the_one_process_report(width, shape, monkeypatch, tmp_path, preset_data):
-    # solve_two's twelve lanes split by lane index mod width; every group but
-    # a one-group batch runs in a forked worker of its own
+    # with two CPUs or more solve_two's twelve lanes split into one group per
+    # branch, each in a forked worker of its own; at one CPU all twelve run
+    # in-process as one batch.  A merge compares lanes of one branch only,
+    # so the merges are the same at every width
     if width > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
     mesh = build_rect_mesh(shape[0], shape[1], rect=shape[2])
@@ -424,8 +443,11 @@ def test_lane_groups_at_any_width_give_the_one_process_report(width, shape, monk
     recording_pids(monkeypatch, tmp_path / "pids")
     assert report_key(solve_two(mesh, preset_data, LAM, fields)) == want
     pids = (tmp_path / "pids").read_text().split()
-    assert len(pids) == width
-    assert (str(os.getpid()) in pids) == (width == 1)
+    parent = str(os.getpid())
+    if width == 1:
+        assert pids == [parent]
+    else:
+        assert len(set(pids)) == 2 and parent not in pids
     assert_no_child_left()
 
 
@@ -453,14 +475,13 @@ def test_lane_groups_name_the_same_overflowing_lanes(monkeypatch):
 def test_lane_groups_recompute_a_dead_workers_group(monkeypatch, mesh4, preset_data, fields4):
     want = report_key(solve_two(mesh4, preset_data, LAM, fields4))
     parent = os.getpid()
-    ramp = dict(multistart_directions(mesh4, seed=0))["ramp"]
     descend = solver._descend
 
-    def dying(mesh, data, lam, branches, inits, fields, opts):
-        # the second group (lanes 1, 3, ..., 11) starts with the plus ``ramp``
-        if os.getpid() != parent and np.array_equal(inits[0], ramp):
+    def dying(mesh, data, lam, branches, starts, fields, opts):
+        # the second group is the minus branch's six lanes
+        if os.getpid() != parent and branches[0] is Branch.MINUS:
             os._exit(3)
-        return descend(mesh, data, lam, branches, inits, fields, opts)
+        return descend(mesh, data, lam, branches, starts, fields, opts)
 
     lane_groups_at(monkeypatch, 2)
     monkeypatch.setattr(solver, "_descend", dying)
@@ -575,7 +596,7 @@ def test_solve_branch_names_a_numerical_failure_and_keeps_the_other_starts(monke
         assert [name for name, _ in failures] == ["bump"]
         assert isinstance(failures[0][1], OverflowError)
         assert [res.start for res in results] == [name for name in names if name != "bump"]
-        assert all(res.converged for res in results)
+        assert all(res.converged or res.stop_reason is StopReason.MERGED for res in results)
     report = solve_two(mesh4, preset_data, LAM, fields4)
     assert report.sign_ok
     expected = ("bump: numerical failure (OverflowError): power sum overflow",)
@@ -651,13 +672,77 @@ def test_descent_iterations_do_not_grow_with_the_mesh(preset_data):
 
 
 def test_every_16x16_start_converges_over_seven_seeds(mesh16, preset_data, fields16):
-    # the benchmark's solve16 preset: all 84 starts (2 branches, 6 starts,
-    # solver seeds 0-6) converge
+    # the benchmark's solve16 preset: each of the 84 starts (2 branches, 6
+    # starts, solver seeds 0-6) converges, or merges along a chain of starts
+    # that ends at one that converges
     for seed in range(7):
         for branch in (Branch.PLUS, Branch.MINUS):
             results, failures = solve_branch(mesh16, preset_data, LAM, branch, fields16, SolverOptions(seed=seed))
             assert failures == () and len(results) == 6, (seed, branch)
-            assert all(res.converged for res in results), (seed, branch)
+            by_start = {res.start: res for res in results}
+            for res in results:
+                seen = {res.start}
+                while res.stop_reason is StopReason.MERGED:
+                    res = by_start[res.merged_into]
+                    assert res.start not in seen, (seed, branch, seen)
+                    seen.add(res.start)
+                assert res.converged, (seed, branch, res.start)
+
+
+def test_merge_stops_the_higher_energy_lane_of_a_close_pair(mesh4):
+    # the relative distance of u and (1 + e) u is e; pairs go in lane order,
+    # so ``a`` joins ``b`` and then ``b`` joins the lower ``f``; a tie stops
+    # the later lane; lanes of two branches, far lanes and a lane that has
+    # already stopped (``g``) take part in no merge
+    tol = solver.MERGE_TOL
+    u = np.ones(mesh4.num_nodes)
+
+    def lane(name, branch, scale, energy, reason=None):
+        point = solver._Projected(u=scale * u, energy=energy, magnitude=abs(energy), tc=1.0)
+        return solver._Lane(name, branch, point, point, reason=reason)
+
+    lanes = [
+        lane("a", Branch.PLUS, 1.0, 2.0),
+        lane("b", Branch.PLUS, 1.0 + 0.5 * tol, 1.0),
+        lane("c", Branch.MINUS, 1.0, 0.0),
+        lane("d", Branch.PLUS, 1.0 + 3.0 * tol, 0.0),
+        lane("e", Branch.MINUS, 1.0 + 0.5 * tol, 0.0),
+        lane("f", Branch.PLUS, 1.0 - 0.4 * tol, 0.5),
+        lane("g", Branch.PLUS, 1.0, -1.0, StopReason.RESIDUAL_TOL),
+    ]
+    solver._merge(mesh4, lanes)
+    assert [(x.reason, x.merged_into) for x in lanes] == [
+        (StopReason.MERGED, "b"),
+        (StopReason.MERGED, "f"),
+        (None, ""),
+        (None, ""),
+        (StopReason.MERGED, "c"),
+        (None, ""),
+        (StopReason.RESIDUAL_TOL, ""),
+    ]
+
+
+def test_merging_keeps_the_corner_bumps_distinct_critical_points(preset_data):
+    # on the 8x8 preset at lambda = 0.2 the minus branch has another converged
+    # critical point besides the six starts' one: corner bumps
+    # exp(-8|x - c|^2) at (0, 0) and (0, 1) end 1.65 and 1.68 (to two
+    # decimals) below the six starts' minimum.  Descending in one batch with
+    # the six starts, neither corner lane joins the six starts' cluster, nor
+    # does any of the six join a corner lane
+    mesh = build_rect_mesh(8, 8)
+    fields = sample_fields(mesh, preset_data)
+    starts = multistart_directions(mesh, seed=0)
+    x, y = mesh.nodes.T
+    corners = [(f"corner_{cx}{cy}", np.exp(-8.0 * ((x - cx) ** 2 + (y - cy) ** 2))) for cx, cy in ((0, 0), (0, 1))]
+    out = solver._descend(mesh, preset_data, 0.2, [Branch.MINUS] * 8, starts + corners, fields, SolverOptions())
+    six = {res.start for res in out[:6]}
+    six_min = min(res.energy for res in out[:6])
+    assert all(res.merged_into in six | {""} for res in out[:6])
+    assert any(res.converged for res in out[:6])
+    for res in out[6:]:
+        assert res.merged_into not in six, res.start
+        assert res.converged, res.start
+        assert 1.65 <= six_min - res.energy < 1.685, (res.start, six_min, res.energy)
 
 
 def test_minus_ramp_start_converges(mesh16, preset_data, fields16):

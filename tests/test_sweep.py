@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from doublephase import (
+    Branch,
     SolverOptions,
+    StopReason,
     check_nzero_empty,
     estimate_lambda_star,
     estimate_lambda_tilde,
@@ -14,6 +16,7 @@ from doublephase import (
     fiber_terms,
     norm_1p,
     norm_custom,
+    solve_branch,
 )
 from doublephase import forkmap, solver, sweep
 from doublephase.fibering import eta, t_circ, t_tilde_circ
@@ -142,6 +145,25 @@ def test_lambda_star_propagates_solver_failure_as_undetermined(mesh4, preset_dat
     # the message names the first start, in start order, that did not converge
     with pytest.raises(SweepUndetermined, match="undetermined at lambda=0.2: .* from start 'ones'"):
         estimate_lambda_star(mesh4, preset_data, [0.2], fields4, SolverOptions(max_iter=1))
+
+
+def test_lambda_star_counts_a_merged_start_by_its_survivor(mesh4, preset_data, fields4):
+    # at lambda = 0.05 the minus starts ``ones``, ``ramp`` and ``bump`` merge
+    # within 29 iterations, ``ones`` and ``ramp`` into ``ones_perturbed`` and
+    # ``bump`` into ``ones``; cut at 30 iterations, the survivor
+    # ``ones_perturbed`` has not converged, so the lambda is undetermined,
+    # and the message names it, not the earlier merged starts
+    opts = SolverOptions(max_iter=30)
+    results, _ = solve_branch(mesh4, preset_data, 0.05, Branch.MINUS, fields4, opts)
+    by_start = {res.start: res for res in results}
+    assert [by_start[name].merged_into for name in ("ones", "ramp", "bump")] == [
+        "ones_perturbed", "ones_perturbed", "ones",
+    ]
+    assert by_start["ones_perturbed"].stop_reason is StopReason.MAX_ITER
+    with pytest.raises(
+        SweepUndetermined, match="^undetermined at lambda=0.05: minus branch did not converge from start 'ones_perturbed'$"
+    ):
+        estimate_lambda_star(mesh4, preset_data, [0.05], fields4, opts)
 
 
 def test_lambda_star_is_undetermined_where_a_minus_start_fails_numerically(monkeypatch, mesh4, preset_data, fields4):
