@@ -207,9 +207,7 @@ def _fmt(value) -> str:
 
 def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
 
 
 def _write_json(path: str, payload) -> None:
@@ -224,8 +222,9 @@ def _report_dict(pairs):
 
 
 def _solution_rows(mesh, u):
-    for i in range(mesh.num_nodes):
-        yield (str(i), _fmt(mesh.nodes[i, 0]), _fmt(mesh.nodes[i, 1]), _fmt(u[i]))
+    # the repr of ``tolist``'s Python floats is ``_fmt``'s text, with no numpy scalar per value
+    for i, ((x, y), v) in enumerate(zip(mesh.nodes.tolist(), u.tolist())):
+        yield (str(i), repr(x), repr(y), repr(v))
 
 
 def _function_values(mesh, source: str):

@@ -160,6 +160,19 @@ def eta_prime(ft: FiberTerms, t: float) -> float:
     return power_sum(_eta_terms(ft))(t)[1] / t
 
 
+def _eta_sums(live, t: float) -> tuple[float, float, float, float]:
+    """(eta(t), t eta'(t), and the unsigned sums of their terms) over eta's
+    live (c, r) terms, summed in ``power_sum``'s order."""
+    val = tslope = mag = tmag = 0.0
+    for c, r in live:
+        x = c * t**r
+        val += x
+        tslope += r * x
+        mag += abs(x)
+        tmag += abs(r * x)
+    return val, tslope, mag, tmag
+
+
 def _eta_tilde_terms(ft: FiberTerms) -> list:
     return [(ft.a, ft.p - ft.q1), (-ft.d, 1.0 - ft.q1 - ft.kappa)]
 
@@ -243,7 +256,9 @@ def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> Fiber
 
     Two roots when eta(t_circ) > lam*e, a tangency inside the declared
     1e-10 relative band, and none below it.  Each root is located to
-    |eta(t) - lam*e| <= 1e-12 * lam*e by the safeguarded Newton iteration on
+    |eta(t) - lam*e| <= max(1e-12 * lam*e, 8 eps * the unsigned sum of eta's
+    terms at t): where those terms are far larger than lam*e, eta's rounding
+    exceeds the first bound.  The iteration is the safeguarded Newton one on
     a finite piece of its monotone side of t_circ, bracketed by
     ``power_bracket`` from eta's own terms: t1 in [lo, t_circ], with lo
     below the zero of eta (where a t^(p+k-1) + b t^(q+k-1) + c t^(p_*+k-1)
@@ -267,7 +282,14 @@ def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> Fiber
         return FiberRoots("tangent", None, None, tc, eta_max, le)
     if eta_max < le:
         return FiberRoots("none", None, None, tc, eta_max, le)
-    g = power_sum(terms + [(-le, 0.0)])  # eta - lam*e: -inf at 0, -lam*e at inf
+    live = [(c, r) for c, r in terms if c != 0.0]
+
+    def g(t: float) -> tuple[float, float]:
+        """eta - lam*e (-inf at 0, -lam*e at inf) and its log-t slope; the
+        value is 0 within eta's rounding, which ends ``hybrid_root`` there."""
+        val, tslope, mag, _ = _eta_sums(live, t)
+        return (0.0 if abs(val - le) <= 8.0 * _EPS * mag else val - le), tslope
+
     *abc, (_, rd) = terms
     t1 = t2 = None
     if only != "t2":
@@ -295,8 +317,9 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
     root.  The iteration is ``hybrid_root``'s Newton path in log t from
     t = 1 on eta - lam*e: each step at most half the step before last and
     strictly inside the bracket the iterates' signs have tightened, stopping
-    at the ROOT_TOL*lam*e residual.  It gives up where ``hybrid_root`` would
-    bisect, after _WARM_EVALS evaluations and on a step beyond _WARM_STEP.
+    at ``fiber_roots``' residual bound.  It gives up where ``hybrid_root``
+    would bisect, after _WARM_EVALS evaluations and on a step beyond
+    _WARM_STEP.
     The root is accepted only if
 
     - t eta'(t) has the branch's sign at every iterate by 4 ROOT_TOL of its
@@ -322,29 +345,23 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
     clear = le * (1.0 + 2.0 * TANGENT_TOL)
 
     def at(t: float) -> tuple[float, float, bool, bool]:
-        """(eta(t), t eta'(t), whether eta' clearly has the branch's sign,
-        whether eta(t) certifies two roots)."""
-        val = tslope = mag = tmag = 0.0
-        for c, r in live:
-            x = c * t**r
-            val += x
-            tslope += r * x
-            mag += abs(x)
-            tmag += abs(r * x)
-        return val, tslope, side * tslope > 4.0 * ROOT_TOL * tmag, val - 8.0 * _EPS * mag > clear
+        """(eta(t), t eta'(t), the unsigned sum of eta's terms, whether eta'
+        clearly has the branch's sign, whether eta(t) certifies two roots)."""
+        val, tslope, mag, tmag = _eta_sums(live, t)
+        return val, tslope, mag, side * tslope > 4.0 * ROOT_TOL * tmag, val - 8.0 * _EPS * mag > clear
 
     t, lo, hi = 1.0, 0.0, math.inf  # lo and hi mark no sign yet
     last = before = math.inf  # sizes of the last two steps, in log t
     certified = False
     try:
         for _ in range(_WARM_EVALS):
-            val, tslope, on_side, clears = at(t)
+            val, tslope, mag, on_side, clears = at(t)
             if not on_side:
                 return None
             certified = certified or clears
             gap = val - le
-            if abs(gap) <= ROOT_TOL * le:
-                return t if certified or at(probe)[3] else None
+            if abs(gap) <= max(ROOT_TOL * le, 8.0 * _EPS * mag):
+                return t if certified or at(probe)[4] else None
             if (gap < 0) == rising:
                 lo = t
             else:

@@ -30,11 +30,17 @@ process would give.  Three kinds of map run on it:
 
 A two-worker map costs about 6-7 ms beyond its items' work (the forks, the
 pipes and the pickled lane results of a 16x16 ``solve_two``: medians 5.7
-and 6.8 ms over 40 maps, one BLAS thread).  The kernel may keep freshly
-forked workers on their parent's CPU: unpinned, two 16x16 lane groups
-forked together both ran on CPU 0 and each took twice its time alone.  So
-the n-th worker pins itself to the n-th CPU of the parent's set.  A second
-CPU that other processes contend moves every break-even point up.
+and 6.8 ms over 40 maps, one BLAS thread).  A timeline of such maps
+(``time.perf_counter`` in the parent and the workers, 2 vCPUs) places it:
+the first fork takes about 1.3 ms and the second about 4.3 ms, while the
+first worker starts; that worker's self-pinning takes about 2 ms, so its
+first item starts about 6.5 ms into the map; after the last item, pickling,
+reading, killing and reaping take about 3.5-4.6 ms.  The kernel may keep
+freshly forked workers on their parent's CPU: unpinned, two 16x16 lane
+groups forked together both ran on CPU 0 and each took twice its time
+alone.  So the n-th worker pins itself to the n-th CPU of the parent's
+set.  A second CPU that other processes contend moves every break-even
+point up.
 
 A map called inside a worker runs in-process, so workers never fork
 workers of their own: the lambda* scan's workers solve their lanes

@@ -113,7 +113,6 @@ MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
 LBFGS_PAIRS = 10    # curvature pairs (s, y) the quasi-Newton direction remembers
 LANE_FORK_MIN_NODES = 100  # mesh nodes from which a solve's lanes run on forked workers
 MERGE_TOL = 1e-3    # relative lumped-L2 distance within which a lane joins a lower-energy lane
-_EYE = np.eye(LBFGS_PAIRS)
 _EPS = np.finfo(float).eps
 
 
@@ -229,13 +228,15 @@ class _LBFGS:
     s_i.y_j for pair i no newer than pair j (else 0) and D the diagonal of R,
 
         H g = gamma (P^-1 g - (P^-1 Y)^T c) + S^T p,    c = R^-1 S g,
-        p = R^-T ((D + gamma Y P^-1 Y^T) c - gamma Y P^-1 g).
+        p = R^-T (D c + gamma (Y P^-1 Y^T c - Y P^-1 g)).
 
-    s, y and P^-1 y sit in a stacked (S, LBFGS_PAIRS, M) ring beside the Gram
-    matrices S Y^T and Y P^-1 Y^T; an empty slot is zeros and decouples.  R
-    (with a unit diagonal at the empty slots, so it stays invertible) and
-    D + gamma Y P^-1 Y^T change only with the pairs, so they are rebuilt
-    when the pairs change, not per direction.  The projection is the
+    s, y and P^-1 y sit in a stacked (S, LBFGS_PAIRS, M) ring beside D,
+    the Gram matrix Y P^-1 Y^T and R^-1; an empty slot is zeros and
+    decouples.  R is upper triangular in age order and only R^-1 is kept,
+    updated by each push: dropping the oldest pair leaves the rest of R^-1
+    as it is (the oldest pair is R's first row and column), so its row is
+    zeroed, and the newest pair r = S y, rho = s.y adds R^-1's last column
+    -R^-1 r / rho and diagonal entry 1 / rho.  The projection is the
     retraction of Riemannian BFGS (Huang, Gallivan & Absil, SIAM J. Optim.
     25, 2015).
     """
@@ -243,52 +244,50 @@ class _LBFGS:
     def __init__(self, lanes: int, m: int):
         k = LBFGS_PAIRS
         self.s, self.y, self.py = (np.zeros((lanes, k, m)) for _ in range(3))
-        self.sy = np.zeros((lanes, k, k))    # s_i . y_j
         self.ypy = np.zeros((lanes, k, k))   # y_i . P^-1 y_j
-        self.age = np.full((lanes, k), -1)   # pushes before the slot's pair; -1 when empty
+        self.rinv = np.zeros((lanes, k, k))  # R^-1
+        self.diag = np.zeros((lanes, k, 1))  # D: s_i . y_i
         self.pushes = np.zeros(lanes, dtype=int)
         self.gamma = np.ones(lanes)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """R and the middle matrix D + gamma Y P^-1 Y^T of the current pairs."""
-        order = self.age[:, :, None] <= self.age[:, None, :]
-        self.r = np.where(order, self.sy, 0.0) + _EYE * (self.age < 0)[:, None]
-        self.middle = self.sy * _EYE + self.gamma[:, None, None] * self.ypy
 
     def keep(self, lanes) -> None:
-        """Keep only the lanes the boolean mask ``lanes`` selects."""
-        self.__dict__.update({name: arr[lanes] for name, arr in vars(self).items()})
+        """Keep only the lanes the boolean mask ``lanes`` selects, moved up in
+        place: copying every ring into fresh memory cost several times more."""
+        kept = np.flatnonzero(lanes).tolist()
+        for name, arr in list(vars(self).items()):
+            for to, lane in enumerate(kept):
+                if to != lane:
+                    arr[to] = arr[lane]
+            setattr(self, name, arr[:len(kept)])
 
     def clear(self, lanes) -> None:
         """Drop every pair of the selected lanes."""
-        for arr in (self.s, self.y, self.py, self.sy, self.ypy):
-            arr[lanes] = 0.0
-        self.age[lanes], self.pushes[lanes], self.gamma[lanes] = -1, 0, 1.0
-        self._rebuild()
+        for arr in (self.s, self.y, self.py, self.ypy, self.rinv, self.diag, self.pushes):
+            arr[lanes] = 0
+        self.gamma[lanes] = 1.0
 
     def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
         """Remember each lane's pair (s, y), py = P^-1 y, unless s.y <= 0 or
         y.P^-1 y <= 0: only positive curvature keeps H positive definite
         (the second can underflow to 0 when y is tiny)."""
         sy, ypy = lane_dot(s, y), lane_dot(y, py)
-        lanes = np.flatnonzero((sy > 0.0) & (ypy > 0.0))
+        lanes = np.flatnonzero(np.minimum(sy, ypy) > 0.0)
         slot = self.pushes[lanes] % LBFGS_PAIRS
         self.s[lanes, slot], self.y[lanes, slot], self.py[lanes, slot] = s[lanes], y[lanes], py[lanes]
-        self.age[lanes, slot] = self.pushes[lanes]
         self.pushes[lanes] += 1
-        self.gamma[lanes] = sy[lanes] / ypy[lanes]
-        self.sy[lanes, slot] = (self.y @ s[..., None])[lanes, :, 0]
-        self.sy[lanes, :, slot] = (self.s @ y[..., None])[lanes, :, 0]
+        rho = sy[lanes]
+        self.gamma[lanes] = rho / ypy[lanes]
+        self.diag[lanes, slot, 0] = rho
         self.ypy[lanes, slot] = self.ypy[lanes, :, slot] = (self.y @ py[..., None])[lanes, :, 0]
-        self._rebuild()
+        self.rinv[lanes, slot] = 0.0
+        self.rinv[lanes, :, slot] = (self.rinv @ (self.s @ y[..., None]))[lanes, :, 0] / -rho[:, None]
+        self.rinv[lanes, slot, slot] = 1.0 / rho
 
     def apply(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
         """H g for every lane; pg = P^-1 g, which is H g with no pairs."""
-        rinv = np.linalg.inv(self.r)
-        c = rinv @ (self.s @ g[..., None])
+        c = self.rinv @ (self.s @ g[..., None])
         gamma = self.gamma[:, None, None]
-        p = np.swapaxes(rinv, 1, 2) @ (self.middle @ c - gamma * (self.y @ pg[..., None]))
+        p = np.swapaxes(self.rinv, 1, 2) @ (self.diag * c + gamma * (self.ypy @ c - self.y @ pg[..., None]))
         return gamma[:, 0] * (pg - (np.swapaxes(c, 1, 2) @ self.py)[:, 0]) + (np.swapaxes(p, 1, 2) @ self.s)[:, 0]
 
     def descent(self, u: np.ndarray, g: np.ndarray, pg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +296,7 @@ class _LBFGS:
         slope is not positive drops its pairs and takes d = P^-1 g."""
         d = self.apply(g, pg)
         gd = lane_dot(np.where((u > 0.0) | (d < 0.0), g, 0.0), d)
-        reset = (gd <= 0.0) & (self.age >= 0).any(axis=1)
+        reset = (gd <= 0.0) & (self.pushes > 0)
         if reset.any():
             self.clear(reset)
             return self.descent(u, g, pg)
@@ -328,14 +327,13 @@ def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, bra
     that lane, not the batch."""
     with np.errstate(all="ignore"):
         bd = modular_breakdown(mesh, data, w, fields)
-    sums = np.column_stack((bd.grad_p, bd.mass_p_alpha, bd.grad_q_mu, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1))
+    sums = (bd.grad_p, bd.mass_p_alpha, bd.grad_q_mu, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1)
     exponents = (data.p, data.q, data.p_lower_star, data.q1, data.kappa)
     out = []
-    for wi, (grad_p, mass_p, *bcde), finite, branch, base in zip(
-        w, sums.tolist(), np.isfinite(sums).all(axis=1), branches, warm
-    ):
+    for wi, row, branch, base in zip(w, zip(*(x.tolist() for x in sums)), branches, warm):
         # ``FiberTerms.from_breakdown`` of the lane's row, without building the row's breakdown
-        terms = FiberTerms(grad_p + mass_p, *bcde, *exponents) if finite else None
+        grad_p, mass_p, *bcde = row
+        terms = FiberTerms(grad_p + mass_p, *bcde, *exponents) if all(map(math.isfinite, row)) else None
         try:
             out.append(_project(mesh, data, wi, lam, branch, fields, warm=base, terms=terms))
         except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
@@ -365,11 +363,12 @@ def _descend(
     ]
     lanes = [lane for lane in outcomes if isinstance(lane, _Lane)]
     memory, prev = _LBFGS(len(lanes), mesh.num_nodes), None  # prev: the last (u, g, P^-1 g)
+    u = np.stack([lane.proj.u for lane in lanes]) if lanes else None
+    links = _pairs(lanes)
 
     for iteration in range(1, opts.max_iter + 1):
         if not lanes:
             break
-        u = np.stack([lane.proj.u for lane in lanes])
         with np.errstate(all="ignore"):
             g = energy_gradient(mesh, data, u, lam, fields)
             pg = riesz(g)
@@ -402,9 +401,9 @@ def _descend(
         for sigma in (BACKTRACK**k for k in range(MAX_BACKTRACKS + 1)):
             if not search:
                 break
-            base = u[search]
+            base, step = (u, d) if len(search) == len(lanes) else (u[search], d[search])
             with np.errstate(all="ignore"):  # a non-finite trial fails in its own lane's projection
-                trial_w = np.maximum(base - sigma * d[search], STEP_CLIP * base)
+                trial_w = np.maximum(base - sigma * step, STEP_CLIP * base)
             searching = [lanes[i] for i in search]
             trials = _project_lanes(
                 mesh, data, trial_w, lam, [lane.branch for lane in searching], fields, [lane.proj for lane in searching]
@@ -412,39 +411,48 @@ def _descend(
             search = [i for i, trial in zip(search, trials) if not _accept(lanes[i], trial, sigma * gd[i], opts)]
         for i in search:
             lanes[i].reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
-        _merge(mesh, lanes)
+        u = np.stack([lane.proj.u for lane in lanes])
+        _merge(mesh, lanes, u, links)
         running = [lane.reason is None for lane in lanes]
         if not all(running):
             memory.keep(running)
             prev = tuple(x[running] for x in prev)
             lanes = [lane for lane, run in zip(lanes, running) if run]
+            u, links = u[running], _pairs(lanes)
     for lane in lanes:
         lane.reason = StopReason.MAX_ITER
     return [_result(mesh, data, lam, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
 
 
-def _merge(mesh: Mesh, lanes: list) -> None:
-    """Stop each running lane whose projected point lies within MERGE_TOL of
-    another running lane's of its branch, in the lumped L2 distance relative
-    to the smaller of their norms: of the two, the one with the higher
-    energy (on a tie, the later lane) stops with StopReason.MERGED and names
-    the other in ``merged_into``.  Pairs are taken in lane order, and a lane
-    that stopped takes part in no later pair.  Every distance is a per-pair
-    dot product, so a merge does not depend on which other lanes share the
-    batch, and no arithmetic of a lane that runs on is touched."""
-    running = [lane for lane in lanes if lane.reason is None]
-    pairs = [
-        (a, b) for a, b in itertools.combinations(range(len(running)), 2) if running[a].branch is running[b].branch
-    ]
+def _pairs(lanes: list) -> tuple:
+    """The index pairs (a, b), a < b in lane order, of lanes of one branch,
+    as a list and as the two index arrays ``_merge`` gathers with."""
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(lanes)), 2) if lanes[a].branch is lanes[b].branch]
+    return pairs, *np.array(pairs, dtype=int).reshape(-1, 2).T
+
+
+def _merge(mesh: Mesh, lanes: list, u: np.ndarray, links: tuple) -> None:
+    """Stop each running lane whose projected point (its row of ``u``) lies
+    within MERGE_TOL of another running lane's of its branch, in the lumped
+    L2 distance relative to the smaller of their norms: of the two, the one
+    with the higher energy (on a tie, the later lane) stops with
+    StopReason.MERGED and names the other in ``merged_into``.  ``links`` is
+    ``_pairs(lanes)``; the pairs are taken in lane order, and a lane that
+    stopped, before or in an earlier pair, takes part in no later pair.
+    Every distance is a per-pair dot product, so a merge does not depend on
+    which other lanes share the batch, and no arithmetic of a lane that runs
+    on is touched."""
+    pairs, first, second = links
     if not pairs:
         return
-    u = np.stack([lane.proj.u for lane in running])
-    first, second = np.array(pairs).T
+    live = [lane.reason is None for lane in lanes]
+    if not all(live):  # a lane that stopped takes part in no pair, nor in any arithmetic that could raise
+        u = np.where(np.array(live)[:, None], u, 0.0)
     norm = np.sqrt(lane_dot(u * u, mesh.node_weight))
     diff = u[first] - u[second]
     near = np.sqrt(lane_dot(diff * diff, mesh.node_weight)) <= MERGE_TOL * np.minimum(norm[first], norm[second])
     for (a, b), close in zip(pairs, near.tolist()):
-        lane_a, lane_b = running[a], running[b]
+        lane_a, lane_b = lanes[a], lanes[b]
         if close and lane_a.reason is None and lane_b.reason is None:
             stays, joins = (lane_b, lane_a) if lane_a.proj.energy > lane_b.proj.energy else (lane_a, lane_b)
             joins.reason, joins.merged_into = StopReason.MERGED, stays.start
@@ -480,14 +488,15 @@ def _result(mesh, data, lam, lane: _Lane, fields, opts: SolverOptions) -> SolveR
     u = lane.best.u
     floor_activations = int(np.sum(u < DEFAULT_FLOOR))
     positive = bool(np.min(u) > 0.0)
-    finite = lane.reason is not StopReason.NON_FINITE
+    # an overflowed lane has no residual, nor does a merged one: it is not converged by definition
+    checked = positive and lane.reason not in (StopReason.NON_FINITE, StopReason.MERGED)
     try:
         nehari = classify_nehari(mesh, data, u, lam, fields)
-        residual = weak_residual(mesh, data, u, lam, fields) if positive and finite else None
+        residual = weak_residual(mesh, data, u, lam, fields) if checked else None
     except ArithmeticError as exc:
         return exc
     converged = (
-        lane.reason not in (StopReason.MAX_ITER, StopReason.MERGED)
+        lane.reason is not StopReason.MAX_ITER
         and positive
         and floor_activations == 0
         and nehari.kind is lane.branch.nehari_kind

@@ -20,6 +20,7 @@ from doublephase import (
     t_tilde_circ,
     xi,
 )
+from doublephase import fibering
 from doublephase.fibering import (
     ROOT_TOL,
     TANGENT_TOL,
@@ -322,6 +323,38 @@ def test_fiber_roots_with_a_tiny_exponent_gap():
         assert abs(eta(ft, t) - 1.25) <= ROOT_TOL * 1.25
 
 
+def test_fiber_roots_end_at_the_rounding_of_eta(monkeypatch):
+    # at t1 eta's two terms are 11102.3 and 11101.8, so eta's rounding, about
+    # 4.9e-12, exceeds ROOT_TOL lam*e = 5.1e-13, and a residual bound below
+    # it is met only by chance: each root, cold or certified warm, ends at
+    # the rounding, the cold ones within 12 evaluations
+    ft = FiberTerms(a=100.0, b=0.0, c=0.0, d=10.0, e=1.0, p=1.5, q=3.75, p_lower_star=3.0, q1=4.3125, kappa=0.875)
+    lam = 10.0**-3.5 * eta(ft, t_circ(ft)) / ft.e
+    evals = []
+    root = fibering.hybrid_root
+
+    def counting(f, *args, **kwargs):
+        evals.append(0)
+
+        def counted(t):
+            evals[-1] += 1
+            return f(t)
+
+        return root(counted, *args, **kwargs)
+
+    monkeypatch.setattr(fibering, "hybrid_root", counting)
+    roots = fiber_roots(ft, lam)
+    assert roots.kind == "two" and len(evals) == 3  # t_circ, t1, t2
+    assert max(evals) <= 12, evals
+    for only in ("t1", "t2"):
+        _assert_branch_root(ft, lam, only, getattr(roots, only))
+        s = getattr(roots, only) * 1.01
+        trial = _scaled(ft, s)
+        got = warm_branch_root(trial, lam, only, roots.t_circ / s)
+        assert got is not None
+        _assert_branch_root(trial, lam, only, got, getattr(roots, only) / s)
+
+
 def _scaled(ft: FiberTerms, s: float) -> FiberTerms:
     """The fiber terms of s u: each term of u times s to its own power, so
     every root of s u is the root of u over s."""
@@ -355,18 +388,22 @@ def _warm_case(ft: FiberTerms, lam: float, only: str, log_s: float, log_probe: f
 
 
 def _assert_branch_root(ft: FiberTerms, lam: float, only: str, got: float, cold: Optional[float] = None):
-    """``got`` meets the ROOT_TOL residual where eta' has the branch's sign,
-    and lies within the two residuals' width of the ``cold`` root: both meet
-    the residual as evaluated, so they differ by at most 2 ROOT_TOL lam*e,
-    plus twice the rounding of eta (8 eps of its terms' unsigned sum, which
-    matters where the terms cancel far below lam*e / ROOT_TOL), over the
-    slope of eta there."""
+    """``got`` meets the residual bound where eta' has the branch's sign,
+    and lies within the two residuals' width of the ``cold`` root.  The
+    bound is max(ROOT_TOL lam*e, the rounding of eta): 8 eps of its terms'
+    unsigned sum, which matters where the terms cancel far below lam*e /
+    ROOT_TOL.  Both roots meet it as evaluated, so they differ by at most
+    twice the bound plus twice the rounding, over the slope of eta there."""
     le = lam * ft.e
-    assert abs(eta(ft, got) - le) <= ROOT_TOL * le
+
+    def rounding(t: float) -> float:
+        return 8.0 * 2.0**-52 * eta(replace(ft, d=-ft.d), t)  # every term unsigned
+
+    assert abs(eta(ft, got) - le) <= max(ROOT_TOL * le, rounding(got))
     assert (eta_prime(ft, got) > 0.0) == (only == "t1")
     if cold is not None:
-        rounding = 8.0 * 2.0**-52 * eta(replace(ft, d=-ft.d), cold)  # every term unsigned
-        assert abs(got - cold) * abs(eta_prime(ft, cold)) <= 2.0 * (ROOT_TOL * le + rounding) * (1.0 + 1e-6)
+        bound = max(ROOT_TOL * le, rounding(cold)) + rounding(cold)
+        assert abs(got - cold) * abs(eta_prime(ft, cold)) <= 2.0 * bound * (1.0 + 1e-6)
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import math
 import os
 import re
@@ -710,7 +711,7 @@ def test_merge_stops_the_higher_energy_lane_of_a_close_pair(mesh4):
         lane("f", Branch.PLUS, 1.0 - 0.4 * tol, 0.5),
         lane("g", Branch.PLUS, 1.0, -1.0, StopReason.RESIDUAL_TOL),
     ]
-    solver._merge(mesh4, lanes)
+    solver._merge(mesh4, lanes, np.stack([x.proj.u for x in lanes]), solver._pairs(lanes))
     assert [(x.reason, x.merged_into) for x in lanes] == [
         (StopReason.MERGED, "b"),
         (StopReason.MERGED, "f"),
@@ -805,7 +806,7 @@ def _memory(mesh, pairs=()):
 
 def _held(memory) -> list:
     """The number of pairs each lane of the store holds."""
-    return np.count_nonzero(memory.age >= 0, axis=1).tolist()
+    return np.minimum(memory.pushes, solver.LBFGS_PAIRS).tolist()
 
 
 def test_lbfgs_direction_meets_the_secant_identity(mesh4):
@@ -908,3 +909,79 @@ def test_lbfgs_store_matches_the_two_loop_recursion(mesh4):
         s, y = pairs[-1]
         expected = two_loop_direction(pairs, (s @ y) / (y @ riesz(y)), riesz, g[lane])
         assert np.linalg.norm(d[lane] - expected) <= 1e-12 * np.linalg.norm(expected), lane
+
+
+def test_lbfgs_carried_inverse_inverts_r_in_age_order(mesh4):
+    # after every push, the carried R^-1 times R rebuilt from the held pairs
+    # in age order (R_ij = s_i.y_j for pair i no newer than pair j) is the
+    # identity on the held slots, and R^-1 is zero at the empty ones: lane 0
+    # wraps around the ring, lane 1 skips every third push (s.y < 0) and
+    # lane 2 is cleared after its eighth
+    r = rng(47)
+    m, k = mesh4.num_nodes, solver.LBFGS_PAIRS
+    riesz = riesz_map(mesh4)
+    memory = solver._LBFGS(3, m)
+    for step in range(2 * k + 3):
+        s = r.standard_normal((3, m))
+        y = s + 0.3 * r.standard_normal((3, m))
+        if step % 3 == 1:
+            y[1] = -s[1]
+        memory.push(s, y, riesz(y))
+        if step == 7:
+            memory.clear(np.array([False, False, True]))
+        for lane, pushes in enumerate(memory.pushes.tolist()):
+            age = np.full(k, -1)  # accepted pushes before each slot's pair; -1 when empty
+            for a in range(max(0, pushes - k), pushes):
+                age[a % k] = a
+            held = age >= 0
+            rmat = np.where(age[:, None] <= age[None, :], memory.s[lane] @ memory.y[lane].T, 0.0)
+            product = (memory.rinv[lane] @ rmat)[np.ix_(held, held)]
+            np.testing.assert_allclose(product, np.eye(held.sum()), rtol=0, atol=1e-12, err_msg=f"{step} {lane}")
+            assert not memory.rinv[lane][~held].any() and not memory.rinv[lane][:, ~held].any(), (step, lane)
+    assert memory.pushes.tolist() == [23, 15, 15]  # all of them, 8 skipped, 15 since the clear
+
+
+def test_merging_lanes_skip_the_residual_and_the_16x16_report_keeps_its_picks(tmp_path, mesh16, preset_data, fields16):
+    # a merged lane is unconverged by definition, so its result is classified
+    # but has no weak residual; the seed-0 16x16 solve report keeps its
+    # picks (converged lanes), its keys and its merges
+    from doublephase.cli import main
+
+    results, failures = solve_branch(mesh16, preset_data, LAM, Branch.MINUS, fields16)
+    assert failures == ()
+    merged = [res for res in results if res.stop_reason is StopReason.MERGED]
+    assert len(merged) == 5
+    for res in merged:
+        assert not res.converged and res.residual is None, res.start
+        assert res.nehari.kind is NehariKind.MINUS, res.start
+    cfg = tmp_path / "solve16.cfg"
+    cfg.write_text("p = 1.5\nq = 1.8\nkappa = 0.5\nq1 = 4\nlambda = 0.1\nmesh.nx = 16\nmesh.ny = 16\n")
+    assert main(["solve", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "solve_report.json") as fh:
+        report = json.load(fh)
+    assert sorted(report) == [
+        "lam", "minus", "minus_failures", "minus_merges", "plus", "plus_failures", "plus_merges", "sign_ok"
+    ]
+    for branch, start, energy in (("plus", "ones", -1.0213193886684988), ("minus", "bump", 46.587574050071176)):
+        pick = report[branch]
+        assert sorted(pick) == [
+            "branch", "converged", "energy", "floor_activations", "iterations", "merged_into", "nehari",
+            "residual", "start", "stop_reason",
+        ]
+        assert (pick["start"], pick["converged"], pick["stop_reason"]) == (start, True, "residual_tol")
+        assert pick["energy"] == pytest.approx(energy, rel=1e-13)
+        assert pick["residual"]["residual_norm"] <= SolverOptions().residual_tol
+    assert report["plus_merges"] == [
+        "ramp: merged into ones at iteration 8",
+        "bump: merged into bump_perturbed at iteration 4",
+        "ones_perturbed: merged into ones at iteration 6",
+        "ramp_perturbed: merged into ones at iteration 8",
+        "bump_perturbed: merged into ones at iteration 6",
+    ]
+    assert report["minus_merges"] == [
+        "ones: merged into bump at iteration 23",
+        "ramp: merged into bump_perturbed at iteration 29",
+        "ones_perturbed: merged into bump_perturbed at iteration 25",
+        "ramp_perturbed: merged into ramp at iteration 29",
+        "bump_perturbed: merged into bump at iteration 31",
+    ]
