@@ -325,6 +325,9 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
     except (SweepUndetermined, ValueError) as exc:
         print(f"lambda_star scan: {exc}")
         lam_star = None
+    # the scan returns the grid's top only when every grid point is positive,
+    # and then lambda* is only bounded from below
+    censored = lam_star is not None and lam_star == float(config.lambda_grid[-1])
     if lam_star is not None and lam_star > lam_tilde:
         # soft check: the threshold nesting can be violated by sampling noise
         print(
@@ -332,7 +335,7 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
             f"lambda_tilde_est {_fmt(lam_tilde)} (sampling artifact)"
         )
     sobolev = estimate_sobolev_constant(mesh, data, n, seed, fields=fields)
-    report = SweepReport(lam_tilde, tuple(evidence), lam_star, sobolev, n, seed)
+    report = SweepReport(lam_tilde, tuple(evidence), lam_star, censored, sobolev, n, seed)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "sweep_report.json"), asdict(report))
 
@@ -351,7 +354,9 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
         rows,
     )
     print(f"lambda_tilde_est = {_fmt(lam_tilde)}")
-    if lam_star is not None:
+    if censored:
+        print(f"lambda_star_est >= {_fmt(lam_star)} (every grid point positive)")
+    elif lam_star is not None:
         print(f"lambda_star_est = {_fmt(lam_star)}")
     print(f"sobolev_S_est = {_fmt(sobolev)}")
     return 0 if lam_star is not None else 1

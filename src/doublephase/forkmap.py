@@ -1,58 +1,69 @@
 """One ordered map over forked worker processes.
 
 ``_fork_map(func, items, died)`` is ``[func(item) for item in items]`` run
-on up to one forked worker per CPU the process may run on
-(``os.sched_getaffinity``, so ``taskset`` restricts it).  The parent reads
-the results in item order, so every value and exception is exactly what one
-process would give.  Three kinds of map run on it:
+on up to one worker per CPU the process may run on
+(``os.sched_getaffinity``, so ``taskset`` restricts it).  The workers are
+forked processes, except that a map with no ``stop`` and no more items than
+workers, which every solve and sampling map is, runs its last item in the
+calling process once the others are handed out: one fork fewer, and no
+worker start-up on that item's path.  The caller pins itself to the CPU
+that item's worker would have taken while it runs it, and restores its
+affinity set after.  The parent reads the results in item order, so every
+value and exception is exactly what one process would give.  Three kinds of
+map run on it:
 
 - the lambda* scan's grid points (``sweep._first_false``), which forks
-  whenever it has two CPUs and two grid points;
+  whenever it has two CPUs and two grid points; it passes ``stop``, so
+  every grid point runs on a forked worker and the parent only reads;
 - the sweep's sampling (``sweep._map_chunks``: the sampled fibers and the
-  Rayleigh candidates), which forks only when each worker gets at least
+  Rayleigh candidates), which splits only when each worker gets at least
   ``sweep.FORK_MIN_NODES`` = 2^18 node evaluations (directions times mesh
-  nodes), so from 64x64 on at 200 samples.  Two workers against one
-  process at 200 samples (one BLAS thread, medians of 15 interleaved
-  runs): 16x16 lost 31% and 37% (fibers, Rayleigh candidates), 32x32
-  broke even (7% faster, 9% slower), 64x64 won 8% and 21%;
+  nodes), so from 64x64 on at 200 samples; the last chunk runs in the
+  parent.  One forked chunk plus the parent's against one process at 200
+  samples (one BLAS thread, median time ratios of interleaved pairs, two
+  runs each, fibers / Rayleigh candidates): 16x16 0.97 and 0.91 / 1.11 and
+  1.17 (40 pairs), 32x32 0.81 and 0.75 / 0.91 and 0.99 (30 pairs), 64x64
+  0.62 and 0.62 / 0.66 and 0.70 (20 pairs).  16x16 loses on the whole;
+  32x32 gains a few ms of a sweep that takes seconds, so the threshold
+  stays;
 - the lanes of ``solver.solve_two`` (``solver._solve_branches``), one
-  group per branch, so two workers at most, which fork only on meshes of
-  at least ``solver.LANE_FORK_MIN_NODES`` = 100 nodes.  Lanes merge, so
-  the minus group, which runs about twice as long as the plus group,
-  bounds the gain.  ``solve_two`` on the preset at one BLAS thread, two
-  per-branch workers against one in-process batch, median time ratio of
-  interleaved pairs on 2 vCPUs in three runs of 40, 60 and 100 pairs: 8x8
-  1.12, 1.02 and 0.89, and 16x16 1.17, 0.96 and 1.06 (quartiles about 0.75
-  to 1.35), break-even; 32x32 0.79 and 0.85 (40 and 100 pairs).  The
-  threshold stays below 16x16 all the same: with its lanes in-process the
-  parent holds their L-BFGS store, and the benchmark's ``solve16`` peak RSS
-  rose from 38.4 to 40.8 MB at the same wall time.
+  group per branch, which split only on meshes of at least
+  ``solver.LANE_FORK_MIN_NODES`` = 100 nodes: the plus group on a forked
+  worker, the minus group, about twice as long, in the parent.
+  ``solve_two`` on the preset at one BLAS thread, split against one
+  in-process batch, median time ratio of interleaved pairs on 2 vCPUs (two
+  runs each): 8x8 0.99 and 1.00 over 60 pairs (break-even; 8x8 is below
+  the threshold), 16x16 0.94 and 0.94 over 60 pairs, 32x32 0.79 and 0.82
+  over 30 pairs.
 
-A two-worker map costs about 6-7 ms beyond its items' work (the forks, the
-pipes and the pickled lane results of a 16x16 ``solve_two``: medians 5.7
-and 6.8 ms over 40 maps, one BLAS thread).  A timeline of such maps
-(``time.perf_counter`` in the parent and the workers, 2 vCPUs) places it:
-the first fork takes about 1.3 ms and the second about 4.3 ms, while the
-first worker starts; that worker's self-pinning takes about 2 ms, so its
-first item starts about 6.5 ms into the map; after the last item, pickling,
-reading, killing and reaping take about 3.5-4.6 ms.  The kernel may keep
-freshly forked workers on their parent's CPU: unpinned, two 16x16 lane
-groups forked together both ran on CPU 0 and each took twice its time
-alone.  So the n-th worker pins itself to the n-th CPU of the parent's
-set.  A second CPU that other processes contend moves every break-even
-point up.
+A timeline of 16x16 ``solve_two`` maps (``time.perf_counter`` in the parent
+and the worker, medians of 40 maps in each of two runs, one BLAS thread, 2
+vCPUs) places the map's own cost.  The parent forks the plus group's worker,
+hands it its item and closes its task pipe (``_Worker.finish``), pins
+itself, and starts the minus group 3.1 ms into the map (4.6-5.4 ms when the
+minus group ran on a second forked worker); the plus group starts at about
+3.3 ms.  The worker exits on its own once it has written its result, while
+the parent is still busy, so after the minus group ends, reading the plus
+result and reaping its worker take 0.6 ms (4.7-4.9 ms to read, kill and
+reap two waiting workers).  The kernel may keep freshly forked workers on
+their parent's CPU: unpinned, two 16x16 lane groups forked together both
+ran on CPU 0 and each took twice its time alone, and with the parent's
+item unpinned the benchmark's ``solve16`` read 0.074-0.078 s against
+0.052-0.053 s pinned (6 pairs).  So the k-th item, in a worker or in the
+parent, runs pinned to the k-th CPU of the caller's set.  A second CPU that other
+processes contend moves every break-even point up.
 
-A map called inside a worker runs in-process, so workers never fork
-workers of their own: the lambda* scan's workers solve their lanes
-in-process.  A worker that dies gives its item ``died(item, exit status)``
-in the parent; no worker outlives its map.
+A map called inside a worker, or inside the parent's own item, runs
+in-process, so workers never fork workers of their own: the lambda* scan's
+workers solve their lanes in-process.  A worker that dies gives its item
+``died(item, exit status)`` in the parent; no worker outlives its map.
 """
 from __future__ import annotations
 
 import os
 import pickle
 
-_in_worker = False  # true in a forked worker, whose maps run in-process
+_in_worker = False  # true in a forked worker and in the parent's own item, where maps run in-process
 
 
 def _available_cpus() -> int:
@@ -76,14 +87,18 @@ def _fork_map(func, items, died, stop=None) -> list:
     propagates.
 
     On one CPU, for one item, inside a worker, or without ``os.fork``, this
-    is that loop.  Otherwise min(CPUs, len(items)) forked workers each take
-    the first item not yet taken whenever they are free, and the parent
-    reads the results in item order, so the outcome, exceptions included,
-    is the loop's.  The value of an item whose worker died is ``died(item,
-    its exit status)``, called in the parent in the item's turn (status
-    None for an item left when every worker had died).  However the map
-    ends (its values, an exception, a KeyboardInterrupt), every worker is
-    killed and reaped before this returns.
+    is that loop.  Otherwise min(CPUs, len(items)) workers each take the
+    first item not yet taken whenever they are free, and the parent reads
+    the results in item order, so the outcome, exceptions included, is the
+    loop's.  The workers are forked, except that a map without ``stop``
+    and with no more items than workers runs its last item in the parent
+    (``_run_as_worker``) once the others are handed out; each forked worker
+    then has its only item and exits once its result is written.  The value
+    of an item whose worker died is ``died(item, its exit status)``, called
+    in the parent in the item's turn (status None for an item left when
+    every worker had died).  However the map ends (its values, an
+    exception, a KeyboardInterrupt), every worker is killed and reaped
+    before this returns.
     """
     values = []
     width = _width(len(items))
@@ -100,12 +115,18 @@ def _fork_map(func, items, died, stop=None) -> list:
     poller = select.poll()
     done = {}     # item index -> (ok, func's value or exception), or (None, exit status) if its worker died
     taken = 0     # items handed out so far
+    own = stop is None and len(items) <= width  # the parent runs the last item itself
     try:
-        for _ in range(width):
+        for _ in range(width - own):
             worker = _Worker(func, items, workers.values())
             workers[worker.results] = worker
             poller.register(worker.results, select.POLLIN)
             worker.give(taken)
+            taken += 1
+            if own:
+                worker.finish()
+        if own:
+            done[taken] = _run_as_worker(func, items[taken], taken)
             taken += 1
         for k, item in enumerate(items):
             while k not in done and workers:
@@ -137,6 +158,39 @@ def _fork_map(func, items, died, stop=None) -> list:
             worker.stop(kill=True)
 
 
+def _pin(k: int):
+    """Pin this process to the k-th CPU (mod their count) of its affinity
+    set, where a map's k-th worker runs (0-based): the kernel may keep
+    freshly forked workers on their parent's CPU.  Returns the set it had,
+    or None without the affinity API."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    mask = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {sorted(mask)[k % len(mask)]})
+    except OSError:
+        pass  # a speed-up only: unpinned, the item still runs
+    return mask
+
+
+def _run_as_worker(func, item, k: int) -> tuple:
+    """(ok, ``func(item)`` or the exception it raised), run in this process
+    as the map's k-th worker would run it: pinned to that worker's CPU, and
+    with any map inside it in-process.  The affinity set and ``_in_worker``
+    are restored however it ends, KeyboardInterrupt included."""
+    global _in_worker
+    mask = _pin(k)
+    _in_worker = True
+    try:
+        return True, func(item)
+    except Exception as exc:
+        return False, exc
+    finally:
+        _in_worker = False
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
+
+
 class _Worker:
     """A forked process that runs ``func`` on the items it is given, one at a
     time, and pipes back each result."""
@@ -158,6 +212,13 @@ class _Worker:
         except BrokenPipeError:
             pass  # it died; receive() reports it
 
+    def finish(self):
+        """Close its task pipe: it exits once it has written the result of
+        the item in hand, while the parent is still busy, so ``stop`` finds
+        it gone and need not wait for its exit."""
+        os.close(self.tasks)
+        self.tasks = None
+
     def receive(self) -> tuple:
         """(index, (ok, result or exception)) of its next result, or
         (index in hand or None, None) if it died."""
@@ -175,7 +236,8 @@ class _Worker:
 
             os.kill(self.pid, signal.SIGKILL)
         status = os.waitpid(self.pid, 0)[1]
-        os.close(self.tasks)
+        if self.tasks is not None:
+            os.close(self.tasks)
         os.close(self.results)
         return status
 
@@ -192,16 +254,10 @@ def _serve(func, items, tasks: int, results: int, parents):
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-        if hasattr(os, "sched_setaffinity"):
-            # the kernel may keep freshly forked workers on their parent's
-            # CPU, so the n-th worker runs on the n-th CPU of the set
-            cpus = sorted(os.sched_getaffinity(0))
-            try:
-                os.sched_setaffinity(0, {cpus[(len(parents) - 1) % len(cpus)]})
-            except OSError:
-                pass  # a speed-up only: unpinned, the worker still works
+        _pin(len(parents) - 1)
         for w in parents:
-            os.close(w.tasks)
+            if w.tasks is not None:
+                os.close(w.tasks)
             os.close(w.results)
         while index := os.read(tasks, 4):
             try:

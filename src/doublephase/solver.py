@@ -34,9 +34,9 @@ on the preset every start of a branch ends at one point, and the lanes meet
 long before they stop.  A lane that did not merge is its start's descent
 alone, bit for bit; a merged lane is that descent cut at its merge.  On
 meshes of at least LANE_FORK_MIN_NODES nodes the lanes split into one group
-per branch, each a batch of its own on a forked worker
-(``forkmap._fork_map``); a merge compares lanes of one branch only, so the
-split changes no bit of any result.
+per branch, each a batch of its own: the plus group on a forked worker, the
+minus group in the calling process (``forkmap._fork_map``); a merge compares
+lanes of one branch only, so the split changes no bit of any result.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 BACKTRACK = 0.5     # step shrink factor per rejected trial
 MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
 LBFGS_PAIRS = 10    # curvature pairs (s, y) the quasi-Newton direction remembers
-LANE_FORK_MIN_NODES = 100  # mesh nodes from which a solve's lanes run on forked workers
+LANE_FORK_MIN_NODES = 100  # mesh nodes from which a solve's lanes split into per-branch groups
 MERGE_TOL = 1e-3    # relative lumped-L2 distance within which a lane joins a lower-energy lane
 _EPS = np.finfo(float).eps
 
@@ -586,10 +586,11 @@ def _solve_branches(
     A lane joins only a lower-energy lane of its own branch (``_merge``),
     so the lanes split one group per branch: on a mesh of at least
     LANE_FORK_MIN_NODES nodes, with two CPUs available and outside a worker
-    (``forkmap._width``), each branch's group descends as one batch on a
-    forked worker of its own (``forkmap._fork_map``).  Otherwise, and for
-    one branch, all lanes descend in-process as one batch.  A group whose
-    worker dies is descended again in-process.  The outcomes come back in
+    (``forkmap._width``), each branch's group descends as one batch of its
+    own (``forkmap._fork_map``): the first on a forked worker, the last, in
+    ``solve_two`` the minus group, the longer one, in this process.
+    Otherwise, and for one branch, all lanes descend in-process as one
+    batch.  A group whose worker dies is descended again in-process.  The outcomes come back in
     start order, bit for bit the same however the lanes are grouped, and a
     lane that did not merge is bit for bit its start's one-lane descent."""
     if opts is None:
@@ -622,9 +623,10 @@ def solve_two(
     has a line ``"name: merged into <start> at iteration <k>"`` in the
     branch's merges.  Each branch keeps its first result in start order that
     is minimal under (not converged, energy).  The starts of both branches
-    descend as the lanes of lockstep batches, split among forked workers on
-    larger meshes (``_solve_branches``); each result is its ``solve_branch``
-    result, bit for bit.
+    descend as the lanes of lockstep batches, split on larger meshes into
+    the plus group on a forked worker and the minus group in this process
+    (``_solve_branches``); each result is its ``solve_branch`` result, bit
+    for bit.
     """
     best, failures, merges = [], [], []
     for results, fails in _solve_branches(mesh, data, lam, (Branch.PLUS, Branch.MINUS), fields, opts):

@@ -14,19 +14,20 @@ Rayleigh quotients.
 
 The lambda* scan and the sampling maps (``sample_fibers``, the Rayleigh
 quotients of ``estimate_sobolev_constant``) run on ``forkmap._fork_map``:
-up to as many forked worker processes as the process may run on, whose
-results are read in item order, so every value and exception is exactly
-what one process would give.  The scan forks whenever it has two CPUs and
-two grid points, and its workers solve their lanes in-process.  A sampling
-map forks only when each worker gets at least FORK_MIN_NODES node
-evaluations (directions times mesh nodes): at 200 samples forking lost or
-broke even up to 32x32 and won at 64x64 (see ``forkmap``), so smaller
-sweeps sample in-process.  A worker that dies makes its lambda
-undetermined; a sampling worker's chunk is recomputed in-process, so its
-output does not change.  The bisection after the scan, and the polishing
-of the best Rayleigh candidate, run in the calling process, and so do a
-bisection solve's lanes, which are one branch's and so one in-process batch
-(``solver._solve_branches``).
+up to as many workers as the process may run on, whose results are read in
+item order, so every value and exception is exactly what one process would
+give.  The scan forks whenever it has two CPUs and two grid points, and
+it stops at its first non-positive point, so every grid point runs on a
+forked worker; its workers solve their lanes in-process.  A
+sampling map splits only when each worker gets at least FORK_MIN_NODES
+node evaluations (directions times mesh nodes), so from 64x64 on at 200
+samples (see ``forkmap`` for the measured break-even), and then its last
+chunk runs in the calling process and the others on forked workers.  A
+worker that dies makes its lambda undetermined; a sampling worker's chunk
+is recomputed in-process, so its output does not change.  The bisection
+after the scan, and the polishing of the best Rayleigh candidate, run in
+the calling process, and so do a bisection solve's lanes, which are one
+branch's and so one in-process batch (``solver._solve_branches``).
 """
 from __future__ import annotations
 
@@ -123,6 +124,7 @@ class SweepReport:
     lambda_tilde_est: float           # sample-min upper bound for lambda_tilde
     lambda_hat_evidence: tuple        # of (lambda, tangency found)
     lambda_star_est: Optional[float]
+    lambda_star_censored: bool        # lambda_star_est is the grid's top: every grid point positive
     sobolev_S_est: float
     samples: int
     seed: int
@@ -252,9 +254,11 @@ def estimate_lambda_star(
     Scans the ascending grid until the first non-positive (or unreachable)
     lambda, then bisects between the last positive and first non-positive
     grid points for LAMBDA_STAR_BISECTIONS steps.  Returns the top of the
-    grid if every grid point is positive.  A lambda is undetermined where a
-    minus start fails numerically, or where a start that did not merge into
-    another start's lane does not converge (``_minus_branch_positive``).
+    grid if every grid point is positive, and only then, since a bisection
+    stays below its upper grid point: that value is a lower bound only.  A
+    lambda is undetermined where a minus start fails numerically, or where
+    a start that did not merge into another start's lane does not converge
+    (``_minus_branch_positive``).
     The grid points run on up to one forked worker per available CPU
     (``_first_false``), the bisection in-process.
     """
@@ -305,7 +309,8 @@ def _chunks(n_items: int, mesh: Mesh) -> list:
 
 def _map_chunks(func, n_items: int, mesh: Mesh) -> list:
     """``func``'s lists over ``_chunks(n_items, mesh)``, joined in order, from
-    ``_fork_map``; a chunk whose worker died is recomputed in-process."""
+    ``_fork_map``, which runs the last chunk in this process; a chunk whose
+    worker died is recomputed in-process."""
     chunks = _fork_map(func, _chunks(n_items, mesh), lambda chunk, status: func(chunk))
     return [value for chunk in chunks for value in chunk]
 

@@ -30,6 +30,18 @@ def overflowing_start(monkeypatch, mesh, start):
     monkeypatch.setattr(solver, "_project", failing)
 
 
+_AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@pytest.fixture(autouse=True)
+def affinity_unchanged():
+    """Every test leaves this process's CPU affinity as the suite found it: a
+    fork map that runs an item in its caller pins the caller for that item only."""
+    yield
+    if _AFFINITY is not None:
+        assert os.sched_getaffinity(0) == _AFFINITY
+
+
 def assert_no_child_left():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):

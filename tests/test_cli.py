@@ -487,6 +487,26 @@ def test_undetermined_sweep_exits_1_after_writing_both_outputs(tmp_path, capsys)
     assert len(lines) == 1 + 15
 
 
+@pytest.mark.parametrize(
+    "grid, extra, status, lam_star, censored, line",
+    [
+        ("0.02, 0.05", "", 0, 0.05, True, "lambda_star_est >= 0.05 (every grid point positive)"),
+        ("1, 2", "", 0, 1.875, False, "lambda_star_est = 1.875"),  # the sign flips between 1 and 2
+        ("0.02, 0.05", "solver.max_iter = 1\n", 1, None, False, None),
+    ],
+    ids=["every_point_positive", "bracketed", "undetermined"],
+)
+def test_sweep_says_when_lambda_star_is_the_grids_top(grid, extra, status, lam_star, censored, line, tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_SOLVE.replace("0.02, 0.05", grid) + extra)
+    out_dir = str(tmp_path / "out")
+    assert main(["sweep", "-c", cfg, "-o", out_dir]) == status
+    report = json.load(open(os.path.join(out_dir, "sweep_report.json")))
+    assert report["lambda_star_est"] == lam_star
+    assert report["lambda_star_censored"] is censored
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("lambda_star_est")]
+    assert printed == ([line] if line else [])
+
+
 def test_props_command_passes_on_preset(tmp_path):
     cfg = write(tmp_path, SMALL_SOLVE)
     assert main(["props", "-c", cfg]) == 0

@@ -432,9 +432,10 @@ def recording_pids(monkeypatch, path):
 @pytest.mark.parametrize("shape", [(4, 4, (0.0, 0.0, 1.0, 1.0)), (6, 3, (0.0, 0.0, 2.0, 0.5))], ids=["4x4", "6x3"])
 def test_lane_groups_at_any_width_give_the_one_process_report(width, shape, monkeypatch, tmp_path, preset_data):
     # with two CPUs or more solve_two's twelve lanes split into one group per
-    # branch, each in a forked worker of its own; at one CPU all twelve run
-    # in-process as one batch.  A merge compares lanes of one branch only,
-    # so the merges are the same at every width
+    # branch: the plus group on a forked worker, the minus group, the map's
+    # last item, in the parent; at one CPU all twelve run in-process as one
+    # batch.  A merge compares lanes of one branch only, so the merges are
+    # the same at every width
     if width > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
     mesh = build_rect_mesh(shape[0], shape[1], rect=shape[2])
@@ -448,7 +449,7 @@ def test_lane_groups_at_any_width_give_the_one_process_report(width, shape, monk
     if width == 1:
         assert pids == [parent]
     else:
-        assert len(set(pids)) == 2 and parent not in pids
+        assert sorted(pid == parent for pid in pids) == [False, True]
     assert_no_child_left()
 
 
@@ -477,17 +478,24 @@ def test_lane_groups_recompute_a_dead_workers_group(monkeypatch, mesh4, preset_d
     want = report_key(solve_two(mesh4, preset_data, LAM, fields4))
     parent = os.getpid()
     descend = solver._descend
+    in_parent = []  # the branch of each group the parent descends
 
     def dying(mesh, data, lam, branches, starts, fields, opts):
-        # the second group is the minus branch's six lanes
-        if os.getpid() != parent and branches[0] is Branch.MINUS:
-            os._exit(3)
+        # the first group, the plus branch's six lanes, runs on the worker;
+        # the minus group, the map's last item, in the parent
+        if os.getpid() != parent:
+            if branches[0] is Branch.PLUS:
+                os._exit(3)
+        else:
+            in_parent.append(branches[0])
         return descend(mesh, data, lam, branches, starts, fields, opts)
 
     lane_groups_at(monkeypatch, 2)
     monkeypatch.setattr(solver, "_descend", dying)
     with raising_after(60, TimeoutError("the solve hung on a dead worker")):
         assert report_key(solve_two(mesh4, preset_data, LAM, fields4)) == want
+    # the parent ran its own group, then the dead worker's again
+    assert in_parent == [Branch.MINUS, Branch.PLUS]
     assert_no_child_left()
 
 

@@ -371,7 +371,7 @@ def test_a_dead_sampling_worker_changes_nothing(monkeypatch, mesh4, preset_data,
         def wrapped(*args):
             if os.getpid() != parent:
                 calls.append(1)
-                if len(calls) == 2:  # each worker dies in the middle of its chunk
+                if len(calls) == 2:  # the worker dies in the middle of the first chunk; the parent runs the last
                     os._exit(3)
             return call(*args)
 
