@@ -84,6 +84,19 @@ class FiberTerms:
             kappa=data.kappa,
         )
 
+    @classmethod
+    def lanes(cls, bd: ModularBreakdown, data: ProblemData) -> list:
+        """The fiber terms of each lane of the batched breakdown ``bd`` ((S,)
+        arrays), each ``from_breakdown`` of that lane's own breakdown bit for
+        bit (``lane_dot``), or None for a lane with a term that is not finite."""
+        sums = (bd.grad_p, bd.mass_p_alpha, bd.grad_q_mu, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1)
+        exponents = (data.p, data.q, data.p_lower_star, data.q1, data.kappa)
+        out = []
+        for row in zip(*(x.tolist() for x in sums)):
+            grad_p, mass_p, *bcde = row
+            out.append(cls(grad_p + mass_p, *bcde, *exponents) if all(map(math.isfinite, row)) else None)
+        return out
+
 
 class NehariKind(enum.Enum):
     NOT_ON_NEHARI = "not_on_nehari"

@@ -20,12 +20,14 @@ map run on it:
   ``sweep.FORK_MIN_NODES`` = 2^18 node evaluations (directions times mesh
   nodes), so from 64x64 on at 200 samples; the last chunk runs in the
   parent.  One forked chunk plus the parent's against one process at 200
-  samples (one BLAS thread, median time ratios of interleaved pairs, two
-  runs each, fibers / Rayleigh candidates): 16x16 0.97 and 0.91 / 1.11 and
-  1.17 (40 pairs), 32x32 0.81 and 0.75 / 0.91 and 0.99 (30 pairs), 64x64
-  0.62 and 0.62 / 0.66 and 0.70 (20 pairs).  16x16 loses on the whole;
-  32x32 gains a few ms of a sweep that takes seconds, so the threshold
-  stays;
+  samples, each chunk broken down in blocks of directions (one BLAS
+  thread, median time ratios of interleaved pairs, two runs each, fibers /
+  the whole Sobolev estimate): 16x16 1.25 and 1.20 / 1.74 and 1.77 (40
+  pairs; 9-17 and 5-6 ms in one process), 32x32 0.94 and 0.86 / 0.90 and
+  0.89 (30 pairs; 19-21 and 18-20 ms), 64x64 0.68 and 0.64 / 0.75 and
+  0.75 (20 pairs; 63 and 51-55 ms).  The blocks cut the in-process time
+  most at 16x16, which now loses clearly; 32x32 gains about 2 ms of a
+  sweep that takes seconds, so the threshold stays;
 - the lanes of ``solver.solve_two`` (``solver._solve_branches``), one
   group per branch, which split only on meshes of at least
   ``solver.LANE_FORK_MIN_NODES`` = 100 nodes: the plus group on a forked

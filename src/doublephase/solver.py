@@ -326,14 +326,9 @@ def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, bra
     recomputed alone, under the caller's numpy error state: an overflow fails
     that lane, not the batch."""
     with np.errstate(all="ignore"):
-        bd = modular_breakdown(mesh, data, w, fields)
-    sums = (bd.grad_p, bd.mass_p_alpha, bd.grad_q_mu, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1)
-    exponents = (data.p, data.q, data.p_lower_star, data.q1, data.kappa)
+        lane_terms = FiberTerms.lanes(modular_breakdown(mesh, data, w, fields), data)
     out = []
-    for wi, row, branch, base in zip(w, zip(*(x.tolist() for x in sums)), branches, warm):
-        # ``FiberTerms.from_breakdown`` of the lane's row, without building the row's breakdown
-        grad_p, mass_p, *bcde = row
-        terms = FiberTerms(grad_p + mass_p, *bcde, *exponents) if all(map(math.isfinite, row)) else None
+    for wi, terms, branch, base in zip(w, lane_terms, branches, warm):
         try:
             out.append(_project(mesh, data, wi, lam, branch, fields, warm=base, terms=terms))
         except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket

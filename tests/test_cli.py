@@ -469,6 +469,15 @@ def test_sweep_breaks_down_each_sample_once(tmp_path, monkeypatch):
 
         return wrapper
 
+    def counting_rows(fn):
+        def wrapper(mesh, data, block, fields):
+            calls.extend([1] * len(block))
+            return fn(mesh, data, block, fields)
+
+        return wrapper
+
+    # in rows of the batched breakdowns, plus any single breakdown of a sample
+    monkeypatch.setattr(sweep, "_fiber_block", counting_rows(sweep._fiber_block))
     monkeypatch.setattr(sweep, "fiber_terms", counting(sweep.fiber_terms))
     monkeypatch.setattr(cli, "fiber_terms", counting(cli.fiber_terms))
     config = load_config(write(tmp_path, SMALL_SOLVE))

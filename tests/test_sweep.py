@@ -334,6 +334,12 @@ def test_sampling_maps_fork_only_above_the_node_threshold(monkeypatch, mesh16):
     assert sweep._chunks(7, mesh16) == [(0, 2), (2, 4), (4, 7)]
 
 
+def sampling_in_blocks(monkeypatch, mesh, per_block):
+    """Let the sampling break its directions down ``per_block`` at a time."""
+    monkeypatch.setattr(sweep, "BLOCK_NODES", per_block * mesh.num_nodes)
+    assert sweep._block_size(mesh) == per_block
+
+
 @pytest.mark.parametrize("n_samples", [1, 2, 7])
 @pytest.mark.parametrize("mesh_name", ["4x4", "8x8"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -345,7 +351,7 @@ def test_sampling_at_any_width_is_the_sequential_loops(
     mesh, fields = sampling_meshes[mesh_name]
     d = preset_data
     sobolev = estimate_sobolev_constant(mesh, d, n_samples, 3, fields)
-    loop = tuple(sweep._sampled_fiber(mesh, d, u, fields) for u in sample_directions(mesh, n_samples, 3))
+    loop = tuple(sweep._sampled_fiber(fiber_terms(mesh, d, u, fields)) for u in sample_directions(mesh, n_samples, 3))
 
     sampling_at_width(monkeypatch, workers)
     assert len(sweep._chunks(n_samples, mesh)) == min(workers, n_samples)
@@ -355,6 +361,45 @@ def test_sampling_at_any_width_is_the_sequential_loops(
     for lam in (0.05, 0.8, 1e9):
         assert sweep.nzero_evidence(fibers, lam) == sweep.nzero_evidence(loop, lam)
     assert repr(estimate_sobolev_constant(mesh, d, n_samples, 3, fields)) == repr(sobolev)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["4x4", "8x8"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sampling_in_blocks_is_the_sequential_loops(
+    workers, mesh_name, per_block, monkeypatch, sampling_meshes, preset_data
+):
+    # 11 samples: at 3 workers the chunks are 0-2, 3-6 and 7-10, so blocks of
+    # 2 and 3 end inside a chunk and at its end; the Rayleigh candidates are
+    # the 6 multi-starts, then the samples, in chunks of 5, 6 and 6
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    mesh, fields = sampling_meshes[mesh_name]
+    d, n = preset_data, 11
+    sobolev = estimate_sobolev_constant(mesh, d, n, 3, fields)
+    rng = np.random.default_rng(3)
+    directions = [rng.random(mesh.num_nodes) for _ in range(n)]  # one draw per direction
+    loop = tuple(sweep._sampled_fiber(fiber_terms(mesh, d, u, fields)) for u in directions)
+    candidates = [w for _, w in solver.multistart_directions(mesh, 3)] + directions
+    quotients = [sweep._rayleigh_quotient(mesh, d, w, fields) for w in candidates]
+
+    sampling_at_width(monkeypatch, workers)
+    sampling_in_blocks(monkeypatch, mesh, per_block)
+    mapped = []
+    map_chunks = sweep._map_chunks
+
+    def recording(func, n_items, mesh):
+        out = map_chunks(func, n_items, mesh)
+        mapped.append(out)
+        return out
+
+    monkeypatch.setattr(sweep, "_map_chunks", recording)
+    assert all(np.array_equal(u, w) for u, w in zip(sample_directions(mesh, n, 3), directions, strict=True))
+    assert repr(sweep.sample_fibers(mesh, d, n, 3, fields)) == repr(loop)
+    assert repr(estimate_sobolev_constant(mesh, d, n, 3, fields)) == repr(sobolev)
+    # every candidate's (quotient, numerator), not only the minimum the estimate keeps
+    assert repr(mapped[1]) == repr(quotients)
     assert_no_child_left()
 
 
@@ -377,12 +422,26 @@ def test_a_dead_sampling_worker_changes_nothing(monkeypatch, mesh4, preset_data,
 
         return wrapped
 
+    died = []
+    fork_map = sweep._fork_map
+
+    def noting_deaths(func, items, on_death, **kwargs):
+        def noted(item, status):
+            died.append((item, status))
+            return on_death(item, status)
+
+        return fork_map(func, items, noted, **kwargs)
+
     sampling_at_width(monkeypatch, 2)
-    monkeypatch.setattr(sweep, "fiber_terms", dying(sweep.fiber_terms))
-    monkeypatch.setattr(sweep, "_rayleigh_quotient", dying(sweep._rayleigh_quotient))
+    sampling_in_blocks(monkeypatch, mesh4, 2)
+    monkeypatch.setattr(sweep, "_fork_map", noting_deaths)
+    monkeypatch.setattr(sweep, "_fiber_block", dying(sweep._fiber_block))
+    monkeypatch.setattr(sweep, "_quotient_block", dying(sweep._quotient_block))
     with raising_after(60, TimeoutError("the sampling hung on a dead worker")):
         assert sweep.sample_fibers(mesh4, d, 9, 2, fields4) == fibers
         assert estimate_sobolev_constant(mesh4, d, 9, 2, fields4) == sobolev
+    # each map's first chunk (9 samples; 6 starts and 9 samples) was recomputed in the parent
+    assert died == [((0, 4), 3), ((0, 7), 3)]
     assert_no_child_left()
 
 
@@ -392,31 +451,54 @@ def test_interrupted_sampling_leaves_no_process(monkeypatch, mesh4, preset_data,
         time.sleep(60)
 
     sampling_at_width(monkeypatch, 2)
-    monkeypatch.setattr(sweep, "fiber_terms", stuck)
+    monkeypatch.setattr(sweep, "_fiber_block", stuck)
     with raising_after(0.2, KeyboardInterrupt()):
         with pytest.raises(KeyboardInterrupt):
             sweep.sample_fibers(mesh4, preset_data, 6, 0, fields4)
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("failing", [(4,), (1, 4)], ids=["later_chunk", "both_chunks"])
+@pytest.mark.parametrize(
+    "rows, roots, first",
+    [((4,), (5,), 4), ((1, 4), (), 1), ((4,), (3,), 3)],
+    ids=["later_chunk", "both_chunks", "root_before_row"],
+)
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sampling_raises_the_sequential_loops_first_error(workers, failing, monkeypatch, mesh4, preset_data, fields4):
-    # with two workers, samples 0-2 are the first chunk and 3-5 the second
+def test_sampling_raises_the_sequential_loops_first_error(
+    workers, rows, roots, first, monkeypatch, mesh4, preset_data, fields4
+):
+    # blocks of 3, and with two workers samples 0-2 are the first chunk and
+    # 3-5 the second: the batched breakdown of the samples in ``rows`` is not
+    # finite, and their breakdown alone raises; the samples in ``roots`` raise
+    # in their scalar roots
     if workers > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
     directions = list(sample_directions(mesh4, 6, 0))
-    terms = sweep.fiber_terms
+    root_terms = {fiber_terms(mesh4, preset_data, directions[i], fields4): i for i in roots}
+    block_terms, terms, root = sweep._block_terms, sweep.fiber_terms, sweep.t_circ
+
+    def index(u):
+        return next(i for i, w in enumerate(directions) if np.array_equal(u, w))
+
+    def not_finite_at(mesh, data, block, fields):
+        return [None if index(u) in rows else ft for u, ft in zip(block, block_terms(mesh, data, block, fields))]
 
     def failing_at(mesh, data, u, fields):
-        i = next(i for i, w in enumerate(directions) if np.array_equal(u, w))
-        if i in failing:
-            raise BracketError(f"no sign change at sample {i}")
+        if index(u) in rows:
+            raise BracketError(f"no sign change at sample {index(u)}")
         return terms(mesh, data, u, fields)
 
+    def root_failing_at(ft):
+        if ft in root_terms:
+            raise ArithmeticError(f"no sign change at sample {root_terms[ft]}")
+        return root(ft)
+
     sampling_at_width(monkeypatch, workers)
+    sampling_in_blocks(monkeypatch, mesh4, 3)
+    monkeypatch.setattr(sweep, "_block_terms", not_finite_at)
     monkeypatch.setattr(sweep, "fiber_terms", failing_at)
-    with pytest.raises(BracketError, match=f"^no sign change at sample {failing[0]}$"):
+    monkeypatch.setattr(sweep, "t_circ", root_failing_at)
+    with pytest.raises(ArithmeticError, match=f"^no sign change at sample {first}$"):
         sweep.sample_fibers(mesh4, preset_data, 6, 0, fields4)
     assert_no_child_left()
 
