@@ -8,22 +8,24 @@ For fixed u everything reduces to five nonnegative scalars
 from which the fiber map psi, the root-locating maps eta, eta_tilde, xi,
 the closed-form maximizer of eta_tilde and the roots t1 < t_circ < t2 of
 eta(t) = lam*e all follow; psi, eta, eta_tilde, xi and the root maps are
-power sums solved by the shared safeguarded Newton finder.  u lies on the
-constraint manifold when psi'(1) = 0; the sign of psi''(1) splits it into
-the plus/zero/minus branches.
+power sums, evaluated by ``rootfind.power_sums`` and solved by the shared
+safeguarded Newton finder.  u lies on the constraint manifold when
+psi'(1) = 0; the sign of psi''(1) splits it into the plus/zero/minus
+branches.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .mesh import Mesh
 from .problem import ProblemData
-from .rootfind import hybrid_root, power_bracket, power_sum, power_value
+from .rootfind import hybrid_root, power_bracket, power_sums
 # unused here, but the benchmark's tracer wraps ``fibering.expand_bracket`` by name
 from .rootfind import expand_bracket  # noqa: F401
 from .space import FieldSamples, ModularBreakdown, modular_breakdown
@@ -126,22 +128,16 @@ def psi(ft: FiberTerms, lam: float, t: float) -> float:
     """Fiber energy Theta(t u); psi(0) = 0 by convention."""
     if t < 0:
         raise ValueError("fiber parameter t must be >= 0")
-    return power_value(_psi_terms(ft, lam), t) if t > 0 else 0.0
+    return power_sums(_psi_terms(ft, lam), t)[0] if t > 0 else 0.0
 
 
 def psi_with_magnitude(ft: FiberTerms, lam: float, t: float) -> tuple[float, float]:
     """(psi(t), its magnitude) at t > 0: the magnitude is the sum of the
     unsigned terms of psi(t), a/p + b/q + c/p_* + d/(1-kappa) + lam e/q1 of
     t u, the scale of psi's rounding error, which cancellation can make far
-    larger than |psi(t)|.  One power per term, summed in the order of
-    ``power_value``, so psi equals ``psi(ft, lam, t)`` bit for bit (|c| t^r
-    is |c t^r| exactly)."""
-    val = mag = 0.0
-    for c, r in _psi_terms(ft, lam):
-        if c != 0.0:
-            x = t**r
-            val += c * x
-            mag += abs(c) * x
+    larger than |psi(t)|.  Both are sums of ``power_sums``, so psi equals
+    ``psi(ft, lam, t)`` bit for bit."""
+    val, _, mag, _ = power_sums(_psi_terms(ft, lam), t)
     return val, mag
 
 
@@ -150,8 +146,8 @@ def psi_derivatives(ft: FiberTerms, lam: float, t: float) -> tuple[float, float,
     if t <= 0:
         raise ValueError("fiber derivatives need t > 0")
     terms = _psi_terms(ft, lam)
-    val, d1 = power_sum(terms)(t)
-    return val, d1 / t, power_sum([(c * r, r - 1.0) for c, r in terms])(t)[1] / t
+    val, d1, _, _ = power_sums(terms, t)
+    return val, d1 / t, power_sums([(c * r, r - 1.0) for c, r in terms], t)[1] / t
 
 
 def _eta_terms(ft: FiberTerms) -> list:
@@ -164,26 +160,13 @@ def eta(ft: FiberTerms, t: float) -> float:
     psi'(t) = t^{q1-1} (eta(t) - lam e)."""
     if t <= 0:
         raise ValueError("eta needs t > 0")
-    return power_value(_eta_terms(ft), t)
+    return power_sums(_eta_terms(ft), t)[0]
 
 
 def eta_prime(ft: FiberTerms, t: float) -> float:
     if t <= 0:
         raise ValueError("eta_prime needs t > 0")
-    return power_sum(_eta_terms(ft))(t)[1] / t
-
-
-def _eta_sums(live, t: float) -> tuple[float, float, float, float]:
-    """(eta(t), t eta'(t), and the unsigned sums of their terms) over eta's
-    live (c, r) terms, summed in ``power_sum``'s order."""
-    val = tslope = mag = tmag = 0.0
-    for c, r in live:
-        x = c * t**r
-        val += x
-        tslope += r * x
-        mag += abs(x)
-        tmag += abs(r * x)
-    return val, tslope, mag, tmag
+    return power_sums(_eta_terms(ft), t)[1] / t
 
 
 def _eta_tilde_terms(ft: FiberTerms) -> list:
@@ -194,7 +177,7 @@ def eta_tilde(ft: FiberTerms, t: float) -> float:
     """The reduced map a t^{p-q1} - d t^{1-q1-kappa} (only the a and d terms)."""
     if t <= 0:
         raise ValueError("eta_tilde needs t > 0")
-    return power_value(_eta_tilde_terms(ft), t)
+    return power_sums(_eta_tilde_terms(ft), t)[0]
 
 
 def _xi_terms(ft: FiberTerms) -> list:
@@ -207,7 +190,7 @@ def xi(ft: FiberTerms, t: float) -> float:
     strictly increasing, and eta'(t) = 0 iff xi(t) = (q1+k-1) d."""
     if t <= 0:
         raise ValueError("xi needs t > 0")
-    return power_value(_xi_terms(ft), t)
+    return power_sums(_xi_terms(ft), t)[0]
 
 
 def t_tilde_circ(ft: FiberTerms) -> tuple[float, float]:
@@ -246,7 +229,7 @@ def t_circ(ft: FiberTerms) -> float:
     """
     rhs = (ft.q1 + ft.kappa - 1.0) * ft.d
     terms = _xi_terms(ft)
-    f = power_sum(terms + [(-rhs, 0.0)])  # xi - rhs
+    f = partial(power_sums, terms + [(-rhs, 0.0)])  # xi - rhs
     return hybrid_root(f, *power_bracket(terms, rhs), -rhs, math.inf, abs_tol=ROOT_TOL * rhs)
 
 
@@ -287,7 +270,7 @@ def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> Fiber
         raise ValueError(f"only must be None, 't1' or 't2', got {only!r}")
     tc = t_circ(ft)
     terms = _eta_terms(ft)
-    eta_max = power_value(terms, tc)
+    eta_max = power_sums(terms, tc)[0]
     le = lam * ft.e
     if not (math.isfinite(eta_max) and math.isfinite(le)):
         raise OverflowError(f"fiber_roots: eta(t_circ)={eta_max!r}, lam*e={le!r} not finite")
@@ -295,12 +278,11 @@ def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> Fiber
         return FiberRoots("tangent", None, None, tc, eta_max, le)
     if eta_max < le:
         return FiberRoots("none", None, None, tc, eta_max, le)
-    live = [(c, r) for c, r in terms if c != 0.0]
 
     def g(t: float) -> tuple[float, float]:
         """eta - lam*e (-inf at 0, -lam*e at inf) and its log-t slope; the
         value is 0 within eta's rounding, which ends ``hybrid_root`` there."""
-        val, tslope, mag, _ = _eta_sums(live, t)
+        val, tslope, mag, _ = power_sums(terms, t)
         return (0.0 if abs(val - le) <= 8.0 * _EPS * mag else val - le), tslope
 
     *abc, (_, rd) = terms
@@ -352,7 +334,7 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
     le = lam * ft.e
     if not (0.0 < le < math.inf and ft.d > 0.0 and 0.0 < probe < math.inf):
         return None
-    live = [(c, r) for c, r in _eta_terms(ft) if c != 0.0]
+    terms = _eta_terms(ft)
     rising = only == "t1"  # eta - lam*e rises through t1 and falls through t2
     side = 1.0 if rising else -1.0  # the sign of eta' on the branch
     clear = le * (1.0 + 2.0 * TANGENT_TOL)
@@ -360,7 +342,7 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
     def at(t: float) -> tuple[float, float, bool, bool]:
         """(eta(t), t eta'(t), the unsigned sum of eta's terms, whether eta'
         clearly has the branch's sign, whether eta(t) certifies two roots)."""
-        val, tslope, mag, tmag = _eta_sums(live, t)
+        val, tslope, mag, tmag = power_sums(terms, t)
         return val, tslope, mag, side * tslope > 4.0 * ROOT_TOL * tmag, val - 8.0 * _EPS * mag > clear
 
     t, lo, hi = 1.0, 0.0, math.inf  # lo and hi mark no sign yet

@@ -3,11 +3,14 @@ iteration in log t.
 
 Every scalar equation in the package (Luxemburg norms, the fiber maximizer,
 the fiber roots) is a sum of powers, strictly monotone on a known piece of
-t > 0.  Maps are callables ``f(t) -> (value, t f'(t))``, the slope in log t,
-which stays a float wherever the value's terms do; ``power_sum`` builds them
-for sums of powers.  ``power_bracket`` gives each root a finite bracket from
-the power sum's own terms, a Fujiwara-type bound (Tohoku Math. J. 10, 1916)
-for real exponents, computed in log t so that no power overflows.
+t > 0.  Maps are callables ``f(t) -> (value, t f'(t), ...)``, the slope in
+log t, which stays a float wherever the value's terms do.  ``power_sums`` is
+the one evaluator of a sum of powers: with the value and its log-t slope it
+gives their terms' unsigned sums, the scale of their rounding, and
+``partial(power_sums, terms)`` is the sum's map.  ``power_bracket`` gives
+each root a finite bracket from the power sum's own terms, a Fujiwara-type
+bound (Tohoku Math. J. 10, 1916) for real exponents, computed in log t so
+that no power overflows.
 ``hybrid_root`` is rtsafe (Press et al., Numerical Recipes, 9.4) in log t on
 such a bracket, from its geometric midpoint, and it never leaves the sign
 bracket.
@@ -17,9 +20,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_bracket", "power_sum", "power_value"]
+__all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_bracket", "power_sums"]
 
-Map = Callable[[float], "tuple[float, float]"]  # t -> (f(t), t f'(t))
+Map = Callable[[float], "tuple[float, ...]"]  # t -> (f(t), t f'(t), ...); later entries are unread
 BRACKET_STEPS = 200  # doublings or halvings ``expand_bracket`` tries
 ROOT_EVALS = 200     # evaluations ``hybrid_root`` makes before giving up
 
@@ -28,31 +31,21 @@ class BracketError(ArithmeticError):
     """No sign change was bracketed, or the iteration ran out (non-monotone or degenerate map)."""
 
 
-def power_sum(terms) -> Map:
-    """t -> (sum(c * t**r), its log-t slope sum(r * c * t**r)) over the (c, r)
-    pairs with c != 0; one power per term gives both, and the slope t f'(t)
-    leaves the floats only where a term does."""
-    live = [(c, r) for c, r in terms if c != 0.0]
-
-    def f(t: float) -> tuple[float, float]:
-        val = tslope = 0.0
-        for c, r in live:
-            x = c * t**r
-            val += x
-            tslope += r * x
-        return val, tslope
-
-    return f
-
-
-def power_value(terms, t: float) -> float:
-    """sum(c * t**r) over the (c, r) pairs with c != 0: the value of
-    ``power_sum(terms)(t)``, summed in the same order, without building the map."""
-    val = 0.0
+def power_sums(terms, t: float) -> tuple[float, float, float, float]:
+    """(sum(c t^r), its log-t slope sum(r c t^r), sum|c t^r|, sum|r c t^r|)
+    over the (c, r) pairs with c != 0, summed in the terms' order; one power
+    per term gives all four.  A zero term is skipped before its power is
+    formed, so a power that would overflow cannot raise there."""
+    val = tslope = mag = tmag = 0.0
     for c, r in terms:
         if c != 0.0:
-            val += c * t**r
-    return val
+            x = c * t**r
+            rx = r * x
+            val += x
+            tslope += rx
+            mag += abs(x)
+            tmag += abs(rx)
+    return val, tslope, mag, tmag
 
 
 def power_bracket(terms, rhs: float) -> tuple[float, float]:
@@ -96,7 +89,7 @@ def expand_bracket(f: Map) -> tuple[float, float, float, float]:
     """Bracket a sign change of ``f`` by geometric expansion from t = 1.
 
     No package code calls it: every root is bracketed by ``power_bracket``.
-    ``f(t)`` returns (value, slope); only the value is used.  Returns
+    ``f(t)`` returns (value, slope, ...); only the value is used.  Returns
     (lo, hi, f(lo), f(hi)) with f(lo) and f(hi) of opposite sign (one may
     be exactly zero).  Doubles t while f(t) > 0 and halves it otherwise,
     assuming f is decreasing; raises BracketError after BRACKET_STEPS
@@ -134,15 +127,16 @@ def hybrid_root(
 ) -> float:
     """Root of ``f`` between lo and hi to residual |f| <= abs_tol.
 
-    ``f(t)`` returns (value, t f'(t)).  The bracket is finite, 0 < lo < hi <
-    inf (``power_bracket`` gives one); flo and fhi carry the strict signs of
-    f at lo and hi, which must differ: f's values there, or any numbers of
-    the same signs, such as its limits at 0 and inf.  From the bracket's
-    midpoint, each pass takes the Newton step in log t when it lands inside
-    the bracket, is at most half the step before last and is no longer than
-    the bracket; otherwise it bisects, in log t while hi > 2 lo.  Returns
-    when the residual is met or the bracket reaches floating-point width;
-    raises BracketError after ROOT_EVALS evaluations.
+    ``f(t)`` returns (value, t f'(t), ...), and only those two entries are
+    read, so ``partial(power_sums, terms)`` is a map.  The bracket is finite,
+    0 < lo < hi < inf (``power_bracket`` gives one); flo and fhi carry the
+    strict signs of f at lo and hi, which must differ: f's values there, or
+    any numbers of the same signs, such as its limits at 0 and inf.  From
+    the bracket's midpoint, each pass takes the Newton step in log t when it
+    lands inside the bracket, is at most half the step before last and is
+    no longer than the bracket; otherwise it bisects, in log t while
+    hi > 2 lo.  Returns when the residual is met or the bracket reaches
+    floating-point width; raises BracketError after ROOT_EVALS evaluations.
     """
     if not (0.0 < lo < hi < math.inf and (flo > 0.0 > fhi or flo < 0.0 < fhi)):
         raise ValueError("hybrid_root requires 0 < lo < hi < inf and a sign-changing bracket")
@@ -150,7 +144,7 @@ def hybrid_root(
     t = _split(lo, hi)
     last = before = math.inf  # sizes of the last two steps, in log t
     for _ in range(ROOT_EVALS):
-        ft, dlog = f(t)
+        ft, dlog = f(t)[:2]
         if abs(ft) <= abs_tol:
             return t
         if (ft < 0) == rising:

@@ -21,12 +21,13 @@ breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .mesh import Mesh, centroid_rule, grid_grad_sq, hat_grad_power_sum
 from .problem import ProblemData
-from .rootfind import hybrid_root, power_bracket, power_sum
+from .rootfind import hybrid_root, power_bracket, power_sums
 # unused here, but the benchmark's tracer wraps ``space.expand_bracket`` by name
 from .rootfind import expand_bracket  # noqa: F401
 
@@ -159,7 +160,8 @@ def luxemburg_norm(terms) -> float:
     scaled = [(c, -r) for c, r in terms if c != 0.0]
     if not scaled:
         return 0.0
-    return hybrid_root(power_sum(scaled + [(-1.0, 0.0)]), *power_bracket(scaled, 1.0), np.inf, -1.0, abs_tol=LUX_TOL)
+    f = partial(power_sums, scaled + [(-1.0, 0.0)])  # rho(u/tau) - 1
+    return hybrid_root(f, *power_bracket(scaled, 1.0), np.inf, -1.0, abs_tol=LUX_TOL)
 
 
 def norm_custom(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> float:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from doublephase import SolverOptions, critical_exponents, validate_hypotheses
 from doublephase.cli import _KEYS, Config, ConfigError, load_config, main, run
+from doublephase.fibering import fiber_terms
 from doublephase.space import sample_fields
 from doublephase.sweep import lambda_tilde_from, sample_fibers
 
@@ -416,6 +417,33 @@ def test_fiber_command_writes_csv(tmp_path):
     lines = open(os.path.join(out_dir, "fiber.csv")).read().splitlines()
     assert lines[0] == "t,psi,dpsi,ddpsi,eta,eta_tilde"
     assert len(lines) == 202
+
+
+def test_fiber_command_rows_match_the_closed_forms(tmp_path):
+    # every row of fiber.csv: psi, psi', psi'', eta and eta_tilde at the row's
+    # t, written out from the fiber's five scalars a, b, c, d, e
+    cfg = write(tmp_path, MINIMAL)
+    out_dir = str(tmp_path / "out")
+    assert main(["fiber", "-c", cfg, "-o", out_dir, "-f", "x*y+0.3"]) == 0
+    config = load_config(cfg)
+    mesh, data = config.build_mesh(), config.problem()
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    ft = fiber_terms(mesh, data, x * y + 0.3, sample_fields(mesh, data))
+    a, b, c, d, e = ft.a, ft.b, ft.c, ft.d, ft.e
+    p, q, ps, q1, k, lam = data.p, data.q, data.p_lower_star, data.q1, data.kappa, config.lam
+    lines = open(os.path.join(out_dir, "fiber.csv")).read().splitlines()
+    assert lines[0] == "t,psi,dpsi,ddpsi,eta,eta_tilde" and len(lines) == 202
+    for line in lines[1:]:
+        t, *got = map(float, line.split(","))
+        want = (
+            a / p * t**p + b / q * t**q + c / ps * t**ps - d / (1 - k) * t ** (1 - k) - lam * e / q1 * t**q1,
+            a * t ** (p - 1) + b * t ** (q - 1) + c * t ** (ps - 1) - d * t**-k - lam * e * t ** (q1 - 1),
+            (p - 1) * a * t ** (p - 2) + (q - 1) * b * t ** (q - 2) + (ps - 1) * c * t ** (ps - 2)
+            + k * d * t ** (-k - 1) - (q1 - 1) * lam * e * t ** (q1 - 2),
+            a * t ** (p - q1) + b * t ** (q - q1) + c * t ** (ps - q1) - d * t ** (1 - q1 - k),
+            a * t ** (p - q1) - d * t ** (1 - q1 - k),
+        )
+        assert got == pytest.approx(want, rel=1e-12), t
 
 
 def test_solve_command_outputs(tmp_path):

@@ -1,11 +1,12 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublephase import rootfind
-from doublephase.rootfind import BracketError, expand_bracket, hybrid_root, power_bracket, power_sum, power_value
+from doublephase.rootfind import BracketError, expand_bracket, hybrid_root, power_bracket, power_sums
 
 
 def test_expand_bracket_decreasing_map():
@@ -20,29 +21,94 @@ def test_expand_bracket_constant_fails():
         expand_bracket(lambda t: (1.0, 0.0))
 
 
-def test_power_sum_value_and_slope():
-    # the slope is the one in log t, t f'(t)
-    f = power_sum([(2.0, -1.5), (0.0, 7.0), (-3.0, 2.0), (4.0, 0.0)])
+def test_power_sums_value_slope_and_magnitudes():
+    # the slope is the one in log t, t f'(t); the magnitudes sum the terms unsigned
+    f = partial(power_sums, [(2.0, -1.5), (0.0, 7.0), (-3.0, 2.0), (4.0, 0.0)])
     t, h = 1.7, 1e-6
-    val, slope = f(t)
+    val, slope, mag, tmag = f(t)
     assert val == pytest.approx(2.0 * t**-1.5 - 3.0 * t**2 + 4.0, rel=1e-15)
     assert slope == pytest.approx(t * (f(t + h)[0] - f(t - h)[0]) / (2 * h), rel=1e-8)
+    assert mag == pytest.approx(2.0 * t**-1.5 + 3.0 * t**2 + 4.0, rel=1e-15)
+    assert tmag == pytest.approx(3.0 * t**-1.5 + 6.0 * t**2, rel=1e-15)
 
 
-@settings(max_examples=200, deadline=None)
+# the four loops ``power_sums`` replaced, kept as its oracles
+def _old_power_sum_map(terms, t):
+    live = [(c, r) for c, r in terms if c != 0.0]
+    val = tslope = 0.0
+    for c, r in live:
+        x = c * t**r
+        val += x
+        tslope += r * x
+    return val, tslope
+
+
+def _old_power_value(terms, t):
+    val = 0.0
+    for c, r in terms:
+        if c != 0.0:
+            val += c * t**r
+    return val
+
+
+def _old_eta_sums(terms, t):
+    val = tslope = mag = tmag = 0.0
+    for c, r in [(c, r) for c, r in terms if c != 0.0]:
+        x = c * t**r
+        val += x
+        tslope += r * x
+        mag += abs(x)
+        tmag += abs(r * x)
+    return val, tslope, mag, tmag
+
+
+def _old_psi_with_magnitude(terms, t):
+    val = mag = 0.0
+    for c, r in terms:
+        if c != 0.0:
+            x = t**r
+            val += c * x
+            mag += abs(c) * x
+    return val, mag
+
+
+def _same(a, b):
+    """Bit for bit: equal floats, or both NaN."""
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b, strict=True))
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.floats(-10, 10), st.floats(-5, 5)), min_size=0, max_size=6
+        st.tuples(
+            st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e30, 1e30)),
+            st.one_of(st.floats(-6.0, 6.0), st.just(800.0)),
+        ),
+        min_size=0,
+        max_size=6,
     ),
-    st.floats(1e-3, 1e3),
+    st.one_of(st.floats(1e-3, 1e3), st.just(10.0)),
 )
-def test_power_value_is_bit_identical_to_power_sum(terms, t):
-    terms = [(c if abs(c) > 0.5 else 0.0, r) for c, r in terms]  # zero coefficients are skipped
-    assert power_value(terms, t) == power_sum(terms)(t)[0]
+@example([(0.0, 800.0)], 10.0)  # a zero term whose power overflows is skipped
+@example([(2.0, -1.5), (0.0, 800.0), (-3.0, 2.0), (4.0, 0.0)], 10.0)
+def test_power_sums_is_bit_identical_to_the_loops_it_replaced(terms, t):
+    # whatever the old loops raised, power_sums raises too (a live term whose
+    # power overflows); otherwise every sum is theirs bit for bit
+    try:
+        want = _old_eta_sums(terms, t)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            power_sums(terms, t)
+        return
+    got = power_sums(terms, t)
+    assert _same(got, want)
+    assert _same(got[:2], _old_power_sum_map(terms, t))
+    assert _same(got[:1], (_old_power_value(terms, t),))
+    assert _same(got[::2], _old_psi_with_magnitude(terms, t))
 
 
 def test_hybrid_root_meets_residual():
-    f = power_sum([(2.0, -1.5), (3.0, -3.0), (-1.0, 0.0)])
+    f = partial(power_sums, [(2.0, -1.5), (3.0, -3.0), (-1.0, 0.0)])
     lo, hi = power_bracket([(2.0, -1.5), (3.0, -3.0)], 1.0)
     root = hybrid_root(f, lo, hi, math.inf, -1.0, abs_tol=1e-13)
     assert abs(f(root)[0]) <= 1e-13
@@ -54,7 +120,7 @@ def test_hybrid_root_requires_sign_change():
 
 
 def test_hybrid_root_rejects_open_ends():
-    f = power_sum([(1.0, -1.0), (-1.0, 0.0)])
+    f = partial(power_sums, [(1.0, -1.0), (-1.0, 0.0)])
     for lo, hi in ((0.0, 2.0), (0.5, math.inf), (0.0, math.inf)):
         with pytest.raises(ValueError):
             hybrid_root(f, lo, hi, math.inf, -1.0, abs_tol=1e-12)
@@ -73,7 +139,7 @@ def test_hybrid_root_exhaustion_is_a_bracket_error(monkeypatch):
 
 def test_hybrid_root_midpoints_do_not_overflow():
     # a root near the top of the floats: lo + hi and lo * hi would overflow
-    g = power_sum([(1.0, 1.0), (-1.6e308, 0.0)])
+    g = partial(power_sums, [(1.0, 1.0), (-1.6e308, 0.0)])
     root = hybrid_root(g, 9e307, 1.7e308, -math.inf, math.inf, abs_tol=1e296)
     assert root == pytest.approx(1.6e308, rel=1e-12)
     never = lambda t: (1.0, 0.0)
@@ -87,7 +153,7 @@ def test_hybrid_root_regression_asymmetric_bracket():
     # drive the residual below an extreme tolerance anyway
     a, b, c, d = 0.447, 0.021, 0.6, 0.004
     le = 0.004221765665748017
-    g = power_sum([(a, -2.5), (b, -2.2), (c, -1.0), (-d, -3.5), (-le, 0.0)])
+    g = partial(power_sums, [(a, -2.5), (b, -2.2), (c, -1.0), (-d, -3.5), (-le, 0.0)])
     lo = 0.6299772302587968
     hi = lo
     while g(hi)[0] > 0:
@@ -100,7 +166,7 @@ def test_hybrid_root_one_sided_pieces():
     # the two monotone pieces around a maximizer, bracketed as ``fiber_roots``
     # brackets them, with the limits at 0 and inf as the outer signs
     # eta-like: rises to 1/27 - 0.01 at t = 3, then falls to -0.01
-    g = power_sum([(1.0, -2.0), (-2.0, -3.0), (-0.01, 0.0)])
+    g = partial(power_sums, [(1.0, -2.0), (-2.0, -3.0), (-0.01, 0.0)])
     tc = 3.0  # maximizer of t^-2 - 2 t^-3
     top = g(tc)[0]
     lo = power_bracket([(1.0, 1.0)], 2.0)[0]  # below the zero t = 2 of t^-2 - 2 t^-3
@@ -200,7 +266,7 @@ def test_power_bracket_contains_the_root(log_terms, sign, log_rhs):
         return
     assert _log_excess(terms, rhs, math.log(lo)) * sign < 0.0 < _log_excess(terms, rhs, math.log(hi)) * sign
     evals = []
-    f = power_sum(terms + [(-rhs, 0.0)])
+    f = partial(power_sums, terms + [(-rhs, 0.0)])
 
     def counted(t):
         evals.append(t)
