@@ -136,9 +136,10 @@ def apply_operator_A(mesh: Mesh, data: ProblemData, u, h, fields: FieldSamples) 
     return float(sum(terms[:3]) @ np.asarray(h, dtype=float))  # gradient + alpha_mass + beta_boundary
 
 
-def energy_gradient(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> np.ndarray:
+def energy_gradient(mesh: Mesh, data: ProblemData, u, lam, fields: FieldSamples) -> np.ndarray:
     """Nodal gradient (..., M) of the discrete energy at u (M,), or at each
-    lane of u (S, M).
+    lane of u (S, M), at the float ``lam`` or at each lane's lambda, the
+    column ``lam`` (S, 1); a row is the same bits either way.
 
     The singular term uses max(u_i, DEFAULT_FLOOR) inside u^(-kappa).
     """

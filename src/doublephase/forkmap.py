@@ -1,20 +1,19 @@
 """One ordered map over forked worker processes.
 
 ``_fork_map(func, items, died)`` is ``[func(item) for item in items]`` run
-on up to one worker per CPU the process may run on
-(``os.sched_getaffinity``, so ``taskset`` restricts it).  The workers are
-forked processes, except that a map with no ``stop`` and no more items than
-workers, which every solve and sampling map is, runs its last item in the
-calling process once the others are handed out: one fork fewer, and no
-worker start-up on that item's path.  The caller pins itself to the CPU
-that item's worker would have taken while it runs it, and restores its
-affinity set after.  The parent reads the results in item order, so every
-value and exception is exactly what one process would give.  Three kinds of
-map run on it:
+on one process per item: each item but the last on a worker forked for it
+alone, which exits once its result is written, and the last in the calling
+process, which pins itself to the CPU that item's worker would have taken
+while it runs it, and restores its affinity set after.  Every caller sizes
+its items by ``_width``: one per CPU the process may run on
+(``os.sched_getaffinity``, so ``taskset`` restricts it) at most.  The
+parent reads the results in item order, so every value and exception is
+exactly what one process would give.  Three kinds of map run on it:
 
-- the lambda* scan's grid points (``sweep._first_false``), which forks
-  whenever it has two CPUs and two grid points; it passes ``stop``, so
-  every grid point runs on a forked worker and the parent only reads;
+- the lambda* scan (``sweep._first_nonpositive``), which splits its grid
+  into contiguous chunks, one per CPU, whenever it has two CPUs and two
+  grid points; each chunk descends its grid points' minus starts as
+  lockstep batches, and the parent runs the last chunk;
 - the sweep's sampling (``sweep._map_chunks``: the sampled fibers and the
   Rayleigh candidates), which splits only when each worker gets at least
   ``sweep.FORK_MIN_NODES`` = 2^18 node evaluations (directions times mesh
@@ -41,10 +40,9 @@ map run on it:
 A timeline of 16x16 ``solve_two`` maps (``time.perf_counter`` in the parent
 and the worker, medians of 40 maps in each of two runs, one BLAS thread, 2
 vCPUs) places the map's own cost.  The parent forks the plus group's worker,
-hands it its item and closes its task pipe (``_Worker.finish``), pins
-itself, and starts the minus group 3.1 ms into the map (4.6-5.4 ms when the
-minus group ran on a second forked worker); the plus group starts at about
-3.3 ms.  The worker exits on its own once it has written its result, while
+pins itself, and starts the minus group 3.1 ms into the map (4.6-5.4 ms
+when the minus group ran on a second forked worker); the plus group starts
+at about 3.3 ms.  The worker exits on its own once it has written its result, while
 the parent is still busy, so after the minus group ends, reading the plus
 result and reaping its worker take 0.6 ms (4.7-4.9 ms to read, kill and
 reap two waiting workers).  The kernel may keep freshly forked workers on
@@ -56,8 +54,7 @@ parent, runs pinned to the k-th CPU of the caller's set.  A second CPU that othe
 processes contend moves every break-even point up.
 
 A map called inside a worker, or inside the parent's own item, runs
-in-process, so workers never fork workers of their own: the lambda* scan's
-workers solve their lanes in-process.  A worker that dies gives its item
+in-process, so workers never fork workers of their own.  A worker that dies gives its item
 ``died(item, exit status)`` in the parent; no worker outlives its map.
 """
 from __future__ import annotations
@@ -77,87 +74,56 @@ def _available_cpus() -> int:
 
 
 def _width(n_items: int) -> int:
-    """Workers a map over ``n_items`` items may fork: one per available CPU,
-    at most one per item, and none (1, in-process) inside a worker or
-    without ``os.fork``."""
+    """Processes a map over ``n_items`` items may run on: one per available
+    CPU, at most one per item, and 1 (in-process) inside a worker or
+    without ``os.fork``.  Every caller sizes its items by it."""
     return 1 if _in_worker or not hasattr(os, "fork") else min(_available_cpus(), n_items)
 
 
-def _fork_map(func, items, died, stop=None) -> list:
-    """``[func(item) for item in items]``, cut after the first value for
-    which ``stop`` is true; an exception ``func`` raises at an earlier item
-    propagates.
+def _fork_map(func, items, died) -> list:
+    """``[func(item) for item in items]``; an exception ``func`` raises at an
+    earlier item propagates.
 
     On one CPU, for one item, inside a worker, or without ``os.fork``, this
-    is that loop.  Otherwise min(CPUs, len(items)) workers each take the
-    first item not yet taken whenever they are free, and the parent reads
-    the results in item order, so the outcome, exceptions included, is the
-    loop's.  The workers are forked, except that a map without ``stop``
-    and with no more items than workers runs its last item in the parent
-    (``_run_as_worker``) once the others are handed out; each forked worker
-    then has its only item and exits once its result is written.  The value
-    of an item whose worker died is ``died(item, its exit status)``, called
-    in the parent in the item's turn (status None for an item left when
-    every worker had died).  However the map ends (its values, an
+    is that loop.  Otherwise each item but the last runs on a forked worker
+    of its own, which exits once its result is written, and the last runs in
+    the parent (``_run_as_worker``); the parent then reads the workers'
+    results in item order, so the outcome, exceptions included, is the
+    loop's.  The callers size their items by ``_width``, one per CPU at
+    most, and a map with more items than CPUs is refused.  The value of an
+    item whose worker died is ``died(item, its exit status)``, called in the
+    parent in the item's turn.  However the map ends (its values, an
     exception, a KeyboardInterrupt), every worker is killed and reaped
     before this returns.
     """
-    values = []
     width = _width(len(items))
     if width < 2:
-        for item in items:
-            values.append(func(item))
-            if stop is not None and stop(values[-1]):
-                break
-        return values
-
-    import select
-
-    workers = {}  # result pipe's read end -> _Worker
-    poller = select.poll()
-    done = {}     # item index -> (ok, func's value or exception), or (None, exit status) if its worker died
-    taken = 0     # items handed out so far
-    own = stop is None and len(items) <= width  # the parent runs the last item itself
+        return [func(item) for item in items]
+    if len(items) > width:
+        raise ValueError(f"a fork map takes at most one item per CPU: {len(items)} items on {width} CPUs")
+    workers = []
     try:
-        for _ in range(width - own):
-            worker = _Worker(func, items, workers.values())
-            workers[worker.results] = worker
-            poller.register(worker.results, select.POLLIN)
-            worker.give(taken)
-            taken += 1
-            if own:
-                worker.finish()
-        if own:
-            done[taken] = _run_as_worker(func, items[taken], taken)
-            taken += 1
-        for k, item in enumerate(items):
-            while k not in done and workers:
-                for fd, _ in poller.poll():
-                    worker = workers[fd]
-                    j, outcome = worker.receive()
-                    if outcome is None:  # the worker died
-                        poller.unregister(fd)
-                        del workers[fd]
-                        status = os.waitstatus_to_exitcode(worker.stop())
-                        if j is not None:
-                            done[j] = None, status
-                        continue
-                    done[j] = outcome
-                    if taken < len(items):
-                        worker.give(taken)
-                        taken += 1
-            ok, value = done.pop(k, (None, None))
-            if ok is None:
-                value = died(item, value)
-            elif not ok:
+        for k, item in enumerate(items[:-1]):
+            workers.append(_Worker(func, item, k, workers))
+        own = _run_as_worker(func, items[-1], len(workers))
+        values = []
+        for worker, item in zip(workers, items):
+            outcome = worker.receive()
+            if outcome is None:  # the worker died
+                values.append(died(item, os.waitstatus_to_exitcode(worker.stop())))
+                continue
+            ok, value = outcome
+            if not ok:
                 raise value
             values.append(value)
-            if stop is not None and stop(value):
-                break
-        return values
+        ok, value = own
+        if not ok:
+            raise value
+        return values + [value]
     finally:
-        for worker in workers.values():
-            worker.stop(kill=True)
+        for worker in workers:
+            if worker.pid is not None:
+                worker.stop(kill=True)
 
 
 def _pin(k: int):
@@ -194,61 +160,41 @@ def _run_as_worker(func, item, k: int) -> tuple:
 
 
 class _Worker:
-    """A forked process that runs ``func`` on the items it is given, one at a
-    time, and pipes back each result."""
+    """A forked process that runs ``func`` on its one item, pipes back the
+    result and exits."""
 
-    def __init__(self, func, items, others):
-        task_r, self.tasks = os.pipe()
+    def __init__(self, func, item, k: int, others):
         self.results, result_w = os.pipe()
-        self.index = None  # the item index in hand
         self.pid = os.fork()
         if self.pid == 0:
-            _serve(func, items, task_r, result_w, [self, *others])
-        os.close(task_r)
+            _serve(func, item, k, result_w, [self, *others])
         os.close(result_w)
 
-    def give(self, k: int):
-        self.index = k
-        try:
-            os.write(self.tasks, k.to_bytes(4, "little"))
-        except BrokenPipeError:
-            pass  # it died; receive() reports it
-
-    def finish(self):
-        """Close its task pipe: it exits once it has written the result of
-        the item in hand, while the parent is still busy, so ``stop`` finds
-        it gone and need not wait for its exit."""
-        os.close(self.tasks)
-        self.tasks = None
-
-    def receive(self) -> tuple:
-        """(index, (ok, result or exception)) of its next result, or
-        (index in hand or None, None) if it died."""
-        k, self.index = self.index, None
+    def receive(self):
+        """(ok, result or exception) of its item, or None if it died."""
         try:
             size = int.from_bytes(_read_exactly(self.results, 8), "little")
-            return k, pickle.loads(_read_exactly(self.results, size))
+            return pickle.loads(_read_exactly(self.results, size))
         except EOFError:
-            return k, None
+            return None
 
     def stop(self, kill: bool = False) -> int:
-        """Reap it (after SIGKILL if ``kill``) and close its pipes; its wait status."""
+        """Reap it (after SIGKILL if ``kill``) and close its pipe; its wait status."""
         if kill:
             import signal
 
             os.kill(self.pid, signal.SIGKILL)
         status = os.waitpid(self.pid, 0)[1]
-        if self.tasks is not None:
-            os.close(self.tasks)
         os.close(self.results)
+        self.pid = None
         return status
 
 
-def _serve(func, items, tasks: int, results: int, parents):
-    """A worker's life: read a 4-byte item index from ``tasks`` and write
-    the pickled (ok, ``func``'s result or exception) to ``results`` behind
-    its 8-byte length, until ``tasks`` closes; never returns.  ``parents``
-    are the workers whose parent-side pipe ends it inherited."""
+def _serve(func, item, k: int, results: int, parents):
+    """A worker's life as the map's k-th worker: write the pickled (ok,
+    ``func(item)`` or its exception) to ``results`` behind its 8-byte
+    length, then exit; never returns.  ``parents`` are the workers whose
+    parent-side pipe ends it inherited."""
     global _in_worker
     _in_worker = True
     status = 1
@@ -256,20 +202,17 @@ def _serve(func, items, tasks: int, results: int, parents):
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-        _pin(len(parents) - 1)
+        _pin(k)
         for w in parents:
-            if w.tasks is not None:
-                os.close(w.tasks)
             os.close(w.results)
-        while index := os.read(tasks, 4):
-            try:
-                out = True, func(items[int.from_bytes(index, "little")])
-            except Exception as exc:
-                out = False, exc
-            payload = pickle.dumps(out)
-            payload = len(payload).to_bytes(8, "little") + payload
-            while payload:
-                payload = payload[os.write(results, payload):]
+        try:
+            out = True, func(item)
+        except Exception as exc:
+            out = False, exc
+        payload = pickle.dumps(out)
+        payload = len(payload).to_bytes(8, "little") + payload
+        while payload:
+            payload = payload[os.write(results, payload):]
         status = 0
     finally:
         os._exit(status)

@@ -24,15 +24,20 @@ coercive, and at a constrained minimizer the full discrete weak form holds
 (the multiplier vanishes because psi'(1) = 0 there).  Multi-start over
 deterministic seeds guards against missing the branch minimum: the starts
 of both branches descend in lockstep as the lanes of (S, M) arrays, each
-lane on its own branch, so one gradient, one Riesz map, one L-BFGS product
-of the stacked pair store and one breakdown per line-search round serve
-them all.  A lane stops once its projected point comes within MERGE_TOL
-(relative lumped L2 distance) of a lower-energy running lane of its branch
+lane on its own branch and at its own lambda (the gradient takes a column
+of them; the lambda* scan descends several grid points' minus starts in
+one batch), so one gradient, one Riesz map, one L-BFGS product of the
+stacked pair store and one breakdown per line-search round serve them all.
+A lane stops once its projected point comes within MERGE_TOL (relative
+lumped L2 distance) of a lower-energy running lane of its branch and lambda
 (``StopReason.MERGED``), as multi-level single linkage stops a local
 search near a better point (Rinnooy Kan & Timmer, Math. Prog. 39, 1987):
 on the preset every start of a branch ends at one point, and the lanes meet
 long before they stop.  A lane that did not merge is its start's descent
-alone, bit for bit; a merged lane is that descent cut at its merge.  On
+alone, bit for bit; a merged lane is that descent cut at its merge.  The
+scan's batches also stop every lane at and above the lowest lambda where a
+projected point has energy <= 0 (``StopReason.CUT``): that point bounds
+the minus minimum there from above, so the scan needs no more.  On
 meshes of at least LANE_FORK_MIN_NODES nodes the lanes split into one group
 per branch, each a batch of its own: the plus group on a forked worker, the
 minus group in the calling process (``forkmap._fork_map``); a merge compares
@@ -99,7 +104,8 @@ class StopReason(enum.Enum):
     MAX_ITER = "max_iter"                            # ran all ``max_iter`` iterations
     ZERO_GRADIENT = "zero_gradient"                  # no descent along the free direction
     NON_FINITE = "non_finite"                        # the gradient or the direction overflowed
-    MERGED = "merged"                                # joined a lower-energy lane of its branch
+    MERGED = "merged"                                # joined a lower-energy lane of its branch and lambda
+    CUT = "cut"                                      # a lane at its lambda or below reached energy <= 0
 
 
 class NoRootError(ArithmeticError):
@@ -309,6 +315,7 @@ class _Lane:
 
     start: str
     branch: Branch
+    lam: float
     proj: _Projected
     best: _Projected
     best_resid: float = np.inf
@@ -319,16 +326,16 @@ class _Lane:
     merged_into: str = ""
 
 
-def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, branches, fields, warm) -> list:
+def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lams, branches, fields, warm) -> list:
     """``_project`` of each lane of w (S, M) onto its branch in ``branches``
-    from its point in ``warm`` (or None), with the terms of one batched
+    at its lambda in ``lams`` from its point in ``warm`` (or None), with the terms of one batched
     breakdown, or the lane's ArithmeticError.  Terms that are not finite are
     recomputed alone, under the caller's numpy error state: an overflow fails
     that lane, not the batch."""
     with np.errstate(all="ignore"):
         lane_terms = FiberTerms.lanes(modular_breakdown(mesh, data, w, fields), data)
     out = []
-    for wi, terms, branch, base in zip(w, lane_terms, branches, warm):
+    for wi, terms, lam, branch, base in zip(w, lane_terms, lams, branches, warm):
         try:
             out.append(_project(mesh, data, wi, lam, branch, fields, warm=base, terms=terms))
         except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
@@ -337,35 +344,41 @@ def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lam: float, bra
 
 
 def _descend(
-    mesh: Mesh, data: ProblemData, lam: float, branches, starts, fields: FieldSamples, opts: SolverOptions
+    mesh: Mesh, data: ProblemData, lams, branches, starts, fields: FieldSamples, opts: SolverOptions, cut: bool = False
 ) -> list:
     """Fiber-projected L-BFGS descents from the S (name, direction) pairs of
-    ``starts`` in lockstep, each on its own branch of ``branches``; each lane
-    keeps its own counters and stop reason, and drops out when it stops or
-    joins a lower-energy lane of its branch (``_merge``).  Returns, per
-    start, its ``SolveResult`` or the ArithmeticError that failed its first
-    projection or its result."""
+    ``starts`` in lockstep, each at its own lambda of ``lams`` on its own
+    branch of ``branches``; each lane keeps its own counters and stop
+    reason, and drops out when it stops or joins a lower-energy lane of its
+    branch and lambda (``_merge``).  With ``cut``, once a lane's projected
+    energy is <= 0, every running lane at its lambda or above stops
+    (``_cut``).  Returns, per start, its ``SolveResult`` or the
+    ArithmeticError that failed its first projection or its result."""
     riesz = riesz_map(mesh)
     names, inits = zip(*starts)
     w = np.maximum(np.asarray(inits, dtype=float), 0.0)
     if not w.any(axis=-1).all():
         raise ValueError("initial direction must be nonnegative and nonzero")
     outcomes = [
-        _Lane(name, branch, p, p) if isinstance(p, _Projected) else p
-        for name, branch, p in zip(
-            names, branches, _project_lanes(mesh, data, w, lam, branches, fields, [None] * len(w))
+        _Lane(name, branch, lam, p, p) if isinstance(p, _Projected) else p
+        for name, lam, branch, p in zip(
+            names, lams, branches, _project_lanes(mesh, data, w, lams, branches, fields, [None] * len(w))
         )
     ]
     lanes = [lane for lane in outcomes if isinstance(lane, _Lane)]
+    if cut:
+        _cut(lanes)
+        lanes = [lane for lane in lanes if lane.reason is None]
     memory, prev = _LBFGS(len(lanes), mesh.num_nodes), None  # prev: the last (u, g, P^-1 g)
     u = np.stack([lane.proj.u for lane in lanes]) if lanes else None
+    lam_col = np.array([[lane.lam] for lane in lanes])  # the gradient's lambda per lane
     links = _pairs(lanes)
 
     for iteration in range(1, opts.max_iter + 1):
         if not lanes:
             break
         with np.errstate(all="ignore"):
-            g = energy_gradient(mesh, data, u, lam, fields)
+            g = energy_gradient(mesh, data, u, lam_col, fields)
             pg = riesz(g)
             resid = np.max(np.abs(g) / fields.hat_norm, axis=-1).tolist()
             if prev is not None:
@@ -401,34 +414,52 @@ def _descend(
                 trial_w = np.maximum(base - sigma * step, STEP_CLIP * base)
             searching = [lanes[i] for i in search]
             trials = _project_lanes(
-                mesh, data, trial_w, lam, [lane.branch for lane in searching], fields, [lane.proj for lane in searching]
+                mesh, data, trial_w, [lane.lam for lane in searching], [lane.branch for lane in searching], fields,
+                [lane.proj for lane in searching],
             )
             search = [i for i, trial in zip(search, trials) if not _accept(lanes[i], trial, sigma * gd[i], opts)]
         for i in search:
             lanes[i].reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
         u = np.stack([lane.proj.u for lane in lanes])
+        if cut:
+            _cut(lanes)
         _merge(mesh, lanes, u, links)
         running = [lane.reason is None for lane in lanes]
         if not all(running):
             memory.keep(running)
             prev = tuple(x[running] for x in prev)
             lanes = [lane for lane, run in zip(lanes, running) if run]
-            u, links = u[running], _pairs(lanes)
+            u, lam_col, links = u[running], lam_col[running], _pairs(lanes)
     for lane in lanes:
         lane.reason = StopReason.MAX_ITER
-    return [_result(mesh, data, lam, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
+    return [_result(mesh, data, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
+
+
+def _cut(lanes: list) -> None:
+    """Stop with StopReason.CUT every running lane at or above the lowest
+    lambda at which a lane's projected point has energy <= 0.  A minus point
+    bounds the minus branch's minimum at its lambda from above, so that
+    point alone shows that this minimum is not positive there."""
+    lowest = min((lane.lam for lane in lanes if lane.proj.energy <= 0.0), default=math.inf)
+    for lane in lanes:
+        if lane.reason is None and lane.lam >= lowest:
+            lane.reason = StopReason.CUT
 
 
 def _pairs(lanes: list) -> tuple:
-    """The index pairs (a, b), a < b in lane order, of lanes of one branch,
-    as a list and as the two index arrays ``_merge`` gathers with."""
-    pairs = [(a, b) for a, b in itertools.combinations(range(len(lanes)), 2) if lanes[a].branch is lanes[b].branch]
+    """The index pairs (a, b), a < b in lane order, of lanes of one branch
+    and one lambda, as a list and as the two index arrays ``_merge`` gathers
+    with."""
+    pairs = [
+        (a, b) for a, b in itertools.combinations(range(len(lanes)), 2)
+        if lanes[a].branch is lanes[b].branch and lanes[a].lam == lanes[b].lam
+    ]
     return pairs, *np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
 def _merge(mesh: Mesh, lanes: list, u: np.ndarray, links: tuple) -> None:
     """Stop each running lane whose projected point (its row of ``u``) lies
-    within MERGE_TOL of another running lane's of its branch, in the lumped
+    within MERGE_TOL of another running lane's of its branch and lambda, in the lumped
     L2 distance relative to the smaller of their norms: of the two, the one
     with the higher energy (on a tie, the later lane) stops with
     StopReason.MERGED and names the other in ``merged_into``.  ``links`` is
@@ -476,18 +507,19 @@ def _accept(lane: _Lane, trial, decrease: float, opts: SolverOptions) -> bool:
     return True
 
 
-def _result(mesh, data, lam, lane: _Lane, fields, opts: SolverOptions) -> SolveResult:
-    """The ``SolveResult`` of a stopped lane, at its best point, or the
-    ArithmeticError that classifying that point raised (a far projected
-    point's squared gradients can overflow where its energy does not)."""
+def _result(mesh, data, lane: _Lane, fields, opts: SolverOptions) -> SolveResult:
+    """The ``SolveResult`` of a stopped lane, at its best point at its
+    lambda, or the ArithmeticError that classifying that point raised (a far
+    projected point's squared gradients can overflow where its energy does
+    not)."""
     u = lane.best.u
     floor_activations = int(np.sum(u < DEFAULT_FLOOR))
     positive = bool(np.min(u) > 0.0)
-    # an overflowed lane has no residual, nor does a merged one: it is not converged by definition
-    checked = positive and lane.reason not in (StopReason.NON_FINITE, StopReason.MERGED)
+    # an overflowed lane has no residual, nor does a merged or cut one: it is not converged by definition
+    checked = positive and lane.reason not in (StopReason.NON_FINITE, StopReason.MERGED, StopReason.CUT)
     try:
-        nehari = classify_nehari(mesh, data, u, lam, fields)
-        residual = weak_residual(mesh, data, u, lam, fields) if checked else None
+        nehari = classify_nehari(mesh, data, u, lane.lam, fields)
+        residual = weak_residual(mesh, data, u, lane.lam, fields) if checked else None
     except ArithmeticError as exc:
         return exc
     converged = (
@@ -526,7 +558,7 @@ def minimize_on_branch(
     residual bound (not computed after an overflow).  An ArithmeticError of
     the first projection or of the result propagates.
     """
-    (out,) = _descend(mesh, data, lam, [branch], [("", init)], fields, opts or SolverOptions())
+    (out,) = _descend(mesh, data, [lam], [branch], [("", init)], fields, opts or SolverOptions())
     if isinstance(out, ArithmeticError):
         raise out
     return out
@@ -595,7 +627,8 @@ def _solve_branches(
     groups = [(b,) for b in branches] if fork else [tuple(branches)]
 
     def descend(group) -> list:
-        return _descend(mesh, data, lam, [b for b in group for _ in starts], starts * len(group), fields, opts)
+        lane_branches = [b for b in group for _ in starts]
+        return _descend(mesh, data, [lam] * len(lane_branches), lane_branches, starts * len(group), fields, opts)
 
     outcomes = [out for outs in _fork_map(descend, groups, lambda group, status: descend(group)) for out in outs]
     per_branch = []

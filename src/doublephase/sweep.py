@@ -21,22 +21,30 @@ us at 8x8, 13 against 60 us at 16x16, 60 against 89 us at 32x32, 170
 against 205 us at 64x64); from 128x128 on a block is one direction.  The scalar roots stay per direction,
 in sample order.
 
-The lambda* scan and the sampling maps (``sample_fibers``, the Rayleigh
-quotients of ``estimate_sobolev_constant``) run on ``forkmap._fork_map``:
-up to as many workers as the process may run on, whose results are read in
-item order, so every value and exception is exactly what one process would
-give.  The scan forks whenever it has two CPUs and two grid points, and
-it stops at its first non-positive point, so every grid point runs on a
-forked worker; its workers solve their lanes in-process.  A
-sampling map splits only when each worker gets at least FORK_MIN_NODES
-node evaluations (directions times mesh nodes), so from 64x64 on at 200
-samples (see ``forkmap`` for the measured break-even), and then its last
-chunk runs in the calling process and the others on forked workers.  A
-worker that dies makes its lambda undetermined; a sampling worker's chunk
-is recomputed in-process, so its output does not change.  The bisection
-after the scan, and the polishing of the best Rayleigh candidate, run in
-the calling process, and so do a bisection solve's lanes, which are one
-branch's and so one in-process batch (``solver._solve_branches``).
+The lambda* scan splits its grid into contiguous chunks, one per CPU the
+process may run on, on ``forkmap._fork_map``: the last chunk runs in the
+calling process and the others on forked workers, whose results are read
+in chunk order, so every value and exception is exactly what one process
+would give.  A chunk descends its grid points' minus starts as the lanes of
+lockstep batches (``_scan``): a lane merges only with a lane of its own
+lambda, so each grid point that no cut reached gets its ``solve_branch``
+results bit for bit, and a lane whose projected energy is <= 0 decides its
+lambda (``_decide``'s bound), stops every lane at that lambda and above
+(the cut), and ends the chunk.  At one CPU and one BLAS thread, the five
+default grid points' separate minus solves took 134 ms against 79 ms for
+one batch at 8x8, and 274 against 170 ms at 16x16 (medians of 15).  The bisection after the scan runs
+its one-lambda batches in the calling process.  A worker that dies makes
+its chunk's first lambda undetermined.
+
+The sampling maps (``sample_fibers``, the Rayleigh quotients of
+``estimate_sobolev_constant``) run on the same map, up to one worker per
+CPU, but a sampling map splits only when each worker gets at least
+FORK_MIN_NODES node evaluations (directions times mesh nodes), so from
+64x64 on at 200 samples (see ``forkmap`` for the measured break-even), and
+then its last chunk runs in the calling process and the others on forked
+workers; a sampling worker that dies has its chunk recomputed in-process,
+so its output does not change.  The polishing of the best Rayleigh
+candidate runs in the calling process.
 """
 from __future__ import annotations
 
@@ -52,7 +60,8 @@ from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
 from .forkmap import _fork_map, _width
 from .mesh import Mesh
 from .problem import ProblemData
-from .solver import Branch, NoRootError, SolverOptions, StopReason, multistart_directions, solve_branch
+from . import solver
+from .solver import Branch, NoRootError, SolverOptions, SolveResult, StopReason, multistart_directions
 # unused here, but the benchmark's tracer wraps ``sweep.minimize_on_branch`` by name
 from .solver import minimize_on_branch  # noqa: F401
 from .space import FieldSamples, lane_dot, lebesgue_norm, modular_breakdown
@@ -258,26 +267,35 @@ def check_nzero_empty(
     return nzero_evidence(sample_fibers(mesh, data, n_samples, seed, fields), lam)
 
 
-def _minus_branch_positive(mesh, data, lam, fields, opts) -> bool:
-    """Whether the Minus-branch minimum at ``lam`` is positive, over the
-    starts of ``solve_branch``:
+def _decide(lam: float, starts, outcomes) -> bool:
+    """Whether the Minus-branch minimum at ``lam`` is positive, from the
+    ``outcomes`` (``SolveResult`` or ArithmeticError) of the minus
+    ``starts`` at ``lam``, in start order.  The first rule that applies
+    decides:
 
-    - some start failed numerically (any ArithmeticError but NoRootError):
-      SweepUndetermined, naming the first such start in start order;
-    - no start reaches the branch: False;
-    - some start that did not merge did not converge: SweepUndetermined,
-      naming the first such start in start order;
-    - otherwise: whether the lowest energy is > 0.
+    - the bound: some start's energy is <= 0: False.  Its point lies on the
+      minus branch, whose minimum is at most that point's energy, so it
+      alone decides, whatever the other starts did;
+    - undetermined: some start failed numerically (any ArithmeticError but
+      NoRootError), or some start that did not merge did not converge:
+      SweepUndetermined, naming the first such start in start order, the
+      numerical failures first;
+    - unreachable: no start reaches the branch: False;
+    - positive: every start's energy is > 0: True.
 
     A merged start (``StopReason.MERGED``) stopped early by design, so it
-    counts neither way: its chain of merges ends at a start of the same call
-    that did not merge, and that start's own outcome decides.
+    counts neither way: its chain of merges ends at a start of the same
+    batch and lambda that did not merge, and that start's own outcome
+    decides.  A cut start (``StopReason.CUT``) stopped at or above a lambda
+    that the bound decides; ``_scan`` decides no lambda above that one.
     """
-    results, failures = solve_branch(mesh, data, lam, Branch.MINUS, fields, opts)
+    results = [out for out in outcomes if isinstance(out, SolveResult)]
+    if any(res.energy <= 0.0 for res in results):
+        return False
     undetermined = [
-        f"failed numerically from start {name!r} ({type(exc).__name__}): {exc}"
-        for name, exc in failures
-        if not isinstance(exc, NoRootError)
+        f"failed numerically from start {name!r} ({type(out).__name__}): {out}"
+        for (name, _), out in zip(starts, outcomes)
+        if isinstance(out, ArithmeticError) and not isinstance(out, NoRootError)
     ] + [
         f"did not converge from start {res.start!r}"
         for res in results
@@ -285,7 +303,38 @@ def _minus_branch_positive(mesh, data, lam, fields, opts) -> bool:
     ]
     if undetermined:
         raise SweepUndetermined(lam, "minus branch " + undetermined[0])
-    return bool(results) and min(res.energy for res in results) > 0.0
+    return bool(results) and all(res.energy > 0.0 for res in results)
+
+
+def _scan(mesh: Mesh, data: ProblemData, lams, fields: FieldSamples, opts: SolverOptions) -> list:
+    """``_decide`` of each lambda of the ascending ``lams`` in turn, up to
+    the first that is not positive: True, False, or the SweepUndetermined
+    it raised, as a value.
+
+    The lambdas' minus starts descend as the lanes of lockstep batches with
+    the cut (``solver._descend``), each batch holding as many whole lambdas
+    as fit in BLOCK_NODES lane-node values, one at least (33 at 8x8, 9 at
+    16x16, 2 at 32x32, one from 64x64 on).  A lambda's starts merge only
+    with each other, so each lambda that no cut reached has its
+    ``solve_branch`` results bit for bit; a cut stops only lambdas from the
+    first the bound decides on, and the batches after it are skipped."""
+    starts = multistart_directions(mesh, opts.seed)
+    per_batch = max(1, BLOCK_NODES // (mesh.num_nodes * len(starts)))
+    decided = []
+    for lo in range(0, len(lams), per_batch):
+        batch = lams[lo:lo + per_batch]
+        outcomes = solver._descend(
+            mesh, data, [lam for lam in batch for _ in starts], [Branch.MINUS] * (len(batch) * len(starts)),
+            starts * len(batch), fields, opts, cut=True,
+        )
+        for k, lam in enumerate(batch):
+            try:
+                decided.append(_decide(lam, starts, outcomes[k * len(starts):(k + 1) * len(starts)]))
+            except SweepUndetermined as exc:
+                decided.append(exc)
+            if decided[-1] is not True:
+                return decided
+    return decided
 
 
 def estimate_lambda_star(
@@ -297,16 +346,18 @@ def estimate_lambda_star(
 ) -> float:
     """Largest lambda with all-positive Minus-branch energies.
 
-    Scans the ascending grid until the first non-positive (or unreachable)
-    lambda, then bisects between the last positive and first non-positive
-    grid points for LAMBDA_STAR_BISECTIONS steps.  Returns the top of the
-    grid if every grid point is positive, and only then, since a bisection
-    stays below its upper grid point: that value is a lower bound only.  A
-    lambda is undetermined where a minus start fails numerically, or where
-    a start that did not merge into another start's lane does not converge
-    (``_minus_branch_positive``).
-    The grid points run on up to one forked worker per available CPU
-    (``_first_false``), the bisection in-process.
+    Scans the ascending grid up to the first lambda that is not positive,
+    then bisects between the last positive and first non-positive grid
+    points for LAMBDA_STAR_BISECTIONS steps.  Returns the top of the grid if
+    every grid point is positive, and only then, since a bisection stays
+    below its upper grid point: that value is a lower bound only.  Each
+    lambda, grid or bisection, is decided by the first of ``_decide``'s
+    rules that applies: the bound (a minus point with energy <= 0 makes it
+    not positive, and stops its lambda's descent and every higher one's),
+    undetermined (a minus start failed numerically, or a start that did not
+    merge into another start's lane did not converge: SweepUndetermined),
+    unreachable (not positive), or positive.  The grid runs in contiguous
+    chunks, one per CPU (``_first_nonpositive``), the bisection in-process.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:
@@ -316,7 +367,7 @@ def estimate_lambda_star(
     if opts is None:
         opts = SolverOptions()
 
-    k = _first_false(lambda lam: _minus_branch_positive(mesh, data, lam, fields, opts), grid)
+    k = _first_nonpositive(mesh, data, grid, fields, opts)
     if k == 0:
         raise ValueError(f"minus-branch energy not positive at the smallest grid point {grid[0]}")
     if k == len(grid):
@@ -325,23 +376,36 @@ def estimate_lambda_star(
     lo, hi = grid[k - 1], grid[k]
     for _ in range(LAMBDA_STAR_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if _minus_branch_positive(mesh, data, mid, fields, opts):
+        if _first_nonpositive(mesh, data, [mid], fields, opts):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _first_false(test, grid) -> int:
-    """Index of the first lambda of ``grid`` where ``test`` is false
-    (len(grid) if none); an exception ``test`` raises at an earlier lambda
-    propagates.  A lambda whose worker died is undetermined."""
+def _first_nonpositive(mesh: Mesh, data: ProblemData, grid: list, fields: FieldSamples, opts: SolverOptions) -> int:
+    """Index of the first lambda of ``grid`` whose minimum is not positive
+    (len(grid) if none); the SweepUndetermined of an earlier lambda is
+    raised.  The grid splits into contiguous chunks, one per CPU
+    (``forkmap._width``; one, in-process, for one lambda), each scanned by
+    ``_scan`` on ``_fork_map``, which runs the last chunk in this process.
+    A chunk ends at its first lambda that is not positive, so the chunks'
+    values joined in order are the ascending scan's up to the first of
+    them.  A chunk whose worker died makes its first lambda undetermined."""
+    width = _width(len(grid))
+    bounds = [len(grid) * i // width for i in range(width + 1)]
 
-    def died(lam, status):
-        raise SweepUndetermined(lam, f"its worker died (exit status {status})")
+    def died(chunk, status):
+        return [SweepUndetermined(chunk[0], f"its worker died (exit status {status})")]
 
-    values = _fork_map(test, grid, died, stop=lambda positive: not positive)
-    return len(values) - 1 if not values[-1] else len(grid)
+    chunks = [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    scanned = _fork_map(lambda chunk: _scan(mesh, data, chunk, fields, opts), chunks, died)
+    for k, positive in enumerate(value for chunk in scanned for value in chunk):
+        if isinstance(positive, SweepUndetermined):
+            raise positive
+        if not positive:
+            return k
+    return len(grid)
 
 
 def _chunks(n_items: int, mesh: Mesh) -> list:

@@ -157,9 +157,9 @@ def test_the_parents_item_restores_its_affinity(outcome, one_cpu, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "waitid"), reason="no os.fork or os.waitid")
 def test_a_worker_with_its_only_item_exits_on_its_own(monkeypatch):
-    # its task pipe closes once the item is handed over, so it exits after
-    # writing the result while the parent runs its own item, and the parent
-    # reaps an exited worker instead of killing a waiting one
+    # it gets its one item at its fork, so it exits after writing the result
+    # while the parent runs its own item, and the parent reaps an exited
+    # worker instead of killing a waiting one
     statuses = []
     stop = forkmap._Worker.stop
 
@@ -184,10 +184,10 @@ def test_a_worker_with_its_only_item_exits_on_its_own(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_map_with_stop_forks_every_item(monkeypatch):
-    # a map that may stop early forks one worker per CPU and runs no item in
-    # the parent, which only reads the answers
+def test_a_map_with_more_items_than_cpus_is_refused(monkeypatch):
+    # one process per item: the callers size their items by _width, and a
+    # map that would put two items' processes on one CPU forks none
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    pids = forkmap._fork_map(lambda item: os.getpid(), [0, 1], died=None, stop=lambda pid: False)
-    assert len(set(pids)) == 2 and os.getpid() not in pids
+    with pytest.raises(ValueError, match="^a fork map takes at most one item per CPU: 3 items on 2 CPUs$"):
+        forkmap._fork_map(lambda item: item, [0, 1, 2], died=None)
     assert_no_child_left()

@@ -538,10 +538,12 @@ def test_far_finite_root_whose_energy_overflows_is_named():
     # the first minus projection of ``bump`` and ``bump_perturbed`` has a
     # finite root t2 near 1e17, but t2^q1 leaves the floats: under raising
     # numpy errors, as in the CLI, the failure names the branch, the root and
-    # the overflow of psi(t); it stays a numerical failure, so the lambda*
-    # scan calls that lambda undetermined
+    # the overflow of psi(t); it stays a numerical failure.  The lambda* scan
+    # does not call that lambda undetermined: ``ones_perturbed`` converges
+    # on the minus branch at energy -8.45, and that bound decides first that
+    # the minus minimum is not positive
     from doublephase import ProblemData
-    from doublephase.sweep import SweepUndetermined, estimate_lambda_star
+    from doublephase.sweep import estimate_lambda_star
 
     lam = 0.04514085617007927
     data = ProblemData(
@@ -552,7 +554,7 @@ def test_far_finite_root_whose_energy_overflows_is_named():
     fields = sample_fields(mesh, data)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         report = solve_two(mesh, data, lam, fields)
-        with pytest.raises(SweepUndetermined, match="from start 'bump' .*OverflowError.*leaves the float range"):
+        with pytest.raises(ValueError, match="^minus-branch energy not positive at the smallest grid point"):
             estimate_lambda_star(mesh, data, [lam], fields)
     assert report.plus_failures == ()
     assert [entry.split(": ", 1)[0] for entry in report.minus_failures] == ["bump", "bump_perturbed"]
@@ -701,14 +703,14 @@ def test_every_16x16_start_converges_over_seven_seeds(mesh16, preset_data, field
 def test_merge_stops_the_higher_energy_lane_of_a_close_pair(mesh4):
     # the relative distance of u and (1 + e) u is e; pairs go in lane order,
     # so ``a`` joins ``b`` and then ``b`` joins the lower ``f``; a tie stops
-    # the later lane; lanes of two branches, far lanes and a lane that has
-    # already stopped (``g``) take part in no merge
+    # the later lane; lanes of two branches or two lambdas (``h``), far lanes
+    # and a lane that has already stopped (``g``) take part in no merge
     tol = solver.MERGE_TOL
     u = np.ones(mesh4.num_nodes)
 
-    def lane(name, branch, scale, energy, reason=None):
+    def lane(name, branch, scale, energy, reason=None, lam=0.1):
         point = solver._Projected(u=scale * u, energy=energy, magnitude=abs(energy), tc=1.0)
-        return solver._Lane(name, branch, point, point, reason=reason)
+        return solver._Lane(name, branch, lam, point, point, reason=reason)
 
     lanes = [
         lane("a", Branch.PLUS, 1.0, 2.0),
@@ -718,6 +720,7 @@ def test_merge_stops_the_higher_energy_lane_of_a_close_pair(mesh4):
         lane("e", Branch.MINUS, 1.0 + 0.5 * tol, 0.0),
         lane("f", Branch.PLUS, 1.0 - 0.4 * tol, 0.5),
         lane("g", Branch.PLUS, 1.0, -1.0, StopReason.RESIDUAL_TOL),
+        lane("h", Branch.PLUS, 1.0, -2.0, lam=0.2),
     ]
     solver._merge(mesh4, lanes, np.stack([x.proj.u for x in lanes]), solver._pairs(lanes))
     assert [(x.reason, x.merged_into) for x in lanes] == [
@@ -728,6 +731,7 @@ def test_merge_stops_the_higher_energy_lane_of_a_close_pair(mesh4):
         (StopReason.MERGED, "c"),
         (None, ""),
         (StopReason.RESIDUAL_TOL, ""),
+        (None, ""),
     ]
 
 
@@ -743,7 +747,7 @@ def test_merging_keeps_the_corner_bumps_distinct_critical_points(preset_data):
     starts = multistart_directions(mesh, seed=0)
     x, y = mesh.nodes.T
     corners = [(f"corner_{cx}{cy}", np.exp(-8.0 * ((x - cx) ** 2 + (y - cy) ** 2))) for cx, cy in ((0, 0), (0, 1))]
-    out = solver._descend(mesh, preset_data, 0.2, [Branch.MINUS] * 8, starts + corners, fields, SolverOptions())
+    out = solver._descend(mesh, preset_data, [0.2] * 8, [Branch.MINUS] * 8, starts + corners, fields, SolverOptions())
     six = {res.start for res in out[:6]}
     six_min = min(res.energy for res in out[:6])
     assert all(res.merged_into in six | {""} for res in out[:6])

@@ -1,6 +1,7 @@
 import os
 import pickle
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def width(request, monkeypatch):
     [
         ([0.2, 0.5], 0.5),  # every grid point positive
         ([1.0, 2.0], 1.875),  # the flip bracketed, then bisected
-        ([1.0, 2.0, 4.0], 1.875),  # stops at 2.0 while a worker solves 4.0
+        ([1.0, 2.0, 4.0], 1.875),  # 2.0 decides, and cuts 4.0 where they share a batch
         ([2.0, 4.0], (ValueError, "minus-branch energy not positive at the smallest grid point 2.0")),
     ],
 )
@@ -214,6 +215,90 @@ def test_lambda_star_scan_at_any_width_on_the_8x8_sweep(width, preset_data):
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_lambda_star_on_a_grid_past_the_flip_is_decided_by_the_bound(width, n, preset_data):
+    # at 6.4 every minus start that reaches the branch ends on
+    # line_search_exhausted at a negative energy: no start converges, but a
+    # minus point with energy <= 0 bounds the branch's minimum, so 6.4 is not
+    # positive, and the bisection from 0.8 ends at 1.5
+    from doublephase import build_rect_mesh
+
+    mesh = build_rect_mesh(n, n)
+    fields = sample_fields(mesh, preset_data)
+    assert estimate_lambda_star(mesh, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8, 6.4), fields) == 1.5
+    assert_no_child_left()
+
+
+def result_key(res) -> tuple:
+    """A ``SolveResult`` as comparable values: its nodal array's bytes and
+    the repr of the rest (exact for floats)."""
+    return res.u.tobytes(), repr(replace(res, u=None))
+
+
+def recording_batches(monkeypatch) -> list:
+    """Record each ``_descend`` call's (lambdas, outcomes), and check that
+    every pair of lanes ``_merge`` may join has one branch and one lambda."""
+    batches = []
+    descend, merge = solver._descend, solver._merge
+
+    def recording(mesh, data, lams, *args, **kwargs):
+        batches.append((list(lams), descend(mesh, data, lams, *args, **kwargs)))
+        return batches[-1][1]
+
+    def checked(mesh, lanes, u, links):
+        for a, b in links[0]:
+            assert (lanes[a].branch, lanes[a].lam) == (lanes[b].branch, lanes[b].lam)
+        return merge(mesh, lanes, u, links)
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    monkeypatch.setattr(solver, "_merge", checked)
+    return batches
+
+
+def test_a_multi_lambda_batch_gives_each_lambda_its_solve_branch_results(monkeypatch, preset_data):
+    # the 8x8 default grid at one CPU is one chunk, and its 30 minus lanes
+    # descend as one batch; no lane there reaches energy <= 0, so no cut
+    # fires, and each lambda's six results are its own solve_branch's, bit
+    # for bit, merges included
+    from doublephase import build_rect_mesh
+
+    mesh = build_rect_mesh(8, 8)
+    fields = sample_fields(mesh, preset_data)
+    grid = (0.05, 0.1, 0.2, 0.4, 0.8)
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
+    batches = recording_batches(monkeypatch)
+    assert estimate_lambda_star(mesh, preset_data, grid, fields) == 0.8
+    ((lams, outcomes),) = batches
+    assert lams == [lam for lam in grid for _ in range(6)]
+    merges = 0
+    for k, lam in enumerate(grid):
+        own, failures = solve_branch(mesh, preset_data, lam, Branch.MINUS, fields)
+        assert failures == ()
+        assert [result_key(res) for res in outcomes[6 * k:6 * (k + 1)]] == [result_key(res) for res in own], lam
+        merges += sum(res.stop_reason is StopReason.MERGED for res in own)
+    assert merges > 0
+
+
+def test_a_cut_leaves_the_lambdas_below_it_bit_for_bit(monkeypatch, preset_data):
+    # on 8x8 the minus minimum is positive at 1.0 and negative at 2.0: in one
+    # batch over (1.0, 2.0, 4.0) a lane at 2.0 reaches energy <= 0 and stops
+    # every lane at 2.0 and 4.0, while the lanes at 1.0 run on to their
+    # solve_branch results, bit for bit
+    from doublephase import build_rect_mesh
+
+    mesh = build_rect_mesh(8, 8)
+    fields = sample_fields(mesh, preset_data)
+    batches = recording_batches(monkeypatch)
+    assert sweep._scan(mesh, preset_data, [1.0, 2.0, 4.0], fields, SolverOptions()) == [True, False]
+    ((lams, outcomes),) = batches
+    own, _ = solve_branch(mesh, preset_data, 1.0, Branch.MINUS, fields)
+    assert [result_key(res) for res in outcomes[:6]] == [result_key(res) for res in own]
+    cut = outcomes[6:]
+    assert all(res.stop_reason is StopReason.CUT or res.energy <= 0.0 for res in cut)
+    assert any(res.energy <= 0.0 for res in cut[:6])
+    assert all(res.stop_reason is StopReason.CUT and not res.converged and res.residual is None for res in cut[6:])
+
+
 def test_lambda_star_scan_at_any_width_names_the_same_unconverged_start(width, mesh4, preset_data, fields4):
     got = scan_outcome(mesh4, preset_data, [0.2, 0.5], fields4, SolverOptions(max_iter=1))
     assert got == (SweepUndetermined, "undetermined at lambda=0.2: minus branch did not converge from start 'ones'")
@@ -230,10 +315,12 @@ def test_lambda_star_scan_at_any_width_names_the_same_failed_start(width, monkey
 
 
 def test_lambda_star_grid_points_run_in_workers(width, monkeypatch, mesh4, preset_data, fields4):
-    def solved_where(mesh, data, lam, fields, opts):
-        raise SweepUndetermined(lam, f"solved in process {os.getpid()}")
+    # at two CPUs the grid splits into the chunks [0.2], on a forked worker,
+    # and [0.5], in this process; at one CPU it is one chunk, in-process
+    def solved_where(mesh, data, lams, *args, **kwargs):
+        raise SweepUndetermined(lams[0], f"solved in process {os.getpid()}")
 
-    monkeypatch.setattr(sweep, "_minus_branch_positive", solved_where)
+    monkeypatch.setattr(solver, "_descend", solved_where)
     with pytest.raises(SweepUndetermined) as info:
         estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
     assert info.value.lam == 0.2
@@ -243,52 +330,57 @@ def test_lambda_star_grid_points_run_in_workers(width, monkeypatch, mesh4, prese
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_lambda_star_workers_solve_their_lanes_in_process(monkeypatch, tmp_path, mesh4, preset_data, fields4):
-    # a solve inside a scan worker would fork its lanes above the threshold;
-    # a map inside a worker runs in-process instead, so each grid lambda's
-    # lanes descend in one call in its worker's process
+    # at two CPUs the grid splits into the chunks [0.2] and [0.5, 0.8]: the
+    # first on a forked worker, the last in this process, and each chunk's
+    # lanes, six minus starts per lambda, descend in one batch in that
+    # chunk's process, which forks no worker of its own
     log = tmp_path / "descents"
     descend = solver._descend
 
-    def recording(mesh, data, lam, *args):
+    def recording(mesh, data, lams, *args, **kwargs):
         with open(log, "a") as fh:
-            fh.write(f"{lam!r} {os.getpid()}\n")
-        return descend(mesh, data, lam, *args)
+            fh.write(f"{os.getpid()} {' '.join(map(repr, lams))}\n")
+        return descend(mesh, data, lams, *args, **kwargs)
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "LANE_FORK_MIN_NODES", 1)
     monkeypatch.setattr(solver, "_descend", recording)
-    assert estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4) == 0.5
-    calls = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(lam for lam, _ in calls) == ["0.2", "0.5"]
-    assert str(os.getpid()) not in {pid for _, pid in calls}
+    assert estimate_lambda_star(mesh4, preset_data, [0.2, 0.5, 0.8], fields4) == 0.8
+    calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    parent = str(os.getpid())
+    assert sorted((pid == parent, lams) for pid, lams in calls) == [
+        (False, " ".join(["0.2"] * 6)),
+        (True, " ".join(["0.5"] * 6 + ["0.8"] * 6)),
+    ]
     assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_lambda_star_scan_names_a_dead_worker_and_leaves_no_process(monkeypatch, mesh4, preset_data, fields4):
+    # the worker holds the chunk [0.2, 0.5]; its death makes the chunk's
+    # first lambda undetermined, while this process scans [0.8, 1.0]
     parent = os.getpid()
-    positive = sweep._minus_branch_positive
+    descend = solver._descend
 
-    def dying(mesh, data, lam, fields, opts):
-        if lam == 0.5 and os.getpid() != parent:
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
             os._exit(3)
-        return positive(mesh, data, lam, fields, opts)
+        return descend(*args, **kwargs)
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(sweep, "_minus_branch_positive", dying)
+    monkeypatch.setattr(solver, "_descend", dying)
     with raising_after(60, TimeoutError("the scan hung on a dead worker")):
-        with pytest.raises(SweepUndetermined, match=r"^undetermined at lambda=0.5: its worker died \(exit status 3\)$"):
-            estimate_lambda_star(mesh4, preset_data, [0.2, 0.5, 0.8], fields4)
+        with pytest.raises(SweepUndetermined, match=r"^undetermined at lambda=0.2: its worker died \(exit status 3\)$"):
+            estimate_lambda_star(mesh4, preset_data, [0.2, 0.5, 0.8, 1.0], fields4)
     assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_interrupted_lambda_star_scan_leaves_no_process(monkeypatch, mesh4, preset_data, fields4):
-    def stuck(mesh, data, lam, fields, opts):
+    def stuck(*args, **kwargs):
         time.sleep(60)
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(sweep, "_minus_branch_positive", stuck)
+    monkeypatch.setattr(solver, "_descend", stuck)
     with raising_after(0.2, KeyboardInterrupt()):
         with pytest.raises(KeyboardInterrupt):
             estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
