@@ -38,10 +38,11 @@ alone, bit for bit; a merged lane is that descent cut at its merge.  The
 scan's batches also stop every lane at and above the lowest lambda where a
 projected point has energy <= 0 (``StopReason.CUT``): that point bounds
 the minus minimum there from above, so the scan needs no more.  On
-meshes of at least LANE_FORK_MIN_NODES nodes the lanes split into one group
-per branch, each a batch of its own: the plus group on a forked worker, the
-minus group in the calling process (``forkmap._fork_map``); a merge compares
-lanes of one branch only, so the split changes no bit of any result.
+meshes of at least LANE_FORK_MIN_NODES nodes ``forkmap._fork_map`` cuts the
+branches into one group each, a batch of its own (below that its cap is one
+group): the plus group on a forked worker, the minus group in the calling
+process; a merge compares lanes of one branch only, so the split changes no
+bit of any result.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ from .fibering import (
     psi_with_magnitude,
     warm_branch_root,
 )
-from .forkmap import _fork_map, _width
+from .forkmap import _fork_map
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
 from .space import FieldSamples, lane_dot, modular_breakdown
@@ -611,26 +612,26 @@ def _solve_branches(
     them as the lanes of lockstep batches.
 
     A lane joins only a lower-energy lane of its own branch (``_merge``),
-    so the lanes split one group per branch: on a mesh of at least
-    LANE_FORK_MIN_NODES nodes, with two CPUs available and outside a worker
-    (``forkmap._width``), each branch's group descends as one batch of its
-    own (``forkmap._fork_map``): the first on a forked worker, the last, in
-    ``solve_two`` the minus group, the longer one, in this process.
+    so ``forkmap._fork_map`` may cut ``branches`` into groups, one per CPU
+    and at most one per branch, capped at one group below
+    LANE_FORK_MIN_NODES mesh nodes: with two CPUs each branch's group
+    descends as one batch of its own, the first on a forked worker, the
+    last, in ``solve_two`` the minus group, the longer one, in this process.
     Otherwise, and for one branch, all lanes descend in-process as one
-    batch.  A group whose worker dies is descended again in-process.  The outcomes come back in
-    start order, bit for bit the same however the lanes are grouped, and a
-    lane that did not merge is bit for bit its start's one-lane descent."""
+    batch.  A group whose worker dies is descended again in-process.  The
+    outcomes come back in start order, bit for bit the same however the
+    lanes are grouped, and a lane that did not merge is bit for bit its
+    start's one-lane descent."""
     if opts is None:
         opts = SolverOptions()
     starts = multistart_directions(mesh, opts.seed)
-    fork = mesh.num_nodes >= LANE_FORK_MIN_NODES and _width(len(branches)) > 1
-    groups = [(b,) for b in branches] if fork else [tuple(branches)]
 
     def descend(group) -> list:
         lane_branches = [b for b in group for _ in starts]
         return _descend(mesh, data, [lam] * len(lane_branches), lane_branches, starts * len(group), fields, opts)
 
-    outcomes = [out for outs in _fork_map(descend, groups, lambda group, status: descend(group)) for out in outs]
+    most = 1 if mesh.num_nodes < LANE_FORK_MIN_NODES else None
+    outcomes = _fork_map(descend, branches, lambda group, status: descend(group), most=most)
     per_branch = []
     for k in range(len(branches)):
         outs = outcomes[k * len(starts):(k + 1) * len(starts)]

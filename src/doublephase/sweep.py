@@ -21,11 +21,11 @@ us at 8x8, 13 against 60 us at 16x16, 60 against 89 us at 32x32, 170
 against 205 us at 64x64); from 128x128 on a block is one direction.  The scalar roots stay per direction,
 in sample order.
 
-The lambda* scan splits its grid into contiguous chunks, one per CPU the
-process may run on, on ``forkmap._fork_map``: the last chunk runs in the
-calling process and the others on forked workers, whose results are read
-in chunk order, so every value and exception is exactly what one process
-would give.  A chunk descends its grid points' minus starts as the lanes of
+The lambda* scan runs on ``forkmap._fork_map``, which cuts its grid into
+contiguous chunks, one per CPU the process may run on: the last chunk runs
+in the calling process and the others on forked workers, whose results are
+read in chunk order, so every value and exception is exactly what one
+process would give.  A chunk descends its grid points' minus starts as the lanes of
 lockstep batches (``_scan``): a lane merges only with a lane of its own
 lambda, so each grid point that no cut reached gets its ``solve_branch``
 results bit for bit, and a lane whose projected energy is <= 0 decides its
@@ -37,13 +37,14 @@ its one-lambda batches in the calling process.  A worker that dies makes
 its chunk's first lambda undetermined.
 
 The sampling maps (``sample_fibers``, the Rayleigh quotients of
-``estimate_sobolev_constant``) run on the same map, up to one worker per
-CPU, but a sampling map splits only when each worker gets at least
-FORK_MIN_NODES node evaluations (directions times mesh nodes), so from
-64x64 on at 200 samples (see ``forkmap`` for the measured break-even), and
-then its last chunk runs in the calling process and the others on forked
-workers; a sampling worker that dies has its chunk recomputed in-process,
-so its output does not change.  The polishing of the best Rayleigh
+``estimate_sobolev_constant``) run on the same map over the directions'
+indices, up to one worker per CPU, but capped at n*M // FORK_MIN_NODES
+chunks for n directions on M nodes, so that each worker gets at least
+FORK_MIN_NODES node evaluations: a sampling map splits from 64x64 on at
+200 samples (see ``forkmap`` for the measured break-even), and then its
+last chunk runs in the calling process and the others on forked workers;
+a sampling worker that dies has its chunk recomputed in-process, so its
+output does not change.  The polishing of the best Rayleigh
 candidate runs in the calling process.
 """
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 
 from .energy import gradient_flux
 from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
-from .forkmap import _fork_map, _width
+from .forkmap import _fork_map
 from .mesh import Mesh
 from .problem import ProblemData
 from . import solver
@@ -151,13 +152,11 @@ class SweepReport:
     seed: int
 
 
-def sample_directions(mesh: Mesh, n_samples: int, seed: int, start: int = 0):
+def sample_directions(mesh: Mesh, n_samples: int, seed: int):
     """Deterministic nonnegative sample directions: iid uniform nodal values
     from a seeded generator, one stream for the whole batch, yielded as the
-    rows of ``_direction_blocks``.  ``start`` skips the stream's first
-    ``start`` directions, so the directions are those from index ``start``
-    on of the stream ``start`` = 0 gives."""
-    for block in _direction_blocks(mesh, n_samples, seed, start):
+    rows of ``_direction_blocks``."""
+    for block in _direction_blocks(mesh, n_samples, seed, 0):
         yield from block
 
 
@@ -192,17 +191,19 @@ def sample_fibers(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fiel
     """One ``SampledFiber`` per direction of ``sample_directions``: the table
     every sampled estimate reduces.
 
-    The directions run in chunks (``_map_chunks``), each drawing its own
-    directions from its offset in the stream, in blocks (``_fiber_block``)."""
+    The directions' indices run in chunks on ``_fork_map``, capped so each
+    worker gets FORK_MIN_NODES node evaluations; each chunk draws its own
+    directions from its offset in the stream, in blocks (``_fiber_block``),
+    and a chunk whose worker died is recomputed in-process."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
 
-    def fibers(chunk) -> list:
-        lo, hi = chunk
-        blocks = _direction_blocks(mesh, hi - lo, seed, lo)
+    def fibers(chunk: range) -> list:
+        blocks = _direction_blocks(mesh, len(chunk), seed, chunk.start)
         return [f for block in blocks for f in _fiber_block(mesh, data, block, fields)]
 
-    return tuple(_map_chunks(fibers, n_samples, mesh))
+    most = n_samples * mesh.num_nodes // FORK_MIN_NODES
+    return tuple(_fork_map(fibers, range(n_samples), lambda chunk, status: fibers(chunk), most=most))
 
 
 def _fiber_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
@@ -386,43 +387,23 @@ def estimate_lambda_star(
 def _first_nonpositive(mesh: Mesh, data: ProblemData, grid: list, fields: FieldSamples, opts: SolverOptions) -> int:
     """Index of the first lambda of ``grid`` whose minimum is not positive
     (len(grid) if none); the SweepUndetermined of an earlier lambda is
-    raised.  The grid splits into contiguous chunks, one per CPU
-    (``forkmap._width``; one, in-process, for one lambda), each scanned by
-    ``_scan`` on ``_fork_map``, which runs the last chunk in this process.
-    A chunk ends at its first lambda that is not positive, so the chunks'
-    values joined in order are the ascending scan's up to the first of
-    them.  A chunk whose worker died makes its first lambda undetermined."""
-    width = _width(len(grid))
-    bounds = [len(grid) * i // width for i in range(width + 1)]
+    raised.  ``_fork_map`` cuts the grid into contiguous chunks, one per CPU
+    with no cap (one, in-process, for one lambda), each scanned by
+    ``_scan``; the last chunk runs in this process.  A chunk ends at its
+    first lambda that is not positive, so the chunks' values joined in
+    order are the ascending scan's up to the first of them.  A chunk whose
+    worker died makes its first lambda undetermined."""
 
     def died(chunk, status):
         return [SweepUndetermined(chunk[0], f"its worker died (exit status {status})")]
 
-    chunks = [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    scanned = _fork_map(lambda chunk: _scan(mesh, data, chunk, fields, opts), chunks, died)
-    for k, positive in enumerate(value for chunk in scanned for value in chunk):
+    scanned = _fork_map(lambda chunk: _scan(mesh, data, chunk, fields, opts), grid, died)
+    for k, positive in enumerate(scanned):
         if isinstance(positive, SweepUndetermined):
             raise positive
         if not positive:
             return k
     return len(grid)
-
-
-def _chunks(n_items: int, mesh: Mesh) -> list:
-    """Contiguous (lo, hi) ranges of ``n_items`` directions, one per sampling
-    worker: one per available CPU, but no more than leaves each at least
-    FORK_MIN_NODES node evaluations, so one range, in-process, below that."""
-    width = max(1, min(_width(n_items), n_items * mesh.num_nodes // FORK_MIN_NODES))
-    bounds = [n_items * i // width for i in range(width + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _map_chunks(func, n_items: int, mesh: Mesh) -> list:
-    """``func``'s lists over ``_chunks(n_items, mesh)``, joined in order, from
-    ``_fork_map``, which runs the last chunk in this process; a chunk whose
-    worker died is recomputed in-process."""
-    chunks = _fork_map(func, _chunks(n_items, mesh), lambda chunk, status: func(chunk))
-    return [value for chunk in chunks for value in chunk]
 
 
 def _rayleigh_quotient(mesh, data, u, fields) -> tuple[float, float]:
@@ -484,9 +465,9 @@ def estimate_sobolev_constant(mesh: Mesh, data: ProblemData, n_samples: int, see
     steps polishing the best candidate.  The running minimum never
     increases.
 
-    The candidates' quotients run in chunks (``_map_chunks``), like
-    ``sample_fibers``, and only the index of the first strict minimum is
-    kept: its direction is drawn again for the polish, in-process."""
+    The candidates' quotients run in chunks on ``_fork_map``, with
+    ``sample_fibers``'s cap, and only the index of the first strict minimum
+    is kept: its direction is drawn again for the polish, in-process."""
     starts = [w for _, w in multistart_directions(mesh, seed)]
 
     def candidates(lo: int, hi: int):
@@ -497,11 +478,13 @@ def estimate_sobolev_constant(mesh: Mesh, data: ProblemData, n_samples: int, see
         first = max(lo - len(starts), 0)
         yield from _direction_blocks(mesh, max(hi - len(starts), 0) - first, seed, first)
 
-    def quotients(chunk) -> list:
-        return [q for block in candidates(*chunk) for q in _quotient_block(mesh, data, block, fields)]
+    def quotients(chunk: range) -> list:
+        return [q for block in candidates(chunk.start, chunk.stop) for q in _quotient_block(mesh, data, block, fields)]
 
+    n = len(starts) + n_samples
+    most = n * mesh.num_nodes // FORK_MIN_NODES
     best, val, num = None, np.inf, None
-    for i, q in enumerate(_map_chunks(quotients, len(starts) + n_samples, mesh)):
+    for i, q in enumerate(_fork_map(quotients, range(n), lambda chunk, status: quotients(chunk), most=most)):
         if q is not None and q[0] < val:
             best, (val, num) = i, q
 

@@ -49,7 +49,7 @@ def test_every_package_exception_class_is_sent_below():
 def test_every_package_exception_crosses_a_worker_pipe(monkeypatch, exc):
     # the worker pickles the exception and the parent rebuilds it, so each
     # class must survive the round trip with its message and attributes
-    def raising(item):
+    def raising(chunk):
         raise exc
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
@@ -66,15 +66,17 @@ AFFINITY = pytest.mark.skipif(
 )
 
 
-def where(item):
-    """(process id, CPU affinity set) of the process running ``item``."""
-    return os.getpid(), os.sched_getaffinity(0)
+def where(chunk):
+    """(process id, CPU affinity set) of the process running ``chunk``, once
+    per item."""
+    return [(os.getpid(), os.sched_getaffinity(0)) for _ in chunk]
 
 
 @AFFINITY
 def test_each_worker_runs_on_its_own_cpu(monkeypatch):
-    # the first items go to the workers in the order they were forked; the
-    # last item runs in the parent, pinned where its worker would run
+    # three items on three CPUs are three chunks of one: the first go to the
+    # workers in the order they were forked; the last runs in the parent,
+    # pinned where its worker would run
     cpus = sorted(os.sched_getaffinity(0))
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
     got = forkmap._fork_map(where, [0, 1, 2], died=None)
@@ -90,9 +92,9 @@ def test_each_worker_runs_on_its_own_cpu(monkeypatch):
 def test_an_earlier_workers_exception_wins_over_the_parents(monkeypatch):
     ran_here = []
 
-    def raising(item):
-        ran_here.append(item)  # a worker's append stays in the worker
-        raise ValueError(f"item {item}")
+    def raising(chunk):
+        ran_here.extend(chunk)  # a worker's append stays in the worker
+        raise ValueError(f"item {chunk[0]}")
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     with pytest.raises(ValueError, match="^item 0$"):
@@ -103,8 +105,8 @@ def test_an_earlier_workers_exception_wins_over_the_parents(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_map_inside_the_parents_item_runs_in_process(monkeypatch):
-    def nested(item):
-        return forkmap._fork_map(lambda inner: os.getpid(), [0, 1], died=None)
+    def nested(chunk):
+        return [forkmap._fork_map(lambda inner: [os.getpid() for _ in inner], [0, 1], died=None)]
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     first, last = forkmap._fork_map(nested, [0, 1], died=None)
@@ -116,14 +118,15 @@ def test_a_map_inside_the_parents_item_runs_in_process(monkeypatch):
 
 
 def parents_item(outcome):
-    """An item function whose last item, the parent's, ends by ``outcome``:
-    'value' returns its affinity set, anything else is raised."""
+    """A chunk function for two chunks of one item whose last, the parent's,
+    ends by ``outcome``: 'value' returns its affinity set, anything else is
+    raised."""
 
-    def func(item):
-        if item == 0:
-            return None
+    def func(chunk):
+        if chunk == [0]:
+            return [None]
         if outcome == "value":
-            return os.sched_getaffinity(0)
+            return [os.sched_getaffinity(0)]
         raise outcome
 
     return func
@@ -168,13 +171,13 @@ def test_a_worker_with_its_only_item_exits_on_its_own(monkeypatch):
         statuses.append(os.waitstatus_to_exitcode(status))
         return status
 
-    def func(item):
-        if item == 1:  # the parent's item: wait until the worker has exited, unreaped
+    def func(chunk):
+        if chunk == [1]:  # the parent's chunk: wait until the worker has exited, unreaped
             deadline = time.monotonic() + 10
             while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
                 assert time.monotonic() < deadline, "the worker did not exit"
                 time.sleep(0.001)
-        return item
+        return chunk
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(forkmap._Worker, "stop", recording)
@@ -184,10 +187,15 @@ def test_a_worker_with_its_only_item_exits_on_its_own(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_map_with_more_items_than_cpus_is_refused(monkeypatch):
-    # one process per item: the callers size their items by _width, and a
-    # map that would put two items' processes on one CPU forks none
-    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    with pytest.raises(ValueError, match="^a fork map takes at most one item per CPU: 3 items on 2 CPUs$"):
-        forkmap._fork_map(lambda item: item, [0, 1, 2], died=None)
+def test_a_map_with_more_items_than_cpus_runs_them_in_contiguous_chunks(monkeypatch):
+    # the map cuts its items itself: one chunk per CPU, the last, the
+    # parent's, the longest; ``most`` caps the chunks, and one chunk is
+    # ``func(items)`` in-process
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
+    items = list(range(7))
+    assert forkmap._fork_map(lambda chunk: [chunk], items, died=None) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert forkmap._fork_map(lambda chunk: [x * x for x in chunk], items, died=None) == [x * x for x in items]
+    assert forkmap._fork_map(lambda chunk: [chunk], range(7), died=None, most=2) == [range(0, 3), range(3, 7)]
+    parent = os.getpid()
+    assert forkmap._fork_map(lambda chunk: [(os.getpid(), chunk)], items, died=None, most=1) == [(parent, items)]
     assert_no_child_left()

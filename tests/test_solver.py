@@ -512,6 +512,33 @@ def test_interrupted_lane_groups_leave_no_process(monkeypatch, mesh4, preset_dat
     assert_no_child_left()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="no os.fork or /proc")
+def test_a_failed_fork_runs_its_chunk_in_the_caller(monkeypatch, mesh16, preset_data, fields16):
+    # os.fork raising (EAGAIN when the process table is full) closes both
+    # ends of the chunk's pipe and runs the chunk in the caller, in its turn:
+    # no process starts, no descriptor leaks, and the outcome is the loop's
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
+    want = report_key(solve_two(mesh16, preset_data, LAM, fields16))
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    parent = os.getpid()
+    got = forkmap._fork_map(lambda chunk: [(os.getpid(), x * x) for x in chunk], range(7), died=None)
+    assert got == [(parent, x * x) for x in range(7)]
+    assert len(forks) == 2
+    assert report_key(solve_two(mesh16, preset_data, LAM, fields16)) == want
+    assert len(forks) == 3  # the plus group's fork
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert not forkmap._in_worker
+    assert_no_child_left()
+
+
 def test_far_minus_roots_are_bracketed():
     # with q1 - q = 0.026 the first projection of the minus starts ``bump``
     # and ``bump_perturbed`` has t2 near 1e60, beyond any doubling walk from
@@ -768,19 +795,45 @@ def test_minus_ramp_start_converges(mesh16, preset_data, fields16):
     assert res.stop_reason is StopReason.RESIDUAL_TOL
 
 
+def refined_energies(data, branch, aspect) -> list:
+    """The branch energy from ``ones`` on n*aspect x n cells of the unit
+    square, n = 16, 32, 64."""
+    energies = []
+    for n in (16, 32, 64):
+        mesh = build_rect_mesh(aspect * n, n)
+        fields = sample_fields(mesh, data)
+        res = minimize_on_branch(mesh, data, LAM, branch, np.ones(mesh.num_nodes), fields)
+        assert res.converged, n
+        energies.append(res.energy)
+    return energies
+
+
+def richardson_limit(energies) -> float:
+    """The O(h^2) Richardson extrapolation of the two finest energies."""
+    return energies[2] + (energies[2] - energies[1]) / 3.0
+
+
 @pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
 def test_branch_energy_converges_at_second_order(preset_data, branch):
     # P1 elements with lumped and centroid quadrature: the energy error is
     # O(h^2), so successive differences shrink by ~4 per refinement
-    energies = []
-    for n in (16, 32, 64):
-        mesh = build_rect_mesh(n, n)
-        fields = sample_fields(mesh, preset_data)
-        res = minimize_on_branch(mesh, preset_data, LAM, branch, np.ones(mesh.num_nodes), fields)
-        assert res.converged, n
-        energies.append(res.energy)
+    energies = refined_energies(preset_data, branch, 1)
     ratio = (energies[1] - energies[0]) / (energies[2] - energies[1])
     assert 3.0 <= ratio <= 5.0, energies
+
+
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+def test_branch_energy_converges_alike_on_non_square_cells(preset_data, branch):
+    # cells with hx = h/2 and hy = h converge at the same order, and to the
+    # same continuum energy: the Richardson limits from the two finest meshes
+    # agree with the square cells' to 3.7e-9 (plus) and 8.2e-6 (minus)
+    # relative, well inside 2e-5.  A mis-scaled boundary or mass term that
+    # each mesh's own reference would reproduce fails here
+    energies = refined_energies(preset_data, branch, 2)
+    ratio = (energies[1] - energies[0]) / (energies[2] - energies[1])
+    assert 3.0 <= ratio <= 5.0, energies
+    square = richardson_limit(refined_energies(preset_data, branch, 1))
+    assert richardson_limit(energies) == pytest.approx(square, rel=2e-5, abs=0.0)
 
 
 def test_descent_iteration_budget(preset_data):

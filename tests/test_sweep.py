@@ -389,12 +389,13 @@ def test_interrupted_lambda_star_scan_leaves_no_process(monkeypatch, mesh4, pres
 
 @pytest.mark.parametrize("mesh_name", ["mesh2", "mesh4"])
 def test_sample_directions_from_start_are_the_streams_tail(mesh_name, request):
-    # sample_directions skips by advancing the generator one step per double
-    # of Generator.random; a numpy change to that rule fails here
+    # a sampling chunk's blocks skip to its start by advancing the generator
+    # one step per double of Generator.random; a numpy change to that rule
+    # fails here
     mesh = request.getfixturevalue(mesh_name)
     for k in (0, 1, 2, 5):
         tail = list(sample_directions(mesh, 4 + k, seed=9))[k:]
-        got = list(sample_directions(mesh, 4, seed=9, start=k))
+        got = [u for block in sweep._direction_blocks(mesh, 4, 9, k) for u in block]
         assert len(got) == 4 and all(np.array_equal(a, b) for a, b in zip(got, tail)), k
 
 
@@ -412,18 +413,43 @@ def sampling_at_width(monkeypatch, width):
     monkeypatch.setattr(sweep, "FORK_MIN_NODES", 1)
 
 
-def test_sampling_maps_fork_only_above_the_node_threshold(monkeypatch, mesh16):
+def recording_maps(monkeypatch) -> list:
+    """Record each of sweep's fork maps as (the chunks the map hands to its
+    function, in order, from a worker too, the map's joined values)."""
+    maps = []
+    fork_map = sweep._fork_map
+
+    def recording(func, items, died, **kwargs):
+        pairs = fork_map(
+            lambda chunk: [(chunk, func(chunk))], items, lambda chunk, status: [(chunk, died(chunk, status))], **kwargs
+        )
+        maps.append(([chunk for chunk, _ in pairs], [value for _, values in pairs for value in values]))
+        return maps[-1][1]
+
+    monkeypatch.setattr(sweep, "_fork_map", recording)
+    return maps
+
+
+def test_sampling_maps_fork_only_above_the_node_threshold(monkeypatch, mesh16, preset_data):
     from doublephase import build_rect_mesh
 
+    def sampled_chunks(mesh, n_samples):
+        maps.clear()
+        sweep.sample_fibers(mesh, preset_data, n_samples, 0, sample_fields(mesh, preset_data))
+        [(chunks, _)] = maps
+        return chunks
+
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
+    maps = recording_maps(monkeypatch)
     # 200 samples: in-process up to 32x32 (M = 1089), on two workers from 64x64
-    assert sweep._chunks(200, mesh16) == [(0, 200)]
-    assert sweep._chunks(200, build_rect_mesh(32, 32)) == [(0, 200)]
-    assert sweep._chunks(200, build_rect_mesh(64, 64)) == [(0, 100), (100, 200)]
+    assert sampled_chunks(mesh16, 200) == [range(0, 200)]
+    assert sampled_chunks(build_rect_mesh(32, 32), 200) == [range(0, 200)]
+    assert sampled_chunks(build_rect_mesh(64, 64), 200) == [range(0, 100), range(100, 200)]
     monkeypatch.setattr(sweep, "FORK_MIN_NODES", 1)
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
-    assert sweep._chunks(2, mesh16) == [(0, 1), (1, 2)]
-    assert sweep._chunks(7, mesh16) == [(0, 2), (2, 4), (4, 7)]
+    assert sampled_chunks(mesh16, 2) == [range(0, 1), range(1, 2)]
+    assert sampled_chunks(mesh16, 7) == [range(0, 2), range(2, 4), range(4, 7)]
+    assert_no_child_left()
 
 
 def sampling_in_blocks(monkeypatch, mesh, per_block):
@@ -446,8 +472,9 @@ def test_sampling_at_any_width_is_the_sequential_loops(
     loop = tuple(sweep._sampled_fiber(fiber_terms(mesh, d, u, fields)) for u in sample_directions(mesh, n_samples, 3))
 
     sampling_at_width(monkeypatch, workers)
-    assert len(sweep._chunks(n_samples, mesh)) == min(workers, n_samples)
+    maps = recording_maps(monkeypatch)
     fibers = sweep.sample_fibers(mesh, d, n_samples, 3, fields)
+    assert len(maps[0][0]) == min(workers, n_samples)
     assert repr(fibers) == repr(loop)
     assert repr(sweep.lambda_tilde_from(fibers)) == repr(sweep.lambda_tilde_from(loop))
     for lam in (0.05, 0.8, 1e9):
@@ -478,20 +505,12 @@ def test_sampling_in_blocks_is_the_sequential_loops(
 
     sampling_at_width(monkeypatch, workers)
     sampling_in_blocks(monkeypatch, mesh, per_block)
-    mapped = []
-    map_chunks = sweep._map_chunks
-
-    def recording(func, n_items, mesh):
-        out = map_chunks(func, n_items, mesh)
-        mapped.append(out)
-        return out
-
-    monkeypatch.setattr(sweep, "_map_chunks", recording)
+    maps = recording_maps(monkeypatch)
     assert all(np.array_equal(u, w) for u, w in zip(sample_directions(mesh, n, 3), directions, strict=True))
     assert repr(sweep.sample_fibers(mesh, d, n, 3, fields)) == repr(loop)
     assert repr(estimate_sobolev_constant(mesh, d, n, 3, fields)) == repr(sobolev)
     # every candidate's (quotient, numerator), not only the minimum the estimate keeps
-    assert repr(mapped[1]) == repr(quotients)
+    assert repr(maps[1][1]) == repr(quotients)
     assert_no_child_left()
 
 
@@ -533,7 +552,7 @@ def test_a_dead_sampling_worker_changes_nothing(monkeypatch, mesh4, preset_data,
         assert sweep.sample_fibers(mesh4, d, 9, 2, fields4) == fibers
         assert estimate_sobolev_constant(mesh4, d, 9, 2, fields4) == sobolev
     # each map's first chunk (9 samples; 6 starts and 9 samples) was recomputed in the parent
-    assert died == [((0, 4), 3), ((0, 7), 3)]
+    assert died == [(range(0, 4), 3), (range(0, 7), 3)]
     assert_no_child_left()
 
 
