@@ -4,10 +4,12 @@ Config files are ``key = value`` lines; ``#`` starts a comment and dotted
 keys form sections.  Unknown keys are hard errors.  Exit status: 0 on
 success / all-pass, 1 on validation or property failure (and a failed
 solve), 2 on usage or config error, including a ``solve``/``sweep`` config
-that violates a hypothesis clause, and on a numerical failure outside the
+that violates a hypothesis clause, on a numerical failure outside the
 descents (an overflow, or a scalar root whose bracket from its power sum's
-terms leaves the float range).  A start whose descent fails numerically is
-named in the solve report, not an exit 2.
+terms leaves the float range), and on an output directory that cannot be
+made or written (``-o`` naming a file, or a path under one): one stderr
+line, never a traceback.  A start whose descent fails numerically is named
+in the solve report, not an exit 2.
 """
 from __future__ import annotations
 
@@ -406,6 +408,9 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
         # exponents, outside the descents (a failed start is a named failure
         # in the solve report)
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output directory that cannot be made or written
+        print(f"output error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 
 

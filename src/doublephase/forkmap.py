@@ -15,8 +15,8 @@ exactly what one process would give.  Three kinds of map run on it:
   splits into one chunk per CPU whenever it has two CPUs and two grid
   points; each chunk descends its grid points' minus starts as lockstep
   batches;
-- the sweep's sampling (``sweep.sample_fibers`` and the Rayleigh candidates
-  of ``sweep.estimate_sobolev_constant``), capped at n*M //
+- the sweep's sampling (``sweep._map_directions``: the sampled fibers and
+  the sampled Rayleigh candidates of the Sobolev estimate), capped at n*M //
   ``sweep.FORK_MIN_NODES`` chunks for n directions on M nodes, so each
   worker gets at least 2^18 node evaluations, and the sampling splits from
   64x64 on at 200 samples.  One forked chunk plus the parent's against one

@@ -22,27 +22,28 @@ smooth direction cannot drive a node into the singular term's spike near 0.
 The projection keeps iterates exactly on the manifold, where the energy is
 coercive, and at a constrained minimizer the full discrete weak form holds
 (the multiplier vanishes because psi'(1) = 0 there).  Multi-start over
-deterministic seeds guards against missing the branch minimum: the starts
-of both branches descend in lockstep as the lanes of (S, M) arrays, each
-lane on its own branch and at its own lambda (the gradient takes a column
-of them; the lambda* scan descends several grid points' minus starts in
-one batch), so one gradient, one Riesz map, one L-BFGS product of the
-stacked pair store and one breakdown per line-search round serve them all.
-A lane stops once its projected point comes within MERGE_TOL (relative
-lumped L2 distance) of a lower-energy running lane of its branch and lambda
-(``StopReason.MERGED``), as multi-level single linkage stops a local
-search near a better point (Rinnooy Kan & Timmer, Math. Prog. 39, 1987):
-on the preset every start of a branch ends at one point, and the lanes meet
-long before they stop.  A lane that did not merge is its start's descent
-alone, bit for bit; a merged lane is that descent cut at its merge.  The
-scan's batches also stop every lane at and above the lowest lambda where a
-projected point has energy <= 0 (``StopReason.CUT``): that point bounds
-the minus minimum there from above, so the scan needs no more.  On
-meshes of at least LANE_FORK_MIN_NODES nodes ``forkmap._fork_map`` cuts the
-branches into one group each, a batch of its own (below that its cap is one
-group): the plus group on a forked worker, the minus group in the calling
-process; a merge compares lanes of one branch only, so the split changes no
-bit of any result.
+deterministic seeds guards against missing the branch minimum.  ``_descend``
+owns the batch's layout: it takes (lambda, branch) groups and one list of
+starts, descends every start of every group in lockstep as a lane of (S, M)
+arrays (the gradient takes a column of the lanes' lambdas), so one
+gradient, one Riesz map, one L-BFGS product of the stacked pair store and
+one breakdown per line-search round serve them all, and returns each
+group's outcomes in start order: ``solve_two`` passes one group per branch,
+the lambda* scan one minus group per grid point.  A lane stops once its
+projected point comes within MERGE_TOL (relative lumped L2 distance) of a
+lower-energy running lane of its group (``StopReason.MERGED``), as
+multi-level single linkage stops a local search near a better point
+(Rinnooy Kan & Timmer, Math. Prog. 39, 1987): on the preset every start of
+a branch ends at one point, and the lanes meet long before they stop.  A
+lane that did not merge is its start's descent alone, bit for bit; a merged
+lane is that descent cut at its merge.  The scan's batches also stop every
+lane at and above the lowest lambda where a projected point has energy <= 0
+(``StopReason.CUT``): that point bounds the minus minimum there from above,
+so the scan needs no more.  On meshes of at least LANE_FORK_MIN_NODES nodes
+``forkmap._fork_map`` cuts ``solve_two``'s two groups into one chunk each,
+a batch of its own (below that its cap is one chunk): the plus group on a
+forked worker, the minus group in the calling process; a merge compares
+lanes of one group only, so the split changes no bit of any result.
 """
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ class StopReason(enum.Enum):
     MAX_ITER = "max_iter"                            # ran all ``max_iter`` iterations
     ZERO_GRADIENT = "zero_gradient"                  # no descent along the free direction
     NON_FINITE = "non_finite"                        # the gradient or the direction overflowed
-    MERGED = "merged"                                # joined a lower-energy lane of its branch and lambda
+    MERGED = "merged"                                # joined a lower-energy lane of its group
     CUT = "cut"                                      # a lane at its lambda or below reached energy <= 0
 
 
@@ -315,10 +316,11 @@ class _Lane:
     """One start's descent; ``reason`` is None while it runs."""
 
     start: str
-    branch: Branch
+    group: int  # its (lambda, branch) group's index in the batch
     lam: float
-    proj: _Projected
-    best: _Projected
+    branch: Branch
+    proj: Optional[_Projected] = None  # None before the first projection
+    best: Optional[_Projected] = None
     best_resid: float = np.inf
     resid_progress: bool = False
     stall: int = 0
@@ -327,45 +329,45 @@ class _Lane:
     merged_into: str = ""
 
 
-def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lams, branches, fields, warm) -> list:
-    """``_project`` of each lane of w (S, M) onto its branch in ``branches``
-    at its lambda in ``lams`` from its point in ``warm`` (or None), with the terms of one batched
-    breakdown, or the lane's ArithmeticError.  Terms that are not finite are
-    recomputed alone, under the caller's numpy error state: an overflow fails
-    that lane, not the batch."""
+def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lanes: list, fields) -> list:
+    """``_project`` of each row of w (S, M) by its lane of ``lanes``: onto
+    its branch at its lambda, warm from its point (if any), with the terms of
+    one batched breakdown, or the lane's ArithmeticError.  Terms that are not
+    finite are recomputed alone, under the caller's numpy error state: an
+    overflow fails that lane, not the batch."""
     with np.errstate(all="ignore"):
         lane_terms = FiberTerms.lanes(modular_breakdown(mesh, data, w, fields), data)
     out = []
-    for wi, terms, lam, branch, base in zip(w, lane_terms, lams, branches, warm):
+    for wi, terms, lane in zip(w, lane_terms, lanes):
         try:
-            out.append(_project(mesh, data, wi, lam, branch, fields, warm=base, terms=terms))
+            out.append(_project(mesh, data, wi, lane.lam, lane.branch, fields, warm=lane.proj, terms=terms))
         except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
             out.append(exc)
     return out
 
 
 def _descend(
-    mesh: Mesh, data: ProblemData, lams, branches, starts, fields: FieldSamples, opts: SolverOptions, cut: bool = False
+    mesh: Mesh, data: ProblemData, groups, starts, fields: FieldSamples, opts: SolverOptions, cut: bool = False
 ) -> list:
-    """Fiber-projected L-BFGS descents from the S (name, direction) pairs of
-    ``starts`` in lockstep, each at its own lambda of ``lams`` on its own
-    branch of ``branches``; each lane keeps its own counters and stop
-    reason, and drops out when it stops or joins a lower-energy lane of its
-    branch and lambda (``_merge``).  With ``cut``, once a lane's projected
-    energy is <= 0, every running lane at its lambda or above stops
-    (``_cut``).  Returns, per start, its ``SolveResult`` or the
-    ArithmeticError that failed its first projection or its result."""
+    """Fiber-projected L-BFGS descents in lockstep, one lane per (lambda,
+    branch) group of ``groups`` and (name, direction) pair of ``starts``;
+    each lane keeps its own counters and stop reason, and drops out when it
+    stops or joins a lower-energy lane of its group (``_merge``).  With
+    ``cut``, once a lane's projected energy is <= 0, every running lane at
+    its lambda or above stops (``_cut``).  Returns, per group, each start's
+    ``SolveResult`` or the ArithmeticError that failed its first projection
+    or its result, in start order."""
     riesz = riesz_map(mesh)
     names, inits = zip(*starts)
     w = np.maximum(np.asarray(inits, dtype=float), 0.0)
     if not w.any(axis=-1).all():
         raise ValueError("initial direction must be nonnegative and nonzero")
-    outcomes = [
-        _Lane(name, branch, lam, p, p) if isinstance(p, _Projected) else p
-        for name, lam, branch, p in zip(
-            names, lams, branches, _project_lanes(mesh, data, w, lams, branches, fields, [None] * len(w))
-        )
-    ]
+    outcomes = [_Lane(name, g, lam, branch) for g, (lam, branch) in enumerate(groups) for name in names]
+    for k, p in enumerate(_project_lanes(mesh, data, np.tile(w, (len(groups), 1)), outcomes, fields)):
+        if isinstance(p, _Projected):
+            outcomes[k].proj = outcomes[k].best = p
+        else:
+            outcomes[k] = p
     lanes = [lane for lane in outcomes if isinstance(lane, _Lane)]
     if cut:
         _cut(lanes)
@@ -413,11 +415,7 @@ def _descend(
             base, step = (u, d) if len(search) == len(lanes) else (u[search], d[search])
             with np.errstate(all="ignore"):  # a non-finite trial fails in its own lane's projection
                 trial_w = np.maximum(base - sigma * step, STEP_CLIP * base)
-            searching = [lanes[i] for i in search]
-            trials = _project_lanes(
-                mesh, data, trial_w, [lane.lam for lane in searching], [lane.branch for lane in searching], fields,
-                [lane.proj for lane in searching],
-            )
+            trials = _project_lanes(mesh, data, trial_w, [lanes[i] for i in search], fields)
             search = [i for i, trial in zip(search, trials) if not _accept(lanes[i], trial, sigma * gd[i], opts)]
         for i in search:
             lanes[i].reason = StopReason.LINE_SEARCH_EXHAUSTED  # no representable descent left
@@ -433,7 +431,8 @@ def _descend(
             u, lam_col, links = u[running], lam_col[running], _pairs(lanes)
     for lane in lanes:
         lane.reason = StopReason.MAX_ITER
-    return [_result(mesh, data, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
+    results = [_result(mesh, data, out, fields, opts) if isinstance(out, _Lane) else out for out in outcomes]
+    return [results[lo:lo + len(starts)] for lo in range(0, len(results), len(starts))]
 
 
 def _cut(lanes: list) -> None:
@@ -448,19 +447,15 @@ def _cut(lanes: list) -> None:
 
 
 def _pairs(lanes: list) -> tuple:
-    """The index pairs (a, b), a < b in lane order, of lanes of one branch
-    and one lambda, as a list and as the two index arrays ``_merge`` gathers
-    with."""
-    pairs = [
-        (a, b) for a, b in itertools.combinations(range(len(lanes)), 2)
-        if lanes[a].branch is lanes[b].branch and lanes[a].lam == lanes[b].lam
-    ]
+    """The index pairs (a, b), a < b in lane order, of lanes of one group,
+    as a list and as the two index arrays ``_merge`` gathers with."""
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(lanes)), 2) if lanes[a].group == lanes[b].group]
     return pairs, *np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
 def _merge(mesh: Mesh, lanes: list, u: np.ndarray, links: tuple) -> None:
     """Stop each running lane whose projected point (its row of ``u``) lies
-    within MERGE_TOL of another running lane's of its branch and lambda, in the lumped
+    within MERGE_TOL of another running lane's of its group, in the lumped
     L2 distance relative to the smaller of their norms: of the two, the one
     with the higher energy (on a tie, the later lane) stops with
     StopReason.MERGED and names the other in ``merged_into``.  ``links`` is
@@ -548,7 +543,7 @@ def minimize_on_branch(
     opts: Optional[SolverOptions] = None,
 ) -> SolveResult:
     """Fiber-projected L-BFGS descent in the H^1 metric from ``init`` on one
-    branch (a one-lane ``_descend``).
+    branch (``_descend`` of one group and one start).
 
     Stops when the projected energy fails to decrease (relative energy_tol)
     for ``stall`` iterations, or early when the normalized gradient already
@@ -559,7 +554,7 @@ def minimize_on_branch(
     residual bound (not computed after an overflow).  An ArithmeticError of
     the first projection or of the result propagates.
     """
-    (out,) = _descend(mesh, data, [lam], [branch], [("", init)], fields, opts or SolverOptions())
+    ((out,),) = _descend(mesh, data, [(lam, branch)], [("", init)], fields, opts or SolverOptions())
     if isinstance(out, ArithmeticError):
         raise out
     return out
@@ -608,37 +603,34 @@ def solve_branch(
 def _solve_branches(
     mesh: Mesh, data: ProblemData, lam: float, branches, fields: FieldSamples, opts: Optional[SolverOptions]
 ) -> list:
-    """``solve_branch`` of each of ``branches``, with the starts of all of
-    them as the lanes of lockstep batches.
+    """``solve_branch`` of each of ``branches``, each one (lam, branch)
+    group of ``_descend``.
 
-    A lane joins only a lower-energy lane of its own branch (``_merge``),
-    so ``forkmap._fork_map`` may cut ``branches`` into groups, one per CPU
-    and at most one per branch, capped at one group below
-    LANE_FORK_MIN_NODES mesh nodes: with two CPUs each branch's group
-    descends as one batch of its own, the first on a forked worker, the
-    last, in ``solve_two`` the minus group, the longer one, in this process.
-    Otherwise, and for one branch, all lanes descend in-process as one
-    batch.  A group whose worker dies is descended again in-process.  The
-    outcomes come back in start order, bit for bit the same however the
-    lanes are grouped, and a lane that did not merge is bit for bit its
-    start's one-lane descent."""
+    A lane joins only a lower-energy lane of its own group (``_merge``), so
+    ``forkmap._fork_map`` may cut ``branches`` into chunks, one per CPU and
+    at most one per branch, capped at one chunk below LANE_FORK_MIN_NODES
+    mesh nodes: with two CPUs each branch's group descends as a batch of its
+    own, the first on a forked worker, the last, in ``solve_two`` the minus
+    group, the longer one, in this process.  Otherwise, and for one branch,
+    every group descends in-process in one batch.  A chunk whose worker dies
+    is descended again in-process.  The outcomes are bit for bit the same
+    however the groups are batched, and a lane that did not merge is bit
+    for bit its start's one-lane descent."""
     if opts is None:
         opts = SolverOptions()
     starts = multistart_directions(mesh, opts.seed)
 
-    def descend(group) -> list:
-        lane_branches = [b for b in group for _ in starts]
-        return _descend(mesh, data, [lam] * len(lane_branches), lane_branches, starts * len(group), fields, opts)
+    def descend(branches) -> list:
+        return _descend(mesh, data, [(lam, branch) for branch in branches], starts, fields, opts)
 
     most = 1 if mesh.num_nodes < LANE_FORK_MIN_NODES else None
-    outcomes = _fork_map(descend, branches, lambda group, status: descend(group), most=most)
-    per_branch = []
-    for k in range(len(branches)):
-        outs = outcomes[k * len(starts):(k + 1) * len(starts)]
-        results = [out for out in outs if isinstance(out, SolveResult)]
-        failures = tuple((name, out) for (name, _), out in zip(starts, outs) if not isinstance(out, SolveResult))
-        per_branch.append((results, failures))
-    return per_branch
+    return [
+        (
+            [out for out in outs if isinstance(out, SolveResult)],
+            tuple((name, out) for (name, _), out in zip(starts, outs) if not isinstance(out, SolveResult)),
+        )
+        for outs in _fork_map(descend, branches, lambda chunk, status: descend(chunk), most=most)
+    ]
 
 
 def solve_two(

@@ -11,41 +11,44 @@ bisection refinement).  The first two reduce one table of sampled fibers
 (``sample_fibers``).  The best-constant of the p-embedding is bounded from
 above by polished Rayleigh quotients.
 
-The sampled directions, and the Rayleigh candidates, are drawn and broken
-down in (k, M) blocks: k = max(1, BLOCK_NODES // M) directions on M nodes
-share one batched modular breakdown, whose rows are the one-direction
-breakdowns bit for bit (``space.lane_dot``).  At the small meshes a
-breakdown is mostly numpy dispatch, so one call per block costs a fraction
-of one call per direction (at one BLAS thread, per direction: 5 against 51
-us at 8x8, 13 against 60 us at 16x16, 60 against 89 us at 32x32, 170
-against 205 us at 64x64); from 128x128 on a block is one direction.  The scalar roots stay per direction,
-in sample order.
+The sampled directions, and the Rayleigh candidates, are broken down in
+(k, M) blocks: k = max(1, BLOCK_NODES // M) directions on M nodes share one
+batched modular breakdown, whose rows are the one-direction breakdowns bit
+for bit (``space.lane_dot``).  At the small meshes a breakdown is mostly
+numpy dispatch, so one call per block costs a fraction of one call per
+direction (at one BLAS thread, per direction: 5 against 51 us at 8x8, 13
+against 60 us at 16x16, 60 against 89 us at 32x32, 170 against 205 us at
+64x64); from 128x128 on a block is one direction.  The scalar roots stay
+per direction, in sample order.
 
 The lambda* scan runs on ``forkmap._fork_map``, which cuts its grid into
 contiguous chunks, one per CPU the process may run on: the last chunk runs
 in the calling process and the others on forked workers, whose results are
 read in chunk order, so every value and exception is exactly what one
-process would give.  A chunk descends its grid points' minus starts as the lanes of
-lockstep batches (``_scan``): a lane merges only with a lane of its own
-lambda, so each grid point that no cut reached gets its ``solve_branch``
-results bit for bit, and a lane whose projected energy is <= 0 decides its
-lambda (``_decide``'s bound), stops every lane at that lambda and above
-(the cut), and ends the chunk.  At one CPU and one BLAS thread, the five
-default grid points' separate minus solves took 134 ms against 79 ms for
-one batch at 8x8, and 274 against 170 ms at 16x16 (medians of 15).  The bisection after the scan runs
-its one-lambda batches in the calling process.  A worker that dies makes
-its chunk's first lambda undetermined.
+process would give.  A chunk hands its grid points to ``solver._descend``
+as (lambda, minus) groups (``_scan``); ``_descend`` owns the lanes' layout
+and gives back each group's outcomes.  A lane merges only with a lane of
+its own group, so each grid point that no cut reached gets its
+``solve_branch`` results bit for bit, and a lane whose projected energy is
+<= 0 decides its lambda (``_decide``'s bound), stops every lane at that
+lambda and above (the cut), and ends the chunk.  At one CPU and one BLAS
+thread, the five default grid points' separate minus solves took 134 ms
+against 79 ms for one batch at 8x8, and 274 against 170 ms at 16x16
+(medians of 15).  The bisection after the scan runs its one-lambda batches
+in the calling process.  A worker that dies makes its chunk's first lambda
+undetermined.
 
-The sampling maps (``sample_fibers``, the Rayleigh quotients of
-``estimate_sobolev_constant``) run on the same map over the directions'
-indices, up to one worker per CPU, but capped at n*M // FORK_MIN_NODES
-chunks for n directions on M nodes, so that each worker gets at least
-FORK_MIN_NODES node evaluations: a sampling map splits from 64x64 on at
-200 samples (see ``forkmap`` for the measured break-even), and then its
-last chunk runs in the calling process and the others on forked workers;
-a sampling worker that dies has its chunk recomputed in-process, so its
-output does not change.  The polishing of the best Rayleigh
-candidate runs in the calling process.
+``_map_directions`` owns the sampled directions' layout; both sampling
+estimates (``sample_fibers`` and the sampled Rayleigh candidates of
+``estimate_sobolev_constant``) run on it, each with its block kernel.  It
+cuts the directions' indices into chunks on the same fork map, one per CPU
+but at most n*M // FORK_MIN_NODES for n directions on M nodes, so that each
+worker gets at least FORK_MIN_NODES node evaluations: a sampling map splits
+from 64x64 on at 200 samples (see ``forkmap`` for the measured break-even).
+Each chunk draws its blocks from its own offset in the seeded stream, and
+one whose worker dies is recomputed in-process, so the output does not
+change.  The six multi-starts' quotients, and the polishing of the best
+Rayleigh candidate, run in the calling process.
 """
 from __future__ import annotations
 
@@ -191,19 +194,25 @@ def sample_fibers(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fiel
     """One ``SampledFiber`` per direction of ``sample_directions``: the table
     every sampled estimate reduces.
 
-    The directions' indices run in chunks on ``_fork_map``, capped so each
-    worker gets FORK_MIN_NODES node evaluations; each chunk draws its own
-    directions from its offset in the stream, in blocks (``_fiber_block``),
-    and a chunk whose worker died is recomputed in-process."""
+    The rows of ``_fiber_block`` over ``_map_directions``."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    return tuple(_map_directions(mesh, n_samples, seed, lambda block: _fiber_block(mesh, data, block, fields)))
 
-    def fibers(chunk: range) -> list:
-        blocks = _direction_blocks(mesh, len(chunk), seed, chunk.start)
-        return [f for block in blocks for f in _fiber_block(mesh, data, block, fields)]
 
-    most = n_samples * mesh.num_nodes // FORK_MIN_NODES
-    return tuple(_fork_map(fibers, range(n_samples), lambda chunk, status: fibers(chunk), most=most))
+def _map_directions(mesh: Mesh, n: int, seed: int, kernel) -> list:
+    """``kernel``'s rows over the (k, M) blocks of the first ``n``
+    directions of the seeded stream, joined in order.  The directions'
+    indices run in chunks on ``_fork_map``, capped so that each worker gets
+    FORK_MIN_NODES node evaluations; each chunk draws its own blocks from
+    its offset in the stream (``_direction_blocks``), and a chunk whose
+    worker died is recomputed in-process."""
+
+    def rows(chunk: range) -> list:
+        return [row for block in _direction_blocks(mesh, len(chunk), seed, chunk.start) for row in kernel(block)]
+
+    most = n * mesh.num_nodes // FORK_MIN_NODES
+    return _fork_map(rows, range(n), lambda chunk, status: rows(chunk), most=most)
 
 
 def _fiber_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
@@ -312,25 +321,22 @@ def _scan(mesh: Mesh, data: ProblemData, lams, fields: FieldSamples, opts: Solve
     the first that is not positive: True, False, or the SweepUndetermined
     it raised, as a value.
 
-    The lambdas' minus starts descend as the lanes of lockstep batches with
-    the cut (``solver._descend``), each batch holding as many whole lambdas
-    as fit in BLOCK_NODES lane-node values, one at least (33 at 8x8, 9 at
-    16x16, 2 at 32x32, one from 64x64 on).  A lambda's starts merge only
-    with each other, so each lambda that no cut reached has its
-    ``solve_branch`` results bit for bit; a cut stops only lambdas from the
-    first the bound decides on, and the batches after it are skipped."""
+    Each batch is the (lambda, minus) groups of as many lambdas as fit in
+    BLOCK_NODES lane-node values, one at least (33 at 8x8, 9 at 16x16, 2 at
+    32x32, one from 64x64 on), which ``solver._descend`` descends with the
+    cut and hands back per group.  A lambda's starts merge only with each
+    other, so each lambda that no cut reached has its ``solve_branch``
+    results bit for bit; a cut stops only lambdas from the first the bound
+    decides on, and the batches after it are skipped."""
     starts = multistart_directions(mesh, opts.seed)
     per_batch = max(1, BLOCK_NODES // (mesh.num_nodes * len(starts)))
     decided = []
     for lo in range(0, len(lams), per_batch):
         batch = lams[lo:lo + per_batch]
-        outcomes = solver._descend(
-            mesh, data, [lam for lam in batch for _ in starts], [Branch.MINUS] * (len(batch) * len(starts)),
-            starts * len(batch), fields, opts, cut=True,
-        )
-        for k, lam in enumerate(batch):
+        groups = solver._descend(mesh, data, [(lam, Branch.MINUS) for lam in batch], starts, fields, opts, cut=True)
+        for lam, outcomes in zip(batch, groups):
             try:
-                decided.append(_decide(lam, starts, outcomes[k * len(starts):(k + 1) * len(starts)]))
+                decided.append(_decide(lam, starts, outcomes))
             except SweepUndetermined as exc:
                 decided.append(exc)
             if decided[-1] is not True:
@@ -465,30 +471,19 @@ def estimate_sobolev_constant(mesh: Mesh, data: ProblemData, n_samples: int, see
     steps polishing the best candidate.  The running minimum never
     increases.
 
-    The candidates' quotients run in chunks on ``_fork_map``, with
-    ``sample_fibers``'s cap, and only the index of the first strict minimum
-    is kept: its direction is drawn again for the polish, in-process."""
-    starts = [w for _, w in multistart_directions(mesh, seed)]
-
-    def candidates(lo: int, hi: int):
-        """Candidates lo..hi-1 in (k, M) blocks: the multi-starts, then the
-        sampled directions."""
-        k, stop = _block_size(mesh), min(hi, len(starts))
-        yield from (np.array(starts[i : min(i + k, stop)]) for i in range(lo, stop, k))
-        first = max(lo - len(starts), 0)
-        yield from _direction_blocks(mesh, max(hi - len(starts), 0) - first, seed, first)
-
-    def quotients(chunk: range) -> list:
-        return [q for block in candidates(chunk.start, chunk.stop) for q in _quotient_block(mesh, data, block, fields)]
-
-    n = len(starts) + n_samples
-    most = n * mesh.num_nodes // FORK_MIN_NODES
+    The multi-starts are scored here, in blocks, ahead of the sampled
+    directions on ``_map_directions``; only the first strict minimum's index
+    is kept, and the polish redraws that direction if it is a sampled one."""
+    starts = np.array([w for _, w in multistart_directions(mesh, seed)])
+    k = _block_size(mesh)
+    quotients = [q for lo in range(0, len(starts), k) for q in _quotient_block(mesh, data, starts[lo:lo + k], fields)]
+    quotients += _map_directions(mesh, n_samples, seed, lambda block: _quotient_block(mesh, data, block, fields))
     best, val, num = None, np.inf, None
-    for i, q in enumerate(_fork_map(quotients, range(n), lambda chunk, status: quotients(chunk), most=most)):
+    for i, q in enumerate(quotients):
         if q is not None and q[0] < val:
             best, (val, num) = i, q
 
-    u = next(candidates(best, best + 1))[0]
+    u = starts[best] if best < len(starts) else next(_direction_blocks(mesh, 1, seed, best - len(starts)))[0]
     step = 1.0
     for _ in range(SOBOLEV_POLISH_STEPS):
         g = _rayleigh_gradient(mesh, data, u, fields, num)

@@ -461,6 +461,24 @@ def test_solve_command_outputs(tmp_path):
         assert len(lines) == 1 + 25  # header + nodes of the 4x4 mesh
 
 
+@pytest.mark.parametrize("command", ["fiber", "solve"])
+@pytest.mark.parametrize(
+    "under, error", [(False, "FileExistsError"), (True, "NotADirectoryError")], ids=["the_file", "under_it"]
+)
+def test_an_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, command, under, error):
+    # -o naming an existing file, or a path under one: the command exits 2
+    # with one stderr line naming the error, not a traceback, and the file
+    # is left as it was
+    cfg = write(tmp_path, SMALL_SOLVE)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out_dir = str(afile / "sub") if under else str(afile)
+    assert main([command, "-c", cfg, "-o", out_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error ({error}): ") and err.count("\n") == 1, err
+    assert afile.read_text() == "kept\n"
+
+
 def test_sweep_command_outputs(tmp_path):
     cfg = write(tmp_path, SMALL_SOLVE)
     out_dir = str(tmp_path / "out")

@@ -109,8 +109,9 @@ def test_certified_projections_leave_solve_two_energies_alike(monkeypatch, prese
     descend = solver._descend
 
     def recording(*args):
-        runs.append(descend(*args))
-        return runs[-1]
+        groups = descend(*args)
+        runs.append([out for group in groups for out in group])
+        return groups
 
     monkeypatch.setattr(solver, "_descend", recording)
     certified = _record_certified(monkeypatch)
@@ -323,9 +324,9 @@ def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data
     batches = []
     descend = solver._descend
 
-    def recording(mesh, data, lam, branches, inits, fields, opts):
-        outcomes = descend(mesh, data, lam, branches, inits, fields, opts)
-        batches.append((list(branches), outcomes))
+    def recording(mesh, data, groups, starts, fields, opts):
+        outcomes = descend(mesh, data, groups, starts, fields, opts)
+        batches.append((list(groups), outcomes))
         return outcomes
 
     monkeypatch.setattr(solver, "_descend", recording)
@@ -333,11 +334,11 @@ def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data
         batches.clear()
         fields = sample_fields(mesh, preset_data)
         report = solve_two(mesh, preset_data, LAM, fields)
-        ((branches, outcomes),) = batches
-        assert branches == [Branch.PLUS] * 6 + [Branch.MINUS] * 6
+        ((groups, outcomes),) = batches
+        assert groups == [(LAM, Branch.PLUS), (LAM, Branch.MINUS)]
         starts = multistart_directions(mesh, seed=0)
-        for k, (branch, picked) in enumerate(((Branch.PLUS, report.plus), (Branch.MINUS, report.minus))):
-            lanes = outcomes[6 * k:6 * (k + 1)]
+        for lanes, branch, picked in zip(outcomes, (Branch.PLUS, Branch.MINUS), (report.plus, report.minus)):
+            assert len(lanes) == 6
             for res, (name, w) in zip(lanes, starts):
                 assert_lane_is_its_descent(mesh, preset_data, branch, w, fields, res, (mesh.nx, branch, name))
             assert picked.energy == min(res.energy for res in lanes if res.converged)
@@ -480,15 +481,16 @@ def test_lane_groups_recompute_a_dead_workers_group(monkeypatch, mesh4, preset_d
     descend = solver._descend
     in_parent = []  # the branch of each group the parent descends
 
-    def dying(mesh, data, lam, branches, starts, fields, opts):
+    def dying(mesh, data, groups, starts, fields, opts):
         # the first group, the plus branch's six lanes, runs on the worker;
         # the minus group, the map's last item, in the parent
+        ((_, branch),) = groups
         if os.getpid() != parent:
-            if branches[0] is Branch.PLUS:
+            if branch is Branch.PLUS:
                 os._exit(3)
         else:
-            in_parent.append(branches[0])
-        return descend(mesh, data, lam, branches, starts, fields, opts)
+            in_parent.append(branch)
+        return descend(mesh, data, groups, starts, fields, opts)
 
     lane_groups_at(monkeypatch, 2)
     monkeypatch.setattr(solver, "_descend", dying)
@@ -730,14 +732,17 @@ def test_every_16x16_start_converges_over_seven_seeds(mesh16, preset_data, field
 def test_merge_stops_the_higher_energy_lane_of_a_close_pair(mesh4):
     # the relative distance of u and (1 + e) u is e; pairs go in lane order,
     # so ``a`` joins ``b`` and then ``b`` joins the lower ``f``; a tie stops
-    # the later lane; lanes of two branches or two lambdas (``h``), far lanes
-    # and a lane that has already stopped (``g``) take part in no merge
+    # the later lane; lanes of two groups (two branches, or two lambdas:
+    # ``h``), far lanes and a lane that has already stopped (``g``) take part
+    # in no merge
     tol = solver.MERGE_TOL
     u = np.ones(mesh4.num_nodes)
+    groups = [(0.1, Branch.PLUS), (0.1, Branch.MINUS), (0.2, Branch.PLUS)]
 
     def lane(name, branch, scale, energy, reason=None, lam=0.1):
         point = solver._Projected(u=scale * u, energy=energy, magnitude=abs(energy), tc=1.0)
-        return solver._Lane(name, branch, lam, point, point, reason=reason)
+        group = groups.index((lam, branch))
+        return solver._Lane(name, group=group, lam=lam, branch=branch, proj=point, best=point, reason=reason)
 
     lanes = [
         lane("a", Branch.PLUS, 1.0, 2.0),
@@ -774,7 +779,7 @@ def test_merging_keeps_the_corner_bumps_distinct_critical_points(preset_data):
     starts = multistart_directions(mesh, seed=0)
     x, y = mesh.nodes.T
     corners = [(f"corner_{cx}{cy}", np.exp(-8.0 * ((x - cx) ** 2 + (y - cy) ** 2))) for cx, cy in ((0, 0), (0, 1))]
-    out = solver._descend(mesh, preset_data, [0.2] * 8, [Branch.MINUS] * 8, starts + corners, fields, SolverOptions())
+    (out,) = solver._descend(mesh, preset_data, [(0.2, Branch.MINUS)], starts + corners, fields, SolverOptions())
     six = {res.start for res in out[:6]}
     six_min = min(res.energy for res in out[:6])
     assert all(res.merged_into in six | {""} for res in out[:6])

@@ -236,18 +236,18 @@ def result_key(res) -> tuple:
 
 
 def recording_batches(monkeypatch) -> list:
-    """Record each ``_descend`` call's (lambdas, outcomes), and check that
-    every pair of lanes ``_merge`` may join has one branch and one lambda."""
+    """Record each ``_descend`` call's (groups, outcomes), and check that
+    both lanes of every pair ``_merge`` may join belong to one group."""
     batches = []
     descend, merge = solver._descend, solver._merge
 
-    def recording(mesh, data, lams, *args, **kwargs):
-        batches.append((list(lams), descend(mesh, data, lams, *args, **kwargs)))
+    def recording(mesh, data, groups, *args, **kwargs):
+        batches.append((list(groups), descend(mesh, data, groups, *args, **kwargs)))
         return batches[-1][1]
 
     def checked(mesh, lanes, u, links):
         for a, b in links[0]:
-            assert (lanes[a].branch, lanes[a].lam) == (lanes[b].branch, lanes[b].lam)
+            assert (lanes[a].group, lanes[a].lam, lanes[a].branch) == (lanes[b].group, lanes[b].lam, lanes[b].branch)
         return merge(mesh, lanes, u, links)
 
     monkeypatch.setattr(solver, "_descend", recording)
@@ -268,13 +268,13 @@ def test_a_multi_lambda_batch_gives_each_lambda_its_solve_branch_results(monkeyp
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
     batches = recording_batches(monkeypatch)
     assert estimate_lambda_star(mesh, preset_data, grid, fields) == 0.8
-    ((lams, outcomes),) = batches
-    assert lams == [lam for lam in grid for _ in range(6)]
+    ((groups, outcomes),) = batches
+    assert groups == [(lam, Branch.MINUS) for lam in grid]
     merges = 0
-    for k, lam in enumerate(grid):
+    for lam, group in zip(grid, outcomes, strict=True):
         own, failures = solve_branch(mesh, preset_data, lam, Branch.MINUS, fields)
         assert failures == ()
-        assert [result_key(res) for res in outcomes[6 * k:6 * (k + 1)]] == [result_key(res) for res in own], lam
+        assert [result_key(res) for res in group] == [result_key(res) for res in own], lam
         merges += sum(res.stop_reason is StopReason.MERGED for res in own)
     assert merges > 0
 
@@ -290,13 +290,34 @@ def test_a_cut_leaves_the_lambdas_below_it_bit_for_bit(monkeypatch, preset_data)
     fields = sample_fields(mesh, preset_data)
     batches = recording_batches(monkeypatch)
     assert sweep._scan(mesh, preset_data, [1.0, 2.0, 4.0], fields, SolverOptions()) == [True, False]
-    ((lams, outcomes),) = batches
+    ((groups, (below, at_two, at_four)),) = batches
+    assert groups == [(1.0, Branch.MINUS), (2.0, Branch.MINUS), (4.0, Branch.MINUS)]
     own, _ = solve_branch(mesh, preset_data, 1.0, Branch.MINUS, fields)
-    assert [result_key(res) for res in outcomes[:6]] == [result_key(res) for res in own]
-    cut = outcomes[6:]
-    assert all(res.stop_reason is StopReason.CUT or res.energy <= 0.0 for res in cut)
-    assert any(res.energy <= 0.0 for res in cut[:6])
-    assert all(res.stop_reason is StopReason.CUT and not res.converged and res.residual is None for res in cut[6:])
+    assert [result_key(res) for res in below] == [result_key(res) for res in own]
+    assert all(res.stop_reason is StopReason.CUT or res.energy <= 0.0 for res in at_two + at_four)
+    assert any(res.energy <= 0.0 for res in at_two)
+    assert all(res.stop_reason is StopReason.CUT and not res.converged and res.residual is None for res in at_four)
+
+
+def test_a_group_owns_the_merge_rule(monkeypatch, preset_data):
+    # lanes merge only within their (lambda, branch) group, even beside a
+    # group of the same lambda and branch, whose lanes lie on theirs: in one
+    # batch each group's outcomes are its one-group descent's, bit for bit,
+    # merges included
+    from doublephase import build_rect_mesh
+
+    mesh = build_rect_mesh(8, 8)
+    fields = sample_fields(mesh, preset_data)
+    starts = solver.multistart_directions(mesh, 0)
+    groups = [(0.2, Branch.MINUS), (0.2, Branch.MINUS), (0.4, Branch.MINUS)]
+    batches = recording_batches(monkeypatch)
+    got = solver._descend(mesh, preset_data, groups, starts, fields, SolverOptions())
+    merges = 0
+    for group, outcomes in zip(groups, got, strict=True):
+        (own,) = solver._descend(mesh, preset_data, [group], starts, fields, SolverOptions())
+        assert [result_key(res) for res in outcomes] == [result_key(res) for res in own], group
+        merges += sum(res.stop_reason is StopReason.MERGED for res in own)
+    assert merges > 0 and len(batches) == 4
 
 
 def test_lambda_star_scan_at_any_width_names_the_same_unconverged_start(width, mesh4, preset_data, fields4):
@@ -317,8 +338,8 @@ def test_lambda_star_scan_at_any_width_names_the_same_failed_start(width, monkey
 def test_lambda_star_grid_points_run_in_workers(width, monkeypatch, mesh4, preset_data, fields4):
     # at two CPUs the grid splits into the chunks [0.2], on a forked worker,
     # and [0.5], in this process; at one CPU it is one chunk, in-process
-    def solved_where(mesh, data, lams, *args, **kwargs):
-        raise SweepUndetermined(lams[0], f"solved in process {os.getpid()}")
+    def solved_where(mesh, data, groups, *args, **kwargs):
+        raise SweepUndetermined(groups[0][0], f"solved in process {os.getpid()}")
 
     monkeypatch.setattr(solver, "_descend", solved_where)
     with pytest.raises(SweepUndetermined) as info:
@@ -337,20 +358,17 @@ def test_lambda_star_workers_solve_their_lanes_in_process(monkeypatch, tmp_path,
     log = tmp_path / "descents"
     descend = solver._descend
 
-    def recording(mesh, data, lams, *args, **kwargs):
+    def recording(mesh, data, groups, *args, **kwargs):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {' '.join(map(repr, lams))}\n")
-        return descend(mesh, data, lams, *args, **kwargs)
+            fh.write(f"{os.getpid()} {' '.join(repr(lam) for lam, _ in groups)}\n")
+        return descend(mesh, data, groups, *args, **kwargs)
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_descend", recording)
     assert estimate_lambda_star(mesh4, preset_data, [0.2, 0.5, 0.8], fields4) == 0.8
     calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
     parent = str(os.getpid())
-    assert sorted((pid == parent, lams) for pid, lams in calls) == [
-        (False, " ".join(["0.2"] * 6)),
-        (True, " ".join(["0.5"] * 6 + ["0.8"] * 6)),
-    ]
+    assert sorted((pid == parent, lams) for pid, lams in calls) == [(False, "0.2"), (True, "0.5 0.8")]
     assert_no_child_left()
 
 
@@ -490,8 +508,9 @@ def test_sampling_in_blocks_is_the_sequential_loops(
     workers, mesh_name, per_block, monkeypatch, sampling_meshes, preset_data
 ):
     # 11 samples: at 3 workers the chunks are 0-2, 3-6 and 7-10, so blocks of
-    # 2 and 3 end inside a chunk and at its end; the Rayleigh candidates are
-    # the 6 multi-starts, then the samples, in chunks of 5, 6 and 6
+    # 2 and 3 end inside a chunk and at its end; the sampled Rayleigh
+    # candidates run in the same chunks, after the 6 multi-starts, which the
+    # caller scores in its own blocks
     if workers > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
     mesh, fields = sampling_meshes[mesh_name]
@@ -506,11 +525,21 @@ def test_sampling_in_blocks_is_the_sequential_loops(
     sampling_at_width(monkeypatch, workers)
     sampling_in_blocks(monkeypatch, mesh, per_block)
     maps = recording_maps(monkeypatch)
+    in_caller = []  # the caller's rows: the multi-starts' first, then its own chunk's
+    quotient_block = sweep._quotient_block
+
+    def recording(mesh, data, block, fields):
+        rows = quotient_block(mesh, data, block, fields)
+        in_caller.extend(rows)
+        return rows
+
+    monkeypatch.setattr(sweep, "_quotient_block", recording)
     assert all(np.array_equal(u, w) for u, w in zip(sample_directions(mesh, n, 3), directions, strict=True))
     assert repr(sweep.sample_fibers(mesh, d, n, 3, fields)) == repr(loop)
     assert repr(estimate_sobolev_constant(mesh, d, n, 3, fields)) == repr(sobolev)
     # every candidate's (quotient, numerator), not only the minimum the estimate keeps
-    assert repr(maps[1][1]) == repr(quotients)
+    assert repr(in_caller[:6]) == repr(quotients[:6])
+    assert repr(maps[1][1]) == repr(quotients[6:])
     assert_no_child_left()
 
 
@@ -551,8 +580,8 @@ def test_a_dead_sampling_worker_changes_nothing(monkeypatch, mesh4, preset_data,
     with raising_after(60, TimeoutError("the sampling hung on a dead worker")):
         assert sweep.sample_fibers(mesh4, d, 9, 2, fields4) == fibers
         assert estimate_sobolev_constant(mesh4, d, 9, 2, fields4) == sobolev
-    # each map's first chunk (9 samples; 6 starts and 9 samples) was recomputed in the parent
-    assert died == [(range(0, 4), 3), (range(0, 7), 3)]
+    # each map's first chunk of the 9 samples was recomputed in the parent
+    assert died == [(range(0, 4), 3), (range(0, 4), 3)]
     assert_no_child_left()
 
 
