@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import errno
 import json
 import math
 import os
@@ -300,8 +301,21 @@ def _admissible(config: Config):
     return data, mesh, sample_fields(mesh, data)
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise, creating nothing, the OSError ``os.makedirs(out_dir,
+    exist_ok=True)`` would for a file on the path: FileExistsError if
+    ``out_dir`` is one, NotADirectoryError if it lies under one."""
+    path, below = os.path.normpath(out_dir), None
+    while path and not os.path.exists(path):
+        path, below = os.path.dirname(path), path
+    if path and not os.path.isdir(path):
+        code = errno.EEXIST if below is None else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), below or out_dir)  # OSError picks the subclass from the code
+
+
 def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
     data, mesh, fields = _admissible(config)
+    _check_out_dir(out_dir)
     report = solve_two(mesh, data, config.lam, fields, config.solver)
     os.makedirs(out_dir, exist_ok=True)
     payload = dict(asdict(report, dict_factory=_report_dict), sign_ok=report.sign_ok)
@@ -317,6 +331,7 @@ def _cmd_solve(config: Config, out_dir: str, function: str) -> int:
 
 def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
     data, mesh, fields = _admissible(config)
+    _check_out_dir(out_dir)
     n = config.sweep_samples
     seed = config.sweep_seed
     fibers = sample_fibers(mesh, data, n, seed, fields)

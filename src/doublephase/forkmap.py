@@ -1,6 +1,6 @@
 """One ordered map over forked worker processes.
 
-``_fork_map(func, items, died, most)`` cuts ``items`` into contiguous
+``_fork_map(func, items, most)`` cuts ``items`` into contiguous
 chunks, one per CPU the process may run on (``os.sched_getaffinity``, so
 ``taskset`` restricts it), at most one per item and at most ``most``, and
 returns ``func``'s lists over the chunks joined in order: each chunk but the
@@ -55,19 +55,17 @@ item unpinned the benchmark's ``solve16`` read 0.074-0.078 s against
 parent, runs pinned to the k-th CPU of the caller's set.  A second CPU that other
 processes contend moves every break-even point up.
 
-A map called inside a worker, or inside the parent's own chunk, runs
-in-process, so workers never fork workers of their own.  Every chunk, on a
-worker or in the parent, runs through one function (``_run_as_worker``).
-A worker that dies gives its chunk ``died(chunk, exit status)`` in the
-parent, and a chunk whose fork fails (``os.fork`` raising OSError, such as
-EAGAIN) runs in the parent in its turn; no worker outlives its map.
+Every chunk, on a worker or in the parent, runs through one function
+(``_run_as_worker``), pinned to one CPU, so a map called inside a chunk sees
+one CPU and runs in-process (no package map runs inside another's chunk).
+Every chunk's value is the loop's: a chunk that no worker delivers, because
+its fork failed (``os.fork`` raising OSError, such as EAGAIN) or its worker
+died, runs in the parent in its turn; no worker outlives its map.
 """
 from __future__ import annotations
 
 import os
 import pickle
-
-_in_worker = False  # true in a forked worker and in the parent's own chunk, where maps run in-process
 
 
 def _available_cpus() -> int:
@@ -78,25 +76,24 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_map(func, items, died, most=None) -> list:
+def _fork_map(func, items, most=None) -> list:
     """``func``'s lists over contiguous chunks of ``items`` (slices, in
     order), joined in order; an exception ``func`` raises on an earlier
     chunk propagates.
 
     There is one chunk per available CPU, at most one per item and at most
-    ``most``; with one, inside a worker, or without ``os.fork``, this is
-    ``func(items)``.  Otherwise each chunk but the last runs on a
-    forked worker of its own, which exits once its result is written, and
-    the last runs in the parent; the parent then reads the workers' results
-    in chunk order, so the outcome, exceptions included, is the loop's over
-    the chunks.  The value of a chunk whose worker died is ``died(chunk, its
-    exit status)``, called in the parent in the chunk's turn; a chunk whose
-    fork failed runs in the parent in its turn.  However the map ends (its
-    values, an exception, a KeyboardInterrupt), every worker is killed and
-    reaped before this returns.
+    ``most``; with one, or without ``os.fork``, this is ``func(items)``.
+    Otherwise each chunk but the last runs on a forked worker of its own,
+    which exits once its result is written, and the last runs in the
+    parent; the parent then reads the workers' results in chunk order, so
+    the outcome, exceptions included, is the loop's over the chunks.  A
+    chunk that no worker delivers (its fork failed or its worker died) runs
+    in the parent in its turn.  However the map ends (its values, an
+    exception, a KeyboardInterrupt), every worker is killed and reaped
+    before this returns.
     """
     width = min(_available_cpus(), len(items), len(items) if most is None else most)
-    if width < 2 or _in_worker or not hasattr(os, "fork"):
+    if width < 2 or not hasattr(os, "fork"):
         return func(items)
     bounds = [len(items) * i // width for i in range(width + 1)]
     chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -105,16 +102,12 @@ def _fork_map(func, items, died, most=None) -> list:
         for k, chunk in enumerate(chunks[:-1]):
             try:
                 workers.append(_Worker(func, chunk, k, [w for w in workers if w is not None]))
-            except OSError:  # no process to fork (EAGAIN, say): the parent runs the chunk in its turn
+            except OSError:  # no process to fork (EAGAIN, say)
                 workers.append(None)
         own = _run_as_worker(func, chunks[-1], len(workers))
         values = []
         for k, (worker, chunk) in enumerate(zip(workers, chunks)):
-            outcome = _run_as_worker(func, chunk, k) if worker is None else worker.receive()
-            if outcome is None:  # the worker died
-                values += died(chunk, os.waitstatus_to_exitcode(worker.stop()))
-                continue
-            ok, value = outcome
+            ok, value = (worker and worker.receive()) or _run_as_worker(func, chunk, k)
             if not ok:
                 raise value
             values += value
@@ -124,8 +117,8 @@ def _fork_map(func, items, died, most=None) -> list:
         return values + value
     finally:
         for worker in workers:
-            if worker is not None and worker.pid is not None:
-                worker.stop(kill=True)
+            if worker is not None:
+                worker.stop()
 
 
 def _pin(k: int):
@@ -146,18 +139,14 @@ def _pin(k: int):
 def _run_as_worker(func, chunk, k: int) -> tuple:
     """(ok, ``func(chunk)`` or the exception it raised), as the map's k-th
     worker runs it, in a worker or in the parent: pinned to that worker's
-    CPU, and with any map inside it in-process.  The affinity set and
-    ``_in_worker`` are restored however it ends, KeyboardInterrupt
-    included."""
-    global _in_worker
+    CPU, so any map inside it runs in-process.  The affinity set is
+    restored however it ends, KeyboardInterrupt included."""
     mask = _pin(k)
-    _in_worker = True
     try:
         return True, func(chunk)
     except Exception as exc:
         return False, exc
     finally:
-        _in_worker = False
         if mask is not None:
             os.sched_setaffinity(0, mask)
 
@@ -187,15 +176,14 @@ class _Worker:
         except EOFError:
             return None
 
-    def stop(self, kill: bool = False) -> int:
-        """Reap it (after SIGKILL if ``kill``) and close its pipe; its wait status."""
-        if kill:
-            import signal
+    def stop(self) -> int:
+        """Kill and reap it and close its pipe; its wait status (an exited
+        worker's exit status: SIGKILL leaves an unreaped one as it was)."""
+        import signal
 
-            os.kill(self.pid, signal.SIGKILL)
+        os.kill(self.pid, signal.SIGKILL)
         status = os.waitpid(self.pid, 0)[1]
         os.close(self.results)
-        self.pid = None
         return status
 
 

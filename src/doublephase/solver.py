@@ -612,8 +612,8 @@ def _solve_branches(
     mesh nodes: with two CPUs each branch's group descends as a batch of its
     own, the first on a forked worker, the last, in ``solve_two`` the minus
     group, the longer one, in this process.  Otherwise, and for one branch,
-    every group descends in-process in one batch.  A chunk whose worker dies
-    is descended again in-process.  The outcomes are bit for bit the same
+    every group descends in-process in one batch.  A chunk that no worker
+    delivers is descended in-process.  The outcomes are bit for bit the same
     however the groups are batched, and a lane that did not merge is bit
     for bit its start's one-lane descent."""
     if opts is None:
@@ -629,7 +629,7 @@ def _solve_branches(
             [out for out in outs if isinstance(out, SolveResult)],
             tuple((name, out) for (name, _), out in zip(starts, outs) if not isinstance(out, SolveResult)),
         )
-        for outs in _fork_map(descend, branches, lambda chunk, status: descend(chunk), most=most)
+        for outs in _fork_map(descend, branches, most=most)
     ]
 
 

@@ -35,8 +35,9 @@ lambda and above (the cut), and ends the chunk.  At one CPU and one BLAS
 thread, the five default grid points' separate minus solves took 134 ms
 against 79 ms for one batch at 8x8, and 274 against 170 ms at 16x16
 (medians of 15).  The bisection after the scan runs its one-lambda batches
-in the calling process.  A worker that dies makes its chunk's first lambda
-undetermined.
+in the calling process.  A chunk that no worker delivers (its fork failed
+or its worker died) is scanned in the calling process, so the scan's
+outcome is the one-process scan's.
 
 ``_map_directions`` owns the sampled directions' layout; both sampling
 estimates (``sample_fibers`` and the sampled Rayleigh candidates of
@@ -45,10 +46,10 @@ cuts the directions' indices into chunks on the same fork map, one per CPU
 but at most n*M // FORK_MIN_NODES for n directions on M nodes, so that each
 worker gets at least FORK_MIN_NODES node evaluations: a sampling map splits
 from 64x64 on at 200 samples (see ``forkmap`` for the measured break-even).
-Each chunk draws its blocks from its own offset in the seeded stream, and
-one whose worker dies is recomputed in-process, so the output does not
-change.  The six multi-starts' quotients, and the polishing of the best
-Rayleigh candidate, run in the calling process.
+Each chunk draws its blocks from its own offset in the seeded stream, so
+the output does not depend on the cut.  The six multi-starts' quotients,
+and the polishing of the best Rayleigh candidate, run in the calling
+process.
 """
 from __future__ import annotations
 
@@ -205,14 +206,13 @@ def _map_directions(mesh: Mesh, n: int, seed: int, kernel) -> list:
     directions of the seeded stream, joined in order.  The directions'
     indices run in chunks on ``_fork_map``, capped so that each worker gets
     FORK_MIN_NODES node evaluations; each chunk draws its own blocks from
-    its offset in the stream (``_direction_blocks``), and a chunk whose
-    worker died is recomputed in-process."""
+    its offset in the stream (``_direction_blocks``)."""
 
     def rows(chunk: range) -> list:
         return [row for block in _direction_blocks(mesh, len(chunk), seed, chunk.start) for row in kernel(block)]
 
     most = n * mesh.num_nodes // FORK_MIN_NODES
-    return _fork_map(rows, range(n), lambda chunk, status: rows(chunk), most=most)
+    return _fork_map(rows, range(n), most=most)
 
 
 def _fiber_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
@@ -397,13 +397,9 @@ def _first_nonpositive(mesh: Mesh, data: ProblemData, grid: list, fields: FieldS
     with no cap (one, in-process, for one lambda), each scanned by
     ``_scan``; the last chunk runs in this process.  A chunk ends at its
     first lambda that is not positive, so the chunks' values joined in
-    order are the ascending scan's up to the first of them.  A chunk whose
-    worker died makes its first lambda undetermined."""
-
-    def died(chunk, status):
-        return [SweepUndetermined(chunk[0], f"its worker died (exit status {status})")]
-
-    scanned = _fork_map(lambda chunk: _scan(mesh, data, chunk, fields, opts), grid, died)
+    order are the ascending scan's up to the first of them, and a chunk
+    that no worker delivers is scanned in this process in its turn."""
+    scanned = _fork_map(lambda chunk: _scan(mesh, data, chunk, fields, opts), grid)
     for k, positive in enumerate(scanned):
         if isinstance(positive, SweepUndetermined):
             raise positive

@@ -461,14 +461,21 @@ def test_solve_command_outputs(tmp_path):
         assert len(lines) == 1 + 25  # header + nodes of the 4x4 mesh
 
 
-@pytest.mark.parametrize("command", ["fiber", "solve"])
+@pytest.mark.parametrize("command", ["fiber", "solve", "sweep"])
 @pytest.mark.parametrize(
     "under, error", [(False, "FileExistsError"), (True, "NotADirectoryError")], ids=["the_file", "under_it"]
 )
-def test_an_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, command, under, error):
+def test_an_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, command, under, error):
     # -o naming an existing file, or a path under one: the command exits 2
     # with one stderr line naming the error, not a traceback, and the file
-    # is left as it was
+    # is left as it was; solve and sweep exit before any descent or sampling
+    from doublephase import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    for name in ("solve_two", "sample_fibers", "estimate_lambda_star"):
+        monkeypatch.setattr(cli, name, no_work)
     cfg = write(tmp_path, SMALL_SOLVE)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")

@@ -14,7 +14,7 @@ from doublephase.rootfind import BracketError
 from doublephase.solver import NoRootError
 from doublephase.sweep import SweepUndetermined
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, raising_after
 
 # one instance of every exception class the package defines
 EXCEPTIONS = [
@@ -54,7 +54,7 @@ def test_every_package_exception_crosses_a_worker_pipe(monkeypatch, exc):
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     with pytest.raises(type(exc)) as info:
-        forkmap._fork_map(raising, [0, 1], died=None)
+        forkmap._fork_map(raising, [0, 1])
     assert type(info.value) is type(exc)
     assert str(info.value) == str(exc)
     assert vars(info.value) == vars(exc)
@@ -79,12 +79,11 @@ def test_each_worker_runs_on_its_own_cpu(monkeypatch):
     # pinned where its worker would run
     cpus = sorted(os.sched_getaffinity(0))
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
-    got = forkmap._fork_map(where, [0, 1, 2], died=None)
+    got = forkmap._fork_map(where, [0, 1, 2])
     assert [mask for _, mask in got] == [{cpus[k % len(cpus)]} for k in range(3)]
     pids = [pid for pid, _ in got]
     assert pids[2] == os.getpid() and os.getpid() not in pids[:2] and pids[0] != pids[1]
     assert os.sched_getaffinity(0) == set(cpus)
-    assert not forkmap._in_worker
     assert_no_child_left()
 
 
@@ -98,22 +97,22 @@ def test_an_earlier_workers_exception_wins_over_the_parents(monkeypatch):
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     with pytest.raises(ValueError, match="^item 0$"):
-        forkmap._fork_map(raising, [0, 1], died=None)
+        forkmap._fork_map(raising, [0, 1])
     assert ran_here == [1]
     assert_no_child_left()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_map_inside_the_parents_item_runs_in_process(monkeypatch):
+@AFFINITY
+@pytest.mark.skipif(forkmap._available_cpus() < 2, reason="needs 2 CPUs")
+def test_a_map_inside_the_parents_item_runs_in_process():
+    # each chunk runs pinned to one CPU, so a map inside it sees one CPU
     def nested(chunk):
-        return [forkmap._fork_map(lambda inner: [os.getpid() for _ in inner], [0, 1], died=None)]
+        return [forkmap._fork_map(lambda inner: [os.getpid() for _ in inner], [0, 1])]
 
-    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    first, last = forkmap._fork_map(nested, [0, 1], died=None)
+    first, last = forkmap._fork_map(nested, [0, 1])
     parent = os.getpid()
     assert last == [parent, parent]  # the parent's item: no new process
     assert len(set(first)) == 1 and parent not in first  # the worker's item, in the worker
-    assert not forkmap._in_worker
     assert_no_child_left()
 
 
@@ -146,13 +145,12 @@ def test_the_parents_item_restores_its_affinity(outcome, one_cpu, monkeypatch):
             os.sched_setaffinity(0, {cpus[0]})
         mask = os.sched_getaffinity(0)
         if outcome == "value":
-            got = forkmap._fork_map(parents_item(outcome), [0, 1], died=None)
+            got = forkmap._fork_map(parents_item(outcome), [0, 1])
             assert got == [None, {sorted(mask)[1 % len(mask)]}]
         else:
             with pytest.raises(type(outcome)):
-                forkmap._fork_map(parents_item(outcome), [0, 1], died=None)
+                forkmap._fork_map(parents_item(outcome), [0, 1])
         assert os.sched_getaffinity(0) == mask
-        assert not forkmap._in_worker
     finally:
         os.sched_setaffinity(0, before)
     assert_no_child_left()
@@ -161,13 +159,13 @@ def test_the_parents_item_restores_its_affinity(outcome, one_cpu, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "waitid"), reason="no os.fork or os.waitid")
 def test_a_worker_with_its_only_item_exits_on_its_own(monkeypatch):
     # it gets its one item at its fork, so it exits after writing the result
-    # while the parent runs its own item, and the parent reaps an exited
-    # worker instead of killing a waiting one
+    # while the parent runs its own item; the SIGKILL of the parent's stop
+    # then finds an exited worker, whose status is its own exit 0
     statuses = []
     stop = forkmap._Worker.stop
 
-    def recording(worker, kill=False):
-        status = stop(worker, kill)
+    def recording(worker):
+        status = stop(worker)
         statuses.append(os.waitstatus_to_exitcode(status))
         return status
 
@@ -181,7 +179,7 @@ def test_a_worker_with_its_only_item_exits_on_its_own(monkeypatch):
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(forkmap._Worker, "stop", recording)
-    assert forkmap._fork_map(func, [0, 1], died=None) == [0, 1]
+    assert forkmap._fork_map(func, [0, 1]) == [0, 1]
     assert statuses == [0]
     assert_no_child_left()
 
@@ -193,9 +191,42 @@ def test_a_map_with_more_items_than_cpus_runs_them_in_contiguous_chunks(monkeypa
     # ``func(items)`` in-process
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
     items = list(range(7))
-    assert forkmap._fork_map(lambda chunk: [chunk], items, died=None) == [[0, 1], [2, 3], [4, 5, 6]]
-    assert forkmap._fork_map(lambda chunk: [x * x for x in chunk], items, died=None) == [x * x for x in items]
-    assert forkmap._fork_map(lambda chunk: [chunk], range(7), died=None, most=2) == [range(0, 3), range(3, 7)]
+    assert forkmap._fork_map(lambda chunk: [chunk], items) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert forkmap._fork_map(lambda chunk: [x * x for x in chunk], items) == [x * x for x in items]
+    assert forkmap._fork_map(lambda chunk: [chunk], range(7), most=2) == [range(0, 3), range(3, 7)]
     parent = os.getpid()
-    assert forkmap._fork_map(lambda chunk: [(os.getpid(), chunk)], items, died=None, most=1) == [(parent, items)]
+    assert forkmap._fork_map(lambda chunk: [(os.getpid(), chunk)], items, most=1) == [(parent, items)]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="no os.fork or /proc")
+def test_a_chunk_no_worker_delivers_runs_in_the_caller(monkeypatch):
+    # three chunks of one item: the first's fork fails, the second's worker
+    # dies, the last is the parent's own; the parent runs both undelivered
+    # chunks in their turn, after its own, and the values are the loop's
+    parent = os.getpid()
+    ran_here = []
+    fork = os.fork
+    forks = []
+
+    def failing_once():
+        forks.append(1)
+        if len(forks) == 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    def func(chunk):
+        if os.getpid() != parent:
+            os._exit(3)
+        ran_here.append(chunk)
+        return [x * x for x in chunk]
+
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", failing_once)
+    fds = len(os.listdir("/proc/self/fd"))
+    with raising_after(60, TimeoutError("the map hung on a dead worker")):
+        assert forkmap._fork_map(func, [0, 1, 2]) == [0, 1, 4]
+    assert ran_here == [[2], [0], [1]]
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
     assert_no_child_left()

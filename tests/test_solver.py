@@ -531,13 +531,12 @@ def test_a_failed_fork_runs_its_chunk_in_the_caller(monkeypatch, mesh16, preset_
     monkeypatch.setattr(os, "fork", failing_fork)
     fds = len(os.listdir("/proc/self/fd"))
     parent = os.getpid()
-    got = forkmap._fork_map(lambda chunk: [(os.getpid(), x * x) for x in chunk], range(7), died=None)
+    got = forkmap._fork_map(lambda chunk: [(os.getpid(), x * x) for x in chunk], range(7))
     assert got == [(parent, x * x) for x in range(7)]
     assert len(forks) == 2
     assert report_key(solve_two(mesh16, preset_data, LAM, fields16)) == want
     assert len(forks) == 3  # the plus group's fork
     assert len(os.listdir("/proc/self/fd")) == fds
-    assert not forkmap._in_worker
     assert_no_child_left()
 
 

@@ -373,22 +373,27 @@ def test_lambda_star_workers_solve_their_lanes_in_process(monkeypatch, tmp_path,
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_lambda_star_scan_names_a_dead_worker_and_leaves_no_process(monkeypatch, mesh4, preset_data, fields4):
-    # the worker holds the chunk [0.2, 0.5]; its death makes the chunk's
-    # first lambda undetermined, while this process scans [0.8, 1.0]
+def test_a_dead_scan_worker_gives_the_one_process_lambda_star(monkeypatch, mesh4, preset_data, fields4):
+    # the worker holds the chunk [0.2, 0.5] and dies; this process scans
+    # [0.8, 1.0], then the dead worker's chunk in its turn
+    grid = [0.2, 0.5, 0.8, 1.0]
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
+    want = estimate_lambda_star(mesh4, preset_data, grid, fields4)
     parent = os.getpid()
     descend = solver._descend
+    in_parent = []  # the lambdas of each batch the parent descends
 
-    def dying(*args, **kwargs):
+    def dying(mesh, data, groups, *args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return descend(*args, **kwargs)
+        in_parent.append([lam for lam, _ in groups])
+        return descend(mesh, data, groups, *args, **kwargs)
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_descend", dying)
     with raising_after(60, TimeoutError("the scan hung on a dead worker")):
-        with pytest.raises(SweepUndetermined, match=r"^undetermined at lambda=0.2: its worker died \(exit status 3\)$"):
-            estimate_lambda_star(mesh4, preset_data, [0.2, 0.5, 0.8, 1.0], fields4)
+        assert estimate_lambda_star(mesh4, preset_data, grid, fields4) == want
+    assert in_parent[:2] == [[0.8, 1.0], [0.2, 0.5]]
     assert_no_child_left()
 
 
@@ -437,10 +442,8 @@ def recording_maps(monkeypatch) -> list:
     maps = []
     fork_map = sweep._fork_map
 
-    def recording(func, items, died, **kwargs):
-        pairs = fork_map(
-            lambda chunk: [(chunk, func(chunk))], items, lambda chunk, status: [(chunk, died(chunk, status))], **kwargs
-        )
+    def recording(func, items, **kwargs):
+        pairs = fork_map(lambda chunk: [(chunk, func(chunk))], items, **kwargs)
         maps.append(([chunk for chunk, _ in pairs], [value for _, values in pairs for value in values]))
         return maps[-1][1]
 
@@ -562,26 +565,27 @@ def test_a_dead_sampling_worker_changes_nothing(monkeypatch, mesh4, preset_data,
 
         return wrapped
 
-    died = []
+    in_parent = []  # the chunks the parent runs, in order
     fork_map = sweep._fork_map
 
-    def noting_deaths(func, items, on_death, **kwargs):
-        def noted(item, status):
-            died.append((item, status))
-            return on_death(item, status)
+    def noting_parents_chunks(func, items, **kwargs):
+        def noted(chunk):
+            if os.getpid() == parent:
+                in_parent.append(chunk)
+            return func(chunk)
 
-        return fork_map(func, items, noted, **kwargs)
+        return fork_map(noted, items, **kwargs)
 
     sampling_at_width(monkeypatch, 2)
     sampling_in_blocks(monkeypatch, mesh4, 2)
-    monkeypatch.setattr(sweep, "_fork_map", noting_deaths)
+    monkeypatch.setattr(sweep, "_fork_map", noting_parents_chunks)
     monkeypatch.setattr(sweep, "_fiber_block", dying(sweep._fiber_block))
     monkeypatch.setattr(sweep, "_quotient_block", dying(sweep._quotient_block))
     with raising_after(60, TimeoutError("the sampling hung on a dead worker")):
         assert sweep.sample_fibers(mesh4, d, 9, 2, fields4) == fibers
         assert estimate_sobolev_constant(mesh4, d, 9, 2, fields4) == sobolev
-    # each map's first chunk of the 9 samples was recomputed in the parent
-    assert died == [(range(0, 4), 3), (range(0, 4), 3)]
+    # each map's parent ran its own chunk of the 9 samples, then recomputed the first
+    assert in_parent == [range(4, 9), range(0, 4)] * 2
     assert_no_child_left()
 
 
