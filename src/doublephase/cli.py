@@ -6,10 +6,11 @@ success / all-pass, 1 on validation or property failure (and a failed
 solve), 2 on usage or config error, including a ``solve``/``sweep`` config
 that violates a hypothesis clause, on a numerical failure outside the
 descents (an overflow, or a scalar root whose bracket from its power sum's
-terms leaves the float range), and on an output directory that cannot be
-made or written (``-o`` naming a file, or a path under one): one stderr
-line, never a traceback.  A start whose descent fails numerically is named
-in the solve report, not an exit 2.
+terms leaves the float range), on an output directory that cannot be
+made or written (``-o`` naming a file, or a path under one), and on running
+out of memory (MemoryError): one stderr line, never a traceback.  A
+start whose descent fails numerically is named in the solve report, not
+an exit 2.
 """
 from __future__ import annotations
 
@@ -426,6 +427,9 @@ def run(command: str, config: Config, out_dir: str = "out", function: str = "1")
         return 2
     except OSError as exc:  # an output directory that cannot be made or written
         print(f"output error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation the process cannot have
+        print(f"out of memory ({type(exc).__name__}): {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

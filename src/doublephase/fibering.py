@@ -70,35 +70,6 @@ class FiberTerms:
     q1: float
     kappa: float
 
-    @classmethod
-    def from_breakdown(cls, bd: ModularBreakdown, data: ProblemData) -> "FiberTerms":
-        """The fiber terms of the function whose modular breakdown is ``bd``."""
-        return cls(
-            a=bd.grad_p + bd.mass_p_alpha,
-            b=bd.grad_q_mu,
-            c=bd.bdry_pstar_beta,
-            d=bd.zeta_sing,
-            e=bd.mass_q1,
-            p=data.p,
-            q=data.q,
-            p_lower_star=data.p_lower_star,
-            q1=data.q1,
-            kappa=data.kappa,
-        )
-
-    @classmethod
-    def lanes(cls, bd: ModularBreakdown, data: ProblemData) -> list:
-        """The fiber terms of each lane of the batched breakdown ``bd`` ((S,)
-        arrays), each ``from_breakdown`` of that lane's own breakdown bit for
-        bit (``lane_dot``), or None for a lane with a term that is not finite."""
-        sums = (bd.grad_p, bd.mass_p_alpha, bd.grad_q_mu, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1)
-        exponents = (data.p, data.q, data.p_lower_star, data.q1, data.kappa)
-        out = []
-        for row in zip(*(x.tolist() for x in sums)):
-            grad_p, mass_p, *bcde = row
-            out.append(cls(grad_p + mass_p, *bcde, *exponents) if all(map(math.isfinite, row)) else None)
-        return out
-
 
 class NehariKind(enum.Enum):
     NOT_ON_NEHARI = "not_on_nehari"
@@ -116,7 +87,28 @@ class NehariClass:
 
 
 def fiber_terms(mesh: Mesh, data: ProblemData, u, fields: FieldSamples) -> FiberTerms:
-    return FiberTerms.from_breakdown(modular_breakdown(mesh, data, u, fields), data)
+    return _terms(data, *_integrals(modular_breakdown(mesh, data, u, fields)))
+
+
+def lane_terms(mesh: Mesh, data: ProblemData, w: np.ndarray, fields: FieldSamples) -> list:
+    """``fiber_terms`` of each row of the (k, M) block ``w``, in row order and
+    bit for bit (``space.lane_dot``), from one batched breakdown run under
+    np.errstate(all="ignore"); None for a row with an integral that is not
+    finite, for the caller to recompute alone under its own error state."""
+    with np.errstate(all="ignore"):
+        integrals = _integrals(modular_breakdown(mesh, data, w, fields))
+    rows = zip(*(x.tolist() for x in integrals))
+    return [_terms(data, *row) if all(map(math.isfinite, row)) else None for row in rows]
+
+
+def _integrals(bd: ModularBreakdown) -> tuple:
+    """The six integrals of ``bd`` in the order ``_terms`` takes them."""
+    return bd.grad_p, bd.mass_p_alpha, bd.grad_q_mu, bd.bdry_pstar_beta, bd.zeta_sing, bd.mass_q1
+
+
+def _terms(data: ProblemData, grad_p, mass_p_alpha, b, c, d, e) -> FiberTerms:
+    """The fiber terms of the function whose breakdown has these ``_integrals``."""
+    return FiberTerms(grad_p + mass_p_alpha, b, c, d, e, data.p, data.q, data.p_lower_star, data.q1, data.kappa)
 
 
 def _psi_terms(ft: FiberTerms, lam: float) -> list:
@@ -247,11 +239,20 @@ class FiberRoots:
         return self.kind == "two"
 
 
+def root_kind(eta_max: float, lambda_e: float) -> str:
+    """How many roots eta(t) = lambda_e has, from eta's maximum ``eta_max``
+    = eta(t_circ): "tangent" inside the declared relative band TANGENT_TOL,
+    "two" above it and "none" below it."""
+    if abs(eta_max - lambda_e) <= TANGENT_TOL * max(abs(lambda_e), abs(eta_max)):
+        return "tangent"
+    return "two" if eta_max > lambda_e else "none"
+
+
 def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> FiberRoots:
     """Locate the roots of eta(t) = lam*e around the maximizer t_circ.
 
-    Two roots when eta(t_circ) > lam*e, a tangency inside the declared
-    1e-10 relative band, and none below it.  Each root is located to
+    Two roots, a tangency or none, as ``root_kind`` decides from
+    eta(t_circ) and lam*e.  Each root is located to
     |eta(t) - lam*e| <= max(1e-12 * lam*e, 8 eps * the unsigned sum of eta's
     terms at t): where those terms are far larger than lam*e, eta's rounding
     exceeds the first bound.  The iteration is the safeguarded Newton one on
@@ -274,10 +275,9 @@ def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> Fiber
     le = lam * ft.e
     if not (math.isfinite(eta_max) and math.isfinite(le)):
         raise OverflowError(f"fiber_roots: eta(t_circ)={eta_max!r}, lam*e={le!r} not finite")
-    if abs(eta_max - le) <= TANGENT_TOL * max(abs(le), abs(eta_max)):
-        return FiberRoots("tangent", None, None, tc, eta_max, le)
-    if eta_max < le:
-        return FiberRoots("none", None, None, tc, eta_max, le)
+    kind = root_kind(eta_max, le)
+    if kind != "two":
+        return FiberRoots(kind, None, None, tc, eta_max, le)
 
     def g(t: float) -> tuple[float, float]:
         """eta - lam*e (-inf at 0, -lam*e at inf) and its log-t slope; the

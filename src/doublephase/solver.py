@@ -27,23 +27,24 @@ owns the batch's layout: it takes (lambda, branch) groups and one list of
 starts, descends every start of every group in lockstep as a lane of (S, M)
 arrays (the gradient takes a column of the lanes' lambdas), so one
 gradient, one Riesz map, one L-BFGS product of the stacked pair store and
-one breakdown per line-search round serve them all, and returns each
-group's outcomes in start order: ``solve_two`` passes one group per branch,
-the lambda* scan one minus group per grid point.  A lane stops once its
-projected point comes within MERGE_TOL (relative lumped L2 distance) of a
-lower-energy running lane of its group (``StopReason.MERGED``), as
-multi-level single linkage stops a local search near a better point
-(Rinnooy Kan & Timmer, Math. Prog. 39, 1987): on the preset every start of
-a branch ends at one point, and the lanes meet long before they stop.  A
-lane that did not merge is its start's descent alone, bit for bit; a merged
-lane is that descent cut at its merge.  The scan's batches also stop every
-lane at and above the lowest lambda where a projected point has energy <= 0
-(``StopReason.CUT``): that point bounds the minus minimum there from above,
-so the scan needs no more.  On meshes of at least LANE_FORK_MIN_NODES nodes
-``forkmap._fork_map`` cuts ``solve_two``'s two groups into one chunk each,
-a batch of its own (below that its cap is one chunk): the plus group on a
-forked worker, the minus group in the calling process; a merge compares
-lanes of one group only, so the split changes no bit of any result.
+one breakdown (``lane_terms``) per line-search round serve them all, and
+returns each group's outcomes in start order (``_split`` parts results from
+failures): ``solve_two`` passes one group per branch, the lambda* scan one
+minus group per grid point.  A lane stops once its projected point comes
+within MERGE_TOL (relative lumped L2 distance) of a lower-energy running
+lane of its group (``StopReason.MERGED``), as multi-level single linkage
+stops a local search near a better point (Rinnooy Kan & Timmer, Math.
+Prog. 39, 1987): on the preset every start of a branch ends at one point,
+and the lanes meet long before they stop.  A lane that did not merge is
+its start's descent alone, bit for bit; a merged lane is that descent cut
+at its merge.  The scan's batches also stop every lane at and above the
+lowest lambda where a projected point has energy <= 0 (``StopReason.CUT``):
+that point bounds the minus minimum there from above, so the scan needs no
+more.  On meshes of at least LANE_FORK_MIN_NODES nodes ``forkmap._fork_map``
+cuts ``solve_two``'s two groups into one chunk each, a batch of its own
+(below that its cap is one chunk): the plus group on a forked worker, the
+minus group in the calling process; a merge compares lanes of one group
+only, so the split changes no bit of any result.
 """
 from __future__ import annotations
 
@@ -63,13 +64,14 @@ from .fibering import (
     classify_nehari,
     fiber_roots,
     fiber_terms,
+    lane_terms,
     psi_with_magnitude,
     warm_branch_root,
 )
 from .forkmap import _fork_map
 from .mesh import Mesh, riesz_map
 from .problem import ProblemData
-from .space import FieldSamples, lane_dot, modular_breakdown
+from .space import FieldSamples, lane_dot
 # unused here, but the benchmark's tracer wraps ``solver.luxemburg_norm`` and
 # ``solver.sample_fields`` by name
 from .space import luxemburg_norm, sample_fields  # noqa: F401
@@ -332,13 +334,11 @@ class _Lane:
 def _project_lanes(mesh: Mesh, data: ProblemData, w: np.ndarray, lanes: list, fields) -> list:
     """``_project`` of each row of w (S, M) by its lane of ``lanes``: onto
     its branch at its lambda, warm from its point (if any), with the terms of
-    one batched breakdown, or the lane's ArithmeticError.  Terms that are not
-    finite are recomputed alone, under the caller's numpy error state: an
-    overflow fails that lane, not the batch."""
-    with np.errstate(all="ignore"):
-        lane_terms = FiberTerms.lanes(modular_breakdown(mesh, data, w, fields), data)
+    one batched breakdown (``lane_terms``), or the lane's ArithmeticError.
+    Terms that are not finite are recomputed alone, under the caller's numpy
+    error state: an overflow fails that lane, not the batch."""
     out = []
-    for wi, terms, lane in zip(w, lane_terms, lanes):
+    for wi, terms, lane in zip(w, lane_terms(mesh, data, w, fields), lanes):
         try:
             out.append(_project(mesh, data, wi, lane.lam, lane.branch, fields, warm=lane.proj, terms=terms))
         except ArithmeticError as exc:  # an unreachable branch, an overflow, a failed bracket
@@ -624,13 +624,14 @@ def _solve_branches(
         return _descend(mesh, data, [(lam, branch) for branch in branches], starts, fields, opts)
 
     most = 1 if mesh.num_nodes < LANE_FORK_MIN_NODES else None
-    return [
-        (
-            [out for out in outs if isinstance(out, SolveResult)],
-            tuple((name, out) for (name, _), out in zip(starts, outs) if not isinstance(out, SolveResult)),
-        )
-        for outs in _fork_map(descend, branches, most=most)
-    ]
+    return [_split(starts, outs) for outs in _fork_map(descend, branches, most=most)]
+
+
+def _split(starts, outcomes) -> tuple[list, tuple]:
+    """(results, failures) of one group's ``_descend`` outcomes from ``starts``:
+    the ``SolveResult``s and a (name, ArithmeticError) per failed start."""
+    results = [out for out in outcomes if isinstance(out, SolveResult)]
+    return results, tuple((name, out) for (name, _), out in zip(starts, outcomes) if not isinstance(out, SolveResult))
 
 
 def solve_two(

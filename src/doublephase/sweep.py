@@ -13,13 +13,13 @@ above by polished Rayleigh quotients.
 
 The sampled directions, and the Rayleigh candidates, are broken down in
 (k, M) blocks: k = max(1, BLOCK_NODES // M) directions on M nodes share one
-batched modular breakdown, whose rows are the one-direction breakdowns bit
-for bit (``space.lane_dot``).  At the small meshes a breakdown is mostly
-numpy dispatch, so one call per block costs a fraction of one call per
-direction (at one BLAS thread, per direction: 5 against 51 us at 8x8, 13
-against 60 us at 16x16, 60 against 89 us at 32x32, 170 against 205 us at
-64x64); from 128x128 on a block is one direction.  The scalar roots stay
-per direction, in sample order.
+batched breakdown (``fibering.lane_terms``, as the descent's lanes do),
+whose rows are the one-direction breakdowns bit for bit.  At the small
+meshes a breakdown is mostly numpy dispatch, so one call per block costs a
+fraction of one call per direction (at one BLAS thread, per direction: 5
+against 51 us at 8x8, 13 against 60 us at 16x16, 60 against 89 us at
+32x32, 170 against 205 us at 64x64); from 128x128 on a block is one
+direction.  The scalar roots stay per direction, in sample order.
 
 The lambda* scan runs on ``forkmap._fork_map``, which cuts its grid into
 contiguous chunks, one per CPU the process may run on: the last chunk runs
@@ -27,7 +27,8 @@ in the calling process and the others on forked workers, whose results are
 read in chunk order, so every value and exception is exactly what one
 process would give.  A chunk hands its grid points to ``solver._descend``
 as (lambda, minus) groups (``_scan``); ``_descend`` owns the lanes' layout
-and gives back each group's outcomes.  A lane merges only with a lane of
+and gives back each group's outcomes, split by ``solver._split`` into
+results and failures for ``_decide``.  A lane merges only with a lane of
 its own group, so each grid point that no cut reached gets its
 ``solve_branch`` results bit for bit, and a lane whose projected energy is
 <= 0 decides its lambda (``_decide``'s bound), stops every lane at that
@@ -61,12 +62,12 @@ import math
 import numpy as np
 
 from .energy import gradient_flux
-from .fibering import FiberTerms, eta, fiber_terms, t_circ, t_tilde_circ
+from .fibering import FiberTerms, eta, fiber_terms, lane_terms, root_kind, t_circ, t_tilde_circ
 from .forkmap import _fork_map
 from .mesh import Mesh
 from .problem import ProblemData
 from . import solver
-from .solver import Branch, NoRootError, SolverOptions, SolveResult, StopReason, multistart_directions
+from .solver import Branch, NoRootError, SolverOptions, StopReason, multistart_directions
 # unused here, but the benchmark's tracer wraps ``sweep.minimize_on_branch`` by name
 from .solver import minimize_on_branch  # noqa: F401
 from .space import FieldSamples, lane_dot, lebesgue_norm, modular_breakdown
@@ -89,7 +90,6 @@ __all__ = [
     "estimate_sobolev_constant",
 ]
 
-TANGENCY_REL_TOL = 1e-10
 LAMBDA_STAR_BISECTIONS = 3  # bisection steps between the bracketing grid points
 SOBOLEV_POLISH_STEPS = 40   # gradient steps polishing the best Rayleigh candidate
 FORK_MIN_NODES = 2**18      # node evaluations a sampling worker must get for forking to pay
@@ -182,15 +182,6 @@ def _block_size(mesh: Mesh) -> int:
     return max(1, BLOCK_NODES // mesh.num_nodes)
 
 
-def _block_terms(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
-    """``FiberTerms.lanes`` of one batched breakdown of the (k, M) ``block``,
-    run under np.errstate(all="ignore"): a row that is not finite comes back
-    None, for its caller to recompute alone, in row order, under its own
-    error state, so the first error is the one a loop over the rows raises."""
-    with np.errstate(all="ignore"):
-        return FiberTerms.lanes(modular_breakdown(mesh, data, block, fields), data)
-
-
 def sample_fibers(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fields: FieldSamples) -> tuple:
     """One ``SampledFiber`` per direction of ``sample_directions``: the table
     every sampled estimate reduces.
@@ -217,10 +208,12 @@ def _map_directions(mesh: Mesh, n: int, seed: int, kernel) -> list:
 
 def _fiber_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
     """The ``SampledFiber`` of each row of the (k, M) ``block``, in row
-    order, from one batched breakdown (``_block_terms``)."""
+    order, from one batched breakdown (``lane_terms``); a row that is not
+    finite is recomputed alone, in row order, so the first error is the one
+    a loop over the rows raises."""
     return [
         _sampled_fiber(fiber_terms(mesh, data, u, fields) if ft is None else ft)
-        for u, ft in zip(block, _block_terms(mesh, data, block, fields))
+        for u, ft in zip(block, lane_terms(mesh, data, block, fields))
     ]
 
 
@@ -244,24 +237,17 @@ def lambda_tilde_from(fibers) -> float:
 
 def nzero_evidence(fibers, lam: float) -> NzeroEvidence:
     """Scan sampled fibers for tangencies eta(t_circ) = lam*e (each one is a
-    degenerate-branch point on that fiber); degenerate fibers are skipped."""
+    degenerate-branch point on that fiber): each fiber is a tangency, two
+    roots or none by ``root_kind``; degenerate fibers are skipped."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    skipped = two_root = no_root = 0
+    kinds = [None if f.eta_max is None else root_kind(f.eta_max, lam * f.terms.e) for f in fibers]
     tangencies = []
-    for i, f in enumerate(fibers):
-        if f.eta_max is None:
-            skipped += 1
-            continue
-        le = lam * f.terms.e
-        gap = abs(f.eta_max - le) / max(abs(f.eta_max), abs(le))
-        if gap <= TANGENCY_REL_TOL:
-            tangencies.append(Tangency(i, f.t_circ, f.eta_max, le, gap))
-        elif f.eta_max > le:
-            two_root += 1
-        else:
-            no_root += 1
-    return NzeroEvidence(lam, len(fibers), skipped, two_root, no_root, tuple(tangencies))
+    for i, (f, kind) in enumerate(zip(fibers, kinds)):
+        if kind == "tangent":
+            le = lam * f.terms.e
+            tangencies.append(Tangency(i, f.t_circ, f.eta_max, le, abs(f.eta_max - le) / max(abs(f.eta_max), abs(le))))
+    return NzeroEvidence(lam, len(fibers), *(kinds.count(k) for k in (None, "two", "none")), tuple(tangencies))
 
 
 def estimate_lambda_tilde(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fields: FieldSamples) -> float:
@@ -277,11 +263,11 @@ def check_nzero_empty(
     return nzero_evidence(sample_fibers(mesh, data, n_samples, seed, fields), lam)
 
 
-def _decide(lam: float, starts, outcomes) -> bool:
+def _decide(lam: float, results, failures) -> bool:
     """Whether the Minus-branch minimum at ``lam`` is positive, from the
-    ``outcomes`` (``SolveResult`` or ArithmeticError) of the minus
-    ``starts`` at ``lam``, in start order.  The first rule that applies
-    decides:
+    minus starts' ``SolveResult``s and (name, ArithmeticError) ``failures``
+    at ``lam`` (``solver._split``), each in start order.  The first rule
+    that applies decides:
 
     - the bound: some start's energy is <= 0: False.  Its point lies on the
       minus branch, whose minimum is at most that point's energy, so it
@@ -299,13 +285,12 @@ def _decide(lam: float, starts, outcomes) -> bool:
     decides.  A cut start (``StopReason.CUT``) stopped at or above a lambda
     that the bound decides; ``_scan`` decides no lambda above that one.
     """
-    results = [out for out in outcomes if isinstance(out, SolveResult)]
     if any(res.energy <= 0.0 for res in results):
         return False
     undetermined = [
-        f"failed numerically from start {name!r} ({type(out).__name__}): {out}"
-        for (name, _), out in zip(starts, outcomes)
-        if isinstance(out, ArithmeticError) and not isinstance(out, NoRootError)
+        f"failed numerically from start {name!r} ({type(exc).__name__}): {exc}"
+        for name, exc in failures
+        if not isinstance(exc, NoRootError)
     ] + [
         f"did not converge from start {res.start!r}"
         for res in results
@@ -336,7 +321,7 @@ def _scan(mesh: Mesh, data: ProblemData, lams, fields: FieldSamples, opts: Solve
         groups = solver._descend(mesh, data, [(lam, Branch.MINUS) for lam in batch], starts, fields, opts, cut=True)
         for lam, outcomes in zip(batch, groups):
             try:
-                decided.append(_decide(lam, starts, outcomes))
+                decided.append(_decide(lam, *solver._split(starts, outcomes)))
             except SweepUndetermined as exc:
                 decided.append(exc)
             if decided[-1] is not True:
@@ -423,10 +408,10 @@ def _quotient(data: ProblemData, num: float, norm: float) -> tuple[float, float]
 def _quotient_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
     """``_rayleigh_quotient`` of each row of the (k, M) ``block`` (None for a
     zero row), in row order, bit for bit from one batched breakdown
-    (``_block_terms``) and one batched L^{p*} mass (``lane_dot``, each row
+    (``lane_terms``) and one batched L^{p*} mass (``lane_dot``, each row
     the 1-D dot of ``lebesgue_norm``); a row with a value that is not finite
     is recomputed alone."""
-    terms = _block_terms(mesh, data, block, fields)
+    terms = lane_terms(mesh, data, block, fields)
     with np.errstate(all="ignore"):
         masses = lane_dot(np.abs(block) ** data.p_star, mesh.node_weight).tolist()
     out = []

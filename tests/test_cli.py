@@ -186,6 +186,22 @@ def test_root_finding_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "no sign change" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a MemoryError ends in one stderr line and exit 2, not a traceback, and
+    # no output directory is made
+    from doublephase import cli
+
+    def failing_solve(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "solve_two", failing_solve)
+    out_dir = tmp_path / "out"
+    assert main(["solve", "-c", write(tmp_path, SMALL_SOLVE), "-o", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory (MemoryError): ") and err.count("\n") == 1, err
+    assert not out_dir.exists()
+
+
 def with_params(params):
     """SMALL_SOLVE with the keys of ``params`` replaced by its values."""
     lines = [line for line in SMALL_SOLVE.splitlines() if line.split("=")[0].strip() not in params]

@@ -30,6 +30,7 @@ from doublephase.fibering import (
     warm_branch_root,
 )
 from doublephase.problem import critical_exponents
+from doublephase.sweep import SampledFiber, nzero_evidence
 from doublephase.rootfind import power_bracket
 
 from conftest import oracle_bisect, oracle_breakdown, rng
@@ -452,7 +453,8 @@ def test_certified_warm_root_is_the_fiber_roots_root(ft, log_frac, only, log_s, 
 )
 def test_certified_warm_root_never_inside_the_tangency_band(ft, gap, only, log_s, log_probe):
     # with eta(t_circ) / (lam e) - 1 in [0, 2 TANGENT_TOL] no root is
-    # certified, even from t = 1 next to t_circ and a probe at it
+    # certified, even from t = 1 next to t_circ and a probe at it; and
+    # nzero_evidence classifies the fiber as fiber_roots does
     try:
         top = eta(ft, t_circ(ft))
     except OverflowError:
@@ -467,6 +469,11 @@ def test_certified_warm_root_never_inside_the_tangency_band(ft, gap, only, log_s
     assume(0.0 <= band <= 2.0 * TANGENT_TOL)
     assert warm_branch_root(trial, lam, only, tc * math.exp(log_probe)) is None
     assert warm_branch_root(trial, lam, only, tc) is None
+    kind = fiber_roots(trial, lam, only=only).kind
+    evidence = nzero_evidence([SampledFiber(trial, t_circ=tc, eta_max=eta(trial, tc))], lam)
+    assert (len(evidence.tangencies), evidence.n_two_root, evidence.n_no_root) == (
+        kind == "tangent", kind == "two", kind == "none"
+    )
 
 
 def test_certified_root_where_eta_max_overflows():

@@ -25,7 +25,7 @@ from doublephase import (
     solve_two,
     weak_residual,
 )
-from doublephase import forkmap, solver
+from doublephase import fibering, forkmap, solver
 from doublephase.fibering import FiberTerms, warm_branch_root
 from doublephase.mesh import riesz_map
 from doublephase.solver import _project, multistart_directions
@@ -165,6 +165,20 @@ def test_minimize_on_branch_converges_with_correct_sign(mesh4, preset_data, bran
     assert res.residual.residual_norm <= 1e-8
     assert res.u.min() > 0
     assert res.floor_activations == 0
+
+
+def test_descent_breaks_its_batches_down_through_fibering(monkeypatch, mesh4, preset_data, fields4):
+    # the descent's batched breakdowns go through the name
+    # ``fibering.modular_breakdown``, where a tracer that wraps it counts them
+    breakdown, dims = fibering.modular_breakdown, []
+
+    def counted(mesh, data, u, fields):
+        dims.append(np.ndim(u))
+        return breakdown(mesh, data, u, fields)
+
+    monkeypatch.setattr(fibering, "modular_breakdown", counted)
+    minimize_on_branch(mesh4, preset_data, LAM, Branch.MINUS, np.ones(mesh4.num_nodes), fields4)
+    assert 2 in dims
 
 
 def test_converged_results_satisfy_strict_branch_inequality(mesh4, preset_data, fields4):

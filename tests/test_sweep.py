@@ -619,7 +619,7 @@ def test_sampling_raises_the_sequential_loops_first_error(
         pytest.skip("no os.fork")
     directions = list(sample_directions(mesh4, 6, 0))
     root_terms = {fiber_terms(mesh4, preset_data, directions[i], fields4): i for i in roots}
-    block_terms, terms, root = sweep._block_terms, sweep.fiber_terms, sweep.t_circ
+    block_terms, terms, root = sweep.lane_terms, sweep.fiber_terms, sweep.t_circ
 
     def index(u):
         return next(i for i, w in enumerate(directions) if np.array_equal(u, w))
@@ -639,7 +639,7 @@ def test_sampling_raises_the_sequential_loops_first_error(
 
     sampling_at_width(monkeypatch, workers)
     sampling_in_blocks(monkeypatch, mesh4, 3)
-    monkeypatch.setattr(sweep, "_block_terms", not_finite_at)
+    monkeypatch.setattr(sweep, "lane_terms", not_finite_at)
     monkeypatch.setattr(sweep, "fiber_terms", failing_at)
     monkeypatch.setattr(sweep, "t_circ", root_failing_at)
     with pytest.raises(ArithmeticError, match=f"^no sign change at sample {first}$"):
