@@ -29,15 +29,23 @@ exactly what one process would give.  Three kinds of map run on it:
   0.75 (20 pairs; 63 and 51-55 ms).  The blocks cut the in-process time
   most at 16x16, which now loses clearly; 32x32 gains about 2 ms of a
   sweep that takes seconds, so the threshold stays;
-- the lanes of ``solver.solve_two`` (``solver._solve_branches``), one
-  chunk per branch, capped at one chunk below
-  ``solver.LANE_FORK_MIN_NODES`` = 100 mesh nodes: the plus group on a
+- the lanes of ``solver.solve_two``, one (lambda, branch) group of
+  ``solver._solve_groups`` per branch, with no cap: the plus group on a
   forked worker, the minus group, about twice as long, in the parent.
-  ``solve_two`` on the preset at one BLAS thread, split against one
-  in-process batch, median time ratio of interleaved pairs on 2 vCPUs (two
-  runs each): 8x8 0.99 and 1.00 over 60 pairs (break-even; 8x8 is below
-  the threshold), 16x16 0.94 and 0.94 over 60 pairs, 32x32 0.79 and 0.82
-  over 30 pairs.
+  ``solve_two`` on the preset at lambda = 0.1, one BLAS thread, 2 vCPUs,
+  in-process against split, medians of interleaved pairs:
+
+  ====  ==========  =======  =====================
+  mesh  in-process  split    split faster in pairs
+  3x3   31.3 ms     33.3 ms  25 of 60
+  4x4   31.0 ms     31.0 ms  13 of 30
+  6x6   42.3 ms     41.3 ms  31 of 60
+  8x8   37.5 ms     36.5 ms  35 of 60
+  9x9   49.8 ms     51.2 ms  16 of 30
+  ====  ==========  =======  =====================
+
+  Every size is break-even within noise, so the lanes split at any size;
+  16x16 takes 0.94 and 32x32 0.80 of the in-process time split.
 
 A timeline of 16x16 ``solve_two`` maps (``time.perf_counter`` in the parent
 and the worker, medians of 40 maps in each of two runs, one BLAS thread, 2

@@ -28,23 +28,24 @@ starts, descends every start of every group in lockstep as a lane of (S, M)
 arrays (the gradient takes a column of the lanes' lambdas), so one
 gradient, one Riesz map, one L-BFGS product of the stacked pair store and
 one breakdown (``lane_terms``) per line-search round serve them all, and
-returns each group's outcomes in start order (``_split`` parts results from
-failures): ``solve_two`` passes one group per branch, the lambda* scan one
-minus group per grid point.  A lane stops once its projected point comes
-within MERGE_TOL (relative lumped L2 distance) of a lower-energy running
-lane of its group (``StopReason.MERGED``), as multi-level single linkage
-stops a local search near a better point (Rinnooy Kan & Timmer, Math.
-Prog. 39, 1987): on the preset every start of a branch ends at one point,
-and the lanes meet long before they stop.  A lane that did not merge is
-its start's descent alone, bit for bit; a merged lane is that descent cut
-at its merge.  The scan's batches also stop every lane at and above the
-lowest lambda where a projected point has energy <= 0 (``StopReason.CUT``):
-that point bounds the minus minimum there from above, so the scan needs no
-more.  On meshes of at least LANE_FORK_MIN_NODES nodes ``forkmap._fork_map``
-cuts ``solve_two``'s two groups into one chunk each, a batch of its own
-(below that its cap is one chunk): the plus group on a forked worker, the
-minus group in the calling process; a merge compares lanes of one group
-only, so the split changes no bit of any result.
+returns each group's outcomes in start order.  ``_solve_groups`` descends
+groups from every start of ``multistart_directions`` in one batch and
+parts each group's results from its failures: ``solve_branch`` passes one
+group, ``solve_two`` one per branch, the lambda* scan one minus group per
+grid point.  A lane stops once its projected point comes within MERGE_TOL
+(relative lumped L2 distance) of a lower-energy running lane of its group
+(``StopReason.MERGED``), as multi-level single linkage stops a local
+search near a better point (Rinnooy Kan & Timmer, Math. Prog. 39, 1987):
+on the preset every start of a branch ends at one point, and the lanes
+meet long before they stop.  A lane that did not merge is its start's
+descent alone, bit for bit; a merged lane is that descent cut at its
+merge.  The scan's batches also stop every lane at and above the lowest
+lambda where a projected point has energy <= 0 (``StopReason.CUT``): that
+point bounds the minus minimum there from above, so the scan needs no
+more.  On two CPUs or more ``forkmap._fork_map`` runs ``solve_two``'s two
+groups as a batch each, at any mesh size: the plus group on a forked
+worker, the minus group in the calling process; a merge compares lanes of
+one group only, so the split changes no bit of any result.
 """
 from __future__ import annotations
 
@@ -121,7 +122,6 @@ ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 BACKTRACK = 0.5     # step shrink factor per rejected trial
 MAX_BACKTRACKS = 60  # rejected trials before the line search gives up
 LBFGS_PAIRS = 10    # curvature pairs (s, y) the quasi-Newton direction remembers
-LANE_FORK_MIN_NODES = 100  # mesh nodes from which a solve's lanes split into per-branch groups
 MERGE_TOL = 1e-3    # relative lumped-L2 distance within which a lane joins a lower-energy lane
 _EPS = np.finfo(float).eps
 
@@ -596,42 +596,26 @@ def solve_branch(
     NoRootError there means the branch is unreachable along that start; any
     other ArithmeticError (an overflow, a failed bracket) is a numerical
     failure.  A failed start never costs the other starts their results.
+    The starts descend in this process, as one ``_solve_groups`` batch.
     """
-    return _solve_branches(mesh, data, lam, (branch,), fields, opts)[0]
+    return _solve_groups(mesh, data, [(lam, branch)], fields, opts or SolverOptions())[0]
 
 
-def _solve_branches(
-    mesh: Mesh, data: ProblemData, lam: float, branches, fields: FieldSamples, opts: Optional[SolverOptions]
+def _solve_groups(
+    mesh: Mesh, data: ProblemData, groups, fields: FieldSamples, opts: SolverOptions, cut: bool = False
 ) -> list:
-    """``solve_branch`` of each of ``branches``, each one (lam, branch)
-    group of ``_descend``.
-
-    A lane joins only a lower-energy lane of its own group (``_merge``), so
-    ``forkmap._fork_map`` may cut ``branches`` into chunks, one per CPU and
-    at most one per branch, capped at one chunk below LANE_FORK_MIN_NODES
-    mesh nodes: with two CPUs each branch's group descends as a batch of its
-    own, the first on a forked worker, the last, in ``solve_two`` the minus
-    group, the longer one, in this process.  Otherwise, and for one branch,
-    every group descends in-process in one batch.  A chunk that no worker
-    delivers is descended in-process.  The outcomes are bit for bit the same
-    however the groups are batched, and a lane that did not merge is bit
-    for bit its start's one-lane descent."""
-    if opts is None:
-        opts = SolverOptions()
+    """Per (lambda, branch) group, (results, failures): the ``SolveResult``s
+    and a (name, ArithmeticError) per failed start, in start order, of one
+    ``_descend`` batch (``cut`` passed on) from every start of
+    ``multistart_directions``, in this process: a cut stays in its batch."""
     starts = multistart_directions(mesh, opts.seed)
-
-    def descend(branches) -> list:
-        return _descend(mesh, data, [(lam, branch) for branch in branches], starts, fields, opts)
-
-    most = 1 if mesh.num_nodes < LANE_FORK_MIN_NODES else None
-    return [_split(starts, outs) for outs in _fork_map(descend, branches, most=most)]
-
-
-def _split(starts, outcomes) -> tuple[list, tuple]:
-    """(results, failures) of one group's ``_descend`` outcomes from ``starts``:
-    the ``SolveResult``s and a (name, ArithmeticError) per failed start."""
-    results = [out for out in outcomes if isinstance(out, SolveResult)]
-    return results, tuple((name, out) for (name, _), out in zip(starts, outcomes) if not isinstance(out, SolveResult))
+    return [
+        (
+            [out for out in outcomes if isinstance(out, SolveResult)],
+            tuple((name, out) for (name, _), out in zip(starts, outcomes) if not isinstance(out, SolveResult)),
+        )
+        for outcomes in _descend(mesh, data, groups, starts, fields, opts, cut)
+    ]
 
 
 def solve_two(
@@ -644,14 +628,18 @@ def solve_two(
     <message>"`` for any other.  Each start whose lane merged into another's
     has a line ``"name: merged into <start> at iteration <k>"`` in the
     branch's merges.  Each branch keeps its first result in start order that
-    is minimal under (not converged, energy).  The starts of both branches
-    descend as the lanes of lockstep batches, split on larger meshes into
-    the plus group on a forked worker and the minus group in this process
-    (``_solve_branches``); each result is its ``solve_branch`` result, bit
-    for bit.
+    is minimal under (not converged, energy).  Each branch is one group of
+    ``_solve_groups`` on ``_fork_map``: one batch in this process at one
+    CPU; on more, the plus group on a forked worker and the minus group
+    here.  Each result is its ``solve_branch`` result, bit for bit.
     """
+    opts = opts or SolverOptions()
+
+    def solve(branches) -> list:
+        return _solve_groups(mesh, data, [(lam, branch) for branch in branches], fields, opts)
+
     best, failures, merges = [], [], []
-    for results, fails in _solve_branches(mesh, data, lam, (Branch.PLUS, Branch.MINUS), fields, opts):
+    for results, fails in _fork_map(solve, (Branch.PLUS, Branch.MINUS)):
         best.append(min(results, key=lambda r: (not r.converged, r.energy), default=None))
         failures.append(tuple(
             f"{name}: {exc}" if isinstance(exc, NoRootError)

@@ -92,13 +92,17 @@ def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
     beta = sample(data.beta, mesh.nodes[b])
     mu = sample(data.mu, centroids)
     hx = mesh.spacing[0]
+    try:
+        hx_p, hx_q = hx ** -data.p, hx ** -data.q
+    except OverflowError as exc:  # a cell so narrow that a power of its width is not a float
+        raise OverflowError(f"cell width hx={hx!r}: hx^-{max(data.p, data.q)!r} leaves the float range") from exc
     m = mesh.node_weight
-    grad_p_weight = areas * hx ** -data.p
+    grad_p_weight = areas * hx_p
     alpha_weight = m * alpha
     hat_grad_p = hat_grad_power_sum(mesh, grad_p_weight, data.p)   # sum_t |T| |grad phi|^p
     return FieldSamples(
         grad_p_weight=grad_p_weight,
-        grad_q_weight=areas * mu * hx ** -data.q,
+        grad_q_weight=areas * mu * hx_q,
         alpha_weight=alpha_weight,
         zeta_weight=m * zeta,
         beta_weight=mesh.boundary_weight[b] * beta,

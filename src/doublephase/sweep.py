@@ -25,20 +25,20 @@ The lambda* scan runs on ``forkmap._fork_map``, which cuts its grid into
 contiguous chunks, one per CPU the process may run on: the last chunk runs
 in the calling process and the others on forked workers, whose results are
 read in chunk order, so every value and exception is exactly what one
-process would give.  A chunk hands its grid points to ``solver._descend``
-as (lambda, minus) groups (``_scan``); ``_descend`` owns the lanes' layout
-and gives back each group's outcomes, split by ``solver._split`` into
-results and failures for ``_decide``.  A lane merges only with a lane of
-its own group, so each grid point that no cut reached gets its
-``solve_branch`` results bit for bit, and a lane whose projected energy is
-<= 0 decides its lambda (``_decide``'s bound), stops every lane at that
-lambda and above (the cut), and ends the chunk.  At one CPU and one BLAS
-thread, the five default grid points' separate minus solves took 134 ms
-against 79 ms for one batch at 8x8, and 274 against 170 ms at 16x16
-(medians of 15).  The bisection after the scan runs its one-lambda batches
-in the calling process.  A chunk that no worker delivers (its fork failed
-or its worker died) is scanned in the calling process, so the scan's
-outcome is the one-process scan's.
+process would give.  A chunk hands its grid points in batches to
+``solver._solve_groups`` as (lambda, minus) groups with the cut
+(``_scan``), and ``_decide`` takes each group's results and failures;
+``_solve_groups`` never forks, so a cut stays within its batch.  A lane
+merges only with a lane of its own group, so each grid point that no cut
+reached gets its ``solve_branch`` results bit for bit, and a lane whose
+projected energy is <= 0 decides its lambda (``_decide``'s bound), stops
+every lane at that lambda and above (the cut), and ends the chunk.  At one
+CPU and one BLAS thread, the five default grid points' separate minus
+solves took 134 ms against 79 ms for one batch at 8x8, and 274 against 170
+ms at 16x16 (medians of 15).  The bisection after the scan runs its
+one-lambda batches in the calling process.  A chunk that no worker delivers
+(its fork failed or its worker died) is scanned in the calling process, so
+the scan's outcome is the one-process scan's.
 
 ``_map_directions`` owns the sampled directions' layout; both sampling
 estimates (``sample_fibers`` and the sampled Rayleigh candidates of
@@ -266,8 +266,8 @@ def check_nzero_empty(
 def _decide(lam: float, results, failures) -> bool:
     """Whether the Minus-branch minimum at ``lam`` is positive, from the
     minus starts' ``SolveResult``s and (name, ArithmeticError) ``failures``
-    at ``lam`` (``solver._split``), each in start order.  The first rule
-    that applies decides:
+    at ``lam`` (``solver._solve_groups``), each in start order.  The first
+    rule that applies decides:
 
     - the bound: some start's energy is <= 0: False.  Its point lies on the
       minus branch, whose minimum is at most that point's energy, so it
@@ -308,20 +308,19 @@ def _scan(mesh: Mesh, data: ProblemData, lams, fields: FieldSamples, opts: Solve
 
     Each batch is the (lambda, minus) groups of as many lambdas as fit in
     BLOCK_NODES lane-node values, one at least (33 at 8x8, 9 at 16x16, 2 at
-    32x32, one from 64x64 on), which ``solver._descend`` descends with the
-    cut and hands back per group.  A lambda's starts merge only with each
-    other, so each lambda that no cut reached has its ``solve_branch``
+    32x32, one from 64x64 on), which ``solver._solve_groups`` descends with
+    the cut and hands back per group.  A lambda's starts merge only with
+    each other, so each lambda that no cut reached has its ``solve_branch``
     results bit for bit; a cut stops only lambdas from the first the bound
     decides on, and the batches after it are skipped."""
-    starts = multistart_directions(mesh, opts.seed)
-    per_batch = max(1, BLOCK_NODES // (mesh.num_nodes * len(starts)))
+    per_batch = max(1, BLOCK_NODES // (mesh.num_nodes * len(multistart_directions(mesh, opts.seed))))
     decided = []
     for lo in range(0, len(lams), per_batch):
         batch = lams[lo:lo + per_batch]
-        groups = solver._descend(mesh, data, [(lam, Branch.MINUS) for lam in batch], starts, fields, opts, cut=True)
-        for lam, outcomes in zip(batch, groups):
+        groups = solver._solve_groups(mesh, data, [(lam, Branch.MINUS) for lam in batch], fields, opts, cut=True)
+        for lam, (results, failures) in zip(batch, groups):
             try:
-                decided.append(_decide(lam, *solver._split(starts, outcomes)))
+                decided.append(_decide(lam, results, failures))
             except SweepUndetermined as exc:
                 decided.append(exc)
             if decided[-1] is not True:

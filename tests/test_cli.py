@@ -418,6 +418,19 @@ def test_degenerate_rect_exits_2(tmp_path):
     assert main(["norms", "-c", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "norms", "fiber", "props"])
+def test_a_cell_too_narrow_for_its_weights_is_named(tmp_path, capsys, command):
+    # hx = 2.5e-201 on 4x4: the gradient weight hx^-q is beyond the float
+    # range, so sampling the fields fails; exit 2 with one stderr line that
+    # names the cell width, and no output directory
+    cfg = write(tmp_path, SMALL_SOLVE + "rect = 0, 0, 1e-200, 1\n", "narrow.cfg")
+    out_dir = tmp_path / "out"
+    assert main([command, "-c", cfg, "-o", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "hx=" in lines[0], lines
+    assert not out_dir.exists()
+
+
 def test_norms_command(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_SOLVE)
     assert main(["norms", "-c", cfg, "-f", "1"]) == 0

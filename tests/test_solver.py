@@ -113,6 +113,7 @@ def test_certified_projections_leave_solve_two_energies_alike(monkeypatch, prese
         runs.append([out for group in groups for out in group])
         return groups
 
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
     monkeypatch.setattr(solver, "_descend", recording)
     certified = _record_certified(monkeypatch)
     solve_two(mesh, preset_data, LAM, fields)
@@ -330,19 +331,20 @@ def test_solve_branch_returns_every_start_in_order(mesh4, preset_data):
 
 
 def test_solve_two_lanes_equal_one_lane_descents(monkeypatch, mesh4, preset_data):
-    # below the fork threshold solve_two runs the six starts of both
-    # branches as the twelve lanes of one batch, plus first; each lane that
-    # did not merge is the one-lane descent from its start on its branch,
-    # bit for bit, a merged lane that descent up to its merge, and each
-    # branch's pick is its best converged lane
+    # at one CPU solve_two runs the six starts of both branches as the
+    # twelve lanes of one batch, plus first; each lane that did not merge is
+    # the one-lane descent from its start on its branch, bit for bit, a
+    # merged lane that descent up to its merge, and each branch's pick is
+    # its best converged lane
     batches = []
     descend = solver._descend
 
-    def recording(mesh, data, groups, starts, fields, opts):
-        outcomes = descend(mesh, data, groups, starts, fields, opts)
+    def recording(mesh, data, groups, starts, fields, opts, *rest):
+        outcomes = descend(mesh, data, groups, starts, fields, opts, *rest)
         batches.append((list(groups), outcomes))
         return outcomes
 
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
     monkeypatch.setattr(solver, "_descend", recording)
     for mesh in (mesh4, build_rect_mesh(6, 3, rect=(0.0, 0.0, 2.0, 0.5))):
         batches.clear()
@@ -419,9 +421,8 @@ def test_overflowing_lane_ends_on_its_best_point(monkeypatch):
 
 
 def lane_groups_at(monkeypatch, width):
-    """Give every solve ``width`` CPUs, and let it fork its lanes on any mesh."""
+    """Give every solve ``width`` CPUs."""
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: width)
-    monkeypatch.setattr(solver, "LANE_FORK_MIN_NODES", 1)
 
 
 def report_key(report) -> tuple:
@@ -455,6 +456,7 @@ def test_lane_groups_at_any_width_give_the_one_process_report(width, shape, monk
         pytest.skip("no os.fork")
     mesh = build_rect_mesh(shape[0], shape[1], rect=shape[2])
     fields = sample_fields(mesh, preset_data)
+    lane_groups_at(monkeypatch, 1)
     want = report_key(solve_two(mesh, preset_data, LAM, fields))
     lane_groups_at(monkeypatch, width)
     recording_pids(monkeypatch, tmp_path / "pids")
@@ -479,6 +481,7 @@ def test_lane_groups_name_the_same_overflowing_lanes(monkeypatch):
     mesh = build_rect_mesh(3, 3)
     fields = sample_fields(mesh, data)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
+        lane_groups_at(monkeypatch, 1)
         want = solve_two(mesh, data, 1.0, fields)
         for width in (2, 3):
             lane_groups_at(monkeypatch, width)
@@ -490,12 +493,13 @@ def test_lane_groups_name_the_same_overflowing_lanes(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_lane_groups_recompute_a_dead_workers_group(monkeypatch, mesh4, preset_data, fields4):
+    lane_groups_at(monkeypatch, 1)
     want = report_key(solve_two(mesh4, preset_data, LAM, fields4))
     parent = os.getpid()
     descend = solver._descend
     in_parent = []  # the branch of each group the parent descends
 
-    def dying(mesh, data, groups, starts, fields, opts):
+    def dying(mesh, data, groups, starts, fields, opts, *rest):
         # the first group, the plus branch's six lanes, runs on the worker;
         # the minus group, the map's last item, in the parent
         ((_, branch),) = groups
@@ -504,7 +508,7 @@ def test_lane_groups_recompute_a_dead_workers_group(monkeypatch, mesh4, preset_d
                 os._exit(3)
         else:
             in_parent.append(branch)
-        return descend(mesh, data, groups, starts, fields, opts)
+        return descend(mesh, data, groups, starts, fields, opts, *rest)
 
     lane_groups_at(monkeypatch, 2)
     monkeypatch.setattr(solver, "_descend", dying)

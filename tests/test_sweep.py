@@ -299,6 +299,41 @@ def test_a_cut_leaves_the_lambdas_below_it_bit_for_bit(monkeypatch, preset_data)
     assert all(res.stop_reason is StopReason.CUT and not res.converged and res.residual is None for res in at_four)
 
 
+def test_a_scans_cut_batch_never_leaves_its_process(monkeypatch, tmp_path, mesh4, preset_data, fields4):
+    # a cut reaches only the lanes of its own batch, so the scan's batch
+    # must descend in one process whatever the CPU count: at two CPUs the
+    # scan over (1.0, 2.0, 4.0), called directly, is one batch in this
+    # process; 2.0 decides by the bound and cuts 4.0, and 1.0, below the
+    # cut, gets its solve_branch results and failures
+    grid = [1.0, 2.0, 4.0]
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
+    want = sweep._scan(mesh4, preset_data, grid, fields4, SolverOptions())
+    log = tmp_path / "descents"
+    descend, solve_groups = solver._descend, solver._solve_groups
+    pairs = []
+
+    def recording(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return descend(*args)
+
+    def kept(*args, **kwargs):
+        groups = solve_groups(*args, **kwargs)
+        pairs.extend(groups)
+        return groups
+
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_descend", recording)
+    monkeypatch.setattr(solver, "_solve_groups", kept)
+    assert sweep._scan(mesh4, preset_data, grid, fields4, SolverOptions()) == want == [True, False]
+    assert set(log.read_text().split()) == {str(os.getpid())}
+    assert_no_child_left()
+    assert len(pairs) == len(grid)
+    (results, failures), own = pairs[0], solve_branch(mesh4, preset_data, 1.0, Branch.MINUS, fields4)
+    assert [result_key(res) for res in results] == [result_key(res) for res in own[0]]
+    assert [(name, repr(exc)) for name, exc in failures] == [(name, repr(exc)) for name, exc in own[1]]
+
+
 def test_a_group_owns_the_merge_rule(monkeypatch, preset_data):
     # lanes merge only within their (lambda, branch) group, even beside a
     # group of the same lambda and branch, whose lanes lie on theirs: in one
