@@ -231,15 +231,6 @@ def _solution_rows(mesh, u):
         yield (str(i), repr(x), repr(y), repr(v))
 
 
-def _function_values(mesh, source: str):
-    fld = CoefficientField.compile(source)
-    vals = np.broadcast_to(
-        np.asarray(fld(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float),
-        mesh.nodes[:, 0].shape,
-    )
-    return np.array(vals, dtype=float)
-
-
 def _cmd_validate(config: Config, out_dir: str, function: str) -> int:
     try:
         data = config.problem()
@@ -255,7 +246,7 @@ def _cmd_validate(config: Config, out_dir: str, function: str) -> int:
 def _cmd_norms(config: Config, out_dir: str, function: str) -> int:
     data = config.problem()
     mesh = config.build_mesh()
-    u = _function_values(mesh, function)
+    u = np.array(CoefficientField.compile(function).at(mesh.nodes))
     fields = sample_fields(mesh, data)
     print(f"norm_1p = {_fmt(norm_1p(mesh, data, u, fields))}")
     print(f"norm_custom = {_fmt(norm_custom(mesh, data, u, fields))}")
@@ -267,7 +258,7 @@ def _cmd_norms(config: Config, out_dir: str, function: str) -> int:
 def _cmd_fiber(config: Config, out_dir: str, function: str) -> int:
     data = config.problem()
     mesh = config.build_mesh()
-    u = _function_values(mesh, function)
+    u = np.array(CoefficientField.compile(function).at(mesh.nodes))
     ft = fiber_terms(mesh, data, u, sample_fields(mesh, data))
     lam = config.lam
     rows = []

@@ -288,3 +288,9 @@ class CoefficientField:
             return eval_expr(self.ast, (x, y))
         except ExprEvalError as exc:
             raise ExprEvalError(f"{self.source!r}: {exc}") from None
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """The field's values at the rows of the (N, 2) ``points``, as N floats
+        (a constant field broadcast to N)."""
+        x, y = points[:, 0], points[:, 1]
+        return np.broadcast_to(np.asarray(self(x, y), dtype=float), x.shape)

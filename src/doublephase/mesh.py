@@ -26,6 +26,8 @@ the summed weight of the (one or two) triangles that use it, and the
 diagonal edges carry no flux.  ``hat_grad_power_sum`` gives the gradient
 integrals of the nodal hat functions, whose squared gradients take only the
 values 1, (hx/hy)^2 and 1 + (hx/hy)^2 (in units of hx^-2) on a triangle.
+All three kernels read (hx/hy)^2 from ``Mesh.aspect_sq``, which
+``build_rect_mesh`` requires to be a finite float.
 
 On these meshes the P1 stiffness matrix is exactly the separable Neumann
 5-point matrix ``Ly (x) Mx + My (x) Lx`` (1-D stiffness L, 1-D trapezoid mass
@@ -81,6 +83,12 @@ class Mesh:
         return (x1 - x0) / self.nx, (y1 - y0) / self.ny
 
     @property
+    def aspect_sq(self) -> float:
+        """(hx/hy)^2: the factor of a squared y-difference in hx^2 |grad u|^2."""
+        hx, hy = self.spacing
+        return (hx / hy) ** 2
+
+    @property
     def area(self) -> float:
         x0, y0, x1, y1 = self.rect
         return (x1 - x0) * (y1 - y0)
@@ -98,7 +106,8 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     as in ``Mesh``.  The lumped weights are summed from the 1-D coordinate
     vectors: each node adds one third of the area of each touching triangle,
     and each boundary node half the length of each touching boundary edge.
-    Rejects nonpositive subdivision counts and degenerate rectangles.
+    Rejects nonpositive subdivision counts, degenerate rectangles and cells
+    so wide or flat that ``Mesh.aspect_sq`` leaves the float range.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
@@ -139,7 +148,7 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     boundary_weight[:-1, cols] += half_y
     boundary_weight = boundary_weight.reshape(-1)
 
-    return Mesh(
+    mesh = Mesh(
         rect=(x0, y0, x1, y1),
         nx=nx,
         ny=ny,
@@ -148,6 +157,16 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
         boundary_nodes=np.flatnonzero(boundary_weight > 0),
         boundary_weight=boundary_weight,
     )
+    try:
+        finite = np.isfinite(mesh.aspect_sq)  # every gradient kernel reads it
+    except OverflowError:  # a finite hx/hy whose square is not; an infinite one squares silently
+        finite = False
+    if not finite:
+        hx, hy = mesh.spacing
+        raise ValueError(
+            f"cell aspect hx/hy={hx / hy!r} (hx={hx!r}, hy={hy!r}): its square leaves the float range"
+        ) from None
+    return mesh
 
 
 def centroid_rule(mesh: Mesh) -> tuple:
@@ -170,14 +189,13 @@ def grid_grad_sq(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     shape (..., T) for u of shape (..., M), from the node-grid stencil: the
     squared x-difference plus (hx/hy)^2 times the squared y-difference along
     the triangle's two axis-parallel edges (see the module docstring)."""
-    hx, hy = mesh.spacing
     lead = u.shape[:-1]
     grid = u.reshape(lead + (mesh.ny + 1, mesh.nx + 1))
     dx = np.subtract(grid[..., 1:], grid[..., :-1])
     dx *= dx
     dy = np.subtract(grid[..., 1:, :], grid[..., :-1, :])
     dy *= dy
-    dy *= (hx / hy) ** 2
+    dy *= mesh.aspect_sq
     s = np.empty(lead + (mesh.ny, mesh.nx, 2))
     np.add(dx[..., :-1, :], dy[..., 1:], out=s[..., 0])   # below the diagonal
     np.add(dx[..., 1:, :], dy[..., :-1], out=s[..., 1])   # above it
@@ -194,7 +212,6 @@ def grid_flux(mesh: Mesh, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     gradient G, ``grid_flux(mesh, u, |T| c / hx^2)`` is the P1 flux
     G^T(|T| c G u) of a per-triangle coefficient c.
     """
-    hx, hy = mesh.spacing
     ny, nx = mesh.ny, mesh.nx
     k = nx + 1
     # the triangles using each axis edge, with w padded by one cell all round
@@ -207,7 +224,7 @@ def grid_flux(mesh: Mesh, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     wp[..., 1:-1, 1:-1, :] = w.reshape(lead + (ny, nx, 2))
     wx = np.add(wp[..., 1:, 1:, 0], wp[..., :-1, 1:, 1]).reshape(lead + (-1,))[..., :-1]
     wy = np.add(wp[..., 1:-1, :-1, 0], wp[..., 1:-1, 1:, 1]).reshape(lead + (-1,))
-    wy *= (hx / hy) ** 2
+    wy *= mesh.aspect_sq
     # edge fluxes on the flat node vector: node i to i+1 along x (the pairs
     # across rows weigh 0) and node i to i+k along y
     fx = np.subtract(u[..., 1:], u[..., :-1])
@@ -231,8 +248,7 @@ def hat_grad_power_sum(mesh: Mesh, w: np.ndarray, r: float) -> np.ndarray:
     (hx/hy)^2 at the corner on the y-edge only and 1 + (hx/hy)^2 at the
     right angle, which is on both.
     """
-    hx, hy = mesh.spacing
-    ratio = (hx / hy) ** 2
+    ratio = mesh.aspect_sq
     c_y, c_xy = ratio ** (0.5 * r), (1.0 + ratio) ** (0.5 * r)
     w = w.reshape(mesh.ny, mesh.nx, 2)
     below, above = w[:, :, 0], w[:, :, 1]

@@ -85,14 +85,11 @@ class ValidationReport:
 
 
 def _sample_points(mesh: Mesh):
-    """The mesh's quadrature points: its nodes plus the triangle centroids of
-    ``centroid_rule`` (interior), and its boundary nodes (boundary)."""
-    centroids = centroid_rule(mesh)[1]
-    xi = np.concatenate([mesh.nodes[:, 0], centroids[:, 0]])
-    yi = np.concatenate([mesh.nodes[:, 1], centroids[:, 1]])
-    bx = mesh.nodes[mesh.boundary_nodes, 0]
-    by = mesh.nodes[mesh.boundary_nodes, 1]
-    return (xi, yi), (bx, by)
+    """The mesh's quadrature points as two (N, 2) arrays: its nodes plus the
+    triangle centroids of ``centroid_rule`` (interior), and its boundary
+    nodes (boundary)."""
+    interior = np.concatenate([mesh.nodes, centroid_rule(mesh)[1]])
+    return interior, mesh.nodes[mesh.boundary_nodes]
 
 
 def validate_hypotheses(data: ProblemData, mesh: Mesh) -> ValidationReport:
@@ -111,12 +108,11 @@ def validate_hypotheses(data: ProblemData, mesh: Mesh) -> ValidationReport:
     def flag(tag, msg):
         violations.append((tag, msg))
 
-    (xi, yi), (bx, by) = _sample_points(mesh)
+    interior, boundary = _sample_points(mesh)
 
     if not (data.p < data.q < data.p_star):
         flag("H(i)", f"need p < q < p_star={data.p_star}, got q={data.q}")
-    mu_vals = np.asarray(data.mu(xi, yi), dtype=float)
-    if np.any(mu_vals < 0):
+    if np.any(data.mu.at(interior) < 0):
         flag("H(i)", "mu must be nonnegative on the domain samples")
 
     if not (0 < data.kappa < 1):
@@ -128,18 +124,16 @@ def validate_hypotheses(data: ProblemData, mesh: Mesh) -> ValidationReport:
             f"need q1 in (max(q, p_lower_star), p_star) = ({lower}, {data.p_star}), got q1={data.q1}",
         )
 
-    alpha_vals = np.asarray(data.alpha(xi, yi), dtype=float)
+    alpha_vals = data.alpha.at(interior)
     if np.any(alpha_vals < 0):
         flag("H(iii)", "alpha must be nonnegative on the domain samples")
     elif not np.any(alpha_vals > 0):
         flag("H(iii)", "alpha vanishes at every domain sample (alpha must not be identically 0)")
 
-    beta_vals = np.asarray(data.beta(bx, by), dtype=float)
-    if np.any(beta_vals < 0):
+    if np.any(data.beta.at(boundary) < 0):
         flag("H(iv)", "beta must be nonnegative on the boundary samples")
 
-    zeta_vals = np.asarray(data.zeta(xi, yi), dtype=float)
-    if np.any(zeta_vals <= 0):
+    if np.any(data.zeta.at(interior) <= 0):
         flag("H(v)", "zeta must be strictly positive on the domain samples")
 
     if not 0 < data.lam < math.inf:

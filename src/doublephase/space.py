@@ -77,20 +77,15 @@ class FieldSamples:
 
 def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
     """Evaluate alpha, zeta at nodes, beta at boundary nodes, mu at the
-    triangle centroids, and fold them into the quadrature weights (the
-    triangles' areas and centroids from ``mesh.centroid_rule``); the hat
-    norms read the folded p-weights."""
-
-    def sample(field, points):
-        x, y = points[:, 0], points[:, 1]
-        return np.broadcast_to(np.asarray(field(x, y), dtype=float), x.shape)
-
+    triangle centroids (each through ``CoefficientField.at``), and fold them
+    into the quadrature weights (the triangles' areas and centroids from
+    ``mesh.centroid_rule``); the hat norms read the folded p-weights."""
     b = mesh.boundary_nodes
     areas, centroids = centroid_rule(mesh)
-    alpha = sample(data.alpha, mesh.nodes)
-    zeta = sample(data.zeta, mesh.nodes)
-    beta = sample(data.beta, mesh.nodes[b])
-    mu = sample(data.mu, centroids)
+    alpha = data.alpha.at(mesh.nodes)
+    zeta = data.zeta.at(mesh.nodes)
+    beta = data.beta.at(mesh.nodes[b])
+    mu = data.mu.at(centroids)
     hx = mesh.spacing[0]
     try:
         hx_p, hx_q = hx ** -data.p, hx ** -data.q

@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .energy import gradient_flux
+from .energy import _signed_power, gradient_flux
 from .fibering import FiberTerms, eta, fiber_terms, lane_terms, root_kind, t_circ, t_tilde_circ
 from .forkmap import _fork_map
 from .mesh import Mesh
@@ -70,7 +70,7 @@ from . import solver
 from .solver import Branch, NoRootError, SolverOptions, StopReason, multistart_directions
 # unused here, but the benchmark's tracer wraps ``sweep.minimize_on_branch`` by name
 from .solver import minimize_on_branch  # noqa: F401
-from .space import FieldSamples, lane_dot, lebesgue_norm, modular_breakdown
+from .space import FieldSamples, lane_dot, modular_breakdown
 # unused here, but the benchmark's tracer wraps ``sweep.sample_fields`` by name
 from .space import sample_fields  # noqa: F401
 
@@ -392,24 +392,25 @@ def _first_nonpositive(mesh: Mesh, data: ProblemData, grid: list, fields: FieldS
     return len(grid)
 
 
-def _rayleigh_quotient(mesh, data, u, fields) -> tuple[float, float]:
-    """(|u|_{1,p}^p / |u|_{p*}^p, the numerator |u|_{1,p}^p)."""
+def _rayleigh_quotient(mesh, data, u, fields) -> tuple[float, float, float]:
+    """(|u|_{1,p}^p / |u|_{p*}^p, the numerator |u|_{1,p}^p, the L^{p*} mass
+    |u|_{p*}^{p*})."""
     bd = modular_breakdown(mesh, data, u, fields)
-    return _quotient(data, bd.grad_p + bd.mass_p_alpha, lebesgue_norm(mesh, u, data.p_star))
+    return _quotient(data, bd.grad_p + bd.mass_p_alpha, float(mesh.node_weight @ np.abs(u) ** data.p_star))
 
 
-def _quotient(data: ProblemData, num: float, norm: float) -> tuple[float, float]:
-    """(num / norm^p, num): the Rayleigh quotient of numerator ``num`` and
-    L^{p*} norm ``norm``."""
-    return num / norm**data.p, num
+def _quotient(data: ProblemData, num: float, mass: float) -> tuple[float, float, float]:
+    """(num / mass^(p/p*), num, mass): the Rayleigh quotient of numerator
+    ``num`` and L^{p*} mass ``mass``."""
+    return num / (mass ** (1.0 / data.p_star)) ** data.p, num, mass
 
 
 def _quotient_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
     """``_rayleigh_quotient`` of each row of the (k, M) ``block`` (None for a
     zero row), in row order, bit for bit from one batched breakdown
     (``lane_terms``) and one batched L^{p*} mass (``lane_dot``, each row
-    the 1-D dot of ``lebesgue_norm``); a row with a value that is not finite
-    is recomputed alone."""
+    the 1-D dot of ``_rayleigh_quotient``); a row with a value that is not
+    finite is recomputed alone."""
     terms = lane_terms(mesh, data, block, fields)
     with np.errstate(all="ignore"):
         masses = lane_dot(np.abs(block) ** data.p_star, mesh.node_weight).tolist()
@@ -420,27 +421,21 @@ def _quotient_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: Fi
         elif ft is None or not math.isfinite(mass):
             out.append(_rayleigh_quotient(mesh, data, u, fields))
         else:
-            out.append(_quotient(data, ft.a, mass ** (1.0 / data.p_star)))
+            out.append(_quotient(data, ft.a, mass))
     return out
 
 
-def _rayleigh_gradient(mesh, data, u, fields, num: float) -> np.ndarray:
-    """Gradient of the quotient ``num`` / (|u|_{p*}^p), num = |u|_{1,p}^p;
-    only the p-power pieces of the operator enter the numerator."""
+def _rayleigh_gradient(mesh, data, u, fields, num: float, mass: float) -> np.ndarray:
+    """Gradient of the quotient ``num`` / ``mass``^(p/p*) at u, with num =
+    |u|_{1,p}^p and mass = |u|_{p*}^{p*}; only the p-power pieces of the
+    operator enter the numerator."""
     g = np.asarray(u, dtype=float)
     num_grad = gradient_flux(mesh, data, g, fields, q_part=False)
-    num_grad += fields.alpha_weight * np.sign(g) * np.abs(g) ** (data.p - 1.0)
+    num_grad += fields.alpha_weight * _signed_power(g, data.p - 1.0)
     num_grad *= data.p
-
-    mass = float(mesh.node_weight @ np.abs(g) ** data.p_star)
     den = mass ** (data.p / data.p_star)
-    den_grad = (
-        data.p
-        * mass ** (data.p / data.p_star - 1.0)
-        * mesh.node_weight
-        * np.sign(g)
-        * np.abs(g) ** (data.p_star - 1.0)
-    )
+    den_grad = data.p * mass ** (data.p / data.p_star - 1.0) * mesh.node_weight
+    den_grad *= _signed_power(g, data.p_star - 1.0)
     return (num_grad - (num / den) * den_grad) / den
 
 
@@ -458,24 +453,24 @@ def estimate_sobolev_constant(mesh: Mesh, data: ProblemData, n_samples: int, see
     k = _block_size(mesh)
     quotients = [q for lo in range(0, len(starts), k) for q in _quotient_block(mesh, data, starts[lo:lo + k], fields)]
     quotients += _map_directions(mesh, n_samples, seed, lambda block: _quotient_block(mesh, data, block, fields))
-    best, val, num = None, np.inf, None
+    best, val, num, mass = None, np.inf, None, None
     for i, q in enumerate(quotients):
         if q is not None and q[0] < val:
-            best, (val, num) = i, q
+            best, (val, num, mass) = i, q
 
     u = starts[best] if best < len(starts) else next(_direction_blocks(mesh, 1, seed, best - len(starts)))[0]
     step = 1.0
     for _ in range(SOBOLEV_POLISH_STEPS):
-        g = _rayleigh_gradient(mesh, data, u, fields, num)
+        g = _rayleigh_gradient(mesh, data, u, fields, num, mass)
         if not g.any():
             break
         s = step
         for _ in range(30):
             trial = u - s * g
             if np.any(trial):
-                tval, tnum = _rayleigh_quotient(mesh, data, trial, fields)
+                tval, tnum, tmass = _rayleigh_quotient(mesh, data, trial, fields)
                 if np.isfinite(tval) and tval < val:
-                    u, val, num, step = trial, tval, tnum, s * 2.0
+                    u, val, num, mass, step = trial, tval, tnum, tmass, s * 2.0
                     break
             s *= 0.5
         else:

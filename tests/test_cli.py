@@ -418,16 +418,31 @@ def test_degenerate_rect_exits_2(tmp_path):
     assert main(["norms", "-c", cfg]) == 2
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "norms", "fiber", "props"])
-def test_a_cell_too_narrow_for_its_weights_is_named(tmp_path, capsys, command):
-    # hx = 2.5e-201 on 4x4: the gradient weight hx^-q is beyond the float
-    # range, so sampling the fields fails; exit 2 with one stderr line that
-    # names the cell width, and no output directory
-    cfg = write(tmp_path, SMALL_SOLVE + "rect = 0, 0, 1e-200, 1\n", "narrow.cfg")
+SAMPLING_COMMANDS = ["solve", "sweep", "norms", "fiber", "props"]
+NARROW_RECT = "0, 0, 1e-200, 1"
+
+
+@pytest.mark.parametrize(
+    "rect, command",
+    [pytest.param(NARROW_RECT, c, id=c) for c in SAMPLING_COMMANDS]
+    + [
+        pytest.param(rect, c, id=f"{name}-{c}")
+        for name, rect in (("wide", "0, 0, 1e200, 1"), ("flat", "0, 0, 1, 1e-200"))
+        for c in ["validate"] + SAMPLING_COMMANDS
+    ],
+)
+def test_a_cell_too_narrow_for_its_weights_is_named(tmp_path, capsys, rect, command):
+    # on 4x4, hx = 2.5e-201 puts the gradient weight hx^-q beyond the float
+    # range, so sampling the fields fails (validate samples none and passes);
+    # hx/hy = 1e200, wide or flat, puts the stencil's (hx/hy)^2 beyond it, so
+    # building the mesh fails.  Exit 2 with one stderr line that names the
+    # cell, and no output directory
+    cfg = write(tmp_path, SMALL_SOLVE + f"rect = {rect}\n", "cell.cfg")
     out_dir = tmp_path / "out"
     assert main([command, "-c", cfg, "-o", str(out_dir)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and "hx=" in lines[0], lines
+    names = ["hx="] if rect == NARROW_RECT else ["hx=", "hy="]
+    assert len(lines) == 1 and all(name in lines[0] for name in names), lines
     assert not out_dir.exists()
 
 

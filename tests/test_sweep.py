@@ -703,6 +703,19 @@ def test_sobolev_polishing_never_increases(monkeypatch, mesh4, preset_data, fiel
     assert polished <= rough + 1e-15
 
 
+def test_sobolev_polishing_moves_off_a_constant_best_candidate(monkeypatch, mesh4, preset_data):
+    # on the preset the best candidate is constant, with a zero quotient
+    # gradient, so the polish takes no step; with alpha = 0.5 + x it takes
+    # accepted steps, each carrying its numerator and L^{p*} mass forward
+    data = replace(preset_data, alpha="0.5 + x")
+    fields = sample_fields(mesh4, data)
+    monkeypatch.setattr(sweep, "SOBOLEV_POLISH_STEPS", 0)
+    rough = estimate_sobolev_constant(mesh4, data, 20, seed=0, fields=fields)
+    monkeypatch.setattr(sweep, "SOBOLEV_POLISH_STEPS", 40)
+    polished = estimate_sobolev_constant(mesh4, data, 20, seed=0, fields=fields)
+    assert polished < rough
+
+
 def test_sampled_threshold_ordering(mesh4, preset_data, fields4):
     # lambda_star <= lambda_tilde in the sampled sense on this preset
     lam_tilde = estimate_lambda_tilde(mesh4, preset_data, 50, seed=0, fields=fields4)
