@@ -25,7 +25,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .problem import ProblemData
-from .rootfind import hybrid_root, power_bracket, power_sums
+from .rootfind import BracketError, _newton_log, hybrid_root, power_bracket, power_sums
 # unused here, but the benchmark's tracer wraps ``fibering.expand_bracket`` by name
 from .rootfind import expand_bracket  # noqa: F401
 from .space import FieldSamples, ModularBreakdown, modular_breakdown
@@ -53,7 +53,7 @@ ROOT_TOL = 1e-12      # relative residual of located roots
 TANGENT_TOL = 1e-10   # relative width of the declared tangency band
 NEHARI_TOL = 1e-9     # relative |psi'(1)| and psi''(1) band of the branch classification
 _WARM_EVALS = 8       # Newton evaluations ``warm_branch_root`` makes before giving up
-_WARM_STEP = 0.5      # its longest step in log t
+_WARM_STEP = 0.5      # its longest step in log t while a bracket end is open
 _EPS = 2.0**-52
 
 
@@ -248,6 +248,17 @@ def root_kind(eta_max: float, lambda_e: float) -> str:
     return "two" if eta_max > lambda_e else "none"
 
 
+def _eta_gap(terms: list, le: float, t: float) -> tuple[float, float, float, float]:
+    """The root map of eta(t) = le over eta's ``terms``: (eta(t) - le, its
+    log-t slope, eta(t) less its rounding, the unsigned sum of the slope's
+    terms).  eta's rounding is 8 eps of its terms' unsigned sum, and the
+    gap, -inf at 0 and -le at inf, is 0 within it, which ends the root
+    iteration there."""
+    val, tslope, mag, tmag = power_sums(terms, t)
+    rounding = 8.0 * _EPS * mag
+    return (0.0 if abs(val - le) <= rounding else val - le), tslope, val - rounding, tmag
+
+
 def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> FiberRoots:
     """Locate the roots of eta(t) = lam*e around the maximizer t_circ.
 
@@ -255,15 +266,16 @@ def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> Fiber
     eta(t_circ) and lam*e.  Each root is located to
     |eta(t) - lam*e| <= max(1e-12 * lam*e, 8 eps * the unsigned sum of eta's
     terms at t): where those terms are far larger than lam*e, eta's rounding
-    exceeds the first bound.  The iteration is the safeguarded Newton one on
-    a finite piece of its monotone side of t_circ, bracketed by
-    ``power_bracket`` from eta's own terms: t1 in [lo, t_circ], with lo
-    below the zero of eta (where a t^(p+k-1) + b t^(q+k-1) + c t^(p_*+k-1)
-    reaches d), and t2 in [t_circ, hi], with hi above the root of eta's a,
-    b and c terms alone = lam*e (the d term only lowers eta).  ``only`` =
-    "t1" or "t2" locates just that root and leaves the other None.  Raises
-    OverflowError when eta(t_circ) or lam*e is not finite, or when a bracket
-    leaves the float range.
+    exceeds the first bound.  Each is ``hybrid_root`` on the root map
+    ``_eta_gap``, which ``warm_branch_root`` shares, over a finite piece of
+    its monotone side of t_circ, bracketed by ``power_bracket`` from eta's
+    own terms: t1 in [lo, t_circ], with lo below the zero of eta (where
+    a t^(p+k-1) + b t^(q+k-1) + c t^(p_*+k-1) reaches d), and t2 in
+    [t_circ, hi], with hi above the root of eta's a, b and c terms alone =
+    lam*e (the d term only lowers eta).  ``only`` = "t1" or "t2" locates
+    just that root and leaves the other None.  Raises OverflowError when
+    eta(t_circ) or lam*e is not finite, or when a bracket leaves the float
+    range.
     """
     if ft.e <= 0:
         raise ValueError("fiber_roots needs e > 0")
@@ -279,12 +291,7 @@ def fiber_roots(ft: FiberTerms, lam: float, only: Optional[str] = None) -> Fiber
     if kind != "two":
         return FiberRoots(kind, None, None, tc, eta_max, le)
 
-    def g(t: float) -> tuple[float, float]:
-        """eta - lam*e (-inf at 0, -lam*e at inf) and its log-t slope; the
-        value is 0 within eta's rounding, which ends ``hybrid_root`` there."""
-        val, tslope, mag, _ = power_sums(terms, t)
-        return (0.0 if abs(val - le) <= 8.0 * _EPS * mag else val - le), tslope
-
+    g = partial(_eta_gap, terms, le)
     *abc, (_, rd) = terms
     t1 = t2 = None
     if only != "t2":
@@ -309,17 +316,16 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
     ((q1+kappa-1) d - xi(t)) with xi strictly increasing, so eta' vanishes
     only at t_circ, is positive below it and negative above.  A root where
     eta' has the branch's sign (> 0 for t1, < 0 for t2) is that branch's
-    root.  The iteration is ``hybrid_root``'s Newton path in log t from
-    t = 1 on eta - lam*e: each step at most half the step before last and
-    strictly inside the bracket the iterates' signs have tightened, stopping
-    at ``fiber_roots``' residual bound.  It gives up where ``hybrid_root``
-    would bisect, after _WARM_EVALS evaluations and on a step beyond
-    _WARM_STEP.
-    The root is accepted only if
+    root.  The iteration is ``rootfind._newton_log`` on ``fiber_roots``' root
+    map ``_eta_gap`` from t = 1 with both bracket ends open, steps of at most
+    _WARM_STEP in log t while one is, and at most _WARM_EVALS evaluations;
+    it bisects once its iterates have straddled the root.  The root is
+    accepted only if
 
     - t eta'(t) has the branch's sign at every iterate by 4 ROOT_TOL of its
       terms' unsigned sum, clear of its rounding: every iterate, the root
-      included, lies on the branch's side of t_circ;
+      included, lies on the branch's side of t_circ (the map raises
+      BracketError at the first that does not);
     - some evaluated eta, less 8 eps of its terms' unsigned sum (its
       rounding), exceeds lam*e (1 + 2 TANGENT_TOL), about TANGENT_TOL lam*e
       above lam*e / (1 - TANGENT_TOL), which covers the rounding of eta at
@@ -338,42 +344,22 @@ def warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float) -> Opt
     rising = only == "t1"  # eta - lam*e rises through t1 and falls through t2
     side = 1.0 if rising else -1.0  # the sign of eta' on the branch
     clear = le * (1.0 + 2.0 * TANGENT_TOL)
-
-    def at(t: float) -> tuple[float, float, bool, bool]:
-        """(eta(t), t eta'(t), the unsigned sum of eta's terms, whether eta'
-        clearly has the branch's sign, whether eta(t) certifies two roots)."""
-        val, tslope, mag, tmag = power_sums(terms, t)
-        return val, tslope, mag, side * tslope > 4.0 * ROOT_TOL * tmag, val - 8.0 * _EPS * mag > clear
-
-    t, lo, hi = 1.0, 0.0, math.inf  # lo and hi mark no sign yet
-    last = before = math.inf  # sizes of the last two steps, in log t
     certified = False
+
+    def on_branch(t: float) -> tuple[float, float]:
+        """``_eta_gap`` at an iterate clearly on the branch's side of t_circ."""
+        nonlocal certified
+        gap, tslope, low, tmag = _eta_gap(terms, le, t)
+        if not side * tslope > 4.0 * ROOT_TOL * tmag:
+            raise BracketError(f"t = {t!r} is not clearly on the {only} side of t_circ")
+        certified = certified or low > clear
+        return gap, tslope
+
     try:
-        for _ in range(_WARM_EVALS):
-            val, tslope, mag, on_side, clears = at(t)
-            if not on_side:
-                return None
-            certified = certified or clears
-            gap = val - le
-            if abs(gap) <= max(ROOT_TOL * le, 8.0 * _EPS * mag):
-                return t if certified or at(probe)[4] else None
-            if (gap < 0) == rising:
-                lo = t
-            else:
-                hi = t
-            if hi < math.inf and hi - lo <= 4e-16 * hi:
-                return None
-            step = -gap / tslope if tslope else math.inf
-            width = math.log(hi / lo) if 0.0 < lo and hi < math.inf else math.inf
-            if not abs(step) <= min(_WARM_STEP, 0.5 * before, width):
-                return None
-            newton = t * math.exp(step)
-            if not lo < newton < hi:
-                return None
-            before, last, t = last, abs(step), newton
-    except OverflowError:  # a power of an iterate or of the probe
+        t = _newton_log(on_branch, 1.0, 0.0, math.inf, rising, ROOT_TOL * le, _WARM_EVALS, _WARM_STEP)
+        return t if t is not None and (certified or _eta_gap(terms, le, probe)[2] > clear) else None
+    except (BracketError, OverflowError):  # an iterate off the branch, or a power beyond the floats
         return None
-    return None
 
 
 def classify_nehari(mesh: Mesh, data: ProblemData, u, lam: float, fields: FieldSamples) -> NehariClass:

@@ -160,9 +160,9 @@ def _run_as_worker(func, chunk, k: int) -> tuple:
 
 
 class _Worker:
-    """A forked process that runs ``func`` on its one chunk, pipes back the
-    result and exits.  A failed fork raises its OSError with both pipe ends
-    closed."""
+    """A forked process that runs ``func`` on its one chunk, pickles the
+    result into its pipe and exits; pickle's stream ends where the object
+    ends.  A failed fork raises its OSError with both pipe ends closed."""
 
     def __init__(self, func, chunk, k: int, others):
         self.results, result_w = os.pipe()
@@ -177,11 +177,12 @@ class _Worker:
         os.close(result_w)
 
     def receive(self):
-        """(ok, result or exception) of its chunk, or None if it died."""
+        """(ok, result or exception) of its chunk, or None if it died: a
+        pickle cut off before its end raises EOFError or UnpicklingError."""
         try:
-            size = int.from_bytes(_read_exactly(self.results, 8), "little")
-            return pickle.loads(_read_exactly(self.results, size))
-        except EOFError:
+            with os.fdopen(self.results, "rb", closefd=False) as pipe:  # ``stop`` closes the fd
+                return pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
             return None
 
     def stop(self) -> int:
@@ -196,10 +197,10 @@ class _Worker:
 
 
 def _serve(func, chunk, k: int, results: int, parents):
-    """A worker's life as the map's k-th worker: write the pickled
-    ``_run_as_worker(func, chunk, k)`` to ``results`` behind its 8-byte
-    length, then exit; never returns.  ``parents`` are the workers whose
-    parent-side pipe ends it inherited."""
+    """A worker's life as the map's k-th worker: pickle
+    ``_run_as_worker(func, chunk, k)`` to ``results``, whose stream ends
+    where the object ends, close it and exit; never returns.  ``parents``
+    are the workers whose parent-side pipe ends it inherited."""
     status = 1
     try:
         import signal
@@ -207,21 +208,8 @@ def _serve(func, chunk, k: int, results: int, parents):
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
         for w in parents:
             os.close(w.results)
-        payload = pickle.dumps(_run_as_worker(func, chunk, k))
-        payload = len(payload).to_bytes(8, "little") + payload
-        while payload:
-            payload = payload[os.write(results, payload):]
+        with os.fdopen(results, "wb") as out:
+            pickle.dump(_run_as_worker(func, chunk, k), out)
         status = 0
     finally:
         os._exit(status)
-
-
-def _read_exactly(fd: int, n: int) -> bytes:
-    """``n`` bytes from ``fd``; EOFError if it closes first."""
-    buf = b""
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            raise EOFError
-        buf += chunk
-    return buf

@@ -36,6 +36,7 @@ M, x fastest), so the H^1 Riesz map (K + c My (x) Mx)^-1 is diagonal in the
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +107,26 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     as in ``Mesh``.  The lumped weights are summed from the 1-D coordinate
     vectors: each node adds one third of the area of each touching triangle,
     and each boundary node half the length of each touching boundary edge.
-    Rejects nonpositive subdivision counts, degenerate rectangles and cells
-    so wide or flat that ``Mesh.aspect_sq`` leaves the float range.
+    Rejects nonpositive subdivision counts, degenerate rectangles, cells
+    so wide or flat that ``Mesh.aspect_sq`` leaves the float range and cells
+    so large that their triangles' area 0.5 hx hy does.
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
     x0, y0, x1, y1 = (float(v) for v in rect)
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"degenerate rectangle {rect}")
+    # ``Mesh.spacing`` and ``Mesh.aspect_sq`` (every gradient kernel reads
+    # it), on Python floats, whose product beyond the floats is inf, not an error
+    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+    try:
+        finite = math.isfinite((hx / hy) ** 2)
+    except OverflowError:  # a finite hx/hy whose square is not; an infinite one squares silently
+        finite = False
+    if not finite:
+        raise ValueError(f"cell aspect hx/hy={hx / hy!r} (hx={hx!r}, hy={hy!r}): its square leaves the float range")
+    if not math.isfinite(0.5 * hx * hy):
+        raise ValueError(f"cell area 0.5 hx hy={0.5 * hx * hy!r} (hx={hx!r}, hy={hy!r}) leaves the float range")
 
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
@@ -148,7 +161,7 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
     boundary_weight[:-1, cols] += half_y
     boundary_weight = boundary_weight.reshape(-1)
 
-    mesh = Mesh(
+    return Mesh(
         rect=(x0, y0, x1, y1),
         nx=nx,
         ny=ny,
@@ -157,16 +170,6 @@ def build_rect_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
         boundary_nodes=np.flatnonzero(boundary_weight > 0),
         boundary_weight=boundary_weight,
     )
-    try:
-        finite = np.isfinite(mesh.aspect_sq)  # every gradient kernel reads it
-    except OverflowError:  # a finite hx/hy whose square is not; an infinite one squares silently
-        finite = False
-    if not finite:
-        hx, hy = mesh.spacing
-        raise ValueError(
-            f"cell aspect hx/hy={hx / hy!r} (hx={hx!r}, hy={hy!r}): its square leaves the float range"
-        ) from None
-    return mesh
 
 
 def centroid_rule(mesh: Mesh) -> tuple:

@@ -11,14 +11,15 @@ gives their terms' unsigned sums, the scale of their rounding, and
 each root a finite bracket from the power sum's own terms, a Fujiwara-type
 bound (Tohoku Math. J. 10, 1916) for real exponents, computed in log t so
 that no power overflows.
-``hybrid_root`` is rtsafe (Press et al., Numerical Recipes, 9.4) in log t on
-such a bracket, from its geometric midpoint, and it never leaves the sign
-bracket.
+``_newton_log`` is the one root iteration, rtsafe (Press et al., Numerical
+Recipes, 9.4) in log t: ``hybrid_root`` runs it on a finite bracket from its
+geometric midpoint, ``fibering.warm_branch_root`` from t = 1 with both ends
+open.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = ["BracketError", "expand_bracket", "hybrid_root", "power_bracket", "power_sums"]
 
@@ -131,19 +132,36 @@ def hybrid_root(
     read, so ``partial(power_sums, terms)`` is a map.  The bracket is finite,
     0 < lo < hi < inf (``power_bracket`` gives one); flo and fhi carry the
     strict signs of f at lo and hi, which must differ: f's values there, or
-    any numbers of the same signs, such as its limits at 0 and inf.  From
-    the bracket's midpoint, each pass takes the Newton step in log t when it
-    lands inside the bracket, is at most half the step before last and is
-    no longer than the bracket; otherwise it bisects, in log t while
-    hi > 2 lo.  Returns when the residual is met or the bracket reaches
-    floating-point width; raises BracketError after ROOT_EVALS evaluations.
+    any numbers of the same signs, such as its limits at 0 and inf.  It is
+    ``_newton_log`` from the bracket's midpoint; raises BracketError after
+    ROOT_EVALS evaluations.
     """
     if not (0.0 < lo < hi < math.inf and (flo > 0.0 > fhi or flo < 0.0 < fhi)):
         raise ValueError("hybrid_root requires 0 < lo < hi < inf and a sign-changing bracket")
-    rising = flo < 0
-    t = _split(lo, hi)
-    last = before = math.inf  # sizes of the last two steps, in log t
-    for _ in range(ROOT_EVALS):
+    root = _newton_log(f, _split(lo, hi), lo, hi, flo < 0, abs_tol, ROOT_EVALS)
+    if root is None:
+        raise BracketError(f"root refinement exhausted {ROOT_EVALS} iterations")
+    return root
+
+
+def _newton_log(f: Map, t: float, lo: float, hi: float, rising: bool, abs_tol: float, evals: int,
+                longest: float = math.inf) -> Optional[float]:
+    """Root of ``f`` to residual |f| <= abs_tol from t in (lo, hi), or None
+    when the iteration gives up.  ``f`` is a map as for ``hybrid_root``;
+    ``rising`` says f < 0 below the root, and lo = 0 or hi = inf marks an
+    end that no evaluation has bounded yet.
+
+    Each evaluation moves lo or hi to t by the sign of f(t).  The next point
+    is the Newton step in log t if it is at most half the step before last
+    (the first two at most ``longest``), no longer than the bracket, and
+    lands strictly inside it; otherwise it is the bisection point (in log t
+    while hi > 2 lo) once both ends are known, and while one is still open
+    the iteration gives up.  It returns when the residual is met or the
+    bracket reaches floating-point width, and gives up after ``evals``
+    evaluations.
+    """
+    last = before = 2.0 * longest  # sizes of the last two steps in log t, 2 longest before the first
+    for _ in range(evals):
         ft, dlog = f(t)[:2]
         if abs(ft) <= abs_tol:
             return t
@@ -151,14 +169,16 @@ def hybrid_root(
             lo = t
         else:
             hi = t
-        if hi - lo <= 4e-16 * hi:
+        if hi - lo <= 4e-16 * hi < math.inf:  # floating-point width, never with hi open
             return _split(lo, hi)
         step = -ft / dlog if dlog else math.inf
         # 0.0 marks a rejected step: it is never strictly inside the bracket
-        newton = t * math.exp(step) if abs(step) <= 0.5 * before and abs(step) <= math.log(hi / lo) else 0.0
+        newton = t * math.exp(step) if abs(step) <= 0.5 * before and (not lo or abs(step) <= math.log(hi / lo)) else 0.0
         if lo < newton < hi:
             before, last, t = last, abs(step), newton
-        else:
+        elif lo and hi < math.inf:
             mid = _split(lo, hi)
             before, last, t = last, abs(math.log(mid / t)), mid
-    raise BracketError(f"root refinement exhausted {ROOT_EVALS} iterations")
+        else:
+            return None
+    return None

@@ -86,23 +86,25 @@ def sample_fields(mesh: Mesh, data: ProblemData) -> FieldSamples:
     zeta = data.zeta.at(mesh.nodes)
     beta = data.beta.at(mesh.nodes[b])
     mu = data.mu.at(centroids)
-    hx = mesh.spacing[0]
+    hx, hy = mesh.spacing
     try:
         hx_p, hx_q = hx ** -data.p, hx ** -data.q
     except OverflowError as exc:  # a cell so narrow that a power of its width is not a float
         raise OverflowError(f"cell width hx={hx!r}: hx^-{max(data.p, data.q)!r} leaves the float range") from exc
     m = mesh.node_weight
-    grad_p_weight = areas * hx_p
-    alpha_weight = m * alpha
-    hat_grad_p = hat_grad_power_sum(mesh, grad_p_weight, data.p)   # sum_t |T| |grad phi|^p
-    return FieldSamples(
-        grad_p_weight=grad_p_weight,
-        grad_q_weight=areas * mu * hx_q,
-        alpha_weight=alpha_weight,
-        zeta_weight=m * zeta,
-        beta_weight=mesh.boundary_weight[b] * beta,
-        hat_norm=(hat_grad_p + alpha_weight) ** (1.0 / data.p),
-    )
+    with np.errstate(over="ignore"):  # a weight beyond the floats is named below
+        weights = dict(
+            grad_p_weight=areas * hx_p,
+            grad_q_weight=areas * mu * hx_q,
+            alpha_weight=m * alpha,
+            zeta_weight=m * zeta,
+            beta_weight=mesh.boundary_weight[b] * beta,
+        )
+    for name, w in weights.items():
+        if not np.all(np.isfinite(w)):
+            raise OverflowError(f"quadrature weight {name} of the cell hx={hx!r}, hy={hy!r} leaves the float range")
+    hat_grad_p = hat_grad_power_sum(mesh, weights["grad_p_weight"], data.p)   # sum_t |T| |grad phi|^p
+    return FieldSamples(**weights, hat_norm=(hat_grad_p + weights["alpha_weight"]) ** (1.0 / data.p))
 
 
 @dataclass(frozen=True)

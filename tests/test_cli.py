@@ -420,30 +420,40 @@ def test_degenerate_rect_exits_2(tmp_path):
 
 SAMPLING_COMMANDS = ["solve", "sweep", "norms", "fiber", "props"]
 NARROW_RECT = "0, 0, 1e-200, 1"
+HUGE_RECT = "0, 0, 1e154, 1e154"
+VAST_RECT = "0, 0, 1e200, 1e200"
 
 
 @pytest.mark.parametrize(
     "rect, command",
     [pytest.param(NARROW_RECT, c, id=c) for c in SAMPLING_COMMANDS]
+    + [pytest.param(HUGE_RECT, c, id=f"huge-{c}") for c in SAMPLING_COMMANDS]
     + [
         pytest.param(rect, c, id=f"{name}-{c}")
-        for name, rect in (("wide", "0, 0, 1e200, 1"), ("flat", "0, 0, 1, 1e-200"))
+        for name, rect in (("wide", "0, 0, 1e200, 1"), ("flat", "0, 0, 1, 1e-200"), ("vast", VAST_RECT))
         for c in ["validate"] + SAMPLING_COMMANDS
     ],
 )
 def test_a_cell_too_narrow_for_its_weights_is_named(tmp_path, capsys, rect, command):
     # on 4x4, hx = 2.5e-201 puts the gradient weight hx^-q beyond the float
     # range, so sampling the fields fails (validate samples none and passes);
-    # hx/hy = 1e200, wide or flat, puts the stencil's (hx/hy)^2 beyond it, so
-    # building the mesh fails.  Exit 2 with one stderr line that names the
-    # cell, and no output directory
+    # hx = hy = 2.5e153 keeps |T| = 3.1e306 a float, but |T| mu hx^-q, with
+    # mu = x up to 1e154, is not, so sampling fails there too; hx/hy = 1e200,
+    # wide or flat, puts the stencil's (hx/hy)^2 beyond the floats, and hx =
+    # hy = 2.5e199 the cell area 0.5 hx hy, so building the mesh fails.
+    # Exit 2 with one stderr line that names the cell (and the area or the
+    # weight), and no output directory
     cfg = write(tmp_path, SMALL_SOLVE + f"rect = {rect}\n", "cell.cfg")
     out_dir = tmp_path / "out"
     assert main([command, "-c", cfg, "-o", str(out_dir)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    names = ["hx="] if rect == NARROW_RECT else ["hx=", "hy="]
+    names = {NARROW_RECT: ["hx="], HUGE_RECT: ["hx=", "hy=", "weight"], VAST_RECT: ["hx=", "hy=", "area"]}.get(
+        rect, ["hx=", "hy="]
+    )
     assert len(lines) == 1 and all(name in lines[0] for name in names), lines
     assert not out_dir.exists()
+    if rect == HUGE_RECT:
+        assert main(["validate", "-c", cfg]) == 0
 
 
 def test_norms_command(tmp_path, capsys):

@@ -31,7 +31,7 @@ from doublephase.fibering import (
 )
 from doublephase.problem import critical_exponents
 from doublephase.sweep import SampledFiber, nzero_evidence
-from doublephase.rootfind import power_bracket
+from doublephase.rootfind import power_bracket, power_sums
 
 from conftest import oracle_bisect, oracle_breakdown, rng
 
@@ -504,6 +504,106 @@ def test_certified_warm_root_of_the_preset(factor):
         assert got is not None
         _assert_branch_root(trial, 4.0, only, got, getattr(fiber_roots(trial, 4.0, only=only), only))
         assert warm_branch_root(trial, 4.0, other, probe) is None
+
+
+def _old_warm_branch_root(ft: FiberTerms, lam: float, only: str, probe: float):
+    """``warm_branch_root`` as it was with its own copy of ``hybrid_root``'s
+    loop, and how it ended: (root, "root"), or None and "inadmissible", "off
+    side", "uncertified", "overflow", "exhausted", "open" (a step refused
+    while a bracket end was open), "closed" (one refused with both ends
+    known) or "width" (the bracket at floating-point width)."""
+    le = lam * ft.e
+    if not (0.0 < le < math.inf and ft.d > 0.0 and 0.0 < probe < math.inf):
+        return None, "inadmissible"
+    terms = fibering._eta_terms(ft)
+    rising = only == "t1"
+    side = 1.0 if rising else -1.0
+    clear = le * (1.0 + 2.0 * TANGENT_TOL)
+    eps = 2.0**-52
+
+    def at(t):
+        val, tslope, mag, tmag = power_sums(terms, t)
+        return val, tslope, mag, side * tslope > 4.0 * ROOT_TOL * tmag, val - 8.0 * eps * mag > clear
+
+    t, lo, hi = 1.0, 0.0, math.inf
+    last = before = math.inf
+    certified = False
+    try:
+        for _ in range(fibering._WARM_EVALS):
+            val, tslope, mag, on_side, clears = at(t)
+            if not on_side:
+                return None, "off side"
+            certified = certified or clears
+            gap = val - le
+            if abs(gap) <= max(ROOT_TOL * le, 8.0 * eps * mag):
+                return (t, "root") if certified or at(probe)[4] else (None, "uncertified")
+            if (gap < 0) == rising:
+                lo = t
+            else:
+                hi = t
+            if hi < math.inf and hi - lo <= 4e-16 * hi:
+                return None, "width"
+            step = -gap / tslope if tslope else math.inf
+            known = 0.0 < lo and hi < math.inf
+            width = math.log(hi / lo) if known else math.inf
+            if not abs(step) <= min(fibering._WARM_STEP, 0.5 * before, width):
+                return None, "closed" if known else "open"
+            newton = t * math.exp(step)
+            if not lo < newton < hi:
+                return None, "closed" if known else "open"
+            before, last, t = last, abs(step), newton
+    except OverflowError:
+        return None, "overflow"
+    return None, "exhausted"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    admissible_fiber_terms(),
+    st.floats(min_value=-6.0, max_value=-1e-6),
+    st.sampled_from(["t1", "t2"]),
+    st.floats(min_value=-0.8, max_value=0.8),
+    st.floats(min_value=-0.5, max_value=0.5),
+)
+def test_certified_warm_root_is_the_loop_it_replaced(ft, log_frac, only, log_s, log_probe):
+    # the warm root is rootfind's one Newton iteration from t = 1 with both
+    # ends open: it returns the old loop's bits wherever that loop returned,
+    # or gave up with an end still open or off the branch; only where the old
+    # loop gave up with both ends known, or at float width, may it bisect on
+    # to a root, and that root is the fiber_roots root
+    try:
+        top = eta(ft, t_circ(ft))
+    except OverflowError:
+        top = math.inf
+    assume(math.isfinite(top))
+    lam = 10.0**log_frac * top / ft.e
+    case = _warm_case(ft, lam, only, log_s, log_probe)
+    assume(case is not None)
+    trial, probe = case
+    got = warm_branch_root(trial, lam, only, probe)
+    want, how = _old_warm_branch_root(trial, lam, only, probe)
+    if how not in ("closed", "width"):
+        assert got == want if want is not None else got is None, how
+    elif got is not None:
+        try:
+            cold = getattr(fiber_roots(trial, lam, only=only), only)
+        except OverflowError:
+            cold = None
+        _assert_branch_root(trial, lam, only, got, cold)
+
+
+def test_certified_warm_root_bisects_once_both_ends_are_known():
+    # the old loop's iterates straddled t2 here and it gave up, for a cold
+    # fiber_roots; the one iteration bisects on to fiber_roots' t2, bit for bit
+    ft = FiberTerms(
+        6.682092730600307, 6.984034955258095, 8.156912733700052e-06, 0.7643832633941767, 258.03956341626406,
+        1.8403690734764524, 2.6636613732902292, 11.528900530468164, 17.06545798747897, 0.11184381690967538,
+    )
+    lam, probe = 0.3618632335316581, 0.0613983370055763
+    assert _old_warm_branch_root(ft, lam, "t2", probe) == (None, "closed")
+    got = warm_branch_root(ft, lam, "t2", probe)
+    assert got == fiber_roots(ft, lam, only="t2").t2 == 0.8742405784397532
+    _assert_branch_root(ft, lam, "t2", got)
 
 
 def test_psi_second_derivative_identity_at_roots():

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import time
 
@@ -228,5 +229,36 @@ def test_a_chunk_no_worker_delivers_runs_in_the_caller(monkeypatch):
         assert forkmap._fork_map(func, [0, 1, 2]) == [0, 1, 4]
     assert ran_here == [[2], [0], [1]]
     assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="no os.fork or /proc")
+def test_a_worker_that_writes_half_its_result_delivers_nothing(monkeypatch):
+    # pickle's stream ends where the result ends, so the parent reads no
+    # length header: a worker that writes half of its result's pickle and
+    # exits leaves a stream that fails to load (EOFError or UnpicklingError),
+    # and its chunk runs in the caller in its turn.  Only workers pickle a
+    # result, so patching pickle.dump reaches no one else
+    parent = os.getpid()
+    ran_here = []
+
+    def half(obj, out):
+        data = pickle.dumps(obj)
+        out.write(data[: len(data) // 2])
+        out.flush()
+        os._exit(0)
+
+    def func(chunk):
+        if os.getpid() == parent:
+            ran_here.append(chunk)
+        return [x * x for x in chunk]
+
+    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(forkmap.pickle, "dump", half)
+    fds = len(os.listdir("/proc/self/fd"))
+    with raising_after(60, TimeoutError("the map hung on a half-written result")):
+        assert forkmap._fork_map(func, [2, 3]) == [4, 9]
+    assert ran_here == [[3], [2]]
     assert len(os.listdir("/proc/self/fd")) == fds
     assert_no_child_left()

@@ -54,9 +54,9 @@ def test_rejects_bad_inputs():
         build_rect_mesh(1, 0)
     with pytest.raises(ValueError):
         build_rect_mesh(2, 2, rect=(0, 0, 0, 1))
-    # cells so wide or flat that (hx/hy)^2 leaves the float range, the last
-    # with hx/hy itself infinite
-    for rect in ((0, 0, 1e200, 1), (0, 0, 1, 1e-200), (0, 0, 1e300, 1e-300)):
+    # cells so wide or flat that (hx/hy)^2 leaves the float range, the third
+    # with hx/hy itself infinite, and square cells whose area 0.5 hx hy does
+    for rect in ((0, 0, 1e200, 1), (0, 0, 1, 1e-200), (0, 0, 1e300, 1e-300), (0, 0, 1e200, 1e200)):
         with pytest.raises(ValueError, match=r"\(hx=.*, hy=.*\)"):
             build_rect_mesh(4, 4, rect=rect)
 
