@@ -11,11 +11,15 @@ grammar, with ``^`` right-associative, is::
     atom   := number | ident | ident '(' expr (',' expr)? ')' | '(' expr ')'
 
 Identifiers are the coordinates ``x``, ``y`` and the functions sin, cos,
-exp, abs, sqrt (one argument) and min, max (two arguments).  Evaluation is
-numpy-broadcasting aware and never returns a non-finite value silently.
+exp, abs, sqrt (one argument) and min, max (two arguments).  A number must
+be a finite float: ``1e400`` is an ExprParseError at its offset.
+Evaluation is numpy-broadcasting aware and checks the value of every
+operator and call, so it never returns a non-finite value, nor one computed
+from a non-finite intermediate.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -86,38 +90,28 @@ class Call:
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
+# one token per match: its kind is the group that matched, its text that
+# group and its offset that group's start; the end of input is not a match
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ExprParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group(0).strip(), m.start(0) + (len(m.group(0)) - len(m.group(0).lstrip()))))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    return tokens + [("end", "", len(text))]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -125,19 +119,20 @@ class _Parser:
         return self.tokens[self.i]
 
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
+
+    def accept(self, *ops):
+        """The next token, consumed, if it is one of the operators ``ops``; else None."""
+        kind, val, _ = self.peek()
+        if kind == "op" and val in ops:
+            self.i += 1
+            return val
+        return None
 
     def expect_op(self, op: str) -> None:
-        kind, val, off = self.peek()
-        if kind != "op" or val != op:
-            raise ExprParseError(f"expected {op!r}", off)
-        self.next()
-
-    def at_op(self, *ops) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "op" and val in ops
+        if not self.accept(op):
+            raise ExprParseError(f"expected {op!r}", self.peek()[2])
 
     def parse(self) -> Expr:
         node = self.expr()
@@ -147,42 +142,39 @@ class _Parser:
         return node
 
     def expr(self) -> Expr:
-        node = self.term()
-        while self.at_op("+", "-"):
-            _, op, _ = self.next()
-            node = BinOp(op, node, self.term())
-        return node
+        return self.left_assoc(self.term, "+", "-")
 
     def term(self) -> Expr:
-        node = self.factor()
-        while self.at_op("*", "/"):
-            _, op, _ = self.next()
-            node = BinOp(op, node, self.factor())
+        return self.left_assoc(self.factor, "*", "/")
+
+    def left_assoc(self, operand, *ops) -> Expr:
+        node = operand()
+        while op := self.accept(*ops):
+            node = BinOp(op, node, operand())
         return node
 
     def factor(self) -> Expr:
         node = self.unary()
-        if self.at_op("^"):
-            self.next()
+        if self.accept("^"):
             node = BinOp("^", node, self.factor())
         return node
 
     def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.next()
+        if self.accept("-"):
             return Neg(self.atom())
         return self.atom()
 
     def atom(self) -> Expr:
         kind, val, off = self.next()
         if kind == "num":
-            return Num(float(val))
+            value = float(val)
+            if not np.isfinite(value):
+                raise ExprParseError(f"number {val} out of range", off)
+            return Num(value)
         if kind == "ident":
-            if self.at_op("("):
-                self.next()
+            if self.accept("("):
                 args = [self.expr()]
-                if self.at_op(","):
-                    self.next()
+                if self.accept(","):
                     args.append(self.expr())
                 self.expect_op(")")
                 if val not in FUNCTIONS:
@@ -207,7 +199,14 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-_CALLS = {
+# the binary operators by symbol and the functions by name: Python's own
+# +, -, * (so float operands give a float), numpy's / and ^ and functions
+_APPLY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": np.true_divide,
+    "^": lambda base, exponent: np.power(base, exponent, dtype=float),
     "sin": np.sin,
     "cos": np.cos,
     "exp": np.exp,
@@ -218,17 +217,13 @@ _CALLS = {
 }
 
 
-def _checked(value, what: str):
-    if not np.all(np.isfinite(value)):
-        raise ExprEvalError(f"non-finite value from {what}")
-    return value
-
-
 def eval_expr(ast: Expr, point) -> Union[float, np.ndarray]:
     """Evaluate ``ast`` at ``point = (x, y)`` (scalars or broadcastable arrays).
 
-    Division by zero and domain errors raise ExprEvalError instead of
-    propagating inf/nan.
+    The value of every operator and function call must be finite at every
+    point: an overflow, a division by zero or a domain error raises
+    ExprEvalError naming the first node, in evaluation order, whose value is
+    not, instead of propagating inf/nan.
     """
     x, y = point
     with np.errstate(all="ignore"):
@@ -243,20 +238,13 @@ def _eval(node: Expr, x, y):
     if isinstance(node, Neg):
         return -_eval(node.operand, x, y)
     if isinstance(node, BinOp):
-        left = _eval(node.left, x, y)
-        right = _eval(node.right, x, y)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return _checked(np.true_divide(left, right), "'/'")
-        return _checked(np.power(left, right, dtype=float), "'^'")
-    fn = _CALLS[node.func]
-    args = [_eval(a, x, y) for a in node.args]
-    return _checked(fn(*args), node.func)
+        name, args, what = node.op, (node.left, node.right), repr(node.op)
+    else:
+        name, args, what = node.func, node.args, node.func
+    value = _APPLY[name](*[_eval(a, x, y) for a in args])
+    if not np.all(np.isfinite(value)):
+        raise ExprEvalError(f"non-finite value from {what}")
+    return value
 
 
 def to_source(ast: Expr) -> str:

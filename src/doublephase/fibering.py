@@ -190,20 +190,24 @@ def t_tilde_circ(ft: FiberTerms) -> tuple[float, float]:
 
     The maximum is evaluated both directly and through the closed-form value
     expression; the two must agree to 1e-12 relative.  Degenerate when a = 0
-    or d = 0.
+    or d = 0; raises OverflowError naming a and d when the closed form leaves
+    the floats.
     """
     if ft.a <= 0 or ft.d <= 0:
         raise ValueError("t_tilde_circ needs a > 0 and d > 0")
     p, q1, k = ft.p, ft.q1, ft.kappa
     r = p + k - 1.0
-    t_tilde = ((q1 + k - 1.0) * ft.d / ((q1 - p) * ft.a)) ** (1.0 / r)
+    try:
+        t_tilde = ((q1 + k - 1.0) * ft.d / ((q1 - p) * ft.a)) ** (1.0 / r)
+        closed = (
+            (r / (q1 - p))
+            * ((q1 - p) / (q1 + k - 1.0)) ** ((q1 + k - 1.0) / r)
+            * ft.a ** ((q1 + k - 1.0) / r)
+            / ft.d ** ((q1 - p) / r)
+        )
+    except (OverflowError, ZeroDivisionError):  # a power beyond the floats, or one that underflowed to 0
+        raise OverflowError(f"the maximizer of eta_tilde with a={ft.a!r}, d={ft.d!r} leaves the float range") from None
     direct = eta_tilde(ft, t_tilde)
-    closed = (
-        (r / (q1 - p))
-        * ((q1 - p) / (q1 + k - 1.0)) ** ((q1 + k - 1.0) / r)
-        * ft.a ** ((q1 + k - 1.0) / r)
-        / ft.d ** ((q1 - p) / r)
-    )
     if abs(direct - closed) > 1e-12 * max(abs(direct), abs(closed)):
         raise ArithmeticError(
             f"eta_tilde maximum mismatch: direct {direct!r} vs closed form {closed!r}"

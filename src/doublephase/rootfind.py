@@ -36,11 +36,15 @@ def power_sums(terms, t: float) -> tuple[float, float, float, float]:
     """(sum(c t^r), its log-t slope sum(r c t^r), sum|c t^r|, sum|r c t^r|)
     over the (c, r) pairs with c != 0, summed in the terms' order; one power
     per term gives all four.  A zero term is skipped before its power is
-    formed, so a power that would overflow cannot raise there."""
+    formed, so a power that would overflow cannot raise there; a live power
+    that leaves the floats raises OverflowError naming t and r."""
     val = tslope = mag = tmag = 0.0
     for c, r in terms:
         if c != 0.0:
-            x = c * t**r
+            try:
+                x = c * t**r
+            except OverflowError:
+                raise OverflowError(f"t^r with t={t!r}, r={r!r} leaves the float range") from None
             rx = r * x
             val += x
             tslope += rx

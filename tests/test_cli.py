@@ -456,6 +456,25 @@ def test_a_cell_too_narrow_for_its_weights_is_named(tmp_path, capsys, rect, comm
         assert main(["validate", "-c", cfg]) == 0
 
 
+@pytest.mark.parametrize("side", ["1e100", "1e-100"])
+@pytest.mark.parametrize("command", ["props", "sweep"])
+def test_a_power_beyond_the_floats_is_named(tmp_path, capsys, command, side):
+    # on squares of side 1e100 and 1e-100 the fibers' powers leave the
+    # floats: a power sum's t^r, or the closed-form maximizer of eta_tilde.
+    # The one stderr line names the power by its base and exponent, or by a
+    # and d, never by the bare errno text.  props' own bound |u|^s counts as
+    # +inf there, so on the large square it decides its checks instead
+    cfg = write(tmp_path, SMALL_SOLVE + f"rect = 0, 0, {side}, {side}\n", "square.cfg")
+    status = main([command, "-c", cfg, "-o", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    if (command, side) == ("props", "1e100"):
+        assert status in (0, 1) and lines == []
+        return
+    assert status == 2 and len(lines) == 1, lines
+    assert "Numerical result out of range" not in lines[0]
+    assert re.search(r"t\^r with t=\S+, r=\S+ |a=\S+, d=\S+ ", lines[0]), lines[0]
+
+
 def test_norms_command(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_SOLVE)
     assert main(["norms", "-c", cfg, "-f", "1"]) == 0

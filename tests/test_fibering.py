@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import replace
 from typing import Optional
@@ -253,10 +254,11 @@ def test_scaling_law_roots():
 
 
 @st.composite
-def admissible_fiber_terms(draw):
+def admissible_fiber_terms(draw, min_p=1.05):
     """Fiber terms of admissible exponents (1 < p < q < p^*, max(q, p_*) < q1
-    < p^*, 0 < kappa < 1) with a, d, e in 1e-3..1e3 and b, c that may vanish."""
-    p = draw(st.floats(min_value=1.05, max_value=1.95))
+    < p^*, 0 < kappa < 1; p from ``min_p`` to 1.95) with a, d, e in
+    1e-3..1e3 and b, c that may vanish."""
+    p = draw(st.floats(min_value=min_p, max_value=1.95))
     p_star, p_lower_star = critical_exponents(p, 2)
     q = p + draw(st.floats(min_value=0.01, max_value=0.99)) * (p_star - p)
     lower = max(q, p_lower_star)
@@ -604,6 +606,43 @@ def test_certified_warm_root_bisects_once_both_ends_are_known():
     got = warm_branch_root(ft, lam, "t2", probe)
     assert got == fiber_roots(ft, lam, only="t2").t2 == 0.8742405784397532
     _assert_branch_root(ft, lam, "t2", got)
+
+
+def test_certified_warm_root_bisects_where_the_old_loop_straddled():
+    # on a fiber of high curvature (p from 1.85, so q1 from about 12 to 78),
+    # lam*e from 1e-6 to 1e-3 of eta's maximum and the trial's t2 at
+    # exp(-x / q1), x in 2.05..2.35, the old loop's Newton iterates overshoot
+    # t2 and it gave up with both ends known in more than half the cases.
+    # The one iteration bisects on there and, in about one case in ten of
+    # the 800, meets the residual within its evaluations (62 to 109 in 15
+    # runs): each such root is the fiber_roots root
+    endings = collections.Counter()
+
+    @settings(max_examples=800, deadline=None)
+    @given(
+        admissible_fiber_terms(min_p=1.85),
+        st.floats(min_value=-6.0, max_value=-3.0),
+        st.floats(min_value=2.05, max_value=2.35),
+        st.floats(min_value=-0.5, max_value=0.5),
+    )
+    def straddled(ft, log_frac, x, log_probe):
+        try:
+            top = eta(ft, t_circ(ft))
+        except OverflowError:
+            top = math.inf
+        assume(0.0 < top < math.inf)  # eta's maximum can underflow to 0 at these exponents
+        lam = 10.0**log_frac * top / ft.e
+        case = _warm_case(ft, lam, "t2", x / ft.q1, log_probe)
+        assume(case is not None)
+        trial, probe = case
+        got = warm_branch_root(trial, lam, "t2", probe)
+        how = _old_warm_branch_root(trial, lam, "t2", probe)[1]
+        endings[how, got is not None] += 1
+        if how == "closed" and got is not None:
+            _assert_branch_root(trial, lam, "t2", got, fiber_roots(trial, lam, only="t2").t2)
+
+    straddled()
+    assert endings["closed", True] >= 20, endings
 
 
 def test_psi_second_derivative_identity_at_roots():
