@@ -334,8 +334,8 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
     except (SweepUndetermined, ValueError) as exc:
         print(f"lambda_star scan: {exc}")
         lam_star = None
-    # the scan returns the grid's top only when every grid point is positive,
-    # and then lambda* is only bounded from below
+    # the search returns the grid's top only when the top is positive (and so
+    # every grid point below it), and then lambda* is only bounded from below
     censored = lam_star is not None and lam_star == float(config.lambda_grid[-1])
     if lam_star is not None and lam_star > lam_tilde:
         # soft check: the threshold nesting can be violated by sampling noise

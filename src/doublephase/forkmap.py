@@ -9,12 +9,8 @@ written, and the last in the calling process, which pins itself to the CPU
 that chunk's worker would have taken while it runs it, and restores its
 affinity set after.  With one chunk it is ``func(items)`` in-process.  The
 parent reads the results in chunk order, so every value and exception is
-exactly what one process would give.  Three kinds of map run on it:
+exactly what one process would give.  Two kinds of map run on it:
 
-- the lambda* scan (``sweep._first_nonpositive``), with no cap: its grid
-  splits into one chunk per CPU whenever it has two CPUs and two grid
-  points; each chunk descends its grid points' minus starts as lockstep
-  batches;
 - the sweep's sampling (``sweep._map_directions``: the sampled fibers and
   the sampled Rayleigh candidates of the Sobolev estimate), capped at n*M //
   ``sweep.FORK_MIN_NODES`` chunks for n directions on M nodes, so each

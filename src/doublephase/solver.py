@@ -31,21 +31,22 @@ one breakdown (``lane_terms``) per line-search round serve them all, and
 returns each group's outcomes in start order.  ``_solve_groups`` descends
 groups from every start of ``multistart_directions`` in one batch and
 parts each group's results from its failures: ``solve_branch`` passes one
-group, ``solve_two`` one per branch, the lambda* scan one minus group per
-grid point.  A lane stops once its projected point comes within MERGE_TOL
+group, ``solve_two`` one per branch, the lambda* search one minus group per
+probed lambda.  A lane stops once its projected point comes within MERGE_TOL
 (relative lumped L2 distance) of a lower-energy running lane of its group
 (``StopReason.MERGED``), as multi-level single linkage stops a local
 search near a better point (Rinnooy Kan & Timmer, Math. Prog. 39, 1987):
 on the preset every start of a branch ends at one point, and the lanes
 meet long before they stop.  A lane that did not merge is its start's
 descent alone, bit for bit; a merged lane is that descent cut at its
-merge.  The scan's batches also stop every lane at and above the lowest
-lambda where a projected point has energy <= 0 (``StopReason.CUT``): that
-point bounds the minus minimum there from above, so the scan needs no
-more.  On two CPUs or more ``forkmap._fork_map`` runs ``solve_two``'s two
-groups as a batch each, at any mesh size: the plus group on a forked
-worker, the minus group in the calling process; a merge compares lanes of
-one group only, so the split changes no bit of any result.
+merge.  A batch with the cut (the lambda* search's) also stops every lane
+at and above the lowest lambda where a projected point has energy <= 0
+(``StopReason.CUT``): that point bounds the minus minimum there from above,
+so the search needs no more.  On two CPUs or more ``forkmap._fork_map``
+runs ``solve_two``'s two groups as a batch each, at any mesh size: the plus
+group on a forked worker, the minus group in the calling process; a merge
+compares lanes of one group only, so the split changes no bit of any
+result.
 """
 from __future__ import annotations
 

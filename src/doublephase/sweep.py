@@ -21,24 +21,26 @@ against 51 us at 8x8, 13 against 60 us at 16x16, 60 against 89 us at
 32x32, 170 against 205 us at 64x64); from 128x128 on a block is one
 direction.  The scalar roots stay per direction, in sample order.
 
-The lambda* scan runs on ``forkmap._fork_map``, which cuts its grid into
-contiguous chunks, one per CPU the process may run on: the last chunk runs
-in the calling process and the others on forked workers, whose results are
-read in chunk order, so every value and exception is exactly what one
-process would give.  A chunk hands its grid points in batches to
-``solver._solve_groups`` as (lambda, minus) groups with the cut
-(``_scan``), and ``_decide`` takes each group's results and failures;
-``_solve_groups`` never forks, so a cut stays within its batch.  A lane
-merges only with a lane of its own group, so each grid point that no cut
-reached gets its ``solve_branch`` results bit for bit, and a lane whose
-projected energy is <= 0 decides its lambda (``_decide``'s bound), stops
-every lane at that lambda and above (the cut), and ends the chunk.  At one
-CPU and one BLAS thread, the five default grid points' separate minus
-solves took 134 ms against 79 ms for one batch at 8x8, and 274 against 170
-ms at 16x16 (medians of 15).  The bisection after the scan runs its
-one-lambda batches in the calling process.  A chunk that no worker delivers
-(its fork failed or its worker died) is scanned in the calling process, so
-the scan's outcome is the one-process scan's.
+The lambda* search runs in the calling process and forks nothing.  The
+minus minimum decreases strictly in lambda (its slope is -int |u*|^q1 / q1
+by the envelope theorem), so the grid's top decides first: positive there,
+it is positive at every grid point below.  Otherwise a bisection over the
+grid's indices finds the first point that is not positive
+(``_first_nonpositive``).  Each probe descends one lambda's six minus
+starts as one (lambda, minus) group of ``solver._solve_groups`` with the cut
+(``_positive``), and ``_decide`` takes the group's results and failures: a
+lane whose projected energy is <= 0 decides its lambda (``_decide``'s
+bound) and stops the group's other lanes (the cut).  So a search makes at
+most 1 + ceil(log2(n)) probes on n grid points, and one on a grid whose top
+is positive, such as the default grid on the preset.  At one BLAS thread on
+the preset (medians of 7), the default grid took 15.7 against 82.8 ms for
+the forked linear scan it replaced at 8x8, 26.3 against 118.3 ms at 16x16
+and 38.6 against 184.2 ms at 32x32; on grids whose sign flips inside them
+(ending at 3.2, 4.0 or 6.4, or twenty points 0.1..2.0) it was 1.1-1.7x
+faster, with the same lambda*.  A grid point that no probe visits is never
+solved, so a solver failure there is not reported: where the linear scan
+raised SweepUndetermined at a low grid point, the search may return a
+lambda* from the points it does decide.
 
 ``_map_directions`` owns the sampled directions' layout; both sampling
 estimates (``sample_fibers`` and the sampled Rayleigh candidates of
@@ -98,7 +100,7 @@ BLOCK_NODES = 2**14         # node values per batched breakdown of sampled direc
 
 class SweepUndetermined(RuntimeError):
     """The Minus-branch solver failed to converge, or failed numerically, at
-    some lambda, so the threshold scan is undetermined there."""
+    a probed lambda, so the threshold search is undetermined there."""
 
     def __init__(self, lam: float, detail: str):
         super().__init__(f"undetermined at lambda={lam!r}: {detail}")
@@ -150,7 +152,7 @@ class SweepReport:
     lambda_tilde_est: float           # sample-min upper bound for lambda_tilde
     lambda_hat_evidence: tuple        # of (lambda, tangency found)
     lambda_star_est: Optional[float]
-    lambda_star_censored: bool        # lambda_star_est is the grid's top: every grid point positive
+    lambda_star_censored: bool        # the grid's top decided positive, and so every grid point below it
     sobolev_S_est: float
     samples: int
     seed: int
@@ -282,8 +284,8 @@ def _decide(lam: float, results, failures) -> bool:
     A merged start (``StopReason.MERGED``) stopped early by design, so it
     counts neither way: its chain of merges ends at a start of the same
     batch and lambda that did not merge, and that start's own outcome
-    decides.  A cut start (``StopReason.CUT``) stopped at or above a lambda
-    that the bound decides; ``_scan`` decides no lambda above that one.
+    decides.  A cut start (``StopReason.CUT``) stopped at a lambda that the
+    bound decides.
     """
     if any(res.energy <= 0.0 for res in results):
         return False
@@ -301,33 +303,6 @@ def _decide(lam: float, results, failures) -> bool:
     return bool(results) and all(res.energy > 0.0 for res in results)
 
 
-def _scan(mesh: Mesh, data: ProblemData, lams, fields: FieldSamples, opts: SolverOptions) -> list:
-    """``_decide`` of each lambda of the ascending ``lams`` in turn, up to
-    the first that is not positive: True, False, or the SweepUndetermined
-    it raised, as a value.
-
-    Each batch is the (lambda, minus) groups of as many lambdas as fit in
-    BLOCK_NODES lane-node values, one at least (33 at 8x8, 9 at 16x16, 2 at
-    32x32, one from 64x64 on), which ``solver._solve_groups`` descends with
-    the cut and hands back per group.  A lambda's starts merge only with
-    each other, so each lambda that no cut reached has its ``solve_branch``
-    results bit for bit; a cut stops only lambdas from the first the bound
-    decides on, and the batches after it are skipped."""
-    per_batch = max(1, BLOCK_NODES // (mesh.num_nodes * len(multistart_directions(mesh, opts.seed))))
-    decided = []
-    for lo in range(0, len(lams), per_batch):
-        batch = lams[lo:lo + per_batch]
-        groups = solver._solve_groups(mesh, data, [(lam, Branch.MINUS) for lam in batch], fields, opts, cut=True)
-        for lam, (results, failures) in zip(batch, groups):
-            try:
-                decided.append(_decide(lam, results, failures))
-            except SweepUndetermined as exc:
-                decided.append(exc)
-            if decided[-1] is not True:
-                return decided
-    return decided
-
-
 def estimate_lambda_star(
     mesh: Mesh,
     data: ProblemData,
@@ -337,18 +312,27 @@ def estimate_lambda_star(
 ) -> float:
     """Largest lambda with all-positive Minus-branch energies.
 
-    Scans the ascending grid up to the first lambda that is not positive,
-    then bisects between the last positive and first non-positive grid
-    points for LAMBDA_STAR_BISECTIONS steps.  Returns the top of the grid if
-    every grid point is positive, and only then, since a bisection stays
-    below its upper grid point: that value is a lower bound only.  Each
-    lambda, grid or bisection, is decided by the first of ``_decide``'s
-    rules that applies: the bound (a minus point with energy <= 0 makes it
-    not positive, and stops its lambda's descent and every higher one's),
-    undetermined (a minus start failed numerically, or a start that did not
-    merge into another start's lane did not converge: SweepUndetermined),
-    unreachable (not positive), or positive.  The grid runs in contiguous
-    chunks, one per CPU (``_first_nonpositive``), the bisection in-process.
+    The minus minimum decreases strictly in lambda, so ``_first_nonpositive``
+    finds the first grid point that is not positive by probes: the grid's
+    top, then a bisection over the indices below it.  That point and the
+    positive one below it are then bisected for LAMBDA_STAR_BISECTIONS steps.
+    Returns the grid's top if the top is positive, and only then, since a
+    bisection stays below its upper grid point: that value is a lower bound
+    only, and ``lambda_star_censored`` means that the top, and through the
+    monotonicity every grid point below it, was decided positive.  Each
+    probe is decided by the first of ``_decide``'s rules that applies: the
+    bound (a minus point with energy <= 0: not positive), undetermined
+    (SweepUndetermined, raised), unreachable (not positive), or positive.
+
+    Only probed lambdas are solved, so a solver failure at a grid point no
+    probe visits is not reported, and the value comes from the probes (a
+    positive one at the bracket's lower end, a non-positive one at its
+    upper end).  Over 400 seeded admissible draws (3x3 and 4x4 meshes, 2-5
+    grid points, max_iter 40 or 2000), the 286 with monotone grid decisions
+    gave the replaced linear scan's outcome; 72 of the other 114, each with
+    an undetermined grid point, did not: 58 named another undetermined
+    lambda, 12 returned a value where the scan raised, and 2 raised
+    SweepUndetermined where the scan found the smallest point not positive.
     """
     grid = [float(v) for v in lambda_grid]
     if not grid:
@@ -367,7 +351,7 @@ def estimate_lambda_star(
     lo, hi = grid[k - 1], grid[k]
     for _ in range(LAMBDA_STAR_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if _first_nonpositive(mesh, data, [mid], fields, opts):
+        if _positive(mesh, data, mid, fields, opts):
             lo = mid
         else:
             hi = mid
@@ -376,20 +360,26 @@ def estimate_lambda_star(
 
 def _first_nonpositive(mesh: Mesh, data: ProblemData, grid: list, fields: FieldSamples, opts: SolverOptions) -> int:
     """Index of the first lambda of ``grid`` whose minimum is not positive
-    (len(grid) if none); the SweepUndetermined of an earlier lambda is
-    raised.  ``_fork_map`` cuts the grid into contiguous chunks, one per CPU
-    with no cap (one, in-process, for one lambda), each scanned by
-    ``_scan``; the last chunk runs in this process.  A chunk ends at its
-    first lambda that is not positive, so the chunks' values joined in
-    order are the ascending scan's up to the first of them, and a chunk
-    that no worker delivers is scanned in this process in its turn."""
-    scanned = _fork_map(lambda chunk: _scan(mesh, data, chunk, fields, opts), grid)
-    for k, positive in enumerate(scanned):
-        if isinstance(positive, SweepUndetermined):
-            raise positive
-        if not positive:
-            return k
-    return len(grid)
+    (len(grid) if none), assuming monotone decisions: ``_positive`` at the
+    top, then at the middle index between the highest positive probe (or
+    the grid's start) and the lowest non-positive one.  The index returned
+    is a non-positive probe's, the one below it a positive probe's; a
+    probe's SweepUndetermined is raised."""
+    lo, hi, mid = -1, len(grid), len(grid) - 1
+    while hi - lo > 1:
+        if _positive(mesh, data, grid[mid], fields, opts):
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) // 2
+    return hi
+
+
+def _positive(mesh: Mesh, data: ProblemData, lam: float, fields: FieldSamples, opts: SolverOptions) -> bool:
+    """``_decide`` at ``lam``: its six minus starts descend as one (lambda,
+    minus) group of ``solver._solve_groups`` with the cut, in this process."""
+    ((results, failures),) = solver._solve_groups(mesh, data, [(lam, Branch.MINUS)], fields, opts, cut=True)
+    return _decide(lam, results, failures)
 
 
 def _rayleigh_quotient(mesh, data, u, fields) -> tuple[float, float, float]:

@@ -389,7 +389,7 @@ def test_solve_ends_in_a_result_or_one_line(config):
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(admissible_configs())
 def test_sweep_ends_in_outputs_or_one_line(config):
-    # the lambda* scan reports a failed minus start as undetermined; only the
+    # the lambda* search reports a failed minus start as undetermined; only the
     # sampling can still end the sweep, with exit 2, one line and no outputs
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -647,9 +647,17 @@ def test_props_command_passes_on_preset(tmp_path):
     assert main(["props", "-c", cfg]) == 0
 
 
+def test_props_command_passes_on_a_square_of_side_1e100(tmp_path, capsys):
+    # the modular there is about |u|^p to the last bits: the power bounds
+    # allow rounding at the scale of the compared values, not an absolute 1e-12
+    cfg = write(tmp_path, SMALL_SOLVE + "rect = 0, 0, 1e100, 1e100\n")
+    assert main(["props", "-c", cfg]) == 0
+    assert capsys.readouterr().out.startswith("modular_norm: pass (200/200, worst=0.000e+00)\n")
+
+
 def test_each_command_samples_the_fields_once(tmp_path, monkeypatch):
     # the coefficient fields, and with them the hat norms, are built once per
-    # command and passed down: neither the descents, the lambda* scan nor the
+    # command and passed down: neither the descents, the lambda* search nor the
     # estimators rebuild them, and validate builds none.  Every module binding
     # a name counts (imported by path: the package binds ``doublephase.energy``
     # to the function)

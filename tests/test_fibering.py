@@ -428,7 +428,7 @@ def test_certified_warm_root_is_the_fiber_roots_root(ft, log_frac, only, log_s, 
         top = eta(ft, t_circ(ft))
     except OverflowError:
         top = math.inf
-    assume(math.isfinite(top))
+    assume(0.0 < top < math.inf)  # eta's maximum can underflow to 0, and lambda must be positive
     lam = 10.0**log_frac * top / ft.e
     case = _warm_case(ft, lam, only, log_s, log_probe)
     assume(case is not None)
@@ -577,7 +577,7 @@ def test_certified_warm_root_is_the_loop_it_replaced(ft, log_frac, only, log_s, 
         top = eta(ft, t_circ(ft))
     except OverflowError:
         top = math.inf
-    assume(math.isfinite(top))
+    assume(0.0 < top < math.inf)  # eta's maximum can underflow to 0, and lambda must be positive
     lam = 10.0**log_frac * top / ft.e
     case = _warm_case(ft, lam, only, log_s, log_probe)
     assume(case is not None)

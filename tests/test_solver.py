@@ -584,7 +584,7 @@ def test_far_finite_root_whose_energy_overflows_is_named():
     # the first minus projection of ``bump`` and ``bump_perturbed`` has a
     # finite root t2 near 1e17, but t2^q1 leaves the floats: under raising
     # numpy errors, as in the CLI, the failure names the branch, the root and
-    # the overflow of psi(t); it stays a numerical failure.  The lambda* scan
+    # the overflow of psi(t); it stays a numerical failure.  The lambda* search
     # does not call that lambda undetermined: ``ones_perturbed`` converges
     # on the minus branch at energy -8.45, and that bound decides first that
     # the minus minimum is not positive

@@ -124,22 +124,27 @@ def test_lambda_star_on_the_default_16x16_grid(mesh16, preset_data, fields16):
     # the CLI's default sweep (16x16, default grid): every minus start
     # converges at every grid point, so lambda* is determined, at solver
     # seeds 0-6; seeds 4 and 5 perturb the starts into tails that a
-    # Euclidean descent stalled on
+    # Euclidean descent stalled on.  The search decides the grid's top
+    # alone, so each grid point's own probe is checked here
+    grid = (0.05, 0.1, 0.2, 0.4, 0.8)
     for seed in range(7):
         opts = SolverOptions(seed=seed)
-        assert estimate_lambda_star(mesh16, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), fields16, opts) == 0.8, seed
+        assert estimate_lambda_star(mesh16, preset_data, grid, fields16, opts) == 0.8, seed
+        assert all(sweep._positive(mesh16, preset_data, lam, fields16, opts) for lam in grid), seed
 
 
 def test_lambda_star_of_the_8x8_sweep_over_twenty_seeds(preset_data):
-    # the benchmark's sweep8 scan: lambda* is the top of the grid at solver
-    # seeds 0-19, so every grid point is determined and positive
+    # the benchmark's sweep8 search: lambda* is the top of the grid at solver
+    # seeds 0-19, and every grid point's own probe is determined and positive
     from doublephase import build_rect_mesh
 
     mesh = build_rect_mesh(8, 8)
     fields = sample_fields(mesh, preset_data)
+    grid = (0.05, 0.1, 0.2, 0.4, 0.8)
     for seed in range(20):
         opts = SolverOptions(seed=seed)
-        assert estimate_lambda_star(mesh, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), fields, opts) == 0.8, seed
+        assert estimate_lambda_star(mesh, preset_data, grid, fields, opts) == 0.8, seed
+        assert all(sweep._positive(mesh, preset_data, lam, fields, opts) for lam in grid), seed
 
 
 def test_lambda_star_propagates_solver_failure_as_undetermined(mesh4, preset_data, fields4):
@@ -168,8 +173,9 @@ def test_lambda_star_counts_a_merged_start_by_its_survivor(mesh4, preset_data, f
 
 
 def test_lambda_star_is_undetermined_where_a_minus_start_fails_numerically(monkeypatch, mesh4, preset_data, fields4):
+    # the search probes the grid's top first, and the start fails there
     overflowing_start(monkeypatch, mesh4, "ramp")
-    with pytest.raises(SweepUndetermined, match="undetermined at lambda=0.2: .* from start 'ramp' .*OverflowError"):
+    with pytest.raises(SweepUndetermined, match="undetermined at lambda=0.5: .* from start 'ramp' .*OverflowError"):
         estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
 
 
@@ -183,7 +189,8 @@ def scan_outcome(*args):
 
 @pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
 def width(request, monkeypatch):
-    """The scan's worker count: the in-process loop at 1, two forked workers at 2."""
+    """The CPUs the fork maps see: one or two.  The lambda* search runs in
+    this process at either."""
     if request.param > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: request.param)
@@ -195,7 +202,7 @@ def width(request, monkeypatch):
     [
         ([0.2, 0.5], 0.5),  # every grid point positive
         ([1.0, 2.0], 1.875),  # the flip bracketed, then bisected
-        ([1.0, 2.0, 4.0], 1.875),  # 2.0 decides, and cuts 4.0 where they share a batch
+        ([1.0, 2.0, 4.0], 1.875),  # 4.0, then 1.0 and 2.0, bracket the flip
         ([2.0, 4.0], (ValueError, "minus-branch energy not positive at the smallest grid point 2.0")),
     ],
 )
@@ -229,6 +236,123 @@ def test_lambda_star_on_a_grid_past_the_flip_is_decided_by_the_bound(width, n, p
     assert_no_child_left()
 
 
+def _linear_first_nonpositive(mesh, data, grid, fields, opts) -> int:
+    """The grid scan the monotone search replaced, in one process: the
+    ascending grid in batches of as many (lambda, minus) groups as fit in
+    BLOCK_NODES lane-node values, each descended with the cut, decided in
+    turn up to the first lambda that is not positive (len(grid) if none);
+    the SweepUndetermined of an earlier lambda is raised."""
+    per_batch = max(1, sweep.BLOCK_NODES // (mesh.num_nodes * len(solver.multistart_directions(mesh, opts.seed))))
+    for lo in range(0, len(grid), per_batch):
+        batch = grid[lo:lo + per_batch]
+        groups = solver._solve_groups(mesh, data, [(lam, Branch.MINUS) for lam in batch], fields, opts, cut=True)
+        for k, (lam, (results, failures)) in enumerate(zip(batch, groups), lo):
+            if not sweep._decide(lam, results, failures):
+                return k
+    return len(grid)
+
+
+def searches(mesh, data, grid, fields, opts) -> dict:
+    """Each grid point's own decision (True, False or "undetermined"), and
+    ``scan_outcome`` by the monotone search and by the linear scan, with
+    the CLI's numpy errors."""
+    decisions = []
+    search = sweep._first_nonpositive
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for lam in grid:
+            try:
+                decisions.append(sweep._positive(mesh, data, lam, fields, opts))
+            except SweepUndetermined:
+                decisions.append("undetermined")
+        outcome = scan_outcome(mesh, data, grid, fields, opts)
+        try:
+            sweep._first_nonpositive = _linear_first_nonpositive
+            linear = scan_outcome(mesh, data, grid, fields, opts)
+        finally:
+            sweep._first_nonpositive = search
+    return {"decisions": decisions, "search": outcome, "linear": linear}
+
+
+def drawn_search_case(seed: int):
+    """A seeded admissible draw for the lambda* search: a 3x3 or 4x4 mesh,
+    exponents and coefficients as ``test_cli.admissible_configs`` draws
+    them, a grid of 2-5 ascending points in 1e-2..10 (three digits) and
+    max_iter 40 or 2000; None where the hypotheses fail."""
+    from doublephase import build_rect_mesh
+    from doublephase.problem import ProblemData, critical_exponents, validate_hypotheses
+
+    r = rng(seed)
+    n = int(r.choice([3, 4]))
+    mesh = build_rect_mesh(n, n)
+    p = r.uniform(1.05, 1.95)
+    p_star, p_lower_star = critical_exponents(p, 2)
+    q = p + r.uniform(0.01, 0.99) * (p_star - p)
+    lower = max(q, p_lower_star)
+    data = ProblemData(
+        p=p,
+        q=q,
+        kappa=r.uniform(0.01, 0.99),
+        q1=lower + r.uniform(0.01, 0.99) * (p_star - lower),
+        lam=0.1,
+        mu=str(r.choice(["x", "0", "1 + y", "2 - x", "x*y"])),
+        alpha=str(r.choice(["1", "x", "0.5 + y", "1 + x*y"])),
+        beta=str(r.choice(["1", "0", "2 - x", "x*y"])),
+        zeta=str(r.choice(["1", "0.5 + x", "1 + y"])),
+    )
+    if not validate_hypotheses(data, mesh).ok:
+        return None
+    grid = sorted({float(f"{v:.3g}") for v in 10.0 ** r.uniform(-2.0, 1.0, int(r.integers(2, 6)))})
+    opts = SolverOptions(max_iter=int(r.choice([40, 2000])))
+    return mesh, data, grid, sample_fields(mesh, data), opts
+
+
+def check_search_against_the_linear_scan(mesh, data, grid, fields, opts):
+    """Where the grid's decisions are monotone (each determined, no
+    positive after a non-positive) the search's outcome is the linear
+    scan's; elsewhere a value lies in a bracket from a positive grid point
+    to the next, non-positive one, or is the top, decided positive."""
+    got = searches(mesh, data, grid, fields, opts)
+    decisions, search = got["decisions"], got["search"]
+    determined = all(isinstance(d, bool) for d in decisions)
+    if determined and decisions == sorted(decisions, reverse=True):
+        assert search == got["linear"], got
+    elif search == (ValueError, f"minus-branch energy not positive at the smallest grid point {grid[0]}"):
+        assert decisions[0] is False, got
+    elif isinstance(search, float):
+        k = sum(lam <= search for lam in grid)
+        assert decisions[k - 1] is True and (k == len(grid) or decisions[k] is False), got
+        assert k == len(grid) or search < grid[k], got
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_the_search_against_the_linear_scan_over_seeded_draws(seed):
+    case = drawn_search_case(seed)
+    if case is None:
+        pytest.skip("the draw fails a hypothesis")
+    check_search_against_the_linear_scan(*case)
+
+
+def test_the_search_skips_an_undetermined_grid_point_below_the_flip():
+    # decisions undetermined, positive, positive: the linear scan raised at
+    # 0.0938, where the minus start 'bump' does not converge in 40
+    # iterations; the search decides the top, 1.8, positive, and so returns it
+    from doublephase import build_rect_mesh
+    from doublephase.problem import ProblemData
+
+    mesh = build_rect_mesh(3, 3)
+    data = ProblemData(
+        p=1.5593423960887656, q=2.703220643867981, kappa=0.642640174402622, q1=3.76906949465215,
+        lam=0.1, mu="1", alpha="1", beta="1", zeta="0.5+y",
+    )
+    grid = [0.0938, 0.217, 1.8]
+    got = searches(mesh, data, grid, sample_fields(mesh, data), SolverOptions(max_iter=40))
+    assert got == {
+        "decisions": ["undetermined", True, True],
+        "search": 1.8,
+        "linear": (SweepUndetermined, "undetermined at lambda=0.0938: minus branch did not converge from start 'bump'"),
+    }
+
+
 def result_key(res) -> tuple:
     """A ``SolveResult`` as comparable values: its nodal array's bytes and
     the repr of the rest (exact for floats)."""
@@ -256,25 +380,27 @@ def recording_batches(monkeypatch) -> list:
 
 
 def test_a_multi_lambda_batch_gives_each_lambda_its_solve_branch_results(monkeypatch, preset_data):
-    # the 8x8 default grid at one CPU is one chunk, and its 30 minus lanes
-    # descend as one batch; no lane there reaches energy <= 0, so no cut
-    # fires, and each lambda's six results are its own solve_branch's, bit
-    # for bit, merges included
+    # the 8x8 default grid's 30 minus lanes descend as one batch with the
+    # cut; no lane there reaches energy <= 0, so no cut fires, and each
+    # lambda's six results are its own solve_branch's, bit for bit, merges
+    # included
     from doublephase import build_rect_mesh
 
     mesh = build_rect_mesh(8, 8)
     fields = sample_fields(mesh, preset_data)
     grid = (0.05, 0.1, 0.2, 0.4, 0.8)
-    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
     batches = recording_batches(monkeypatch)
-    assert estimate_lambda_star(mesh, preset_data, grid, fields) == 0.8
-    ((groups, outcomes),) = batches
-    assert groups == [(lam, Branch.MINUS) for lam in grid]
+    groups = [(lam, Branch.MINUS) for lam in grid]
+    got = solver._solve_groups(mesh, preset_data, groups, fields, SolverOptions(), cut=True)
+    ((descended, outcomes),) = batches
+    assert descended == groups
     merges = 0
-    for lam, group in zip(grid, outcomes, strict=True):
-        own, failures = solve_branch(mesh, preset_data, lam, Branch.MINUS, fields)
-        assert failures == ()
+    for lam, group, (results, failures) in zip(grid, outcomes, got, strict=True):
+        own, own_failures = solve_branch(mesh, preset_data, lam, Branch.MINUS, fields)
+        assert failures == own_failures == ()
+        assert [result_key(res) for res in group] == [result_key(res) for res in results]
         assert [result_key(res) for res in group] == [result_key(res) for res in own], lam
+        assert sweep._decide(lam, results, failures) is True
         merges += sum(res.stop_reason is StopReason.MERGED for res in own)
     assert merges > 0
 
@@ -288,10 +414,13 @@ def test_a_cut_leaves_the_lambdas_below_it_bit_for_bit(monkeypatch, preset_data)
 
     mesh = build_rect_mesh(8, 8)
     fields = sample_fields(mesh, preset_data)
+    grid = (1.0, 2.0, 4.0)
     batches = recording_batches(monkeypatch)
-    assert sweep._scan(mesh, preset_data, [1.0, 2.0, 4.0], fields, SolverOptions()) == [True, False]
-    ((groups, (below, at_two, at_four)),) = batches
-    assert groups == [(1.0, Branch.MINUS), (2.0, Branch.MINUS), (4.0, Branch.MINUS)]
+    groups = [(lam, Branch.MINUS) for lam in grid]
+    got = solver._solve_groups(mesh, preset_data, groups, fields, SolverOptions(), cut=True)
+    assert [sweep._decide(lam, *group) for lam, group in zip(grid[:2], got)] == [True, False]
+    ((descended, (below, at_two, at_four)),) = batches
+    assert descended == [(1.0, Branch.MINUS), (2.0, Branch.MINUS), (4.0, Branch.MINUS)]
     own, _ = solve_branch(mesh, preset_data, 1.0, Branch.MINUS, fields)
     assert [result_key(res) for res in below] == [result_key(res) for res in own]
     assert all(res.stop_reason is StopReason.CUT or res.energy <= 0.0 for res in at_two + at_four)
@@ -300,35 +429,32 @@ def test_a_cut_leaves_the_lambdas_below_it_bit_for_bit(monkeypatch, preset_data)
 
 
 def test_a_scans_cut_batch_never_leaves_its_process(monkeypatch, tmp_path, mesh4, preset_data, fields4):
-    # a cut reaches only the lanes of its own batch, so the scan's batch
+    # a cut reaches only the lanes of its own batch, so a batch with the cut
     # must descend in one process whatever the CPU count: at two CPUs the
-    # scan over (1.0, 2.0, 4.0), called directly, is one batch in this
-    # process; 2.0 decides by the bound and cuts 4.0, and 1.0, below the
-    # cut, gets its solve_branch results and failures
-    grid = [1.0, 2.0, 4.0]
+    # groups over (1.0, 2.0, 4.0) are one batch in this process; 2.0 decides
+    # by the bound and cuts 4.0, and 1.0, below the cut, gets its
+    # solve_branch results and failures
+    groups = [(lam, Branch.MINUS) for lam in (1.0, 2.0, 4.0)]
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
-    want = sweep._scan(mesh4, preset_data, grid, fields4, SolverOptions())
+    want = solver._solve_groups(mesh4, preset_data, groups, fields4, SolverOptions(), cut=True)
     log = tmp_path / "descents"
-    descend, solve_groups = solver._descend, solver._solve_groups
-    pairs = []
+    descend = solver._descend
 
     def recording(*args):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return descend(*args)
 
-    def kept(*args, **kwargs):
-        groups = solve_groups(*args, **kwargs)
-        pairs.extend(groups)
-        return groups
-
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_descend", recording)
-    monkeypatch.setattr(solver, "_solve_groups", kept)
-    assert sweep._scan(mesh4, preset_data, grid, fields4, SolverOptions()) == want == [True, False]
-    assert set(log.read_text().split()) == {str(os.getpid())}
+    pairs = solver._solve_groups(mesh4, preset_data, groups, fields4, SolverOptions(), cut=True)
+    assert [sweep._decide(lam, *pair) for (lam, _), pair in zip(groups[:2], pairs)] == [True, False]
+    assert [[result_key(res) for res in results] for results, _ in pairs] == [
+        [result_key(res) for res in results] for results, _ in want
+    ]
+    assert log.read_text().split() == [str(os.getpid())]
     assert_no_child_left()
-    assert len(pairs) == len(grid)
+    assert len(pairs) == len(groups)
     (results, failures), own = pairs[0], solve_branch(mesh4, preset_data, 1.0, Branch.MINUS, fields4)
     assert [result_key(res) for res in results] == [result_key(res) for res in own[0]]
     assert [(name, repr(exc)) for name, exc in failures] == [(name, repr(exc)) for name, exc in own[1]]
@@ -356,93 +482,65 @@ def test_a_group_owns_the_merge_rule(monkeypatch, preset_data):
 
 
 def test_lambda_star_scan_at_any_width_names_the_same_unconverged_start(width, mesh4, preset_data, fields4):
+    # the search probes the grid's top first, and nothing converges there
     got = scan_outcome(mesh4, preset_data, [0.2, 0.5], fields4, SolverOptions(max_iter=1))
-    assert got == (SweepUndetermined, "undetermined at lambda=0.2: minus branch did not converge from start 'ones'")
+    assert got == (SweepUndetermined, "undetermined at lambda=0.5: minus branch did not converge from start 'ones'")
     assert_no_child_left()
 
 
 def test_lambda_star_scan_at_any_width_names_the_same_failed_start(width, monkeypatch, mesh4, preset_data, fields4):
-    # the workers inherit the monkeypatched projection through the fork
+    # the search probes the grid's top first, and the start fails there
     overflowing_start(monkeypatch, mesh4, "ramp")
     got = scan_outcome(mesh4, preset_data, [0.2, 0.5], fields4)
     detail = "minus branch failed numerically from start 'ramp' (OverflowError): power sum overflow"
-    assert got == (SweepUndetermined, f"undetermined at lambda=0.2: {detail}")
+    assert got == (SweepUndetermined, f"undetermined at lambda=0.5: {detail}")
     assert_no_child_left()
 
 
 def test_lambda_star_grid_points_run_in_workers(width, monkeypatch, mesh4, preset_data, fields4):
-    # at two CPUs the grid splits into the chunks [0.2], on a forked worker,
-    # and [0.5], in this process; at one CPU it is one chunk, in-process
+    # the search has no workers: at one CPU or two, the grid point it probes
+    # first, the top 0.5, is solved in this process
     def solved_where(mesh, data, groups, *args, **kwargs):
         raise SweepUndetermined(groups[0][0], f"solved in process {os.getpid()}")
 
     monkeypatch.setattr(solver, "_descend", solved_where)
     with pytest.raises(SweepUndetermined) as info:
         estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
-    assert info.value.lam == 0.2
-    assert (info.value.detail == f"solved in process {os.getpid()}") == (width == 1)
+    assert info.value.lam == 0.5
+    assert info.value.detail == f"solved in process {os.getpid()}"
     assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_lambda_star_workers_solve_their_lanes_in_process(monkeypatch, tmp_path, mesh4, preset_data, fields4):
-    # at two CPUs the grid splits into the chunks [0.2] and [0.5, 0.8]: the
-    # first on a forked worker, the last in this process, and each chunk's
-    # lanes, six minus starts per lambda, descend in one batch in that
-    # chunk's process, which forks no worker of its own
-    log = tmp_path / "descents"
+def test_lambda_star_workers_solve_their_lanes_in_process(monkeypatch, preset_data):
+    # the search's probes are its only workers: at two CPUs the default 8x8
+    # search probes the grid's top, 0.8, finds it positive, and so decides
+    # every grid point: one descent, of 0.8's six minus starts, in this
+    # process, and no fork; every probe is one such descent in this process
+    from doublephase import build_rect_mesh
+
+    mesh = build_rect_mesh(8, 8)
+    fields = sample_fields(mesh, preset_data)
     descend = solver._descend
+    calls = []
 
     def recording(mesh, data, groups, *args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {' '.join(repr(lam) for lam, _ in groups)}\n")
+        calls.append((os.getpid(), list(groups)))
         return descend(mesh, data, groups, *args, **kwargs)
+
+    def no_fork():
+        raise AssertionError("the lambda* search forked")
 
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_descend", recording)
-    assert estimate_lambda_star(mesh4, preset_data, [0.2, 0.5, 0.8], fields4) == 0.8
-    calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
-    parent = str(os.getpid())
-    assert sorted((pid == parent, lams) for pid, lams in calls) == [(False, "0.2"), (True, "0.5 0.8")]
-    assert_no_child_left()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_dead_scan_worker_gives_the_one_process_lambda_star(monkeypatch, mesh4, preset_data, fields4):
-    # the worker holds the chunk [0.2, 0.5] and dies; this process scans
-    # [0.8, 1.0], then the dead worker's chunk in its turn
-    grid = [0.2, 0.5, 0.8, 1.0]
-    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
-    want = estimate_lambda_star(mesh4, preset_data, grid, fields4)
-    parent = os.getpid()
-    descend = solver._descend
-    in_parent = []  # the lambdas of each batch the parent descends
-
-    def dying(mesh, data, groups, *args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        in_parent.append([lam for lam, _ in groups])
-        return descend(mesh, data, groups, *args, **kwargs)
-
-    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "_descend", dying)
-    with raising_after(60, TimeoutError("the scan hung on a dead worker")):
-        assert estimate_lambda_star(mesh4, preset_data, grid, fields4) == want
-    assert in_parent[:2] == [[0.8, 1.0], [0.2, 0.5]]
-    assert_no_child_left()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_interrupted_lambda_star_scan_leaves_no_process(monkeypatch, mesh4, preset_data, fields4):
-    def stuck(*args, **kwargs):
-        time.sleep(60)
-
-    monkeypatch.setattr(forkmap, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "_descend", stuck)
-    with raising_after(0.2, KeyboardInterrupt()):
-        with pytest.raises(KeyboardInterrupt):
-            estimate_lambda_star(mesh4, preset_data, [0.2, 0.5], fields4)
-    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert estimate_lambda_star(mesh, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8), fields) == 0.8
+    assert calls == [(os.getpid(), [(0.8, Branch.MINUS)])]
+    # with 6.4 on top, not positive, the search bisects over the indices
+    # (0.2, then 0.4 and 0.8), then between 0.8 and 6.4
+    calls.clear()
+    assert estimate_lambda_star(mesh, preset_data, (0.05, 0.1, 0.2, 0.4, 0.8, 6.4), fields) == 1.5
+    assert calls == [(os.getpid(), [(lam, Branch.MINUS)]) for lam in (6.4, 0.2, 0.4, 0.8, 3.6, 2.2, 1.5)]
 
 
 @pytest.mark.parametrize("mesh_name", ["mesh2", "mesh4"])
