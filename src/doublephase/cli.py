@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .coeff_expr import CoefficientField, ExprEvalError, ExprParseError, parse_expr
-# t_circ, t_tilde_circ, check_nzero_empty, estimate_lambda_tilde: unused; perfbench traces them
+# t_circ, t_tilde_circ, check_nzero_empty, estimate_lambda_tilde, estimate_sobolev_constant: unused; perfbench traces them
 from .fibering import eta, eta_tilde, fiber_terms, psi_derivatives, t_circ, t_tilde_circ
 from .mesh import build_rect_mesh
 from .problem import ProblemData, validate_hypotheses
@@ -44,6 +44,7 @@ from .sweep import (
     lambda_tilde_from,
     nzero_evidence,
     sample_fibers,
+    sobolev_from,
 )
 
 __all__ = ["Config", "ConfigError", "load_config", "run", "main"]
@@ -343,7 +344,7 @@ def _cmd_sweep(config: Config, out_dir: str, function: str) -> int:
             f"warning: lambda_star_est {_fmt(lam_star)} exceeds "
             f"lambda_tilde_est {_fmt(lam_tilde)} (sampling artifact)"
         )
-    sobolev = estimate_sobolev_constant(mesh, data, n, seed, fields=fields)
+    sobolev = sobolev_from(mesh, data, fibers, seed, fields)
     report = SweepReport(lam_tilde, tuple(evidence), lam_star, censored, sobolev, n, seed)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "sweep_report.json"), asdict(report))

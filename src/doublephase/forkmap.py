@@ -11,18 +11,18 @@ affinity set after.  With one chunk it is ``func(items)`` in-process.  The
 parent reads the results in chunk order, so every value and exception is
 exactly what one process would give.  Two kinds of map run on it:
 
-- the sweep's sampling (``sweep._map_directions``: the sampled fibers and
-  the sampled Rayleigh candidates of the Sobolev estimate), capped at n*M //
-  ``sweep.FORK_MIN_NODES`` chunks for n directions on M nodes, so each
-  worker gets at least 2^18 node evaluations, and the sampling splits from
-  64x64 on at 200 samples.  One forked chunk plus the parent's against one
-  process at 200
-  samples, each chunk broken down in blocks of directions (one BLAS
-  thread, median time ratios of interleaved pairs, two runs each, fibers /
-  the whole Sobolev estimate): 16x16 1.25 and 1.20 / 1.74 and 1.77 (40
-  pairs; 9-17 and 5-6 ms in one process), 32x32 0.94 and 0.86 / 0.90 and
-  0.89 (30 pairs; 19-21 and 18-20 ms), 64x64 0.68 and 0.64 / 0.75 and
-  0.75 (20 pairs; 63 and 51-55 ms).  The blocks cut the in-process time
+- the sweep's sampling (``sweep._map_directions``: the sampled fibers, and
+  their directions' L^{p*} masses for the Sobolev estimate), capped at
+  n*M // ``sweep.FORK_MIN_NODES`` chunks for n directions on M nodes, so
+  each worker gets at least 2^18 node evaluations, and the sampling splits
+  from 64x64 on at 200 samples.  One forked chunk plus the parent's against
+  one process at 200 samples, each chunk broken down in blocks of
+  directions (one BLAS thread, median time ratios of interleaved pairs, two
+  runs each, fibers / the whole Sobolev estimate, which then broke each
+  direction down again): 16x16 1.25 and 1.20 / 1.74 and 1.77 (40 pairs;
+  9-17 and 5-6 ms in one process), 32x32 0.94 and 0.86 / 0.90 and 0.89 (30
+  pairs; 19-21 and 18-20 ms), 64x64 0.68 and 0.64 / 0.75 and 0.75 (20
+  pairs; 63 and 51-55 ms).  The blocks cut the in-process time
   most at 16x16, which now loses clearly; 32x32 gains about 2 ms of a
   sweep that takes seconds, so the threshold stays;
 - the lanes of ``solver.solve_two``, one (lambda, branch) group of

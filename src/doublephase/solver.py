@@ -39,14 +39,14 @@ search near a better point (Rinnooy Kan & Timmer, Math. Prog. 39, 1987):
 on the preset every start of a branch ends at one point, and the lanes
 meet long before they stop.  A lane that did not merge is its start's
 descent alone, bit for bit; a merged lane is that descent cut at its
-merge.  A batch with the cut (the lambda* search's) also stops every lane
-at and above the lowest lambda where a projected point has energy <= 0
-(``StopReason.CUT``): that point bounds the minus minimum there from above,
-so the search needs no more.  On two CPUs or more ``forkmap._fork_map``
-runs ``solve_two``'s two groups as a batch each, at any mesh size: the plus
-group on a forked worker, the minus group in the calling process; a merge
-compares lanes of one group only, so the split changes no bit of any
-result.
+merge.  A batch with the cut (the lambda* search's) also stops a group's
+running lanes once one of its projected points has energy <= 0
+(``StopReason.CUT``): that point bounds the group's minus minimum from
+above, so the search needs no more, and no other group is cut.  On two
+CPUs or more ``forkmap._fork_map`` runs ``solve_two``'s two groups as a
+batch each, at any mesh size: the plus group on a forked worker, the minus
+group in the calling process; a merge compares lanes of one group only, so
+the split changes no bit of any result.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ class StopReason(enum.Enum):
     ZERO_GRADIENT = "zero_gradient"                  # no descent along the free direction
     NON_FINITE = "non_finite"                        # the gradient or the direction overflowed
     MERGED = "merged"                                # joined a lower-energy lane of its group
-    CUT = "cut"                                      # a lane at its lambda or below reached energy <= 0
+    CUT = "cut"                                      # a lane of its group reached energy <= 0
 
 
 class NoRootError(ArithmeticError):
@@ -354,8 +354,8 @@ def _descend(
     branch) group of ``groups`` and (name, direction) pair of ``starts``;
     each lane keeps its own counters and stop reason, and drops out when it
     stops or joins a lower-energy lane of its group (``_merge``).  With
-    ``cut``, once a lane's projected energy is <= 0, every running lane at
-    its lambda or above stops (``_cut``).  Returns, per group, each start's
+    ``cut``, once a lane's projected energy is <= 0, the running lanes of
+    its group stop (``_cut``).  Returns, per group, each start's
     ``SolveResult`` or the ArithmeticError that failed its first projection
     or its result, in start order."""
     riesz = riesz_map(mesh)
@@ -437,13 +437,13 @@ def _descend(
 
 
 def _cut(lanes: list) -> None:
-    """Stop with StopReason.CUT every running lane at or above the lowest
-    lambda at which a lane's projected point has energy <= 0.  A minus point
-    bounds the minus branch's minimum at its lambda from above, so that
-    point alone shows that this minimum is not positive there."""
-    lowest = min((lane.lam for lane in lanes if lane.proj.energy <= 0.0), default=math.inf)
+    """Stop with StopReason.CUT every running lane of a group in which a
+    lane's projected point has energy <= 0.  A minus point bounds the minus
+    branch's minimum at its lambda from above, so that point alone shows
+    that this minimum is not positive there."""
+    cut = {lane.group for lane in lanes if lane.proj.energy <= 0.0}
     for lane in lanes:
-        if lane.reason is None and lane.lam >= lowest:
+        if lane.reason is None and lane.group in cut:
             lane.reason = StopReason.CUT
 
 

@@ -8,18 +8,18 @@ degenerate branch is empty (evidenced by the absence of tangencies among
 sampled fibers, never numerically fabricated); and up to lambda_star the
 Minus-branch minima stay positive (bracketed on a lambda grid with a short
 bisection refinement).  The first two reduce one table of sampled fibers
-(``sample_fibers``).  The best-constant of the p-embedding is bounded from
-above by polished Rayleigh quotients.
+(``sample_fibers``), and so does the upper bound on the p-embedding's best
+constant by polished Rayleigh quotients (``sobolev_from``).
 
-The sampled directions, and the Rayleigh candidates, are broken down in
-(k, M) blocks: k = max(1, BLOCK_NODES // M) directions on M nodes share one
-batched breakdown (``fibering.lane_terms``, as the descent's lanes do),
-whose rows are the one-direction breakdowns bit for bit.  At the small
-meshes a breakdown is mostly numpy dispatch, so one call per block costs a
-fraction of one call per direction (at one BLAS thread, per direction: 5
-against 51 us at 8x8, 13 against 60 us at 16x16, 60 against 89 us at
-32x32, 170 against 205 us at 64x64); from 128x128 on a block is one
-direction.  The scalar roots stay per direction, in sample order.
+The sampled directions are broken down in (k, M) blocks: k = max(1,
+BLOCK_NODES // M) directions on M nodes share one batched breakdown
+(``fibering.lane_terms``, as the descent's lanes do), whose rows are the
+one-direction breakdowns bit for bit.  At the small meshes a breakdown is
+mostly numpy dispatch, so one call per block costs a fraction of one call
+per direction (at one BLAS thread, per direction: 5 against 51 us at 8x8,
+13 against 60 us at 16x16, 60 against 89 us at 32x32, 170 against 205 us at
+64x64); from 128x128 on a block is one direction.  The scalar roots stay
+per direction, in sample order.
 
 The lambda* search runs in the calling process and forks nothing.  The
 minus minimum decreases strictly in lambda (its slope is -int |u*|^q1 / q1
@@ -42,24 +42,25 @@ solved, so a solver failure there is not reported: where the linear scan
 raised SweepUndetermined at a low grid point, the search may return a
 lambda* from the points it does decide.
 
-``_map_directions`` owns the sampled directions' layout; both sampling
-estimates (``sample_fibers`` and the sampled Rayleigh candidates of
-``estimate_sobolev_constant``) run on it, each with its block kernel.  It
-cuts the directions' indices into chunks on the same fork map, one per CPU
-but at most n*M // FORK_MIN_NODES for n directions on M nodes, so that each
+``_map_directions`` owns the sampled directions' layout, and each map on
+it has one job: ``sample_fibers`` breaks the directions down
+(``_fiber_block``), and ``sobolev_from`` computes their L^{p*} masses
+(``_mass_block``), reading each numerator from the fiber table.  It cuts
+the directions' indices into chunks on the same fork map, one per CPU but
+at most n*M // FORK_MIN_NODES for n directions on M nodes, so that each
 worker gets at least FORK_MIN_NODES node evaluations: a sampling map splits
 from 64x64 on at 200 samples (see ``forkmap`` for the measured break-even).
 Each chunk draws its blocks from its own offset in the seeded stream, so
 the output does not depend on the cut.  The six multi-starts' quotients,
 and the polishing of the best Rayleigh candidate, run in the calling
-process.
+process.  At one BLAS thread on one CPU (200 samples, medians of 7), the
+table and the estimate took 9.3-9.8, 54-83 and 148-189 ms at 8x8, 64x64
+and 128x128, against 11.2, 90-137 and 302-386 ms with a second breakdown.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import math
 
 import numpy as np
 
@@ -90,6 +91,7 @@ __all__ = [
     "check_nzero_empty",
     "estimate_lambda_star",
     "estimate_sobolev_constant",
+    "sobolev_from",
 ]
 
 LAMBDA_STAR_BISECTIONS = 3  # bisection steps between the bracketing grid points
@@ -284,8 +286,8 @@ def _decide(lam: float, results, failures) -> bool:
     A merged start (``StopReason.MERGED``) stopped early by design, so it
     counts neither way: its chain of merges ends at a start of the same
     batch and lambda that did not merge, and that start's own outcome
-    decides.  A cut start (``StopReason.CUT``) stopped at a lambda that the
-    bound decides.
+    decides.  A cut start (``StopReason.CUT``) stopped once a start of its
+    own (lambda, minus) group reached energy <= 0, so the bound decides.
     """
     if any(res.energy <= 0.0 for res in results):
         return False
@@ -395,24 +397,11 @@ def _quotient(data: ProblemData, num: float, mass: float) -> tuple[float, float,
     return num / (mass ** (1.0 / data.p_star)) ** data.p, num, mass
 
 
-def _quotient_block(mesh: Mesh, data: ProblemData, block: np.ndarray, fields: FieldSamples) -> list:
-    """``_rayleigh_quotient`` of each row of the (k, M) ``block`` (None for a
-    zero row), in row order, bit for bit from one batched breakdown
-    (``lane_terms``) and one batched L^{p*} mass (``lane_dot``, each row
-    the 1-D dot of ``_rayleigh_quotient``); a row with a value that is not
-    finite is recomputed alone."""
-    terms = lane_terms(mesh, data, block, fields)
-    with np.errstate(all="ignore"):
-        masses = lane_dot(np.abs(block) ** data.p_star, mesh.node_weight).tolist()
-    out = []
-    for u, nonzero, ft, mass in zip(block, block.any(axis=-1).tolist(), terms, masses):
-        if not nonzero:
-            out.append(None)
-        elif ft is None or not math.isfinite(mass):
-            out.append(_rayleigh_quotient(mesh, data, u, fields))
-        else:
-            out.append(_quotient(data, ft.a, mass))
-    return out
+def _mass_block(mesh: Mesh, data: ProblemData, block: np.ndarray) -> list:
+    """The L^{p*} mass of each row of the (k, M) ``block`` (None for a zero
+    row), each the 1-D dot of ``_rayleigh_quotient`` bit for bit (``lane_dot``)."""
+    masses = lane_dot(np.abs(block) ** data.p_star, mesh.node_weight).tolist()
+    return [mass if nonzero else None for mass, nonzero in zip(masses, block.any(axis=-1).tolist())]
 
 
 def _rayleigh_gradient(mesh, data, u, fields, num: float, mass: float) -> np.ndarray:
@@ -430,19 +419,26 @@ def _rayleigh_gradient(mesh, data, u, fields, num: float, mass: float) -> np.nda
 
 
 def estimate_sobolev_constant(mesh: Mesh, data: ProblemData, n_samples: int, seed: int, fields: FieldSamples) -> float:
+    """``sobolev_from`` over ``n_samples`` sampled fibers at ``seed``, as
+    ``estimate_lambda_tilde`` reduces them: it also pays each sample's
+    scalar roots, and raises where ``sample_fibers`` does (OverflowError
+    where a root leaves the floats)."""
+    return sobolev_from(mesh, data, sample_fibers(mesh, data, n_samples, seed, fields), seed, fields)
+
+
+def sobolev_from(mesh: Mesh, data: ProblemData, fibers, seed: int, fields: FieldSamples) -> float:
     """Upper bound on the discrete best constant of the p-embedding: the
     minimum Rayleigh quotient |u|_{1,p}^p / |u|_{p*}^p over multi-starts and
-    seeded random positives, with SOBOLEV_POLISH_STEPS gradient-descent
-    steps polishing the best candidate.  The running minimum never
-    increases.
-
-    The multi-starts are scored here, in blocks, ahead of the sampled
-    directions on ``_map_directions``; only the first strict minimum's index
-    is kept, and the polish redraws that direction if it is a sampled one."""
+    the directions of ``fibers`` (``sample_fibers`` at ``seed``), with
+    SOBOLEV_POLISH_STEPS gradient steps polishing the first strict minimum,
+    a sampled one drawn again; the running minimum never increases.  A
+    sampled candidate's numerator is its fiber's ``a``, so the one pass over
+    the directions computes their L^{p*} masses (``_mass_block``; a zero
+    direction is no candidate)."""
     starts = np.array([w for _, w in multistart_directions(mesh, seed)])
-    k = _block_size(mesh)
-    quotients = [q for lo in range(0, len(starts), k) for q in _quotient_block(mesh, data, starts[lo:lo + k], fields)]
-    quotients += _map_directions(mesh, n_samples, seed, lambda block: _quotient_block(mesh, data, block, fields))
+    quotients = [_rayleigh_quotient(mesh, data, w, fields) for w in starts]
+    masses = _map_directions(mesh, len(fibers), seed, lambda block: _mass_block(mesh, data, block))
+    quotients += [None if mass is None else _quotient(data, f.terms.a, mass) for f, mass in zip(fibers, masses)]
     best, val, num, mass = None, np.inf, None, None
     for i, q in enumerate(quotients):
         if q is not None and q[0] < val:

@@ -611,6 +611,30 @@ def test_sweep_breaks_down_each_sample_once(tmp_path, monkeypatch):
     assert len(calls) == config.sweep_samples
 
 
+def test_sweep_passes_each_sampled_direction_through_lane_terms_once(tmp_path, monkeypatch):
+    # with the lambda* search out of the way, the batched breakdowns' rows
+    # are the sampled directions, each once, in sample order: the Sobolev
+    # estimate reads its numerators from the fiber table, and its
+    # multi-starts are no batched rows
+    from doublephase import cli, fibering, solver, sweep
+
+    rows = []
+
+    def recording(mesh, data, block, fields):
+        rows.extend(row.tobytes() for row in block)
+        return lane_terms(mesh, data, block, fields)
+
+    lane_terms = fibering.lane_terms
+    for module in (fibering, solver, sweep):
+        monkeypatch.setattr(module, "lane_terms", recording)
+    monkeypatch.setattr(cli, "estimate_lambda_star", lambda *args: 0.05)
+    config = load_config(write(tmp_path, SMALL_SOLVE))  # 4x4, 15 samples
+    assert run("sweep", config, str(tmp_path / "out")) == 0
+    n = config.sweep_samples
+    assert len(rows) == n  # not 2n + 6: a second breakdown of each sample, and the 6 multi-starts
+    assert rows == [u.tobytes() for u in sweep.sample_directions(config.build_mesh(), n, config.sweep_seed)]
+
+
 def test_undetermined_sweep_exits_1_after_writing_both_outputs(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_SOLVE + "solver.max_iter = 1\n")
     out_dir = str(tmp_path / "out")

@@ -20,10 +20,10 @@ from doublephase import (
     solve_branch,
 )
 from doublephase import forkmap, solver, sweep
-from doublephase.fibering import eta, t_circ, t_tilde_circ
+from doublephase.fibering import eta, lane_terms, t_circ, t_tilde_circ
 from doublephase.rootfind import BracketError
 from doublephase.solver import NoRootError
-from doublephase.space import sample_fields
+from doublephase.space import lane_dot, sample_fields
 from doublephase.sweep import SweepUndetermined, sample_directions
 
 from conftest import assert_no_child_left, overflowing_start, raising_after, rng
@@ -405,35 +405,41 @@ def test_a_multi_lambda_batch_gives_each_lambda_its_solve_branch_results(monkeyp
     assert merges > 0
 
 
-def test_a_cut_leaves_the_lambdas_below_it_bit_for_bit(monkeypatch, preset_data):
-    # on 8x8 the minus minimum is positive at 1.0 and negative at 2.0: in one
-    # batch over (1.0, 2.0, 4.0) a lane at 2.0 reaches energy <= 0 and stops
-    # every lane at 2.0 and 4.0, while the lanes at 1.0 run on to their
-    # solve_branch results, bit for bit
+def test_a_cut_leaves_the_batchs_other_groups_bit_for_bit(monkeypatch, preset_data):
+    # the cut stops the lanes of one group only: on 8x8, in one batch, the
+    # plus group at 0.1 (a plus point's energy is negative) and the minus
+    # groups at 2.0 and 4.0 (the minus minimum is negative there) stop at
+    # their own points with energy <= 0, each as it does alone, while the
+    # minus group at 1.0, above the plus group's lambda and below 2.0, runs
+    # on to its solve_branch results, bit for bit
     from doublephase import build_rect_mesh
 
     mesh = build_rect_mesh(8, 8)
     fields = sample_fields(mesh, preset_data)
-    grid = (1.0, 2.0, 4.0)
+    groups = [(0.1, Branch.PLUS), (1.0, Branch.MINUS), (2.0, Branch.MINUS), (4.0, Branch.MINUS)]
     batches = recording_batches(monkeypatch)
-    groups = [(lam, Branch.MINUS) for lam in grid]
     got = solver._solve_groups(mesh, preset_data, groups, fields, SolverOptions(), cut=True)
-    assert [sweep._decide(lam, *group) for lam, group in zip(grid[:2], got)] == [True, False]
-    ((descended, (below, at_two, at_four)),) = batches
-    assert descended == [(1.0, Branch.MINUS), (2.0, Branch.MINUS), (4.0, Branch.MINUS)]
-    own, _ = solve_branch(mesh, preset_data, 1.0, Branch.MINUS, fields)
-    assert [result_key(res) for res in below] == [result_key(res) for res in own]
-    assert all(res.stop_reason is StopReason.CUT or res.energy <= 0.0 for res in at_two + at_four)
-    assert any(res.energy <= 0.0 for res in at_two)
-    assert all(res.stop_reason is StopReason.CUT and not res.converged and res.residual is None for res in at_four)
+    ((descended, _),) = batches
+    assert descended == groups
+    assert [sweep._decide(lam, *group) for (lam, _), group in zip(groups[1:], got[1:])] == [True, False, False]
+    (results, failures), (own, own_failures) = got[1], solve_branch(mesh, preset_data, 1.0, Branch.MINUS, fields)
+    assert failures == own_failures == ()
+    assert [result_key(res) for res in results] == [result_key(res) for res in own]
+    for k in (0, 2, 3):
+        (results, failures), group = got[k], groups[k]
+        assert failures == ()
+        assert all(res.stop_reason is StopReason.CUT or res.energy <= 0.0 for res in results)
+        assert any(res.energy <= 0.0 for res in results)
+        ((alone, _),) = solver._solve_groups(mesh, preset_data, [group], fields, SolverOptions(), cut=True)
+        assert [result_key(res) for res in results] == [result_key(res) for res in alone], group
 
 
 def test_a_scans_cut_batch_never_leaves_its_process(monkeypatch, tmp_path, mesh4, preset_data, fields4):
-    # a cut reaches only the lanes of its own batch, so a batch with the cut
-    # must descend in one process whatever the CPU count: at two CPUs the
-    # groups over (1.0, 2.0, 4.0) are one batch in this process; 2.0 decides
-    # by the bound and cuts 4.0, and 1.0, below the cut, gets its
-    # solve_branch results and failures
+    # a batch with the cut descends in one process whatever the CPU count,
+    # and its cut reaches no other group: at two CPUs the groups over (1.0,
+    # 2.0, 4.0) are one batch in this process; 2.0 and 4.0 decide by the
+    # bound, each cut by a point of its own, and 1.0 gets its solve_branch
+    # results and failures
     groups = [(lam, Branch.MINUS) for lam in (1.0, 2.0, 4.0)]
     monkeypatch.setattr(forkmap, "_available_cpus", lambda: 1)
     want = solver._solve_groups(mesh4, preset_data, groups, fields4, SolverOptions(), cut=True)
@@ -458,6 +464,7 @@ def test_a_scans_cut_batch_never_leaves_its_process(monkeypatch, tmp_path, mesh4
     (results, failures), own = pairs[0], solve_branch(mesh4, preset_data, 1.0, Branch.MINUS, fields4)
     assert [result_key(res) for res in results] == [result_key(res) for res in own[0]]
     assert [(name, repr(exc)) for name, exc in failures] == [(name, repr(exc)) for name, exc in own[1]]
+    assert all(any(res.energy <= 0.0 for res in results) for results, _ in pairs[1:])
 
 
 def test_a_group_owns_the_merge_rule(monkeypatch, preset_data):
@@ -645,8 +652,8 @@ def test_sampling_in_blocks_is_the_sequential_loops(
 ):
     # 11 samples: at 3 workers the chunks are 0-2, 3-6 and 7-10, so blocks of
     # 2 and 3 end inside a chunk and at its end; the sampled Rayleigh
-    # candidates run in the same chunks, after the 6 multi-starts, which the
-    # caller scores in its own blocks
+    # candidates' masses run in the same chunks, and the caller scores the 6
+    # multi-starts ahead of them
     if workers > 1 and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
     mesh, fields = sampling_meshes[mesh_name]
@@ -661,21 +668,24 @@ def test_sampling_in_blocks_is_the_sequential_loops(
     sampling_at_width(monkeypatch, workers)
     sampling_in_blocks(monkeypatch, mesh, per_block)
     maps = recording_maps(monkeypatch)
-    in_caller = []  # the caller's rows: the multi-starts' first, then its own chunk's
-    quotient_block = sweep._quotient_block
+    scored = []  # every (quotient, numerator, mass) in order: the candidates', then the polish's
+    quotient = sweep._quotient
 
-    def recording(mesh, data, block, fields):
-        rows = quotient_block(mesh, data, block, fields)
-        in_caller.extend(rows)
-        return rows
+    def recording(data, num, mass):
+        scored.append(quotient(data, num, mass))
+        return scored[-1]
 
-    monkeypatch.setattr(sweep, "_quotient_block", recording)
+    monkeypatch.setattr(sweep, "_quotient", recording)
     assert all(np.array_equal(u, w) for u, w in zip(sample_directions(mesh, n, 3), directions, strict=True))
-    assert repr(sweep.sample_fibers(mesh, d, n, 3, fields)) == repr(loop)
-    assert repr(estimate_sobolev_constant(mesh, d, n, 3, fields)) == repr(sobolev)
-    # every candidate's (quotient, numerator), not only the minimum the estimate keeps
-    assert repr(in_caller[:6]) == repr(quotients[:6])
-    assert repr(maps[1][1]) == repr(quotients[6:])
+    fibers = sweep.sample_fibers(mesh, d, n, 3, fields)
+    assert repr(fibers) == repr(loop)
+    assert repr(sweep.sobolev_from(mesh, d, fibers, 3, fields)) == repr(sobolev)
+    # every candidate's (quotient, numerator, mass), not only the minimum the
+    # estimate keeps, and each sampled mass from its own chunk's blocks
+    assert repr(scored[:6 + n]) == repr(quotients)
+    ((chunks, masses),) = maps[1:]
+    assert len(chunks) == min(workers, n)
+    assert repr(masses) == repr([q[2] for q in quotients[6:]])
     assert_no_child_left()
 
 
@@ -713,11 +723,12 @@ def test_a_dead_sampling_worker_changes_nothing(monkeypatch, mesh4, preset_data,
     sampling_in_blocks(monkeypatch, mesh4, 2)
     monkeypatch.setattr(sweep, "_fork_map", noting_parents_chunks)
     monkeypatch.setattr(sweep, "_fiber_block", dying(sweep._fiber_block))
-    monkeypatch.setattr(sweep, "_quotient_block", dying(sweep._quotient_block))
+    monkeypatch.setattr(sweep, "_mass_block", dying(sweep._mass_block))
     with raising_after(60, TimeoutError("the sampling hung on a dead worker")):
         assert sweep.sample_fibers(mesh4, d, 9, 2, fields4) == fibers
-        assert estimate_sobolev_constant(mesh4, d, 9, 2, fields4) == sobolev
-    # each map's parent ran its own chunk of the 9 samples, then recomputed the first
+        assert sweep.sobolev_from(mesh4, d, fibers, 2, fields4) == sobolev
+    # each map's parent (the fibers', then the masses') ran its own chunk of
+    # the 9 samples, then recomputed the first
     assert in_parent == [range(4, 9), range(0, 4)] * 2
     assert_no_child_left()
 
@@ -812,6 +823,77 @@ def test_sobolev_polishing_moves_off_a_constant_best_candidate(monkeypatch, mesh
     monkeypatch.setattr(sweep, "SOBOLEV_POLISH_STEPS", 40)
     polished = estimate_sobolev_constant(mesh4, data, 20, seed=0, fields=fields)
     assert polished < rough
+
+
+def _old_quotient_block(mesh, data, block, fields) -> list:
+    """``_rayleigh_quotient`` of each row of the (k, M) ``block`` (None for a
+    zero row) from one batched breakdown and one batched L^{p*} mass, a row
+    that is not finite recomputed alone: the second sampling kernel the
+    estimate had before it read its numerators from the fiber table."""
+    terms = lane_terms(mesh, data, block, fields)
+    with np.errstate(all="ignore"):
+        masses = lane_dot(np.abs(block) ** data.p_star, mesh.node_weight).tolist()
+    out = []
+    for u, nonzero, ft, mass in zip(block, block.any(axis=-1).tolist(), terms, masses):
+        if not nonzero:
+            out.append(None)
+        elif ft is None or not np.isfinite(mass):
+            out.append(sweep._rayleigh_quotient(mesh, data, u, fields))
+        else:
+            out.append(sweep._quotient(data, ft.a, mass))
+    return out
+
+
+def _old_estimate_sobolev_constant(mesh, data, n_samples, seed, fields) -> float:
+    """The estimate that broke every sampled direction down a second time
+    (``_old_quotient_block``), with its polish: the oracle of ``sobolev_from``."""
+    starts = np.array([w for _, w in solver.multistart_directions(mesh, seed)])
+    k = sweep._block_size(mesh)
+    quotients = [q for lo in range(0, len(starts), k) for q in _old_quotient_block(mesh, data, starts[lo:lo + k], fields)]
+    quotients += sweep._map_directions(mesh, n_samples, seed, lambda block: _old_quotient_block(mesh, data, block, fields))
+    best, val, num, mass = None, np.inf, None, None
+    for i, q in enumerate(quotients):
+        if q is not None and q[0] < val:
+            best, (val, num, mass) = i, q
+    u = starts[best] if best < len(starts) else next(sweep._direction_blocks(mesh, 1, seed, best - len(starts)))[0]
+    step = 1.0
+    for _ in range(sweep.SOBOLEV_POLISH_STEPS):
+        g = sweep._rayleigh_gradient(mesh, data, u, fields, num, mass)
+        if not g.any():
+            break
+        s = step
+        for _ in range(30):
+            trial = u - s * g
+            if np.any(trial):
+                tval, tnum, tmass = sweep._rayleigh_quotient(mesh, data, trial, fields)
+                if np.isfinite(tval) and tval < val:
+                    u, val, num, mass, step = trial, tval, tnum, tmass, s * 2.0
+                    break
+            s *= 0.5
+        else:
+            break
+    return float(val)
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 7, 11])
+@pytest.mark.parametrize("alpha", ["1", "0.5 + x", "exp(-5*x)"])
+def test_sobolev_estimate_is_the_two_pass_estimate_it_replaced(alpha, n_samples, preset_data):
+    # seeded draws of the mesh (3x3 to 8x8) and of the sampling seed; the
+    # estimate, from the fiber table and from the public wrapper, is the old
+    # one's bit for bit, the polish included (it moves for alpha != 1)
+    from doublephase import build_rect_mesh
+
+    data = replace(preset_data, alpha=alpha)
+    draw = rng(n_samples)
+    for _ in range(2):
+        nx, ny = (int(v) for v in draw.integers(3, 9, size=2))
+        seed = int(draw.integers(0, 1000))
+        mesh = build_rect_mesh(nx, ny)
+        fields = sample_fields(mesh, data)
+        want = repr(_old_estimate_sobolev_constant(mesh, data, n_samples, seed, fields))
+        fibers = sweep.sample_fibers(mesh, data, n_samples, seed, fields)
+        assert repr(sweep.sobolev_from(mesh, data, fibers, seed, fields)) == want, (nx, ny, seed)
+        assert repr(estimate_sobolev_constant(mesh, data, n_samples, seed, fields=fields)) == want, (nx, ny, seed)
 
 
 def test_sampled_threshold_ordering(mesh4, preset_data, fields4):
